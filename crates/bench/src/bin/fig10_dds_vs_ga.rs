@@ -225,14 +225,42 @@ fn sweep(mixes: u64) {
     println!("Paper shape: DDS up to ~1.19x, gap smallest at the 50% cap.");
 }
 
+const USAGE: &str = "usage: fig10_dds_vs_ga [--scatter|--sweep|--both] [mixes_per_service]";
+
+/// Parses the mode argument into `(run scatter, run sweep)`; an absent
+/// argument means both, an unrecognised one is `None`.
+fn parse_mode(arg: Option<&str>) -> Option<(bool, bool)> {
+    match arg.unwrap_or("--both") {
+        "--scatter" => Some((true, false)),
+        "--sweep" => Some((false, true)),
+        "--both" => Some((true, true)),
+        _ => None,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mode = args.get(1).map(String::as_str).unwrap_or("--both");
+    let Some((run_scatter, run_sweep)) = parse_mode(args.get(1).map(String::as_str)) else {
+        eprintln!("unknown mode {:?}\n{USAGE}", args[1]);
+        std::process::exit(2);
+    };
     let mixes: u64 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(1);
-    if mode == "--scatter" || mode == "--both" {
+    if run_scatter {
         scatter();
     }
-    if mode == "--sweep" || mode == "--both" {
+    if run_sweep {
         sweep(mixes);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_mode;
+
+    #[test]
+    fn an_unknown_mode_is_rejected_not_swallowed() {
+        assert_eq!(parse_mode(Some("1")), None);
+        assert_eq!(parse_mode(None), Some((true, true)));
+        assert_eq!(parse_mode(Some("--sweep")), Some((false, true)));
     }
 }

@@ -345,10 +345,11 @@ impl JobMatrices {
         })
     }
 
-    /// Runs the reconstructions (§V runs them in parallel; we use the
-    /// reconstructor's `complete_all`) and returns dense predictions for
-    /// the live jobs: one throughput and one power completion, plus a tail
-    /// completion per LC tenant at that tenant's load (`loads[lc]`).
+    /// Runs the reconstructions on the calling thread (§V runs them in
+    /// parallel: that is `reconstruct_session` with a pool) and returns
+    /// dense predictions for the live jobs: one throughput and one power
+    /// completion, plus a tail completion per LC tenant at that tenant's
+    /// load (`loads[lc]`).
     pub fn reconstruct(&mut self, reconstructor: &Reconstructor, loads: &[f64]) -> Predictions {
         self.reconstruct_session(reconstructor, loads, None, None)
             .predictions

@@ -511,9 +511,10 @@ impl CfReconstruct {
         }
     }
 
-    /// Runs the parallel solves on a shared long-lived worker pool instead
-    /// of spawning threads per quantum. Numerically invisible: HOGWILD is
-    /// racy either way, and the serial path does not change.
+    /// Runs the per-matrix solves on a shared long-lived worker pool
+    /// (`None`: inline on the deciding thread). Numerically invisible for
+    /// the default serial-SGD reconstructor; a HOGWILD reconstructor
+    /// (`threads > 1`) races only when it has a pool to race on.
     #[must_use]
     pub fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> CfReconstruct {
         self.pool = pool;
@@ -791,9 +792,10 @@ impl PenaltySearch {
         }
     }
 
-    /// Runs DDS worker iterations on a shared long-lived pool. Bit-identical
-    /// to the spawning backend at any pool width (the per-logical-worker RNG
-    /// streams are independent of physical thread count).
+    /// Runs DDS worker iterations on a shared long-lived pool (`None`:
+    /// inline on the deciding thread). Bit-identical at any pool width and
+    /// with no pool (the per-logical-worker RNG streams are independent of
+    /// physical thread count).
     #[must_use]
     pub fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> PenaltySearch {
         self.pool = pool;

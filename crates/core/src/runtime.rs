@@ -92,9 +92,9 @@ use crate::types::{
 /// solve (bounded by the property tests) and which therefore defaults to
 /// off.
 ///
-/// * **Worker pool** — long-lived threads reused across quanta instead of
-///   spawn-per-call. The pooled DDS backend is bit-identical to the
-///   spawning one at any pool width.
+/// * **Worker pool** — long-lived threads reused across quanta. Width is
+///   immaterial to the decisions: any pool, and no pool at all (the logical
+///   workers run inline), produce bit-identical records.
 /// * **Warm start** — reconstruction keeps each quantum's factor models
 ///   and refines them with a short decayed-learning-rate schedule. State
 ///   invalidates on job churn and whenever the sanity gate trips.
@@ -103,8 +103,8 @@ use crate::types::{
 ///   within a quantum.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfConfig {
-    /// Threads in the shared worker pool. `0` disables the pool and
-    /// reverts to the legacy spawn-per-quantum path.
+    /// Threads in the shared worker pool. `0` means no threads: the
+    /// logical workers run inline on the deciding thread.
     pub pool_threads: usize,
     /// Warm-started reconstruction schedule; `None` cold-starts every
     /// quantum.
@@ -124,28 +124,7 @@ impl Default for PerfConfig {
 }
 
 impl PerfConfig {
-    /// The legacy compute path: spawn-per-quantum threads, cold-started
-    /// reconstruction, uncached evaluations. The baseline the
-    /// `decision_loop` bench compares against.
-    #[must_use]
-    pub fn cold() -> PerfConfig {
-        PerfConfig {
-            pool_threads: 0,
-            warm_start: None,
-            evaluation_cache: false,
-        }
-    }
-
-    /// Everything on, including warm-started reconstruction.
-    #[must_use]
-    pub fn fast() -> PerfConfig {
-        PerfConfig {
-            warm_start: Some(WarmStartConfig::default()),
-            ..PerfConfig::default()
-        }
-    }
-
-    /// Replaces the worker-pool width (`0` = legacy spawn-per-quantum).
+    /// Replaces the worker-pool width (`0` = no threads, run inline).
     #[must_use]
     pub fn with_pool_threads(mut self, threads: usize) -> PerfConfig {
         self.pool_threads = threads;
@@ -700,17 +679,21 @@ mod tests {
             let mut m = CuttleSysManager::for_scenario(&scenario);
             run_scenario(&scenario, &mut m)
         };
-        let cold = {
-            let mut m = CuttleSysManager::for_scenario(&scenario).with_perf(PerfConfig::cold());
+        let inline_uncached = {
+            let perf = PerfConfig::default()
+                .with_pool_threads(0)
+                .with_evaluation_cache(false);
+            let mut m = CuttleSysManager::for_scenario(&scenario).with_perf(perf);
             run_scenario(&scenario, &mut m)
         };
-        assert_eq!(comparable(&pooled), comparable(&cold));
+        assert_eq!(comparable(&pooled), comparable(&inline_uncached));
     }
 
     #[test]
     fn warm_start_cuts_sgd_epochs_and_reports_warm_solves() {
         let scenario = quick(0.7, 0.8);
-        let mut manager = CuttleSysManager::for_scenario(&scenario).with_perf(PerfConfig::fast());
+        let mut manager = CuttleSysManager::for_scenario(&scenario)
+            .with_perf(PerfConfig::default().with_warm_start(true));
         let record = run_scenario(&scenario, &mut manager);
         let summary = record.stage_summary().expect("telemetry present");
         assert!(summary.warm_solves > 0, "quanta after the first warm-start");

@@ -8,20 +8,13 @@
 //! radii: the first quarter uses `r₁`, the next `r₂`, and so on
 //! (`r = [0.2, 0.3, 0.4, 0.5]`, Fig. 6).
 //!
-//! Two execution back-ends produce bit-identical results:
-//!
-//! * [`parallel_search`] spawns one scoped OS thread per logical worker and
-//!   synchronizes iterations with a barrier — the original shape, kept as
-//!   the reference implementation;
-//! * [`parallel_search_in`] with a [`WorkerPool`] keeps the iteration loop
-//!   on the calling thread and fans each iteration's per-worker candidate
-//!   batches out to the pool. Per-worker RNG streams persist across
-//!   iterations and the reduction runs on the orchestrator in worker-index
-//!   order, so the result does not depend on the pool's physical width —
-//!   a 1-thread pool and an 8-thread pool return the same answer as the
-//!   spawning back-end.
-
-use std::sync::{Barrier, Mutex};
+//! The iteration loop stays on the calling thread and fans each iteration's
+//! per-worker candidate batches out through [`util::pool::for_each_slot`]:
+//! onto a [`WorkerPool`] when the caller has one, inline otherwise. Per-worker
+//! RNG streams persist across iterations and the reduction runs on the
+//! orchestrator in worker-index order, so the result does not depend on who
+//! runs a worker — no pool, a 1-thread pool and an 8-thread pool return the
+//! same bits.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -65,11 +58,6 @@ impl Default for ParallelDdsParams {
             record_explored: false,
         }
     }
-}
-
-struct Shared {
-    best_point: Vec<usize>,
-    best_value: f64,
 }
 
 /// Evaluated points, in evaluation order (only filled when
@@ -132,7 +120,7 @@ fn worker_radius(params: &ParallelDdsParams, t: usize) -> f64 {
 
 /// One logical worker's share of one iteration: `points_per_iteration`
 /// candidates perturbed from the global best, greedily keeping the local
-/// best. Shared verbatim by both back-ends so they cannot drift apart.
+/// best.
 #[allow(clippy::too_many_arguments)]
 fn worker_iteration(
     space: &SearchSpace,
@@ -175,11 +163,20 @@ fn worker_iteration(
     (local_point, local_value)
 }
 
-/// Runs parallel DDS (Alg. 2), maximizing `objective` over `space`, with
-/// one scoped OS thread per logical worker.
+/// One logical worker: its RNG stream and perturbation radius persist across
+/// iterations; `local` is the slot its per-iteration best lands in.
+struct Worker {
+    rng: StdRng,
+    radius: f64,
+    explored: ExploredLog,
+    local: (Vec<usize>, f64),
+}
+
+/// Runs parallel DDS (Alg. 2), maximizing `objective` over `space`, with the
+/// logical workers run inline on the calling thread.
 ///
-/// Deterministic for a fixed seed: candidate generation is seeded per
-/// (thread, iteration) and the reduction breaks ties by thread index.
+/// Deterministic for a fixed seed: each logical worker owns one seeded RNG
+/// stream and the reduction breaks ties by worker index.
 ///
 /// # Panics
 ///
@@ -190,95 +187,14 @@ pub fn parallel_search(
     objective: &dyn Objective,
     params: &ParallelDdsParams,
 ) -> SearchResult {
-    validate(params);
-    let (best_point, best_value, initial_explored) = initial_phase(space, objective, params);
-
-    let shared = Mutex::new(Shared {
-        best_point,
-        best_value,
-    });
-    let barrier = Barrier::new(params.threads);
-    let free = space.free_dims();
-    let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
-    // Local bests posted by each thread every iteration, reduced by thread 0.
-    type Post = Mutex<Option<(Vec<usize>, f64)>>;
-    let posts: Vec<Post> = (0..params.threads).map(|_| Mutex::new(None)).collect();
-    // Per-thread explored logs, concatenated in thread order afterwards so
-    // the record is deterministic despite the concurrent evaluation.
-    let mut explored_parts: Vec<Vec<(Vec<usize>, f64)>> = vec![Vec::new(); params.threads];
-
-    // lint:allow(DET-RAW-SPAWN, reason = "reference spawn-per-call back-end kept as the cross-check for the pooled back-end; tests/determinism.rs pins both to identical bits")
-    crossbeam::scope(|scope| {
-        for (t, part) in explored_parts.iter_mut().enumerate() {
-            let (shared, barrier, posts, free) = (&shared, &barrier, &posts, &free);
-            let params = &params;
-            scope.spawn(move |_| {
-                let r = worker_radius(params, t);
-                let mut rng = StdRng::seed_from_u64(worker_seed(params.seed, t));
-                for i in 1..=params.max_iters {
-                    let (global_point, global_value) = {
-                        // lint:allow(PANIC-POLICY, reason = "lock poisoning means a sibling worker already panicked; propagating tears down the scope, which the breaker absorbs")
-                        let g = shared.lock().unwrap();
-                        (g.best_point.clone(), g.best_value)
-                    };
-                    let p_select = 1.0 - (i as f64).ln() / ln_max;
-                    let local = worker_iteration(
-                        space,
-                        objective,
-                        params,
-                        free,
-                        r,
-                        p_select,
-                        &global_point,
-                        global_value,
-                        &mut rng,
-                        part,
-                    );
-                    // lint:allow(PANIC-POLICY, reason = "poisoned post slot means a sibling panicked; propagate")
-                    *posts[t].lock().unwrap() = Some(local);
-                    barrier.wait();
-                    if t == 0 {
-                        // lint:allow(PANIC-POLICY, reason = "poisoned global best means a sibling panicked; propagate")
-                        let mut g = shared.lock().unwrap();
-                        for post in posts.iter() {
-                            // lint:allow(PANIC-POLICY, reason = "poisoned post slot means a sibling panicked; propagate")
-                            if let Some((p, v)) = post.lock().unwrap().take() {
-                                if v > g.best_value {
-                                    g.best_value = v;
-                                    g.best_point = p;
-                                }
-                            }
-                        }
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    })
-    // Documented panic: a worker panic is a search-stage fault, and the
-    // decision pipeline's circuit breaker catches it at the stage boundary.
-    // lint:allow(PANIC-POLICY, reason = "worker panic surfaces as a stage fault for the circuit breaker; swallowing it would return a half-reduced best")
-    .expect("parallel DDS worker panicked");
-
-    // lint:allow(PANIC-POLICY, reason = "into_inner after the scope joined every worker; poisoning is impossible unless a panic already propagated above")
-    let g = shared.into_inner().unwrap();
-    let mut explored = initial_explored;
-    explored.extend(util::reduce::ordered_concat(explored_parts));
-    SearchResult {
-        best_point: g.best_point,
-        best_value: g.best_value,
-        evaluations: params.initial_points
-            + params.max_iters * params.points_per_iteration * params.threads,
-        explored,
-    }
+    parallel_search_in(None, space, objective, params)
 }
 
-/// Runs parallel DDS on an execution back-end: `Some(pool)` dispatches each
-/// iteration's logical workers to the persistent pool, `None` falls back to
-/// [`parallel_search`]'s spawn-per-call threads.
+/// [`parallel_search`] with each iteration's logical workers dispatched to
+/// `pool` when one is given.
 ///
-/// Bit-identical to [`parallel_search`] for the same `params`, whatever the
-/// pool's physical thread count: per-worker RNG streams live on the
+/// Bit-identical for the same `params` whatever the pool's physical thread
+/// count, and with no pool at all: per-worker RNG streams live on the
 /// orchestrator across iterations, and the reduction happens on the
 /// orchestrator in worker-index order.
 pub fn parallel_search_in(
@@ -287,61 +203,47 @@ pub fn parallel_search_in(
     objective: &dyn Objective,
     params: &ParallelDdsParams,
 ) -> SearchResult {
-    let Some(pool) = pool else {
-        return parallel_search(space, objective, params);
-    };
     validate(params);
     let (mut best_point, mut best_value, initial_explored) =
         initial_phase(space, objective, params);
 
     let free = space.free_dims();
     let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
-    // Logical-worker state persists across iterations on the orchestrator.
-    let mut rngs: Vec<StdRng> = (0..params.threads)
-        .map(|t| StdRng::seed_from_u64(worker_seed(params.seed, t)))
+    let mut workers: Vec<Worker> = (0..params.threads)
+        .map(|t| Worker {
+            rng: StdRng::seed_from_u64(worker_seed(params.seed, t)),
+            radius: worker_radius(params, t),
+            explored: Vec::new(),
+            local: Default::default(),
+        })
         .collect();
-    let radii: Vec<f64> = (0..params.threads)
-        .map(|t| worker_radius(params, t))
-        .collect();
-    let mut explored_parts: Vec<Vec<(Vec<usize>, f64)>> = vec![Vec::new(); params.threads];
 
     for i in 1..=params.max_iters {
         let p_select = 1.0 - (i as f64).ln() / ln_max;
-        let global_point = best_point.clone();
-        let global_value = best_value;
-        let mut locals: Vec<(Vec<usize>, f64)> =
-            vec![(Vec::new(), f64::NEG_INFINITY); params.threads];
-        pool.scope(|scope| {
-            let worker_state = locals
-                .iter_mut()
-                .zip(rngs.iter_mut())
-                .zip(explored_parts.iter_mut())
-                .zip(radii.iter());
-            for (((slot, rng), part), &r) in worker_state {
-                let (global_point, free, params) = (&global_point, &free, &params);
-                scope.spawn(move || {
-                    *slot = worker_iteration(
-                        space,
-                        objective,
-                        params,
-                        free,
-                        r,
-                        p_select,
-                        global_point,
-                        global_value,
-                        rng,
-                        part,
-                    );
-                });
-            }
+        util::pool::for_each_slot(pool, &mut workers, |_, w| {
+            w.local = worker_iteration(
+                space,
+                objective,
+                params,
+                &free,
+                w.radius,
+                p_select,
+                &best_point,
+                best_value,
+                &mut w.rng,
+                &mut w.explored,
+            );
         });
-        // Reduction in worker-index order, exactly like thread 0's pass over
-        // the posts in the spawning back-end.
+        // Reduction in worker-index order (Alg. 2: install the best local
+        // best as the next global best, ties to the lowest index).
+        let locals = workers.iter_mut().map(|w| std::mem::take(&mut w.local));
         (best_point, best_value) = util::reduce::ordered_best(locals, (best_point, best_value));
     }
 
     let mut explored = initial_explored;
-    explored.extend(util::reduce::ordered_concat(explored_parts));
+    explored.extend(util::reduce::ordered_concat(
+        workers.into_iter().map(|w| w.explored),
+    ));
     SearchResult {
         best_point,
         best_value,
@@ -398,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_backend_is_bit_identical_to_spawning_backend() {
+    fn pooled_search_is_bit_identical_to_inline_at_any_width() {
         let space = SearchSpace::new(10, 108);
         let params = ParallelDdsParams {
             threads: 4,
@@ -406,29 +308,15 @@ mod tests {
             ..ParallelDdsParams::default()
         };
         let objective = separable(66);
-        let spawned = parallel_search(&space, &objective, &params);
+        let inline = parallel_search_in(None, &space, &objective, &params);
         for pool_width in [1, 2, 8] {
             let pool = WorkerPool::new(pool_width);
             let pooled = parallel_search_in(Some(&pool), &space, &objective, &params);
-            assert_eq!(pooled.best_point, spawned.best_point);
-            assert_eq!(pooled.best_value.to_bits(), spawned.best_value.to_bits());
-            assert_eq!(pooled.evaluations, spawned.evaluations);
-            assert_eq!(pooled.explored, spawned.explored);
+            assert_eq!(pooled.best_point, inline.best_point);
+            assert_eq!(pooled.best_value.to_bits(), inline.best_value.to_bits());
+            assert_eq!(pooled.evaluations, inline.evaluations);
+            assert_eq!(pooled.explored, inline.explored);
         }
-    }
-
-    #[test]
-    fn parallel_search_in_without_pool_matches_spawning_backend() {
-        let space = SearchSpace::new(6, 50);
-        let params = ParallelDdsParams {
-            threads: 2,
-            ..ParallelDdsParams::default()
-        };
-        let objective = separable(25);
-        let direct = parallel_search(&space, &objective, &params);
-        let via_none = parallel_search_in(None, &space, &objective, &params);
-        assert_eq!(direct.best_point, via_none.best_point);
-        assert_eq!(direct.best_value.to_bits(), via_none.best_value.to_bits());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! — per-element atomics defeat vectorization and the shared column factors
 //! bounce between cores — so the runtime defaults to the serial Alg. 1 per
 //! matrix and parallelizes across the *three* reconstructions instead
-//! ([`crate::Reconstructor::complete_all`]).
+//! ([`crate::Reconstructor::complete_all_session`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,7 +37,7 @@ impl AtomicVec {
 
     #[inline]
     fn load(&self, i: usize) -> f64 {
-        // lint:allow(DET-TAINT, reason = "HOGWILD factor reads are racy by design (paper §V): the spread is bounded by tests/hogwild.rs and the warm start is numerically invisible (PR 4)")
+        // lint:allow(DET-TAINT, reason = "HOGWILD factor reads are racy by design (paper §V): the spread is bounded by tests/determinism.rs::hogwild_nondeterminism_is_bounded and the warm start is numerically invisible (PR 4)")
         f64::from_bits(self.data[i].load(Ordering::Relaxed))
     }
 
@@ -49,17 +49,19 @@ impl AtomicVec {
     fn to_vec(&self) -> Vec<f64> {
         self.data
             .iter()
-            // lint:allow(DET-TAINT, reason = "read after the fit's scope barrier joined every worker: the snapshot is quiescent, and convergence spread is pinned by tests/hogwild.rs")
+            // lint:allow(DET-TAINT, reason = "read after the fit's scope barrier joined every worker: the snapshot is quiescent, and convergence spread is pinned by tests/determinism.rs::hogwild_nondeterminism_is_bounded")
             .map(|a| f64::from_bits(a.load(Ordering::Relaxed)))
             .collect()
     }
 }
 
-/// Fits Alg. 1 (with bias terms) using `threads` lock-free workers.
+/// Fits Alg. 1 (with bias terms) with `threads` logical workers run inline
+/// on the calling thread, one after another: the HOGWILD row split without
+/// the race. Callers that want the lock-free *parallel* fit pass a pool to
+/// [`fit_parallel_in`].
 ///
-/// Matches [`crate::sgd::fit`] in interface; the result differs from the
-/// serial model only by the small HOGWILD race inaccuracy. With
-/// `threads == 1` the code path degenerates to the serial update order.
+/// Matches [`crate::sgd::fit`] in interface. With `threads == 1` the code
+/// path degenerates to the serial update order.
 ///
 /// # Panics
 ///
@@ -68,13 +70,13 @@ pub fn fit_parallel(matrix: &RatingMatrix, config: &SgdConfig, threads: usize) -
     fit_parallel_in(None, matrix, config, threads)
 }
 
-/// [`fit_parallel`] on an execution back-end: `Some(pool)` runs the workers
-/// as jobs on the persistent pool instead of spawning scoped OS threads.
+/// Fits Alg. 1 (with bias terms) using `threads` lock-free workers, run as
+/// jobs on `pool` when one is given (inline, hence race-free, otherwise).
 ///
-/// The work split is by logical worker index either way, so the *model* of
-/// parallelism is unchanged — but HOGWILD results are inherently racy, so
-/// unlike the DDS back-ends the two paths are statistically equivalent, not
-/// bit-identical (and neither is `fit_parallel` with itself).
+/// The work split is by logical worker index either way. On a pool wider
+/// than one thread the result differs from the serial model by the small
+/// HOGWILD race inaccuracy and is not bit-reproducible, not even with
+/// itself.
 ///
 /// # Panics
 ///
@@ -112,11 +114,12 @@ pub fn fit_parallel_in(
     // test would reintroduce synchronization.
     let epochs = config.max_iters;
 
-    let worker = |t: usize| {
-        let mine: Vec<&(usize, usize, f64)> =
-            rows_of.iter().skip(t).step_by(threads).flatten().collect();
+    let mut shards: Vec<Vec<&(usize, usize, f64)>> = (0..threads)
+        .map(|t| rows_of.iter().skip(t).step_by(threads).flatten().collect())
+        .collect();
+    util::pool::for_each_slot(pool, &mut shards, |_, mine| {
         for _ in 0..epochs {
-            for &&(i, j, r) in &mine {
+            for &&(i, j, r) in mine.iter() {
                 let mut pred = mu + rb.load(i) + cb.load(j);
                 for k in 0..rank {
                     pred += q.load(i * rank + k) * p.load(j * rank + k);
@@ -132,24 +135,7 @@ pub fn fit_parallel_in(
                 }
             }
         }
-    };
-    match pool {
-        Some(pool) => pool.scope(|scope| {
-            for t in 0..threads {
-                let worker = &worker;
-                scope.spawn(move || worker(t));
-            }
-        }),
-        // lint:allow(DET-RAW-SPAWN, reason = "pool-less fallback back-end for callers without a WorkerPool; tests pin it bit-identical to the pooled path")
-        None => crossbeam::scope(|scope| {
-            for t in 0..threads {
-                let worker = &worker;
-                scope.spawn(move |_| worker(t));
-            }
-        })
-        // lint:allow(PANIC-POLICY, reason = "worker panic surfaces as a reconstruction-stage fault for the circuit breaker")
-        .expect("hogwild worker panicked"),
-    }
+    });
 
     let model = SgdModel {
         mu,
@@ -215,7 +201,8 @@ mod tests {
                 ..config
             },
         );
-        let parallel = fit_parallel(&obs, &config, 4);
+        let pool = util::WorkerPool::new(4);
+        let parallel = fit_parallel_in(Some(&pool), &obs, &config, 4);
         // Update races reorder the entry visits, so the factors are not
         // bit-identical; what the paper bounds (~1 %) is the *quality* hit.
         // Require the parallel model to train essentially as well and its
@@ -254,7 +241,9 @@ mod tests {
     #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn multithreaded_run_trains_successfully() {
         let obs = synthetic(24, 50, 20, 2);
-        let model = fit_parallel(
+        let pool = util::WorkerPool::new(8);
+        let model = fit_parallel_in(
+            Some(&pool),
             &obs,
             &SgdConfig {
                 max_iters: 200,
@@ -279,22 +268,24 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn pooled_backend_trains_as_well_as_spawning_backend() {
+    fn pooled_fit_trains_as_well_as_inline() {
         let obs = synthetic(20, 40, 16, 2);
         let config = SgdConfig {
             max_iters: 120,
             ..SgdConfig::default()
         };
-        let spawned = fit_parallel(&obs, &config, 4);
+        let inline = fit_parallel(&obs, &config, 4);
         let pool = util::WorkerPool::new(2);
         let pooled = fit_parallel_in(Some(&pool), &obs, &config, 4);
-        // HOGWILD is racy on both back-ends, so compare converged quality,
-        // not bits — both must land well below the ±2 rating scale.
+        // The pooled fit is racy, so compare converged quality, not bits —
+        // both must land well below the ±2 rating scale.
         assert!(
-            pooled.train_rmse < 0.5 && spawned.train_rmse < 0.5,
-            "pooled RMSE {} vs spawned RMSE {}",
+            pooled.train_rmse < 0.5 && inline.train_rmse < 0.5,
+            "pooled RMSE {} vs inline RMSE {}",
             pooled.train_rmse,
-            spawned.train_rmse
+            inline.train_rmse
         );
+        // Inline there is no race: the same fit twice is the same bits.
+        assert_eq!(inline, fit_parallel(&obs, &config, 4));
     }
 }

@@ -49,7 +49,8 @@ impl ValueTransform {
 pub struct Reconstructor {
     /// SGD hyper-parameters.
     pub config: SgdConfig,
-    /// Worker threads for the lock-free parallel SGD (1 = serial Alg. 1).
+    /// Logical workers for the lock-free parallel SGD (1 = serial Alg. 1);
+    /// they race only when the session hands the solver a pool.
     pub threads: usize,
 }
 
@@ -141,72 +142,30 @@ impl Reconstructor {
         }
     }
 
-    /// Runs several reconstructions concurrently — one OS thread per matrix,
-    /// mirroring the paper's "three reconstructions all run in parallel on
-    /// the same server".
+    /// Runs several reconstructions, one per input, on the calling thread.
+    /// The paper's "three reconstructions all run in parallel on the same
+    /// server" is [`Reconstructor::complete_all_session`] with a pool.
     pub fn complete_all(&self, inputs: &[(&RatingMatrix, ValueTransform)]) -> Vec<DenseMatrix> {
-        // lint:allow(DET-RAW-SPAWN, reason = "pool-less public entry point predating the WorkerPool; kept as the reference back-end, results correspond by input index")
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .iter()
-                .map(|(m, t)| {
-                    let this = *self;
-                    let t = *t;
-                    scope.spawn(move |_| this.complete(m, t))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint:allow(PANIC-POLICY, reason = "a reconstruction panic re-surfaces on the caller thread for the circuit breaker")
-                .map(|h| h.join().expect("reconstruction panicked"))
-                .collect()
-        })
-        // lint:allow(PANIC-POLICY, reason = "a reconstruction panic re-surfaces on the caller thread for the circuit breaker")
-        .expect("reconstruction scope panicked")
+        inputs.iter().map(|(m, t)| self.complete(m, *t)).collect()
     }
 
     /// [`Reconstructor::complete_all`] with session state: the per-matrix
-    /// fan-out runs on the pool when one is given (falling back to scoped OS
-    /// threads otherwise), and each matrix may carry its own warm-start
-    /// prior. Inputs and outputs correspond by index.
+    /// fan-out runs on the pool when one is given (inline otherwise), and
+    /// each matrix may carry its own warm-start prior. Inputs and outputs
+    /// correspond by index.
     pub fn complete_all_session(
         &self,
         pool: Option<&WorkerPool>,
         inputs: &[SessionInput<'_>],
     ) -> Vec<Completion> {
         let mut slots: Vec<Option<Completion>> = (0..inputs.len()).map(|_| None).collect();
-        match pool {
-            Some(pool) => pool.scope(|scope| {
-                for (slot, input) in slots.iter_mut().zip(inputs) {
-                    scope.spawn(move || {
-                        *slot = Some(self.complete_session(
-                            Some(pool),
-                            input.matrix,
-                            input.transform,
-                            input.warm,
-                        ));
-                    });
-                }
-            }),
-            // lint:allow(DET-RAW-SPAWN, reason = "pool-less fallback back-end for callers without a WorkerPool; slots correspond by input index either way")
-            None => crossbeam::scope(|scope| {
-                for (slot, input) in slots.iter_mut().zip(inputs) {
-                    scope.spawn(move |_| {
-                        *slot = Some(self.complete_session(
-                            None,
-                            input.matrix,
-                            input.transform,
-                            input.warm,
-                        ));
-                    });
-                }
-            })
-            // lint:allow(PANIC-POLICY, reason = "a reconstruction panic re-surfaces on the caller thread for the circuit breaker")
-            .expect("reconstruction scope panicked"),
-        }
+        util::pool::for_each_slot(pool, &mut slots, |i, slot| {
+            let input = &inputs[i];
+            *slot = Some(self.complete_session(pool, input.matrix, input.transform, input.warm));
+        });
         slots
             .into_iter()
-            // lint:allow(PANIC-POLICY, reason = "both scopes joined before this point, so every slot was written; a None is a fan-out bug worth crashing on")
+            // lint:allow(PANIC-POLICY, reason = "the fan-out returned, so every slot was written; a None is a fan-out bug worth crashing on")
             .map(|s| s.expect("every reconstruction slot filled"))
             .collect()
     }
@@ -342,7 +301,6 @@ mod tests {
         let outs = rec.complete_all(&[(&m1, ValueTransform::Linear), (&m2, ValueTransform::Log)]);
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].rows(), 8);
-        // Concurrent result must equal the sequential result.
         assert_eq!(outs[0], rec.complete(&m1, ValueTransform::Linear));
     }
 
@@ -380,30 +338,33 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn complete_all_session_matches_complete_all() {
+    fn pooled_session_is_bit_identical_to_inline_and_to_complete_all() {
         let (_, m1) = structured(8, 10, 6, 2);
         let (_, m2) = structured(8, 10, 7, 3);
         let rec = Reconstructor::default();
         let plain = rec.complete_all(&[(&m1, ValueTransform::Linear), (&m2, ValueTransform::Log)]);
+        let inputs = [
+            SessionInput {
+                matrix: &m1,
+                transform: ValueTransform::Linear,
+                warm: None,
+            },
+            SessionInput {
+                matrix: &m2,
+                transform: ValueTransform::Log,
+                warm: None,
+            },
+        ];
+        let inline = rec.complete_all_session(None, &inputs);
         let pool = WorkerPool::new(2);
-        let session = rec.complete_all_session(
-            Some(&pool),
-            &[
-                SessionInput {
-                    matrix: &m1,
-                    transform: ValueTransform::Linear,
-                    warm: None,
-                },
-                SessionInput {
-                    matrix: &m2,
-                    transform: ValueTransform::Log,
-                    warm: None,
-                },
-            ],
-        );
-        assert_eq!(session.len(), 2);
-        assert_eq!(session[0].dense, plain[0]);
-        assert_eq!(session[1].dense, plain[1]);
+        let pooled = rec.complete_all_session(Some(&pool), &inputs);
+        assert_eq!(pooled.len(), 2);
+        // Serial SGD per matrix: who runs a matrix cannot change its bits.
+        for ((pooled, inline), plain) in pooled.iter().zip(&inline).zip(&plain) {
+            assert_eq!(pooled.dense, inline.dense);
+            assert_eq!(pooled.model, inline.model);
+            assert_eq!(&pooled.dense, plain);
+        }
     }
 
     #[test]

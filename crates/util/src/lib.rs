@@ -6,10 +6,10 @@
 //! * [`pool`] — a persistent [`pool::WorkerPool`] with long-lived threads
 //!   and channel dispatch. The decision quantum leaves almost no budget for
 //!   the manager itself (Table 2 of the paper charges reconstruction + DDS
-//!   against the 100 ms quantum), so spawning OS threads per call — as
-//!   `crossbeam::scope` does — is avoidable overhead: HOGWILD SGD, the
-//!   three-matrix reconstruction driver, and parallel DDS all reuse one
-//!   pool across quanta instead.
+//!   against the 100 ms quantum), so spawning OS threads per call is
+//!   avoidable overhead: HOGWILD SGD, the three-matrix reconstruction
+//!   driver, and parallel DDS all reuse one pool across quanta instead
+//!   (or, handed no pool, run their logical workers inline).
 //! * [`rng64`] — the SplitMix64 finalizer and the counter-based stream
 //!   mixing built on it. Previously each crate carried its own copy of the
 //!   constants; a single unit-tested helper keeps the fault streams (and the

@@ -1,13 +1,14 @@
 //! A persistent worker pool with scoped, borrowing tasks.
 //!
-//! `crossbeam::scope` (our vendored adapter over `std::thread::scope`) spawns
-//! a fresh OS thread per closure. That is fine for one-shot experiments, but
-//! the decision loop calls into HOGWILD SGD and parallel DDS every 100 ms
-//! quantum, and thread creation + teardown is pure overhead there. This pool
-//! keeps its threads alive across quanta and dispatches boxed jobs over a
-//! mutex-and-condvar queue.
+//! The decision loop calls into HOGWILD SGD and parallel DDS every 100 ms
+//! quantum, and spawning a fresh OS thread per closure would make thread
+//! creation + teardown pure overhead there. This pool keeps its threads
+//! alive across quanta and dispatches boxed jobs over a mutex-and-condvar
+//! queue. It is the workspace's only compute fan-out: callers that take an
+//! `Option<&WorkerPool>` go through [`for_each_slot`], where `None` means
+//! "run the logical workers inline on the calling thread".
 //!
-//! The API mirrors the scoped-thread shape the callers already use:
+//! The API mirrors the scoped-thread shape of `std::thread::scope`:
 //!
 //! ```
 //! let pool = util::WorkerPool::new(4);
@@ -186,11 +187,8 @@ impl WorkerPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
-        self.scope(|scope| {
-            for (i, (item, slot)) in items.iter().zip(slots.iter_mut()).enumerate() {
-                let f = &f;
-                scope.spawn(move || *slot = Some(f(i, item)));
-            }
+        for_each_slot(Some(self), &mut slots, |i, slot| {
+            *slot = Some(f(i, &items[i]));
         });
         slots
             .into_iter()
@@ -234,6 +232,34 @@ impl Drop for WorkerPool {
             // (e.g. a foreign exception); surface it rather than hide it.
             if handle.join().is_err() {
                 eprintln!("cuttlesys worker thread terminated abnormally");
+            }
+        }
+    }
+}
+
+/// Runs `job(i, &mut slots[i])` for every logical worker `i`, each on its
+/// own slot: as jobs on `pool` when one is given, otherwise inline on the
+/// calling thread in index order — no threads, no barrier, no lock.
+///
+/// This is the only place that knows what a missing pool means. A job that
+/// touches nothing but its slot and shared read-only state leaves the same
+/// bits behind either way, which makes the inline arm the reference the
+/// "pool width is immaterial" tests compare against.
+pub fn for_each_slot<T, F>(pool: Option<&WorkerPool>, slots: &mut [T], job: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    match pool {
+        Some(pool) => pool.scope(|scope| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                let job = &job;
+                scope.spawn(move || job(i, slot));
+            }
+        }),
+        None => {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                job(i, slot);
             }
         }
     }
@@ -372,6 +398,24 @@ mod tests {
             });
             assert_eq!(out, expected, "width {width}");
         }
+    }
+
+    #[test]
+    fn for_each_slot_without_a_pool_runs_inline_in_index_order() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let mut inline = [0usize; 5];
+        for_each_slot(None, &mut inline, |i, slot| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
+            *slot = i * 3;
+        });
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3, 4]);
+        let mut pooled = [0usize; 5];
+        for_each_slot(Some(&WorkerPool::new(2)), &mut pooled, |i, slot| {
+            *slot = i * 3;
+        });
+        assert_eq!(inline, pooled);
     }
 
     #[test]

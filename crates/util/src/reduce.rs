@@ -9,10 +9,10 @@
 //!
 //! The helpers here pin the order structurally: workers deposit their
 //! partial results into per-worker slots, and the orchestrator folds the
-//! slots in worker-index order after the fan-out barrier. Both parallel DDS
-//! back-ends reduce through [`ordered_best`], which is why a 1-thread pool,
-//! an 8-thread pool, and the spawn-per-call back-end return bit-identical
-//! answers (`tests/determinism.rs` pins this).
+//! slots in worker-index order after the fan-out barrier. Parallel DDS
+//! reduces through [`ordered_best`], which is why a 1-thread pool, an
+//! 8-thread pool, and no pool at all return bit-identical answers
+//! (`tests/determinism.rs` pins this).
 //!
 //! The `DET-FLOAT-REDUCE` lint (`cargo xtask lint`) flags ad-hoc float
 //! accumulation idioms in the decision-path crates and points here.

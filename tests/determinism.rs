@@ -3,14 +3,15 @@
 //! The worker pool, the DDS evaluation cache, and the pooled reconstruction
 //! fan-out must all be *scheduling-invisible*: the same seed and scenario
 //! produce a bit-identical [`RunRecord`] whether the pool is 1, 2, or 8
-//! threads wide, or absent entirely (the legacy spawn-per-quantum path).
+//! threads wide, or absent entirely (`pool_threads: 0`: the logical workers
+//! run inline on the deciding thread — the reference the widths are held to).
 //! This holds because every parallel decision path is serial-equivalent by
 //! construction — DDS keeps one RNG stream per *logical* worker and reduces
 //! in worker order, the reconstruction fan-out writes to disjoint slots,
 //! and cache hits return the bit-identical `f64` of the first evaluation.
 //!
 //! The one intentional exception is HOGWILD SGD (`Reconstructor::parallel`
-//! with more than one thread): its lock-free racy updates make the solve
+//! with more than one thread, on a pool): its lock-free racy updates make the solve
 //! scheduling-*dependent*, exactly as in the paper. That nondeterminism is
 //! not covered up here — it is documented and bounded: the RMSE spread
 //! across repeated racy runs must stay small.
@@ -19,6 +20,7 @@ use cuttlesys::runtime::{CuttleSysManager, PerfConfig};
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::{RunRecord, Scenario};
 use recsys::{RatingMatrix, Reconstructor, SgdConfig, ValueTransform};
+use util::WorkerPool;
 use workloads::loadgen::LoadPattern;
 
 fn scenario() -> Scenario {
@@ -58,7 +60,10 @@ fn run_with(perf: PerfConfig) -> RunRecord {
 
 #[test]
 fn run_records_are_bit_identical_across_pool_widths() {
-    let reference = comparable(run_with(PerfConfig::cold()));
+    let reference = comparable(run_with(PerfConfig {
+        pool_threads: 0,
+        ..PerfConfig::default()
+    }));
     for threads in [1, 2, 8] {
         let pooled = comparable(run_with(PerfConfig {
             pool_threads: threads,
@@ -76,15 +81,10 @@ fn warm_started_runs_are_reproducible_at_any_pool_width() {
     // Warm start intentionally differs *from the cold path*; it must still
     // be bit-for-bit reproducible with itself at every pool width, because
     // the warm solves are serial and the fan-out is slot-disjoint.
-    let reference = comparable(run_with(PerfConfig {
-        pool_threads: 1,
-        ..PerfConfig::fast()
-    }));
+    let warm = PerfConfig::default().with_warm_start(true);
+    let reference = comparable(run_with(warm.with_pool_threads(1)));
     for threads in [2, 8] {
-        let pooled = comparable(run_with(PerfConfig {
-            pool_threads: threads,
-            ..PerfConfig::fast()
-        }));
+        let pooled = comparable(run_with(warm.with_pool_threads(threads)));
         assert_eq!(
             reference, pooled,
             "warm start at pool width {threads} changed a decision output"
@@ -97,7 +97,9 @@ fn hogwild_nondeterminism_is_bounded() {
     // The deliberate exception: a multi-threaded HOGWILD reconstructor is
     // racy and scheduling-dependent. Quantify the damage rather than assert
     // it away: across repeated runs on the same matrix, train RMSE must
-    // stay in a narrow band (the paper's "small bounded inaccuracy").
+    // stay in a narrow band (the paper's "small bounded inaccuracy"). The
+    // race needs real threads, so the session gets a pool (none = inline).
+    let pool = WorkerPool::new(4);
     let mut m = RatingMatrix::new(12, 20);
     for r in 0..10 {
         for c in 0..20 {
@@ -110,7 +112,8 @@ fn hogwild_nondeterminism_is_bounded() {
     let reconstructor = Reconstructor::new(SgdConfig::default()).parallel(4);
     let rmses: Vec<f64> = (0..5)
         .map(|_| {
-            let completion = reconstructor.complete_session(None, &m, ValueTransform::Linear, None);
+            let completion =
+                reconstructor.complete_session(Some(&pool), &m, ValueTransform::Linear, None);
             completion.model.train_rmse
         })
         .collect();

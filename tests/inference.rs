@@ -105,7 +105,10 @@ fn hogwild_quality_matches_serial_on_oracle_data() {
             ..config
         },
     );
-    let parallel = hogwild::fit_parallel(&logm, &config, 4);
+    // HOGWILD races only on real threads: without a pool the four logical
+    // workers would run inline, one after another.
+    let pool = util::WorkerPool::new(4);
+    let parallel = hogwild::fit_parallel_in(Some(&pool), &logm, &config, 4);
     // The dense training rows make every worker hammer the same column
     // factors, so the race penalty is larger than on sparse data; the
     // model must still land in the same quality regime.

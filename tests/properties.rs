@@ -229,8 +229,8 @@ fn reflection_maps_any_value_into_range() {
 }
 
 /// Pinned-LC constraints reach DDS as frozen dimensions: no point the
-/// search returns — or even evaluates — may move them, on either the
-/// spawning or the pooled backend.
+/// search returns — or even evaluates — may move them, whether the workers
+/// run inline or on a pool.
 #[test]
 fn parallel_dds_honors_frozen_dimensions_pooled_and_unpooled() {
     let mut rng = rng_for("parallel_dds_honors_frozen_dimensions_pooled_and_unpooled");

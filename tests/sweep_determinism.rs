@@ -3,8 +3,9 @@
 //! `summary.json` must be bit-identical (1) at any worker-pool width,
 //! because results land in pre-assigned slots regardless of scheduling;
 //! (2) for any on-disk seed ordering, because seeds are canonicalized
-//! (sorted, deduplicated) at load time; and (3) between parallel and
-//! serial execution, which is the width-1 case of (1). The fixture is
+//! (sorted, deduplicated) at load time; (3) between parallel and
+//! serial execution, which is the width-1 case of (1); and (4) at any
+//! per-run `perf.pool_threads`, 0 (inline) included. The fixture is
 //! the same `scenarios/smoke.json` the golden test pins, so this file
 //! and `tests/sweep.rs` together say: every width and every ordering
 //! reproduces the golden bytes.
@@ -34,6 +35,37 @@ fn summary_bytes_are_identical_at_widths_1_2_and_8() {
         summaries[1], summaries[2],
         "width-2 and width-8 sweeps must agree byte-for-byte"
     );
+}
+
+#[test]
+fn per_run_pool_width_override_changes_no_summary_byte() {
+    let pool = WorkerPool::new(2);
+    let summary = |text: &str| {
+        let spec = load_spec(text).expect("fixture loads");
+        summary_json(&spec, &run_sweep(&spec, &pool)).to_string()
+    };
+    // Cluster runs build their node managers themselves, so the fixture's
+    // single-node projection is where the override reaches a manager.
+    let smoke = smoke_text();
+    let single_node = smoke
+        .replace(r#""topology": {"kind": "cluster", "nodes": 2},"#, "")
+        .replace(r#""fleet_fault_profiles": ["clean", "node-crash"],"#, "");
+    assert_ne!(smoke, single_node, "test assumes the smoke fixture's lines");
+    for text in [smoke, single_node] {
+        let default = summary(&text);
+        for width in [0, 2] {
+            let overridden = text.replacen(
+                '{',
+                &format!("{{\"overrides\": {{\"perf.pool_threads\": {width}}},"),
+                1,
+            );
+            assert_eq!(
+                summary(&overridden),
+                default,
+                "perf.pool_threads = {width} must not change a summary byte"
+            );
+        }
+    }
 }
 
 #[test]

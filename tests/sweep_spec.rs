@@ -60,6 +60,11 @@ fn a_minimal_scenario_loads_with_documented_defaults() {
     // The sweep's default perf config pins a one-thread per-run pool so
     // parallelism lives at the run level, not nested inside each run.
     assert_eq!(spec.overrides.perf.pool_threads, 1);
+    // 0 is a legal width, not a mode: no threads, each run's logical
+    // workers go inline on the thread that runs it.
+    let inline = load_spec(&scenario_with(r#""overrides": {"perf.pool_threads": 0}"#))
+        .expect("width 0 loads");
+    assert_eq!(inline.overrides.perf.pool_threads, 0);
 }
 
 #[test]
