@@ -35,6 +35,7 @@ use cuttlesys::control::AdmissionError;
 use cuttlesys::control::{ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind};
 use cuttlesys::lifecycle::{LifecycleState, NodeId, RelocationTarget};
 use cuttlesys::types::RunRecord;
+use cuttlesys::{PerfConfig, ResilienceConfig};
 use util::json::JsonValue;
 use util::WorkerPool;
 use workloads::batch::SpecBenchmark;
@@ -586,6 +587,23 @@ impl ClusterCoordinator {
             degraded: DegradedMode::new(),
             evacuations: 0,
         }
+    }
+
+    /// Substitutes every node manager's compute and degradation-ladder
+    /// configuration (each node runs the defaults otherwise). Call before
+    /// the first quantum.
+    #[must_use]
+    pub fn with_manager_config(
+        mut self,
+        perf: PerfConfig,
+        resilience: ResilienceConfig,
+    ) -> ClusterCoordinator {
+        self.nodes = self
+            .nodes
+            .into_iter()
+            .map(|n| n.with_manager_config(perf, resilience))
+            .collect();
+        self
     }
 
     /// Number of nodes in the cluster.

@@ -40,8 +40,9 @@ use workloads::oracle::Oracle;
 
 use crate::accounting::steady_state_budget;
 use crate::driver::{DriveError, ScenarioDriver};
+use crate::faults::ResilienceConfig;
 use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, RelocationTarget, TenantLifecycle};
-use crate::runtime::CuttleSysManager;
+use crate::runtime::{CuttleSysManager, PerfConfig};
 use crate::types::{
     BatchJobSpec, JobSpec, ResourceManager, RunRecord, Scenario, SliceRecord, TIMESLICE_MS,
 };
@@ -396,6 +397,19 @@ impl ControlCore {
                 .expect("declared tenant admission is legal");
         }
         core
+    }
+
+    /// Substitutes the manager's compute and degradation-ladder
+    /// configuration (the defaults otherwise). Call before the first
+    /// quantum: the manager's stages are rebuilt.
+    #[must_use]
+    pub fn with_manager_config(
+        mut self,
+        perf: PerfConfig,
+        resilience: ResilienceConfig,
+    ) -> ControlCore {
+        self.manager = self.manager.with_perf(perf).with_resilience(resilience);
+        self
     }
 
     fn push_tenant(&mut self, name: String, kind: TenantKind) -> TenantId {
@@ -837,24 +851,6 @@ mod tests {
         ));
     }
 
-    /// Zeroes the wall-clock stage timings (and the cache counters that
-    /// track wall-clock-budgeted work) so records compare on simulated
-    /// quantities only — the same convention as `tests/determinism.rs`.
-    fn comparable(mut r: RunRecord) -> RunRecord {
-        for s in r.slices.iter_mut() {
-            if let Some(t) = s.telemetry.as_mut() {
-                t.profile_wall_ms = 0.0;
-                t.reconstruct_wall_ms = 0.0;
-                t.qos_wall_ms = 0.0;
-                t.search_wall_ms = 0.0;
-                t.repair_wall_ms = 0.0;
-                t.cache_hits = 0;
-                t.cache_misses = 0;
-            }
-        }
-        r
-    }
-
     #[test]
     fn stepping_matches_run_scenario_bit_for_bit() {
         let s = Scenario::quick_demo();
@@ -863,7 +859,7 @@ mod tests {
         while !core.is_done() {
             core.step_quantum().unwrap();
         }
-        assert_eq!(comparable(core.into_record()), comparable(expected));
+        assert_eq!(core.into_record().comparable(), expected.comparable());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use baselines::ga::{ga_search, GaParams};
-use dds::{parallel_search_in, CachedObjective, ParallelDdsParams, SearchSpace, SoftPenalty};
+use dds::{parallel_search, Objective, ParallelDdsParams, SearchSpace, SoftPenalty};
 use recsys::{Reconstructor, WarmStartConfig};
 use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
 use util::WorkerPool;
@@ -776,39 +776,59 @@ pub enum SearchAlgo {
 pub struct PenaltySearch {
     /// The exploration algorithm.
     pub algo: SearchAlgo,
-    pool: Option<Arc<WorkerPool>>,
-    cache_evaluations: bool,
 }
 
 impl PenaltySearch {
-    /// Wraps a search algorithm choice. DDS spawns its own threads and
-    /// evaluates uncached; see [`PenaltySearch::with_pool`] and
-    /// [`PenaltySearch::with_evaluation_cache`].
+    /// Wraps a search algorithm choice. Either algorithm runs inline on the
+    /// deciding thread: an evaluation is a walk over per-search tables (see
+    /// [`soft_penalty`]), cheaper than handing it to another thread.
     pub fn new(algo: SearchAlgo) -> PenaltySearch {
-        PenaltySearch {
-            algo,
-            pool: None,
-            cache_evaluations: false,
-        }
+        PenaltySearch { algo }
     }
+}
 
-    /// Runs DDS worker iterations on a shared long-lived pool (`None`:
-    /// inline on the deciding thread). Bit-identical at any pool width and
-    /// with no pool (the per-logical-worker RNG streams are independent of
-    /// physical thread count).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> PenaltySearch {
-        self.pool = pool;
-        self
-    }
-
-    /// Memoizes objective evaluations per quantum, keyed by candidate point.
-    /// The objective is pure within a quantum, so cached scores are
-    /// bit-identical; hit/miss counts land in [`StageTelemetry`].
-    #[must_use]
-    pub fn with_evaluation_cache(mut self, on: bool) -> PenaltySearch {
-        self.cache_evaluations = on;
-        self
+/// The §VI-A objective over the `active` batch jobs' dimensions (slot `s` of
+/// a point configures job `active[s]`).
+///
+/// The objective is a separable per-job sum, so everything that depends on
+/// one (job, configuration) pair alone is tabulated once per search: each
+/// job's `ln(BIPS)` row, its Watts row, and the LLC ways of the 108
+/// configurations. An evaluation then only loads and adds — in slot order,
+/// the order the un-tabulated sums ran in, so values match them to the bit.
+fn soft_penalty<'a>(
+    ctx: &DecisionCtx,
+    preds: &'a Predictions,
+    lc_configs: &[JobConfig],
+    active: &[usize],
+) -> impl Objective + 'a {
+    let base_watts = account_for(ctx, preds, lc_configs).base_watts();
+    let lc_ways: f64 = lc_configs.iter().map(|c| c.cache.ways()).sum();
+    let num_active = active.len();
+    let ln_bips: Vec<Vec<f64>> = active
+        .iter()
+        .map(|&j| {
+            preds.batch_bips[j]
+                .iter()
+                .map(|b| b.max(1e-9).ln())
+                .collect()
+        })
+        .collect();
+    let watts: Vec<&[f64]> = active.iter().map(|&j| &preds.batch_watts[j][..]).collect();
+    let ways: [f64; NUM_JOB_CONFIGS] =
+        std::array::from_fn(|c| JobConfig::from_index(c).cache.ways());
+    SoftPenalty {
+        benefit: move |x: &[usize]| {
+            let log_sum: f64 = x.iter().zip(&ln_bips).map(|(&c, row)| row[c]).sum();
+            (log_sum / num_active as f64).exp()
+        },
+        power: move |x: &[usize]| {
+            base_watts + x.iter().zip(&watts).map(|(&c, row)| row[c]).sum::<f64>()
+        },
+        cache_ways: move |x: &[usize]| lc_ways + x.iter().map(|&c| ways[c]).sum::<f64>(),
+        max_power: ctx.info.cap_watts,
+        max_ways: 32.0,
+        penalty_power: 2.0,
+        penalty_cache: 2.0,
     }
 }
 
@@ -825,62 +845,18 @@ impl SearchStage for PenaltySearch {
         if active.is_empty() {
             return Ok(vec![lowest; ctx.num_batch]);
         }
-        let acct = account_for(ctx, preds, lc_configs);
-        let base_watts = acct.base_watts();
-        let bips = &preds.batch_bips;
-        let watts = &preds.batch_watts;
-        let lc_ways: f64 = lc_configs.iter().map(|c| c.cache.ways()).sum();
-        let num_active = active.len();
-        let jobs = active.clone();
-        let jobs_b = active.clone();
-        let jobs_c = active.clone();
-        let objective = SoftPenalty {
-            benefit: move |x: &[usize]| {
-                let log_sum: f64 = x
-                    .iter()
-                    .zip(&jobs)
-                    .map(|(&c, &j)| bips[j][c].max(1e-9).ln())
-                    .sum();
-                (log_sum / num_active as f64).exp()
-            },
-            power: move |x: &[usize]| {
-                base_watts
-                    + x.iter()
-                        .zip(&jobs_b)
-                        .map(|(&c, &j)| watts[j][c])
-                        .sum::<f64>()
-            },
-            cache_ways: move |x: &[usize]| {
-                lc_ways
-                    + x.iter()
-                        .map(|&c| JobConfig::from_index(c).cache.ways())
-                        .sum::<f64>()
-            },
-            max_power: ctx.info.cap_watts,
-            max_ways: 32.0,
-            penalty_power: 2.0,
-            penalty_cache: 2.0,
-        };
-        let space = SearchSpace::new(num_active, NUM_JOB_CONFIGS);
+        let objective = soft_penalty(ctx, preds, lc_configs, &active);
+        let space = SearchSpace::new(active.len(), NUM_JOB_CONFIGS);
         let result = match &self.algo {
-            SearchAlgo::Dds(params) => {
-                if self.cache_evaluations {
-                    let cached = CachedObjective::new(&objective);
-                    let result = parallel_search_in(self.pool.as_deref(), &space, &cached, params);
-                    tel.cache_hits += cached.hits();
-                    tel.cache_misses += cached.misses();
-                    result
-                } else {
-                    parallel_search_in(self.pool.as_deref(), &space, &objective, params)
-                }
-            }
+            SearchAlgo::Dds(params) => parallel_search(&space, &objective, params),
             SearchAlgo::Ga(params) => ga_search(&space, &objective, params),
         };
         tel.search_evaluations += result.evaluations;
+        tel.cache_misses += result.evaluations;
         // Scatter the active-job point back to global batch indices;
         // departed slots carry a placeholder that stage 5 gates.
         let mut point = vec![lowest; ctx.num_batch];
-        for (slot, &j) in jobs_c.iter().enumerate() {
+        for (slot, &j) in active.iter().enumerate() {
             point[j] = result.best_point[slot];
         }
         Ok(point)
@@ -1349,6 +1325,104 @@ mod tests {
         assert_eq!(lc[0].cores, 15);
         assert_eq!(lc[1].cores, 15);
         assert!(tel.reclaimed_core);
+    }
+
+    #[test]
+    fn tabulated_objective_matches_the_formula_to_the_bit() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x7AB1E);
+        let mut preds = flat_predictions(1.0);
+        for j in 0..4 {
+            for c in 0..NUM_JOB_CONFIGS {
+                preds.batch_bips[j][c] = rng.random_range(0.05..4.0);
+                preds.batch_watts[j][c] = rng.random_range(1.0..4.0);
+            }
+        }
+        // Below the 1e-9 floor, so the clamp is exercised too.
+        preds.batch_bips[2][7] = 0.0;
+        // LC 16 × 3 W + 13 idle × 0.1 W = 49.3 W under three jobs drawing
+        // 3–12 W: a 57 W cap binds on about half the points.
+        let mut inf = info(57.0);
+        inf.batch_active[1] = false;
+        let mut matrices = test_matrices();
+        let mut lc = vec![LcAllocation {
+            cores: 16,
+            min_cores: 16,
+        }];
+        let last = None;
+        let ctx = DecisionCtx {
+            info: &inf,
+            matrices: &mut matrices,
+            lc: &mut lc,
+            last_plan: &last,
+            num_batch: 4,
+            gated_watts: 0.1,
+            faults: QuantumFaults::NONE,
+            resilience: &RES,
+            last_good_preds: None,
+        };
+        let lc_configs = [JobConfig::new(CoreConfig::widest(), CacheAlloc::Four)];
+        let active = ctx.active_batch();
+        assert_eq!(active, [0, 2, 3]);
+
+        // The arithmetic the tables replace, evaluated from scratch per point.
+        let (bips, watts) = (&preds.batch_bips, &preds.batch_watts);
+        let base_watts = account_for(&ctx, &preds, &lc_configs).base_watts();
+        let reference = SoftPenalty {
+            benefit: |x: &[usize]| {
+                let log_sum: f64 = x
+                    .iter()
+                    .zip(&active)
+                    .map(|(&c, &j)| bips[j][c].max(1e-9).ln())
+                    .sum();
+                (log_sum / active.len() as f64).exp()
+            },
+            power: |x: &[usize]| {
+                base_watts
+                    + x.iter()
+                        .zip(&active)
+                        .map(|(&c, &j)| watts[j][c])
+                        .sum::<f64>()
+            },
+            cache_ways: |x: &[usize]| {
+                4.0 + x
+                    .iter()
+                    .map(|&c| JobConfig::from_index(c).cache.ways())
+                    .sum::<f64>()
+            },
+            max_power: 57.0,
+            max_ways: 32.0,
+            penalty_power: 2.0,
+            penalty_cache: 2.0,
+        };
+        let tabulated = soft_penalty(&ctx, &preds, &lc_configs, &active);
+        let mut over_cap = 0;
+        for _ in 0..2000 {
+            let mut x: Vec<usize> = (0..active.len())
+                .map(|_| rng.random_range(0..NUM_JOB_CONFIGS))
+                .collect();
+            if rng.random_range(0..10) == 0 {
+                x[1] = 7;
+            }
+            over_cap += usize::from(!reference.is_feasible(&x));
+            assert_eq!(
+                tabulated.evaluate(&x).to_bits(),
+                reference.evaluate(&x).to_bits(),
+                "objective diverged at {x:?}"
+            );
+        }
+        assert!((500..1500).contains(&over_cap), "cap binds on {over_cap}");
+
+        let mut stage = PenaltySearch::new(SearchAlgo::Dds(ParallelDdsParams::default()));
+        let mut tel = StageTelemetry::default();
+        let first = stage.search(&ctx, &preds, &lc_configs, &mut tel).unwrap();
+        let second = stage.search(&ctx, &preds, &lc_configs, &mut tel).unwrap();
+        assert_eq!(first, second, "the search keeps no state between calls");
+        assert_eq!(first[1], JobConfig::profiling_low().index());
+        assert_eq!(tel.search_evaluations, 2 * 3250);
+        assert_eq!(tel.cache_misses, tel.search_evaluations);
     }
 
     // --- stub stages for driving the hardened driver directly ---

@@ -86,31 +86,28 @@ use crate::types::{
 
 /// Performance knobs for the decision quantum's compute path.
 ///
-/// All three knobs change only *how fast* a quantum computes, never *what*
-/// it decides — with the one deliberate exception of warm-started
-/// reconstruction, whose refined factors differ numerically from a cold
-/// solve (bounded by the property tests) and which therefore defaults to
-/// off.
+/// Both knobs belong to reconstruction; the search stage has none — its
+/// objective is a walk over per-search tables, too cheap to memoise or to
+/// ship to another thread, so DDS runs inline on the deciding thread.
 ///
-/// * **Worker pool** — long-lived threads reused across quanta. Width is
-///   immaterial to the decisions: any pool, and no pool at all (the logical
-///   workers run inline), produce bit-identical records.
+/// * **Worker pool** — long-lived threads reused across quanta, on which
+///   reconstruction fans out its per-matrix solves. Width is immaterial to
+///   the decisions: any pool, and no pool at all (the solves run inline),
+///   produce bit-identical records.
 /// * **Warm start** — reconstruction keeps each quantum's factor models
 ///   and refines them with a short decayed-learning-rate schedule. State
-///   invalidates on job churn and whenever the sanity gate trips.
-/// * **Evaluation cache** — DDS objective scores memoized per quantum,
-///   keyed by candidate point; bit-identical because the objective is pure
-///   within a quantum.
+///   invalidates on job churn and whenever the sanity gate trips. The one
+///   knob that changes *what* a quantum decides: refined factors differ
+///   numerically from a cold solve (bounded by the property tests), so it
+///   defaults to off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfConfig {
-    /// Threads in the shared worker pool. `0` means no threads: the
-    /// logical workers run inline on the deciding thread.
+    /// Threads in the reconstruction worker pool. `0` means no threads: the
+    /// solves run inline on the deciding thread.
     pub pool_threads: usize,
     /// Warm-started reconstruction schedule; `None` cold-starts every
     /// quantum.
     pub warm_start: Option<WarmStartConfig>,
-    /// Memoize DDS objective evaluations within each quantum.
-    pub evaluation_cache: bool,
 }
 
 impl Default for PerfConfig {
@@ -118,7 +115,6 @@ impl Default for PerfConfig {
         PerfConfig {
             pool_threads: WorkerPool::default_threads(),
             warm_start: None,
-            evaluation_cache: true,
         }
     }
 }
@@ -139,14 +135,7 @@ impl PerfConfig {
         self
     }
 
-    /// Enables or disables the per-quantum DDS evaluation cache.
-    #[must_use]
-    pub fn with_evaluation_cache(mut self, cache: bool) -> PerfConfig {
-        self.evaluation_cache = cache;
-        self
-    }
-
-    /// Builds the shared worker pool this configuration calls for, if any.
+    /// Builds the worker pool this configuration calls for, if any.
     fn pool(&self) -> Option<Arc<WorkerPool>> {
         (self.pool_threads > 0).then(|| Arc::new(WorkerPool::new(self.pool_threads)))
     }
@@ -250,18 +239,14 @@ impl CuttleSysManager {
 
     /// Rebuilds the reconstruct and search stages from the stored
     /// configuration, so every `with_*` builder keeps the perf wiring
-    /// (pool, warm start, cache) intact.
+    /// (pool, warm start) intact.
     fn rebuild_stages(&mut self) {
         self.pipeline.reconstruct = Box::new(
             CfReconstruct::new(self.reconstructor)
                 .with_pool(self.pool.clone())
                 .with_warm_start(self.perf.warm_start),
         );
-        self.pipeline.search = Box::new(
-            PenaltySearch::new(self.search_algo.clone())
-                .with_pool(self.pool.clone())
-                .with_evaluation_cache(self.perf.evaluation_cache),
-        );
+        self.pipeline.search = Box::new(PenaltySearch::new(self.search_algo.clone()));
     }
 
     /// Substitutes the search algorithm (used by the Fig. 10 GA ablation).
@@ -653,40 +638,19 @@ mod tests {
         assert!(summary.mean_total_wall_ms() > 0.0);
     }
 
-    /// Zeroes the fields that legitimately differ between perf paths —
-    /// wall-clock stage times and cache counters — leaving every decision
-    /// output and deterministic counter intact.
-    fn comparable(record: &crate::types::RunRecord) -> crate::types::RunRecord {
-        let mut r = record.clone();
-        for s in &mut r.slices {
-            if let Some(t) = &mut s.telemetry {
-                t.profile_wall_ms = 0.0;
-                t.reconstruct_wall_ms = 0.0;
-                t.qos_wall_ms = 0.0;
-                t.search_wall_ms = 0.0;
-                t.repair_wall_ms = 0.0;
-                t.cache_hits = 0;
-                t.cache_misses = 0;
-            }
-        }
-        r
-    }
-
     #[test]
-    fn pool_and_cache_are_numerically_invisible() {
+    fn pool_is_numerically_invisible() {
         let scenario = quick(0.7, 0.8);
         let pooled = {
             let mut m = CuttleSysManager::for_scenario(&scenario);
             run_scenario(&scenario, &mut m)
         };
-        let inline_uncached = {
-            let perf = PerfConfig::default()
-                .with_pool_threads(0)
-                .with_evaluation_cache(false);
+        let inline = {
+            let perf = PerfConfig::default().with_pool_threads(0);
             let mut m = CuttleSysManager::for_scenario(&scenario).with_perf(perf);
             run_scenario(&scenario, &mut m)
         };
-        assert_eq!(comparable(&pooled), comparable(&inline_uncached));
+        assert_eq!(pooled.comparable(), inline.comparable());
     }
 
     #[test]

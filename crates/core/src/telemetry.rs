@@ -83,10 +83,12 @@ pub struct StageTelemetry {
     pub warm_solves: usize,
     /// Objective evaluations performed by the search stage.
     pub search_evaluations: usize,
-    /// Search-stage objective evaluations answered from the memoizing cache.
+    /// Always 0: the evaluation cache is gone. Retained for the perf
+    /// ledger only, which reads the field and hashes this struct's `Debug`
+    /// rendering into its record digests.
     pub cache_hits: usize,
-    /// Search-stage objective evaluations computed by the underlying model
-    /// (cache misses; equals `search_evaluations` when the cache is off).
+    /// Always equals `search_evaluations`. Retained for the perf ledger
+    /// only, like `cache_hits`.
     pub cache_misses: usize,
     /// Whether the QoS stage reclaimed a core for the LC service.
     pub reclaimed_core: bool,
@@ -130,10 +132,6 @@ pub struct TelemetrySummary {
     pub warm_solves: usize,
     /// Mean search evaluations per quantum.
     pub mean_search_evaluations: f64,
-    /// Total search-cache hits across the run.
-    pub cache_hits: usize,
-    /// Total search-cache misses across the run.
-    pub cache_misses: usize,
     /// Quanta in which a core was reclaimed for the LC service.
     pub reclaims: usize,
     /// Quanta in which a core was relinquished to the batch pool.
@@ -171,8 +169,6 @@ impl TelemetrySummary {
         let mut epochs = 0usize;
         let mut warm_solves = 0usize;
         let mut evals = 0usize;
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
         let (mut reclaims, mut relinquishes, mut repairs) = (0usize, 0usize, 0usize);
         let mut samples_rejected = 0usize;
         let mut sample_retries = 0usize;
@@ -201,8 +197,6 @@ impl TelemetrySummary {
             epochs += t.sgd_epochs;
             warm_solves += t.warm_solves;
             evals += t.search_evaluations;
-            cache_hits += t.cache_hits;
-            cache_misses += t.cache_misses;
             reclaims += usize::from(t.reclaimed_core);
             relinquishes += usize::from(t.relinquished_core);
             repairs += usize::from(t.gated_jobs > 0);
@@ -230,8 +224,6 @@ impl TelemetrySummary {
             mean_sgd_epochs: epochs as f64 * inv,
             warm_solves,
             mean_search_evaluations: evals as f64 * inv,
-            cache_hits,
-            cache_misses,
             reclaims,
             relinquishes,
             repairs,
@@ -250,17 +242,6 @@ impl TelemetrySummary {
     /// Mean total manager compute per quantum (ms).
     pub fn mean_total_wall_ms(&self) -> f64 {
         self.mean_wall_ms.iter().sum()
-    }
-
-    /// Fraction of search-stage objective evaluations answered from the
-    /// memoizing cache; zero when the cache never ran.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
     }
 
     /// The summary as a JSON document (hand-rolled — the vendored `serde`
@@ -296,9 +277,6 @@ impl TelemetrySummary {
                 "mean_search_evaluations".into(),
                 J::Num(self.mean_search_evaluations),
             ),
-            ("cache_hits".into(), n(self.cache_hits)),
-            ("cache_misses".into(), n(self.cache_misses)),
-            ("cache_hit_rate".into(), J::Num(self.cache_hit_rate())),
             ("reclaims".into(), n(self.reclaims)),
             ("relinquishes".into(), n(self.relinquishes)),
             ("repairs".into(), n(self.repairs)),
@@ -338,8 +316,8 @@ mod tests {
             sgd_epochs: 180,
             warm_solves: 0,
             search_evaluations: 640,
-            cache_hits: 120,
-            cache_misses: 520,
+            cache_hits: 0,
+            cache_misses: 640,
             reclaimed_core: scale > 1.0,
             relinquished_core: false,
             gated_jobs: if scale > 1.0 { 3 } else { 0 },
@@ -365,20 +343,6 @@ mod tests {
         assert_eq!(s.repairs, 1);
         let expected_total: f64 = s.mean_wall_ms.iter().sum();
         assert!((s.mean_total_wall_ms() - expected_total).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cache_hit_rate_is_hits_over_total() {
-        let records = [record(1.0), record(1.0)];
-        let s = TelemetrySummary::over(records.iter()).expect("non-empty");
-        assert_eq!(s.cache_hits, 240);
-        assert_eq!(s.cache_misses, 1040);
-        assert!((s.cache_hit_rate() - 240.0 / 1280.0).abs() < 1e-12);
-        let mut cacheless = record(1.0);
-        cacheless.cache_hits = 0;
-        cacheless.cache_misses = 0;
-        let s = TelemetrySummary::over([&cacheless]).expect("non-empty");
-        assert_eq!(s.cache_hit_rate(), 0.0);
     }
 
     #[test]

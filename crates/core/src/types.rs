@@ -728,10 +728,10 @@ impl RunRecord {
             .fold(0.0, f64::max)
     }
 
-    /// The record with wall-clock stage timings (and the
-    /// wall-clock-budgeted cache counters) zeroed, so runs compare on
-    /// simulated quantities only — the convention every determinism test in
-    /// this workspace uses (`service::comparable` delegates here).
+    /// The record with wall-clock stage timings (and the ledger-only cache
+    /// counters) zeroed, so runs compare on simulated quantities only — the
+    /// convention every determinism test in this workspace uses
+    /// (`service::comparable` delegates here).
     pub fn comparable(mut self) -> RunRecord {
         for slice in self.slices.iter_mut() {
             if let Some(t) = slice.telemetry.as_mut() {

@@ -39,7 +39,7 @@ pub mod parallel;
 pub mod rng;
 pub mod serial;
 
-pub use objective::{CachedObjective, Objective, SoftPenalty};
+pub use objective::{Objective, SoftPenalty};
 pub use parallel::{parallel_search, parallel_search_in, ParallelDdsParams};
 pub use serial::{search, DdsParams};
 

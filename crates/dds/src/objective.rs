@@ -1,9 +1,5 @@
 //! Objective functions and the soft-penalty combinator of §VI-A.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 /// A maximization objective over discrete configuration vectors.
 ///
 /// Implemented for closures, so ad-hoc objectives read naturally:
@@ -89,75 +85,6 @@ where
     }
 }
 
-/// A memoizing wrapper around an [`Objective`].
-///
-/// DDS revisits points: the incumbent seeds every iteration's candidates,
-/// un-perturbed dimensions repeat, and several threads perturb the same
-/// global best — so identical configuration vectors get scored over and
-/// over. Since our objectives are pure functions of the point, caching is
-/// exact: a hit returns the bit-identical `f64` the wrapped objective
-/// produced on the first evaluation.
-///
-/// The cache is scoped to one search (one decision quantum): construct a
-/// fresh `CachedObjective` per quantum and invalidation is structural — no
-/// epoch counters, no stale entries.
-///
-/// Concurrency note: the map lock is *released* while the inner objective
-/// runs, so two threads racing on the same new point may both evaluate it.
-/// That wastes one evaluation but stays correct (the objective is pure and
-/// both compute the same value); holding the lock across the evaluation
-/// would serialize the whole parallel search.
-pub struct CachedObjective<'a> {
-    inner: &'a dyn Objective,
-    // lint:allow(DET-HASH-ITER, reason = "keyed get/insert only, never iterated: hasher order cannot reach evaluation results, and point-keyed O(1) lookup is the cache's whole job")
-    map: Mutex<HashMap<Vec<usize>, f64>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl<'a> CachedObjective<'a> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: &'a dyn Objective) -> Self {
-        CachedObjective {
-            inner,
-            // lint:allow(DET-HASH-ITER, reason = "see the field: lookup-only cache")
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Evaluations answered from the cache so far.
-    pub fn hits(&self) -> usize {
-        // lint:allow(DET-TAINT, reason = "cache hit/miss counters are diagnostic telemetry; determinism tests exclude them and no plan content reads them")
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations that went through to the wrapped objective.
-    pub fn misses(&self) -> usize {
-        // lint:allow(DET-TAINT, reason = "cache hit/miss counters are diagnostic telemetry; determinism tests exclude them and no plan content reads them")
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
-impl Objective for CachedObjective<'_> {
-    fn evaluate(&self, point: &[usize]) -> f64 {
-        // Documented panic: a poisoned cache lock means a worker panicked
-        // mid-insert; the quantum is already lost and the fault-injection
-        // harness expects the panic to surface, not a silently empty cache.
-        // lint:allow(PANIC-POLICY, reason = "lock poisoning propagates a worker panic; the circuit breaker catches it at the quantum boundary")
-        if let Some(&v) = self.map.lock().unwrap().get(point) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        let v = self.inner.evaluate(point);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // lint:allow(PANIC-POLICY, reason = "lock poisoning propagates a worker panic; see the lookup above")
-        self.map.lock().unwrap().insert(point.to_vec(), v);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,41 +133,5 @@ mod tests {
     fn closures_are_objectives() {
         let o = |x: &[usize]| -(x[0] as f64);
         assert_eq!(o.evaluate(&[3]), -3.0);
-    }
-
-    #[test]
-    fn cache_returns_identical_values_and_counts_hits() {
-        let calls = AtomicUsize::new(0);
-        let inner = |x: &[usize]| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x.iter().map(|&v| (v as f64).sqrt()).sum::<f64>()
-        };
-        let cached = CachedObjective::new(&inner);
-        let first = cached.evaluate(&[2, 3, 5]);
-        let second = cached.evaluate(&[2, 3, 5]);
-        assert_eq!(first.to_bits(), second.to_bits());
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(cached.hits(), 1);
-        assert_eq!(cached.misses(), 1);
-        cached.evaluate(&[2, 3, 6]);
-        assert_eq!(cached.misses(), 2);
-    }
-
-    #[test]
-    fn cache_is_usable_from_multiple_threads() {
-        let inner = |x: &[usize]| x.iter().sum::<usize>() as f64;
-        let cached = CachedObjective::new(&inner);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for i in 0..100usize {
-                        assert_eq!(cached.evaluate(&[i % 10, 1]), (i % 10 + 1) as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(cached.hits() + cached.misses(), 400);
-        // 10 distinct points; each thread can race at most once per point.
-        assert!(cached.misses() <= 40, "misses {}", cached.misses());
     }
 }

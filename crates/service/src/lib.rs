@@ -345,9 +345,9 @@ impl Drop for Service {
     }
 }
 
-/// Zeroes the wall-clock stage timings (and the wall-clock-budgeted cache
-/// counters) in a [`RunRecord`] so runs compare on simulated quantities
-/// only — the convention every determinism test in this workspace uses.
+/// Zeroes the wall-clock stage timings (and the ledger-only cache counters)
+/// in a [`RunRecord`] so runs compare on simulated quantities only — the
+/// convention every determinism test in this workspace uses.
 pub fn comparable(record: RunRecord) -> RunRecord {
     record.comparable()
 }

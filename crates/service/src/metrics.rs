@@ -145,19 +145,6 @@ pub fn render(snapshot: &ControlSnapshot, records: &[SliceRecord], bus_overwrite
 
         family(
             &mut out,
-            "cuttlesys_search_cache_hit_rate",
-            "gauge",
-            "Fraction of DDS objective evaluations answered from the memoizing cache.",
-        );
-        sample(
-            &mut out,
-            "cuttlesys_search_cache_hit_rate",
-            "",
-            t.cache_hit_rate(),
-        );
-
-        family(
-            &mut out,
             "cuttlesys_degraded_quanta_total",
             "counter",
             "Quanta served from the degradation ladder in any way.",

@@ -196,7 +196,8 @@ fn run_cluster(spec: &SweepSpec, cell: &Cell, seed: u64, nodes: usize) -> RunMet
     let cs = ClusterScenario::uniform(&base, nodes).with_node_faults(node_faults);
     // Profiles are validated at load time, so the lookup cannot fail.
     let plan = FleetFaultPlan::named(&cell.fleet_fault, seed).unwrap_or_else(FleetFaultPlan::none);
-    let mut coord = ClusterCoordinator::with_faults(&cs, ClusterConfig::default(), plan);
+    let mut coord = ClusterCoordinator::with_faults(&cs, ClusterConfig::default(), plan)
+        .with_manager_config(spec.overrides.perf, spec.overrides.resilience);
 
     let mut displaced_series = Vec::with_capacity(spec.quanta);
     let mut fleet_degraded_quanta = 0;

@@ -43,7 +43,6 @@ const SPEC_FIELDS: &[&str] = &[
 
 /// Valid override keys, sorted for error messages.
 pub const OVERRIDE_KEYS: &[&str] = &[
-    "perf.evaluation_cache",
     "perf.pool_threads",
     "perf.warm_start",
     "resilience.breaker_close_after",
@@ -272,7 +271,7 @@ impl LoadShape {
 pub struct Overrides {
     /// The per-run manager compute configuration. Defaults to a
     /// one-thread pool (the sweep parallelizes across *runs*, so the
-    /// per-run fan-out stays narrow), no warm start, cache on.
+    /// per-run fan-out stays narrow), no warm start.
     pub perf: PerfConfig,
     /// The per-run degradation-ladder bounds.
     pub resilience: ResilienceConfig,
@@ -283,8 +282,7 @@ impl Default for Overrides {
         Overrides {
             perf: PerfConfig::default()
                 .with_pool_threads(1)
-                .with_warm_start(false)
-                .with_evaluation_cache(true),
+                .with_warm_start(false),
             resilience: ResilienceConfig::default(),
         }
     }
@@ -654,7 +652,6 @@ fn apply_overrides(value: &JsonValue, overrides: &mut Overrides) -> Result<(), S
         match key.as_str() {
             "perf.pool_threads" => overrides.perf.pool_threads = as_count()?,
             "perf.warm_start" => overrides.perf = overrides.perf.with_warm_start(as_bool()?),
-            "perf.evaluation_cache" => overrides.perf.evaluation_cache = as_bool()?,
             "resilience.deadline_ms" => overrides.resilience.deadline_ms = as_num()?,
             "resilience.staleness_bound" => overrides.resilience.staleness_bound = as_count()?,
             "resilience.breaker_open_after" => {

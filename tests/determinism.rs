@@ -1,14 +1,14 @@
 //! Determinism regression tests for the perf-path machinery.
 //!
-//! The worker pool, the DDS evaluation cache, and the pooled reconstruction
-//! fan-out must all be *scheduling-invisible*: the same seed and scenario
-//! produce a bit-identical [`RunRecord`] whether the pool is 1, 2, or 8
-//! threads wide, or absent entirely (`pool_threads: 0`: the logical workers
-//! run inline on the deciding thread — the reference the widths are held to).
-//! This holds because every parallel decision path is serial-equivalent by
-//! construction — DDS keeps one RNG stream per *logical* worker and reduces
-//! in worker order, the reconstruction fan-out writes to disjoint slots,
-//! and cache hits return the bit-identical `f64` of the first evaluation.
+//! The worker pool and the pooled reconstruction fan-out must be
+//! *scheduling-invisible*: the same seed and scenario produce a
+//! bit-identical [`RunRecord`] whether the pool is 1, 2, or 8 threads wide,
+//! or absent entirely (`pool_threads: 0`: the solves run inline on the
+//! deciding thread — the reference the widths are held to). This holds
+//! because the fan-out is serial-equivalent by construction: serial SGD per
+//! matrix, results written to disjoint slots. (The DDS search always runs
+//! inline; `dds::parallel`'s own test holds its pooled form to the same
+//! standard.)
 //!
 //! The one intentional exception is HOGWILD SGD (`Reconstructor::parallel`
 //! with more than one thread, on a pool): its lock-free racy updates make the solve
@@ -34,41 +34,24 @@ fn scenario() -> Scenario {
     .with_load(LoadPattern::Constant(0.8))
 }
 
-/// Zeroes the only legitimately scheduling-dependent telemetry: host
-/// wall-clock stage times, and the cache hit/miss split (two threads racing
-/// on the same fresh point both count a miss; the values stay identical).
-fn comparable(mut r: RunRecord) -> RunRecord {
-    for slice in &mut r.slices {
-        if let Some(t) = &mut slice.telemetry {
-            t.profile_wall_ms = 0.0;
-            t.reconstruct_wall_ms = 0.0;
-            t.qos_wall_ms = 0.0;
-            t.search_wall_ms = 0.0;
-            t.repair_wall_ms = 0.0;
-            t.cache_hits = 0;
-            t.cache_misses = 0;
-        }
-    }
-    r
-}
-
+/// One run, with host wall-clock stage times zeroed.
 fn run_with(perf: PerfConfig) -> RunRecord {
     let s = scenario();
     let mut manager = CuttleSysManager::for_scenario(&s).with_perf(perf);
-    run_scenario(&s, &mut manager)
+    run_scenario(&s, &mut manager).comparable()
 }
 
 #[test]
 fn run_records_are_bit_identical_across_pool_widths() {
-    let reference = comparable(run_with(PerfConfig {
+    let reference = run_with(PerfConfig {
         pool_threads: 0,
         ..PerfConfig::default()
-    }));
+    });
     for threads in [1, 2, 8] {
-        let pooled = comparable(run_with(PerfConfig {
+        let pooled = run_with(PerfConfig {
             pool_threads: threads,
             ..PerfConfig::default()
-        }));
+        });
         assert_eq!(
             reference, pooled,
             "pool width {threads} changed a decision output"
@@ -82,9 +65,9 @@ fn warm_started_runs_are_reproducible_at_any_pool_width() {
     // be bit-for-bit reproducible with itself at every pool width, because
     // the warm solves are serial and the fan-out is slot-disjoint.
     let warm = PerfConfig::default().with_warm_start(true);
-    let reference = comparable(run_with(warm.with_pool_threads(1)));
+    let reference = run_with(warm.with_pool_threads(1));
     for threads in [2, 8] {
-        let pooled = comparable(run_with(warm.with_pool_threads(threads)));
+        let pooled = run_with(warm.with_pool_threads(threads));
         assert_eq!(
             reference, pooled,
             "warm start at pool width {threads} changed a decision output"

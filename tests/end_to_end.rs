@@ -148,24 +148,7 @@ fn overload_triggers_relocation_and_recovery() {
 fn runs_are_deterministic_for_a_fixed_seed() {
     // Wall-clock stage timings are measured from the host and legitimately
     // vary between runs; every decision (and every telemetry work counter)
-    // must not. The evaluation-cache hit/miss split is the one other
-    // scheduling-dependent counter: the cache releases its lock during the
-    // underlying evaluation, so two threads racing on the same fresh point
-    // both count a miss. The *values* returned stay bit-identical.
-    fn strip_wall_clock(mut r: cuttlesys::types::RunRecord) -> cuttlesys::types::RunRecord {
-        for slice in &mut r.slices {
-            if let Some(t) = &mut slice.telemetry {
-                t.profile_wall_ms = 0.0;
-                t.reconstruct_wall_ms = 0.0;
-                t.qos_wall_ms = 0.0;
-                t.search_wall_ms = 0.0;
-                t.repair_wall_ms = 0.0;
-                t.cache_hits = 0;
-                t.cache_misses = 0;
-            }
-        }
-        r
-    }
+    // must not.
     let s = scenario(0.7);
     let a = {
         let mut m = CuttleSysManager::for_scenario(&s);
@@ -175,7 +158,7 @@ fn runs_are_deterministic_for_a_fixed_seed() {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)
     };
-    assert_eq!(strip_wall_clock(a), strip_wall_clock(b));
+    assert_eq!(a.comparable(), b.comparable());
 }
 
 #[test]

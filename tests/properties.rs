@@ -331,38 +331,6 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
     }
 }
 
-/// The evaluation cache must be numerically invisible: over a thousand
-/// random candidates (drawn with repeats so hits occur), every cached score
-/// is bit-identical to the uncached objective's.
-#[test]
-fn evaluation_cache_scores_are_bit_identical_to_uncached() {
-    use dds::Objective;
-    let mut rng = rng_for("evaluation_cache_scores_are_bit_identical_to_uncached");
-    let dims = 6;
-    let choices = 10;
-    let objective = |x: &[usize]| {
-        x.iter()
-            .enumerate()
-            .map(|(d, &c)| ((c * 31 + d * 7) as f64).sin() * (c as f64 + 0.5).ln())
-            .sum::<f64>()
-    };
-    let cached = dds::CachedObjective::new(&objective);
-    // A small pool of distinct points sampled 1000 times forces both cold
-    // misses and hot hits through the comparison.
-    let pool: Vec<Vec<usize>> = (0..100)
-        .map(|_| (0..dims).map(|_| rng.random_range(0..choices)).collect())
-        .collect();
-    for _ in 0..1000 {
-        let point = &pool[rng.random_range(0..pool.len())];
-        assert_eq!(
-            cached.evaluate(point).to_bits(),
-            objective.evaluate(point).to_bits(),
-            "cached score diverged at {point:?}"
-        );
-    }
-    assert!(cached.hits() >= 900, "repeated candidates must hit");
-}
-
 /// Warm-started SGD may never train materially worse than a cold solve on
 /// the same matrix: across random incremental-update workloads its RMSE
 /// stays within epsilon of the full-schedule cold fit.

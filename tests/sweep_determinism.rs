@@ -5,10 +5,11 @@
 //! (2) for any on-disk seed ordering, because seeds are canonicalized
 //! (sorted, deduplicated) at load time; (3) between parallel and
 //! serial execution, which is the width-1 case of (1); and (4) at any
-//! per-run `perf.pool_threads`, 0 (inline) included. The fixture is
-//! the same `scenarios/smoke.json` the golden test pins, so this file
-//! and `tests/sweep.rs` together say: every width and every ordering
-//! reproduces the golden bytes.
+//! per-run `perf.pool_threads`, 0 (inline) included — on every node of a
+//! cluster cell too, where overrides that do change decisions must also
+//! arrive. The fixture is the same `scenarios/smoke.json` the golden test
+//! pins, so this file and `tests/sweep.rs` together say: every width and
+//! every ordering reproduces the golden bytes.
 
 use sweep::{load_spec, run_sweep, summary_json};
 use util::WorkerPool;
@@ -37,34 +38,47 @@ fn summary_bytes_are_identical_at_widths_1_2_and_8() {
     );
 }
 
-#[test]
-fn per_run_pool_width_override_changes_no_summary_byte() {
-    let pool = WorkerPool::new(2);
-    let summary = |text: &str| {
-        let spec = load_spec(text).expect("fixture loads");
-        summary_json(&spec, &run_sweep(&spec, &pool)).to_string()
-    };
-    // Cluster runs build their node managers themselves, so the fixture's
-    // single-node projection is where the override reaches a manager.
+/// The summary of `text` with `overrides` (a JSON object body) injected.
+fn summary_with(text: &str, overrides: &str) -> String {
+    let text = text.replacen('{', &format!("{{\"overrides\": {{{overrides}}},"), 1);
+    let spec = load_spec(&text).expect("fixture loads");
+    summary_json(&spec, &run_sweep(&spec, &WorkerPool::new(2))).to_string()
+}
+
+/// The smoke fixture (`cluster:2`) and its single-node projection: an
+/// override must reach the managers of both.
+fn smoke_on_both_topologies() -> [String; 2] {
     let smoke = smoke_text();
     let single_node = smoke
         .replace(r#""topology": {"kind": "cluster", "nodes": 2},"#, "")
         .replace(r#""fleet_fault_profiles": ["clean", "node-crash"],"#, "");
     assert_ne!(smoke, single_node, "test assumes the smoke fixture's lines");
-    for text in [smoke, single_node] {
-        let default = summary(&text);
+    [smoke, single_node]
+}
+
+#[test]
+fn per_run_pool_width_override_changes_no_summary_byte() {
+    for text in smoke_on_both_topologies() {
+        let default = summary_with(&text, "");
         for width in [0, 2] {
-            let overridden = text.replacen(
-                '{',
-                &format!("{{\"overrides\": {{\"perf.pool_threads\": {width}}},"),
-                1,
-            );
             assert_eq!(
-                summary(&overridden),
+                summary_with(&text, &format!("\"perf.pool_threads\": {width}")),
                 default,
                 "perf.pool_threads = {width} must not change a summary byte"
             );
         }
+    }
+}
+
+#[test]
+fn a_decision_changing_override_reaches_cluster_nodes_as_well() {
+    // A zero compute deadline fails every quantum onto the degradation
+    // ladder, on whichever manager it reaches.
+    for text in smoke_on_both_topologies() {
+        assert!(
+            summary_with(&text, "\"resilience.deadline_ms\": 0") != summary_with(&text, ""),
+            "resilience.deadline_ms = 0 must degrade every node's quanta"
+        );
     }
 }
 

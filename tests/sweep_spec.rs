@@ -69,16 +69,22 @@ fn a_minimal_scenario_loads_with_documented_defaults() {
 
 #[test]
 fn unknown_override_key_is_a_hard_error_listing_valid_keys() {
-    let text = scenario_with(r#""overrides": {"perf.pool_threds": 2}"#);
-    assert_eq!(
-        load_err(&text),
-        "unknown override key \"perf.pool_threds\"; valid keys are: \
-         perf.evaluation_cache, perf.pool_threads, perf.warm_start, \
-         resilience.breaker_close_after, resilience.breaker_open_after, \
-         resilience.breaker_probe_interval, resilience.deadline_ms, \
-         resilience.max_bips, resilience.max_tail_ms, resilience.max_watts, \
-         resilience.staleness_bound"
-    );
+    // A typo, and the retired evaluation-cache key: two `perf.*` keys are
+    // left, and a scenario file still carrying the third must not load.
+    for key in ["perf.pool_threds", "perf.evaluation_cache"] {
+        let text = scenario_with(&format!(r#""overrides": {{"{key}": true}}"#));
+        assert_eq!(
+            load_err(&text),
+            format!(
+                "unknown override key \"{key}\"; valid keys are: \
+                 perf.pool_threads, perf.warm_start, \
+                 resilience.breaker_close_after, resilience.breaker_open_after, \
+                 resilience.breaker_probe_interval, resilience.deadline_ms, \
+                 resilience.max_bips, resilience.max_tail_ms, resilience.max_watts, \
+                 resilience.staleness_bound"
+            )
+        );
+    }
 }
 
 #[test]
