@@ -13,8 +13,9 @@
 //! 1. **Complete due migrations** (serial, start order): a tenant whose
 //!    modeled migration cost has elapsed is admitted on its destination;
 //!    a refusal schedules a bounded retry against the next-best node.
-//! 2. **Step every steppable node** — serially in either direction or on
-//!    a borrowed [`WorkerPool`]; nodes share nothing within a quantum, so
+//! 2. **Step every steppable node** — inline or on a borrowed
+//!    [`WorkerPool`] (`step_quantum_in`), or serially in either direction
+//!    (`step_quantum_ordered`); nodes share nothing within a quantum, so
 //!    any schedule reaches bit-identical state. Crashed and drained nodes
 //!    never step again; blacked-out nodes keep stepping (they are alive,
 //!    just unobservable — the split-brain is reconciled on rejoin).
@@ -1475,7 +1476,29 @@ impl ClusterCoordinator {
     /// Returns the first stepping node's [`ControlError`] in node-id
     /// order (a control-plane logic bug, surfaced hard).
     pub fn step_quantum(&mut self) -> Result<(), ClusterError> {
-        self.step_quantum_ordered(StepOrder::Forward)
+        self.step_quantum_in(None)
+    }
+
+    /// Steps one lockstep quantum with per-node work spread over `pool`
+    /// when one is given, inline in node-id order otherwise. Nodes share
+    /// nothing within a quantum, so any pool width yields state
+    /// bit-identical to the serial stepper.
+    ///
+    /// # Errors
+    ///
+    /// As [`step_quantum`](Self::step_quantum).
+    pub fn step_quantum_in(&mut self, pool: Option<&WorkerPool>) -> Result<(), ClusterError> {
+        self.health_phase();
+        self.complete_due_migrations();
+        let fate = &self.fate;
+        let mut slots: Vec<_> = self.nodes.iter_mut().map(|node| (node, None)).collect();
+        util::pool::for_each_slot(pool, &mut slots, |i, (node, error)| {
+            if fate[i].steppable() {
+                *error = node.step().err();
+            }
+        });
+        let first_error = slots.into_iter().find_map(|(_, error)| error);
+        self.finish_quantum(first_error)
     }
 
     /// Steps one lockstep quantum, walking nodes in the given serial
@@ -1503,44 +1526,13 @@ impl ClusterCoordinator {
                 first_err[i] = Some(e);
             }
         }
-        self.finish_quantum(first_err)
-    }
-
-    /// Steps one lockstep quantum with per-node work spread over a
-    /// borrowed [`WorkerPool`]. Nodes share nothing within a quantum, so
-    /// any pool width yields state bit-identical to the serial stepper.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_quantum`](Self::step_quantum).
-    pub fn step_quantum_pooled(&mut self, pool: &WorkerPool) -> Result<(), ClusterError> {
-        self.health_phase();
-        self.complete_due_migrations();
-        let mut results: Vec<Option<ControlError>> = Vec::new();
-        results.resize_with(self.nodes.len(), || None);
-        let fate = &self.fate;
-        pool.scope(|scope| {
-            for (i, (node, slot)) in self.nodes.iter_mut().zip(results.iter_mut()).enumerate() {
-                if !fate[i].steppable() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    if let Err(e) = node.step() {
-                        *slot = Some(e);
-                    }
-                });
-            }
-        });
-        self.finish_quantum(results)
+        self.finish_quantum(first_err.into_iter().flatten().next())
     }
 
     /// Phase-2 epilogue shared by every stepper: surface the first error
     /// in node-id order, then run the serial cross-node phases.
-    fn finish_quantum(
-        &mut self,
-        mut errors: Vec<Option<ControlError>>,
-    ) -> Result<(), ClusterError> {
-        if let Some(e) = errors.iter_mut().find_map(Option::take) {
+    fn finish_quantum(&mut self, first_error: Option<ControlError>) -> Result<(), ClusterError> {
+        if let Some(e) = first_error {
             return Err(ClusterError::Control(e));
         }
         self.settle_cross_node();

@@ -44,7 +44,7 @@
 //!    pure function of its own state, so the coordinator may step nodes
 //!    in any order — or on any pool width — and reach bit-identical
 //!    per-node state ([`ClusterCoordinator::step_quantum_ordered`],
-//!    [`ClusterCoordinator::step_quantum_pooled`]).
+//!    [`ClusterCoordinator::step_quantum_in`]).
 //! 2. **Cross-node decisions are serial and node-id-ordered.** Migration
 //!    completions, event draining, balancing, and auto-migration all
 //!    read and mutate state in ascending [`NodeId`] order, after every

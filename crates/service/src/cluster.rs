@@ -1,11 +1,13 @@
 //! The cluster control plane run as a long-lived process component.
 //!
 //! [`ClusterService`] is to [`cluster::ClusterCoordinator`] what
-//! [`Service`](crate::Service) is to `ControlCore`: a dedicated reactor
-//! thread owns the coordinator, callers talk to it over a bounded command
-//! channel, cluster events broadcast on a [`Bus`], and the optional HTTP
-//! endpoint serves the fleet's `/metrics` (per-node `node=` labels) and a
-//! cluster-wide `/state` rendered from [`ClusterSnapshot::to_json`].
+//! [`Service`](crate::Service) is to `ControlCore` — literally: the same
+//! reactor loop and the same handle, over a different plane. A dedicated
+//! thread owns the coordinator (and the worker pool it steps on, if any),
+//! callers send it closures over a bounded channel, cluster events
+//! broadcast on the bus, and the optional HTTP endpoint serves the fleet's
+//! `/metrics` (every node family under a `node=` label) and a cluster-wide
+//! `/state` rendered from [`ClusterSnapshot::to_json`].
 //!
 //! ```
 //! use cluster::ClusterScenario;
@@ -22,8 +24,6 @@
 //! ```
 
 use std::io;
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::thread::JoinHandle;
 
 use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterScenario,
@@ -32,10 +32,9 @@ use cluster::{
 use util::WorkerPool;
 use workloads::batch::SpecBenchmark;
 
-use crate::bus::{Bus, Subscriber};
-use crate::http::{ask, HttpServer, Routes};
+use crate::metrics;
 use crate::pacing::Pacing;
-use crate::reactor::{self, ClusterCommand};
+use crate::reactor::{Handle, Plane, Stopped};
 
 /// Why a cluster service request failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +61,12 @@ impl std::fmt::Display for ClusterServiceError {
 }
 
 impl std::error::Error for ClusterServiceError {}
+
+impl From<Stopped> for ClusterServiceError {
+    fn from(_: Stopped) -> ClusterServiceError {
+        ClusterServiceError::Stopped
+    }
+}
 
 impl From<PlacementError> for ClusterServiceError {
     fn from(e: PlacementError) -> ClusterServiceError {
@@ -160,71 +165,57 @@ impl ClusterServiceBuilder {
     /// Panics under the same conditions as [`ClusterCoordinator::new`].
     pub fn start(self) -> io::Result<ClusterService> {
         let coordinator = ClusterCoordinator::with_faults(&self.scenario, self.config, self.faults);
-        let bus = Bus::new(self.bus_capacity);
-        let pool = self.pool_threads.map(WorkerPool::new);
-        let (commands, reactor) =
-            reactor::spawn_cluster(coordinator, self.pacing, bus.clone(), pool);
-        let http = match &self.metrics_addr {
-            Some(addr) => Some(HttpServer::spawn(
-                addr,
-                ClusterRoutes {
-                    commands: commands.clone(),
-                },
-            )?),
-            None => None,
-        };
-        Ok(ClusterService {
-            commands,
-            bus,
-            http,
-            reactor: Some(reactor),
-        })
+        Handle::start(
+            (coordinator, self.pool_threads.map(WorkerPool::new)),
+            self.pacing,
+            self.bus_capacity,
+            self.metrics_addr.as_deref(),
+        )
     }
 }
 
-/// Routes the HTTP endpoint through the cluster reactor.
-struct ClusterRoutes {
-    commands: SyncSender<ClusterCommand>,
-}
+/// The fleet plane: the coordinator and the pool its quanta step on (`None`
+/// steps the nodes inline — bit-identical, nodes share nothing mid-quantum).
+type FleetPlane = (ClusterCoordinator, Option<WorkerPool>);
 
-impl Routes for ClusterRoutes {
-    fn metrics(&self) -> Option<String> {
-        ask(&self.commands, |reply| ClusterCommand::Metrics { reply })
+impl Plane for FleetPlane {
+    type Event = ClusterEvent;
+    type Error = ClusterError;
+
+    fn tick(&mut self) -> Result<(), ClusterError> {
+        self.0.step_quantum_in(self.1.as_ref())
     }
 
-    fn state_json(&self) -> Option<String> {
-        let snap = ask(&self.commands, |reply| ClusterCommand::Snapshot { reply })?;
-        let mut body = snap.to_json().to_string();
-        body.push('\n');
-        Some(body)
+    fn drain_events(&mut self) -> Vec<ClusterEvent> {
+        self.0.drain_events()
+    }
+
+    fn metrics(&self, bus_overwrites: u64) -> String {
+        metrics::render_cluster(&self.0, bus_overwrites)
+    }
+
+    fn state_json(&self) -> String {
+        self.0.snapshot().to_json().to_string()
     }
 }
 
 /// A running cluster control plane: reactor thread, event bus, optional
-/// metrics endpoint.
+/// metrics endpoint. This is the service handle shared with
+/// [`Service`](crate::Service), over the fleet plane: the typed requests
+/// are listed below, and the handle itself provides
 ///
-/// Dropping the service without [`ClusterService::shutdown`] stops the
-/// threads but discards the cluster record and skips the fleet drain.
-pub struct ClusterService {
-    commands: SyncSender<ClusterCommand>,
-    bus: Bus<ClusterEvent>,
-    http: Option<HttpServer>,
-    reactor: Option<JoinHandle<()>>,
-}
+/// * `subscribe(&self) -> Subscriber<ClusterEvent>` — events published
+///   after the call;
+/// * `bus_overwrites(&self) -> u64` — events overwritten in the bus ring
+///   before delivery;
+/// * `metrics_addr(&self) -> Option<SocketAddr>` — the bound endpoint
+///   address, when one was configured.
+///
+/// Dropping the service without `shutdown` stops the threads but discards
+/// the cluster record and skips the fleet drain.
+pub type ClusterService = Handle<FleetPlane>;
 
 impl ClusterService {
-    /// Round-trips one command to the cluster reactor.
-    fn ask<T>(
-        &self,
-        make: impl FnOnce(SyncSender<T>) -> ClusterCommand,
-    ) -> Result<T, ClusterServiceError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.commands
-            .send(make(reply_tx))
-            .map_err(|_| ClusterServiceError::Stopped)?;
-        reply_rx.recv().map_err(|_| ClusterServiceError::Stopped)
-    }
-
     /// Registers a batch tenant, letting placement choose the node.
     ///
     /// # Errors
@@ -236,12 +227,8 @@ impl ClusterService {
         name: &str,
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::Register {
-            name: name.to_string(),
-            app,
-            reply,
-        })?
-        .map_err(ClusterServiceError::from)
+        let name = name.to_string();
+        Ok(self.call(move |(fleet, _)| fleet.register_batch(&name, app))??)
     }
 
     /// Registers a batch tenant on a specific node, bypassing placement.
@@ -257,13 +244,8 @@ impl ClusterService {
         name: &str,
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::RegisterOn {
-            node,
-            name: name.to_string(),
-            app,
-            reply,
-        })?
-        .map_err(ClusterServiceError::from)
+        let name = name.to_string();
+        Ok(self.call(move |(fleet, _)| fleet.register_batch_on(node, &name, app))??)
     }
 
     /// Drains a batch tenant on its node; it retires once its last slice
@@ -275,8 +257,7 @@ impl ClusterService {
     /// mid-migration tenants; [`ClusterServiceError::Stopped`] after
     /// shutdown.
     pub fn deregister(&self, tenant: ClusterTenantId) -> Result<(), ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::Deregister { tenant, reply })?
-            .map_err(ClusterServiceError::from)
+        Ok(self.call(move |(fleet, _)| fleet.deregister(tenant))??)
     }
 
     /// Starts migrating a batch tenant to `dest` (drain now, admit after
@@ -291,12 +272,7 @@ impl ClusterService {
         tenant: ClusterTenantId,
         dest: NodeId,
     ) -> Result<(), ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::Migrate {
-            tenant,
-            dest,
-            reply,
-        })?
-        .map_err(ClusterServiceError::from)
+        Ok(self.call(move |(fleet, _)| fleet.migrate(tenant, dest))??)
     }
 
     /// Deliberately drains a node for maintenance: its tenants evacuate
@@ -310,8 +286,7 @@ impl ClusterService {
     /// is already down, drained, or crashed;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn drain_node(&self, node: NodeId) -> Result<(), ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::DrainNode { node, reply })?
-            .map_err(ClusterServiceError::from)
+        Ok(self.call(move |(fleet, _)| fleet.drain_node(node))??)
     }
 
     /// Runs one lockstep quantum across the fleet now (any pacing mode).
@@ -321,8 +296,7 @@ impl ClusterService {
     /// [`ClusterServiceError::Cluster`] on a control-plane logic bug;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn step_quantum(&self) -> Result<(), ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::Step { reply })?
-            .map_err(ClusterServiceError::from)
+        Ok(self.call(FleetPlane::tick)??)
     }
 
     /// A point-in-time view of the whole cluster.
@@ -331,7 +305,7 @@ impl ClusterService {
     ///
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn snapshot(&self) -> Result<ClusterSnapshot, ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::Snapshot { reply })
+        Ok(self.call(|(fleet, _)| fleet.snapshot())?)
     }
 
     /// The cluster metrics document (what `GET /metrics` serves), with
@@ -341,22 +315,7 @@ impl ClusterService {
     ///
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn metrics(&self) -> Result<String, ClusterServiceError> {
-        self.ask(|reply| ClusterCommand::Metrics { reply })
-    }
-
-    /// Subscribes to cluster events published after this call.
-    pub fn subscribe(&self) -> Subscriber<ClusterEvent> {
-        self.bus.subscribe()
-    }
-
-    /// Events overwritten in the bus ring before delivery.
-    pub fn bus_overwrites(&self) -> u64 {
-        self.bus.overwrites()
-    }
-
-    /// The bound metrics endpoint address, when one was configured.
-    pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http.as_ref().map(HttpServer::addr)
+        Ok(self.scrape()?)
     }
 
     /// Drains every node to retirement, closes the bus, stops the
@@ -366,40 +325,11 @@ impl ClusterService {
     ///
     /// [`ClusterServiceError::Stopped`] if the reactor already stopped;
     /// [`ClusterServiceError::Cluster`] on a logic bug during the drain.
-    pub fn shutdown(mut self) -> Result<ClusterRecord, ClusterServiceError> {
-        let record = self
-            .ask(|reply| ClusterCommand::Shutdown { reply })?
-            .map_err(ClusterServiceError::from)?;
-        self.join();
-        Ok(*record)
-    }
-
-    /// Stops the HTTP endpoint and joins the reactor thread.
-    fn join(&mut self) {
-        if let Some(http) = self.http.as_mut() {
-            http.shutdown();
-        }
-        self.http = None;
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ClusterService {
-    fn drop(&mut self) {
-        // Same teardown order as the single-node service: the endpoint
-        // holds a clone of the command sender, so stop it first, then
-        // disconnect the reactor by dropping our own sender.
-        if let Some(http) = self.http.as_mut() {
-            http.shutdown();
-        }
-        self.http = None;
-        let (dead_tx, _) = sync_channel(1);
-        let _ = std::mem::replace(&mut self.commands, dead_tx);
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) -> Result<ClusterRecord, ClusterServiceError> {
+        Ok(self.finish(
+            |(fleet, _)| fleet.shutdown(),
+            |(fleet, _)| fleet.into_record(),
+        )??)
     }
 }
 

@@ -6,13 +6,16 @@
 //! request line in, one document out), and tolerant of milliseconds of
 //! latency. The server is a single thread around a non-blocking
 //! [`TcpListener`]: it polls `accept` with a short sleep, serves one
-//! connection at a time, and forwards each request to a [`Routes`]
-//! implementation — which round-trips a command to the owning reactor
-//! (single-node or cluster), so a scrape costs the reactor one rendered
-//! string between quanta and can never race the control core.
+//! connection at a time, and round-trips each request to the owning
+//! reactor as a job over its [`Plane`] (single node or fleet — the route is
+//! the same), so a scrape costs the reactor one rendered string between
+//! quanta and can never race the control plane.
 //!
 //! Unknown paths get 404, non-GET methods 405, and a request that
-//! arrives while the reactor is shutting down gets 503.
+//! arrives while the reactor is shutting down gets 503. One deadline
+//! ([`IO_TIMEOUT`]) bounds the whole request head, however slowly its
+//! bytes trickle in: the endpoint has one thread, and a peer must not be
+//! able to hold it against the scrapers queued behind.
 //!
 //! This file (with `reactor.rs`) is on the `DET-RAW-SPAWN` allowlist in
 //! `cargo xtask lint`; the deterministic stack below the service crate
@@ -21,27 +24,21 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// What the endpoint serves: each hook renders one document, or `None`
-/// when the backing reactor has stopped (the scraper gets 503). The
-/// single-node service and the cluster service each supply one
-/// implementation over their own command channel.
-pub(crate) trait Routes: Send + 'static {
-    /// The `GET /metrics` body (Prometheus text format).
-    fn metrics(&self) -> Option<String>;
-    /// The `GET /state` body (a JSON document, newline-terminated).
-    fn state_json(&self) -> Option<String>;
-}
+use crate::bus::Bus;
+use crate::pacing::Ticker;
+use crate::reactor::{call, scrape, Job, Plane};
 
 /// How long the accept loop sleeps when no connection is pending.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
-/// Per-connection read/write deadline: a stalled scraper cannot wedge the
-/// endpoint (the next poll iteration serves the next connection).
+/// Deadline for reading a request head, and again for writing the
+/// response: a stalled scraper cannot wedge the endpoint (the next poll
+/// iteration serves the next connection).
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The metrics endpoint thread and its shutdown flag.
@@ -58,7 +55,11 @@ impl HttpServer {
     /// # Errors
     ///
     /// Returns the bind error verbatim.
-    pub(crate) fn spawn<R: Routes>(addr: &str, routes: R) -> io::Result<HttpServer> {
+    pub(crate) fn spawn<P: Plane>(
+        addr: &str,
+        jobs: SyncSender<Job<P>>,
+        bus: Bus<P::Event>,
+    ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -66,7 +67,7 @@ impl HttpServer {
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("cuttlesys-metrics-http".into())
-            .spawn(move || accept_loop(&listener, &routes, &stop_flag))?;
+            .spawn(move || accept_loop(&listener, &jobs, &bus, &stop_flag))?;
         Ok(HttpServer {
             addr,
             stop,
@@ -94,10 +95,15 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop<R: Routes>(listener: &TcpListener, routes: &R, stop: &AtomicBool) {
+fn accept_loop<P: Plane>(
+    listener: &TcpListener,
+    jobs: &SyncSender<Job<P>>,
+    bus: &Bus<P::Event>,
+    stop: &AtomicBool,
+) {
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
-            Ok((stream, _)) => serve(stream, routes),
+            Ok((stream, _)) => serve(stream, jobs, bus),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
             }
@@ -110,14 +116,19 @@ fn accept_loop<R: Routes>(listener: &TcpListener, routes: &R, stop: &AtomicBool)
 
 /// Reads the request line, routes it, writes the response. Any I/O error
 /// just drops the connection — the scraper retries on its next interval.
-fn serve<R: Routes>(mut stream: TcpStream, routes: &R) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+fn serve<P: Plane>(mut stream: TcpStream, jobs: &SyncSender<Job<P>>, bus: &Bus<P::Event>) {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let deadline = Ticker::new(IO_TIMEOUT);
     let mut buf = [0u8; 1024];
     let mut n = 0;
     // Read until the request line is complete (or the buffer fills — a
-    // longer request line than 1 KiB is not one we route anyway).
+    // longer request line than 1 KiB is not one we route anyway). Each read
+    // waits only for what is left of the one deadline.
     while !buf[..n].contains(&b'\n') && n < buf.len() {
+        let left = deadline.remaining();
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
         match stream.read(&mut buf[n..]) {
             Ok(0) => break,
             Ok(m) => n += m,
@@ -141,13 +152,13 @@ fn serve<R: Routes>(mut stream: TcpStream, routes: &R) {
         return;
     }
     match path {
-        "/metrics" => match routes.metrics() {
-            Some(body) => respond(&mut stream, "200 OK", "text/plain; version=0.0.4", &body),
-            None => unavailable(&mut stream),
+        "/metrics" => match scrape(jobs, bus) {
+            Ok(body) => respond(&mut stream, "200 OK", "text/plain; version=0.0.4", &body),
+            Err(_) => unavailable(&mut stream),
         },
-        "/state" => match routes.state_json() {
-            Some(body) => respond(&mut stream, "200 OK", "application/json", &body),
-            None => unavailable(&mut stream),
+        "/state" => match call(jobs, |plane: &mut P| plane.state_json() + "\n") {
+            Ok(body) => respond(&mut stream, "200 OK", "application/json", &body),
+            Err(_) => unavailable(&mut stream),
         },
         _ => respond(
             &mut stream,
@@ -156,16 +167,6 @@ fn serve<R: Routes>(mut stream: TcpStream, routes: &R) {
             "try /metrics or /state\n",
         ),
     }
-}
-
-/// Round-trips one command to a reactor; `None` when it has stopped.
-pub(crate) fn ask<C, T>(
-    commands: &SyncSender<C>,
-    make: impl FnOnce(SyncSender<T>) -> C,
-) -> Option<T> {
-    let (reply_tx, reply_rx) = sync_channel(1);
-    commands.send(make(reply_tx)).ok()?;
-    reply_rx.recv().ok()
 }
 
 fn unavailable(stream: &mut TcpStream) {
@@ -185,4 +186,85 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     let _ = stream.write_all(head.as_bytes());
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::{Service, ServiceBuilder};
+    use cuttlesys::types::Scenario;
+    use std::time::Instant;
+
+    fn endpoint() -> (Service, SocketAddr) {
+        let service = ServiceBuilder::new(&Scenario::quick_demo())
+            .metrics_addr("127.0.0.1:0")
+            .start()
+            .unwrap();
+        let addr = service.metrics_addr().unwrap();
+        (service, addr)
+    }
+
+    /// A well-formed scrape: the full response, once the server closes.
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_starve_the_scrape_behind_it() {
+        let (service, addr) = endpoint();
+        // Connected first, so first in the accept queue.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let started = Instant::now();
+        // One byte every 100 ms never trips a per-read timeout; only a
+        // deadline on the whole request head ends it.
+        let trickler = std::thread::spawn(move || {
+            for byte in b"GET /metrics-but-very-slowly-spelled-out".iter().cycle() {
+                if slow.write_all(&[*byte]).is_err() || started.elapsed() > 4 * IO_TIMEOUT {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            started.elapsed()
+        });
+        // The acceptor is held; the reactor is not.
+        service.step_quantum().unwrap();
+        let stepped = started.elapsed();
+        assert!(stepped < IO_TIMEOUT, "a quantum waited on the endpoint");
+        // Queued behind the trickler on the endpoint's one thread.
+        let response = get(addr, "/metrics");
+        let answered = started.elapsed();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert!(
+            answered < 2 * IO_TIMEOUT,
+            "the scrape behind a trickler took {answered:?} (quantum done at {stepped:?})"
+        );
+        assert!(trickler.join().unwrap() < 4 * IO_TIMEOUT, "never dropped");
+    }
+
+    #[test]
+    fn malformed_request_heads_leave_the_endpoint_serving() {
+        let (service, addr) = endpoint();
+        let hostile: [&[u8]; 3] = [
+            // A request line four times the head buffer.
+            &[b'A'; 4096],
+            // Not UTF-8.
+            b"GET /\xff\xfe\xfd HTTP/1.1\r\n\r\n",
+            // Closed before the newline.
+            b"GET /metr",
+        ];
+        for head in hostile {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            // The server may reset the connection under an oversized write.
+            let _ = conn.write_all(head);
+            drop(conn);
+            service.step_quantum().unwrap();
+            let response = get(addr, "/state");
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        }
+    }
 }

@@ -6,10 +6,13 @@
 //! no clocks, no threads, no sockets (`cargo xtask lint` enforces the
 //! boundary). This crate is everything on the other side of it:
 //!
-//! * [`reactor`] — a dedicated thread owns the core; callers talk to it
-//!   over a bounded command channel (backpressure, not queues). Pacing is
+//! * `reactor` — a dedicated thread owns the core; callers send it
+//!   closures over a bounded channel (backpressure, not queues). Pacing is
 //!   [`Pacing::Manual`] (deterministic; tests, replays, benchmarks) or
 //!   [`Pacing::Interval`] (wall-clock quanta, the paper's 100 ms cadence).
+//!   The same loop and the same handle run the fleet ([`cluster`]): a
+//!   [`Service`] and a [`cluster::ClusterService`] differ only in the plane
+//!   they own and the typed requests they offer.
 //! * [`bus`] — a bounded broadcast bus for lifecycle, admission, breaker,
 //!   and degradation events. Publishing never blocks a quantum; lagged
 //!   subscribers observably drop ([`bus::Received::Lagged`]).
@@ -44,8 +47,6 @@ mod reactor;
 pub mod trace;
 
 use std::io;
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::thread::JoinHandle;
 
 use cuttlesys::control::{
     AdmissionError, ControlCore, ControlError, ControlEvent, ControlSnapshot, TenantId,
@@ -53,9 +54,7 @@ use cuttlesys::control::{
 use cuttlesys::types::{RunRecord, Scenario, SliceRecord};
 use workloads::batch::SpecBenchmark;
 
-use crate::bus::{Bus, Subscriber};
-use crate::http::{ask, HttpServer, Routes};
-use crate::reactor::Command;
+use crate::reactor::{Handle, Plane, Stopped};
 use crate::trace::{RegistrationTrace, TraceOp};
 
 pub use crate::pacing::Pacing;
@@ -83,6 +82,12 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+impl From<Stopped> for ServiceError {
+    fn from(_: Stopped) -> ServiceError {
+        ServiceError::Stopped
+    }
+}
 
 impl From<AdmissionError> for ServiceError {
     fn from(e: AdmissionError) -> ServiceError {
@@ -128,7 +133,7 @@ impl ServiceBuilder {
     }
 
     /// Serve `GET /metrics` and `GET /state` on this address (use
-    /// `"127.0.0.1:0"` for an ephemeral port; see [`Service::metrics_addr`]).
+    /// `"127.0.0.1:0"` for an ephemeral port; see `Service::metrics_addr`).
     pub fn metrics_addr(mut self, addr: &str) -> ServiceBuilder {
         self.metrics_addr = Some(addr.to_string());
         self
@@ -146,66 +151,53 @@ impl ServiceBuilder {
     /// Panics under the same conditions as [`ControlCore::new`].
     pub fn start(self) -> io::Result<Service> {
         let core = ControlCore::new(&self.scenario);
-        let bus = Bus::new(self.bus_capacity);
-        let (commands, reactor) = reactor::spawn(core, self.pacing, bus.clone());
-        let http = match &self.metrics_addr {
-            Some(addr) => Some(HttpServer::spawn(
-                addr,
-                NodeRoutes {
-                    commands: commands.clone(),
-                },
-            )?),
-            None => None,
-        };
-        Ok(Service {
-            commands,
-            bus,
-            http,
-            reactor: Some(reactor),
-        })
+        Handle::start(
+            core,
+            self.pacing,
+            self.bus_capacity,
+            self.metrics_addr.as_deref(),
+        )
     }
 }
 
-/// Routes the HTTP endpoint through the single-node reactor.
-struct NodeRoutes {
-    commands: SyncSender<Command>,
-}
+impl Plane for ControlCore {
+    type Event = ControlEvent;
+    type Error = ControlError;
 
-impl Routes for NodeRoutes {
-    fn metrics(&self) -> Option<String> {
-        ask(&self.commands, |reply| Command::Metrics { reply })
+    fn tick(&mut self) -> Result<(), ControlError> {
+        self.step_quantum().map(|_| ())
     }
 
-    fn state_json(&self) -> Option<String> {
-        let snap = ask(&self.commands, |reply| Command::Snapshot { reply })?;
-        let mut body = snap.to_json().to_string();
-        body.push('\n');
-        Some(body)
+    fn drain_events(&mut self) -> Vec<ControlEvent> {
+        ControlCore::drain_events(self)
+    }
+
+    fn metrics(&self, bus_overwrites: u64) -> String {
+        metrics::render(&self.snapshot(), self.records(), bus_overwrites)
+    }
+
+    fn state_json(&self) -> String {
+        self.snapshot().to_json().to_string()
     }
 }
 
 /// A running control plane: reactor thread, event bus, optional metrics
-/// endpoint.
+/// endpoint. This is the service handle shared with
+/// [`cluster::ClusterService`], over a [`ControlCore`]: the typed requests
+/// are listed below, and the handle itself provides
 ///
-/// Dropping the service without [`Service::shutdown`] stops the threads
-/// but discards the run record and skips the tenant drain.
-pub struct Service {
-    commands: SyncSender<Command>,
-    bus: Bus<ControlEvent>,
-    http: Option<HttpServer>,
-    reactor: Option<JoinHandle<()>>,
-}
+/// * `subscribe(&self) -> Subscriber<ControlEvent>` — events published
+///   after the call;
+/// * `bus_overwrites(&self) -> u64` — events overwritten in the bus ring
+///   before delivery;
+/// * `metrics_addr(&self) -> Option<SocketAddr>` — the bound endpoint
+///   address, when one was configured.
+///
+/// Dropping the service without `shutdown` stops the threads but discards
+/// the run record and skips the tenant drain.
+pub type Service = Handle<ControlCore>;
 
 impl Service {
-    /// Round-trips one command to the reactor.
-    fn ask<T>(&self, make: impl FnOnce(SyncSender<T>) -> Command) -> Result<T, ServiceError> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.commands
-            .send(make(reply_tx))
-            .map_err(|_| ServiceError::Stopped)?;
-        reply_rx.recv().map_err(|_| ServiceError::Stopped)
-    }
-
     /// Registers a batch tenant through admission control.
     ///
     /// # Errors
@@ -214,12 +206,8 @@ impl Service {
     /// not fit the steady-state budget; [`ServiceError::Stopped`] after
     /// shutdown.
     pub fn register_batch(&self, name: &str, app: SpecBenchmark) -> Result<TenantId, ServiceError> {
-        self.ask(|reply| Command::Register {
-            name: name.to_string(),
-            app,
-            reply,
-        })?
-        .map_err(ServiceError::from)
+        let name = name.to_string();
+        Ok(self.call(move |core| core.register_batch(&name, app))??)
     }
 
     /// Drains a batch tenant; it retires once its last slice has run.
@@ -229,8 +217,7 @@ impl Service {
     /// [`ServiceError::Control`] for LC tenants, unknown ids, or tenants
     /// not in a drainable state; [`ServiceError::Stopped`] after shutdown.
     pub fn deregister(&self, tenant: TenantId) -> Result<(), ServiceError> {
-        self.ask(|reply| Command::Deregister { tenant, reply })?
-            .map_err(ServiceError::from)
+        Ok(self.call(move |core| core.deregister(tenant))??)
     }
 
     /// Runs one decision quantum now (works in any pacing mode).
@@ -240,8 +227,7 @@ impl Service {
     /// [`ServiceError::Control`] on a lifecycle logic bug;
     /// [`ServiceError::Stopped`] after shutdown.
     pub fn step_quantum(&self) -> Result<SliceRecord, ServiceError> {
-        self.ask(|reply| Command::Step { reply })?
-            .map_err(ServiceError::from)
+        Ok(self.call(ControlCore::step_quantum)??)
     }
 
     /// A point-in-time view of the tenant table.
@@ -250,7 +236,7 @@ impl Service {
     ///
     /// [`ServiceError::Stopped`] after shutdown.
     pub fn snapshot(&self) -> Result<ControlSnapshot, ServiceError> {
-        self.ask(|reply| Command::Snapshot { reply })
+        Ok(self.call(|core| core.snapshot())?)
     }
 
     /// The Prometheus-style metrics document (what `GET /metrics` serves).
@@ -259,22 +245,7 @@ impl Service {
     ///
     /// [`ServiceError::Stopped`] after shutdown.
     pub fn metrics(&self) -> Result<String, ServiceError> {
-        self.ask(|reply| Command::Metrics { reply })
-    }
-
-    /// Subscribes to control-plane events published after this call.
-    pub fn subscribe(&self) -> Subscriber<ControlEvent> {
-        self.bus.subscribe()
-    }
-
-    /// Events overwritten in the bus ring before delivery.
-    pub fn bus_overwrites(&self) -> u64 {
-        self.bus.overwrites()
-    }
-
-    /// The bound metrics endpoint address, when one was configured.
-    pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http.as_ref().map(HttpServer::addr)
+        Ok(self.scrape()?)
     }
 
     /// Applies a recorded trace, op by op, through the live service.
@@ -306,42 +277,8 @@ impl Service {
     ///
     /// [`ServiceError::Stopped`] if the reactor already stopped;
     /// [`ServiceError::Control`] on a lifecycle logic bug during the drain.
-    pub fn shutdown(mut self) -> Result<RunRecord, ServiceError> {
-        let record = self
-            .ask(|reply| Command::Shutdown { reply })?
-            .map_err(ServiceError::from)?;
-        self.join();
-        Ok(*record)
-    }
-
-    /// Stops the HTTP endpoint and joins the reactor thread.
-    fn join(&mut self) {
-        if let Some(http) = self.http.as_mut() {
-            http.shutdown();
-        }
-        self.http = None;
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        // Stop the endpoint first: it holds a clone of the command sender,
-        // and the reactor only exits once every sender is gone (or after an
-        // explicit Shutdown command).
-        if let Some(http) = self.http.as_mut() {
-            http.shutdown();
-        }
-        self.http = None;
-        // Dropping our sender disconnects the reactor's receiver; the
-        // reactor closes the bus and exits.
-        let (dead_tx, _) = sync_channel(1);
-        let _ = std::mem::replace(&mut self.commands, dead_tx);
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) -> Result<RunRecord, ServiceError> {
+        Ok(self.finish(ControlCore::shutdown, ControlCore::into_record)??)
     }
 }
 

@@ -10,7 +10,7 @@
 //! `# HELP` / `# TYPE` comment pairs followed by `name{labels} value`
 //! samples. Only counters and gauges are used.
 
-use cluster::ClusterCoordinator;
+use cluster::{ClusterCoordinator, NodeId};
 use cuttlesys::control::ControlSnapshot;
 use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::telemetry::{TelemetrySummary, STAGE_NAMES};
@@ -23,238 +23,305 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn sample(out: &mut String, name: &str, labels: &str, value: f64) {
+/// One sample. `labels` are label-set fragments (`key="value"`, possibly
+/// empty) joined with commas.
+fn sample(out: &mut String, name: &str, labels: &[&str], value: f64) {
     // Prometheus has no NaN-free guarantee, but our sources do: guard
     // anyway so a blackout slice cannot poison the whole scrape.
     let value = if value.is_finite() { value } else { 0.0 };
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name} {value}");
-    } else {
-        let _ = writeln!(out, "{name}{{{labels}}} {value}");
+    out.push_str(name);
+    let mut open = '{';
+    for fragment in labels.iter().filter(|l| !l.is_empty()) {
+        out.push(open);
+        out.push_str(fragment);
+        open = ',';
+    }
+    if open == ',' {
+        out.push('}');
+    }
+    let _ = writeln!(out, " {value}");
+}
+
+/// The samples of a single-valued per-node family: `(node label, value)`.
+fn per_node<'a>(out: &mut String, name: &str, samples: impl Iterator<Item = (&'a str, f64)>) {
+    for (node, value) in samples {
+        sample(out, name, &[node], value);
     }
 }
 
-/// Renders the full `/metrics` document.
-pub fn render(snapshot: &ControlSnapshot, records: &[SliceRecord], bus_overwrites: u64) -> String {
-    let mut out = String::with_capacity(4096);
+/// One node as the renderer sees it. `label` is prefixed to the label set
+/// of every sample: empty in the single-node document, `node="nK"` in a
+/// fleet's.
+struct NodeView<'a> {
+    label: &'a str,
+    snapshot: &'a ControlSnapshot,
+    records: &'a [SliceRecord],
+}
 
+/// The per-node families, family-major: each header once, then one sample
+/// (or sample group) per node. Both documents are built on this, so a
+/// family added here reaches both.
+fn node_families(out: &mut String, nodes: &[NodeView]) {
+    let over_records =
+        |value: fn(&[SliceRecord]) -> f64| nodes.iter().map(move |n| (n.label, value(n.records)));
     family(
-        &mut out,
+        out,
         "cuttlesys_quanta_total",
         "counter",
         "Decision quanta run since the service started.",
     );
-    sample(&mut out, "cuttlesys_quanta_total", "", records.len() as f64);
+    per_node(
+        out,
+        "cuttlesys_quanta_total",
+        over_records(|r| r.len() as f64),
+    );
 
     family(
-        &mut out,
+        out,
         "cuttlesys_qos_violations_total",
         "counter",
         "Slices in which any latency-critical tenant violated its QoS.",
     );
-    sample(
-        &mut out,
+    per_node(
+        out,
         "cuttlesys_qos_violations_total",
-        "",
-        records.iter().filter(|s| s.qos_violation()).count() as f64,
+        over_records(|r| r.iter().filter(|s| s.qos_violation()).count() as f64),
     );
 
     family(
-        &mut out,
+        out,
         "cuttlesys_power_violations_total",
         "counter",
         "Slices whose average chip power exceeded the cap.",
     );
-    sample(
-        &mut out,
+    per_node(
+        out,
         "cuttlesys_power_violations_total",
-        "",
-        records.iter().filter(|s| s.power_violation).count() as f64,
+        over_records(|r| r.iter().filter(|s| s.power_violation).count() as f64),
     );
 
     family(
-        &mut out,
+        out,
         "cuttlesys_batch_instructions_total",
         "counter",
         "Instructions executed by batch jobs (the paper's throughput metric).",
     );
-    sample(
-        &mut out,
+    per_node(
+        out,
         "cuttlesys_batch_instructions_total",
-        "",
-        records.iter().map(|s| s.batch_instructions).sum(),
+        over_records(|r| r.iter().map(|s| s.batch_instructions).sum()),
     );
 
+    // Nodes that have run a slice, each with its most recent one.
+    let latest: Vec<(&str, &SliceRecord)> = nodes
+        .iter()
+        .filter_map(|n| Some((n.label, n.records.last()?)))
+        .collect();
     family(
-        &mut out,
+        out,
         "cuttlesys_chip_watts",
         "gauge",
         "Time-weighted average chip power over the most recent slice.",
     );
     family(
-        &mut out,
+        out,
         "cuttlesys_cap_watts",
         "gauge",
         "Power cap in effect during the most recent slice.",
     );
-    if let Some(last) = records.last() {
-        sample(&mut out, "cuttlesys_chip_watts", "", last.chip_watts);
-        sample(&mut out, "cuttlesys_cap_watts", "", last.cap_watts);
-
+    per_node(
+        out,
+        "cuttlesys_chip_watts",
+        latest.iter().map(|(n, last)| (*n, last.chip_watts)),
+    );
+    per_node(
+        out,
+        "cuttlesys_cap_watts",
+        latest.iter().map(|(n, last)| (*n, last.cap_watts)),
+    );
+    if !latest.is_empty() {
         family(
-            &mut out,
+            out,
             "cuttlesys_lc_tail_ms",
             "gauge",
             "Per-tenant 99th-percentile latency over the most recent slice.",
         );
         family(
-            &mut out,
+            out,
             "cuttlesys_lc_cores",
             "gauge",
             "Cores held by each latency-critical tenant in the most recent slice.",
         );
+    }
+    for (node, last) in &latest {
         for lc in &last.lc {
-            let labels = format!("service=\"{}\"", lc.service);
-            sample(&mut out, "cuttlesys_lc_tail_ms", &labels, lc.tail_ms);
-            sample(&mut out, "cuttlesys_lc_cores", &labels, lc.cores as f64);
+            let labels = [*node, &format!("service=\"{}\"", lc.service)];
+            sample(out, "cuttlesys_lc_tail_ms", &labels, lc.tail_ms);
+            sample(out, "cuttlesys_lc_cores", &labels, lc.cores as f64);
         }
     }
 
-    let summary = TelemetrySummary::over(records.iter().filter_map(|s| s.telemetry.as_ref()));
-    if let Some(t) = summary {
+    // Nodes whose manager reports stage telemetry, each with its summary.
+    let summaries: Vec<(&str, TelemetrySummary)> = nodes
+        .iter()
+        .filter_map(|n| {
+            let telemetry = n.records.iter().filter_map(|s| s.telemetry.as_ref());
+            Some((n.label, TelemetrySummary::over(telemetry)?))
+        })
+        .collect();
+    if !summaries.is_empty() {
+        let over_summaries = |value: fn(&TelemetrySummary) -> usize| {
+            summaries.iter().map(move |(n, t)| (*n, value(t) as f64))
+        };
         family(
-            &mut out,
+            out,
             "cuttlesys_stage_wall_ms",
             "gauge",
             "Manager compute per pipeline stage (ms), mean and max over the run.",
         );
-        for (i, stage) in STAGE_NAMES.iter().enumerate() {
-            sample(
-                &mut out,
-                "cuttlesys_stage_wall_ms",
-                &format!("stage=\"{stage}\",stat=\"mean\""),
-                t.mean_wall_ms[i],
-            );
-            sample(
-                &mut out,
-                "cuttlesys_stage_wall_ms",
-                &format!("stage=\"{stage}\",stat=\"max\""),
-                t.max_wall_ms[i],
-            );
+        for (node, t) in &summaries {
+            for (i, stage) in STAGE_NAMES.iter().enumerate() {
+                let stage = format!("stage=\"{stage}\"");
+                for (stat, value) in [("mean", t.mean_wall_ms[i]), ("max", t.max_wall_ms[i])] {
+                    let labels = [*node, &stage, &format!("stat=\"{stat}\"")];
+                    sample(out, "cuttlesys_stage_wall_ms", &labels, value);
+                }
+            }
         }
 
         family(
-            &mut out,
+            out,
             "cuttlesys_degraded_quanta_total",
             "counter",
             "Quanta served from the degradation ladder in any way.",
         );
-        sample(
-            &mut out,
+        per_node(
+            out,
             "cuttlesys_degraded_quanta_total",
-            "",
-            t.degraded_quanta as f64,
+            over_summaries(|t| t.degraded_quanta),
         );
 
         family(
-            &mut out,
+            out,
             "cuttlesys_samples_rejected_total",
             "counter",
             "Profiling samples rejected by the plausibility gate.",
         );
-        sample(
-            &mut out,
+        per_node(
+            out,
             "cuttlesys_samples_rejected_total",
-            "",
-            t.samples_rejected as f64,
+            over_summaries(|t| t.samples_rejected),
         );
 
         family(
-            &mut out,
+            out,
             "cuttlesys_sample_retries_total",
             "counter",
             "Profiling frames re-sampled after a rejection.",
         );
-        sample(
-            &mut out,
+        per_node(
+            out,
             "cuttlesys_sample_retries_total",
-            "",
-            t.sample_retries as f64,
+            over_summaries(|t| t.sample_retries),
         );
 
         family(
-            &mut out,
+            out,
             "cuttlesys_last_good_replays_total",
             "counter",
             "Quanta that replayed the last-good plan instead of deciding.",
         );
-        sample(
-            &mut out,
+        per_node(
+            out,
             "cuttlesys_last_good_replays_total",
-            "",
-            t.last_good_replays as f64,
+            over_summaries(|t| t.last_good_replays),
         );
 
         family(
-            &mut out,
+            out,
             "cuttlesys_safe_mode_quanta_total",
             "counter",
             "Quanta served by the safe-mode allocation (safe-mode residency).",
         );
-        sample(
-            &mut out,
+        per_node(
+            out,
             "cuttlesys_safe_mode_quanta_total",
-            "",
-            t.safe_mode_quanta as f64,
+            over_summaries(|t| t.safe_mode_quanta),
         );
 
         family(
-            &mut out,
+            out,
             "cuttlesys_breaker_open_quanta_total",
             "counter",
             "Quanta during which the safe-mode circuit breaker was open.",
         );
-        sample(
-            &mut out,
+        per_node(
+            out,
             "cuttlesys_breaker_open_quanta_total",
-            "",
-            t.breaker_open_quanta as f64,
+            over_summaries(|t| t.breaker_open_quanta),
         );
     }
 
     family(
-        &mut out,
+        out,
         "cuttlesys_breaker_open",
         "gauge",
         "Whether the safe-mode circuit breaker is currently open.",
     );
-    sample(
-        &mut out,
+    per_node(
+        out,
         "cuttlesys_breaker_open",
-        "",
-        f64::from(u8::from(snapshot.breaker_open)),
+        nodes
+            .iter()
+            .map(|n| (n.label, f64::from(u8::from(n.snapshot.breaker_open)))),
     );
+}
 
+/// The `cuttlesys_tenants` family: tenants per lifecycle state, over the
+/// states of whichever tenant table the document describes.
+fn tenants_per_state(out: &mut String, states: &[LifecycleState]) {
     family(
-        &mut out,
+        out,
         "cuttlesys_tenants",
         "gauge",
         "Tenants per lifecycle state.",
     );
     for state in LifecycleState::ALL {
-        let n = snapshot
-            .tenants
-            .iter()
-            .filter(|t| t.state.same_kind(state))
-            .count();
-        sample(
-            &mut out,
-            "cuttlesys_tenants",
-            &format!("state=\"{}\"", state.name()),
-            n as f64,
-        );
+        let n = states.iter().filter(|s| s.same_kind(state)).count();
+        let label = format!("state=\"{}\"", state.name());
+        sample(out, "cuttlesys_tenants", &[&label], n as f64);
     }
+}
 
+/// The `cuttlesys_bus_overwrites_total` family, last in both documents.
+fn bus_overwrites_total(out: &mut String, bus_overwrites: u64) {
+    family(
+        out,
+        "cuttlesys_bus_overwrites_total",
+        "counter",
+        "Events overwritten in the broadcast ring before delivery.",
+    );
+    sample(
+        out,
+        "cuttlesys_bus_overwrites_total",
+        &[],
+        bus_overwrites as f64,
+    );
+}
+
+/// Renders the full `/metrics` document of one node: the per-node families
+/// without a node label, the tenant table, the bus.
+pub fn render(snapshot: &ControlSnapshot, records: &[SliceRecord], bus_overwrites: u64) -> String {
+    let mut out = String::with_capacity(4096);
+    let node = NodeView {
+        label: "",
+        snapshot,
+        records,
+    };
+    node_families(&mut out, &[node]);
+
+    let states: Vec<_> = snapshot.tenants.iter().map(|t| t.state).collect();
+    tenants_per_state(&mut out, &states);
     family(
         &mut out,
         "cuttlesys_tenant_state",
@@ -262,39 +329,22 @@ pub fn render(snapshot: &ControlSnapshot, records: &[SliceRecord], bus_overwrite
         "One sample per tenant, value 1, state carried in the label.",
     );
     for t in &snapshot.tenants {
-        sample(
-            &mut out,
-            "cuttlesys_tenant_state",
-            &format!(
-                "tenant=\"{}\",kind=\"{}\",state=\"{}\"",
-                t.name,
-                t.kind,
-                t.state.name()
-            ),
-            1.0,
+        let labels = format!(
+            "tenant=\"{}\",kind=\"{}\",state=\"{}\"",
+            t.name,
+            t.kind,
+            t.state.name()
         );
+        sample(&mut out, "cuttlesys_tenant_state", &[&labels], 1.0);
     }
 
-    family(
-        &mut out,
-        "cuttlesys_bus_overwrites_total",
-        "counter",
-        "Events overwritten in the broadcast ring before delivery.",
-    );
-    sample(
-        &mut out,
-        "cuttlesys_bus_overwrites_total",
-        "",
-        bus_overwrites as f64,
-    );
-
+    bus_overwrites_total(&mut out, bus_overwrites);
     out
 }
 
-/// Renders the cluster `/metrics` document: fleet-level counters plus the
-/// same per-node families the single-node document exposes, each sample
-/// tagged with a `node="nK"` label. The single-node renderer above is
-/// untouched — its output stays byte-identical for existing scrapers.
+/// Renders the cluster `/metrics` document: the fleet-level families, then
+/// every per-node family of the single-node document with each sample
+/// under a `node="nK"` label, then the cluster tenant table and the bus.
 pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> String {
     let snapshot = cluster.snapshot();
     let mut out = String::with_capacity(4096 * snapshot.nodes.len().max(1));
@@ -308,7 +358,7 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
     sample(
         &mut out,
         "cuttlesys_cluster_nodes",
-        "",
+        &[],
         cluster.num_nodes() as f64,
     );
 
@@ -321,7 +371,7 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
     sample(
         &mut out,
         "cuttlesys_cluster_quanta_total",
-        "",
+        &[],
         cluster.quantum() as f64,
     );
 
@@ -334,24 +384,23 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
     sample(
         &mut out,
         "cuttlesys_cluster_migrations_in_flight",
-        "",
+        &[],
         snapshot.in_flight as f64,
     );
 
+    let node_labels: Vec<String> = (0..snapshot.nodes.len())
+        .map(|i| format!("node=\"n{i}\""))
+        .collect();
     family(
         &mut out,
         "cuttlesys_node_up",
         "gauge",
         "Whether each node is serving (1) or declared down (0), with its health state in a label.",
     );
-    for (i, health) in snapshot.node_health.iter().enumerate() {
+    for (node, health) in node_labels.iter().zip(&snapshot.node_health) {
         let up = if *health == "down" { 0.0 } else { 1.0 };
-        sample(
-            &mut out,
-            "cuttlesys_node_up",
-            &format!("node=\"n{i}\",health=\"{health}\""),
-            up,
-        );
+        let health = format!("health=\"{health}\"");
+        sample(&mut out, "cuttlesys_node_up", &[node, &health], up);
     }
 
     family(
@@ -363,7 +412,7 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
     sample(
         &mut out,
         "cuttlesys_evacuations_total",
-        "",
+        &[],
         snapshot.evacuations as f64,
     );
 
@@ -376,7 +425,7 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
     sample(
         &mut out,
         "cuttlesys_displaced_tenants",
-        "",
+        &[],
         snapshot.displaced as f64,
     );
 
@@ -389,83 +438,9 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
     sample(
         &mut out,
         "cuttlesys_fleet_degraded",
-        "",
+        &[],
         f64::from(u8::from(snapshot.degraded)),
     );
-
-    family(
-        &mut out,
-        "cuttlesys_quanta_total",
-        "counter",
-        "Decision quanta run per node.",
-    );
-    family(
-        &mut out,
-        "cuttlesys_qos_violations_total",
-        "counter",
-        "Slices in which any latency-critical tenant violated its QoS, per node.",
-    );
-    family(
-        &mut out,
-        "cuttlesys_batch_instructions_total",
-        "counter",
-        "Instructions executed by batch jobs, per node.",
-    );
-    let agents: Vec<_> = (0..cluster.num_nodes())
-        .filter_map(|i| cluster.node(cluster::NodeId::from_index(i)))
-        .collect();
-    for agent in &agents {
-        let node = format!("node=\"{}\"", agent.id());
-        let records = agent.core().records();
-        sample(
-            &mut out,
-            "cuttlesys_quanta_total",
-            &node,
-            records.len() as f64,
-        );
-        sample(
-            &mut out,
-            "cuttlesys_qos_violations_total",
-            &node,
-            records.iter().filter(|s| s.qos_violation()).count() as f64,
-        );
-        sample(
-            &mut out,
-            "cuttlesys_batch_instructions_total",
-            &node,
-            records.iter().map(|s| s.batch_instructions).sum(),
-        );
-    }
-
-    family(
-        &mut out,
-        "cuttlesys_chip_watts",
-        "gauge",
-        "Time-weighted average chip power over each node's most recent slice.",
-    );
-    family(
-        &mut out,
-        "cuttlesys_lc_tail_ms",
-        "gauge",
-        "Per-tenant 99th-percentile latency over each node's most recent slice.",
-    );
-    family(
-        &mut out,
-        "cuttlesys_lc_cores",
-        "gauge",
-        "Cores held by each latency-critical tenant in each node's most recent slice.",
-    );
-    for agent in &agents {
-        let node = format!("node=\"{}\"", agent.id());
-        if let Some(last) = agent.core().records().last() {
-            sample(&mut out, "cuttlesys_chip_watts", &node, last.chip_watts);
-            for lc in &last.lc {
-                let labels = format!("{node},service=\"{}\"", lc.service);
-                sample(&mut out, "cuttlesys_lc_tail_ms", &labels, lc.tail_ms);
-                sample(&mut out, "cuttlesys_lc_cores", &labels, lc.cores as f64);
-            }
-        }
-    }
 
     family(
         &mut out,
@@ -473,37 +448,26 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
         "gauge",
         "Fraction of an LC service's reference load routed to each node.",
     );
-    for (i, shares) in snapshot.lc_shares.iter().enumerate() {
+    for (node, shares) in node_labels.iter().zip(&snapshot.lc_shares) {
         for (lc_index, share) in shares.iter().enumerate() {
-            sample(
-                &mut out,
-                "cuttlesys_lc_traffic_share",
-                &format!("node=\"n{i}\",lc=\"{lc_index}\""),
-                *share,
-            );
+            let lc = format!("lc=\"{lc_index}\"");
+            sample(&mut out, "cuttlesys_lc_traffic_share", &[node, &lc], *share);
         }
     }
 
-    family(
-        &mut out,
-        "cuttlesys_tenants",
-        "gauge",
-        "Cluster tenants per lifecycle state.",
-    );
-    for state in LifecycleState::ALL {
-        let n = snapshot
-            .tenants
-            .iter()
-            .filter(|t| t.state.same_kind(state))
-            .count();
-        sample(
-            &mut out,
-            "cuttlesys_tenants",
-            &format!("state=\"{}\"", state.name()),
-            n as f64,
-        );
-    }
+    let nodes: Vec<NodeView> = (node_labels.iter().zip(&snapshot.nodes).enumerate())
+        .filter_map(|(i, (label, snapshot))| {
+            Some(NodeView {
+                label,
+                snapshot,
+                records: cluster.node(NodeId::from_index(i))?.core().records(),
+            })
+        })
+        .collect();
+    node_families(&mut out, &nodes);
 
+    let states: Vec<_> = snapshot.tenants.iter().map(|t| t.state).collect();
+    tenants_per_state(&mut out, &states);
     family(
         &mut out,
         "cuttlesys_tenant_state",
@@ -511,33 +475,17 @@ pub fn render_cluster(cluster: &ClusterCoordinator, bus_overwrites: u64) -> Stri
         "One sample per cluster tenant, value 1, node and state in the labels.",
     );
     for t in &snapshot.tenants {
-        sample(
-            &mut out,
-            "cuttlesys_tenant_state",
-            &format!(
-                "tenant=\"{}\",kind=\"{}\",node=\"{}\",state=\"{}\"",
-                t.name,
-                t.kind,
-                t.node,
-                t.state.name()
-            ),
-            1.0,
+        let labels = format!(
+            "tenant=\"{}\",kind=\"{}\",node=\"{}\",state=\"{}\"",
+            t.name,
+            t.kind,
+            t.node,
+            t.state.name()
         );
+        sample(&mut out, "cuttlesys_tenant_state", &[&labels], 1.0);
     }
 
-    family(
-        &mut out,
-        "cuttlesys_bus_overwrites_total",
-        "counter",
-        "Events overwritten in the broadcast ring before delivery.",
-    );
-    sample(
-        &mut out,
-        "cuttlesys_bus_overwrites_total",
-        "",
-        bus_overwrites as f64,
-    );
-
+    bus_overwrites_total(&mut out, bus_overwrites);
     out
 }
 
@@ -578,11 +526,21 @@ mod tests {
         let text = render_cluster(&coordinator, 3);
         assert!(text.contains("cuttlesys_cluster_nodes 2"));
         assert!(text.contains("cuttlesys_cluster_quanta_total 1"));
-        assert!(text.contains("cuttlesys_quanta_total{node=\"n0\"} 1"));
-        assert!(text.contains("cuttlesys_quanta_total{node=\"n1\"} 1"));
-        assert!(text.contains("cuttlesys_lc_tail_ms{node=\"n0\",service=\"xapian\"}"));
-        assert!(text.contains("cuttlesys_lc_traffic_share{node=\"n1\",lc=\"0\"} 1"));
         assert!(text.contains("cuttlesys_bus_overwrites_total 3"));
+        // Every sample the cluster document carried before it shared the
+        // single-node renderer (same scenario, captured at that commit) is
+        // still there, verbatim.
+        let before = include_str!("../../../tests/golden/metrics_cluster_2node.prom");
+        let lines: Vec<&str> = text.lines().collect();
+        for line in before.lines().filter(|l| !l.starts_with('#')) {
+            assert!(lines.contains(&line), "the cluster document lost: {line}");
+        }
+        // And the families only the node document used to have are in.
+        assert!(text.contains("cuttlesys_cap_watts{node=\"n1\"}"));
+        assert!(text.contains("cuttlesys_breaker_open{node=\"n0\"} 0"));
+        assert!(
+            text.contains("cuttlesys_stage_wall_ms{node=\"n0\",stage=\"search\",stat=\"mean\"}")
+        );
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert!(
                 line.rsplit_once(' ')
@@ -590,5 +548,50 @@ mod tests {
                 "malformed sample line: {line}"
             );
         }
+    }
+
+    /// The bridge that shows there is one renderer: a one-node fleet's
+    /// per-node samples are the single-node document's, plus the label.
+    #[test]
+    fn a_one_node_cluster_renders_the_single_node_samples_under_a_node_label() {
+        use cluster::ClusterScenario;
+        let scenario = Scenario::quick_demo();
+        let mut core = ControlCore::new(&scenario);
+        let mut coordinator = ClusterCoordinator::new(&ClusterScenario::uniform(&scenario, 1));
+        for _ in 0..3 {
+            core.step_quantum().unwrap();
+            coordinator.step_quantum().unwrap();
+        }
+        // Stage timings are wall-clock: compare those samples by key only.
+        let key = |line: &str| {
+            let (name_and_labels, _value) = line.rsplit_once(' ').unwrap();
+            if line.starts_with("cuttlesys_stage_wall_ms") {
+                name_and_labels.to_string()
+            } else {
+                line.to_string()
+            }
+        };
+        // The node families are everything ahead of the tenant table.
+        let single = render(&core.snapshot(), core.records(), 0);
+        let (node_part, _) = single.split_once("# HELP cuttlesys_tenants ").unwrap();
+        let expected: Vec<String> = node_part
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(key)
+            .collect();
+        // Fleet families that carry a node label of their own.
+        let fleet_only = [
+            "cuttlesys_node_up",
+            "cuttlesys_lc_traffic_share",
+            "cuttlesys_tenant_state",
+        ];
+        let unlabelled: Vec<String> = render_cluster(&coordinator, 0)
+            .lines()
+            .filter(|l| l.contains("node=\"n0\""))
+            .filter(|l| !fleet_only.iter().any(|f| l.starts_with(f)))
+            .map(|l| l.replace("{node=\"n0\"}", "").replace("{node=\"n0\",", "{"))
+            .map(|l| key(&l))
+            .collect();
+        assert_eq!(unlabelled, expected);
     }
 }

@@ -1,127 +1,152 @@
-//! The reactor: one thread that owns the control core and serializes every
-//! request through a bounded command channel.
+//! The reactor: one thread that owns a control plane and serializes every
+//! request through a bounded job channel — written once, for the single
+//! node ([`ControlCore`](cuttlesys::control::ControlCore)) and for the fleet
+//! (`ClusterCoordinator` plus its optional worker pool) alike.
 //!
-//! The sans-io [`ControlCore`] is single-threaded by design — admission,
-//! lifecycle settling, and the decision quantum all mutate one state
-//! machine. Rather than wrap it in a lock (and let a slow scrape stall a
-//! quantum waiting for the mutex), the service runs it on a dedicated
-//! reactor thread and talks to it over a bounded `sync_channel` of
-//! [`Command`]s, each carrying a rendezvous reply channel. The channel
+//! A sans-io plane is single-threaded by design — admission, lifecycle
+//! settling, and the decision quantum all mutate one state machine. Rather
+//! than wrap it in a lock (and let a slow scrape stall a quantum waiting
+//! for the mutex), the service runs it on a dedicated reactor thread.
+//! Everything a caller asks for arrives as a boxed closure over the plane
+//! ([`Handle::call`]) carrying its own rendezvous reply; [`Plane`] names
+//! only what the reactor does *without* a caller: the paced tick, draining
+//! queued events onto the [`Bus`], and the two HTTP documents. The channel
 //! bound ([`COMMAND_QUEUE_DEPTH`]) is the service's backpressure: callers
 //! that outrun the reactor block in `send`, they do not grow an unbounded
 //! queue.
 //!
 //! Pacing:
 //!
-//! * [`Pacing::Manual`] — the reactor blocks on the command channel and
-//!   quanta run only on [`Command::Step`]. Fully deterministic; the mode
+//! * [`Pacing::Manual`] — the reactor blocks on the channel and quanta run
+//!   only when a caller's job steps one. Fully deterministic; the mode
 //!   every test, replay, and benchmark uses.
 //! * [`Pacing::Interval`] — the reactor waits with
-//!   `recv_timeout(ticker.remaining())`, so commands are served between
-//!   quanta and a quantum fires whenever the deadline arrives.
+//!   `recv_timeout(ticker.remaining())`, so jobs are served between quanta
+//!   and [`Plane::tick`] fires whenever the deadline arrives.
 //!
-//! After every operation that can queue [`ControlEvent`]s the reactor
-//! drains the core's pending queue and publishes onto the broadcast
-//! [`Bus`] — which never blocks, so subscribers cannot stretch a quantum.
+//! After every job and every tick the reactor drains the plane's pending
+//! events onto the bus — which never blocks, so subscribers cannot stretch
+//! a quantum — and only then sends the job's reply. The bus is closed by a
+//! drop guard, so it closes on *every* exit: shutdown, the last handle
+//! dropping, or the reactor thread unwinding.
 //!
 //! This file (with `http.rs`) is the service's thread boundary: the
 //! per-rule allowed-paths table in `cargo xtask lint` exempts exactly
 //! these files from `DET-RAW-SPAWN`.
 
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::fmt::Display;
+use std::io;
+use std::net::SocketAddr;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 
-use cluster::{
-    ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterSnapshot,
-    ClusterTenantId, MigrateError, NodeId, PlacementError,
-};
-use cuttlesys::control::{
-    AdmissionError, ControlCore, ControlError, ControlEvent, ControlSnapshot, TenantId,
-};
-use cuttlesys::types::{RunRecord, SliceRecord};
-use util::WorkerPool;
-use workloads::batch::SpecBenchmark;
-
-use crate::bus::Bus;
-use crate::metrics;
+use crate::bus::{Bus, Subscriber};
+use crate::http::HttpServer;
 use crate::pacing::{Pacing, Ticker};
 
-/// Commands the reactor accepts. Each carries a rendezvous reply channel;
-/// the reactor never blocks on a reply (a caller that gave up is skipped).
-pub(crate) enum Command {
-    /// Register a batch tenant through admission control.
-    Register {
-        name: String,
-        app: SpecBenchmark,
-        reply: SyncSender<Result<TenantId, AdmissionError>>,
-    },
-    /// Drain and retire a batch tenant.
-    Deregister {
-        tenant: TenantId,
-        reply: SyncSender<Result<(), ControlError>>,
-    },
-    /// Run one decision quantum now (any pacing mode).
-    Step {
-        reply: SyncSender<Result<SliceRecord, ControlError>>,
-    },
-    /// Snapshot the tenant table.
-    Snapshot { reply: SyncSender<ControlSnapshot> },
-    /// Render the Prometheus-style metrics document.
-    Metrics { reply: SyncSender<String> },
-    /// Drain every tenant, close the bus, and return the completed run.
-    Shutdown {
-        reply: SyncSender<Result<Box<RunRecord>, ControlError>>,
-    },
+/// What the reactor needs from a control plane when no caller is involved.
+/// (Public only because [`Handle`] is generic over it; the module is
+/// private, so neither name is reachable from outside the crate.)
+pub trait Plane: Send + 'static {
+    /// What the plane queues for the bus.
+    type Event: Clone + Send + 'static;
+    /// Why a paced quantum can fail.
+    type Error: Display;
+    /// Runs one paced decision quantum.
+    fn tick(&mut self) -> Result<(), Self::Error>;
+    /// Takes every event queued since the previous drain.
+    fn drain_events(&mut self) -> Vec<Self::Event>;
+    /// The `GET /metrics` body (Prometheus text format).
+    fn metrics(&self, bus_overwrites: u64) -> String;
+    /// The `GET /state` body (one JSON document).
+    fn state_json(&self) -> String;
 }
 
-/// Commands the channel buffers before `send` blocks the caller.
-pub(crate) const COMMAND_QUEUE_DEPTH: usize = 64;
+/// The reactor is gone (shut down, or its thread panicked): the request
+/// was not served. Each facade maps this to its own `Stopped` variant.
+pub struct Stopped;
 
-/// Spawns the reactor thread over an already-built core.
-// Thread spawning can only fail on OS resource exhaustion, at which point
-// the service cannot exist; surfacing the panic is correct.
-#[allow(clippy::expect_used)]
-pub(crate) fn spawn(
-    core: ControlCore,
-    pacing: Pacing,
-    bus: Bus<ControlEvent>,
-) -> (SyncSender<Command>, JoinHandle<()>) {
-    let (tx, rx) = mpsc::sync_channel(COMMAND_QUEUE_DEPTH);
-    let handle = std::thread::Builder::new()
-        .name("cuttlesys-reactor".into())
-        .spawn(move || run(core, pacing, bus, rx))
-        .expect("spawn the reactor thread");
-    (tx, handle)
-}
+/// What the channel carries: a closure that takes the plane, publishes the
+/// events it left pending, sends its own reply, and hands the plane back —
+/// except the one finishing job, which keeps it; the reactor then exits.
+pub(crate) type Job<P> = Box<dyn FnOnce(P, &Bus<<P as Plane>::Event>) -> Option<P> + Send>;
 
-/// Drains the core's pending events onto the bus.
-fn publish_pending(core: &mut ControlCore, bus: &Bus<ControlEvent>) {
-    for event in core.drain_events() {
+/// Jobs the channel buffers before `send` blocks the caller.
+const COMMAND_QUEUE_DEPTH: usize = 64;
+
+/// Drains the plane's pending events onto the bus.
+fn publish<P: Plane>(plane: &mut P, bus: &Bus<P::Event>) {
+    for event in plane.drain_events() {
         bus.publish(event);
     }
 }
 
-fn step_now(core: &mut ControlCore, bus: &Bus<ControlEvent>) -> Result<SliceRecord, ControlError> {
-    let result = core.step_quantum();
-    publish_pending(core, bus);
-    result
+/// Sends the job `make` builds around a reply channel and waits for the
+/// reply. A reactor that exits drops the queued job, and the reply sender
+/// with it, so a caller never waits on a dead reactor.
+fn rendezvous<P: Plane, T>(
+    jobs: &SyncSender<Job<P>>,
+    make: impl FnOnce(SyncSender<T>) -> Job<P>,
+) -> Result<T, Stopped> {
+    let (reply_tx, reply_rx) = sync_channel(1);
+    jobs.send(make(reply_tx)).map_err(|_| Stopped)?;
+    reply_rx.recv().map_err(|_| Stopped)
 }
 
-fn run(mut core: ControlCore, pacing: Pacing, bus: Bus<ControlEvent>, rx: Receiver<Command>) {
+/// Runs `f` on the plane, on the reactor thread, and returns its result.
+pub(crate) fn call<P: Plane, T: Send + 'static>(
+    jobs: &SyncSender<Job<P>>,
+    f: impl FnOnce(&mut P) -> T + Send + 'static,
+) -> Result<T, Stopped> {
+    rendezvous(jobs, |reply| {
+        Box::new(move |mut plane, bus| {
+            let result = f(&mut plane);
+            publish(&mut plane, bus);
+            let _ = reply.send(result);
+            Some(plane)
+        })
+    })
+}
+
+/// The `/metrics` document, rendered on the reactor thread.
+pub(crate) fn scrape<P: Plane>(
+    jobs: &SyncSender<Job<P>>,
+    bus: &Bus<P::Event>,
+) -> Result<String, Stopped> {
+    let overwrites = bus.overwrites();
+    call(jobs, move |plane| plane.metrics(overwrites))
+}
+
+/// Closes the bus when the reactor leaves [`run`], however it leaves: a
+/// subscriber parked in `recv` must wake even if the thread is unwinding.
+struct CloseOnExit<'a, T: Clone>(&'a Bus<T>);
+
+impl<T: Clone> Drop for CloseOnExit<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+fn run<P: Plane>(mut plane: P, pacing: Pacing, bus: &Bus<P::Event>, rx: &Receiver<Job<P>>) {
+    let _close = CloseOnExit(bus);
     let mut ticker = match pacing {
         Pacing::Manual => None,
         Pacing::Interval(period) => Some(Ticker::new(period)),
     };
     loop {
-        let cmd = match ticker.as_mut() {
+        let job = match ticker.as_mut() {
+            // Every handle dropped without a shutdown: the run record is
+            // unreachable now, but subscribers still get a clean close.
             None => match rx.recv() {
-                Ok(cmd) => cmd,
-                Err(_) => break,
+                Ok(job) => job,
+                Err(_) => return,
             },
             Some(t) => {
                 if t.due() {
-                    if let Err(e) = step_now(&mut core, &bus) {
-                        // A settle error is a control-plane logic bug
+                    let ticked = plane.tick();
+                    publish(&mut plane, bus);
+                    if let Err(e) = ticked {
+                        // A stepping error is a control-plane logic bug
                         // (illegal lifecycle transitions are hard errors by
                         // contract) and in interval mode there is no caller
                         // to hand it to.
@@ -131,225 +156,162 @@ fn run(mut core: ControlCore, pacing: Pacing, bus: Bus<ControlEvent>, rx: Receiv
                     continue;
                 }
                 match rx.recv_timeout(t.remaining()) {
-                    Ok(cmd) => cmd,
+                    Ok(job) => job,
                     Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 }
             }
         };
-        match cmd {
-            Command::Register { name, app, reply } => {
-                let result = core.register_batch(&name, app);
-                publish_pending(&mut core, &bus);
-                let _ = reply.send(result);
-            }
-            Command::Deregister { tenant, reply } => {
-                let result = core.deregister(tenant);
-                publish_pending(&mut core, &bus);
-                let _ = reply.send(result);
-            }
-            Command::Step { reply } => {
-                let _ = reply.send(step_now(&mut core, &bus));
-            }
-            Command::Snapshot { reply } => {
-                let _ = reply.send(core.snapshot());
-            }
-            Command::Metrics { reply } => {
-                let text = metrics::render(&core.snapshot(), core.records(), bus.overwrites());
-                let _ = reply.send(text);
-            }
-            Command::Shutdown { reply } => {
-                let result = core.shutdown();
-                publish_pending(&mut core, &bus);
-                bus.close();
-                let _ = reply.send(result.map(|()| Box::new(core.into_record())));
-                return;
-            }
-        }
-    }
-    // Every service handle dropped without a shutdown: the run record is
-    // unreachable now, but subscribers still deserve a clean close.
-    bus.close();
-}
-
-// --- cluster reactor -------------------------------------------------------
-
-/// Commands the cluster reactor accepts: the [`ClusterCoordinator`]'s
-/// public surface, serialized through the same bounded-channel discipline
-/// as the single-node [`Command`]s.
-pub(crate) enum ClusterCommand {
-    /// Register a batch tenant, letting placement choose the node.
-    Register {
-        name: String,
-        app: SpecBenchmark,
-        reply: SyncSender<Result<ClusterTenantId, PlacementError>>,
-    },
-    /// Register a batch tenant on a specific node, bypassing placement.
-    RegisterOn {
-        node: NodeId,
-        name: String,
-        app: SpecBenchmark,
-        reply: SyncSender<Result<ClusterTenantId, ClusterError>>,
-    },
-    /// Drain and retire a batch tenant on its node.
-    Deregister {
-        tenant: ClusterTenantId,
-        reply: SyncSender<Result<(), ClusterError>>,
-    },
-    /// Start migrating a batch tenant to another node.
-    Migrate {
-        tenant: ClusterTenantId,
-        dest: NodeId,
-        reply: SyncSender<Result<(), MigrateError>>,
-    },
-    /// Deliberately drain a node for maintenance: evacuate its tenants,
-    /// shut its control plane down, declare it Down.
-    DrainNode {
-        node: NodeId,
-        reply: SyncSender<Result<(), ClusterError>>,
-    },
-    /// Run one lockstep quantum across the fleet now.
-    Step {
-        reply: SyncSender<Result<(), ClusterError>>,
-    },
-    /// Snapshot the whole cluster.
-    Snapshot { reply: SyncSender<ClusterSnapshot> },
-    /// Render the cluster metrics document (per-node `node=` labels).
-    Metrics { reply: SyncSender<String> },
-    /// Drain every node, close the bus, and return the completed run.
-    Shutdown {
-        reply: SyncSender<Result<Box<ClusterRecord>, ClusterError>>,
-    },
-}
-
-/// Spawns the cluster reactor thread over an already-built coordinator.
-/// When `pool` is `Some`, quanta step the fleet over that worker pool
-/// (bit-identical to serial stepping — nodes share nothing mid-quantum).
-// Thread spawning can only fail on OS resource exhaustion, at which point
-// the service cannot exist; surfacing the panic is correct.
-#[allow(clippy::expect_used)]
-pub(crate) fn spawn_cluster(
-    coordinator: ClusterCoordinator,
-    pacing: Pacing,
-    bus: Bus<ClusterEvent>,
-    pool: Option<WorkerPool>,
-) -> (SyncSender<ClusterCommand>, JoinHandle<()>) {
-    let (tx, rx) = mpsc::sync_channel(COMMAND_QUEUE_DEPTH);
-    let handle = std::thread::Builder::new()
-        .name("cuttlesys-cluster-reactor".into())
-        .spawn(move || run_cluster(coordinator, pacing, bus, pool, rx))
-        .expect("spawn the cluster reactor thread");
-    (tx, handle)
-}
-
-/// Drains the coordinator's pending cluster events onto the bus.
-fn publish_cluster_pending(coordinator: &mut ClusterCoordinator, bus: &Bus<ClusterEvent>) {
-    for event in coordinator.drain_events() {
-        bus.publish(event);
-    }
-}
-
-fn cluster_step_now(
-    coordinator: &mut ClusterCoordinator,
-    bus: &Bus<ClusterEvent>,
-    pool: Option<&WorkerPool>,
-) -> Result<(), ClusterError> {
-    let result = match pool {
-        Some(pool) => coordinator.step_quantum_pooled(pool),
-        None => coordinator.step_quantum(),
-    };
-    publish_cluster_pending(coordinator, bus);
-    result
-}
-
-fn run_cluster(
-    mut coordinator: ClusterCoordinator,
-    pacing: Pacing,
-    bus: Bus<ClusterEvent>,
-    pool: Option<WorkerPool>,
-    rx: Receiver<ClusterCommand>,
-) {
-    let mut ticker = match pacing {
-        Pacing::Manual => None,
-        Pacing::Interval(period) => Some(Ticker::new(period)),
-    };
-    loop {
-        let cmd = match ticker.as_mut() {
-            None => match rx.recv() {
-                Ok(cmd) => cmd,
-                Err(_) => break,
-            },
-            Some(t) => {
-                if t.due() {
-                    if let Err(e) = cluster_step_now(&mut coordinator, &bus, pool.as_ref()) {
-                        // Same contract as the single-node reactor: a
-                        // stepping error is a control-plane logic bug and
-                        // interval mode has no caller to hand it to.
-                        panic!("paced cluster quantum failed: {e}");
-                    }
-                    t.advance();
-                    continue;
-                }
-                match rx.recv_timeout(t.remaining()) {
-                    Ok(cmd) => cmd,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
+        plane = match job(plane, bus) {
+            Some(plane) => plane,
+            None => return,
         };
-        match cmd {
-            ClusterCommand::Register { name, app, reply } => {
-                let result = coordinator.register_batch(&name, app);
-                publish_cluster_pending(&mut coordinator, &bus);
-                let _ = reply.send(result);
-            }
-            ClusterCommand::RegisterOn {
-                node,
-                name,
-                app,
-                reply,
-            } => {
-                let result = coordinator.register_batch_on(node, &name, app);
-                publish_cluster_pending(&mut coordinator, &bus);
-                let _ = reply.send(result);
-            }
-            ClusterCommand::Deregister { tenant, reply } => {
-                let result = coordinator.deregister(tenant);
-                publish_cluster_pending(&mut coordinator, &bus);
-                let _ = reply.send(result);
-            }
-            ClusterCommand::Migrate {
-                tenant,
-                dest,
-                reply,
-            } => {
-                let result = coordinator.migrate(tenant, dest);
-                publish_cluster_pending(&mut coordinator, &bus);
-                let _ = reply.send(result);
-            }
-            ClusterCommand::DrainNode { node, reply } => {
-                let result = coordinator.drain_node(node);
-                publish_cluster_pending(&mut coordinator, &bus);
-                let _ = reply.send(result);
-            }
-            ClusterCommand::Step { reply } => {
-                let _ = reply.send(cluster_step_now(&mut coordinator, &bus, pool.as_ref()));
-            }
-            ClusterCommand::Snapshot { reply } => {
-                let _ = reply.send(coordinator.snapshot());
-            }
-            ClusterCommand::Metrics { reply } => {
-                let text = metrics::render_cluster(&coordinator, bus.overwrites());
-                let _ = reply.send(text);
-            }
-            ClusterCommand::Shutdown { reply } => {
-                let result = coordinator.shutdown();
-                publish_cluster_pending(&mut coordinator, &bus);
-                bus.close();
-                let _ = reply.send(result.map(|()| Box::new(coordinator.into_record())));
-                return;
-            }
+    }
+}
+
+/// A running control plane: reactor thread, event bus, optional metrics
+/// endpoint. [`Service`](crate::Service) and
+/// [`ClusterService`](crate::cluster::ClusterService) are this type over
+/// their plane, each with its own typed request methods.
+///
+/// Dropping the handle without a `shutdown` stops the threads but discards
+/// the run record and skips the tenant drain.
+pub struct Handle<P: Plane> {
+    jobs: SyncSender<Job<P>>,
+    bus: Bus<P::Event>,
+    http: Option<HttpServer>,
+    reactor: Option<JoinHandle<()>>,
+}
+
+impl<P: Plane> Handle<P> {
+    /// Spawns the reactor over an already-built plane and, when an address
+    /// is given, the HTTP endpoint.
+    // Thread spawning can only fail on OS resource exhaustion, at which point
+    // the service cannot exist; surfacing the panic is correct.
+    #[allow(clippy::expect_used)]
+    pub(crate) fn start(
+        plane: P,
+        pacing: Pacing,
+        bus_capacity: usize,
+        metrics_addr: Option<&str>,
+    ) -> io::Result<Handle<P>> {
+        let bus = Bus::new(bus_capacity);
+        let (jobs, rx) = sync_channel(COMMAND_QUEUE_DEPTH);
+        let reactor_bus = bus.clone();
+        let reactor = std::thread::Builder::new()
+            .name("cuttlesys-reactor".into())
+            .spawn(move || run(plane, pacing, &reactor_bus, &rx))
+            .expect("spawn the reactor thread");
+        let http = metrics_addr
+            .map(|addr| HttpServer::spawn(addr, jobs.clone(), bus.clone()))
+            .transpose()?;
+        Ok(Handle {
+            jobs,
+            bus,
+            http,
+            reactor: Some(reactor),
+        })
+    }
+
+    /// Runs `f` on the plane, between quanta, and returns its result.
+    pub(crate) fn call<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut P) -> T + Send + 'static,
+    ) -> Result<T, Stopped> {
+        call(&self.jobs, f)
+    }
+
+    /// The `/metrics` document (what the endpoint serves).
+    pub(crate) fn scrape(&self) -> Result<String, Stopped> {
+        scrape(&self.jobs, &self.bus)
+    }
+
+    /// Runs `drain` on the plane, publishes what it queued, hands the plane
+    /// to `record`, and stops the threads — one job, so no paced quantum
+    /// can slip in between the drain and the record.
+    pub(crate) fn finish<T: Send + 'static, E: Send + 'static>(
+        self,
+        drain: impl FnOnce(&mut P) -> Result<(), E> + Send + 'static,
+        record: impl FnOnce(P) -> T + Send + 'static,
+    ) -> Result<Result<T, E>, Stopped> {
+        rendezvous(&self.jobs, |reply| {
+            Box::new(move |mut plane, bus| {
+                let drained = drain(&mut plane);
+                publish(&mut plane, bus);
+                let _ = reply.send(drained.map(|()| record(plane)));
+                None
+            })
+        })
+        // `self` drops here: endpoint stopped, reactor joined.
+    }
+
+    /// Subscribes to the plane's events published after this call.
+    pub fn subscribe(&self) -> Subscriber<P::Event> {
+        self.bus.subscribe()
+    }
+
+    /// Events overwritten in the bus ring before delivery.
+    pub fn bus_overwrites(&self) -> u64 {
+        self.bus.overwrites()
+    }
+
+    /// The bound metrics endpoint address, when one was configured.
+    pub fn metrics_addr(&self) -> Option<SocketAddr> {
+        self.http.as_ref().map(HttpServer::addr)
+    }
+}
+
+impl<P: Plane> Drop for Handle<P> {
+    fn drop(&mut self) {
+        // Stop the endpoint first: it holds a clone of the job sender, and
+        // the reactor only exits once every sender is gone (or after a
+        // finishing job).
+        self.http = None;
+        // Dropping our sender disconnects the reactor's receiver; the
+        // reactor closes the bus and exits.
+        let (dead_tx, _) = sync_channel(1);
+        self.jobs = dead_tx;
+        if let Some(handle) = self.reactor.take() {
+            let _ = handle.join();
         }
     }
-    bus.close();
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::bus::Closed;
+    use std::time::Duration;
+
+    /// A plane whose every paced quantum fails.
+    struct Failing;
+
+    impl Plane for Failing {
+        type Event = ();
+        type Error = &'static str;
+        fn tick(&mut self) -> Result<(), &'static str> {
+            Err("settle failed")
+        }
+        fn drain_events(&mut self) -> Vec<()> {
+            Vec::new()
+        }
+        fn metrics(&self, _: u64) -> String {
+            String::new()
+        }
+        fn state_json(&self) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    fn a_failed_paced_quantum_closes_the_bus_and_stops_the_handle() {
+        let pacing = Pacing::Interval(Duration::from_millis(1));
+        let handle = Handle::start(Failing, pacing, 8, None).unwrap();
+        // Parks until the reactor thread unwinds out of its first quantum;
+        // without the close-on-exit guard this never returns.
+        assert_eq!(handle.subscribe().recv(), Err(Closed));
+        assert!(handle.call(|_| ()).is_err(), "the reactor is gone");
+        assert!(handle.scrape().is_err());
+    }
 }

@@ -113,7 +113,7 @@ fn step_order_and_pool_width_are_immaterial() {
     );
     for width in [1, 2, 4] {
         let pool = WorkerPool::new(width);
-        let pooled = churny_record(|c| c.step_quantum_pooled(&pool));
+        let pooled = churny_record(|c| c.step_quantum_in(Some(&pool)));
         assert_eq!(
             forward, pooled,
             "a {width}-thread pool must match the serial stepper bit-for-bit"
@@ -183,7 +183,7 @@ fn sixty_four_nodes_with_ten_tenants_complete_a_full_scenario() {
     let mut coordinator = ClusterCoordinator::new(&scenario);
     let pool = WorkerPool::new(4);
     while !coordinator.is_done() {
-        coordinator.step_quantum_pooled(&pool).expect("quantum");
+        coordinator.step_quantum_in(Some(&pool)).expect("quantum");
     }
     assert_eq!(coordinator.quantum(), base.duration_slices);
     let snapshot = coordinator.snapshot();

@@ -28,7 +28,7 @@ use cuttlesys::control::{ControlCore, TenantKind};
 use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::runtime::CuttleSysManager;
 use cuttlesys::testbed::run_scenario;
-use cuttlesys::types::{BatchJobSpec, JobSpec, Scenario};
+use cuttlesys::types::{BatchJobSpec, JobSpec, RunRecord, Scenario};
 use service::trace::RegistrationTrace;
 use service::{comparable, ServiceBuilder};
 use workloads::loadgen::LoadPattern;
@@ -145,4 +145,32 @@ fn replaying_the_same_trace_twice_is_bit_identical() {
     let a = trace.replay(&scenario).expect("first replay");
     let b = trace.replay(&scenario).expect("second replay");
     assert_eq!(comparable(a), comparable(b));
+}
+
+/// DESIGN §10.3's claim that the single-node `/metrics` document is
+/// byte-identical across service-shell changes, pinned: 20 quanta of
+/// `paper_default`, wall-clock telemetry zeroed so the stage gauges are
+/// deterministic, and one registration the full node has to refuse (it
+/// shows up as one retired row in the tenant table and nowhere else).
+#[test]
+fn single_node_metrics_document_matches_the_pinned_golden_bytes() {
+    let mut core = ControlCore::new(&Scenario::paper_default());
+    for _ in 0..20 {
+        core.step_quantum().expect("quantum");
+    }
+    let newcomer = workloads::batch::mix(1, 0xBEEF).apps[0];
+    assert!(
+        core.register_batch("late", newcomer).is_err(),
+        "paper_default fills the node: admission has to refuse"
+    );
+    let record = RunRecord {
+        scheme: "cuttlesys".to_string(),
+        slices: core.records().to_vec(),
+    };
+    let text = service::metrics::render(&core.snapshot(), &record.comparable().slices, 0);
+    assert_eq!(
+        text,
+        include_str!("golden/metrics_single_node.prom"),
+        "single-node /metrics drifted from tests/golden/metrics_single_node.prom"
+    );
 }

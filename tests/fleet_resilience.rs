@@ -104,7 +104,7 @@ fn a_node_crash_replays_bit_for_bit_at_any_step_order_and_pool_width() {
     for width in [1, 2, 8] {
         let pool = WorkerPool::new(width);
         let pooled = run_with_plan(&base, 4, config, plan.clone(), |c| {
-            c.step_quantum_pooled(&pool)
+            c.step_quantum_in(Some(&pool))
         });
         assert_eq!(forward, pooled, "pool width {width} changed a faulted run");
     }
