@@ -7,12 +7,10 @@
 //! batch job on a big or small core to maximize throughput under the power
 //! budget. The realistic comparison point fixes the split at 50-50.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gating::{select_gated, GatingOrder};
 
 /// Per-batch-job throughput/power on each core type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreChoice {
     /// Throughput on a big core (BIPS).
     pub bips_big: f64,
@@ -25,7 +23,7 @@ pub struct CoreChoice {
 }
 
 /// Inputs to the asymmetric planner for one timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsymmetricInput {
     /// Total cores on the chip.
     pub num_cores: usize,
@@ -42,7 +40,7 @@ pub struct AsymmetricInput {
 }
 
 /// A placement decision for one timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsymmetricPlan {
     /// Number of big cores on the chip (including the LC cores).
     pub big_cores: usize,

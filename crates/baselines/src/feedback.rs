@@ -13,11 +13,10 @@
 //! cap or load change, and until it settles it either violates the budget
 //! or wastes headroom.
 
-use serde::{Deserialize, Serialize};
 use simulator::{CoreConfig, NUM_CORE_CONFIGS};
 
 /// A discrete PID controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidController {
     /// Proportional gain.
     pub kp: f64,
@@ -63,7 +62,7 @@ impl PidController {
 /// The global width-level actuator: a continuous level in
 /// `[0, NUM_CORE_CONFIGS)` mapped onto core configurations ordered by
 /// total active lanes (narrowest first), i.e. roughly by power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WidthLevel {
     level: f64,
     ladder: Vec<CoreConfig>,

@@ -10,7 +10,6 @@
 //! the paper measures order-of-magnitude QoS violations when tail-sensitive
 //! jobs spend 9-90 ms in narrow profiling configurations.
 
-use serde::Serialize;
 use simulator::{CoreConfig, SectionWidth, NUM_CORE_CONFIGS};
 
 use crate::rbf::{core_features, RbfModel};
@@ -42,7 +41,7 @@ pub fn three_level_design() -> Vec<CoreConfig> {
 }
 
 /// Per-job RBF surrogates over the 27 core configurations.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlickerModel {
     bips: Vec<RbfModel>,
     power: Vec<RbfModel>,

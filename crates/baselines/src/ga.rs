@@ -11,10 +11,9 @@
 use dds::{Objective, SearchResult, SearchSpace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// GA hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaParams {
     /// Population size.
     pub population: usize,

@@ -9,11 +9,10 @@
 //! UCP-style LLC way-partitioning (Qureshi & Patt) since that hardware exists
 //! in real servers.
 
-use serde::{Deserialize, Serialize};
 use simulator::{AppProfile, CacheAlloc, CoreConfig, PerfModel};
 
 /// Victim-selection ordering for core gating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GatingOrder {
     /// Gate the most power-hungry cores first (the paper's best performer).
     DescendingPower,

@@ -11,14 +11,12 @@
 //! caps on a modern (voltage-floor-limited) process, DVFS alone cannot
 //! reach the low-power operating points reconfiguration can.
 
-use serde::{Deserialize, Serialize};
-
 /// One core's options: `(bips, watts)` at each ladder state, highest
 /// frequency first (monotone non-increasing in both).
 pub type CoreOptions = Vec<(f64, f64)>;
 
 /// A maxBIPS allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaxBipsPlan {
     /// Chosen ladder index per core.
     pub states: Vec<usize>,

@@ -7,11 +7,10 @@
 //! 600 %). We reproduce a standard Gaussian-kernel RBF with a small ridge
 //! term for numerical safety.
 
-use serde::{Deserialize, Serialize};
 use simulator::{CacheAlloc, CoreConfig, JobConfig};
 
 /// A fitted RBF interpolant over points in `R^d`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RbfModel {
     centers: Vec<Vec<f64>>,
     weights: Vec<f64>,

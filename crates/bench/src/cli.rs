@@ -1,0 +1,347 @@
+//! The `paper` command line: one strict argument parser and one output path
+//! for every experiment in the [`REGISTRY`].
+//!
+//! An experiment *declares* its arguments as [`ArgSpec`] data and [`parse`]
+//! checks a command line against the declaration. Anything it does not
+//! recognise — an unknown flag, a surplus positional, a malformed number, a
+//! value outside the allowed set, a flag without its value, an argument
+//! given twice — is a usage error, never a silent default. Flags may appear
+//! anywhere relative to positionals.
+//!
+//! Exit status follows the sweep CLI: `0` ok, `1` usage (or an unwritable
+//! `--json` path), `2` the experiment's own acceptance failed.
+
+use std::path::Path;
+
+use crate::experiments::{Experiment, REGISTRY};
+
+/// Which values an argument accepts.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// An unsigned integer no smaller than the given minimum.
+    Int(u64),
+    /// A fraction of nominal: a decimal number in `(0, 1]`.
+    Fraction,
+    /// One of a fixed set of words.
+    OneOf(&'static [&'static str]),
+    /// Any text.
+    Text,
+}
+
+/// One declared argument. How it is written follows from the declaration:
+/// a [`Kind::OneOf`] whose words are themselves flags (`--runtime`) is a
+/// *switch*, given as one of those words; any other `--name` is an *option*
+/// taking the next token as its value; the rest are *positionals*, bound in
+/// declaration order.
+#[derive(Debug, Clone, Copy)]
+pub struct ArgSpec {
+    /// What the experiment looks the value up by (for an option, the flag).
+    pub name: &'static str,
+    /// What it accepts.
+    pub kind: Kind,
+    /// The value when absent (`""`: an unset switch or text option).
+    pub default: &'static str,
+}
+
+impl ArgSpec {
+    fn is_switch(&self) -> bool {
+        matches!(self.kind, Kind::OneOf(words) if words[0].starts_with("--"))
+    }
+
+    fn is_option(&self) -> bool {
+        !self.is_switch() && self.name.starts_with("--")
+    }
+
+    fn is_positional(&self) -> bool {
+        !self.is_switch() && !self.name.starts_with("--")
+    }
+
+    fn accepts(&self, value: &str) -> bool {
+        match self.kind {
+            Kind::Int(min) => value.parse::<u64>().is_ok_and(|v| v >= min),
+            Kind::Fraction => value.parse::<f64>().is_ok_and(|v| v > 0.0 && v <= 1.0),
+            Kind::OneOf(words) => words.contains(&value),
+            Kind::Text => true,
+        }
+    }
+
+    /// The argument as usage text shows it: `[--a|--b, default --b]`,
+    /// `[--seed <integer >= 0>, default 7]`, `[slices: integer >= 1, …]`.
+    fn synopsis(&self) -> String {
+        let values = match self.kind {
+            Kind::Int(min) => format!("integer >= {min}"),
+            Kind::Fraction => "number in (0, 1]".to_string(),
+            Kind::OneOf(words) => words.join("|"),
+            Kind::Text => "path".to_string(),
+        };
+        let shown = if self.is_switch() {
+            values
+        } else if self.is_option() {
+            format!("{} <{values}>", self.name)
+        } else {
+            format!("{}: {values}", self.name)
+        };
+        match self.default {
+            "" => format!("[{shown}]"),
+            default => format!("[{shown}, default {default}]"),
+        }
+    }
+}
+
+/// The global option every experiment accepts.
+const JSON: ArgSpec = ArgSpec {
+    name: "--json",
+    kind: Kind::Text,
+    default: "",
+};
+
+/// An experiment's arguments plus the global one, in usage order.
+fn specs_of(experiment: &Experiment) -> Vec<ArgSpec> {
+    experiment.args.iter().copied().chain([JSON]).collect()
+}
+
+fn synopsis(specs: &[ArgSpec]) -> String {
+    let each: Vec<String> = specs.iter().map(ArgSpec::synopsis).collect();
+    each.join(" ")
+}
+
+/// The usage line of one experiment.
+pub fn usage(experiment: &Experiment) -> String {
+    let specs = specs_of(experiment);
+    format!("usage: paper {} {}", experiment.id, synopsis(&specs))
+}
+
+/// A validated command line: one value per declared argument.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Args(Vec<(&'static str, String)>);
+
+impl Args {
+    /// The value of a declared argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the experiment never declared `name` — a bug in the
+    /// registry, not in the command line.
+    pub fn word(&self, name: &str) -> &str {
+        let found = self.0.iter().find(|(n, _)| *n == name);
+        &found
+            .unwrap_or_else(|| panic!("argument {name} is not declared"))
+            .1
+    }
+
+    /// A [`Kind::Int`] argument.
+    pub fn int(&self, name: &str) -> u64 {
+        self.word(name).parse().expect("validated by parse")
+    }
+
+    /// A [`Kind::Fraction`] argument.
+    pub fn fraction(&self, name: &str) -> f64 {
+        self.word(name).parse().expect("validated by parse")
+    }
+}
+
+/// Parses `argv` (everything after the experiment id) against `specs`.
+///
+/// # Errors
+///
+/// Returns the first thing wrong with the command line, as one line.
+pub fn parse(specs: &[ArgSpec], argv: &[String]) -> Result<Args, String> {
+    let mut values: Vec<Option<&str>> = vec![None; specs.len()];
+    let mut positionals = (0..specs.len()).filter(|&i| specs[i].is_positional());
+    let mut tokens = argv.iter();
+    while let Some(token) = tokens.next() {
+        let find = |pred: &dyn Fn(&ArgSpec) -> bool| specs.iter().position(pred);
+        let (i, value) = if !token.starts_with("--") {
+            let i = positionals.next();
+            (
+                i.ok_or_else(|| format!("unexpected argument \"{token}\""))?,
+                token,
+            )
+        } else if let Some(i) = find(&|s| s.is_switch() && s.accepts(token)) {
+            (i, token)
+        } else if let Some(i) = find(&|s| s.is_option() && s.name == token) {
+            let value = tokens.next();
+            (
+                i,
+                value.ok_or_else(|| format!("flag {token} needs a value"))?,
+            )
+        } else {
+            return Err(format!("unknown flag \"{token}\""));
+        };
+        if !specs[i].accepts(value) {
+            return Err(format!("\"{value}\" does not fit {}", specs[i].synopsis()));
+        }
+        if values[i].replace(value).is_some() {
+            return Err(format!("{} given more than once", specs[i].name));
+        }
+    }
+    let resolved = specs.iter().zip(values);
+    Ok(Args(
+        resolved
+            .map(|(s, v)| (s.name, v.unwrap_or(s.default).to_string()))
+            .collect(),
+    ))
+}
+
+/// Runs `paper <argv>`: prints to stdout/stderr and returns the exit status.
+pub fn run(argv: &[String]) -> u8 {
+    let Some((id, rest)) = argv.split_first() else {
+        eprintln!("usage: paper <id> [args] [--json <path>] | paper list");
+        return 1;
+    };
+    if id == "list" && rest.is_empty() {
+        println!("paper <id> [arguments] [--json <path>], where <id> is one of:");
+        for e in REGISTRY {
+            let row = format!("  {:<24}{:<28}{}", e.id, e.paper_item, synopsis(e.args));
+            println!("{}", row.trim_end());
+        }
+        return 0;
+    }
+    let Some(experiment) = REGISTRY.iter().find(|e| e.id == id) else {
+        let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        eprintln!(
+            "unknown experiment \"{id}\"; `paper list` describes: {}",
+            ids.join(" ")
+        );
+        return 1;
+    };
+    let args = match parse(&specs_of(experiment), rest) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("paper {id}: {msg}\n{}", usage(experiment));
+            return 1;
+        }
+    };
+    let report = (experiment.run)(&args);
+    print!("{}", report.render());
+    let json = args.word(JSON.name);
+    if !json.is_empty() {
+        if let Err(e) = util::json::emit_json(Path::new(json), &report.to_json()) {
+            eprintln!("cannot write {json}: {e}");
+            return 1;
+        }
+        println!("JSON report written to {json}");
+    }
+    if report.failed {
+        2
+    } else {
+        0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_for(id: &str, argv: &[&str]) -> Result<Args, String> {
+        let experiment = REGISTRY.iter().find(|e| e.id == id).expect("known id");
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        parse(&specs_of(experiment), &argv)
+    }
+
+    #[test]
+    fn flags_bind_anywhere_relative_to_positionals() {
+        let a = parse_for("fig08", &["3", "--scenario", "relocation"]).unwrap();
+        let b = parse_for("fig08", &["--scenario", "relocation", "3"]).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.int("slices"), 3);
+        assert_eq!(a.word("--scenario"), "relocation");
+        let c = parse_for("fig05", &["1", "--runtime", "--json", "x.json"]).unwrap();
+        assert_eq!(
+            (c.word("mode"), c.int("mixes_per_service")),
+            ("--runtime", 1)
+        );
+        assert_eq!(c.word("--json"), "x.json");
+    }
+
+    #[test]
+    fn absent_arguments_take_their_declared_defaults() {
+        let a = parse_for("fault-matrix", &[]).unwrap();
+        assert_eq!(
+            (a.int("--seed"), a.int("slices"), a.word("--json")),
+            (7, 10, "")
+        );
+        let b = parse_for("flicker", &["0.6"]).unwrap();
+        assert_eq!(
+            (b.fraction("cap_fraction"), b.int("mixes_per_service")),
+            (0.6, 1)
+        );
+        assert_eq!(parse_for("fig01", &[]).unwrap().word("--full"), "");
+    }
+
+    #[test]
+    fn anything_undeclared_or_malformed_is_a_usage_error() {
+        for (id, argv, needle) in [
+            ("fig05", &["--runtim"][..], "unknown flag \"--runtim\""),
+            (
+                "fault-matrix",
+                &["--seed", "x"],
+                "\"x\" does not fit [--seed <integer >= 0>",
+            ),
+            ("fault-matrix", &["--seed"], "flag --seed needs a value"),
+            (
+                "fig07",
+                &["0,7"],
+                "\"0,7\" does not fit [cap_fraction: number in (0, 1]",
+            ),
+            ("fig07", &["1.5"], "\"1.5\" does not fit [cap_fraction"),
+            ("fig07", &["0.7", "0.6"], "unexpected argument \"0.6\""),
+            ("fig09", &["3"], "unexpected argument \"3\""),
+            (
+                "fig05c",
+                &["0"],
+                "\"0\" does not fit [mixes_per_service: integer >= 1",
+            ),
+            ("fig05c", &["-2"], "\"-2\" does not fit [mixes_per_service"),
+            (
+                "fig08",
+                &["--scenario", "spike"],
+                "\"spike\" does not fit [--scenario <all|load|",
+            ),
+            (
+                "fig10",
+                &["--sweep", "--scatter"],
+                "mode given more than once",
+            ),
+            ("fig08", &["3", "--json"], "flag --json needs a value"),
+            ("table2", &["--full"], "unknown flag \"--full\""),
+        ] {
+            let err = parse_for(id, argv).expect_err(&format!("{id} {argv:?} must be rejected"));
+            assert!(err.contains(needle), "{id} {argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_declared_default_is_itself_valid() {
+        for experiment in REGISTRY {
+            for spec in specs_of(experiment) {
+                assert!(
+                    spec.default.is_empty() || spec.accepts(spec.default),
+                    "{}: {}",
+                    experiment.id,
+                    spec.synopsis()
+                );
+            }
+        }
+        let fig08 = REGISTRY.iter().find(|e| e.id == "fig08").expect("fig08");
+        assert_eq!(
+            usage(fig08),
+            "usage: paper fig08 [--scenario <all|load|power|relocation>, default all] \
+             [slices: integer >= 1, default 10] [--json <path>]"
+        );
+    }
+
+    #[test]
+    fn the_registry_holds_the_seventeen_experiments_once_each() {
+        let mut ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        assert_eq!(ids.len(), 17);
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 17, "duplicate id");
+        let declared: usize = REGISTRY.iter().map(|e| e.args.len()).sum();
+        assert_eq!(
+            declared, 14,
+            "per-experiment arguments (ISSUE 15 counts 14 + --json)"
+        );
+    }
+}

@@ -1,0 +1,188 @@
+//! Fig. 5(a)/(b): box plots of the error between measured and
+//! SGD-predicted throughput, tail latency, and power across configurations.
+//!
+//! * `--isolation` (Fig. 5a): each test application runs alone with exact
+//!   (noise-free) ground truth; two profiling samples per row; errors are
+//!   computed over all inferred configurations. Paper: 25th/75th
+//!   percentiles within ±10 %, 5th/95th within ±20 %, tail latency worst.
+//! * `--runtime` (Fig. 5b): CuttleSys runs the full colocation with
+//!   measurement noise, phase drift, and co-runner contention; per-slice
+//!   predictions are compared against the base-profile ground truth.
+//!   Paper: medians near zero, quartiles within ±10 %, wider 5th/95th for
+//!   tail latency and throughput outliers.
+
+use cuttlesys::matrices::JobMatrices;
+use cuttlesys::testbed::run_scenario;
+use cuttlesys::types::Scenario;
+use cuttlesys::CuttleSysManager;
+use recsys::Reconstructor;
+use simulator::JobConfig;
+use workloads::batch;
+use workloads::latency;
+
+use crate::cli::Args;
+use crate::{
+    colocations, error_quantiles, pct_errors, reference_oracle, standard_scenario,
+    two_sample_predictions, Report, Table,
+};
+
+/// Tail entries at the measurement-window cap are saturated; exact
+/// prediction there is less critical (the paper: "exact latency prediction
+/// is less critical, as long as the prediction shows that QoS is violated"),
+/// so percentage errors are reported over the unsaturated region and the
+/// saturated region is scored by QoS-verdict agreement instead.
+const TAIL_CEILING_MS: f64 = cuttlesys::matrices::TAIL_CAP_MS * 0.999;
+
+/// Fraction of configurations whose QoS verdict (tail ≤ QoS?) the
+/// prediction gets right.
+fn verdict_accuracy(pred: &[f64], truth: &[f64], qos: f64) -> f64 {
+    let agree = pred
+        .iter()
+        .zip(truth)
+        .filter(|(p, t)| (**p <= qos) == (**t <= qos))
+        .count();
+    agree as f64 / pred.len() as f64
+}
+
+/// The box-plot rows both halves report: one per metric, with its count.
+fn error_table(title: &str, metrics: [(&str, &Vec<f64>); 3]) -> Table {
+    let mut table = Table::new(title, &["metric", "p5", "p25", "p50", "p75", "p95", "n"]);
+    for (name, errors) in metrics {
+        let mut row = vec![name.to_string()];
+        row.extend(error_quantiles(errors));
+        row.push(errors.len().to_string());
+        table.row(row);
+    }
+    table
+}
+
+fn isolation(report: &mut Report) {
+    let oracle = reference_oracle();
+    let training: Vec<_> = batch::training_set().iter().map(|b| b.profile).collect();
+    let hi = JobConfig::profiling_high().index();
+    let lo = JobConfig::profiling_low().index();
+    let skip = [hi, lo];
+
+    let mut tput_errors = Vec::new();
+    let mut power_errors = Vec::new();
+    let mut tail_errors = Vec::new();
+
+    // 12 testing SPEC applications: throughput + power rows.
+    for app in batch::testing_set() {
+        let b = oracle.bips_row(&app.profile);
+        let w = oracle.power_row(&app.profile);
+        let preds = two_sample_predictions(&[app.profile]);
+        tput_errors.extend(pct_errors(&preds.batch_bips[0], &b, &skip, None));
+        power_errors.extend(pct_errors(&preds.batch_watts[0], &w, &skip, None));
+    }
+
+    // 5 TailBench services at 80% load: tail + power rows. The live tail
+    // row starts from a single previous-steady-state observation, as at
+    // runtime.
+    let mut verdicts = Vec::new();
+    for svc in latency::services() {
+        let mut m = JobMatrices::new(oracle, &training, 1, 1);
+        let truth: Vec<f64> = oracle
+            .tail_row(&svc, 16, 0.8)
+            .into_iter()
+            .map(|t| t.min(cuttlesys::matrices::TAIL_CAP_MS))
+            .collect();
+        let w = oracle.power_row(&svc.profile);
+        m.record_sample(0, hi, 0.0, w[hi]);
+        m.record_sample(0, lo, 0.0, w[lo]);
+        let seed_cfg = hi;
+        m.record_tail(0, 0.8, 16, seed_cfg, truth[seed_cfg]);
+        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        tail_errors.extend(pct_errors(
+            &preds.lc[0].tail,
+            &truth,
+            &[seed_cfg],
+            Some(TAIL_CEILING_MS),
+        ));
+        power_errors.extend(pct_errors(&preds.lc[0].watts, &w, &skip, None));
+        verdicts.push(verdict_accuracy(&preds.lc[0].tail, &truth, svc.qos_ms));
+    }
+
+    report.table(error_table(
+        "Fig. 5(a): SGD % error, applications in isolation (2 samples -> 106 inferred)",
+        [
+            ("throughput", &tput_errors),
+            ("tail latency", &tail_errors),
+            ("power", &power_errors),
+        ],
+    ));
+    report.line(format!(
+        "QoS-verdict agreement on the full tail rows (incl. saturated region): {:.1}%",
+        100.0 * verdicts.iter().sum::<f64>() / verdicts.len() as f64
+    ));
+    report.line("Paper targets: quartiles within ±10%, 5th/95th within ±20%, tail widest.\n");
+}
+
+fn runtime(report: &mut Report, mixes: u64) {
+    let oracle = reference_oracle();
+    let mut tput_errors = Vec::new();
+    let mut power_errors = Vec::new();
+    let mut tail_errors = Vec::new();
+
+    for (svc, mix) in colocations(mixes) {
+        let scenario = Scenario {
+            duration_slices: 5,
+            ..standard_scenario(&svc, mix, 0.7)
+        };
+        let mut manager = CuttleSysManager::for_scenario(&scenario);
+        // Ground truth from the *base* profiles; runtime predictions chase
+        // the drifting, contended, noisy reality.
+        let truth_b: Vec<Vec<f64>> = scenario
+            .batch_profiles()
+            .iter()
+            .map(|p| oracle.bips_row(p))
+            .collect();
+        let truth_w: Vec<Vec<f64>> = scenario
+            .batch_profiles()
+            .iter()
+            .map(|p| oracle.power_row(p))
+            .collect();
+        let truth_tail: Vec<f64> = oracle
+            .tail_row(&svc, 16, 0.8)
+            .into_iter()
+            .map(|t| t.min(cuttlesys::matrices::TAIL_CAP_MS))
+            .collect();
+
+        let _ = run_scenario(&scenario, &mut manager);
+        let preds = manager
+            .last_predictions()
+            .expect("runtime produced predictions");
+        for j in 0..scenario.num_batch() {
+            tput_errors.extend(pct_errors(&preds.batch_bips[j], &truth_b[j], &[], None));
+            power_errors.extend(pct_errors(&preds.batch_watts[j], &truth_w[j], &[], None));
+        }
+        tail_errors.extend(pct_errors(
+            &preds.lc[0].tail,
+            &truth_tail,
+            &[],
+            Some(TAIL_CEILING_MS),
+        ));
+    }
+
+    report.table(error_table(
+        "Fig. 5(b): SGD % error at runtime (colocation + noise + phases + contention)",
+        [
+            ("throughput", &tput_errors),
+            ("tail latency", &tail_errors),
+            ("power", &power_errors),
+        ],
+    ));
+    report.line("Paper targets: medians ~0, quartiles within ±10%, wider 5th/95th than Fig. 5(a).");
+}
+
+pub(super) fn run(args: &Args) -> Report {
+    let mode = args.word("mode");
+    let mut report = Report::default();
+    if mode != "--runtime" {
+        isolation(&mut report);
+    }
+    if mode != "--isolation" {
+        runtime(&mut report, args.int("mixes_per_service"));
+    }
+    report
+}

@@ -1,0 +1,87 @@
+//! Fig. 5(c): instructions executed by batch applications over 1 s, relative
+//! to no gating, across power caps, for core-level gating (± way
+//! partitioning), the oracle-like asymmetric multicore, the fixed 50-50
+//! asymmetric multicore, and CuttleSys.
+//!
+//! Default 2 mixes per service; the paper uses 10 → 50 co-locations.
+
+use baselines::gating::GatingOrder;
+use cuttlesys::managers::{AsymmetricMode, Scheme};
+
+use crate::cli::Args;
+use crate::report::ratio;
+use crate::{colocations, standard_scenario, Report, Table, POWER_CAPS};
+
+/// The paper's specified gating baseline: descending power, the ordering
+/// their McPAT calibration found best. Under our analytic power model
+/// ascending orderings do better (power correlates with throughput here,
+/// see `ablation-gating-orders` and EXPERIMENTS.md) — the paper's regime
+/// implies power anti-correlates with BIPS for the memory-bound SPEC power
+/// viruses.
+const fn gating(way_partitioning: bool) -> Scheme {
+    Scheme::CoreGating {
+        order: GatingOrder::DescendingPower,
+        way_partitioning,
+    }
+}
+
+/// The figure's columns, in order.
+const SCHEMES: [(&str, Scheme); 5] = [
+    ("core-gating", gating(false)),
+    ("core-gating+wp", gating(true)),
+    ("asymm-oracle", Scheme::Asymmetric(AsymmetricMode::Oracle)),
+    (
+        "asymm-50-50",
+        Scheme::Asymmetric(AsymmetricMode::FixedBig(16)),
+    ),
+    ("cuttlesys", Scheme::CuttleSys),
+];
+
+pub(super) fn run(args: &Args) -> Report {
+    let mixes = args.int("mixes_per_service");
+    let mut headers = vec!["cap"];
+    headers.extend(SCHEMES.iter().map(|(name, _)| *name));
+    headers.push("qos-viol");
+    let mut table = Table::new(
+        &format!(
+            "Fig. 5(c): batch instructions relative to no gating ({} colocations, 1 s runs)",
+            colocations(mixes).len()
+        ),
+        &headers,
+    );
+
+    for cap in POWER_CAPS {
+        // The paper compares *total* instructions over the same time
+        // (§VII-B), since gated jobs zero out geometric means.
+        let mut totals = vec![0.0f64; SCHEMES.len()];
+        let mut baseline_total = 0.0f64;
+        let mut qos_violations = 0usize;
+        for (svc, mix) in colocations(mixes) {
+            let scenario = standard_scenario(&svc, mix, cap);
+            baseline_total += Scheme::NoGating.run(&scenario).batch_instructions();
+            for (total, (_, scheme)) in totals.iter_mut().zip(&SCHEMES) {
+                let record = scheme.run(&scenario);
+                *total += record.batch_instructions();
+                if *scheme == Scheme::CuttleSys {
+                    // Skip the cold-start slice, as the paper's steady
+                    // results do.
+                    qos_violations += record
+                        .slices
+                        .iter()
+                        .skip(1)
+                        .filter(|s| s.qos_violation())
+                        .count();
+                }
+            }
+        }
+        let mut cells = vec![format!("{:.0}%", cap * 100.0)];
+        cells.extend(totals.iter().map(|t| ratio(t / baseline_total)));
+        cells.push(qos_violations.to_string());
+        table.row(cells);
+    }
+    let mut report = Report::default();
+    report.table(table);
+    report.line("Paper shape targets: CuttleSys loses at the 90% cap, beats core-gating by");
+    report.line("up to ~2.5-2.65x and the oracle asymmetric multicore by up to ~1.55x at 50%.");
+    report
+}

@@ -1,18 +1,35 @@
-//! Experiment harness shared utilities.
+//! The experiment harness: every table and figure of the paper, regenerated
+//! by one binary, `paper` (`cargo paper <id> [args]`; `cargo paper list`).
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index); this library holds the pieces they share:
-//! standard scenario construction (the 50 service × mix co-locations of
-//! §VII-A), plain-text table rendering, and summary statistics.
+//! * [`experiments`] — one module per experiment and the [`REGISTRY`] table
+//!   that names them (DESIGN.md §4 is the index, by id).
+//! * [`cli`] — the one strict argument parser (each experiment declares its
+//!   arguments as data) and the one print / `--json` / exit-status path.
+//! * [`report`] — fixed-width [`Table`]s and the [`Report`] an experiment
+//!   returns.
+//!
+//! This file holds what the experiments share: standard scenario
+//! construction (the 50 service × mix co-locations of §VII-A), the
+//! two-sample reconstruction and search problem several of them start from,
+//! and summary statistics.
 
+use cuttlesys::matrices::{JobMatrices, Predictions};
 use cuttlesys::types::{Scenario, BATCH_JOBS};
+use dds::SoftPenalty;
+use recsys::Reconstructor;
+use simulator::power::CoreKind;
+use simulator::{AppProfile, Chip, JobConfig, SystemParams};
 use workloads::batch;
 use workloads::latency::{self, LcService};
 use workloads::loadgen::LoadPattern;
+use workloads::oracle::Oracle;
 
+pub mod cli;
+pub mod experiments;
 pub mod report;
 
-pub use report::Table;
+pub use experiments::REGISTRY;
+pub use report::{Report, Table};
 
 /// The power caps evaluated in Fig. 5(c) and Fig. 10(b), as fractions of the
 /// nominal budget.
@@ -40,6 +57,81 @@ pub fn colocations(mixes_per_service: u64) -> Vec<(LcService, u64)> {
         .collect()
 }
 
+/// The exhaustive ground truth of the paper's 32-core reconfigurable chip.
+pub fn reference_oracle() -> Oracle {
+    Oracle::new(Chip::new(SystemParams::default(), CoreKind::Reconfigurable))
+}
+
+/// Predictions for `apps` as batch jobs the runtime has only just met: each
+/// live row holds the two profiling samples (exact oracle values) and is
+/// reconstructed against the paper's 16 training applications, beside one
+/// unobserved LC tenant at 80 % load. `batch_bips[j]` / `batch_watts[j]`
+/// are `apps[j]`'s 108 inferred entries.
+pub fn two_sample_predictions(apps: &[AppProfile]) -> Predictions {
+    let oracle = reference_oracle();
+    let training: Vec<_> = batch::training_set().iter().map(|b| b.profile).collect();
+    let mut matrices = JobMatrices::new(oracle, &training, 1, apps.len());
+    for (j, app) in apps.iter().enumerate() {
+        let (b, w) = (oracle.bips_row(app), oracle.power_row(app));
+        for c in [JobConfig::profiling_high(), JobConfig::profiling_low()] {
+            matrices.record_sample(1 + j, c.index(), b[c.index()], w[c.index()]);
+        }
+    }
+    matrices.reconstruct(&Reconstructor::default(), &[0.8])
+}
+
+/// The runtime's batch search problem over predicted rows: geo-mean BIPS
+/// under the paper's soft power / LLC-way penalties (Fig. 6), beside a
+/// pinned LC service drawing a representative 32 W on two ways.
+// The type is `SoftPenalty`'s own shape: three closures over the point.
+#[allow(clippy::type_complexity)]
+pub fn search_problem(
+    preds: &Predictions,
+    max_power: f64,
+) -> SoftPenalty<
+    impl Fn(&[usize]) -> f64 + Sync + '_,
+    impl Fn(&[usize]) -> f64 + Sync + '_,
+    impl Fn(&[usize]) -> f64 + Sync + '_,
+> {
+    let (bips, watts) = (&preds.batch_bips, &preds.batch_watts);
+    SoftPenalty {
+        benefit: move |x: &[usize]| {
+            let log_sum: f64 = x
+                .iter()
+                .enumerate()
+                .map(|(j, &c)| bips[j][c].max(1e-9).ln())
+                .sum();
+            (log_sum / bips.len() as f64).exp()
+        },
+        power: move |x: &[usize]| {
+            32.0 + x.iter().enumerate().map(|(j, &c)| watts[j][c]).sum::<f64>()
+        },
+        cache_ways: |x: &[usize]| {
+            2.0 + x
+                .iter()
+                .map(|&c| JobConfig::from_index(c).cache.ways())
+                .sum::<f64>()
+        },
+        max_power,
+        max_ways: 32.0,
+        penalty_power: 2.0,
+        penalty_cache: 2.0,
+    }
+}
+
+/// Signed percentage errors of `pred` against `truth`, skipping the
+/// observed entries `skip` and — when `ceiling` is given — entries whose
+/// truth lies above it (saturated tails).
+pub fn pct_errors(pred: &[f64], truth: &[f64], skip: &[usize], ceiling: Option<f64>) -> Vec<f64> {
+    pred.iter()
+        .zip(truth)
+        .enumerate()
+        .filter(|(i, _)| !skip.contains(i))
+        .filter(|(_, (_, t))| ceiling.is_none_or(|c| **t <= c))
+        .map(|(_, (p, t))| 100.0 * (p - t) / t)
+        .collect()
+}
+
 /// Geometric mean of a slice of positive values.
 pub fn geo_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -61,41 +153,13 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Box-plot style summary of signed percentage errors, as reported in
-/// Fig. 5(a)/(b) and Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ErrorSummary {
-    /// 5th percentile (%).
-    pub p5: f64,
-    /// 25th percentile (%).
-    pub p25: f64,
-    /// Median (%).
-    pub p50: f64,
-    /// 75th percentile (%).
-    pub p75: f64,
-    /// 95th percentile (%).
-    pub p95: f64,
-}
-
-impl ErrorSummary {
-    /// Summarizes a sample of signed percentage errors.
-    pub fn of(errors: &[f64]) -> ErrorSummary {
-        ErrorSummary {
-            p5: percentile(errors, 0.05),
-            p25: percentile(errors, 0.25),
-            p50: percentile(errors, 0.50),
-            p75: percentile(errors, 0.75),
-            p95: percentile(errors, 0.95),
-        }
-    }
-
-    /// Formats as a compact row fragment.
-    pub fn row(&self) -> Vec<String> {
-        [self.p5, self.p25, self.p50, self.p75, self.p95]
-            .iter()
-            .map(|v| format!("{v:+.1}"))
-            .collect()
-    }
+/// The box-plot cells of a sample of signed percentage errors — 5th, 25th,
+/// 50th, 75th and 95th percentile — as Fig. 5(a)/(b) and Fig. 9 report them.
+pub fn error_quantiles(errors: &[f64]) -> Vec<String> {
+    [0.05, 0.25, 0.50, 0.75, 0.95]
+        .iter()
+        .map(|&q| format!("{:+.1}", percentile(errors, q)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -124,8 +188,9 @@ mod tests {
     fn stats_helpers() {
         assert!((geo_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.0);
-        let s = ErrorSummary::of(&[-10.0, -5.0, 0.0, 5.0, 10.0]);
-        assert_eq!(s.p50, 0.0);
-        assert!(s.p5 <= s.p25 && s.p25 <= s.p50 && s.p50 <= s.p75 && s.p75 <= s.p95);
+        assert_eq!(
+            error_quantiles(&[-10.0, -5.0, 0.0, 5.0, 10.0]),
+            ["-10.0", "-5.0", "+0.0", "+5.0", "+10.0"]
+        );
     }
 }

@@ -1,0 +1,8 @@
+//! `paper <id> [args] [--json <path>]` — see [`bench::cli`].
+
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    ExitCode::from(bench::cli::run(&argv))
+}

@@ -1,17 +1,14 @@
-//! Plain-text table rendering and JSON emission for experiment output.
+//! Plain-text table rendering and the [`Report`] an experiment returns.
 //!
-//! Every experiment binary prints the same rows/series the paper's table or
-//! figure reports; a fixed-width text table keeps the output diffable and
-//! easy to transcribe into EXPERIMENTS.md. Binaries that accept a
-//! `--json <path>` flag additionally write the same tables as a JSON
-//! document via [`emit_json`] so plots can be regenerated without scraping
-//! text. The JSON writer is hand-rolled: the workspace's vendored `serde`
-//! is a stub, so nothing here derives serialization. [`JsonValue`] and
-//! [`emit_json`] now live in the shared `util` crate (the core crate's run
-//! snapshots and the control-plane service use the same conventions); they
-//! are re-exported here so the experiment binaries keep their imports.
+//! Every experiment reports the same rows/series the paper's table or
+//! figure does; a fixed-width text table keeps the output diffable and easy
+//! to transcribe into EXPERIMENTS.md. An experiment never prints: it fills a
+//! [`Report`] with tables and footer lines in the order they should appear,
+//! and the `paper` binary prints it and — under the global `--json <path>` —
+//! writes the same tables as one JSON array, so plots can be regenerated
+//! without scraping text.
 
-pub use util::json::{emit_json, JsonValue};
+use util::json::JsonValue;
 
 /// A fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -42,11 +39,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of mixed displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Table {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -74,11 +66,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
     }
 
     /// The table as a JSON object `{title, headers, rows}`.
@@ -115,25 +102,39 @@ impl Table {
     }
 }
 
-/// Extracts the `--json <path>` flag from an argument list, returning the
-/// path (if present) and the remaining arguments in order.
-pub fn take_json_flag(args: Vec<String>) -> (Option<std::path::PathBuf>, Vec<String>) {
-    let mut path = None;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            path = it.next().map(std::path::PathBuf::from);
-        } else {
-            rest.push(a);
-        }
-    }
-    (path, rest)
+/// What an experiment hands back to `main`: its tables and footer lines in
+/// print order, and whether its own acceptance check failed.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    text: String,
+    tables: Vec<Table>,
+    /// The experiment's own acceptance failed (exit status 2).
+    pub failed: bool,
 }
 
-/// Formats a float with 3 significant-ish decimals.
-pub fn f(v: f64) -> String {
-    format!("{v:.3}")
+impl Report {
+    /// Appends a table (printed followed by a blank line).
+    pub fn table(&mut self, table: Table) {
+        self.text.push_str(&table.render());
+        self.text.push('\n');
+        self.tables.push(table);
+    }
+
+    /// Appends one line of prose (an empty string is a blank line).
+    pub fn line(&mut self, text: impl AsRef<str>) {
+        self.text.push_str(text.as_ref());
+        self.text.push('\n');
+    }
+
+    /// The report as it is printed to stdout.
+    pub fn render(&self) -> &str {
+        &self.text
+    }
+
+    /// The report's tables as a JSON array of [`Table::to_json`] objects.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::Arr(self.tables.iter().map(Table::to_json).collect())
+    }
 }
 
 /// Formats a ratio as `x.xx×`.
@@ -167,7 +168,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(f(1.23456), "1.235");
         assert_eq!(ratio(2.456), "2.46x");
     }
 
@@ -180,17 +180,16 @@ mod tests {
     }
 
     #[test]
-    fn json_flag_extraction() {
-        let (path, rest) = take_json_flag(vec![
-            "2".into(),
-            "--json".into(),
-            "results/x.json".into(),
-            "tail".into(),
-        ]);
-        assert_eq!(path.unwrap().to_str().unwrap(), "results/x.json");
-        assert_eq!(rest, vec!["2".to_string(), "tail".to_string()]);
-        let (none, rest) = take_json_flag(vec!["5".into()]);
-        assert!(none.is_none());
-        assert_eq!(rest, vec!["5".to_string()]);
+    fn report_prints_in_order_and_serializes_tables_only() {
+        let mut t = Table::new("demo", &["k"]);
+        t.row(vec!["1".into()]);
+        let mut report = Report::default();
+        report.table(t);
+        report.line("footer");
+        assert_eq!(report.render(), "== demo ==\nk\n-\n1\n\nfooter\n");
+        assert_eq!(
+            report.to_json().to_string(),
+            "[{\"title\":\"demo\",\"headers\":[\"k\"],\"rows\":[[1]]}]"
+        );
     }
 }

@@ -28,7 +28,6 @@
 //! [`crate::telemetry::DegradationEvents`] so tests and benches can assert
 //! that no fallback went unreported.
 
-use serde::Serialize;
 use simulator::fault::{unit, Corruption, FaultStream};
 use simulator::{CacheAlloc, CoreConfig, JobConfig};
 
@@ -42,7 +41,7 @@ use crate::types::{BatchAction, LcAssignment, Plan, ProfileSample, SliceInfo};
 /// All rates are per-event probabilities in `[0, 1]`; the `window` (when
 /// present) restricts injection to a half-open slice range, which is how
 /// tests model a mid-run blackout. The default plan is [`FaultPlan::none`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the fault streams — independent of the scenario seed.
     pub seed: u64,
@@ -122,7 +121,7 @@ impl FaultPlan {
     }
 
     /// Looks up a named profile (`clean`, `lossy-sensors`, `flaky-reconfig`)
-    /// — the vocabulary the fault-matrix CI job and the bench bin share.
+    /// — the vocabulary the fault-matrix CI job and `paper fault-matrix` share.
     pub fn named(name: &str, seed: u64) -> Option<FaultPlan> {
         match name {
             "clean" => Some(FaultPlan::none()),
@@ -167,7 +166,7 @@ impl Default for FaultPlan {
 /// The compute-side faults of one decision quantum, fixed before the
 /// quantum starts. Environment-side faults (sample corruption, blackout,
 /// reconfiguration failure) are applied by the testbed from the same plan.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QuantumFaults {
     /// Wall-clock milliseconds an injected stall adds to reconstruction.
     pub reconstruct_stall_ms: f64,
@@ -191,7 +190,7 @@ impl QuantumFaults {
 
 /// Counts of the environment faults that actually fired in one slice, for
 /// the run record (so a degraded decision can be traced to its cause).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct InjectedFaults {
     /// Profiling samples dropped before the manager saw them.
     pub samples_dropped: usize,
@@ -450,7 +449,7 @@ impl std::fmt::Display for DecisionError {
 impl std::error::Error for DecisionError {}
 
 /// Bounds on the degradation ladder's responses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Per-quantum compute budget (wall-clock plus injected stalls, ms).
     /// Infinite by default: wall-clock deadlines are opt-in because debug
@@ -490,7 +489,7 @@ impl Default for ResilienceConfig {
 }
 
 /// Circuit-breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BreakerState {
     /// Normal operation.
     Closed,
@@ -500,7 +499,7 @@ enum BreakerState {
 
 /// Trips into safe mode after consecutive failed quanta and probes its way
 /// back to full operation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: usize,

@@ -12,6 +12,10 @@
 //! * [`FlickerManager`] — Flicker's 3MM3 + RBF + GA pipeline on
 //!   reconfigurable cores, in the paper's two evaluation variants
 //!   (§VIII-E).
+//! * [`FeedbackManager`] — the closed-loop PID comparison point of §IV.
+//!
+//! [`Scheme`] is the table over them (and CuttleSys itself): the one place
+//! that knows which scheme runs on fixed and which on reconfigurable cores.
 //!
 //! Every baseline handles an arbitrary number of LC tenants: each tenant
 //! keeps its reserved cores at the widest configuration (the baselines never
@@ -28,9 +32,11 @@ use simulator::{CacheAlloc, Chip, CoreConfig, JobConfig, NUM_CORE_CONFIGS};
 use workloads::oracle::Oracle;
 
 use crate::accounting::{gate_descending_power, steady_state_budget};
+use crate::runtime::{CuttleSysManager, SearchAlgo};
+use crate::testbed::run_scenario;
 use crate::types::{
-    BatchAction, LcAssignment, Plan, ProfilePlan, ProfileSample, ResourceManager, Scenario,
-    SliceInfo, TIMESLICE_MS,
+    BatchAction, LcAssignment, Plan, ProfilePlan, ProfileSample, ResourceManager, RunRecord,
+    Scenario, SliceInfo, TIMESLICE_MS,
 };
 
 /// The LC tenants' fixed configuration in every baseline: widest core,
@@ -647,11 +653,74 @@ impl ResourceManager for FeedbackManager {
     }
 }
 
+/// One evaluated scheme of §VII–§VIII: which manager plans a scenario and
+/// which kind of core it runs on. A closed table over the managers this
+/// crate exports — the experiment harness and the examples name a scheme
+/// and get its record, instead of each spelling the pairing out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scheme {
+    /// Everything widest, cap ignored: Fig. 5(c)'s normalization reference.
+    NoGating,
+    /// Core-level gating with a victim ordering, ± UCP way partitioning.
+    CoreGating {
+        /// Which cores are gated first.
+        order: GatingOrder,
+        /// Whether the LLC is UCP-partitioned.
+        way_partitioning: bool,
+    },
+    /// Asymmetric multicore: oracle split or a fixed number of big cores.
+    Asymmetric(AsymmetricMode),
+    /// Flicker, variant (a) or (b) of §VIII-E.
+    Flicker(FlickerVariant),
+    /// The closed-loop PID power manager of §IV's comparison.
+    Feedback,
+    /// CuttleSys with its default parallel-DDS search.
+    CuttleSys,
+    /// CuttleSys with the search swapped for a GA (Fig. 10b).
+    CuttleSysGa(GaParams),
+}
+
+impl Scheme {
+    /// Runs `scenario` under this scheme. Every baseline except Flicker
+    /// runs it on fixed cores (they have no reconfiguration hardware, so
+    /// they do not pay its power tax); Flicker and CuttleSys run it as
+    /// given. `record.scheme` is the manager's [`ResourceManager::name`].
+    pub fn run(&self, scenario: &Scenario) -> RunRecord {
+        let fixed = Scenario {
+            kind: CoreKind::Fixed,
+            ..scenario.clone()
+        };
+        match *self {
+            Scheme::NoGating => run_scenario(&fixed, &mut NoGatingManager),
+            Scheme::CoreGating {
+                order,
+                way_partitioning,
+            } => run_scenario(
+                &fixed,
+                &mut CoreGatingManager::new(&fixed, order, way_partitioning),
+            ),
+            Scheme::Asymmetric(mode) => {
+                run_scenario(&fixed, &mut AsymmetricManager::new(&fixed, mode))
+            }
+            Scheme::Feedback => run_scenario(&fixed, &mut FeedbackManager::new(&fixed)),
+            Scheme::Flicker(variant) => {
+                run_scenario(scenario, &mut FlickerManager::new(scenario, variant))
+            }
+            Scheme::CuttleSys => {
+                run_scenario(scenario, &mut CuttleSysManager::for_scenario(scenario))
+            }
+            Scheme::CuttleSysGa(ga) => run_scenario(
+                scenario,
+                &mut CuttleSysManager::for_scenario(scenario).with_search(SearchAlgo::Ga(ga)),
+            ),
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::testbed::run_scenario;
     use workloads::loadgen::LoadPattern;
 
     fn scenario(kind: CoreKind, cap: f64) -> Scenario {

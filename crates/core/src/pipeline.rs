@@ -251,6 +251,17 @@ fn check_deadline(
     Ok(())
 }
 
+/// The stage stopwatch: runs one stage call and returns its output with the
+/// wall milliseconds it took. A failed stage returns its error alone, so the
+/// caller's `?` leaves that stage's wall-time field untouched.
+fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), StageError> {
+    // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
+    // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
+    let t = Instant::now();
+    let out = stage()?;
+    Ok((out, t.elapsed().as_secs_f64() * 1e3))
+}
+
 impl DecisionPipeline {
     /// Runs the five stages in order, timing each into `tel`, and returns
     /// the plan and the predictions it was built from.
@@ -281,25 +292,16 @@ impl DecisionPipeline {
         let start = Instant::now();
         let budget = ctx.resilience.deadline_ms;
 
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
-        // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-        let t = Instant::now();
-        self.qos.relocate(ctx, tel)?;
-        tel.qos_wall_ms += t.elapsed().as_secs_f64() * 1e3;
+        let ((), ms) = timed(|| self.qos.relocate(ctx, tel))?;
+        tel.qos_wall_ms += ms;
         check_deadline(start, tel, budget, "qos")?;
 
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
-        // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-        let t = Instant::now();
-        self.profile.profile(ctx, probe, tel)?;
-        tel.profile_wall_ms += t.elapsed().as_secs_f64() * 1e3;
+        let ((), ms) = timed(|| self.profile.profile(ctx, probe, tel))?;
+        tel.profile_wall_ms += ms;
         check_deadline(start, tel, budget, "profile")?;
 
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
-        // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-        let t = Instant::now();
-        let mut raw = self.reconstruct.reconstruct(ctx, tel)?;
-        tel.reconstruct_wall_ms += t.elapsed().as_secs_f64() * 1e3;
+        let (mut raw, ms) = timed(|| self.reconstruct.reconstruct(ctx, tel))?;
+        tel.reconstruct_wall_ms += ms;
         // Sanity gate: a diverged solve (NaN, out-of-physical-range rows)
         // must not reach the QoS scan. Last-good predictions substitute
         // while they are fresh enough.
@@ -330,25 +332,16 @@ impl DecisionPipeline {
         }
         check_deadline(start, tel, budget, "reconstruct")?;
 
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
-        // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-        let t = Instant::now();
-        let (lc_configs, preds) = self.qos.pin(ctx, &raw, tel)?;
-        tel.qos_wall_ms += t.elapsed().as_secs_f64() * 1e3;
+        let ((lc_configs, preds), ms) = timed(|| self.qos.pin(ctx, &raw, tel))?;
+        tel.qos_wall_ms += ms;
         check_deadline(start, tel, budget, "qos")?;
 
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
-        // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-        let t = Instant::now();
-        let point = self.search.search(ctx, &preds, &lc_configs, tel)?;
-        tel.search_wall_ms += t.elapsed().as_secs_f64() * 1e3;
+        let (point, ms) = timed(|| self.search.search(ctx, &preds, &lc_configs, tel))?;
+        tel.search_wall_ms += ms;
         check_deadline(start, tel, budget, "search")?;
 
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
-        // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-        let t = Instant::now();
-        let batch = self.repair.repair(ctx, &preds, &lc_configs, &point, tel)?;
-        tel.repair_wall_ms += t.elapsed().as_secs_f64() * 1e3;
+        let (batch, ms) = timed(|| self.repair.repair(ctx, &preds, &lc_configs, &point, tel))?;
+        tel.repair_wall_ms += ms;
 
         let plan = Plan {
             lc: ctx

@@ -7,11 +7,9 @@
 //! epochs and search evaluations. [`TelemetrySummary`] aggregates the
 //! records of a run for reporting.
 
-use serde::Serialize;
-
 /// Degradation-ladder events of one decision quantum: which fallbacks the
 /// manager used and why. All-default means the quantum ran cleanly.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradationEvents {
     /// Profiling sample fields rejected by validation (non-finite or out of
     /// physical range).
@@ -57,7 +55,7 @@ impl DegradationEvents {
 }
 
 /// Instrumentation of one decision quantum.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTelemetry {
     /// Wall-clock time of the profiling stage (ms): issuing the split-halves
     /// frames and recording samples. Excludes the simulated frame time.
@@ -113,7 +111,7 @@ impl StageTelemetry {
 
 /// Per-stage statistics over a run — means and maxima of the fields of
 /// [`StageTelemetry`] across the slices that reported one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySummary {
     /// Number of decision quanta aggregated.
     pub decisions: usize,
@@ -244,8 +242,8 @@ impl TelemetrySummary {
         self.mean_wall_ms.iter().sum()
     }
 
-    /// The summary as a JSON document (hand-rolled — the vendored `serde`
-    /// is a stub). Stage timings are keyed by [`STAGE_NAMES`].
+    /// The summary as a JSON document. Stage timings are keyed by
+    /// [`STAGE_NAMES`].
     pub fn to_json(&self) -> util::JsonValue {
         use util::JsonValue as J;
         let stages = |vals: [f64; 5]| {

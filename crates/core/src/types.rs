@@ -17,7 +17,6 @@
 //! num_batch`. The paper's setup is the exact `N = 1` special case, and
 //! [`Scenario::paper_default`] reproduces it bit-identically.
 
-use serde::Serialize;
 use simulator::power::CoreKind;
 use simulator::{AppProfile, CacheAlloc, Chip, CoreConfig, JobConfig, SystemParams};
 use workloads::batch::{self, SpecBenchmark, SpecMix};
@@ -35,7 +34,7 @@ pub const TIMESLICE_MS: f64 = 100.0;
 
 /// A latency-critical tenant: an interactive service with its own QoS
 /// target, input load, and initial core reservation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcJobSpec {
     /// The interactive service.
     pub service: LcService,
@@ -63,7 +62,7 @@ impl LcJobSpec {
 
 /// A batch tenant: a throughput application, optionally arriving or
 /// departing mid-run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchJobSpec {
     /// The application.
     pub app: SpecBenchmark,
@@ -90,7 +89,7 @@ impl BatchJobSpec {
 }
 
 /// One job in a scenario: a latency-critical tenant or a batch application.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// An interactive service with a QoS target.
     LatencyCritical(LcJobSpec),
@@ -372,7 +371,7 @@ impl Scenario {
 }
 
 /// What a batch job does during a timeslice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchAction {
     /// Run on one core at this configuration.
     Run(JobConfig),
@@ -391,7 +390,7 @@ impl BatchAction {
 }
 
 /// Cores and configuration granted to one LC tenant for a timeslice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LcAssignment {
     /// Cores assigned to the tenant.
     pub cores: usize,
@@ -400,7 +399,7 @@ pub struct LcAssignment {
 }
 
 /// A steady-state plan for one timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Per-LC-tenant assignment, in priority order.
     pub lc: Vec<LcAssignment>,
@@ -462,7 +461,7 @@ impl Plan {
 /// A profiling frame request: per-core configurations for each LC tenant
 /// (so halves can be split across the widest/narrowest extremes) plus
 /// per-job batch actions.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfilePlan {
     /// Configuration of each core of each LC tenant, in priority order
     /// (`lc_configs[i].len()` is tenant `i`'s core count).
@@ -482,7 +481,7 @@ impl ProfilePlan {
 }
 
 /// One measured sample: a job observed at a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplePoint {
     /// Global job index: `0..num_lc` are the LC tenants,
     /// `num_lc..num_lc + num_batch` are batch jobs.
@@ -496,7 +495,7 @@ pub struct SamplePoint {
 }
 
 /// Measurements returned by a profiling frame.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileSample {
     /// Frame duration in milliseconds.
     pub duration_ms: f64,
@@ -508,7 +507,7 @@ pub struct ProfileSample {
 }
 
 /// Per-tenant facts a manager sees at the start of a timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcSliceInfo {
     /// The tenant's service.
     pub service: LcService,
@@ -525,7 +524,7 @@ pub struct LcSliceInfo {
 }
 
 /// Static facts a manager sees at the start of a timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceInfo {
     /// Timeslice index.
     pub slice: usize,
@@ -556,7 +555,7 @@ impl SliceInfo {
 }
 
 /// Steady-state measurements a manager receives after its plan ran.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceOutcome {
     /// The plan that ran.
     pub plan: Plan,
@@ -598,7 +597,7 @@ pub trait ResourceManager {
 }
 
 /// Ground-truth per-tenant record of one timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcSliceRecord {
     /// The tenant's service name.
     pub service: &'static str,
@@ -618,7 +617,7 @@ pub struct LcSliceRecord {
 }
 
 /// Ground-truth record of one timeslice.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceRecord {
     /// Slice start time in seconds.
     pub t_s: f64,
@@ -684,7 +683,7 @@ impl SliceRecord {
 }
 
 /// A completed scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// The manager's name.
     pub scheme: String,
@@ -783,9 +782,8 @@ impl RunRecord {
             .count()
     }
 
-    /// The run as a JSON document (hand-rolled — the vendored `serde` is a
-    /// stub): scheme, run-level summary metrics, the aggregated stage
-    /// telemetry when present, and one row per slice.
+    /// The run as a JSON document: scheme, run-level summary metrics, the
+    /// aggregated stage telemetry when present, and one row per slice.
     pub fn to_json(&self) -> util::JsonValue {
         use util::JsonValue as J;
         let slice_row = |s: &SliceRecord| {

@@ -43,15 +43,13 @@ pub use objective::{Objective, SoftPenalty};
 pub use parallel::{parallel_search, parallel_search_in, ParallelDdsParams};
 pub use serial::{search, DdsParams};
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete search space: `dims` decision variables, each taking a value
 /// in `0..num_choices`, with an optional set of frozen dimensions.
 ///
 /// Frozen dimensions implement Alg. 2 line 5: cores assigned to the
 /// latency-critical service keep the configuration chosen by the QoS scan
 /// while DDS explores the batch jobs' dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchSpace {
     dims: usize,
     num_choices: usize,
@@ -146,7 +144,7 @@ impl SearchSpace {
 }
 
 /// Result of a DDS run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// The best point found.
     pub best_point: Vec<usize>,

@@ -18,7 +18,6 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use util::WorkerPool;
 
 use crate::objective::Objective;
@@ -26,7 +25,7 @@ use crate::rng::standard_normal;
 use crate::{SearchResult, SearchSpace};
 
 /// Parameters of the parallel DDS run, defaulting to the paper's Fig. 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelDdsParams {
     /// Iteration budget (Fig. 6: 40).
     pub max_iters: usize,

@@ -8,14 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::objective::Objective;
 use crate::rng::standard_normal;
 use crate::{SearchResult, SearchSpace};
 
 /// Parameters of the serial DDS run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdsParams {
     /// Iteration budget (Fig. 6: 40 for the parallel variant; the serial
     /// reference gets the equivalent sequential budget by default).

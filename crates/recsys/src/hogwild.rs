@@ -12,12 +12,13 @@
 //! trade: for sparse problems the overlap probability is small and
 //! convergence is essentially unaffected.
 //!
-//! Measured caveat (see `ablation_sgd`): on modern cache-coherent x86 this
-//! faithful formulation does not gain wall-clock at CuttleSys' matrix sizes
-//! — per-element atomics defeat vectorization and the shared column factors
-//! bounce between cores — so the runtime defaults to the serial Alg. 1 per
-//! matrix and parallelizes across the *three* reconstructions instead
-//! ([`crate::Reconstructor::complete_all_session`]).
+//! Measured caveat (see `cargo paper ablation-sgd`): on modern cache-coherent
+//! x86 this faithful formulation does not gain wall-clock at CuttleSys'
+//! matrix sizes — per-element atomics defeat vectorization and the shared
+//! column factors bounce between cores — so the runtime runs the serial
+//! Alg. 1 per matrix and parallelizes across the *three* reconstructions
+//! instead ([`crate::Reconstructor::complete_all_session`]); this module is
+//! reached only from that ablation and the tests that bound its error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

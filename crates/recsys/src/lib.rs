@@ -13,7 +13,6 @@
 //! * [`matrix`] — sparse rating matrices and dense results.
 //! * [`svd`] — truncated SVD by power iteration, used to initialize P and Q.
 //! * [`sgd`] — the serial reference SGD (Alg. 1).
-//! * [`als`] — an alternating-least-squares alternative solver (ablation).
 //! * [`hogwild`] — the lock-free parallel SGD of §V (HOGWILD-style, no
 //!   synchronization primitives, small bounded inaccuracy).
 //! * [`reconstruction`] — the three-matrix driver (throughput, tail latency,
@@ -37,14 +36,12 @@
 //! assert!(completed.get(4, 2).is_finite());
 //! ```
 
-pub mod als;
 pub mod hogwild;
 pub mod matrix;
 pub mod reconstruction;
 pub mod sgd;
 pub mod svd;
 
-pub use als::AlsConfig;
 pub use matrix::{DenseMatrix, RatingMatrix};
 pub use reconstruction::{Completion, Reconstructor, SessionInput, ValueTransform};
 pub use sgd::{SgdConfig, SgdModel, WarmStartConfig};

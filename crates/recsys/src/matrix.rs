@@ -1,14 +1,12 @@
 //! Rating matrices: sparse observations in, dense completions out.
 
-use serde::{Deserialize, Serialize};
-
 /// A partially observed job × configuration rating matrix.
 ///
 /// Rows are applications (known training applications plus the currently
 /// running jobs), columns are resource configurations. Entries are `None`
 /// until observed through offline characterization, online profiling, or a
 /// previous steady state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatingMatrix {
     rows: usize,
     cols: usize,
@@ -167,7 +165,7 @@ impl RatingMatrix {
 }
 
 /// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

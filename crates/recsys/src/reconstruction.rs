@@ -11,15 +11,13 @@
 //!   reported with enormous latencies), so it is reconstructed in log space;
 //! * observed entries always pass through exactly — SGD only fills holes.
 
-use serde::{Deserialize, Serialize};
 use util::WorkerPool;
 
-use crate::hogwild;
 use crate::matrix::{DenseMatrix, RatingMatrix};
 use crate::sgd::{self, SgdConfig, SgdModel, WarmStartConfig};
 
 /// Value-space transform applied before SGD and inverted afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueTransform {
     /// Fit ratings as-is.
     Linear,
@@ -45,34 +43,16 @@ impl ValueTransform {
 }
 
 /// Matrix-completion driver combining SGD, transforms, and overlays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Reconstructor {
     /// SGD hyper-parameters.
     pub config: SgdConfig,
-    /// Logical workers for the lock-free parallel SGD (1 = serial Alg. 1);
-    /// they race only when the session hands the solver a pool.
-    pub threads: usize,
-}
-
-impl Default for Reconstructor {
-    fn default() -> Self {
-        Reconstructor {
-            config: SgdConfig::default(),
-            threads: 1,
-        }
-    }
 }
 
 impl Reconstructor {
-    /// Creates a driver with the given SGD configuration, serial execution.
+    /// Creates a driver with the given SGD configuration.
     pub fn new(config: SgdConfig) -> Reconstructor {
-        Reconstructor { config, threads: 1 }
-    }
-
-    /// Switches to the lock-free parallel SGD with `threads` workers.
-    pub fn parallel(mut self, threads: usize) -> Reconstructor {
-        self.threads = threads;
-        self
+        Reconstructor { config }
     }
 
     /// Completes the matrix: missing entries are inferred, observed entries
@@ -84,26 +64,25 @@ impl Reconstructor {
     ///
     /// Panics if the matrix has no observed entries.
     pub fn complete(&self, matrix: &RatingMatrix, transform: ValueTransform) -> DenseMatrix {
-        self.complete_session(None, matrix, transform, None).dense
+        self.complete_session(matrix, transform, None).dense
     }
 
-    /// [`Reconstructor::complete`] with session state: an optional worker
-    /// pool for the parallel solver and an optional `(schedule, prior)` pair
-    /// to warm-start from the previous quantum's fitted model.
+    /// [`Reconstructor::complete`] with session state: an optional
+    /// `(schedule, prior)` pair to warm-start from the previous quantum's
+    /// fitted model.
     ///
     /// The returned [`Completion`] carries the fitted model (in *transformed*
     /// space) so the caller can feed it back as the prior next quantum. Warm
     /// starting silently falls back to a cold fit when the prior's shape no
     /// longer matches the matrix — `Completion::warm_started` reports what
-    /// actually happened. With `pool = None` and `warm = None` this is
-    /// bit-identical to [`Reconstructor::complete`].
+    /// actually happened. With `warm = None` this is
+    /// [`Reconstructor::complete`].
     ///
     /// # Panics
     ///
     /// Panics if the matrix has no observed entries.
     pub fn complete_session(
         &self,
-        pool: Option<&WorkerPool>,
         matrix: &RatingMatrix,
         transform: ValueTransform,
         warm: Option<(&WarmStartConfig, &SgdModel)>,
@@ -112,13 +91,7 @@ impl Reconstructor {
         let warm_model =
             warm.and_then(|(cfg, prior)| sgd::fit_warm(&transformed, &self.config, cfg, prior));
         let warm_started = warm_model.is_some();
-        let model = warm_model.unwrap_or_else(|| {
-            if self.threads > 1 {
-                hogwild::fit_parallel_in(pool, &transformed, &self.config, self.threads)
-            } else {
-                sgd::fit(&transformed, &self.config)
-            }
-        });
+        let model = warm_model.unwrap_or_else(|| sgd::fit(&transformed, &self.config));
         let (lo, hi) = transformed
             .observed_range()
             // lint:allow(PANIC-POLICY, reason = "the profiling stage never hands reconstruction an empty matrix (it seeds probe samples first); an empty one is a pipeline-ordering bug worth crashing on")
@@ -161,7 +134,7 @@ impl Reconstructor {
         let mut slots: Vec<Option<Completion>> = (0..inputs.len()).map(|_| None).collect();
         util::pool::for_each_slot(pool, &mut slots, |i, slot| {
             let input = &inputs[i];
-            *slot = Some(self.complete_session(pool, input.matrix, input.transform, input.warm));
+            *slot = Some(self.complete_session(input.matrix, input.transform, input.warm));
         });
         slots
             .into_iter()
@@ -306,30 +279,14 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn session_completion_without_warm_state_matches_plain_complete() {
-        let (_, m) = structured(10, 12, 8, 2);
-        let rec = Reconstructor::default();
-        let plain = rec.complete(&m, ValueTransform::Linear);
-        let pool = WorkerPool::new(2);
-        let session = rec.complete_session(Some(&pool), &m, ValueTransform::Linear, None);
-        assert_eq!(session.dense, plain);
-        assert!(!session.warm_started);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn warm_session_reuses_the_prior_model() {
         let (_, m) = structured(16, 20, 13, 2);
         let rec = Reconstructor::default();
-        let first = rec.complete_session(None, &m, ValueTransform::Linear, None);
+        let first = rec.complete_session(&m, ValueTransform::Linear, None);
         assert!(!first.warm_started);
         let warm_cfg = WarmStartConfig::default();
-        let second = rec.complete_session(
-            None,
-            &m,
-            ValueTransform::Linear,
-            Some((&warm_cfg, &first.model)),
-        );
+        let second =
+            rec.complete_session(&m, ValueTransform::Linear, Some((&warm_cfg, &first.model)));
         assert!(second.warm_started);
         assert!(second.model.epochs <= warm_cfg.max_epochs);
         // Same observations, warm factors: the refit keeps the fit quality.
@@ -364,19 +321,6 @@ mod tests {
             assert_eq!(pooled.dense, inline.dense);
             assert_eq!(pooled.model, inline.model);
             assert_eq!(&pooled.dense, plain);
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn parallel_reconstructor_completes() {
-        let (_, m) = structured(16, 24, 13, 2);
-        let out = Reconstructor::default()
-            .parallel(4)
-            .complete(&m, ValueTransform::Linear);
-        assert_eq!(out.rows(), 16);
-        for (r, c, v) in m.observed() {
-            assert_eq!(out.get(r, c), v);
         }
     }
 }

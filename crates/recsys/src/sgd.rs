@@ -19,13 +19,11 @@
 //! configurations. `Q`/`P` are initialized from a truncated SVD of the
 //! mean-imputed bias residual, following the paper's SVD construction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::{DenseMatrix, RatingMatrix};
 use crate::svd::truncated_svd;
 
 /// Hyper-parameters for the SGD reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Latent factor rank of the residual term.
     pub rank: usize,
@@ -255,7 +253,7 @@ pub fn fit(matrix: &RatingMatrix, config: &SgdConfig) -> SgdModel {
 /// job, so the previous quantum's factors are an excellent starting point:
 /// a handful of epochs at a decayed learning rate recovers the fit that a
 /// cold start needs the full `max_iters` budget for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmStartConfig {
     /// Epoch budget for the refit (clamped to at least one).
     pub max_epochs: usize,

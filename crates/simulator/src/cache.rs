@@ -10,14 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::chip::JobId;
 use crate::config::CacheAlloc;
 use crate::params::SystemParams;
 
 /// A way-partitioning of the shared LLC across jobs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LlcPartition {
     // A BTreeMap so that `total_ways` (a float sum) and `iter` walk jobs in
     // JobId order: allocation ways happen to sum exactly in f64 today, but
@@ -105,7 +103,7 @@ impl Extend<(JobId, CacheAlloc)> for LlcPartition {
 /// channels add nothing, and the delay factor grows superlinearly as
 /// utilization approaches saturation, capped so the fixed-point iteration in
 /// the chip simulator stays stable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
     /// Sustainable bandwidth in giga-accesses per second.
     pub capacity_gaps: f64,

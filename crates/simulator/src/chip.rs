@@ -7,8 +7,6 @@
 //! traffic → more contention → less throughput) and reports per-core and
 //! per-job throughput, power, and instruction counts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{BandwidthModel, LlcPartition};
 use crate::config::CoreConfig;
 use crate::metrics::{Bips, Watts};
@@ -21,7 +19,7 @@ use crate::profile::AppProfile;
 ///
 /// Job ids index the job table supplied to [`Chip::simulate_frame`]; a
 /// latency-critical service running on several cores is one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub usize);
 
 impl std::fmt::Display for JobId {
@@ -31,7 +29,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// State of one core during a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoreState {
     /// Running `job` at `config`.
     Active {
@@ -69,7 +67,7 @@ impl CoreState {
 pub type CoreAssignment = Vec<CoreState>;
 
 /// Results of simulating one frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameResult {
     /// Frame duration in milliseconds.
     pub duration_ms: f64,

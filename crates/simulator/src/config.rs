@@ -12,14 +12,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Width of one core section: the number of active lanes.
 ///
 /// Downsizing a section power-gates the associated array structures, reducing
 /// both dynamic and leakage power at the cost of throughput through that
 /// pipeline region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SectionWidth {
     /// Two-wide: the narrowest, lowest-power setting.
     Two,
@@ -78,7 +76,7 @@ impl fmt::Display for SectionWidth {
 }
 
 /// One of the three independently configurable pipeline regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Section {
     /// Fetch, decode, rename, dispatch, and the reorder buffer.
     FrontEnd,
@@ -108,7 +106,7 @@ impl fmt::Display for Section {
 ///
 /// Displayed using the paper's label convention, e.g. `{6,2,4}` for a
 /// six-wide front-end, two-wide back-end, and four-wide load/store section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreConfig {
     /// Front-end width.
     pub fe: SectionWidth,
@@ -213,9 +211,7 @@ impl fmt::Display for CoreConfig {
 ///
 /// Following §VIII-A2, allocations are limited to 1/2, 1, 2, or 4 ways; two
 /// jobs with half-way allocations share a single physical way.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum CacheAlloc {
     /// Half of one way, shared with another half-way job.
     Half,
@@ -287,9 +283,7 @@ impl fmt::Display for CacheAlloc {
 /// This is the unit the collaborative-filtering matrices are indexed by (one
 /// column per `JobConfig`) and the value DDS assigns to each decision
 /// dimension.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct JobConfig {
     /// Core section widths.
     pub core: CoreConfig,

@@ -6,12 +6,10 @@
 //! effectiveness of DVFS", while reconfigurable cores gate *capacity* and
 //! therefore cut both dynamic and leakage power. This module models a
 //! realistic DVFS ladder so that claim can be evaluated quantitatively
-//! (see the `pareto_dvfs_vs_reconfig` experiment): above a voltage knee,
+//! (see the `paper pareto` experiment): above a voltage knee,
 //! frequency scales with voltage (cubic dynamic-power savings); below it,
 //! voltage has hit its margin floor and frequency scaling turns linear —
 //! the "limited voltage scaling range" regime.
-
-use serde::{Deserialize, Serialize};
 
 use crate::config::{CacheAlloc, CoreConfig};
 use crate::metrics::{Bips, Watts};
@@ -21,7 +19,7 @@ use crate::power::{CoreKind, PowerModel};
 use crate::profile::AppProfile;
 
 /// One DVFS operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsState {
     /// Clock frequency in GHz.
     pub frequency_ghz: f64,
@@ -43,7 +41,7 @@ impl DvfsState {
 }
 
 /// A ladder of DVFS operating points for one core, highest first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsLadder {
     nominal_ghz: f64,
     states: Vec<DvfsState>,

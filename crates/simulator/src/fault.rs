@@ -15,11 +15,9 @@
 //! scenario draw exactly the same simulation randomness, and two faulty runs
 //! with the same fault seed corrupt exactly the same values.
 
-use serde::Serialize;
-
 /// Distinct sub-streams of a fault seed, so the draw deciding "drop this
 /// sample?" can never alias the draw deciding "fail this reconfiguration?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum FaultStream {
     /// Per-sample drop/corrupt decisions.
@@ -65,7 +63,7 @@ pub fn normal(seed: u64, stream: FaultStream, index: u64) -> f64 {
 }
 
 /// How a measured value gets mangled on its way to the decision loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Corruption {
     /// Multiplicative Gaussian noise: `v · (1 + sigma · N(0, 1))`.
     Noise {

@@ -1,15 +1,13 @@
 //! Chip-level parameters (the paper's Table I) plus the calibration constants
 //! of the analytic performance and power models.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated system.
 ///
 /// Defaults reproduce Table I of the paper: a 32-core chip at 4 GHz in 22 nm
 /// with a shared 32-way 64 MB LLC, 20-cycle L2 and 200-cycle DRAM access
 /// latency, plus the AnyCore-derived reconfiguration overheads of §VII
 /// (1.67 % frequency and 18 % energy penalty per cycle, 19 % area).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemParams {
     /// Number of cores on the chip.
     pub num_cores: usize,

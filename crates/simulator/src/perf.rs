@@ -9,15 +9,13 @@
 //! sensitive to collapses its throughput, other sections barely matter, and
 //! extra LLC ways help exactly the jobs whose working set does not yet fit.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{CacheAlloc, CoreConfig, JobConfig, SectionWidth};
 use crate::metrics::Bips;
 use crate::params::SystemParams;
 use crate::profile::AppProfile;
 
 /// Calibration constants of the CPI stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfCalibration {
     /// Scale of the front-end narrowing penalty.
     pub k_fe: f64,
@@ -48,7 +46,7 @@ impl Default for PerfCalibration {
 /// The model is pure: every query is a function of the application profile,
 /// the configuration, and the supplied contention factor, so it can be used
 /// both by the chip simulator (ground truth) and by oracle baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     params: SystemParams,
     cal: PerfCalibration,

@@ -7,8 +7,6 @@
 //! exactly why CuttleSys loses to fixed-core designs at the relaxed 90 %
 //! power cap and wins below it. Gated cores (C6) draw a small residual.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{CacheAlloc, CoreConfig, Section, SectionWidth};
 use crate::metrics::{Bips, Watts};
 use crate::params::SystemParams;
@@ -16,7 +14,7 @@ use crate::profile::AppProfile;
 
 /// Whether cores on the chip are reconfigurable (pay the AnyCore overheads)
 /// or conventional fixed cores (baseline designs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreKind {
     /// Section-gated reconfigurable core: +18 % energy, −1.67 % frequency.
     Reconfigurable,
@@ -25,7 +23,7 @@ pub enum CoreKind {
 }
 
 /// Calibration constants of the power model, in Watts at 22 nm / 4 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCalibration {
     /// Peak dynamic power of each six-wide section at activity 1.0:
     /// `[FE, BE, LS]`.
@@ -71,7 +69,7 @@ impl Default for PowerCalibration {
 }
 
 /// The chip power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     params: SystemParams,
     cal: PowerCalibration,

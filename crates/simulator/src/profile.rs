@@ -8,7 +8,6 @@
 //! `workloads` crate; this type only defines the parameter space and its
 //! invariants.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of profile fields rejected by
@@ -28,7 +27,7 @@ pub fn out_of_range_rejections() -> u64 {
 /// All fields are plain data so workload catalogs can construct profiles
 /// directly; [`AppProfile::validate`] checks the invariants the models rely
 /// on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppProfile {
     /// Peak sustainable micro-ops per cycle with unconstrained resources,
     /// in `(0, 6]`.

@@ -311,7 +311,10 @@ pub fn summary_json_partial(spec: &SweepSpec, outcome: &SweepOutcome, filter: &s
     match summary_json(spec, outcome) {
         JsonValue::Obj(mut fields) => {
             fields.insert(1, ("partial".to_string(), JsonValue::Bool(true)));
-            fields.insert(2, ("filter".to_string(), JsonValue::Str(filter.to_string())));
+            fields.insert(
+                2,
+                ("filter".to_string(), JsonValue::Str(filter.to_string())),
+            );
             JsonValue::Obj(fields)
         }
         other => other,

@@ -1,11 +1,10 @@
 //! Hand-rolled JSON emission and parsing, shared workspace-wide.
 //!
-//! The workspace's vendored `serde` is a no-op stub — the offline container
-//! cannot add a real serialization dependency — so everything that emits
-//! JSON builds a [`JsonValue`] tree by hand and prints it. The type started
-//! life in `bench::report` for experiment output; it moved here (the bench
-//! crate re-exports it) once the core crate needed the same conventions to
-//! serve run snapshots through the control-plane service. The scenario-file
+//! The offline container cannot add a serialization dependency, so
+//! everything that emits JSON builds a [`JsonValue`] tree by hand and prints
+//! it. The type started life in `bench::report` for experiment output; it
+//! moved here once the core crate needed the same conventions to serve run
+//! snapshots through the control-plane service. The scenario-file
 //! sweep runner added the other direction: [`parse`] reads a document back
 //! into a [`JsonValue`] tree, reporting line/column on malformed input.
 //!
@@ -21,7 +20,7 @@ use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-/// A JSON document, built by hand (the vendored `serde` is a no-op stub).
+/// A JSON document, built by hand.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.

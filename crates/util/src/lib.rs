@@ -17,9 +17,9 @@
 //! * [`reduce`] — worker-ordered reduction helpers. Parallel float
 //!   reductions must fold per-worker slots in worker-index order to stay
 //!   bit-deterministic; the `DET-FLOAT-REDUCE` lint points offenders here.
-//! * [`json`] — the hand-rolled [`json::JsonValue`] writer (the vendored
-//!   `serde` is a no-op stub). Shared by the bench report tables, the core
-//!   run-record snapshots, and the control-plane service.
+//! * [`json`] — the hand-rolled [`json::JsonValue`] writer and parser.
+//!   Shared by the bench report tables, the core run-record snapshots, and
+//!   the control-plane service.
 
 pub mod json;
 pub mod pool;

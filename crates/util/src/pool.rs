@@ -1,6 +1,6 @@
 //! A persistent worker pool with scoped, borrowing tasks.
 //!
-//! The decision loop calls into HOGWILD SGD and parallel DDS every 100 ms
+//! The decision loop fans its per-matrix reconstructions out every 100 ms
 //! quantum, and spawning a fresh OS thread per closure would make thread
 //! creation + teardown pure overhead there. This pool keeps its threads
 //! alive across quanta and dispatches boxed jobs over a mutex-and-condvar
@@ -25,10 +25,10 @@
 //! borrow from the caller's stack (the lifetime is erased internally and
 //! restored by the barrier at scope exit — the same contract as
 //! `std::thread::scope`). While waiting, the scoping thread *helps*: it pops
-//! and runs queued jobs itself, which both speeds up the fan-out and makes
-//! nested scopes (a reconstruction scope spawning per-matrix solves that each
-//! open their own HOGWILD scope) deadlock-free even when the pool is smaller
-//! than the logical fan-out.
+//! and runs queued jobs itself, which both speeds up the fan-out and keeps a
+//! job that opens a scope of its own deadlock-free even when the pool is
+//! smaller than the logical fan-out (nothing in the runtime nests scopes
+//! today; the property is pinned by a unit test and the loom model).
 //!
 //! Panics inside a job are caught, held until every sibling job in the scope
 //! has drained, and then resumed on the scoping thread — again matching

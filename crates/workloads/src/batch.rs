@@ -16,11 +16,10 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::Serialize;
 use simulator::AppProfile;
 
 /// A named synthetic SPEC CPU2006 benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecBenchmark {
     /// The SPEC benchmark name, e.g. `"mcf"`.
     pub name: &'static str,
@@ -29,7 +28,7 @@ pub struct SpecBenchmark {
 }
 
 /// A multiprogrammed mix: one benchmark per batch core.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecMix {
     /// Seed the mix was drawn with (for reproducibility in reports).
     pub seed: u64,

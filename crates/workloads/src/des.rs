@@ -9,11 +9,10 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simulator::Millis;
 
 /// Service-time distribution shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceDistribution {
     /// Exponential service times (matches M/M/k exactly).
     Exponential,
@@ -39,7 +38,7 @@ pub struct DesQueue {
 }
 
 /// Latency statistics from one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Number of completed requests.
     pub completed: usize,

@@ -11,7 +11,6 @@
 //! set by the load/store queue, Moses' by the front-end, and
 //! ImgDNN/Silo/Masstree need wide FE *and* LS sections.
 
-use serde::Serialize;
 use simulator::{AppProfile, CacheAlloc, CoreConfig, Millis, PerfModel};
 
 use crate::queueing::MmcQueue;
@@ -23,7 +22,7 @@ pub const CALIBRATION_CORES: usize = 16;
 pub const KNEE_UTILIZATION: f64 = 0.8;
 
 /// A latency-critical interactive service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LcService {
     /// Service name, e.g. `"xapian"`.
     pub name: &'static str,

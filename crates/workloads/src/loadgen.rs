@@ -5,11 +5,9 @@
 //! relocation example of Fig. 8(c)). A [`LoadPattern`] maps simulation time
 //! to a load fraction of the service's calibrated maximum QPS.
 
-use serde::{Deserialize, Serialize};
-
 /// A time-varying input load, as a fraction of the service's maximum
 /// sustainable QPS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadPattern {
     /// Constant load.
     Constant(f64),

@@ -9,11 +9,10 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use simulator::AppProfile;
 
 /// A profile whose behaviour drifts over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhasedProfile {
     /// The time-averaged profile.
     pub base: AppProfile,

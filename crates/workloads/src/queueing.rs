@@ -9,7 +9,6 @@
 //! monotonically growing saturation latency so design-space search still has
 //! a gradient to follow out of infeasible regions.
 
-use serde::{Deserialize, Serialize};
 use simulator::Millis;
 
 /// Saturation latency scale: an overloaded queue reports this many
@@ -17,7 +16,7 @@ use simulator::Millis;
 const SATURATION_MS: f64 = 50_000.0;
 
 /// An M/M/k queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmcQueue {
     /// Number of servers (cores serving the service).
     pub servers: usize,

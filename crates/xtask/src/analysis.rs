@@ -61,9 +61,6 @@ pub fn analyze(files: &[SourceFile]) -> (Vec<Diagnostic>, GraphStats) {
 /// Convenience for tests and callers holding raw text: lexes `(path,
 /// source)` pairs and runs [`analyze`].
 pub fn analyze_sources(sources: &[(&str, &str)]) -> (Vec<Diagnostic>, GraphStats) {
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(p, s)| SourceFile::new(p, s))
-        .collect();
+    let files: Vec<SourceFile> = sources.iter().map(|(p, s)| SourceFile::new(p, s)).collect();
     analyze(&files)
 }

@@ -223,8 +223,7 @@ fn parse_fns(file: usize, tokens: &[Token]) -> Vec<FnDef> {
                 break;
             }
             if t.is_punct('{') {
-                let end =
-                    crate::lexer::matching_bracket_pub(tokens, j).unwrap_or(tokens.len() - 1);
+                let end = crate::lexer::matching_bracket_pub(tokens, j).unwrap_or(tokens.len() - 1);
                 body = Some((j, end));
                 break;
             }
@@ -294,8 +293,7 @@ fn import_roots(tokens: &[Token]) -> BTreeSet<String> {
             // Skip to the terminating `;`, stepping over use-tree braces.
             while j < tokens.len() && !tokens[j].is_punct(';') {
                 if tokens[j].is_punct('{') {
-                    j = crate::lexer::matching_bracket_pub(tokens, j)
-                        .map_or(tokens.len(), |c| c);
+                    j = crate::lexer::matching_bracket_pub(tokens, j).map_or(tokens.len(), |c| c);
                 }
                 j += 1;
             }
@@ -312,10 +310,7 @@ mod tests {
     use super::*;
 
     fn graph_of(specs: &[(&str, &str)]) -> (Vec<SourceFile>, Vec<(String, Vec<String>)>) {
-        let files: Vec<SourceFile> = specs
-            .iter()
-            .map(|(p, s)| SourceFile::new(p, s))
-            .collect();
+        let files: Vec<SourceFile> = specs.iter().map(|(p, s)| SourceFile::new(p, s)).collect();
         let g = Graph::build(&files);
         let shaped = g
             .fns
@@ -324,7 +319,10 @@ mod tests {
             .map(|(i, f)| {
                 (
                     f.name.clone(),
-                    g.calls_out[i].iter().map(|&t| g.fns[t].name.clone()).collect(),
+                    g.calls_out[i]
+                        .iter()
+                        .map(|&t| g.fns[t].name.clone())
+                        .collect(),
                 )
             })
             .collect();

@@ -109,9 +109,11 @@ pub fn check(graph: &Graph) -> (Vec<Diagnostic>, (usize, usize)) {
                     }
                     for lock in &acquires[callee] {
                         if *lock != held.lock {
-                            edges
-                                .entry((held.lock.clone(), lock.clone()))
-                                .or_insert((file.path.clone(), call.line, call.col));
+                            edges.entry((held.lock.clone(), lock.clone())).or_insert((
+                                file.path.clone(),
+                                call.line,
+                                call.col,
+                            ));
                         }
                     }
                 }
@@ -253,16 +255,15 @@ fn guard_extent(tokens: &[Token], i: usize, body_end: usize) -> usize {
             // Statement temporary: held to the statement's `;` (or the end
             // of the enclosing block if none — e.g. a tail expression).
             let mut depth = 0i32;
-            for k in i..=body_end {
-                if tokens[k].is_punct('{') || tokens[k].is_punct('(') || tokens[k].is_punct('[') {
+            for (k, tok) in tokens.iter().enumerate().take(body_end + 1).skip(i) {
+                if tok.is_punct('{') || tok.is_punct('(') || tok.is_punct('[') {
                     depth += 1;
-                } else if tokens[k].is_punct('}') || tokens[k].is_punct(')') || tokens[k].is_punct(']')
-                {
+                } else if tok.is_punct('}') || tok.is_punct(')') || tok.is_punct(']') {
                     depth -= 1;
                     if depth < 0 {
                         return k;
                     }
-                } else if tokens[k].is_punct(';') && depth == 0 {
+                } else if tok.is_punct(';') && depth == 0 {
                     return k;
                 }
             }
@@ -296,7 +297,11 @@ fn find_cycles(edges: &BTreeMap<(String, String), (String, usize, usize)>) -> Ve
         for &next in adj.get(node).into_iter().flatten() {
             if next == head {
                 // Canonical rotation: start at the smallest lock name.
-                let min = path.iter().enumerate().min_by_key(|(_, s)| **s).map(|(i, _)| i);
+                let min = path
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| **s)
+                    .map(|(i, _)| i);
                 if let Some(start) = min {
                     let rotated: Vec<String> = path[start..]
                         .iter()

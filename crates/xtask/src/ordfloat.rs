@@ -27,8 +27,7 @@ const EXTRA_CRATES: &[&str] = &["bench", "sweep"];
 
 /// Runs the rule over one file's tokens.
 pub fn check(ctx: &FileContext, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let in_scope = ctx.decision_path()
-        || ctx.crate_name.is_some_and(|c| EXTRA_CRATES.contains(&c));
+    let in_scope = ctx.decision_path() || ctx.crate_name.is_some_and(|c| EXTRA_CRATES.contains(&c));
     if !in_scope {
         return;
     }
@@ -44,13 +43,13 @@ pub fn check(ctx: &FileContext, tokens: &[Token], out: &mut Vec<Diagnostic>) {
             continue;
         };
         let close = crate::lexer::matching_bracket_pub(tokens, open).unwrap_or(open);
-        for j in open..=close {
-            if tokens[j].ident() == Some("partial_cmp") {
+        for tok in &tokens[open..=close] {
+            if tok.ident() == Some("partial_cmp") {
                 out.push(Diagnostic {
                     rule: "ORD-TOTAL-FLOAT",
                     file: ctx.path.to_string(),
-                    line: tokens[j].line,
-                    col: tokens[j].col,
+                    line: tok.line,
+                    col: tok.col,
                     message: format!(
                         "`partial_cmp` inside `{name}`: NaN breaks the comparator (panic \
                          or order-dependent result). Compare with `f64::total_cmp`, or \

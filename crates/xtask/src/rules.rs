@@ -74,7 +74,7 @@ pub const ALLOWED_PATHS: &[AllowedPaths] = &[
             "crates/sweep/src/bin/",
             "crates/service/src/pacing.rs",
         ],
-        rationale: "bench binaries time and report their own runs; the sweep CLI's \
+        rationale: "bench experiments time and report their own runs; the sweep CLI's \
                     clock feeds only the console footer; pacing's clock bounds \
                     *when* a quantum runs, never what it decides — none of these \
                     clock reads count as taint sources",

@@ -82,10 +82,8 @@ pub fn extract(file: &SourceFile, mode: Extract) -> Vec<Entry> {
                 if matches!(t.ident(), Some("family") | Some("sample"))
                     && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
                 {
-                    let close =
-                        crate::lexer::matching_bracket_pub(tokens, i + 1).unwrap_or(i + 1);
-                    if let Some(lit) = tokens[i + 1..close].iter().find(|t| t.str_lit().is_some())
-                    {
+                    let close = crate::lexer::matching_bracket_pub(tokens, i + 1).unwrap_or(i + 1);
+                    if let Some(lit) = tokens[i + 1..close].iter().find(|t| t.str_lit().is_some()) {
                         let name = lit.str_lit().unwrap_or_default();
                         if !name.is_empty() {
                             out.push(Entry {

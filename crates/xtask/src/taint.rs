@@ -152,10 +152,7 @@ pub fn source_sites(graph: &Graph) -> Vec<SourceSite> {
                 {
                     "a wall-clock read"
                 }
-                "load"
-                    if file.crate_name.as_deref() != Some("util")
-                        && relaxed_load(tokens, i) =>
-                {
+                "load" if file.crate_name.as_deref() != Some("util") && relaxed_load(tokens, i) => {
                     "a `Relaxed` atomic load"
                 }
                 _ => continue,
@@ -202,9 +199,7 @@ fn sink_fns(graph: &Graph) -> Vec<usize> {
         let writes_record = f.body.is_some_and(|(start, end)| {
             let tokens = &file.lexed.tokens;
             (start..end).any(|i| {
-                tokens[i]
-                    .ident()
-                    .is_some_and(|n| SINK_TYPES.contains(&n))
+                tokens[i].ident().is_some_and(|n| SINK_TYPES.contains(&n))
                     && tokens.get(i + 1).is_some_and(|t| t.is_punct('{'))
             })
         });

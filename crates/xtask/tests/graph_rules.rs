@@ -112,10 +112,7 @@ fn consistent_order_has_no_cycle() {
 fn partial_cmp_comparators_are_flagged_at_exact_spans() {
     assert_eq!(
         spans("crates/dds/src/fixture.rs", "bad/ord_partial_cmp.rs"),
-        vec![
-            ("ORD-TOTAL-FLOAT", 6, 25),
-            ("ORD-TOTAL-FLOAT", 11, 40),
-        ]
+        vec![("ORD-TOTAL-FLOAT", 6, 25), ("ORD-TOTAL-FLOAT", 11, 40),]
     );
 }
 
@@ -138,10 +135,7 @@ fn total_cmp_is_clean_and_scope_stops_at_decision_crates() {
 fn wildcard_arms_over_event_enums_are_flagged() {
     assert_eq!(
         spans("crates/service/src/fixture.rs", "bad/event_wildcard.rs"),
-        vec![
-            ("EVT-EXHAUSTIVE", 16, 13),
-            ("EVT-EXHAUSTIVE", 23, 27),
-        ]
+        vec![("EVT-EXHAUSTIVE", 16, 13), ("EVT-EXHAUSTIVE", 23, 27),]
     );
 }
 

@@ -86,7 +86,10 @@ fn renaming_a_metric_is_reported_from_both_sides() {
     // Added name anchored at the literal in the emitter (line 2 of the
     // generated file); removed name anchored at its lock file line.
     assert_eq!(diags.len(), 2, "{diags:?}");
-    assert_eq!(summary[0], ("SCHEMA-LOCK", "crates/service/src/metrics.rs", 2));
+    assert_eq!(
+        summary[0],
+        ("SCHEMA-LOCK", "crates/service/src/metrics.rs", 2)
+    );
     assert!(diags[0].message.contains("cuttlesys_gadgets_total"));
     assert_eq!(summary[1].1, "schema.lock");
     assert!(diags[1].message.contains("cuttlesys_widgets_total"));
@@ -101,7 +104,12 @@ fn a_missing_lock_with_emitters_is_one_actionable_finding() {
     assert_eq!(entries, 2);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(
-        (diags[0].rule, diags[0].file.as_str(), diags[0].line, diags[0].col),
+        (
+            diags[0].rule,
+            diags[0].file.as_str(),
+            diags[0].line,
+            diags[0].col
+        ),
         ("SCHEMA-LOCK", "schema.lock", 1, 1)
     );
     assert!(diags[0].message.contains("schema --write"));

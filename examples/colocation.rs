@@ -9,11 +9,8 @@
 //! Run with: `cargo run --release --example colocation`
 
 use baselines::gating::GatingOrder;
-use cuttlesys::managers::{AsymmetricManager, AsymmetricMode, CoreGatingManager, NoGatingManager};
-use cuttlesys::testbed::run_scenario;
+use cuttlesys::managers::{AsymmetricMode, Scheme};
 use cuttlesys::types::{RunRecord, Scenario};
-use cuttlesys::CuttleSysManager;
-use simulator::power::CoreKind;
 use workloads::loadgen::LoadPattern;
 
 fn summarize(record: &RunRecord, baseline: f64) {
@@ -28,12 +25,9 @@ fn summarize(record: &RunRecord, baseline: f64) {
 
 fn main() {
     let scenario = Scenario::paper_default().with_cap(LoadPattern::Constant(0.6));
-    let fixed = Scenario {
-        kind: CoreKind::Fixed,
-        ..scenario.clone()
-    };
     // The no-gating reference ignores the cap: it sets the 1.0x baseline.
-    let reference = run_scenario(&fixed, &mut NoGatingManager);
+    // (`Scheme::run` puts every baseline but Flicker on fixed cores.)
+    let reference = Scheme::NoGating.run(&scenario);
     let baseline = reference.batch_instructions();
     println!(
         "xapian @ 80% load + 16 SPEC jobs, 60% power cap ({:.1} W):\n",
@@ -41,12 +35,14 @@ fn main() {
     );
     summarize(&reference, baseline);
 
-    let mut gating = CoreGatingManager::new(&fixed, GatingOrder::DescendingPower, true);
-    summarize(&run_scenario(&fixed, &mut gating), baseline);
-
-    let mut asym = AsymmetricManager::new(&fixed, AsymmetricMode::Oracle);
-    summarize(&run_scenario(&fixed, &mut asym), baseline);
-
-    let mut cuttle = CuttleSysManager::for_scenario(&scenario);
-    summarize(&run_scenario(&scenario, &mut cuttle), baseline);
+    for scheme in [
+        Scheme::CoreGating {
+            order: GatingOrder::DescendingPower,
+            way_partitioning: true,
+        },
+        Scheme::Asymmetric(AsymmetricMode::Oracle),
+        Scheme::CuttleSys,
+    ] {
+        summarize(&scheme.run(&scenario), baseline);
+    }
 }

@@ -8,11 +8,8 @@
 //! Run with: `cargo run --release --example power_cap_study`
 
 use baselines::gating::GatingOrder;
-use cuttlesys::managers::CoreGatingManager;
-use cuttlesys::testbed::run_scenario;
+use cuttlesys::managers::Scheme;
 use cuttlesys::types::Scenario;
-use cuttlesys::CuttleSysManager;
-use simulator::power::CoreKind;
 use workloads::latency;
 use workloads::loadgen::LoadPattern;
 
@@ -23,18 +20,12 @@ fn main() {
         let scenario = Scenario::paper_default()
             .with_cap(LoadPattern::Constant(cap))
             .with_service(latency::service_by_name("imgdnn").expect("imgdnn exists"));
-        let fixed = Scenario {
-            kind: CoreKind::Fixed,
-            ..scenario.clone()
-        };
-        let gating = {
-            let mut m = CoreGatingManager::new(&fixed, GatingOrder::DescendingPower, true);
-            run_scenario(&fixed, &mut m)
-        };
-        let cuttle = {
-            let mut m = CuttleSysManager::for_scenario(&scenario);
-            run_scenario(&scenario, &mut m)
-        };
+        let gating = Scheme::CoreGating {
+            order: GatingOrder::DescendingPower,
+            way_partitioning: true,
+        }
+        .run(&scenario);
+        let cuttle = Scheme::CuttleSys.run(&scenario);
         let (g, c) = (gating.batch_instructions(), cuttle.batch_instructions());
         println!(
             "  {:>3.0}%  {:>11.2}  {:>10.2}   {:>6.2}x",

@@ -10,16 +10,17 @@
 //! inline; `dds::parallel`'s own test holds its pooled form to the same
 //! standard.)
 //!
-//! The one intentional exception is HOGWILD SGD (`Reconstructor::parallel`
-//! with more than one thread, on a pool): its lock-free racy updates make the solve
-//! scheduling-*dependent*, exactly as in the paper. That nondeterminism is
+//! The one intentional exception is HOGWILD SGD (`hogwild::fit_parallel_in`
+//! with more than one worker, on a pool — nothing in the runtime calls it):
+//! its lock-free racy updates make the solve scheduling-*dependent*, exactly
+//! as in the paper. That nondeterminism is
 //! not covered up here — it is documented and bounded: the RMSE spread
 //! across repeated racy runs must stay small.
 
 use cuttlesys::runtime::{CuttleSysManager, PerfConfig};
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::{RunRecord, Scenario};
-use recsys::{RatingMatrix, Reconstructor, SgdConfig, ValueTransform};
+use recsys::{hogwild, RatingMatrix, SgdConfig};
 use util::WorkerPool;
 use workloads::loadgen::LoadPattern;
 
@@ -92,13 +93,8 @@ fn hogwild_nondeterminism_is_bounded() {
     for (r, c) in [(10, 0), (10, 7), (11, 3), (11, 15)] {
         m.set(r, c, 1.0 + r as f64 * 0.4 + c as f64 * 0.1);
     }
-    let reconstructor = Reconstructor::new(SgdConfig::default()).parallel(4);
     let rmses: Vec<f64> = (0..5)
-        .map(|_| {
-            let completion =
-                reconstructor.complete_session(Some(&pool), &m, ValueTransform::Linear, None);
-            completion.model.train_rmse
-        })
+        .map(|_| hogwild::fit_parallel_in(Some(&pool), &m, &SgdConfig::default(), 4).train_rmse)
         .collect();
     let lo = rmses.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = rmses.iter().cloned().fold(0.0, f64::max);

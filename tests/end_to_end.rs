@@ -2,11 +2,13 @@
 //! recsys → dds → runtime) reproducing the paper's headline claims on
 //! single colocations.
 
+use baselines::ga::GaParams;
 use baselines::gating::GatingOrder;
 use cuttlesys::managers::{
-    AsymmetricManager, AsymmetricMode, CoreGatingManager, FlickerManager, FlickerVariant,
-    NoGatingManager,
+    AsymmetricManager, AsymmetricMode, CoreGatingManager, FeedbackManager, FlickerManager,
+    FlickerVariant, NoGatingManager, Scheme,
 };
+use cuttlesys::runtime::SearchAlgo;
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::Scenario;
 use cuttlesys::CuttleSysManager;
@@ -204,5 +206,86 @@ fn every_manager_respects_the_slice_protocol() {
             assert!(sl.chip_watts > 0.0);
             assert_eq!(sl.batch_configs.len(), 16);
         }
+    }
+}
+
+#[test]
+fn the_scheme_table_runs_exactly_the_hand_built_constructions() {
+    // `Scheme::run` is what the experiment harness and the examples call;
+    // the constructions below are the ones it replaced there, spelled out
+    // with this file's own `fixed` so the two stay independent.
+    let s = Scenario::paper_default();
+    let f = fixed(&s);
+    let order = GatingOrder::AscendingBips;
+    let ga = GaParams::default().with_evaluation_budget(400);
+    let gating = |wp| run_scenario(&f, &mut CoreGatingManager::new(&f, order, wp));
+    let asym = |mode| run_scenario(&f, &mut AsymmetricManager::new(&f, mode));
+    let flicker = |variant| run_scenario(&s, &mut FlickerManager::new(&s, variant));
+    let hand_built = [
+        (
+            Scheme::NoGating,
+            "no-gating",
+            run_scenario(&f, &mut NoGatingManager),
+        ),
+        (
+            Scheme::CoreGating {
+                order,
+                way_partitioning: false,
+            },
+            "core-gating",
+            gating(false),
+        ),
+        (
+            Scheme::CoreGating {
+                order,
+                way_partitioning: true,
+            },
+            "core-gating+wp",
+            gating(true),
+        ),
+        (
+            Scheme::Asymmetric(AsymmetricMode::Oracle),
+            "asymmetric-oracle",
+            asym(AsymmetricMode::Oracle),
+        ),
+        (
+            Scheme::Asymmetric(AsymmetricMode::FixedBig(16)),
+            "asymmetric-16big",
+            asym(AsymmetricMode::FixedBig(16)),
+        ),
+        (
+            Scheme::Flicker(FlickerVariant::LcProfiled),
+            "flicker-a",
+            flicker(FlickerVariant::LcProfiled),
+        ),
+        (
+            Scheme::Flicker(FlickerVariant::LcPinned),
+            "flicker-b",
+            flicker(FlickerVariant::LcPinned),
+        ),
+        (
+            Scheme::Feedback,
+            "pid-feedback",
+            run_scenario(&f, &mut FeedbackManager::new(&f)),
+        ),
+        (
+            Scheme::CuttleSys,
+            "cuttlesys",
+            run_scenario(&s, &mut CuttleSysManager::for_scenario(&s)),
+        ),
+        (
+            Scheme::CuttleSysGa(ga),
+            "cuttlesys-sgd-ga",
+            run_scenario(
+                &s,
+                &mut CuttleSysManager::for_scenario(&s).with_search(SearchAlgo::Ga(ga)),
+            ),
+        ),
+    ];
+    for (scheme, name, hand) in hand_built {
+        let record = scheme.run(&s);
+        assert_eq!(record.scheme, name, "{scheme:?}");
+        assert_eq!(hand.scheme, name, "the manager's own name()");
+        assert_eq!(record.comparable(), hand.comparable(), "{scheme:?}");
     }
 }

@@ -30,7 +30,10 @@ fn filter_selects_by_label_substring() {
     // The smoke grid is steady × 0.7 × clean × {clean, node-crash}.
     let crash = filter_grid(&spec, "fleet=node-crash");
     assert_eq!(crash.len(), 1, "{:?}", crash);
-    assert_eq!(crash[0].label(), "steady cap=0.7 fault=clean fleet=node-crash");
+    assert_eq!(
+        crash[0].label(),
+        "steady cap=0.7 fault=clean fleet=node-crash"
+    );
     // An empty filter keeps the whole grid; a miss keeps nothing.
     assert_eq!(filter_grid(&spec, "").len(), 2);
     assert!(filter_grid(&spec, "no such cell").is_empty());
