@@ -1,5 +1,7 @@
-//! Fig. 5(a)/(b): box plots of the error between measured and
-//! SGD-predicted throughput, tail latency, and power across configurations.
+//! Fig. 5(a)/(b): box plots of the error between measured and predicted
+//! throughput, tail latency, and power across configurations — predicted as
+//! the runtime predicts: configuration factors learned by SGD from the known
+//! applications, each live row folded in ([`JobMatrices::reconstruct`]).
 //!
 //! * `--isolation` (Fig. 5a): each test application runs alone with exact
 //!   (noise-free) ground truth; two profiling samples per row; errors are
@@ -15,7 +17,6 @@ use cuttlesys::matrices::JobMatrices;
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::Scenario;
 use cuttlesys::CuttleSysManager;
-use recsys::Reconstructor;
 use simulator::JobConfig;
 use workloads::batch;
 use workloads::latency;
@@ -92,7 +93,7 @@ fn isolation(report: &mut Report) {
         m.record_sample(0, lo, 0.0, w[lo]);
         let seed_cfg = hi;
         m.record_tail(0, 0.8, 16, seed_cfg, truth[seed_cfg]);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         tail_errors.extend(pct_errors(
             &preds.lc[0].tail,
             &truth,
@@ -104,7 +105,7 @@ fn isolation(report: &mut Report) {
     }
 
     report.table(error_table(
-        "Fig. 5(a): SGD % error, applications in isolation (2 samples -> 106 inferred)",
+        "Fig. 5(a): SGD fold-in % error, applications in isolation (2 samples -> 106 inferred)",
         [
             ("throughput", &tput_errors),
             ("tail latency", &tail_errors),
@@ -165,7 +166,7 @@ fn runtime(report: &mut Report, mixes: u64) {
     }
 
     report.table(error_table(
-        "Fig. 5(b): SGD % error at runtime (colocation + noise + phases + contention)",
+        "Fig. 5(b): SGD fold-in % error at runtime (colocation + noise + phases + contention)",
         [
             ("throughput", &tput_errors),
             ("tail latency", &tail_errors),

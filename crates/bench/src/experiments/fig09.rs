@@ -1,5 +1,7 @@
 //! Fig. 9: prediction error of Flicker's RBF surrogate (3 samples) versus
-//! CuttleSys' SGD reconstruction (2 samples) for throughput and power.
+//! CuttleSys' collaborative filtering (2 samples) for throughput and power
+//! — the reconstruction the runtime uses: configuration factors learned by
+//! SGD from the known applications, the new row folded in.
 //!
 //! The paper gives the RBF approach *more* information than SGD (3 samples
 //! instead of 2 — it could not converge with 2) and still finds dramatically
@@ -37,8 +39,8 @@ pub(super) fn run(_: &Args) -> Report {
 
     let mut rbf_tput = Vec::new();
     let mut rbf_power = Vec::new();
-    let mut sgd_tput = Vec::new();
-    let mut sgd_power = Vec::new();
+    let mut cf_tput = Vec::new();
+    let mut cf_power = Vec::new();
 
     for app in batch::testing_set() {
         let truth_b = oracle.bips_row(&app.profile);
@@ -59,21 +61,21 @@ pub(super) fn run(_: &Args) -> Report {
         rbf_tput.extend(pct_errors(&pred_b, &truth_b, &sample_idx, None));
         rbf_power.extend(pct_errors(&pred_w, &truth_w, &sample_idx, None));
 
-        // SGD on two samples, as at runtime.
+        // Fold-in on two samples, as at runtime.
         let preds = two_sample_predictions(&[app.profile]);
-        sgd_tput.extend(pct_errors(&preds.batch_bips[0], &truth_b, &[hi, lo], None));
-        sgd_power.extend(pct_errors(&preds.batch_watts[0], &truth_w, &[hi, lo], None));
+        cf_tput.extend(pct_errors(&preds.batch_bips[0], &truth_b, &[hi, lo], None));
+        cf_power.extend(pct_errors(&preds.batch_watts[0], &truth_w, &[hi, lo], None));
     }
 
     let mut table = Table::new(
-        "Fig. 9: % error, RBF (3 samples) vs SGD (2 samples), 12 test apps x 108 configs",
+        "Fig. 9: % error, RBF (3 samples) vs SGD fold-in (2 samples), 12 test apps x 108 configs",
         &["metric", "p5", "p25", "p50", "p75", "p95", "|max|"],
     );
     for (name, errors) in [
         ("throughput RBF", &rbf_tput),
         ("power RBF", &rbf_power),
-        ("throughput SGD", &sgd_tput),
-        ("power SGD", &sgd_power),
+        ("throughput fold-in", &cf_tput),
+        ("power fold-in", &cf_power),
     ] {
         let max = errors.iter().fold(0.0_f64, |a, e| a.max(e.abs()));
         let mut row = vec![name.to_string()];

@@ -16,7 +16,6 @@
 use cuttlesys::matrices::{JobMatrices, Predictions};
 use cuttlesys::types::{Scenario, BATCH_JOBS};
 use dds::SoftPenalty;
-use recsys::Reconstructor;
 use simulator::power::CoreKind;
 use simulator::{AppProfile, Chip, JobConfig, SystemParams};
 use workloads::batch;
@@ -77,7 +76,7 @@ pub fn two_sample_predictions(apps: &[AppProfile]) -> Predictions {
             matrices.record_sample(1 + j, c.index(), b[c.index()], w[c.index()]);
         }
     }
-    matrices.reconstruct(&Reconstructor::default(), &[0.8])
+    matrices.reconstruct(&[0.8])
 }
 
 /// The runtime's batch search problem over predicted rows: geo-mean BIPS

@@ -36,7 +36,7 @@ use cuttlesys::control::AdmissionError;
 use cuttlesys::control::{ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind};
 use cuttlesys::lifecycle::{LifecycleState, NodeId, RelocationTarget};
 use cuttlesys::types::RunRecord;
-use cuttlesys::{PerfConfig, ResilienceConfig};
+use cuttlesys::ResilienceConfig;
 use util::json::JsonValue;
 use util::WorkerPool;
 use workloads::batch::SpecBenchmark;
@@ -590,19 +590,14 @@ impl ClusterCoordinator {
         }
     }
 
-    /// Substitutes every node manager's compute and degradation-ladder
-    /// configuration (each node runs the defaults otherwise). Call before
-    /// the first quantum.
+    /// Substitutes every node manager's degradation-ladder configuration
+    /// (each node runs the defaults otherwise).
     #[must_use]
-    pub fn with_manager_config(
-        mut self,
-        perf: PerfConfig,
-        resilience: ResilienceConfig,
-    ) -> ClusterCoordinator {
+    pub fn with_manager_config(mut self, resilience: ResilienceConfig) -> ClusterCoordinator {
         self.nodes = self
             .nodes
             .into_iter()
-            .map(|n| n.with_manager_config(perf, resilience))
+            .map(|n| n.with_manager_config(resilience))
             .collect();
         self
     }

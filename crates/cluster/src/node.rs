@@ -4,7 +4,7 @@
 use cuttlesys::control::{ControlCore, ControlError};
 use cuttlesys::lifecycle::NodeId;
 use cuttlesys::types::{Scenario, SliceRecord};
-use cuttlesys::{PerfConfig, ResilienceConfig};
+use cuttlesys::ResilienceConfig;
 
 /// A per-node agent: the node's control plane, stepped by the coordinator
 /// one lockstep quantum at a time.
@@ -27,12 +27,8 @@ impl NodeAgent {
     /// Substitutes the node manager's configuration; see
     /// [`ControlCore::with_manager_config`].
     #[must_use]
-    pub fn with_manager_config(
-        mut self,
-        perf: PerfConfig,
-        resilience: ResilienceConfig,
-    ) -> NodeAgent {
-        self.core = self.core.with_manager_config(perf, resilience);
+    pub fn with_manager_config(mut self, resilience: ResilienceConfig) -> NodeAgent {
+        self.core = self.core.with_manager_config(resilience);
         self
     }
 

@@ -42,7 +42,7 @@ use crate::accounting::steady_state_budget;
 use crate::driver::{DriveError, ScenarioDriver};
 use crate::faults::ResilienceConfig;
 use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, RelocationTarget, TenantLifecycle};
-use crate::runtime::{CuttleSysManager, PerfConfig};
+use crate::runtime::CuttleSysManager;
 use crate::types::{
     BatchJobSpec, JobSpec, ResourceManager, RunRecord, Scenario, SliceRecord, TIMESLICE_MS,
 };
@@ -399,16 +399,11 @@ impl ControlCore {
         core
     }
 
-    /// Substitutes the manager's compute and degradation-ladder
-    /// configuration (the defaults otherwise). Call before the first
-    /// quantum: the manager's stages are rebuilt.
+    /// Substitutes the manager's degradation-ladder configuration (the
+    /// defaults otherwise).
     #[must_use]
-    pub fn with_manager_config(
-        mut self,
-        perf: PerfConfig,
-        resilience: ResilienceConfig,
-    ) -> ControlCore {
-        self.manager = self.manager.with_perf(perf).with_resilience(resilience);
+    pub fn with_manager_config(mut self, resilience: ResilienceConfig) -> ControlCore {
+        self.manager = self.manager.with_resilience(resilience);
         self
     }
 

@@ -78,7 +78,7 @@ pub use control::{
 pub use driver::ScenarioDriver;
 pub use faults::{DecisionError, FaultInjector, FaultPlan, ResilienceConfig, StageError};
 pub use lifecycle::{LifecycleError, LifecycleState, TenantLifecycle};
-pub use runtime::{CuttleSysManager, PerfConfig};
+pub use runtime::CuttleSysManager;
 pub use testbed::run_scenario;
 pub use types::{Plan, ResourceManager, RunRecord, Scenario};
 

@@ -9,8 +9,17 @@
 //!   offline-characterized *latency-critical* behaviours plus that tenant's
 //!   live row, at the tenant's own load bucket.
 //!
+//! The training rows of a matrix never change, so they are not refitted:
+//! SGD learns each matrix's configuration factors from them once
+//! ([`recsys::ConfigFactors`]) — throughput and power when the bookkeeping
+//! is built, tail factors the first time a load bucket is met — and
+//! [`JobMatrices::reconstruct`] folds every live row into those factors with
+//! a closed-form solve over the row's own observations. Nothing a
+//! reconstruction computes outlives it, so there is no solver state to
+//! invalidate on churn or after a diverged quantum.
+//!
 //! Tail latency depends on the offered load, so tail bookkeeping is bucketed
-//! by load decile: training rows are characterized per bucket (lazily) and
+//! by load percent: the library is characterized per bucket (lazily) and
 //! live observations land in the bucket of the load they were measured
 //! under. Observations are overwritten per configuration — the newest
 //! measurement wins, which is how the paper's runtime "updates the
@@ -18,21 +27,20 @@
 //! When a batch job departs (churn), [`JobMatrices::retire_batch`] drops its
 //! live observations so a later arrival in the same slot starts cold.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use recsys::{
-    RatingMatrix, Reconstructor, SessionInput, SgdModel, ValueTransform, WarmStartConfig,
-};
+use recsys::{ConfigFactors, SgdConfig, ValueTransform};
 use simulator::{AppProfile, NUM_JOB_CONFIGS};
-use util::WorkerPool;
 use workloads::latency::{self, LcService};
 use workloads::oracle::Oracle;
 
-/// Tail bookkeeping granularity: loads are binned to the nearest percent.
-/// Queueing tails are steep functions of utilization near the knee, so the
-/// training rows must be characterized at (almost exactly) the live load —
-/// the arrival rate is directly observable, making this free at runtime.
-pub const LOAD_BUCKETS: usize = 101;
+/// Tail bookkeeping granularity: loads are binned to the nearest percent of
+/// 0–200 %, so [`bucket_for`] has this many values — the bound on every
+/// per-bucket map. Queueing tails are steep functions of utilization near
+/// the knee, so the training rows must be characterized at (almost exactly)
+/// the live load — the arrival rate is directly observable, making this
+/// free at runtime.
+pub const LOAD_BUCKETS: usize = 201;
 
 /// Reference LC core count the tail training library is characterized at.
 pub const TAIL_REFERENCE_CORES: usize = 16;
@@ -49,7 +57,8 @@ pub const TAIL_CAP_MS: f64 = 100.0;
 /// Maps a load fraction to its bucket (nearest percent; overload up to
 /// 200 % gets its own buckets so saturated predictions stay saturated).
 pub fn bucket_for(load: f64) -> usize {
-    (load.clamp(0.0, 2.0) * 100.0).round() as usize
+    let top = (LOAD_BUCKETS - 1) as f64;
+    (load.clamp(0.0, top / 100.0) * 100.0).round() as usize
 }
 
 /// Load a bucket's training rows are characterized at.
@@ -134,20 +143,43 @@ impl Predictions {
 pub struct JobMatrices {
     num_lc: usize,
     num_batch: usize,
-    training_bips: Vec<Vec<f64>>,
-    training_watts: Vec<Vec<f64>>,
-    // Observation maps are BTreeMaps, not HashMaps: every one of them is
-    // iterated on the decision path (matrix assembly, the monotone tail
-    // closure), and the SGD training-sample order must be a function of the
-    // observations alone — never of a hasher's per-process seed.
-    tail_training: BTreeMap<usize, Vec<Vec<f64>>>,
+    /// Configuration factors of the throughput and power matrices, learned
+    /// from the training applications at construction.
+    bips_factors: ConfigFactors,
+    watts_factors: ConfigFactors,
+    /// Tail factors per load bucket, learned from the library characterized
+    /// at that bucket on first use; at most [`LOAD_BUCKETS`] entries.
+    tail_factors: BTreeMap<usize, ConfigFactors>,
     tail_library: Vec<LcService>,
     oracle: Oracle,
+    // Observation maps are BTreeMaps, not HashMaps: every one of them is
+    // iterated on the decision path (the row solves, the monotone tail
+    // closure), and a float sum's order must be a function of the
+    // observations alone — never of a hasher's per-process seed.
     batch_bips_obs: Vec<BTreeMap<usize, f64>>,
     batch_watts_obs: Vec<BTreeMap<usize, f64>>,
     lc_watts_obs: Vec<BTreeMap<usize, f64>>,
+    /// Per tenant, per load bucket (at most [`LOAD_BUCKETS`]).
     tail_obs: Vec<BTreeMap<usize, BTreeMap<usize, f64>>>,
-    generation: u64,
+    learning_epochs: usize,
+}
+
+/// Epoch budget of a factor-learning SGD run. It was the runtime's
+/// per-quantum budget when every quantum refitted; it now bounds set-up and
+/// the first visit to a tail bucket, and is kept at the value the pinned
+/// behaviour was tuned under (the reference joint solver keeps the library's
+/// 200; EXPERIMENTS.md records both on the ledger — a wash in accuracy).
+const LEARNING_EPOCHS: usize = 60;
+
+/// Learns one matrix's configuration factors from its dense rows, in ln
+/// space. The configuration is fixed here, not passed per call, so stored
+/// factors can never disagree with a caller's.
+fn learn_factors(rows: &[Vec<f64>]) -> ConfigFactors {
+    let config = SgdConfig {
+        max_iters: LEARNING_EPOCHS,
+        ..SgdConfig::default()
+    };
+    ConfigFactors::learn(rows, ValueTransform::Log, &config)
 }
 
 /// Builds the tail training library: perturbed variants of every TailBench
@@ -192,28 +224,31 @@ impl JobMatrices {
         num_batch: usize,
     ) -> JobMatrices {
         assert!(num_lc > 0, "at least one LC tenant");
-        let training_bips = training_apps.iter().map(|a| oracle.bips_row(a)).collect();
-        let training_watts = training_apps.iter().map(|a| oracle.power_row(a)).collect();
+        let training_bips: Vec<_> = training_apps.iter().map(|a| oracle.bips_row(a)).collect();
+        let training_watts: Vec<_> = training_apps.iter().map(|a| oracle.power_row(a)).collect();
+        let bips_factors = learn_factors(&training_bips);
+        let watts_factors = learn_factors(&training_watts);
         JobMatrices {
             num_lc,
             num_batch,
-            training_bips,
-            training_watts,
-            tail_training: BTreeMap::new(),
+            learning_epochs: bips_factors.epochs + watts_factors.epochs,
+            bips_factors,
+            watts_factors,
+            tail_factors: BTreeMap::new(),
             tail_library: tail_library(),
             oracle,
             batch_bips_obs: vec![BTreeMap::new(); num_batch],
             batch_watts_obs: vec![BTreeMap::new(); num_batch],
             lc_watts_obs: vec![BTreeMap::new(); num_lc],
             tail_obs: vec![BTreeMap::new(); num_lc],
-            generation: 0,
         }
     }
 
-    /// The churn generation: bumped whenever a batch row is retired, so
-    /// warm solver state trained on the old row set cannot be reused.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// SGD epochs run so far to learn configuration factors: the throughput
+    /// and power factors at construction, plus each tail bucket met since.
+    /// A reconstruction that meets no new bucket leaves it unchanged.
+    pub fn learning_epochs(&self) -> usize {
+        self.learning_epochs
     }
 
     /// Number of LC tenants tracked.
@@ -292,18 +327,15 @@ impl JobMatrices {
     pub fn retire_batch(&mut self, j: usize) {
         self.batch_bips_obs[j].clear();
         self.batch_watts_obs[j].clear();
-        self.generation += 1;
     }
 
     /// Grows the matrices by one cold batch row (runtime admission),
-    /// returning the new job's batch index. The generation moves: warm
-    /// solver state sized for the old row set cannot be reused.
+    /// returning the new job's batch index.
     pub fn admit_batch(&mut self) -> usize {
         let j = self.num_batch;
         self.num_batch += 1;
         self.batch_bips_obs.push(BTreeMap::new());
         self.batch_watts_obs.push(BTreeMap::new());
-        self.generation += 1;
         j
     }
 
@@ -317,7 +349,7 @@ impl JobMatrices {
         for distance in (0..=2).rev() {
             for b in [
                 bucket.saturating_sub(distance),
-                (bucket + distance).min(200),
+                (bucket + distance).min(LOAD_BUCKETS - 1),
             ] {
                 if let Some(obs) = self.tail_obs[lc].get(&b) {
                     merged.extend(obs.iter().map(|(&c, &t)| (c, t)));
@@ -327,176 +359,47 @@ impl JobMatrices {
         merged
     }
 
-    fn tail_training_rows(&mut self, bucket: usize) -> &Vec<Vec<f64>> {
-        let oracle = self.oracle;
-        let library = &self.tail_library;
-        self.tail_training.entry(bucket).or_insert_with(|| {
-            let load = bucket_load(bucket);
-            library
-                .iter()
-                .map(|svc| {
-                    oracle
-                        .tail_row(svc, TAIL_REFERENCE_CORES, load)
-                        .into_iter()
-                        .map(|t| t.min(TAIL_CAP_MS))
-                        .collect()
-                })
-                .collect()
-        })
-    }
-
-    /// Runs the reconstructions on the calling thread (§V runs them in
-    /// parallel: that is `reconstruct_session` with a pool) and returns
-    /// dense predictions for the live jobs: one throughput and one power
-    /// completion, plus a tail completion per LC tenant at that tenant's
-    /// load (`loads[lc]`).
-    pub fn reconstruct(&mut self, reconstructor: &Reconstructor, loads: &[f64]) -> Predictions {
-        self.reconstruct_session(reconstructor, loads, None, None)
-            .predictions
-    }
-
-    /// [`JobMatrices::reconstruct`] with session state: the per-matrix
-    /// fan-out (and any parallel SGD) runs on `pool` when one is given, and
-    /// `warm` carries fitted models between quanta so each completion can
-    /// refine the previous factors instead of cold-starting.
-    ///
-    /// Warm state self-invalidates when the matrices' churn
-    /// [`generation`](JobMatrices::generation) has moved (a batch row was
-    /// retired), and each completion independently falls back to a cold fit
-    /// on any shape mismatch. With `pool = None` and `warm = None` this is
-    /// bit-identical to [`JobMatrices::reconstruct`].
-    pub fn reconstruct_session(
-        &mut self,
-        reconstructor: &Reconstructor,
-        loads: &[f64],
-        pool: Option<&WorkerPool>,
-        warm: Option<(&WarmStartConfig, &mut WarmState)>,
-    ) -> ReconstructOutcome {
-        assert_eq!(loads.len(), self.num_lc, "one load per LC tenant");
-        let cols = NUM_JOB_CONFIGS;
-        let buckets: Vec<usize> = loads.iter().map(|&l| bucket_for(l)).collect();
-
-        // Throughput matrix: training rows then live batch rows.
-        let t_rows = self.training_bips.len();
-        let mut bips_m = RatingMatrix::new(t_rows + self.num_batch, cols);
-        for (r, row) in self.training_bips.iter().enumerate() {
-            bips_m.fill_row(r, row);
+    /// Learns `bucket`'s tail factors unless already known: characterizes
+    /// the library at the bucket's load through the oracle, then one SGD fit.
+    fn learn_tail_factors(&mut self, bucket: usize) {
+        if self.tail_factors.contains_key(&bucket) {
+            return;
         }
-        for (j, obs) in self.batch_bips_obs.iter().enumerate() {
-            for (&c, &v) in obs {
-                bips_m.set(t_rows + j, c, v);
-            }
-        }
-
-        // Power matrix: training rows, live batch rows, then one row per
-        // LC tenant in priority order.
-        let mut watts_m = RatingMatrix::new(t_rows + self.num_batch + self.num_lc, cols);
-        for (r, row) in self.training_watts.iter().enumerate() {
-            watts_m.fill_row(r, row);
-        }
-        for (j, obs) in self.batch_watts_obs.iter().enumerate() {
-            for (&c, &v) in obs {
-                watts_m.set(t_rows + j, c, v);
-            }
-        }
-        for (lc, obs) in self.lc_watts_obs.iter().enumerate() {
-            for (&c, &v) in obs {
-                watts_m.set(t_rows + self.num_batch + lc, c, v);
-            }
-        }
-
-        // One tail matrix per tenant at that tenant's bucket: library rows
-        // then the tenant's live row.
-        let lib_row_sets: Vec<Vec<Vec<f64>>> = buckets
+        let load = bucket_load(bucket);
+        let rows: Vec<Vec<f64>> = self
+            .tail_library
             .iter()
-            .map(|&b| self.tail_training_rows(b).clone())
-            .collect();
-        let tail_ms: Vec<RatingMatrix> = lib_row_sets
-            .iter()
-            .zip(&buckets)
-            .enumerate()
-            .map(|(lc, (lib_rows, &bucket))| {
-                let mut tail_m = RatingMatrix::new(lib_rows.len() + 1, cols);
-                for (r, row) in lib_rows.iter().enumerate() {
-                    tail_m.fill_row(r, row);
-                }
-                if let Some(obs) = self.tail_obs[lc].get(&bucket) {
-                    for (&c, &v) in obs {
-                        tail_m.set(lib_rows.len(), c, v);
-                    }
-                }
-                tail_m
+            .map(|svc| {
+                self.oracle
+                    .tail_row(svc, TAIL_REFERENCE_CORES, load)
+                    .into_iter()
+                    .map(|t| t.min(TAIL_CAP_MS))
+                    .collect()
             })
             .collect();
+        let factors = learn_factors(&rows);
+        self.learning_epochs += factors.epochs;
+        self.tail_factors.insert(bucket, factors);
+    }
 
-        // Take the priors *out* of the warm state: the completions borrow
-        // them immutably while the state waits to receive the new models.
-        let (warm_cfg, mut state) = match warm {
-            Some((cfg, s)) => {
-                if s.generation != self.generation {
-                    s.clear();
-                    s.generation = self.generation;
-                }
-                (Some(cfg), Some(s))
-            }
-            None => (None, None),
+    /// Returns dense predictions for the live jobs: every batch job's
+    /// throughput and power row, every LC tenant's power row, and every
+    /// tenant's tail row at that tenant's load (`loads[lc]`), each folded
+    /// into its matrix's configuration factors from the row's own
+    /// observations. Observed entries pass through exactly.
+    pub fn reconstruct(&mut self, loads: &[f64]) -> Predictions {
+        assert_eq!(loads.len(), self.num_lc, "one load per LC tenant");
+        let buckets: Vec<usize> = loads.iter().map(|&l| bucket_for(l)).collect();
+        for &bucket in &buckets {
+            self.learn_tail_factors(bucket);
+        }
+
+        let fold = |factors: &ConfigFactors, obs: &[BTreeMap<usize, f64>]| -> Vec<Vec<f64>> {
+            obs.iter().map(|o| factors.fold_in(o)).collect()
         };
-        let prior_bips = state.as_mut().and_then(|s| s.bips.take());
-        let prior_watts = state.as_mut().and_then(|s| s.watts.take());
-        let prior_tails: Vec<Option<SgdModel>> = buckets
-            .iter()
-            .enumerate()
-            .map(|(lc, &b)| state.as_mut().and_then(|s| s.tails.remove(&(lc, b))))
-            .collect();
-
-        fn pair<'a>(
-            warm_cfg: Option<&'a WarmStartConfig>,
-            prior: &'a Option<SgdModel>,
-        ) -> Option<(&'a WarmStartConfig, &'a SgdModel)> {
-            warm_cfg.and_then(|cfg| prior.as_ref().map(|m| (cfg, m)))
-        }
-        let mut inputs: Vec<SessionInput<'_>> = vec![
-            SessionInput {
-                matrix: &bips_m,
-                transform: ValueTransform::Log,
-                warm: pair(warm_cfg, &prior_bips),
-            },
-            SessionInput {
-                matrix: &watts_m,
-                transform: ValueTransform::Log,
-                warm: pair(warm_cfg, &prior_watts),
-            },
-        ];
-        for (tail_m, prior) in tail_ms.iter().zip(&prior_tails) {
-            inputs.push(SessionInput {
-                matrix: tail_m,
-                transform: ValueTransform::Log,
-                warm: pair(warm_cfg, prior),
-            });
-        }
-        let completed = reconstructor.complete_all_session(pool, &inputs);
-        drop(inputs);
-        let warm_solves = completed.iter().filter(|c| c.warm_started).count();
-        let warm_epochs = completed
-            .iter()
-            .filter(|c| c.warm_started)
-            .map(|c| c.model.epochs)
-            .sum();
-        if let Some(s) = state {
-            s.bips = Some(completed[0].model.clone());
-            s.watts = Some(completed[1].model.clone());
-            for (lc, &b) in buckets.iter().enumerate() {
-                s.tails.insert((lc, b), completed[2 + lc].model.clone());
-            }
-        }
-        let (bips_d, watts_d) = (&completed[0].dense, &completed[1].dense);
-
-        let batch_bips = (0..self.num_batch)
-            .map(|j| (0..cols).map(|c| bips_d.get(t_rows + j, c)).collect())
-            .collect();
-        let batch_watts = (0..self.num_batch)
-            .map(|j| (0..cols).map(|c| watts_d.get(t_rows + j, c)).collect())
-            .collect();
+        let batch_bips = fold(&self.bips_factors, &self.batch_bips_obs);
+        let batch_watts = fold(&self.watts_factors, &self.batch_watts_obs);
+        let lc_watts = fold(&self.watts_factors, &self.lc_watts_obs);
 
         let dominates = |a: simulator::JobConfig, b: simulator::JobConfig| {
             a.core.fe >= b.core.fe
@@ -504,14 +407,14 @@ impl JobMatrices {
                 && a.core.ls >= b.core.ls
                 && a.cache >= b.cache
         };
-        let lc_preds = (0..self.num_lc)
-            .map(|lc| {
-                let tail_d = &completed[2 + lc].dense;
-                let live_row = lib_row_sets[lc].len();
-                let watts = (0..cols)
-                    .map(|c| watts_d.get(t_rows + self.num_batch + lc, c))
-                    .collect();
-                let tail: Vec<f64> = (0..cols).map(|c| tail_d.get(live_row, c)).collect();
+        let unobserved = BTreeMap::new();
+        let lc_preds = lc_watts
+            .into_iter()
+            .zip(&buckets)
+            .enumerate()
+            .map(|(lc, (watts, bucket))| {
+                let obs = self.tail_obs[lc].get(bucket).unwrap_or(&unobserved);
+                let tail = self.tail_factors[bucket].fold_in(obs);
 
                 // Monotone closure over (neighbour-merged) direct
                 // observations: tail latency is monotone in every resource
@@ -519,7 +422,7 @@ impl JobMatrices {
                 // configuration X dominates and upper-bounds every
                 // configuration dominating X. Upper bounds are applied last
                 // — direct evidence of safety trumps interpolation.
-                let obs = self.tail_observations_near(lc, buckets[lc]);
+                let obs = self.tail_observations_near(lc, *bucket);
                 let mut tail_guarded = tail.clone();
                 for (&x, &t) in &obs {
                     let xc = simulator::JobConfig::from_index(x);
@@ -547,60 +450,12 @@ impl JobMatrices {
             })
             .collect();
 
-        ReconstructOutcome {
-            predictions: Predictions {
-                batch_bips,
-                batch_watts,
-                lc: lc_preds,
-            },
-            warm_solves,
-            warm_epochs,
+        Predictions {
+            batch_bips,
+            batch_watts,
+            lc: lc_preds,
         }
     }
-}
-
-/// Warm solver state carried between quanta by the reconstruct stage.
-///
-/// One slot each for the throughput and power completions; tail completions
-/// are keyed `(tenant, load bucket)` because a bucket change swaps the
-/// training rows under the model (the handful of per-bucket models this
-/// accumulates is tiny — rank-2 factors over ~21 rows). The state remembers
-/// the churn [`JobMatrices::generation`] it was trained at and
-/// self-invalidates wholesale when any batch row has been retired since — a
-/// deliberate simplification: churn is rare and a spurious cold start only
-/// costs one quantum of solver budget.
-#[derive(Debug, Default)]
-pub struct WarmState {
-    generation: u64,
-    bips: Option<SgdModel>,
-    watts: Option<SgdModel>,
-    // lint:allow(DET-HASH-ITER, reason = "keyed lookup/insert/remove only; the map is never iterated, so hasher order cannot reach the SGD sample stream or any decision")
-    tails: HashMap<(usize, usize), SgdModel>,
-}
-
-impl WarmState {
-    /// Discards every stored model; the next quantum cold-starts.
-    pub fn clear(&mut self) {
-        self.bips = None;
-        self.watts = None;
-        self.tails.clear();
-    }
-
-    /// Whether no model is currently stored.
-    pub fn is_empty(&self) -> bool {
-        self.bips.is_none() && self.watts.is_none() && self.tails.is_empty()
-    }
-}
-
-/// What a session reconstruction did, beyond the predictions themselves.
-pub struct ReconstructOutcome {
-    /// The completed predictions (identical role to what
-    /// [`JobMatrices::reconstruct`] returns).
-    pub predictions: Predictions,
-    /// Completions this quantum that warm-started from a prior model.
-    pub warm_solves: usize,
-    /// SGD epochs actually run by the warm-started completions.
-    pub warm_epochs: usize,
 }
 
 #[cfg(test)]
@@ -611,16 +466,18 @@ mod tests {
     use simulator::{Chip, JobConfig, SystemParams};
     use workloads::batch;
 
+    fn oracle() -> Oracle {
+        Oracle::new(Chip::new(SystemParams::default(), CoreKind::Reconfigurable))
+    }
+
     fn matrices() -> JobMatrices {
-        let oracle = Oracle::new(Chip::new(SystemParams::default(), CoreKind::Reconfigurable));
         let training: Vec<AppProfile> = batch::training_set().iter().map(|b| b.profile).collect();
-        JobMatrices::new(oracle, &training, 1, 4)
+        JobMatrices::new(oracle(), &training, 1, 4)
     }
 
     fn matrices_two_lc() -> JobMatrices {
-        let oracle = Oracle::new(Chip::new(SystemParams::default(), CoreKind::Reconfigurable));
         let training: Vec<AppProfile> = batch::training_set().iter().map(|b| b.profile).collect();
-        JobMatrices::new(oracle, &training, 2, 4)
+        JobMatrices::new(oracle(), &training, 2, 4)
     }
 
     #[test]
@@ -632,6 +489,9 @@ mod tests {
         assert_eq!(bucket_for(1.0), 100);
         assert_eq!(bucket_for(2.0), 200);
         assert_eq!(bucket_for(5.0), 200);
+        for step in 0..=1000 {
+            assert!(bucket_for(step as f64 * 0.01) < LOAD_BUCKETS);
+        }
         assert!((bucket_load(85) - 0.85).abs() < 1e-12);
     }
 
@@ -662,7 +522,7 @@ mod tests {
         ] {
             m.record_sample(1, cfg, truth[cfg], truth_w[cfg]);
         }
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         let rel_sum: f64 = preds.batch_bips[0]
             .iter()
             .zip(&truth)
@@ -675,8 +535,8 @@ mod tests {
     #[test]
     fn tail_predictions_use_the_right_bucket() {
         let mut m = matrices();
-        let p_low = m.reconstruct(&Reconstructor::default(), &[0.2]);
-        let p_high = m.reconstruct(&Reconstructor::default(), &[0.85]);
+        let p_low = m.reconstruct(&[0.2]);
+        let p_high = m.reconstruct(&[0.85]);
         let idx = JobConfig::profiling_low().index();
         assert!(
             p_high.lc[0].tail[idx] > p_low.lc[0].tail[idx],
@@ -689,7 +549,7 @@ mod tests {
         let mut m = matrices();
         m.record_sample(1, 5, 2.5, 3.5);
         m.record_tail(0, 0.8, TAIL_REFERENCE_CORES, 7, 4.2);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         assert!((preds.batch_bips[0][5] - 2.5).abs() < 1e-12);
         assert!((preds.batch_watts[0][5] - 3.5).abs() < 1e-12);
         assert!((preds.lc[0].tail[7] - 4.2).abs() < 1e-12);
@@ -701,7 +561,7 @@ mod tests {
         m.record_sample(2, 9, 1.0, 1.0);
         m.record_sample(2, 9, 2.0, 2.0);
         assert_eq!(m.batch_observations(1), 1);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.5]);
+        let preds = m.reconstruct(&[0.5]);
         assert!((preds.batch_bips[1][9] - 2.0).abs() < 1e-12);
     }
 
@@ -717,7 +577,7 @@ mod tests {
         ] {
             m.record_sample(0, cfg, 0.0, truth[cfg]);
         }
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         let rel_sum: f64 = preds.lc[0]
             .watts
             .iter()
@@ -748,7 +608,7 @@ mod tests {
     #[test]
     fn rescaling_applies_the_fluid_core_ratio() {
         let mut m = matrices();
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         let idx = JobConfig::profiling_high().index();
         // Halving the cores doubles the per-core load ratio and hence the
         // predicted tail; power rows are per-core and fixed.
@@ -788,7 +648,7 @@ mod tests {
         m.record_tail(1, 0.8, TAIL_REFERENCE_CORES, 7, 9.9);
         m.record_lc_power(0, 5, 3.0);
         m.record_lc_power(1, 5, 6.0);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8, 0.8]);
+        let preds = m.reconstruct(&[0.8, 0.8]);
         assert_eq!(preds.lc.len(), 2);
         assert!((preds.lc[0].tail[7] - 4.2).abs() < 1e-12);
         assert!((preds.lc[1].tail[7] - 9.9).abs() < 1e-12);
@@ -800,7 +660,7 @@ mod tests {
     fn tenants_reconstruct_at_their_own_loads() {
         let mut m = matrices_two_lc();
         let idx = JobConfig::profiling_low().index();
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.2, 0.9]);
+        let preds = m.reconstruct(&[0.2, 0.9]);
         assert!(
             preds.lc[1].tail[idx] > preds.lc[0].tail[idx],
             "the loaded tenant must see worse narrow-config tails"
@@ -814,95 +674,156 @@ mod tests {
         assert_eq!(m.batch_observations(0), 1);
         m.retire_batch(0);
         assert_eq!(m.batch_observations(0), 0);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         // Without live observations the row interpolates from training data
         // only — the exact observed value must no longer pass through.
         assert!((preds.batch_bips[0][5] - 2.5).abs() > 1e-9);
     }
 
-    #[test]
-    fn session_reconstruct_without_state_matches_plain_reconstruct() {
-        let mut a = matrices();
-        let mut b = matrices();
-        a.record_sample(1, 5, 2.5, 3.5);
-        b.record_sample(1, 5, 2.5, 3.5);
-        let plain = a.reconstruct(&Reconstructor::default(), &[0.8]);
-        let pool = WorkerPool::new(2);
-        let session = b.reconstruct_session(&Reconstructor::default(), &[0.8], Some(&pool), None);
-        assert_eq!(session.warm_solves, 0);
-        assert_eq!(plain.batch_bips, session.predictions.batch_bips);
-        assert_eq!(plain.lc[0].tail, session.predictions.lc[0].tail);
+    fn mean_rel_err(pred: &[f64], truth: &[f64]) -> f64 {
+        let sum: f64 = pred.iter().zip(truth).map(|(p, t)| (p - t).abs() / t).sum();
+        sum / truth.len() as f64
+    }
+
+    /// The reference solver's answer for one live row: the paper's joint fit
+    /// over `training` plus the row, re-run from scratch.
+    fn joint_fit_row(training: &[Vec<f64>], live: &BTreeMap<usize, f64>) -> Vec<f64> {
+        let mut m = recsys::RatingMatrix::new(training.len() + 1, NUM_JOB_CONFIGS);
+        for (r, row) in training.iter().enumerate() {
+            m.fill_row(r, row);
+        }
+        for (&c, &v) in live {
+            m.set(training.len(), c, v);
+        }
+        let dense = recsys::Reconstructor::default().complete(&m, ValueTransform::Log);
+        dense.row(training.len()).to_vec()
     }
 
     #[test]
-    fn warm_state_is_used_and_survives_between_quanta() {
-        let mut m = matrices();
-        m.record_sample(1, 5, 2.5, 3.5);
-        let warm_cfg = WarmStartConfig::default();
-        let mut state = WarmState::default();
-        let first = m.reconstruct_session(
-            &Reconstructor::default(),
-            &[0.8],
-            None,
-            Some((&warm_cfg, &mut state)),
-        );
-        // Nothing to start from in quantum one; models are now stored.
-        assert_eq!(first.warm_solves, 0);
-        assert!(!state.is_empty());
-        let second = m.reconstruct_session(
-            &Reconstructor::default(),
-            &[0.8],
-            None,
-            Some((&warm_cfg, &mut state)),
-        );
-        // Same shapes, same buckets: all three completions warm-start.
-        assert_eq!(second.warm_solves, 3);
-        assert!(second.warm_epochs <= 3 * warm_cfg.max_epochs);
+    fn fold_in_is_no_worse_than_the_joint_fit_on_every_held_out_application() {
+        let oracle = oracle();
+        let training = batch::training_set();
+        let train_b: Vec<_> = training
+            .iter()
+            .map(|t| oracle.bips_row(&t.profile))
+            .collect();
+        let train_w: Vec<_> = training
+            .iter()
+            .map(|t| oracle.power_row(&t.profile))
+            .collect();
+        for app in batch::testing_set() {
+            let (b, w) = (
+                oracle.bips_row(&app.profile),
+                oracle.power_row(&app.profile),
+            );
+            let mut m = matrices();
+            let (mut obs_b, mut obs_w) = (BTreeMap::new(), BTreeMap::new());
+            for c in [JobConfig::profiling_high(), JobConfig::profiling_low()] {
+                m.record_sample(1, c.index(), b[c.index()], w[c.index()]);
+                obs_b.insert(c.index(), b[c.index()]);
+                obs_w.insert(c.index(), w[c.index()]);
+            }
+            let preds = m.reconstruct(&[0.8]);
+            for (metric, truth, fold, joint) in [
+                (
+                    "throughput",
+                    &b,
+                    &preds.batch_bips[0],
+                    joint_fit_row(&train_b, &obs_b),
+                ),
+                (
+                    "power",
+                    &w,
+                    &preds.batch_watts[0],
+                    joint_fit_row(&train_w, &obs_w),
+                ),
+            ] {
+                let (fold, joint) = (mean_rel_err(fold, truth), mean_rel_err(&joint, truth));
+                assert!(
+                    fold <= joint + 0.005,
+                    "{} {metric}: fold-in mean relative error {fold:.4} vs joint fit {joint:.4}",
+                    app.name
+                );
+            }
+        }
     }
 
     #[test]
-    fn churn_generation_invalidates_warm_state() {
-        let mut m = matrices();
-        m.record_sample(1, 5, 2.5, 3.5);
-        let warm_cfg = WarmStartConfig::default();
-        let mut state = WarmState::default();
-        let _ = m.reconstruct_session(
-            &Reconstructor::default(),
-            &[0.8],
-            None,
-            Some((&warm_cfg, &mut state)),
-        );
-        assert!(!state.is_empty());
-        m.retire_batch(0);
-        let after = m.reconstruct_session(
-            &Reconstructor::default(),
-            &[0.8],
-            None,
-            Some((&warm_cfg, &mut state)),
-        );
-        // The generation moved: every completion must have cold-started.
-        assert_eq!(after.warm_solves, 0);
+    fn fold_in_is_no_worse_than_the_joint_fit_on_a_tail_row() {
+        let oracle = oracle();
+        let svc = latency::service_by_name("xapian").unwrap();
+        let seen = JobConfig::profiling_high().index();
+        for load in [0.2, 0.85] {
+            let capped = |row: Vec<f64>| row.into_iter().map(|t| t.min(TAIL_CAP_MS)).collect();
+            let truth: Vec<f64> = capped(oracle.tail_row(&svc, TAIL_REFERENCE_CORES, load));
+            let library: Vec<Vec<f64>> = tail_library()
+                .iter()
+                .map(|lib| capped(oracle.tail_row(lib, TAIL_REFERENCE_CORES, load)))
+                .collect();
+            let mut m = matrices();
+            m.record_tail(0, load, TAIL_REFERENCE_CORES, seen, truth[seen]);
+            let fold = mean_rel_err(&m.reconstruct(&[load]).lc[0].tail, &truth);
+            let joint = mean_rel_err(
+                &joint_fit_row(&library, &BTreeMap::from([(seen, truth[seen])])),
+                &truth,
+            );
+            assert!(
+                fold <= joint + 0.005,
+                "load {load}: fold-in mean relative tail error {fold:.4} vs joint fit {joint:.4}"
+            );
+        }
     }
 
     #[test]
-    fn a_bucket_change_cold_starts_only_the_tail_completion() {
+    fn a_slot_reused_after_churn_predicts_what_a_fresh_bookkeeping_predicts() {
+        let oracle = oracle();
+        let [old, new] = [0, 1].map(|i| batch::testing_set()[i].profile);
+        let sample = |m: &mut JobMatrices, app: &AppProfile| {
+            let (b, w) = (oracle.bips_row(app), oracle.power_row(app));
+            for c in [JobConfig::profiling_high(), JobConfig::profiling_low()] {
+                m.record_sample(1, c.index(), b[c.index()], w[c.index()]);
+            }
+        };
+        let mut used = matrices();
+        sample(&mut used, &old);
+        used.record_sample(3, 40, 1.7, 2.9);
+        let _ = used.reconstruct(&[0.8]);
+        used.retire_batch(0);
+        sample(&mut used, &new);
+        let reused = used.reconstruct(&[0.8]);
+
+        let mut fresh = matrices();
+        sample(&mut fresh, &new);
+        let first = fresh.reconstruct(&[0.8]);
+        // Nothing of the departed job, of the other rows, or of the earlier
+        // reconstruction reaches the row: there is no state to invalidate.
+        assert_eq!(reused.batch_bips[0], first.batch_bips[0]);
+        assert_eq!(reused.batch_watts[0], first.batch_watts[0]);
+
+        // Admission grows the matrices without moving any existing row.
+        let j = used.admit_batch();
+        let grown = used.reconstruct(&[0.8]);
+        assert_eq!(grown.batch_bips[..j], reused.batch_bips[..]);
+        assert_eq!(grown.batch_watts[..j], reused.batch_watts[..]);
+        assert_eq!(grown.lc[0].tail, reused.lc[0].tail);
+        assert_eq!(grown.lc[0].watts, reused.lc[0].watts);
+    }
+
+    #[test]
+    fn sgd_runs_only_to_learn_a_tail_bucket_met_for_the_first_time() {
         let mut m = matrices();
+        let at_setup = m.learning_epochs();
+        assert!(at_setup > 0, "throughput and power factors are learned");
+        let _ = m.reconstruct(&[0.8]);
+        let first_visit = m.learning_epochs();
+        assert!(first_visit > at_setup);
         m.record_sample(1, 5, 2.5, 3.5);
-        let warm_cfg = WarmStartConfig::default();
-        let mut state = WarmState::default();
-        let _ = m.reconstruct_session(
-            &Reconstructor::default(),
-            &[0.8],
-            None,
-            Some((&warm_cfg, &mut state)),
-        );
-        let moved = m.reconstruct_session(
-            &Reconstructor::default(),
-            &[0.5],
-            None,
-            Some((&warm_cfg, &mut state)),
-        );
-        // Throughput and power warm-start; the 0.5-load tail bucket is new.
-        assert_eq!(moved.warm_solves, 2);
+        m.record_tail(0, 0.8, TAIL_REFERENCE_CORES, 7, 4.2);
+        let _ = m.reconstruct(&[0.8]);
+        let _ = m.reconstruct(&[0.802]);
+        assert_eq!(m.learning_epochs(), first_visit, "same bucket, no SGD");
+        let _ = m.reconstruct(&[0.5]);
+        assert!(m.learning_epochs() > first_visit, "a new bucket is learned");
+        assert!(m.tail_factors.len() <= LOAD_BUCKETS);
     }
 }

@@ -28,23 +28,18 @@
 //! aborts the remaining stages — the manager then replays its last-good
 //! decision (see [`crate::faults`] for the degradation ladder).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use baselines::ga::{ga_search, GaParams};
 use dds::{parallel_search, Objective, ParallelDdsParams, SearchSpace, SoftPenalty};
-use recsys::{Reconstructor, WarmStartConfig};
 use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
-use util::WorkerPool;
 
 use crate::accounting::{gate_descending_power, PowerAccount};
 use crate::faults::{
     poison_predictions, prediction_defects, DecisionError, QuantumFaults, ResilienceConfig,
     StageError,
 };
-use crate::matrices::{
-    bucket_for, effective_load, JobMatrices, LcPrediction, Predictions, WarmState,
-};
+use crate::matrices::{bucket_for, effective_load, JobMatrices, LcPrediction, Predictions};
 use crate::telemetry::StageTelemetry;
 use crate::types::{
     BatchAction, LcAssignment, Plan, ProfilePlan, ProfileSample, SamplePoint, SliceInfo,
@@ -142,12 +137,6 @@ pub trait ReconstructStage {
         ctx: &mut DecisionCtx,
         tel: &mut StageTelemetry,
     ) -> Result<Predictions, StageError>;
-
-    /// Drops any warm-start state carried between quanta. The pipeline
-    /// calls this when the sanity gate rejects a reconstruction, so a
-    /// diverged model is never refined into the next quantum. The default
-    /// is a no-op for stages that keep no such state.
-    fn discard_warm_state(&mut self) {}
 }
 
 /// Stage 3: core relocation and LC configuration pinning (§VI-A).
@@ -255,7 +244,7 @@ fn check_deadline(
 /// wall milliseconds it took. A failed stage returns its error alone, so the
 /// caller's `?` leaves that stage's wall-time field untouched.
 fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), StageError> {
-    // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
+    // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible")
     // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
     let t = Instant::now();
     let out = stage()?;
@@ -287,7 +276,7 @@ impl DecisionPipeline {
         // stage telemetry and the deadline check (a real-time bound from the
         // paper's 100ms quantum), never the plan itself — every stage output
         // is a pure function of ctx/probe state.
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible, like the PR-4 warm start")
+        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible")
         // lint:allow(DET-WALLCLOCK, reason = "deadline budget for the 100ms quantum; timing feeds telemetry and abort-on-overrun, not plan content")
         let start = Instant::now();
         let budget = ctx.resilience.deadline_ms;
@@ -307,8 +296,6 @@ impl DecisionPipeline {
         // while they are fresh enough.
         let defects = prediction_defects(&raw, ctx.resilience);
         if defects > 0 {
-            // A diverged solve must not seed the next quantum's warm start.
-            self.reconstruct.discard_warm_state();
             match ctx.last_good_preds {
                 Some((lg, age)) if age <= ctx.resilience.staleness_bound => {
                     tel.degradation.reconstruct_fallback = true;
@@ -484,46 +471,12 @@ impl ProfileStage for SplitHalvesProfile {
     }
 }
 
-/// §V: collaborative-filtering completion of the rating matrices via
-/// parallel SGD.
-pub struct CfReconstruct {
-    reconstructor: Reconstructor,
-    pool: Option<Arc<WorkerPool>>,
-    warm: Option<(WarmStartConfig, WarmState)>,
-}
-
-impl CfReconstruct {
-    /// Wraps a configured reconstructor. Solves spawn their own threads and
-    /// cold-start every quantum; see [`CfReconstruct::with_pool`] and
-    /// [`CfReconstruct::with_warm_start`].
-    pub fn new(reconstructor: Reconstructor) -> CfReconstruct {
-        CfReconstruct {
-            reconstructor,
-            pool: None,
-            warm: None,
-        }
-    }
-
-    /// Runs the per-matrix solves on a shared long-lived worker pool
-    /// (`None`: inline on the deciding thread). Numerically invisible for
-    /// the default serial-SGD reconstructor; a HOGWILD reconstructor
-    /// (`threads > 1`) races only when it has a pool to race on.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> CfReconstruct {
-        self.pool = pool;
-        self
-    }
-
-    /// Keeps each quantum's factor models and refines them with a short
-    /// decayed-learning-rate schedule next quantum instead of cold-starting.
-    /// State self-invalidates on job churn (matrix generation) and is
-    /// discarded whenever the pipeline's sanity gate trips.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: Option<WarmStartConfig>) -> CfReconstruct {
-        self.warm = warm.map(|cfg| (cfg, WarmState::default()));
-        self
-    }
-}
+/// §V: collaborative-filtering completion of the rating matrices — every
+/// live row folded into the configuration factors SGD learned from the
+/// known applications ([`JobMatrices::reconstruct`]). Stateless: the factors
+/// live with the matrices they were learned from.
+#[derive(Debug, Default)]
+pub struct CfReconstruct;
 
 impl ReconstructStage for CfReconstruct {
     fn reconstruct(
@@ -536,10 +489,8 @@ impl ReconstructStage for CfReconstruct {
         if ctx.faults.reconstruct_stall_ms > 0.0 {
             tel.degradation.injected_stall_ms += ctx.faults.reconstruct_stall_ms;
         }
-        // Hogwild SGD runs a fixed epoch count per matrix; throughput and
-        // power complete once per quantum, tails once per LC tenant. Each
-        // tenant's tail row is completed at the effective load of the cores
-        // it holds after relocation, the axis its observations live on.
+        // Each tenant's tail row is completed at the effective load of the
+        // cores it holds after relocation, the axis its observations live on.
         let loads: Vec<f64> = ctx
             .info
             .lc
@@ -547,32 +498,17 @@ impl ReconstructStage for CfReconstruct {
             .zip(ctx.lc.iter())
             .map(|(l, a)| effective_load(l.load, a.cores))
             .collect();
-        let outcome = ctx.matrices.reconstruct_session(
-            &self.reconstructor,
-            &loads,
-            self.pool.as_deref(),
-            self.warm.as_mut().map(|(cfg, state)| (&*cfg, state)),
-        );
-        // Warm solves run a short refinement schedule; cold solves run the
-        // full epoch budget. With warm start off this reduces to the old
-        // `(2 + tenants) * max_iters` accounting exactly.
-        tel.sgd_epochs += (2 + loads.len() - outcome.warm_solves)
-            * self.reconstructor.config.max_iters
-            + outcome.warm_epochs;
-        tel.warm_solves += outcome.warm_solves;
-        let mut preds = outcome.predictions;
+        // SGD runs in a quantum only to learn the factors of a tail bucket
+        // met for the first time; the count is what actually ran.
+        let epochs_before = ctx.matrices.learning_epochs();
+        let mut preds = ctx.matrices.reconstruct(&loads);
+        tel.sgd_epochs += ctx.matrices.learning_epochs() - epochs_before;
         // An injected divergence poisons the output with NaN — the
         // pipeline's sanity gate is expected to catch exactly this.
         if ctx.faults.reconstruct_diverge {
             poison_predictions(&mut preds);
         }
         Ok(preds)
-    }
-
-    fn discard_warm_state(&mut self) {
-        if let Some((_, state)) = &mut self.warm {
-            state.clear();
-        }
     }
 }
 
@@ -965,7 +901,7 @@ mod tests {
                 simulator::SystemParams::default(),
                 simulator::power::CoreKind::Reconfigurable,
             )),
-            &[],
+            &[simulator::AppProfile::balanced()],
             1,
             4,
         )
@@ -1271,7 +1207,7 @@ mod tests {
                 simulator::SystemParams::default(),
                 simulator::power::CoreKind::Reconfigurable,
             )),
-            &[],
+            &[simulator::AppProfile::balanced()],
             2,
             4,
         );

@@ -7,11 +7,12 @@
 //!    tenant's cores run the widest-issue configuration and half the
 //!    narrowest (swapped in the second frame, to avoid a chip-wide power
 //!    overshoot), each job holding one LLC way ([`SplitHalvesProfile`]).
-//! 2. **Reconstruct** the throughput, tail-latency, and power matrices with
-//!    parallel SGD, seeded by the offline-characterized training
-//!    applications and all observations accumulated from previous steady
-//!    states ([`CfReconstruct`]). One tail matrix is completed per LC
-//!    tenant, at that tenant's current load.
+//! 2. **Reconstruct** the throughput, tail-latency, and power rows of every
+//!    live job: each is folded, in closed form, into the configuration
+//!    factors SGD learned once from the offline-characterized training
+//!    applications, using the job's profiling samples and all observations
+//!    accumulated from previous steady states ([`CfReconstruct`]). One tail
+//!    row is completed per LC tenant, at that tenant's current load.
 //! 3. **Pin each LC configuration** in priority order: scan the tenant's
 //!    reconstructed tail row for configurations meeting its QoS; take the
 //!    smallest cache allocation and, among those, the lowest predicted
@@ -59,13 +60,9 @@
 //! Every rung is recorded in the quantum's
 //! [`crate::telemetry::DegradationEvents`].
 
-use std::sync::Arc;
-
 use dds::ParallelDdsParams;
-use recsys::{Reconstructor, SgdConfig, WarmStartConfig};
 use simulator::power::CoreKind;
 use simulator::Chip;
-use util::WorkerPool;
 use workloads::batch;
 use workloads::oracle::Oracle;
 
@@ -84,63 +81,6 @@ use crate::types::{
     SliceOutcome,
 };
 
-/// Performance knobs for the decision quantum's compute path.
-///
-/// Both knobs belong to reconstruction; the search stage has none — its
-/// objective is a walk over per-search tables, too cheap to memoise or to
-/// ship to another thread, so DDS runs inline on the deciding thread.
-///
-/// * **Worker pool** — long-lived threads reused across quanta, on which
-///   reconstruction fans out its per-matrix solves. Width is immaterial to
-///   the decisions: any pool, and no pool at all (the solves run inline),
-///   produce bit-identical records.
-/// * **Warm start** — reconstruction keeps each quantum's factor models
-///   and refines them with a short decayed-learning-rate schedule. State
-///   invalidates on job churn and whenever the sanity gate trips. The one
-///   knob that changes *what* a quantum decides: refined factors differ
-///   numerically from a cold solve (bounded by the property tests), so it
-///   defaults to off.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfConfig {
-    /// Threads in the reconstruction worker pool. `0` means no threads: the
-    /// solves run inline on the deciding thread.
-    pub pool_threads: usize,
-    /// Warm-started reconstruction schedule; `None` cold-starts every
-    /// quantum.
-    pub warm_start: Option<WarmStartConfig>,
-}
-
-impl Default for PerfConfig {
-    fn default() -> PerfConfig {
-        PerfConfig {
-            pool_threads: WorkerPool::default_threads(),
-            warm_start: None,
-        }
-    }
-}
-
-impl PerfConfig {
-    /// Replaces the worker-pool width (`0` = no threads, run inline).
-    #[must_use]
-    pub fn with_pool_threads(mut self, threads: usize) -> PerfConfig {
-        self.pool_threads = threads;
-        self
-    }
-
-    /// Enables or disables warm-started reconstruction (the default
-    /// schedule when enabled).
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> PerfConfig {
-        self.warm_start = warm.then(WarmStartConfig::default);
-        self
-    }
-
-    /// Builds the worker pool this configuration calls for, if any.
-    fn pool(&self) -> Option<Arc<WorkerPool>> {
-        (self.pool_threads > 0).then(|| Arc::new(WorkerPool::new(self.pool_threads)))
-    }
-}
-
 /// The most recent decision that fully succeeded, kept as the fallback for
 /// failed quanta while it stays within the staleness bound.
 struct LastGood {
@@ -154,10 +94,6 @@ struct LastGood {
 pub struct CuttleSysManager {
     matrices: JobMatrices,
     pipeline: DecisionPipeline,
-    reconstructor: Reconstructor,
-    search_algo: SearchAlgo,
-    perf: PerfConfig,
-    pool: Option<Arc<WorkerPool>>,
     lc: Vec<LcAllocation>,
     gated_watts: f64,
     num_batch: usize,
@@ -175,8 +111,9 @@ pub struct CuttleSysManager {
 
 impl CuttleSysManager {
     /// Builds the manager for a scenario: characterizes the 16 training
-    /// applications offline and configures the default parallel SGD +
-    /// parallel DDS pipeline.
+    /// applications offline, learns their configuration factors, and
+    /// configures the default fold-in + parallel DDS pipeline. Spawns no
+    /// thread.
     pub fn for_scenario(scenario: &Scenario) -> CuttleSysManager {
         let oracle = Oracle::new(Chip::new(scenario.params, CoreKind::Reconfigurable));
         let training: Vec<simulator::AppProfile> =
@@ -186,24 +123,16 @@ impl CuttleSysManager {
             seed: scenario.seed,
             ..Default::default()
         });
-        let reconstructor = Reconstructor::new(SgdConfig {
-            max_iters: 60,
-            ..SgdConfig::default()
-        });
-        let perf = PerfConfig::default();
-        let mut manager = CuttleSysManager {
+        let name = Self::name_for(&search);
+        CuttleSysManager {
             matrices,
             pipeline: DecisionPipeline {
                 profile: Box::new(SplitHalvesProfile),
-                reconstruct: Box::new(CfReconstruct::new(reconstructor)),
+                reconstruct: Box::new(CfReconstruct),
                 qos: Box::new(TrustRegionQos::default()),
-                search: Box::new(PenaltySearch::new(search.clone())),
+                search: Box::new(PenaltySearch::new(search)),
                 repair: Box::new(PowerCapRepair),
             },
-            reconstructor,
-            search_algo: search.clone(),
-            perf,
-            pool: None,
             lc: scenario
                 .lc_jobs()
                 .iter()
@@ -214,7 +143,7 @@ impl CuttleSysManager {
                 .collect(),
             gated_watts: scenario.params.gated_core_watts,
             num_batch: scenario.num_batch(),
-            name: Self::name_for(&search),
+            name,
             last_plan: None,
             last_loads: vec![0.0; scenario.num_lc()],
             prev_active: vec![true; scenario.num_batch()],
@@ -224,10 +153,7 @@ impl CuttleSysManager {
             injector: FaultInjector::new(scenario.faults.clone()),
             breaker: CircuitBreaker::new(),
             last_good: None,
-        };
-        manager.pool = manager.perf.pool();
-        manager.rebuild_stages();
-        manager
+        }
     }
 
     fn name_for(search: &SearchAlgo) -> String {
@@ -237,44 +163,11 @@ impl CuttleSysManager {
         }
     }
 
-    /// Rebuilds the reconstruct and search stages from the stored
-    /// configuration, so every `with_*` builder keeps the perf wiring
-    /// (pool, warm start) intact.
-    fn rebuild_stages(&mut self) {
-        self.pipeline.reconstruct = Box::new(
-            CfReconstruct::new(self.reconstructor)
-                .with_pool(self.pool.clone())
-                .with_warm_start(self.perf.warm_start),
-        );
-        self.pipeline.search = Box::new(PenaltySearch::new(self.search_algo.clone()));
-    }
-
     /// Substitutes the search algorithm (used by the Fig. 10 GA ablation).
     pub fn with_search(mut self, search: SearchAlgo) -> CuttleSysManager {
         self.name = Self::name_for(&search);
-        self.search_algo = search;
-        self.rebuild_stages();
+        self.pipeline.search = Box::new(PenaltySearch::new(search));
         self
-    }
-
-    /// Substitutes the reconstruction configuration.
-    pub fn with_reconstructor(mut self, reconstructor: Reconstructor) -> CuttleSysManager {
-        self.reconstructor = reconstructor;
-        self.rebuild_stages();
-        self
-    }
-
-    /// Substitutes the compute-path performance knobs (see [`PerfConfig`]).
-    pub fn with_perf(mut self, perf: PerfConfig) -> CuttleSysManager {
-        self.perf = perf;
-        self.pool = perf.pool();
-        self.rebuild_stages();
-        self
-    }
-
-    /// The performance knobs currently in effect.
-    pub fn perf(&self) -> PerfConfig {
-        self.perf
     }
 
     /// Substitutes the degradation-ladder bounds.
@@ -632,41 +525,13 @@ mod tests {
         assert_eq!(summary.decisions, record.slices.len());
         // The paper's 2 × 1 ms sampling cost, measured from the runtime.
         assert!((summary.mean_profile_sim_ms - 2.0).abs() < 1e-9);
-        // SGD runs a fixed 60 epochs over three matrices every quantum.
-        assert!((summary.mean_sgd_epochs - 180.0).abs() < 1e-9);
+        // A constant load meets one tail bucket, in the first quantum; SGD
+        // runs there, to learn that bucket's factors, and never again.
+        let epochs = |i: usize| record.slices[i].telemetry.as_ref().unwrap().sgd_epochs;
+        assert!(epochs(0) > 0, "the first quantum learns its tail bucket");
+        assert!((1..record.slices.len()).all(|i| epochs(i) == 0));
         assert!(summary.mean_search_evaluations > 0.0);
         assert!(summary.mean_total_wall_ms() > 0.0);
-    }
-
-    #[test]
-    fn pool_is_numerically_invisible() {
-        let scenario = quick(0.7, 0.8);
-        let pooled = {
-            let mut m = CuttleSysManager::for_scenario(&scenario);
-            run_scenario(&scenario, &mut m)
-        };
-        let inline = {
-            let perf = PerfConfig::default().with_pool_threads(0);
-            let mut m = CuttleSysManager::for_scenario(&scenario).with_perf(perf);
-            run_scenario(&scenario, &mut m)
-        };
-        assert_eq!(pooled.comparable(), inline.comparable());
-    }
-
-    #[test]
-    fn warm_start_cuts_sgd_epochs_and_reports_warm_solves() {
-        let scenario = quick(0.7, 0.8);
-        let mut manager = CuttleSysManager::for_scenario(&scenario)
-            .with_perf(PerfConfig::default().with_warm_start(true));
-        let record = run_scenario(&scenario, &mut manager);
-        let summary = record.stage_summary().expect("telemetry present");
-        assert!(summary.warm_solves > 0, "quanta after the first warm-start");
-        assert!(
-            summary.mean_sgd_epochs < 180.0,
-            "warm refinement must undercut the fixed cold schedule: {}",
-            summary.mean_sgd_epochs
-        );
-        assert!(record.batch_instructions() > 0.0);
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub struct StageTelemetry {
     /// Wall-clock time of the profiling stage (ms): issuing the split-halves
     /// frames and recording samples. Excludes the simulated frame time.
     pub profile_wall_ms: f64,
-    /// Wall-clock time of matrix reconstruction, i.e. the SGD solves (ms).
+    /// Wall-clock time of matrix reconstruction: the per-row fold-in solves,
+    /// plus learning a tail bucket's factors when one is first met (ms).
     pub reconstruct_wall_ms: f64,
     /// Wall-clock time of the QoS stage: tail-row scan, trust region, and
     /// core-relocation bookkeeping (ms).
@@ -74,10 +75,12 @@ pub struct StageTelemetry {
     pub profile_sim_ms: f64,
     /// Samples recorded into the throughput/power matrices this quantum.
     pub samples_recorded: usize,
-    /// SGD epochs executed across the three matrix completions.
+    /// SGD epochs actually run inside this quantum's decide: 0 in steady
+    /// state, the one-time cost of learning a tail bucket's factors in a
+    /// quantum that meets the bucket for the first time.
     pub sgd_epochs: usize,
-    /// Matrix completions this quantum that warm-started from the previous
-    /// quantum's factors instead of refitting from scratch.
+    /// Always 0: warm starting is gone. Retained for the perf ledger only,
+    /// like `cache_hits`.
     pub warm_solves: usize,
     /// Objective evaluations performed by the search stage.
     pub search_evaluations: usize,
@@ -126,8 +129,6 @@ pub struct TelemetrySummary {
     pub mean_samples: f64,
     /// Mean SGD epochs per quantum.
     pub mean_sgd_epochs: f64,
-    /// Total warm-started matrix completions across the run.
-    pub warm_solves: usize,
     /// Mean search evaluations per quantum.
     pub mean_search_evaluations: f64,
     /// Quanta in which a core was reclaimed for the LC service.
@@ -165,7 +166,6 @@ impl TelemetrySummary {
         let mut sim = 0.0;
         let mut samples = 0usize;
         let mut epochs = 0usize;
-        let mut warm_solves = 0usize;
         let mut evals = 0usize;
         let (mut reclaims, mut relinquishes, mut repairs) = (0usize, 0usize, 0usize);
         let mut samples_rejected = 0usize;
@@ -193,7 +193,6 @@ impl TelemetrySummary {
             sim += t.profile_sim_ms;
             samples += t.samples_recorded;
             epochs += t.sgd_epochs;
-            warm_solves += t.warm_solves;
             evals += t.search_evaluations;
             reclaims += usize::from(t.reclaimed_core);
             relinquishes += usize::from(t.relinquished_core);
@@ -220,7 +219,6 @@ impl TelemetrySummary {
             mean_profile_sim_ms: sim * inv,
             mean_samples: samples as f64 * inv,
             mean_sgd_epochs: epochs as f64 * inv,
-            warm_solves,
             mean_search_evaluations: evals as f64 * inv,
             reclaims,
             relinquishes,
@@ -270,7 +268,6 @@ impl TelemetrySummary {
             ),
             ("mean_samples".into(), J::Num(self.mean_samples)),
             ("mean_sgd_epochs".into(), J::Num(self.mean_sgd_epochs)),
-            ("warm_solves".into(), n(self.warm_solves)),
             (
                 "mean_search_evaluations".into(),
                 J::Num(self.mean_search_evaluations),
@@ -311,7 +308,7 @@ mod tests {
             repair_wall_ms: 0.01 * scale,
             profile_sim_ms: 2.0,
             samples_recorded: 34,
-            sgd_epochs: 180,
+            sgd_epochs: 0,
             warm_solves: 0,
             search_evaluations: 640,
             cache_hits: 0,

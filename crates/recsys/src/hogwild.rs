@@ -38,7 +38,7 @@ impl AtomicVec {
 
     #[inline]
     fn load(&self, i: usize) -> f64 {
-        // lint:allow(DET-TAINT, reason = "HOGWILD factor reads are racy by design (paper §V): the spread is bounded by tests/determinism.rs::hogwild_nondeterminism_is_bounded and the warm start is numerically invisible (PR 4)")
+        // lint:allow(DET-TAINT, reason = "HOGWILD factor reads are racy by design (paper §V): the spread is bounded by tests/determinism.rs::hogwild_nondeterminism_is_bounded")
         f64::from_bits(self.data[i].load(Ordering::Relaxed))
     }
 

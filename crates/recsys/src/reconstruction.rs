@@ -1,20 +1,24 @@
-//! The three-matrix reconstruction driver.
+//! The joint-fit reconstruction driver — the reference solver.
 //!
-//! Every decision interval the Resource Controller runs three reconstructions
-//! — throughput for batch jobs, tail latency for the latency-critical
-//! service, and power for every job — in parallel (§V). This module wraps
-//! the SGD machinery with the value transforms and observed-entry overlays
-//! that make the raw algorithm usable on real measurements:
+//! The paper's Resource Controller re-runs three reconstructions —
+//! throughput for batch jobs, tail latency for the latency-critical service,
+//! and power for every job — over the whole matrix every decision interval
+//! (§V). The runtime here folds live rows into factors learned once
+//! ([`crate::foldin`]); this module is the joint fit it is measured against
+//! (`paper ablation-{sgd,training-set}`, the differential tests, the perf
+//! ledger's probes). It wraps the SGD machinery with the value transforms
+//! and observed-entry overlays that make the raw algorithm usable on real
+//! measurements:
 //!
-//! * throughput and power are reconstructed in linear space;
-//! * tail latency spans orders of magnitude (saturated configurations are
-//!   reported with enormous latencies), so it is reconstructed in log space;
+//! * a matrix is reconstructed in linear or in log space — log for anything
+//!   spanning orders of magnitude, such as tail latency whose saturated
+//!   configurations report enormous values;
 //! * observed entries always pass through exactly — SGD only fills holes.
 
 use util::WorkerPool;
 
 use crate::matrix::{DenseMatrix, RatingMatrix};
-use crate::sgd::{self, SgdConfig, SgdModel, WarmStartConfig};
+use crate::sgd::{self, SgdConfig};
 
 /// Value-space transform applied before SGD and inverted afterwards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,14 +31,14 @@ pub enum ValueTransform {
 }
 
 impl ValueTransform {
-    fn forward(self, v: f64) -> f64 {
+    pub(crate) fn forward(self, v: f64) -> f64 {
         match self {
             ValueTransform::Linear => v,
             ValueTransform::Log => v.max(1e-12).ln(),
         }
     }
 
-    fn inverse(self, v: f64) -> f64 {
+    pub(crate) fn inverse(self, v: f64) -> f64 {
         match self {
             ValueTransform::Linear => v,
             ValueTransform::Log => v.exp(),
@@ -64,34 +68,8 @@ impl Reconstructor {
     ///
     /// Panics if the matrix has no observed entries.
     pub fn complete(&self, matrix: &RatingMatrix, transform: ValueTransform) -> DenseMatrix {
-        self.complete_session(matrix, transform, None).dense
-    }
-
-    /// [`Reconstructor::complete`] with session state: an optional
-    /// `(schedule, prior)` pair to warm-start from the previous quantum's
-    /// fitted model.
-    ///
-    /// The returned [`Completion`] carries the fitted model (in *transformed*
-    /// space) so the caller can feed it back as the prior next quantum. Warm
-    /// starting silently falls back to a cold fit when the prior's shape no
-    /// longer matches the matrix — `Completion::warm_started` reports what
-    /// actually happened. With `warm = None` this is
-    /// [`Reconstructor::complete`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix has no observed entries.
-    pub fn complete_session(
-        &self,
-        matrix: &RatingMatrix,
-        transform: ValueTransform,
-        warm: Option<(&WarmStartConfig, &SgdModel)>,
-    ) -> Completion {
         let transformed = matrix.map(|v| transform.forward(v));
-        let warm_model =
-            warm.and_then(|(cfg, prior)| sgd::fit_warm(&transformed, &self.config, cfg, prior));
-        let warm_started = warm_model.is_some();
-        let model = warm_model.unwrap_or_else(|| sgd::fit(&transformed, &self.config));
+        let model = sgd::fit(&transformed, &self.config);
         let (lo, hi) = transformed
             .observed_range()
             // lint:allow(PANIC-POLICY, reason = "the profiling stage never hands reconstruction an empty matrix (it seeds probe samples first); an empty one is a pipeline-ordering bug worth crashing on")
@@ -108,11 +86,7 @@ impl Reconstructor {
                 out.set(r, c, value);
             }
         }
-        Completion {
-            dense: out,
-            model,
-            warm_started,
-        }
+        out
     }
 
     /// Runs several reconstructions, one per input, on the calling thread.
@@ -122,19 +96,17 @@ impl Reconstructor {
         inputs.iter().map(|(m, t)| self.complete(m, *t)).collect()
     }
 
-    /// [`Reconstructor::complete_all`] with session state: the per-matrix
-    /// fan-out runs on the pool when one is given (inline otherwise), and
-    /// each matrix may carry its own warm-start prior. Inputs and outputs
+    /// [`Reconstructor::complete_all`] with the per-matrix fan-out on the
+    /// pool when one is given (inline otherwise). Inputs and outputs
     /// correspond by index.
     pub fn complete_all_session(
         &self,
         pool: Option<&WorkerPool>,
         inputs: &[SessionInput<'_>],
-    ) -> Vec<Completion> {
-        let mut slots: Vec<Option<Completion>> = (0..inputs.len()).map(|_| None).collect();
+    ) -> Vec<DenseMatrix> {
+        let mut slots: Vec<Option<DenseMatrix>> = vec![None; inputs.len()];
         util::pool::for_each_slot(pool, &mut slots, |i, slot| {
-            let input = &inputs[i];
-            *slot = Some(self.complete_session(input.matrix, input.transform, input.warm));
+            *slot = Some(self.complete(inputs[i].matrix, inputs[i].transform));
         });
         slots
             .into_iter()
@@ -150,18 +122,9 @@ pub struct SessionInput<'a> {
     pub matrix: &'a RatingMatrix,
     /// Value-space transform for this matrix.
     pub transform: ValueTransform,
-    /// Optional warm-start schedule and prior model (transformed space).
-    pub warm: Option<(&'a WarmStartConfig, &'a SgdModel)>,
-}
-
-/// The result of one session-aware completion.
-pub struct Completion {
-    /// The completed dense matrix (observed entries passed through).
-    pub dense: DenseMatrix,
-    /// The fitted model, in transformed space — next quantum's warm prior.
-    pub model: SgdModel,
-    /// Whether the fit actually started from the supplied prior.
-    pub warm_started: bool,
+    /// Always `None`: warm starting is gone. Retained for the perf ledger
+    /// only, whose probe writes the field.
+    pub warm: Option<std::convert::Infallible>,
 }
 
 #[cfg(test)]
@@ -279,22 +242,6 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn warm_session_reuses_the_prior_model() {
-        let (_, m) = structured(16, 20, 13, 2);
-        let rec = Reconstructor::default();
-        let first = rec.complete_session(&m, ValueTransform::Linear, None);
-        assert!(!first.warm_started);
-        let warm_cfg = WarmStartConfig::default();
-        let second =
-            rec.complete_session(&m, ValueTransform::Linear, Some((&warm_cfg, &first.model)));
-        assert!(second.warm_started);
-        assert!(second.model.epochs <= warm_cfg.max_epochs);
-        // Same observations, warm factors: the refit keeps the fit quality.
-        assert!(second.model.train_rmse <= first.model.train_rmse + 0.01);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn pooled_session_is_bit_identical_to_inline_and_to_complete_all() {
         let (_, m1) = structured(8, 10, 6, 2);
         let (_, m2) = structured(8, 10, 7, 3);
@@ -317,10 +264,7 @@ mod tests {
         let pooled = rec.complete_all_session(Some(&pool), &inputs);
         assert_eq!(pooled.len(), 2);
         // Serial SGD per matrix: who runs a matrix cannot change its bits.
-        for ((pooled, inline), plain) in pooled.iter().zip(&inline).zip(&plain) {
-            assert_eq!(pooled.dense, inline.dense);
-            assert_eq!(pooled.model, inline.model);
-            assert_eq!(&pooled.dense, plain);
-        }
+        assert_eq!(pooled, inline);
+        assert_eq!(pooled, plain);
     }
 }

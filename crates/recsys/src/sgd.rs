@@ -165,31 +165,30 @@ pub(crate) fn initial_factors(
     (q_pad, p_pad)
 }
 
-/// The serial epoch loop shared by cold fits and warm refits: in-place SGD
-/// over `observed` until `max_iters` epochs or relative-RMSE convergence.
-/// Returns `(final rmse, epochs run)`.
-#[allow(clippy::too_many_arguments)]
-fn run_epochs(
-    observed: &[(usize, usize, f64)],
-    mu: f64,
-    row_bias: &mut [f64],
-    col_bias: &mut [f64],
-    q: &mut DenseMatrix,
-    p: &mut DenseMatrix,
-    eta: f64,
-    lambda: f64,
-    max_iters: usize,
-    convergence_tol: f64,
-) -> (f64, usize) {
+/// Fits Alg. 1 (with bias terms) on the observed entries of `matrix`:
+/// in-place SGD until `max_iters` epochs or relative-RMSE convergence.
+///
+/// # Panics
+///
+/// Panics if the matrix has no observed entries.
+pub fn fit(matrix: &RatingMatrix, config: &SgdConfig) -> SgdModel {
+    assert!(
+        matrix.observed_len() > 0,
+        "cannot fit an empty rating matrix"
+    );
+    let (mu, mut row_bias, mut col_bias) = initial_biases(matrix);
+    let (mut q, mut p) = initial_factors(matrix, config, mu, &row_bias, &col_bias);
+    let observed: Vec<(usize, usize, f64)> = matrix.observed().collect();
+    let (eta, lambda) = (config.learning_rate, config.regularization);
     let n = observed.len() as f64;
     let rank = q.cols();
     let mut prev_rmse = f64::INFINITY;
     let mut epochs = 0;
     let mut rmse = f64::INFINITY;
-    for _ in 0..max_iters {
+    for _ in 0..config.max_iters {
         epochs += 1;
         let mut sq_err = 0.0;
-        for &(i, j, r) in observed {
+        for &(i, j, r) in &observed {
             let residual: f64 = q.row(i).iter().zip(p.row(j)).map(|(a, b)| a * b).sum();
             let err = r - (mu + row_bias[i] + col_bias[j] + residual);
             sq_err += err * err;
@@ -203,39 +202,11 @@ fn run_epochs(
             }
         }
         rmse = (sq_err / n).sqrt();
-        if prev_rmse.is_finite() && (prev_rmse - rmse).abs() <= convergence_tol * prev_rmse {
+        if prev_rmse.is_finite() && (prev_rmse - rmse).abs() <= config.convergence_tol * prev_rmse {
             break;
         }
         prev_rmse = rmse;
     }
-    (rmse, epochs)
-}
-
-/// Fits Alg. 1 (with bias terms) on the observed entries of `matrix`.
-///
-/// # Panics
-///
-/// Panics if the matrix has no observed entries.
-pub fn fit(matrix: &RatingMatrix, config: &SgdConfig) -> SgdModel {
-    assert!(
-        matrix.observed_len() > 0,
-        "cannot fit an empty rating matrix"
-    );
-    let (mu, mut row_bias, mut col_bias) = initial_biases(matrix);
-    let (mut q, mut p) = initial_factors(matrix, config, mu, &row_bias, &col_bias);
-    let observed: Vec<(usize, usize, f64)> = matrix.observed().collect();
-    let (rmse, epochs) = run_epochs(
-        &observed,
-        mu,
-        &mut row_bias,
-        &mut col_bias,
-        &mut q,
-        &mut p,
-        config.learning_rate,
-        config.regularization,
-        config.max_iters,
-        config.convergence_tol,
-    );
     SgdModel {
         mu,
         row_bias,
@@ -245,82 +216,6 @@ pub fn fit(matrix: &RatingMatrix, config: &SgdConfig) -> SgdModel {
         train_rmse: rmse,
         epochs,
     }
-}
-
-/// The incremental refinement schedule for warm-started refits.
-///
-/// Consecutive decision quanta differ by only a couple of new samples per
-/// job, so the previous quantum's factors are an excellent starting point:
-/// a handful of epochs at a decayed learning rate recovers the fit that a
-/// cold start needs the full `max_iters` budget for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarmStartConfig {
-    /// Epoch budget for the refit (clamped to at least one).
-    pub max_epochs: usize,
-    /// Multiplier on [`SgdConfig::learning_rate`] — the factors are already
-    /// near a minimum, so large steps would only re-inject noise.
-    pub lr_decay: f64,
-}
-
-impl Default for WarmStartConfig {
-    fn default() -> Self {
-        WarmStartConfig {
-            max_epochs: 15,
-            lr_decay: 0.5,
-        }
-    }
-}
-
-/// Refines `prior` on the current `matrix` with the short [`WarmStartConfig`]
-/// schedule instead of refitting from scratch.
-///
-/// Returns `None` — the caller must cold-start — when the matrix is empty or
-/// its shape no longer matches the prior's factors (job churn changed the
-/// row set; a stale model must not be stretched over a different matrix).
-/// The prior's `mu` is kept: the global mean moves negligibly per quantum
-/// and the bias terms absorb any drift.
-pub fn fit_warm(
-    matrix: &RatingMatrix,
-    config: &SgdConfig,
-    warm: &WarmStartConfig,
-    prior: &SgdModel,
-) -> Option<SgdModel> {
-    if matrix.observed_len() == 0 {
-        return None;
-    }
-    if prior.q.rows() != matrix.rows()
-        || prior.p.rows() != matrix.cols()
-        || prior.q.cols() != prior.p.cols()
-    {
-        return None;
-    }
-    let mu = prior.mu;
-    let mut row_bias = prior.row_bias.clone();
-    let mut col_bias = prior.col_bias.clone();
-    let mut q = prior.q.clone();
-    let mut p = prior.p.clone();
-    let observed: Vec<(usize, usize, f64)> = matrix.observed().collect();
-    let (rmse, epochs) = run_epochs(
-        &observed,
-        mu,
-        &mut row_bias,
-        &mut col_bias,
-        &mut q,
-        &mut p,
-        config.learning_rate * warm.lr_decay,
-        config.regularization,
-        warm.max_epochs.max(1),
-        config.convergence_tol,
-    );
-    Some(SgdModel {
-        mu,
-        row_bias,
-        col_bias,
-        q,
-        p,
-        train_rmse: rmse,
-        epochs,
-    })
 }
 
 #[cfg(test)]
@@ -459,51 +354,5 @@ mod tests {
     fn empty_matrix_rejected() {
         let m = RatingMatrix::new(2, 2);
         let _ = fit(&m, &SgdConfig::default());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn warm_refit_matches_cold_quality_in_a_fraction_of_the_epochs() {
-        let (truth, mut obs) = synthetic(20, 30, 16, 2);
-        let config = SgdConfig::default();
-        let prior = fit(&obs, &config);
-        // The next quantum: two more samples land for each sparse row.
-        for i in 16..20 {
-            obs.set(i, (i * 7) % 30, truth.get(i, (i * 7) % 30));
-            obs.set(i, (i * 11) % 30, truth.get(i, (i * 11) % 30));
-        }
-        let warm_cfg = WarmStartConfig::default();
-        let warm = fit_warm(&obs, &config, &warm_cfg, &prior).expect("shapes match");
-        let cold = fit(&obs, &config);
-        assert!(warm.epochs <= warm_cfg.max_epochs);
-        assert!(
-            warm.train_rmse <= cold.train_rmse + 0.01,
-            "warm RMSE {} vs cold RMSE {}",
-            warm.train_rmse,
-            cold.train_rmse
-        );
-    }
-
-    #[test]
-    fn warm_refit_refuses_mismatched_shapes() {
-        let (_, obs) = synthetic(10, 15, 8, 2);
-        let config = SgdConfig::default();
-        let prior = fit(&obs, &config);
-        let (_, grown) = synthetic(11, 15, 8, 2);
-        assert!(fit_warm(&grown, &config, &WarmStartConfig::default(), &prior).is_none());
-        let empty = RatingMatrix::new(10, 15);
-        assert!(fit_warm(&empty, &config, &WarmStartConfig::default(), &prior).is_none());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn warm_refit_is_deterministic() {
-        let (_, obs) = synthetic(12, 20, 10, 2);
-        let config = SgdConfig::default();
-        let prior = fit(&obs, &config);
-        let a = fit_warm(&obs, &config, &WarmStartConfig::default(), &prior).unwrap();
-        let b = fit_warm(&obs, &config, &WarmStartConfig::default(), &prior).unwrap();
-        assert_eq!(a.q, b.q);
-        assert_eq!(a.row_bias, b.row_bias);
     }
 }

@@ -161,9 +161,8 @@ pub fn grid(spec: &SweepSpec) -> Vec<Cell> {
 
 fn run_single(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunMetrics {
     let scenario = spec.scenario_for(&cell.shape, cell.cap, &cell.fault, seed);
-    let mut manager = CuttleSysManager::for_scenario(&scenario)
-        .with_perf(spec.overrides.perf)
-        .with_resilience(spec.overrides.resilience);
+    let mut manager =
+        CuttleSysManager::for_scenario(&scenario).with_resilience(spec.overrides.resilience);
     let record = run_scenario(&scenario, &mut manager);
     let series = RunSeries {
         qos_violated: record.slices.iter().map(|s| s.qos_violation()).collect(),
@@ -197,7 +196,7 @@ fn run_cluster(spec: &SweepSpec, cell: &Cell, seed: u64, nodes: usize) -> RunMet
     // Profiles are validated at load time, so the lookup cannot fail.
     let plan = FleetFaultPlan::named(&cell.fleet_fault, seed).unwrap_or_else(FleetFaultPlan::none);
     let mut coord = ClusterCoordinator::with_faults(&cs, ClusterConfig::default(), plan)
-        .with_manager_config(spec.overrides.perf, spec.overrides.resilience);
+        .with_manager_config(spec.overrides.resilience);
 
     let mut displaced_series = Vec::with_capacity(spec.quanta);
     let mut fleet_degraded_quanta = 0;

@@ -11,12 +11,11 @@
 //!
 //! The loader also *lowers* the spec: load shapes become
 //! [`LoadPattern`]s, tenant mixes become [`Scenario`] job lists, and
-//! overrides are applied onto [`PerfConfig`]/[`ResilienceConfig`]
-//! defaults, so the runner only ever sees fully-validated values.
+//! overrides are applied onto the [`ResilienceConfig`] defaults, so the
+//! runner only ever sees fully-validated values.
 
 use cuttlesys::faults::{FaultPlan, ResilienceConfig};
 use cuttlesys::types::{BatchJobSpec, JobSpec, LcJobSpec, Scenario};
-use cuttlesys::PerfConfig;
 use util::json::{self, JsonValue};
 use workloads::batch;
 use workloads::latency::{self, LcService};
@@ -43,8 +42,6 @@ const SPEC_FIELDS: &[&str] = &[
 
 /// Valid override keys, sorted for error messages.
 pub const OVERRIDE_KEYS: &[&str] = &[
-    "perf.pool_threads",
-    "perf.warm_start",
     "resilience.breaker_close_after",
     "resilience.breaker_open_after",
     "resilience.breaker_probe_interval",
@@ -267,25 +264,10 @@ impl LoadShape {
 }
 
 /// Config overrides, already applied onto the sweep defaults.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Overrides {
-    /// The per-run manager compute configuration. Defaults to a
-    /// one-thread pool (the sweep parallelizes across *runs*, so the
-    /// per-run fan-out stays narrow), no warm start.
-    pub perf: PerfConfig,
     /// The per-run degradation-ladder bounds.
     pub resilience: ResilienceConfig,
-}
-
-impl Default for Overrides {
-    fn default() -> Overrides {
-        Overrides {
-            perf: PerfConfig::default()
-                .with_pool_threads(1)
-                .with_warm_start(false),
-            resilience: ResilienceConfig::default(),
-        }
-    }
 }
 
 /// A fully-validated, lowered sweep specification.
@@ -636,10 +618,6 @@ fn apply_overrides(value: &JsonValue, overrides: &mut Overrides) -> Result<(), S
         .entries()
         .ok_or_else(|| invalid("scenario field \"overrides\" must be an object"))?;
     for (key, v) in entries {
-        let as_bool = || {
-            v.as_bool()
-                .ok_or_else(|| invalid(format!("override \"{key}\" must be a boolean")))
-        };
         let as_count = || {
             v.as_usize().ok_or_else(|| {
                 invalid(format!("override \"{key}\" must be a non-negative integer"))
@@ -650,8 +628,6 @@ fn apply_overrides(value: &JsonValue, overrides: &mut Overrides) -> Result<(), S
                 .ok_or_else(|| invalid(format!("override \"{key}\" must be a number")))
         };
         match key.as_str() {
-            "perf.pool_threads" => overrides.perf.pool_threads = as_count()?,
-            "perf.warm_start" => overrides.perf = overrides.perf.with_warm_start(as_bool()?),
             "resilience.deadline_ms" => overrides.resilience.deadline_ms = as_num()?,
             "resilience.staleness_bound" => overrides.resilience.staleness_bound = as_count()?,
             "resilience.breaker_open_after" => {

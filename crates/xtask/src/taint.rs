@@ -15,7 +15,7 @@
 //! source is flagged — anchored at the source token, with the call path in
 //! the message so the reader can judge the flow. Survivors carry a reasoned
 //! `lint:allow(DET-TAINT, ...)` at the source line; the canonical exemplar
-//! is the PR-4 warm-start path, whose timing reads are numerically
+//! is the pipeline's stage stopwatch, whose timing reads are numerically
 //! invisible to the plan (see DESIGN.md §8.3).
 
 use crate::graph::Graph;
@@ -115,7 +115,7 @@ pub fn check(graph: &Graph) -> (Vec<Diagnostic>, (usize, usize, usize)) {
                 "{} reaches a recorded output through the call path [{chain}]: the \
                  golden record pins these bytes, so either break the flow or — when \
                  the value is numerically invisible to what is recorded, like the \
-                 warm-start timing reads — document it with \
+                 stage-stopwatch timing reads — document it with \
                  `lint:allow(DET-TAINT, reason = \"...\")`",
                 site.kind
             ),

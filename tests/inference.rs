@@ -33,7 +33,7 @@ fn two_samples_reconstruct_every_test_app_within_budget() {
         let mut m = JobMatrices::new(o, &training, 1, 1);
         m.record_sample(1, hi, truth_b[hi], truth_w[hi]);
         m.record_sample(1, lo, truth_b[lo], truth_w[lo]);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         let err_b = mean_abs_pct(&preds.batch_bips[0], &truth_b);
         let err_w = mean_abs_pct(&preds.batch_watts[0], &truth_w);
         assert!(err_b < 20.0, "{}: throughput error {err_b:.1}%", app.name);
@@ -67,7 +67,7 @@ fn sgd_beats_rbf_at_comparable_sample_budgets() {
         let mut m = JobMatrices::new(o, &training, 1, 1);
         m.record_sample(1, hi.index(), truth[hi.index()], truth_w[hi.index()]);
         m.record_sample(1, lo.index(), truth[lo.index()], truth_w[lo.index()]);
-        let preds = m.reconstruct(&Reconstructor::default(), &[0.8]);
+        let preds = m.reconstruct(&[0.8]);
         sgd_total += mean_abs_pct(&preds.batch_bips[0], &truth);
     }
     assert!(
@@ -126,8 +126,8 @@ fn tail_bucket_predictions_track_load() {
     let training: Vec<_> = batch::training_set().iter().map(|b| b.profile).collect();
     let mut m = JobMatrices::new(o, &training, 1, 1);
     let narrow = JobConfig::profiling_low().index();
-    let p_20 = m.reconstruct(&Reconstructor::default(), &[0.2]);
-    let p_90 = m.reconstruct(&Reconstructor::default(), &[0.9]);
+    let p_20 = m.reconstruct(&[0.2]);
+    let p_90 = m.reconstruct(&[0.9]);
     assert!(
         p_90.lc[0].tail[narrow] > p_20.lc[0].tail[narrow] * 2.0,
         "the narrow config must look far worse at high load: {} vs {}",

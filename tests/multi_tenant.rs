@@ -115,26 +115,26 @@ fn paper_default_run_is_bit_identical_to_the_pinned_golden_record() {
     //  chip-watts bits, total-instruction bits) per slice.
     #[rustfmt::skip]
     let golden: [(usize, usize, [i64; 16], u64, u64, u64); 10] = [
-        (16, 107, [5, 4, 17, 55, 20, 6, 21, 17, 54, 55, 8, 19, 4, 54, 10, 42],
-         0x400e5a12c118ceb2, 0x40550a6471b35980, 0x41f9471811e5f3a2),
-        (16, 55, [70, 59, 68, 57, 106, 106, 107, 34, 58, 104, 69, 33, 105, 69, 94, 70],
-         0x401316614f1a461b, 0x4055b67e39c9ab68, 0x41fdc0a65b191fd6),
-        (16, 55, [91, 106, 69, 54, 70, 70, 106, 93, 105, 105, 105, 105, 105, 55, 70, 57],
-         0x401316614f1a461b, 0x40562f18fc6d279a, 0x41ffe2a09490016f),
-        (16, 55, [103, 70, 105, 54, 54, 105, 106, 66, 105, 105, 105, 105, 106, 54, 106, 70],
-         0x401316614f1a461b, 0x40570a5cbc495b5c, 0x420090a4a58e950f),
-        (16, 55, [102, 58, 107, 66, 94, 69, 70, 67, 105, 104, 66, 105, 93, 94, 104, 105],
-         0x401316614f1a461b, 0x4056a7b9b10290dc, 0x41ff6e43f72241ce),
-        (16, 55, [103, 93, 54, 66, 95, 106, 93, 33, 105, 104, 14, 105, 105, 68, 107, 57],
-         0x401316614f1a461b, 0x4055f9e305ef7092, 0x41fe516d685c052a),
-        (16, 55, [66, 58, 107, 106, 94, 93, 70, 67, 105, 94, 104, 105, 93, 94, 104, 93],
-         0x401316614f1a461b, 0x4056510ea2e94763, 0x41fe96844c0e4e42),
-        (16, 55, [103, 93, 54, 66, 71, 106, 105, 104, 94, 104, 67, 105, 106, 92, 104, 57],
-         0x401316614f1a461b, 0x4056702a82b0fd1a, 0x4200b6ccd02d7e6c),
-        (16, 55, [106, 22, 33, 70, 95, 107, 104, 59, 94, 104, 65, 105, 92, 105, 106, 56],
-         0x401316614f1a461b, 0x4055f7c940c7bc4a, 0x41fd7c424c29c7fd),
-        (16, 55, [102, 93, 92, 66, 95, 107, 105, 94, 94, 93, 105, 106, 93, 104, 10, 70],
-         0x401316614f1a461b, 0x40568ddcd8374936, 0x4200410dd77cbb87),
+        (16, 107, [5, 55, 59, 8, 8, 44, 58, 5, 54, 54, 43, 54, 17, 4, 6, 4],
+         0x400e5a12c118ceb2, 0x40552fb7863508b1, 0x41f9a7db7f1de9c8),
+        (16, 55, [54, 106, 68, 106, 46, 106, 106, 106, 105, 56, 54, 106, 58, 58, 34, 94],
+         0x401316614f1a461b, 0x4055a34a095b81cf, 0x41ff7c1f55ebd3ec),
+        (16, 55, [62, 57, 71, 102, 106, 106, 105, 44, 101, 104, 66, 106, 106, 94, 70, 66],
+         0x401316614f1a461b, 0x40566d02540e6a04, 0x4200eaf3cf19eae2),
+        (16, 55, [54, 104, 107, 106, 94, 107, 104, 94, 101, 68, 107, 105, 66, 21, 56, 105],
+         0x401316614f1a461b, 0x4056a42318aa26f4, 0x42004009d6d8abb2),
+        (16, 55, [105, 92, 34, 102, 8, 71, 105, 70, 102, 107, 104, 90, 101, 105, 8, 107],
+         0x401316614f1a461b, 0x40569f64e3ab5138, 0x42000aa003a418e7),
+        (16, 55, [101, 92, 35, 102, 57, 107, 58, 70, 102, 56, 70, 106, 69, 45, 93, 70],
+         0x401316614f1a461b, 0x40564ac758a973a6, 0x420065878f7eec05),
+        (16, 55, [101, 34, 58, 106, 57, 55, 105, 71, 102, 92, 70, 101, 106, 93, 56, 70],
+         0x401316614f1a461b, 0x4056571f8bd11a36, 0x42008bd618e76063),
+        (16, 55, [104, 56, 34, 70, 94, 107, 58, 107, 70, 92, 70, 101, 70, 105, 56, 106],
+         0x401316614f1a461b, 0x405678ac07405f00, 0x420091293823ced3),
+        (16, 55, [104, 56, 22, 106, 81, 59, 106, 95, 102, 20, 102, 101, 70, 92, 58, 70],
+         0x401316614f1a461b, 0x4056165116ea4aa8, 0x420018523d05f499),
+        (16, 55, [102, 45, 93, 105, 45, 58, 69, 95, 104, 20, 102, 106, 107, 71, 45, 101],
+         0x401316614f1a461b, 0x40568c3effcf1061, 0x4200e10ab0cc5188),
     ];
 
     let s = Scenario::paper_default();

@@ -330,46 +330,3 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
         );
     }
 }
-
-/// Warm-started SGD may never train materially worse than a cold solve on
-/// the same matrix: across random incremental-update workloads its RMSE
-/// stays within epsilon of the full-schedule cold fit.
-#[test]
-fn warm_sgd_rmse_stays_within_epsilon_of_cold() {
-    let mut rng = rng_for("warm_sgd_rmse_stays_within_epsilon_of_cold");
-    for case in 0..CASES / 16 {
-        let rows = rng.random_range(8..16);
-        let cols = rng.random_range(10..24);
-        let dense_rows = rows - 2;
-        let mut m = RatingMatrix::new(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                let v = 1.0 + (r as f64 * 0.3) + (c as f64 * 0.2) + rng.random_range(0.0..0.1);
-                // Sparse rows start with a handful of observations.
-                if r < dense_rows || (r * 13 + c * 5) % 7 == 0 {
-                    m.set(r, c, v);
-                }
-            }
-        }
-        let config = recsys::SgdConfig {
-            seed: case as u64,
-            ..recsys::SgdConfig::default()
-        };
-        let prior = recsys::sgd::fit(&m, &config);
-        // Next quantum: a few more samples land on the sparse rows.
-        for r in dense_rows..rows {
-            let c = (r * 3 + case) % cols;
-            m.set(r, c, 1.0 + (r as f64 * 0.3) + (c as f64 * 0.2));
-        }
-        let warm_cfg = recsys::WarmStartConfig::default();
-        let warm = recsys::sgd::fit_warm(&m, &config, &warm_cfg, &prior).expect("shapes match");
-        let cold = recsys::sgd::fit(&m, &config);
-        assert!(warm.epochs <= warm_cfg.max_epochs);
-        assert!(
-            warm.train_rmse <= cold.train_rmse + 0.01,
-            "case {case}: warm RMSE {} vs cold RMSE {}",
-            warm.train_rmse,
-            cold.train_rmse
-        );
-    }
-}

@@ -100,9 +100,8 @@ fn residency_detector_agrees_with_the_run_record() {
     let spec = load_fixture("soak");
     let shape = &spec.load_shapes[0];
     let scenario = spec.scenario_for(shape, spec.caps[0], "lossy-sensors", 13);
-    let mut manager = CuttleSysManager::for_scenario(&scenario)
-        .with_perf(spec.overrides.perf)
-        .with_resilience(spec.overrides.resilience);
+    let mut manager =
+        CuttleSysManager::for_scenario(&scenario).with_resilience(spec.overrides.resilience);
     let record = run_scenario(&scenario, &mut manager);
 
     let mut probe = spec.clone();

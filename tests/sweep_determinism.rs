@@ -4,10 +4,9 @@
 //! because results land in pre-assigned slots regardless of scheduling;
 //! (2) for any on-disk seed ordering, because seeds are canonicalized
 //! (sorted, deduplicated) at load time; (3) between parallel and
-//! serial execution, which is the width-1 case of (1); and (4) at any
-//! per-run `perf.pool_threads`, 0 (inline) included — on every node of a
-//! cluster cell too, where overrides that do change decisions must also
-//! arrive. The fixture is the same `scenarios/smoke.json` the golden test
+//! serial execution, which is the width-1 case of (1). Overrides, which do
+//! change decisions, must arrive on every node of a cluster cell too. The
+//! fixture is the same `scenarios/smoke.json` the golden test
 //! pins, so this file and `tests/sweep.rs` together say: every width and
 //! every ordering reproduces the golden bytes.
 
@@ -54,20 +53,6 @@ fn smoke_on_both_topologies() -> [String; 2] {
         .replace(r#""fleet_fault_profiles": ["clean", "node-crash"],"#, "");
     assert_ne!(smoke, single_node, "test assumes the smoke fixture's lines");
     [smoke, single_node]
-}
-
-#[test]
-fn per_run_pool_width_override_changes_no_summary_byte() {
-    for text in smoke_on_both_topologies() {
-        let default = summary_with(&text, "");
-        for width in [0, 2] {
-            assert_eq!(
-                summary_with(&text, &format!("\"perf.pool_threads\": {width}")),
-                default,
-                "perf.pool_threads = {width} must not change a summary byte"
-            );
-        }
-    }
 }
 
 #[test]

@@ -57,27 +57,24 @@ fn a_minimal_scenario_loads_with_documented_defaults() {
     assert!((spec.noise - 0.03).abs() < 1e-12);
     assert!(spec.phases);
     assert_eq!(spec.topology, sweep::Topology::SingleNode);
-    // The sweep's default perf config pins a one-thread per-run pool so
-    // parallelism lives at the run level, not nested inside each run.
-    assert_eq!(spec.overrides.perf.pool_threads, 1);
-    // 0 is a legal width, not a mode: no threads, each run's logical
-    // workers go inline on the thread that runs it.
-    let inline = load_spec(&scenario_with(r#""overrides": {"perf.pool_threads": 0}"#))
-        .expect("width 0 loads");
-    assert_eq!(inline.overrides.perf.pool_threads, 0);
+    assert_eq!(spec.overrides, sweep::spec::Overrides::default());
 }
 
 #[test]
 fn unknown_override_key_is_a_hard_error_listing_valid_keys() {
-    // A typo, and the retired evaluation-cache key: two `perf.*` keys are
-    // left, and a scenario file still carrying the third must not load.
-    for key in ["perf.pool_threds", "perf.evaluation_cache"] {
+    // A typo, and the retired `perf.*` keys: a node quantum has no compute
+    // knob left, and a scenario file still carrying one must not load.
+    for key in [
+        "resilience.deadline",
+        "perf.evaluation_cache",
+        "perf.pool_threads",
+        "perf.warm_start",
+    ] {
         let text = scenario_with(&format!(r#""overrides": {{"{key}": true}}"#));
         assert_eq!(
             load_err(&text),
             format!(
                 "unknown override key \"{key}\"; valid keys are: \
-                 perf.pool_threads, perf.warm_start, \
                  resilience.breaker_close_after, resilience.breaker_open_after, \
                  resilience.breaker_probe_interval, resilience.deadline_ms, \
                  resilience.max_bips, resilience.max_tail_ms, resilience.max_watts, \
