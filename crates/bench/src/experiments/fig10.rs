@@ -74,7 +74,7 @@ fn scatter(report: &mut Report) {
     let to_plane = |explored: &[(Vec<usize>, f64)]| -> Vec<(f64, f64)> {
         explored
             .iter()
-            .map(|(x, _)| ((objective.power)(x), 1.0 / (objective.benefit)(x)))
+            .map(|(x, _)| (objective.power(x), 1.0 / objective.benefit(x)))
             .collect()
     };
     let dds_front = pareto(&to_plane(&dds_result.explored));

@@ -15,7 +15,7 @@
 
 use cuttlesys::matrices::{JobMatrices, Predictions};
 use cuttlesys::types::{Scenario, BATCH_JOBS};
-use dds::SoftPenalty;
+use dds::PenaltyTable;
 use simulator::power::CoreKind;
 use simulator::{AppProfile, Chip, JobConfig, SystemParams};
 use workloads::batch;
@@ -82,40 +82,13 @@ pub fn two_sample_predictions(apps: &[AppProfile]) -> Predictions {
 /// The runtime's batch search problem over predicted rows: geo-mean BIPS
 /// under the paper's soft power / LLC-way penalties (Fig. 6), beside a
 /// pinned LC service drawing a representative 32 W on two ways.
-// The type is `SoftPenalty`'s own shape: three closures over the point.
-#[allow(clippy::type_complexity)]
-pub fn search_problem(
-    preds: &Predictions,
-    max_power: f64,
-) -> SoftPenalty<
-    impl Fn(&[usize]) -> f64 + Sync + '_,
-    impl Fn(&[usize]) -> f64 + Sync + '_,
-    impl Fn(&[usize]) -> f64 + Sync + '_,
-> {
-    let (bips, watts) = (&preds.batch_bips, &preds.batch_watts);
-    SoftPenalty {
-        benefit: move |x: &[usize]| {
-            let log_sum: f64 = x
-                .iter()
-                .enumerate()
-                .map(|(j, &c)| bips[j][c].max(1e-9).ln())
-                .sum();
-            (log_sum / bips.len() as f64).exp()
-        },
-        power: move |x: &[usize]| {
-            32.0 + x.iter().enumerate().map(|(j, &c)| watts[j][c]).sum::<f64>()
-        },
-        cache_ways: |x: &[usize]| {
-            2.0 + x
-                .iter()
-                .map(|&c| JobConfig::from_index(c).cache.ways())
-                .sum::<f64>()
-        },
-        max_power,
-        max_ways: 32.0,
-        penalty_power: 2.0,
-        penalty_cache: 2.0,
-    }
+pub fn search_problem(preds: &Predictions, max_power: f64) -> PenaltyTable<'_> {
+    PenaltyTable::new(
+        preds.batch_bips.iter().zip(&preds.batch_watts),
+        JobConfig::all().map(|c| c.cache.ways()).collect(),
+        (32.0, 2.0),
+        (max_power, 32.0),
+    )
 }
 
 /// Signed percentage errors of `pred` against `truth`, skipping the

@@ -638,11 +638,6 @@ impl ClusterCoordinator {
         self.degraded.active()
     }
 
-    /// The fleet fault plan this coordinator injects from.
-    pub fn fault_plan(&self) -> &FleetFaultPlan {
-        self.faults.plan()
-    }
-
     /// The cluster-visible lifecycle state of a tenant: its hosting
     /// node's view, overlaid with `Relocating(Node(dest))` while the
     /// tenant is in flight between nodes and `Relocating(Displaced)`
@@ -706,13 +701,6 @@ impl ClusterCoordinator {
                 }
             })
             .collect()
-    }
-
-    /// The placement arithmetic for a candidate, without registering it:
-    /// per-node scores in node-id order (the bench and example report
-    /// these).
-    pub fn placement_scores(&self, app: SpecBenchmark) -> Vec<PlacementScore> {
-        self.scores_for(app, None)
     }
 
     /// Registers a batch tenant, letting placement choose the node.

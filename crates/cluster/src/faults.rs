@@ -139,16 +139,6 @@ impl FleetFaultPlan {
         self
     }
 
-    /// Schedules one step-deadline overrun of `node` at `quantum`.
-    pub fn with_slow(mut self, node: NodeId, quantum: usize) -> FleetFaultPlan {
-        self.scheduled.push(ScheduledFault {
-            node,
-            quantum,
-            kind: FleetFaultKind::Slow,
-        });
-        self
-    }
-
     /// Schedules a maintenance drain of `node` at `quantum`.
     pub fn with_drain(mut self, node: NodeId, quantum: usize) -> FleetFaultPlan {
         self.scheduled.push(ScheduledFault {
@@ -227,11 +217,6 @@ impl FleetFaultInjector {
         FleetFaultInjector { plan }
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &FleetFaultPlan {
-        &self.plan
-    }
-
     /// The faults striking `node` at the start of `quantum`.
     pub fn node_quantum(&self, node: NodeId, quantum: usize) -> NodeQuantumFaults {
         if self.plan.is_clean() {
@@ -282,7 +267,7 @@ mod tests {
     #[test]
     fn the_clean_plan_never_fires() {
         let injector = FleetFaultInjector::new(FleetFaultPlan::none());
-        assert!(injector.plan().is_clean());
+        assert!(injector.plan.is_clean());
         for node in 0..8 {
             for quantum in 0..200 {
                 assert_eq!(

@@ -224,11 +224,6 @@ impl FaultInjector {
         FaultInjector { plan }
     }
 
-    /// The plan being realized.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Whether this injector can never fire (a guaranteed no-op).
     pub fn is_clean(&self) -> bool {
         self.plan.is_clean()

@@ -26,7 +26,7 @@ use baselines::asymmetric::{oracle_plan, plan_with_big_count, AsymmetricInput, C
 use baselines::flicker::{three_level_design, FlickerModel};
 use baselines::ga::{ga_search, GaParams};
 use baselines::gating::{ipc_partition, select_gated, GatingOrder};
-use dds::{SearchSpace, SoftPenalty};
+use dds::{PenaltyTable, SearchSpace};
 use simulator::power::CoreKind;
 use simulator::{CacheAlloc, Chip, CoreConfig, JobConfig, NUM_CORE_CONFIGS};
 use workloads::oracle::Oracle;
@@ -518,46 +518,30 @@ impl ResourceManager for FlickerManager {
             }
         };
         let bips: Vec<Vec<f64>> = (0..info.num_batch).map(|j| model.bips_row(j)).collect();
-        let watts: Vec<Vec<f64>> = (0..info.num_batch).map(|j| model.power_row(j)).collect();
+        // A surrogate can dip below zero between its samples; Watts cannot.
+        let watts: Vec<Vec<f64>> = (0..info.num_batch)
+            .map(|j| model.power_row(j).iter().map(|w| w.max(0.0)).collect())
+            .collect();
         let lc_power: f64 = info
             .lc
             .iter()
             .zip(&lc_watts)
             .map(|(l, w)| l.last_cores as f64 * w)
             .sum();
-        let num_batch = info.num_batch;
-        let watts_for_power = watts.clone();
-        let objective = SoftPenalty {
-            benefit: move |x: &[usize]| {
-                let log_sum: f64 = x
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &c)| bips[j][c].max(1e-9).ln())
-                    .sum();
-                (log_sum / num_batch as f64).exp()
-            },
-            power: move |x: &[usize]| {
-                lc_power
-                    + x.iter()
-                        .enumerate()
-                        .map(|(j, &c)| watts_for_power[j][c].max(0.0))
-                        .sum::<f64>()
-            },
-            cache_ways: move |_x: &[usize]| 0.0,
-            max_power: info.cap_watts,
-            max_ways: f64::INFINITY,
-            penalty_power: 2.0,
-            penalty_cache: 2.0,
-        };
+        // No way accounting: the LLC is unpartitioned.
+        let objective = PenaltyTable::new(
+            bips.iter().zip(&watts),
+            vec![0.0; NUM_CORE_CONFIGS],
+            (lc_power, 0.0),
+            (info.cap_watts, f64::INFINITY),
+        );
         let space = SearchSpace::new(info.num_batch, NUM_CORE_CONFIGS);
         let result = ga_search(&space, &objective, &self.ga);
 
         // The same last-resort rule as CuttleSys: gate in descending power
         // if even the narrowest plan misses the cap.
         let lowest = CoreConfig::narrowest().index();
-        let narrowest_watts: Vec<f64> = (0..info.num_batch)
-            .map(|j| watts[j][lowest].max(0.0))
-            .collect();
+        let narrowest_watts: Vec<f64> = watts.iter().map(|row| row[lowest]).collect();
         let lowest_power: f64 = lc_power + narrowest_watts.iter().sum::<f64>();
         let batch: Vec<BatchAction> = if lowest_power > info.cap_watts {
             let narrow = JobConfig::new(CoreConfig::narrowest(), self.cache());

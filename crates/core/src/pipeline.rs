@@ -31,7 +31,7 @@
 use std::time::Instant;
 
 use baselines::ga::{ga_search, GaParams};
-use dds::{parallel_search, Objective, ParallelDdsParams, SearchSpace, SoftPenalty};
+use dds::{parallel_search, ParallelDdsParams, PenaltyTable, SearchSpace};
 use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
 
 use crate::accounting::{gate_descending_power, PowerAccount};
@@ -71,6 +71,8 @@ pub struct DecisionCtx<'a> {
     pub num_batch: usize,
     /// Power of a gated core (W).
     pub gated_watts: f64,
+    /// LLC associativity: the ways the tenants and batch jobs share.
+    pub llc_ways: f64,
     /// Compute-side faults injected into this quantum (NONE by default).
     pub faults: QuantumFaults,
     /// Bounds on the degradation ladder: sample sanity ranges, prediction
@@ -512,26 +514,17 @@ impl ReconstructStage for CfReconstruct {
     }
 }
 
+/// Relinquish threshold: yield a reclaimed core when the predicted tail has
+/// at least this much slack (§VI-A: 20 %).
+const RELINQUISH_SLACK: f64 = 0.2;
+/// QoS headroom: a configuration is considered safe when its predicted tail
+/// is below `QOS_HEADROOM × QoS`, absorbing reconstruction error.
+const QOS_HEADROOM: f64 = 0.9;
+
 /// §VI-A: trust-region pinning with the reclaim/relinquish relocation
 /// policy, applied per tenant in priority order.
-#[derive(Debug, Clone, Copy)]
-pub struct TrustRegionQos {
-    /// Relinquish threshold: yield a reclaimed core when the predicted tail
-    /// has at least this much slack (§VI-A: 20 %).
-    pub slack: f64,
-    /// QoS headroom: a configuration is considered safe when its predicted
-    /// tail is below `headroom × QoS`, absorbing reconstruction error.
-    pub headroom: f64,
-}
-
-impl Default for TrustRegionQos {
-    fn default() -> TrustRegionQos {
-        TrustRegionQos {
-            slack: 0.2,
-            headroom: 0.9,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct TrustRegionQos;
 
 impl TrustRegionQos {
     /// Pins one tenant's configuration from its reconstructed tail row.
@@ -563,7 +556,7 @@ impl TrustRegionQos {
                 && jc.cache.index() + 1 >= floor.cache.index()
         };
         for c in 0..NUM_JOB_CONFIGS {
-            if lc.tail_guarded[c] > qos_ms * self.headroom {
+            if lc.tail_guarded[c] > qos_ms * QOS_HEADROOM {
                 continue;
             }
             let jc = JobConfig::from_index(c);
@@ -653,7 +646,7 @@ impl QosStage for TrustRegionQos {
                 let fewer = tenant_preds.rescaled_step(reconstructed_cores, ctx.lc[i].cores - 1);
                 let (_, met) = self.pin_lc_config(
                     &fewer,
-                    lc_info.qos_ms * (1.0 - self.slack / 2.0),
+                    lc_info.qos_ms * (1.0 - RELINQUISH_SLACK / 2.0),
                     last_config,
                 );
                 if met && lc_info.last_tail_ms.is_some_and(|t| t <= lc_info.qos_ms) {
@@ -691,7 +684,10 @@ impl QosStage for TrustRegionQos {
     }
 }
 
-/// Which design-space exploration algorithm drives stage 4.
+/// Stage 4 as shipped: the §VI-A penalty objective over the batch dimensions
+/// ([`penalty_table`]), explored by one of two algorithms. Either runs inline
+/// on the deciding thread: an evaluation is a walk over the table, cheaper
+/// than handing it to another thread.
 #[derive(Debug, Clone)]
 pub enum SearchAlgo {
     /// The paper's parallel Dynamically Dimensioned Search.
@@ -700,68 +696,29 @@ pub enum SearchAlgo {
     Ga(GaParams),
 }
 
-/// §VI-A: the soft power/cache penalty objective over the batch dimensions,
-/// explored by DDS or a GA.
-pub struct PenaltySearch {
-    /// The exploration algorithm.
-    pub algo: SearchAlgo,
-}
-
-impl PenaltySearch {
-    /// Wraps a search algorithm choice. Either algorithm runs inline on the
-    /// deciding thread: an evaluation is a walk over per-search tables (see
-    /// [`soft_penalty`]), cheaper than handing it to another thread.
-    pub fn new(algo: SearchAlgo) -> PenaltySearch {
-        PenaltySearch { algo }
-    }
-}
-
-/// The §VI-A objective over the `active` batch jobs' dimensions (slot `s` of
-/// a point configures job `active[s]`).
-///
-/// The objective is a separable per-job sum, so everything that depends on
-/// one (job, configuration) pair alone is tabulated once per search: each
-/// job's `ln(BIPS)` row, its Watts row, and the LLC ways of the 108
-/// configurations. An evaluation then only loads and adds — in slot order,
-/// the order the un-tabulated sums ran in, so values match them to the bit.
-fn soft_penalty<'a>(
+/// The §VI-A problem over the `active` batch jobs' dimensions (slot `s` of a
+/// point configures job `active[s]`), beside the LC tenants' pinned Watts
+/// and ways and the idle cores' gated Watts.
+fn penalty_table<'a>(
     ctx: &DecisionCtx,
     preds: &'a Predictions,
     lc_configs: &[JobConfig],
     active: &[usize],
-) -> impl Objective + 'a {
-    let base_watts = account_for(ctx, preds, lc_configs).base_watts();
-    let lc_ways: f64 = lc_configs.iter().map(|c| c.cache.ways()).sum();
-    let num_active = active.len();
-    let ln_bips: Vec<Vec<f64>> = active
-        .iter()
-        .map(|&j| {
-            preds.batch_bips[j]
-                .iter()
-                .map(|b| b.max(1e-9).ln())
-                .collect()
-        })
-        .collect();
-    let watts: Vec<&[f64]> = active.iter().map(|&j| &preds.batch_watts[j][..]).collect();
-    let ways: [f64; NUM_JOB_CONFIGS] =
-        std::array::from_fn(|c| JobConfig::from_index(c).cache.ways());
-    SoftPenalty {
-        benefit: move |x: &[usize]| {
-            let log_sum: f64 = x.iter().zip(&ln_bips).map(|(&c, row)| row[c]).sum();
-            (log_sum / num_active as f64).exp()
-        },
-        power: move |x: &[usize]| {
-            base_watts + x.iter().zip(&watts).map(|(&c, row)| row[c]).sum::<f64>()
-        },
-        cache_ways: move |x: &[usize]| lc_ways + x.iter().map(|&c| ways[c]).sum::<f64>(),
-        max_power: ctx.info.cap_watts,
-        max_ways: 32.0,
-        penalty_power: 2.0,
-        penalty_cache: 2.0,
-    }
+) -> PenaltyTable<'a> {
+    PenaltyTable::new(
+        active
+            .iter()
+            .map(|&j| (&preds.batch_bips[j], &preds.batch_watts[j])),
+        JobConfig::all().map(|c| c.cache.ways()).collect(),
+        (
+            account_for(ctx, preds, lc_configs).base_watts(),
+            lc_configs.iter().map(|c| c.cache.ways()).sum(),
+        ),
+        (ctx.info.cap_watts, ctx.llc_ways),
+    )
 }
 
-impl SearchStage for PenaltySearch {
+impl SearchStage for SearchAlgo {
     fn search(
         &mut self,
         ctx: &DecisionCtx,
@@ -774,9 +731,9 @@ impl SearchStage for PenaltySearch {
         if active.is_empty() {
             return Ok(vec![lowest; ctx.num_batch]);
         }
-        let objective = soft_penalty(ctx, preds, lc_configs, &active);
+        let objective = penalty_table(ctx, preds, lc_configs, &active);
         let space = SearchSpace::new(active.len(), NUM_JOB_CONFIGS);
-        let result = match &self.algo {
+        let result = match self {
             SearchAlgo::Dds(params) => parallel_search(&space, &objective, params),
             SearchAlgo::Ga(params) => ga_search(&space, &objective, params),
         };
@@ -853,6 +810,7 @@ impl RepairStage for PowerCapRepair {
 mod tests {
     use super::*;
     use crate::types::{LcSliceInfo, SliceInfo};
+    use dds::Objective;
 
     const RES: ResilienceConfig = ResilienceConfig {
         deadline_ms: f64::INFINITY,
@@ -909,7 +867,7 @@ mod tests {
 
     #[test]
     fn pin_minimizes_power_among_safe_configs() {
-        let qos = TrustRegionQos::default();
+        let qos = TrustRegionQos;
         let mut preds = flat_predictions(1.0);
         // Make one configuration clearly cheapest.
         let cheap = JobConfig::new(CoreConfig::narrowest(), CacheAlloc::One).index();
@@ -940,7 +898,7 @@ mod tests {
 
     #[test]
     fn pin_trust_region_downsizes_one_step_per_dimension() {
-        let qos = TrustRegionQos::default();
+        let qos = TrustRegionQos;
         // Every configuration is predicted safe and equally cheap except
         // the narrowest, which is strictly cheapest — the scan wants it.
         let mut preds = flat_predictions(1.0);
@@ -960,7 +918,7 @@ mod tests {
 
     #[test]
     fn pin_allows_unrestricted_widening() {
-        let qos = TrustRegionQos::default();
+        let qos = TrustRegionQos;
         // Only the widest configuration is safe; the previous plan was the
         // narrowest. Widening is not trust-limited, so the scan must reach
         // the widest in one quantum.
@@ -975,7 +933,7 @@ mod tests {
 
     #[test]
     fn pin_falls_back_to_widest_when_nothing_meets_qos() {
-        let qos = TrustRegionQos::default();
+        let qos = TrustRegionQos;
         let preds = flat_predictions(1000.0);
         let (jc, met) = qos.pin_lc_config(&preds.lc[0], 10.0, None);
         assert!(!met);
@@ -1001,6 +959,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1044,6 +1003,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.5,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1084,6 +1044,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.5,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1121,6 +1082,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1142,7 +1104,7 @@ mod tests {
 
     #[test]
     fn relocate_reclaims_only_at_widest_config() {
-        let mut qos = TrustRegionQos::default();
+        let mut qos = TrustRegionQos;
         let mut inf = info(100.0);
         inf.lc[0].last_tail_ms = Some(50.0);
         let mut matrices = test_matrices();
@@ -1161,6 +1123,7 @@ mod tests {
                 last_plan: &last,
                 num_batch: 4,
                 gated_watts: 0.5,
+                llc_ways: 32.0,
                 faults: QuantumFaults::NONE,
                 resilience: &RES,
                 last_good_preds: None,
@@ -1174,7 +1137,7 @@ mod tests {
 
     #[test]
     fn relocate_arbitrates_cores_between_two_tenants() {
-        let mut qos = TrustRegionQos::default();
+        let mut qos = TrustRegionQos;
         let service = workloads::latency::service_by_name("xapian").unwrap();
         let masstree = workloads::latency::service_by_name("masstree").unwrap();
         // Both tenants violated at the widest config: both reclaim while
@@ -1242,6 +1205,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.5,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1288,6 +1252,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1296,37 +1261,31 @@ mod tests {
         let active = ctx.active_batch();
         assert_eq!(active, [0, 2, 3]);
 
-        // The arithmetic the tables replace, evaluated from scratch per point.
+        // The §VI-A arithmetic evaluated from scratch per point: the reference.
         let (bips, watts) = (&preds.batch_bips, &preds.batch_watts);
         let base_watts = account_for(&ctx, &preds, &lc_configs).base_watts();
-        let reference = SoftPenalty {
-            benefit: |x: &[usize]| {
-                let log_sum: f64 = x
-                    .iter()
+        let power = |x: &[usize]| {
+            base_watts
+                + x.iter()
                     .zip(&active)
-                    .map(|(&c, &j)| bips[j][c].max(1e-9).ln())
-                    .sum();
-                (log_sum / active.len() as f64).exp()
-            },
-            power: |x: &[usize]| {
-                base_watts
-                    + x.iter()
-                        .zip(&active)
-                        .map(|(&c, &j)| watts[j][c])
-                        .sum::<f64>()
-            },
-            cache_ways: |x: &[usize]| {
-                4.0 + x
-                    .iter()
-                    .map(|&c| JobConfig::from_index(c).cache.ways())
+                    .map(|(&c, &j)| watts[j][c])
                     .sum::<f64>()
-            },
-            max_power: 57.0,
-            max_ways: 32.0,
-            penalty_power: 2.0,
-            penalty_cache: 2.0,
         };
-        let tabulated = soft_penalty(&ctx, &preds, &lc_configs, &active);
+        let reference = |x: &[usize]| {
+            let log_sum: f64 = x
+                .iter()
+                .zip(&active)
+                .map(|(&c, &j)| bips[j][c].max(1e-9).ln())
+                .sum();
+            let ways = 4.0
+                + x.iter()
+                    .map(|&c| JobConfig::from_index(c).cache.ways())
+                    .sum::<f64>();
+            (log_sum / active.len() as f64).exp()
+                - 2.0 * (power(x) - 57.0).max(0.0)
+                - 2.0 * (ways - 32.0).max(0.0)
+        };
+        let tabulated = penalty_table(&ctx, &preds, &lc_configs, &active);
         let mut over_cap = 0;
         for _ in 0..2000 {
             let mut x: Vec<usize> = (0..active.len())
@@ -1335,16 +1294,17 @@ mod tests {
             if rng.random_range(0..10) == 0 {
                 x[1] = 7;
             }
-            over_cap += usize::from(!reference.is_feasible(&x));
+            over_cap += usize::from(power(&x) > 57.0);
+            assert_eq!(tabulated.power(&x).to_bits(), power(&x).to_bits());
             assert_eq!(
                 tabulated.evaluate(&x).to_bits(),
-                reference.evaluate(&x).to_bits(),
+                reference(&x).to_bits(),
                 "objective diverged at {x:?}"
             );
         }
         assert!((500..1500).contains(&over_cap), "cap binds on {over_cap}");
 
-        let mut stage = PenaltySearch::new(SearchAlgo::Dds(ParallelDdsParams::default()));
+        let mut stage = SearchAlgo::Dds(ParallelDdsParams::default());
         let mut tel = StageTelemetry::default();
         let first = stage.search(&ctx, &preds, &lc_configs, &mut tel).unwrap();
         let second = stage.search(&ctx, &preds, &lc_configs, &mut tel).unwrap();
@@ -1352,6 +1312,39 @@ mod tests {
         assert_eq!(first[1], JobConfig::profiling_low().index());
         assert_eq!(tel.search_evaluations, 2 * 3250);
         assert_eq!(tel.cache_misses, tel.search_evaluations);
+    }
+
+    #[test]
+    fn the_search_is_bounded_by_the_chips_llc_ways() {
+        let preds = flat_predictions(1.0);
+        let inf = info(200.0);
+        let mut matrices = test_matrices();
+        let widest = JobConfig::new(CoreConfig::widest(), CacheAlloc::Four);
+        // The tenant's four ways plus four jobs at four ways each: 20 ways.
+        let point = [widest.index(); 4];
+        for (llc_ways, fits) in [(32.0, true), (16.0, false)] {
+            let mut lc = vec![LcAllocation {
+                cores: 16,
+                min_cores: 16,
+            }];
+            let last = None;
+            let ctx = DecisionCtx {
+                info: &inf,
+                matrices: &mut matrices,
+                lc: &mut lc,
+                last_plan: &last,
+                num_batch: 4,
+                gated_watts: 0.1,
+                llc_ways,
+                faults: QuantumFaults::NONE,
+                resilience: &RES,
+                last_good_preds: None,
+            };
+            let table = penalty_table(&ctx, &preds, &[widest], &ctx.active_batch());
+            assert_eq!(table.max_ways, llc_ways);
+            assert_eq!(table.cache_ways(&point), 20.0);
+            assert_eq!(table.is_feasible(&point), fits, "{llc_ways} ways");
+        }
     }
 
     // --- stub stages for driving the hardened driver directly ---
@@ -1403,7 +1396,7 @@ mod tests {
         DecisionPipeline {
             profile: Box::new(NoopProfile),
             reconstruct: Box::new(StaticReconstruct(preds)),
-            qos: Box::new(TrustRegionQos::default()),
+            qos: Box::new(TrustRegionQos),
             search: Box::new(NarrowestSearch),
             repair: Box::new(PowerCapRepair),
         }
@@ -1435,6 +1428,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults {
                 reconstruct_diverge: true,
                 ..QuantumFaults::NONE
@@ -1470,6 +1464,7 @@ mod tests {
                 last_plan: &last,
                 num_batch: 4,
                 gated_watts: 0.1,
+                llc_ways: 32.0,
                 faults: QuantumFaults {
                     reconstruct_diverge: true,
                     ..QuantumFaults::NONE
@@ -1519,6 +1514,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults {
                 reconstruct_stall_ms: 10_000.0,
                 ..QuantumFaults::NONE
@@ -1559,6 +1555,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1606,6 +1603,7 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
+            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,

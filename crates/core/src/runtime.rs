@@ -22,7 +22,7 @@
 //! 4. **Search** the *present* batch jobs' configuration space with
 //!    parallel DDS (Alg. 2) under the soft power/cache penalty objective;
 //!    optionally a GA can be substituted (the paper's Fig. 10 comparison)
-//!    ([`PenaltySearch`]).
+//!    ([`SearchAlgo`]).
 //! 5. **Repair**: if even the all-narrowest plan exceeds the cap, gate
 //!    batch cores in descending predicted power (§VI-B)
 //!    ([`PowerCapRepair`]).
@@ -67,13 +67,13 @@ use workloads::batch;
 use workloads::oracle::Oracle;
 
 use crate::faults::{
-    safe_mode_plan, CircuitBreaker, DecisionError, FaultInjector, FaultPlan, ResilienceConfig,
+    safe_mode_plan, CircuitBreaker, DecisionError, FaultInjector, ResilienceConfig,
 };
 use crate::matrices::{JobMatrices, Predictions};
 pub use crate::pipeline::SearchAlgo;
 use crate::pipeline::{
-    CfReconstruct, DecisionCtx, DecisionPipeline, LcAllocation, PenaltySearch, PowerCapRepair,
-    SplitHalvesProfile, TrustRegionQos,
+    CfReconstruct, DecisionCtx, DecisionPipeline, LcAllocation, PowerCapRepair, SplitHalvesProfile,
+    TrustRegionQos,
 };
 use crate::telemetry::StageTelemetry;
 use crate::types::{
@@ -96,12 +96,12 @@ pub struct CuttleSysManager {
     pipeline: DecisionPipeline,
     lc: Vec<LcAllocation>,
     gated_watts: f64,
+    llc_ways: f64,
     num_batch: usize,
     name: String,
     last_plan: Option<Plan>,
     last_loads: Vec<f64>,
     prev_active: Vec<bool>,
-    last_predictions: Option<Predictions>,
     last_telemetry: Option<StageTelemetry>,
     resilience: ResilienceConfig,
     injector: FaultInjector,
@@ -129,8 +129,8 @@ impl CuttleSysManager {
             pipeline: DecisionPipeline {
                 profile: Box::new(SplitHalvesProfile),
                 reconstruct: Box::new(CfReconstruct),
-                qos: Box::new(TrustRegionQos::default()),
-                search: Box::new(PenaltySearch::new(search)),
+                qos: Box::new(TrustRegionQos),
+                search: Box::new(search),
                 repair: Box::new(PowerCapRepair),
             },
             lc: scenario
@@ -142,12 +142,12 @@ impl CuttleSysManager {
                 })
                 .collect(),
             gated_watts: scenario.params.gated_core_watts,
+            llc_ways: f64::from(scenario.params.llc_ways),
             num_batch: scenario.num_batch(),
             name,
             last_plan: None,
             last_loads: vec![0.0; scenario.num_lc()],
             prev_active: vec![true; scenario.num_batch()],
-            last_predictions: None,
             last_telemetry: None,
             resilience: ResilienceConfig::default(),
             injector: FaultInjector::new(scenario.faults.clone()),
@@ -166,7 +166,7 @@ impl CuttleSysManager {
     /// Substitutes the search algorithm (used by the Fig. 10 GA ablation).
     pub fn with_search(mut self, search: SearchAlgo) -> CuttleSysManager {
         self.name = Self::name_for(&search);
-        self.pipeline.search = Box::new(PenaltySearch::new(search));
+        self.pipeline.search = Box::new(search);
         self
     }
 
@@ -176,21 +176,15 @@ impl CuttleSysManager {
         self
     }
 
-    /// Substitutes the compute-side fault plan (overriding the scenario's).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> CuttleSysManager {
-        self.injector = FaultInjector::new(plan);
-        self
-    }
-
     /// Cores currently held across all latency-critical tenants.
     pub fn lc_cores(&self) -> usize {
         self.lc.iter().map(|a| a.cores).sum()
     }
 
-    /// The predictions produced by the most recent decision interval
+    /// The predictions of the most recent decision that succeeded
     /// (instrumentation for the Fig. 5(b) runtime-accuracy experiment).
     pub fn last_predictions(&self) -> Option<&Predictions> {
-        self.last_predictions.as_ref()
+        self.last_good.as_ref().map(|lg| &lg.preds)
     }
 
     /// Whether the circuit breaker is currently open (safe mode).
@@ -258,6 +252,7 @@ impl CuttleSysManager {
             last_plan: &self.last_plan,
             num_batch: self.num_batch,
             gated_watts: self.gated_watts,
+            llc_ways: self.llc_ways,
             faults,
             resilience: &self.resilience,
             last_good_preds: self.last_good.as_ref().map(|lg| (&lg.preds, lg.age)),
@@ -351,10 +346,9 @@ impl ResourceManager for CuttleSysManager {
                     };
                     self.last_good = Some(LastGood {
                         plan: plan.clone(),
-                        preds: preds.clone(),
+                        preds,
                         age,
                     });
-                    self.last_predictions = Some(preds);
                     plan
                 }
                 Err(e) => {

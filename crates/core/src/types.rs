@@ -271,22 +271,6 @@ impl Scenario {
         self
     }
 
-    /// Replaces the primary LC tenant's initial core reservation.
-    // Documented panic: every scenario/plan carries at least one LC tenant.
-    #[allow(clippy::expect_used)]
-    pub fn with_lc_cores(mut self, cores: usize) -> Scenario {
-        let lc = self
-            .jobs
-            .iter_mut()
-            .find_map(|j| match j {
-                JobSpec::LatencyCritical(lc) => Some(lc),
-                JobSpec::Batch(_) => None,
-            })
-            .expect("scenario has an LC job");
-        lc.cores = cores;
-        self
-    }
-
     /// The LC tenants in priority order.
     pub fn lc_jobs(&self) -> Vec<&LcJobSpec> {
         self.jobs

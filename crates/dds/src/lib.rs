@@ -18,8 +18,8 @@
 //!   perturbation radii `r = [0.2, 0.3, 0.4, 0.5]`, `pointsPerIteration`
 //!   candidates per thread per round, and a barrier-synchronized global-best
 //!   exchange;
-//! * [`objective`] — the objective abstraction and the soft-penalty
-//!   combinator of §VI-A.
+//! * [`objective`] — the objective abstraction and the tabulated soft-penalty
+//!   objective of §VI-A.
 //!
 //! # Quick example
 //!
@@ -39,7 +39,7 @@ pub mod parallel;
 pub mod rng;
 pub mod serial;
 
-pub use objective::{Objective, SoftPenalty};
+pub use objective::{Objective, PenaltyTable};
 pub use parallel::{parallel_search, parallel_search_in, ParallelDdsParams};
 pub use serial::{search, DdsParams};
 

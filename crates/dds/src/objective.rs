@@ -1,4 +1,4 @@
-//! Objective functions and the soft-penalty combinator of §VI-A.
+//! Objective functions and the tabulated soft-penalty objective of §VI-A.
 
 /// A maximization objective over discrete configuration vectors.
 ///
@@ -23,10 +23,11 @@ where
     }
 }
 
-/// The paper's constrained objective (§VI-A):
+/// The paper's constrained objective (§VI-A) over one job per slot, slot `s`
+/// of a point choosing one of the job's configurations:
 ///
 /// ```text
-/// objective(x) = BIPS(x)
+/// objective(x) = geo-mean BIPS(x)
 ///              − penalty_power · max(0, Power(x)  − maxPower)
 ///              − penalty_cache · max(0, Ways(x)   − maxWays)
 /// ```
@@ -36,18 +37,17 @@ where
 /// cross narrow infeasible ridges. Note the paper's formula as printed
 /// subtracts `(maxPower − Power)`, which would *reward* high power — we
 /// implement the evident intent: penalize only the excess.
-pub struct SoftPenalty<B, P, C>
-where
-    B: Fn(&[usize]) -> f64 + Sync,
-    P: Fn(&[usize]) -> f64 + Sync,
-    C: Fn(&[usize]) -> f64 + Sync,
-{
-    /// The raw benefit (geo-mean batch BIPS).
-    pub benefit: B,
-    /// Total power of the point, in Watts.
-    pub power: P,
-    /// Total LLC ways of the point.
-    pub cache_ways: C,
+///
+/// The objective is a separable per-job sum, so everything that depends on
+/// one (slot, choice) pair alone is tabulated once: each job's `ln(BIPS)`
+/// row, its Watts row, and the LLC ways of every choice. An evaluation then
+/// only loads and adds, each sum on its own and in slot order.
+pub struct PenaltyTable<'a> {
+    ln_bips: Vec<Vec<f64>>,
+    watts: Vec<&'a [f64]>,
+    ways: Vec<f64>,
+    base_watts: f64,
+    base_ways: f64,
     /// Power budget (the paper's `maxPower`).
     pub max_power: f64,
     /// LLC associativity (the paper's `maxWays`).
@@ -58,75 +58,177 @@ where
     pub penalty_cache: f64,
 }
 
-impl<B, P, C> SoftPenalty<B, P, C>
-where
-    B: Fn(&[usize]) -> f64 + Sync,
-    P: Fn(&[usize]) -> f64 + Sync,
-    C: Fn(&[usize]) -> f64 + Sync,
-{
+impl<'a> PenaltyTable<'a> {
+    /// Tabulates the problem from one `(BIPS row, Watts row)` pair per slot
+    /// and the LLC ways of each choice; `base_watts` and `base_ways` are what
+    /// the chip draws and holds outside the searched jobs. The penalty
+    /// weights start at Fig. 6's 2 per Watt and 2 per way.
+    pub fn new<'b, B, W>(
+        rows: impl IntoIterator<Item = (&'b B, &'a W)>,
+        ways: Vec<f64>,
+        (base_watts, base_ways): (f64, f64),
+        (max_power, max_ways): (f64, f64),
+    ) -> PenaltyTable<'a>
+    where
+        B: AsRef<[f64]> + ?Sized + 'b,
+        W: AsRef<[f64]> + ?Sized + 'a,
+    {
+        let (ln_bips, watts) = rows
+            .into_iter()
+            .map(|(bips, watts)| {
+                let ln: Vec<f64> = bips.as_ref().iter().map(|b| b.max(1e-9).ln()).collect();
+                (ln, watts.as_ref())
+            })
+            .unzip();
+        PenaltyTable {
+            ln_bips,
+            watts,
+            ways,
+            base_watts,
+            base_ways,
+            max_power,
+            max_ways,
+            penalty_power: 2.0,
+            penalty_cache: 2.0,
+        }
+    }
+
+    /// The raw benefit: geo-mean BIPS of the point's jobs.
+    pub fn benefit(&self, point: &[usize]) -> f64 {
+        let log_sum: f64 = point
+            .iter()
+            .zip(&self.ln_bips)
+            .map(|(&c, row)| row[c])
+            .sum();
+        (log_sum / self.ln_bips.len() as f64).exp()
+    }
+
+    /// Total power of the point, in Watts.
+    pub fn power(&self, point: &[usize]) -> f64 {
+        self.base_watts
+            + point
+                .iter()
+                .zip(&self.watts)
+                .map(|(&c, row)| row[c])
+                .sum::<f64>()
+    }
+
+    /// Total LLC ways of the point.
+    pub fn cache_ways(&self, point: &[usize]) -> f64 {
+        self.base_ways + point.iter().map(|&c| self.ways[c]).sum::<f64>()
+    }
+
     /// Whether `point` satisfies both hard constraints.
     pub fn is_feasible(&self, point: &[usize]) -> bool {
-        (self.power)(point) <= self.max_power && (self.cache_ways)(point) <= self.max_ways
+        self.power(point) <= self.max_power && self.cache_ways(point) <= self.max_ways
     }
 }
 
-impl<B, P, C> Objective for SoftPenalty<B, P, C>
-where
-    B: Fn(&[usize]) -> f64 + Sync,
-    P: Fn(&[usize]) -> f64 + Sync,
-    C: Fn(&[usize]) -> f64 + Sync,
-{
+impl Objective for PenaltyTable<'_> {
     fn evaluate(&self, point: &[usize]) -> f64 {
-        let power_excess = ((self.power)(point) - self.max_power).max(0.0);
-        let cache_excess = ((self.cache_ways)(point) - self.max_ways).max(0.0);
-        (self.benefit)(point)
-            - self.penalty_power * power_excess
-            - self.penalty_cache * cache_excess
+        let power_excess = (self.power(point) - self.max_power).max(0.0);
+        let cache_excess = (self.cache_ways(point) - self.max_ways).max(0.0);
+        self.benefit(point) - self.penalty_power * power_excess - self.penalty_cache * cache_excess
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
-    type TestPenalty = SoftPenalty<fn(&[usize]) -> f64, fn(&[usize]) -> f64, fn(&[usize]) -> f64>;
-
-    fn penalty() -> TestPenalty {
-        SoftPenalty {
-            benefit: (|x: &[usize]| x.iter().sum::<usize>() as f64) as fn(&[usize]) -> f64,
-            power: (|x: &[usize]| 2.0 * x.len() as f64 + x[0] as f64) as fn(&[usize]) -> f64,
-            cache_ways: (|x: &[usize]| x[1] as f64) as fn(&[usize]) -> f64,
-            max_power: 10.0,
-            max_ways: 4.0,
-            penalty_power: 2.0,
-            penalty_cache: 2.0,
+    #[test]
+    fn penalties_are_zero_when_feasible_and_linear_in_each_excess() {
+        // Flat BIPS of 1 (benefit exactly 1), choice 3 power-hungry, choice 1
+        // cache-hungry; 1 W and 1 way outside the jobs; 10 W / 6 ways allowed.
+        let (bips, watts) = ([1.0; 4], [1.0, 2.0, 4.0, 8.0]);
+        let table = PenaltyTable::new(
+            (0..3).map(|_| (&bips, &watts)),
+            vec![1.0, 4.0, 1.0, 1.0],
+            (1.0, 1.0),
+            (10.0, 6.0),
+        );
+        for (point, power, ways, value) in [
+            ([0, 0, 2], 7.0, 4.0, 1.0),
+            ([3, 2, 0], 14.0, 4.0, 1.0 - 2.0 * 4.0),
+            ([3, 3, 0], 18.0, 4.0, 1.0 - 2.0 * 8.0),
+            ([1, 1, 0], 6.0, 10.0, 1.0 - 2.0 * 4.0),
+            ([1, 3, 1], 13.0, 10.0, 1.0 - 2.0 * 3.0 - 2.0 * 4.0),
+        ] {
+            assert_eq!(table.power(&point), power, "{point:?}");
+            assert_eq!(table.cache_ways(&point), ways, "{point:?}");
+            assert_eq!(table.is_feasible(&point), value == 1.0, "{point:?}");
+            assert_eq!(table.evaluate(&point), value, "{point:?}");
         }
     }
 
+    /// The table against the §VI-A formula evaluated from scratch per point,
+    /// on the three shapes in use: the runtime's (108 choices, the LC tenants'
+    /// Watts and ways outside the jobs, a binding cap), `paper fig10`'s
+    /// (16 × 108 beside 32 W on 2 ways) and Flicker's (27 core configurations,
+    /// no way accounting, a BIPS entry below the floor).
     #[test]
-    fn feasible_points_pay_no_penalty() {
-        let o = penalty();
-        // power = 2*3 + 1 = 7 ≤ 10, ways = 2 ≤ 4.
-        let p = [1usize, 2, 3];
-        assert!(o.is_feasible(&p));
-        assert_eq!(o.evaluate(&p), 6.0);
-    }
-
-    #[test]
-    fn power_excess_is_penalized_linearly() {
-        let o = penalty();
-        // power = 6 + 8 = 14 → excess 4 → penalty 8.
-        let p = [8usize, 0, 0];
-        assert!(!o.is_feasible(&p));
-        assert_eq!(o.evaluate(&p), 8.0 - 8.0);
-    }
-
-    #[test]
-    fn cache_excess_is_penalized_too() {
-        let o = penalty();
-        // ways = 6 → excess 2 → penalty 4; power = 6 ≤ 10.
-        let p = [0usize, 6, 0];
-        assert_eq!(o.evaluate(&p), 6.0 - 4.0);
+    fn table_matches_the_from_scratch_formula_to_the_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6AB1E);
+        for (slots, choices, partitioned, base, max) in [
+            (3, 108, true, (49.3, 4.0), (57.0, 32.0)),
+            (16, 108, true, (32.0, 2.0), (70.0, 32.0)),
+            (5, 27, false, (48.0, 0.0), (60.0, f64::INFINITY)),
+        ] {
+            let mut bips: Vec<Vec<f64>> = (0..slots)
+                .map(|_| (0..choices).map(|_| rng.random_range(0.05..4.0)).collect())
+                .collect();
+            bips[slots - 1][7] = 0.0;
+            let watts: Vec<Vec<f64>> = (0..slots)
+                .map(|_| (0..choices).map(|_| rng.random_range(1.0..4.0)).collect())
+                .collect();
+            let ways: Vec<f64> = (0..choices)
+                .map(|c| {
+                    if partitioned {
+                        [0.5, 1.0, 2.0, 4.0][c % 4]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let table = PenaltyTable::new(bips.iter().zip(&watts), ways.clone(), base, max);
+            let power =
+                |x: &[usize]| base.0 + x.iter().enumerate().map(|(s, &c)| watts[s][c]).sum::<f64>();
+            let cache_ways = |x: &[usize]| base.1 + x.iter().map(|&c| ways[c]).sum::<f64>();
+            let reference = |x: &[usize]| {
+                let log_sum: f64 = x
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &c)| bips[s][c].max(1e-9).ln())
+                    .sum();
+                (log_sum / slots as f64).exp()
+                    - 2.0 * (power(x) - max.0).max(0.0)
+                    - 2.0 * (cache_ways(x) - max.1).max(0.0)
+            };
+            let mut infeasible = 0;
+            for i in 0..2000 {
+                let mut x: Vec<usize> = (0..slots).map(|_| rng.random_range(0..choices)).collect();
+                if i % 10 == 0 {
+                    x[slots - 1] = 7;
+                }
+                assert_eq!(
+                    table.evaluate(&x).to_bits(),
+                    reference(&x).to_bits(),
+                    "objective diverged at {x:?}"
+                );
+                assert_eq!(
+                    table.is_feasible(&x),
+                    power(&x) <= max.0 && cache_ways(&x) <= max.1,
+                    "feasibility diverged at {x:?}"
+                );
+                infeasible += usize::from(!table.is_feasible(&x));
+            }
+            assert!(
+                (200..1800).contains(&infeasible),
+                "{slots} × {choices}: constraints bind on {infeasible} of 2000 points"
+            );
+        }
     }
 
     #[test]

@@ -42,11 +42,6 @@ pub struct SystemParams {
 }
 
 impl SystemParams {
-    /// Table I defaults for the 32-core evaluation system.
-    pub fn paper_32core() -> SystemParams {
-        SystemParams::default()
-    }
-
     /// The 16-core homogeneous system used for the §III characterization
     /// (Fig. 1) and for finding each service's maximum load.
     pub fn paper_16core() -> SystemParams {

@@ -9,7 +9,7 @@
 //! sensitive to collapses its throughput, other sections barely matter, and
 //! extra LLC ways help exactly the jobs whose working set does not yet fit.
 
-use crate::config::{CacheAlloc, CoreConfig, JobConfig, SectionWidth};
+use crate::config::{CacheAlloc, CoreConfig, SectionWidth};
 use crate::metrics::Bips;
 use crate::params::SystemParams;
 use crate::profile::AppProfile;
@@ -59,11 +59,6 @@ impl PerfModel {
             cal: PerfCalibration::default(),
             params,
         }
-    }
-
-    /// Creates a model with explicit calibration constants.
-    pub fn with_calibration(params: SystemParams, cal: PerfCalibration) -> PerfModel {
-        PerfModel { params, cal }
     }
 
     /// The system parameters this model was built with.
@@ -144,11 +139,6 @@ impl PerfModel {
     ) -> Bips {
         let ipc = self.ipc(app, config, cache.ways(), contention);
         Bips::new(ipc * self.params.frequency_ghz)
-    }
-
-    /// Convenience wrapper over [`PerfModel::bips`] taking a [`JobConfig`].
-    pub fn bips_job(&self, app: &AppProfile, config: JobConfig, contention: f64) -> Bips {
-        self.bips(app, config.core, config.cache, contention)
     }
 
     /// Off-chip traffic generated by `app` at the given throughput, in

@@ -86,15 +86,6 @@ impl PowerModel {
         }
     }
 
-    /// Creates a model with explicit calibration constants.
-    pub fn with_calibration(
-        params: SystemParams,
-        kind: CoreKind,
-        cal: PowerCalibration,
-    ) -> PowerModel {
-        PowerModel { params, cal, kind }
-    }
-
     /// The kind of cores this model prices.
     pub fn kind(&self) -> CoreKind {
         self.kind

@@ -111,21 +111,6 @@ impl LcService {
         self.queue(perf, cores, config, cache, load, contention)
             .p99_ms()
     }
-
-    /// Whether the placement meets QoS.
-    pub fn meets_qos(
-        &self,
-        perf: &PerfModel,
-        cores: usize,
-        config: CoreConfig,
-        cache: CacheAlloc,
-        load: f64,
-        contention: f64,
-    ) -> bool {
-        self.tail_latency_ms(perf, cores, config, cache, load, contention)
-            .get()
-            <= self.qos_ms
-    }
 }
 
 /// The five TailBench services with paper-calibrated maximum loads.

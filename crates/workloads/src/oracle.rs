@@ -15,7 +15,7 @@
 //! offline characterization measures, and the gap to contended execution is
 //! precisely the runtime error source the paper discusses in Fig. 5(b).
 
-use simulator::{AppProfile, Chip, JobConfig, NUM_JOB_CONFIGS};
+use simulator::{AppProfile, Chip, JobConfig};
 
 use crate::latency::LcService;
 
@@ -96,25 +96,6 @@ impl Oracle {
             .power()
             .job_core_watts(app, config.core, config.cache, ipc, bips)
             .get()
-    }
-
-    /// Tail latency of `service` at one configuration.
-    pub fn tail_at(&self, service: &LcService, cores: usize, load: f64, config: JobConfig) -> f64 {
-        service
-            .tail_latency_ms(
-                self.chip.perf(),
-                cores,
-                config.core,
-                config.cache,
-                load,
-                0.0,
-            )
-            .get()
-    }
-
-    /// The number of columns all rows share.
-    pub fn num_configs(&self) -> usize {
-        NUM_JOB_CONFIGS
     }
 }
 

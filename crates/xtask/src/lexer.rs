@@ -64,11 +64,6 @@ impl Token {
         }
     }
 
-    /// Whether this token is any literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self.kind, TokenKind::Literal(_))
-    }
-
     /// Whether this token is the given punctuation character.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct(c)

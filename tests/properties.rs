@@ -277,12 +277,13 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
     for _ in 0..CASES / 16 {
         let dims = rng.random_range(2..6);
         let choices = rng.random_range(3..12);
+        let bips: Vec<Vec<f64>> = (0..dims)
+            .map(|_| (0..choices).map(|_| rng.random_range(0.1..4.0)).collect())
+            .collect();
         let watts: Vec<Vec<f64>> = (0..dims)
             .map(|_| (0..choices).map(|_| rng.random_range(1.0..10.0)).collect())
             .collect();
-        let ways: Vec<Vec<f64>> = (0..dims)
-            .map(|_| (0..choices).map(|_| rng.random_range(0.5..8.0)).collect())
-            .collect();
+        let ways: Vec<f64> = (0..choices).map(|_| rng.random_range(0.5..8.0)).collect();
         // A cap somewhere between all-minimum and all-maximum demand, so
         // feasibility actually bites on most cases.
         let min_watts: f64 = watts
@@ -295,22 +296,14 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
             .sum();
         let max_power = rng.random_range(min_watts..max_watts.max(min_watts + 1e-9));
         let max_ways = rng.random_range(2.0..(8.0 * dims as f64));
-        let watts_t = &watts;
-        let ways_t = &ways;
-        let objective = dds::SoftPenalty {
-            benefit: |x: &[usize]| {
-                x.iter()
-                    .enumerate()
-                    .map(|(d, &c)| (c as f64 + 1.0) / (d as f64 + 1.0))
-                    .sum::<f64>()
-            },
-            power: |x: &[usize]| x.iter().enumerate().map(|(d, &c)| watts_t[d][c]).sum(),
-            cache_ways: |x: &[usize]| x.iter().enumerate().map(|(d, &c)| ways_t[d][c]).sum(),
-            max_power,
-            max_ways,
-            penalty_power: 1e6,
-            penalty_cache: 1e6,
-        };
+        let mut objective = dds::PenaltyTable::new(
+            bips.iter().zip(&watts),
+            ways,
+            (0.0, 0.0),
+            (max_power, max_ways),
+        );
+        objective.penalty_power = 1e6;
+        objective.penalty_cache = 1e6;
         let space = dds::SearchSpace::new(dims, choices);
         let params = dds::ParallelDdsParams {
             max_iters: 12,
@@ -328,5 +321,52 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
             objective.is_feasible(&result.best_point) || !any_feasible,
             "returned an infeasible plan while a feasible one was evaluated"
         );
+    }
+}
+
+/// The circuit breaker is `&mut self` and owned by the deciding thread, so
+/// whatever reports to it arrives as some sequence of calls. Over any such
+/// sequence the ledger stays consistent, a burst of failures opens it exactly
+/// once, and a close quorum of successes closes it exactly once.
+#[test]
+fn breaker_ledger_survives_any_order_of_reports() {
+    use cuttlesys::faults::{CircuitBreaker, ResilienceConfig};
+
+    fn assert_consistent(b: &CircuitBreaker) {
+        assert!(b.closes <= b.opens, "closes cannot outrun opens: {b:?}");
+        assert_eq!(b.is_open(), b.opens > b.closes, "{b:?}");
+    }
+
+    let mut rng = rng_for("breaker_ledger_survives_any_order_of_reports");
+    for _ in 0..CASES * 16 {
+        let cfg = ResilienceConfig {
+            breaker_open_after: rng.random_range(1..5),
+            breaker_probe_interval: rng.random_range(1..5),
+            breaker_close_after: rng.random_range(1..4),
+            ..ResilienceConfig::default()
+        };
+        let mut b = CircuitBreaker::new();
+        for _ in 0..rng.random_range(0..40) {
+            match rng.random_range(0..3) {
+                0 => b.begin_quantum(),
+                1 => b.on_success(&cfg),
+                _ => b.on_failure(&cfg),
+            }
+            assert_consistent(&b);
+        }
+        let opens = b.opens + usize::from(!b.is_open());
+        for _ in 0..cfg.breaker_open_after + rng.random_range(0..4) {
+            b.on_failure(&cfg);
+            assert_consistent(&b);
+        }
+        assert!(b.is_open(), "{b:?}");
+        assert_eq!(b.opens, opens, "re-tripping while open double-counted");
+        let closes = b.closes + 1;
+        for _ in 0..cfg.breaker_close_after + rng.random_range(0..4) {
+            b.on_success(&cfg);
+            assert_consistent(&b);
+        }
+        assert!(!b.is_open(), "{b:?}");
+        assert_eq!(b.closes, closes, "the close is recorded exactly once");
     }
 }
