@@ -51,12 +51,6 @@ impl PidController {
         self.last_error = Some(error);
         self.kp * error + self.ki * self.integral + self.kd * derivative
     }
-
-    /// Resets the controller state (integral and derivative history).
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.last_error = None;
-    }
 }
 
 /// The global width-level actuator: a continuous level in
@@ -146,15 +140,6 @@ mod tests {
             pid.update(100.0);
         }
         assert!(pid.update(0.0) <= 5.0);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut pid = PidController::new(1.0, 1.0, 1.0, 10.0);
-        pid.update(5.0);
-        pid.reset();
-        // After reset, derivative has no history and integral restarts.
-        assert_eq!(pid.update(2.0), 2.0 + 2.0);
     }
 
     #[test]

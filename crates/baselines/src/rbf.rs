@@ -7,7 +7,7 @@
 //! 600 %). We reproduce a standard Gaussian-kernel RBF with a small ridge
 //! term for numerical safety.
 
-use simulator::{CacheAlloc, CoreConfig, JobConfig};
+use simulator::{CoreConfig, JobConfig};
 
 /// A fitted RBF interpolant over points in `R^d`.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,11 +34,6 @@ pub fn job_features(config: JobConfig) -> Vec<f64> {
     // ways ∈ {0.5, 1, 2, 4} → log2 ∈ {−1, 0, 1, 2} → normalized to [0, 1].
     f.push((config.cache.ways().log2() + 1.0) / 3.0);
     f
-}
-
-/// The same cache feature alone, for callers building custom vectors.
-pub fn cache_feature(cache: CacheAlloc) -> f64 {
-    (cache.ways().log2() + 1.0) / 3.0
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -152,7 +147,7 @@ impl RbfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simulator::SectionWidth;
+    use simulator::{CacheAlloc, SectionWidth};
 
     fn grid_samples(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         // Smooth 2-D function on a grid.
@@ -226,6 +221,5 @@ mod tests {
         assert!(f.iter().all(|&v| (0.0..=1.0).contains(&v)), "{f:?}");
         assert_eq!(f[0], 1.0);
         assert_eq!(f[3], 0.0);
-        assert_eq!(cache_feature(CacheAlloc::Four), 1.0);
     }
 }

@@ -14,6 +14,10 @@ use workloads::batch;
 use crate::cli::Args;
 use crate::{search_problem, two_sample_predictions, Report, Table};
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this experiment reports its own wall time; nothing timed feeds a decision"
+)]
 pub(super) fn run(_: &Args) -> Report {
     // The runtime's actual search problem, built from SGD predictions.
     let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles());

@@ -45,6 +45,10 @@ fn held_out_err(model: &recsys::SgdModel, truth: &[Vec<f64>], first_row: usize) 
     total / n as f64
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this experiment reports its own wall time; nothing timed feeds a decision"
+)]
 pub(super) fn run(_: &Args) -> Report {
     let mut report = Report::default();
     let (m, truth) = matrix_and_truth();

@@ -15,6 +15,10 @@ use workloads::batch;
 use crate::cli::Args;
 use crate::{pct_errors, reference_oracle, Report, Table};
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "this experiment reports its own wall time; nothing timed feeds a decision"
+)]
 pub(super) fn run(_: &Args) -> Report {
     let oracle = reference_oracle();
     // A fixed diverse ordering of the full catalog: interleave the paper's

@@ -56,6 +56,8 @@
 //! multiplier stays exactly 1.0 — so the cluster replays the single-node
 //! golden record bit-for-bit (`tests/cluster.rs` pins this).
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod balance;
 pub mod coordinator;
 pub mod faults;

@@ -34,6 +34,8 @@
 //! assert!(result.best_value >= -8.0);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod objective;
 pub mod parallel;
 pub mod rng;

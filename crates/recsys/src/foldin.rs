@@ -51,6 +51,10 @@ impl ConfigFactors {
     /// # Panics
     ///
     /// Panics if `rows` is empty or ragged.
+    #[allow(
+        clippy::expect_used,
+        reason = "every row was just filled, so the matrix has observations"
+    )]
     pub fn learn(rows: &[Vec<f64>], transform: ValueTransform, config: &SgdConfig) -> Self {
         assert!(!rows.is_empty(), "fold-in needs at least one dense row");
         let mut dense = RatingMatrix::new(rows.len(), rows[0].len());
@@ -65,7 +69,6 @@ impl ConfigFactors {
             col_bias: model.col_bias,
             p: model.p,
             regularization: config.regularization,
-            // lint:allow(PANIC-POLICY, reason = "every row was just filled, so the matrix has observations")
             range: dense.observed_range().expect("dense rows are observed"),
             epochs: model.epochs,
         }

@@ -44,6 +44,8 @@
 //! assert!(completed.get(4, 2).is_finite());
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod foldin;
 pub mod hogwild;
 pub mod matrix;

@@ -89,11 +89,6 @@ impl RatingMatrix {
         self.data.iter().filter(|v| v.is_some()).count()
     }
 
-    /// Number of observed entries in row `r`.
-    pub fn row_observed_len(&self, r: usize) -> usize {
-        (0..self.cols).filter(|&c| self.get(r, c).is_some()).count()
-    }
-
     /// Iterates over observed `(row, col, value)` triples in row-major
     /// order.
     pub fn observed(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
@@ -101,19 +96,6 @@ impl RatingMatrix {
             .iter()
             .enumerate()
             .filter_map(move |(i, v)| v.map(|v| (i / self.cols, i % self.cols, v)))
-    }
-
-    /// Mean of the observed entries in row `r`, or the global observed mean
-    /// for empty rows, or 0 for an empty matrix.
-    pub fn row_mean(&self, r: usize) -> f64 {
-        let (sum, n) = (0..self.cols)
-            .filter_map(|c| self.get(r, c))
-            .fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
-        if n > 0 {
-            sum / n as f64
-        } else {
-            self.global_mean()
-        }
     }
 
     /// Mean of all observed entries (0 if none).
@@ -146,19 +128,6 @@ impl RatingMatrix {
         let mut out = RatingMatrix::new(self.rows, self.cols);
         for (r, c, v) in self.observed() {
             out.set(r, c, f(v));
-        }
-        out
-    }
-
-    /// Dense copy with missing entries imputed by row means (SVD
-    /// initialization input).
-    pub fn impute_row_means(&self) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let mean = self.row_mean(r);
-            for c in 0..self.cols {
-                out.set(r, c, self.get(r, c).unwrap_or(mean));
-            }
         }
         out
     }
@@ -250,13 +219,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Applies `f` element-wise in place.
-    pub fn map_in_place(&mut self, mut f: impl FnMut(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Matrix product `self · rhsᵀ` where both matrices share the inner
     /// (column) dimension — the PQ-reconstruction shape `Q · Pᵀ`.
     ///
@@ -296,7 +258,6 @@ mod tests {
         m.set(0, 0, 1.0);
         m.set(1, 2, 2.0);
         assert_eq!(m.observed_len(), 2);
-        assert_eq!(m.row_observed_len(0), 1);
         let triples: Vec<_> = m.observed().collect();
         assert_eq!(triples, vec![(0, 0, 1.0), (1, 2, 2.0)]);
     }
@@ -306,21 +267,17 @@ mod tests {
         let mut m = RatingMatrix::new(2, 2);
         m.set(0, 0, 2.0);
         m.set(0, 1, 4.0);
-        assert_eq!(m.row_mean(0), 3.0);
-        // Empty row falls back to global mean.
-        assert_eq!(m.row_mean(1), 3.0);
+        assert_eq!(m.global_mean(), 3.0);
         assert_eq!(m.observed_range(), Some((2.0, 4.0)));
         assert_eq!(RatingMatrix::new(1, 1).observed_range(), None);
     }
 
     #[test]
-    fn fill_row_and_impute() {
+    fn fill_row_observes_the_whole_row() {
         let mut m = RatingMatrix::new(2, 3);
         m.fill_row(0, &[1.0, 2.0, 3.0]);
-        m.set(1, 0, 10.0);
-        let d = m.impute_row_means();
-        assert_eq!(d.get(0, 1), 2.0);
-        assert_eq!(d.get(1, 1), 10.0); // row mean of the single observation
+        assert_eq!(m.get(0, 1), Some(2.0));
+        assert_eq!(m.observed_len(), 3);
     }
 
     #[test]
@@ -357,12 +314,5 @@ mod tests {
         assert_eq!(r.get(0, 0), 1.0);
         assert_eq!(r.get(1, 2), 6.0);
         assert_eq!(r.row(0), &[1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn dense_map_in_place() {
-        let mut d = DenseMatrix::from_vec(1, 2, vec![1.0, 2.0]);
-        d.map_in_place(|v| v + 1.0);
-        assert_eq!(d.as_slice(), &[2.0, 3.0]);
     }
 }

@@ -67,12 +67,15 @@ impl Reconstructor {
     /// # Panics
     ///
     /// Panics if the matrix has no observed entries.
+    #[allow(
+        clippy::expect_used,
+        reason = "the profiling stage never hands reconstruction an empty matrix (it seeds probe samples first); an empty one is a pipeline-ordering bug worth crashing on"
+    )]
     pub fn complete(&self, matrix: &RatingMatrix, transform: ValueTransform) -> DenseMatrix {
         let transformed = matrix.map(|v| transform.forward(v));
         let model = sgd::fit(&transformed, &self.config);
         let (lo, hi) = transformed
             .observed_range()
-            // lint:allow(PANIC-POLICY, reason = "the profiling stage never hands reconstruction an empty matrix (it seeds probe samples first); an empty one is a pipeline-ordering bug worth crashing on")
             .expect("matrix has observations");
         let span = (hi - lo).max(1e-9);
         let (clamp_lo, clamp_hi) = (lo - 0.25 * span, hi + 0.25 * span);
@@ -89,16 +92,14 @@ impl Reconstructor {
         out
     }
 
-    /// Runs several reconstructions, one per input, on the calling thread.
-    /// The paper's "three reconstructions all run in parallel on the same
-    /// server" is [`Reconstructor::complete_all_session`] with a pool.
-    pub fn complete_all(&self, inputs: &[(&RatingMatrix, ValueTransform)]) -> Vec<DenseMatrix> {
-        inputs.iter().map(|(m, t)| self.complete(m, *t)).collect()
-    }
-
-    /// [`Reconstructor::complete_all`] with the per-matrix fan-out on the
-    /// pool when one is given (inline otherwise). Inputs and outputs
-    /// correspond by index.
+    /// Runs [`Reconstructor::complete`] once per input — the paper's "three
+    /// reconstructions all run in parallel on the same server" — with the
+    /// per-matrix fan-out on the pool when one is given (inline otherwise).
+    /// Inputs and outputs correspond by index.
+    #[allow(
+        clippy::expect_used,
+        reason = "the fan-out returned, so every slot was written; a None is a fan-out bug worth crashing on"
+    )]
     pub fn complete_all_session(
         &self,
         pool: Option<&WorkerPool>,
@@ -110,7 +111,6 @@ impl Reconstructor {
         });
         slots
             .into_iter()
-            // lint:allow(PANIC-POLICY, reason = "the fan-out returned, so every slot was written; a None is a fan-out bug worth crashing on")
             .map(|s| s.expect("every reconstruction slot filled"))
             .collect()
     }
@@ -230,23 +230,14 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn complete_all_runs_multiple_matrices() {
+    fn pooled_session_is_bit_identical_to_inline_and_to_complete() {
         let (_, m1) = structured(8, 10, 6, 2);
         let (_, m2) = structured(8, 10, 7, 3);
         let rec = Reconstructor::default();
-        let outs = rec.complete_all(&[(&m1, ValueTransform::Linear), (&m2, ValueTransform::Log)]);
-        assert_eq!(outs.len(), 2);
-        assert_eq!(outs[0].rows(), 8);
-        assert_eq!(outs[0], rec.complete(&m1, ValueTransform::Linear));
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
-    fn pooled_session_is_bit_identical_to_inline_and_to_complete_all() {
-        let (_, m1) = structured(8, 10, 6, 2);
-        let (_, m2) = structured(8, 10, 7, 3);
-        let rec = Reconstructor::default();
-        let plain = rec.complete_all(&[(&m1, ValueTransform::Linear), (&m2, ValueTransform::Log)]);
+        let plain = vec![
+            rec.complete(&m1, ValueTransform::Linear),
+            rec.complete(&m2, ValueTransform::Log),
+        ];
         let inputs = [
             SessionInput {
                 matrix: &m1,

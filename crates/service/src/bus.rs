@@ -17,11 +17,11 @@
 //! blocking the producer are both bugs; losing them *loudly* is the
 //! contract.
 //!
-//! The bus is deliberately primitive-free beyond `Mutex` + `Condvar`, so
-//! the loom model in `tests/loom_bus.rs` can drive real publishers and
-//! subscribers through randomized interleavings and check the accounting
-//! invariant: `received + lagged == published` for every subscriber that
-//! drains to close.
+//! The bus is deliberately primitive-free beyond `Mutex` + `Condvar`; the
+//! stress tests in the root package's `tests/concurrency.rs` drive real
+//! publishers and subscribers through randomized interleavings and check
+//! the accounting invariant: `received + lagged == published` for every
+//! subscriber that drains to close.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};

@@ -17,9 +17,10 @@
 //! bytes trickle in: the endpoint has one thread, and a peer must not be
 //! able to hold it against the scrapers queued behind.
 //!
-//! This file (with `reactor.rs`) is on the `DET-RAW-SPAWN` allowlist in
-//! `cargo xtask lint`; the deterministic stack below the service crate
-//! never spawns.
+//! This file (with `reactor.rs`) is the service's thread boundary: each
+//! carries one `#[allow(clippy::disallowed_methods)]` over the thread ban
+//! in `crates/clippy.toml`; the deterministic stack below the service
+//! crate never spawns.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,6 +56,10 @@ impl HttpServer {
     /// # Errors
     ///
     /// Returns the bind error verbatim.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the scrape endpoint owns one of the service's two long-lived threads; it renders what the reactor decided and decides nothing"
+    )]
     pub(crate) fn spawn<P: Plane>(
         addr: &str,
         jobs: SyncSender<Job<P>>,
@@ -215,6 +220,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test plays a hostile client: a raw thread trickles bytes against a wall-clock deadline"
+    )]
     fn a_trickling_client_cannot_starve_the_scrape_behind_it() {
         let (service, addr) = endpoint();
         // Connected first, so first in the accept queue.

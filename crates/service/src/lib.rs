@@ -3,8 +3,8 @@
 //!
 //! The `cuttlesys` crate ends at a deliberately austere boundary: a core
 //! that is a pure function of the scenario seed and the request sequence —
-//! no clocks, no threads, no sockets (`cargo xtask lint` enforces the
-//! boundary). This crate is everything on the other side of it:
+//! no clocks, no threads, no sockets (`crates/clippy.toml` enforces the
+//! first two). This crate is everything on the other side of it:
 //!
 //! * `reactor` — a dedicated thread owns the core; callers send it
 //!   closures over a bounded channel (backpressure, not queues). Pacing is

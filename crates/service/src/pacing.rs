@@ -1,16 +1,21 @@
 //! The wall-clock boundary of the service.
 //!
 //! Everything below the service layer — the control core, the driver, the
-//! manager — is a pure function of the seed and the request sequence; the
-//! `DET-WALLCLOCK` lint bans clock reads there. A *live* service, though,
+//! manager — is a pure function of the seed and the request sequence;
+//! `crates/clippy.toml` bans clock reads there. A *live* service, though,
 //! has to anchor its 100 ms decision quanta to real time. This module is
-//! the one place the service reads the clock, and the per-rule allowed-
-//! paths table in `cargo xtask lint` names exactly this file.
+//! the one place the service reads the clock, under the module-level
+//! `#![allow]` below.
 //!
 //! [`Pacing::Manual`] keeps the whole stack clock-free: quanta run only
 //! when the caller asks (tests, replays, benchmarks). [`Pacing::Interval`]
 //! drives a quantum every `period` of wall time, absorbing jitter by
 //! anchoring deadlines to the previous deadline rather than to "now".
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "quantum pacing is the one place live time enters the service: the clock bounds *when* a quantum runs, never what it decides"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -30,9 +30,9 @@
 //! drop guard, so it closes on *every* exit: shutdown, the last handle
 //! dropping, or the reactor thread unwinding.
 //!
-//! This file (with `http.rs`) is the service's thread boundary: the
-//! per-rule allowed-paths table in `cargo xtask lint` exempts exactly
-//! these files from `DET-RAW-SPAWN`.
+//! This file (with `http.rs`) is the service's thread boundary: each
+//! carries one `#[allow(clippy::disallowed_methods)]` over the thread ban
+//! in `crates/clippy.toml`.
 
 use std::fmt::Display;
 use std::io;
@@ -189,6 +189,10 @@ impl<P: Plane> Handle<P> {
     // Thread spawning can only fail on OS resource exhaustion, at which point
     // the service cannot exist; surfacing the panic is correct.
     #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the reactor owns one of the service's two long-lived threads; every decision it makes is a function of the command sequence, fan-out below it goes through `util::pool::WorkerPool`"
+    )]
     pub(crate) fn start(
         plane: P,
         pacing: Pacing,

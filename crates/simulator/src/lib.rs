@@ -27,6 +27,8 @@
 //! assert!(wide.get() > narrow.get());
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cache;
 pub mod chip;
 pub mod config;

@@ -96,7 +96,7 @@ impl PerfModel {
     /// the given memory contention factor (0 = uncontended).
     ///
     /// The result is frequency-independent; combine with
-    /// [`PerfModel::bips`] / [`PerfModel::bips_fixed`] for throughput.
+    /// [`PerfModel::bips`] for throughput.
     pub fn ipc(&self, app: &AppProfile, config: CoreConfig, ways: f64, contention: f64) -> f64 {
         let cpi = 1.0 / app.ilp
             + Self::section_penalty(self.cal.k_fe, app.fe_sensitivity, config.fe)
@@ -125,20 +125,6 @@ impl PerfModel {
     ) -> Bips {
         let ipc = self.ipc(app, config, cache.ways(), contention);
         Bips::new(ipc * self.params.reconfig_frequency_ghz())
-    }
-
-    /// Throughput on a *fixed* (non-reconfigurable) core at nominal
-    /// frequency, in BIPS. Used by the core-gating and asymmetric-multicore
-    /// baselines, whose cores are conventional.
-    pub fn bips_fixed(
-        &self,
-        app: &AppProfile,
-        config: CoreConfig,
-        cache: CacheAlloc,
-        contention: f64,
-    ) -> Bips {
-        let ipc = self.ipc(app, config, cache.ways(), contention);
-        Bips::new(ipc * self.params.frequency_ghz)
     }
 
     /// Off-chip traffic generated by `app` at the given throughput, in
@@ -230,9 +216,9 @@ mod tests {
         let m = model();
         let app = AppProfile::balanced();
         let r = m.bips(&app, CoreConfig::widest(), CacheAlloc::Four, 0.0);
-        let f = m.bips_fixed(&app, CoreConfig::widest(), CacheAlloc::Four, 0.0);
-        let ratio = r / f;
-        assert!((ratio - (1.0 - 0.0167)).abs() < 1e-9);
+        let nominal = m.ipc(&app, CoreConfig::widest(), CacheAlloc::Four.ways(), 0.0)
+            * SystemParams::default().frequency_ghz;
+        assert!((r.get() / nominal - (1.0 - 0.0167)).abs() < 1e-9);
     }
 
     #[test]

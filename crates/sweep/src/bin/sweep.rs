@@ -116,6 +116,10 @@ fn main() -> ExitCode {
         cells.len() * spec.seeds.len(),
         args.pool,
     );
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "times the run for the console footer only; nothing timed reaches summary.json"
+    )]
     let started = Instant::now();
     let pool = WorkerPool::new(args.pool);
     let outcome = run_sweep_cells(&spec, &pool, cells);

@@ -28,7 +28,8 @@
 //! and runs queued jobs itself, which both speeds up the fan-out and keeps a
 //! job that opens a scope of its own deadlock-free even when the pool is
 //! smaller than the logical fan-out (nothing in the runtime nests scopes
-//! today; the property is pinned by a unit test and the loom model).
+//! today; the property is pinned by a unit test and the stress test in
+//! `tests/concurrency.rs`).
 //!
 //! Panics inside a job are caught, held until every sibling job in the scope
 //! has drained, and then resumed on the scoping thread — again matching
@@ -140,6 +141,10 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool with `threads` workers (clamped to at least one).
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the worker pool owns the deterministic fan-out threads; everything else goes through it"
+    )]
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let queue = Arc::new(Queue::new());

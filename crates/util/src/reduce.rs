@@ -29,14 +29,6 @@ where
     parts.into_iter().fold(init, f)
 }
 
-/// Sums per-worker `f64` partials left-to-right in worker-index order.
-///
-/// `f64` addition is not associative; summing in slot order makes the
-/// result a pure function of the partials.
-pub fn ordered_sum(parts: impl IntoIterator<Item = f64>) -> f64 {
-    ordered_fold(parts, 0.0, |acc, x| acc + x)
-}
-
 /// Reduces `(candidate, value)` pairs against an incumbent, keeping the
 /// strictly better value; ties keep the earlier entry (the incumbent, then
 /// the lowest worker index).
@@ -69,16 +61,6 @@ pub fn ordered_concat<T>(parts: impl IntoIterator<Item = Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ordered_sum_is_the_left_to_right_sum() {
-        // Chosen so that a different association changes the result.
-        let parts = [1e16_f64, 1.0, -1e16, 1.0];
-        let expected: f64 = ((1e16_f64 + 1.0) + -1e16) + 1.0;
-        assert_eq!(ordered_sum(parts).to_bits(), expected.to_bits());
-        let reassociated: f64 = 1e16_f64 + (1.0 + (-1e16_f64 + 1.0));
-        assert_ne!(ordered_sum(parts).to_bits(), reassociated.to_bits());
-    }
 
     #[test]
     fn ordered_best_keeps_the_incumbent_on_ties() {

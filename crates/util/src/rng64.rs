@@ -59,8 +59,8 @@ mod tests {
 
     #[test]
     fn is_a_bijection_on_small_samples() {
-        use std::collections::HashSet;
-        let outputs: HashSet<u64> = (0..10_000).map(splitmix64).collect();
+        use std::collections::BTreeSet;
+        let outputs: BTreeSet<u64> = (0..10_000).map(splitmix64).collect();
         assert_eq!(outputs.len(), 10_000, "collision found");
     }
 

@@ -1,18 +1,17 @@
-//! The item-graph analysis pass (`cargo xtask analyze`, folded into `lint`).
+//! The item-graph analysis pass of `cargo xtask lint`.
 //!
-//! Builds the workspace [`Graph`](crate::graph::Graph) once and drives the
-//! graph-aware rule families over it — `DET-TAINT`, `LOCK-ORDER` — plus
-//! the per-file structural rules that share its scope discipline
-//! (`ORD-TOTAL-FLOAT`, `EVT-EXHAUSTIVE`). Inline `lint:allow` suppression
-//! applies exactly as for the token rules, including stacked allow blocks
-//! for sites hit by several rules at once.
+//! Builds the workspace [`Graph`](crate::graph::Graph) once and drives
+//! `DET-TAINT` over it, plus the per-file structural rules that share its
+//! scope discipline (`ORD-TOTAL-FLOAT`, `EVT-EXHAUSTIVE`). Inline
+//! `lint:allow` suppression applies exactly as for the token rule,
+//! including stacked allow blocks for sites hit by several rules at once.
 
 use crate::graph::{Graph, GraphStats, SourceFile};
 use crate::rules::{self, Diagnostic, FileContext};
 use std::collections::BTreeMap;
 
 /// Runs every graph rule over the lexed files. Returns the surviving
-/// (allow-suppressed) diagnostics and the graph statistics for the v2
+/// (allow-suppressed) diagnostics and the graph statistics for the
 /// report.
 pub fn analyze(files: &[SourceFile]) -> (Vec<Diagnostic>, GraphStats) {
     let graph = Graph::build(files);
@@ -20,8 +19,6 @@ pub fn analyze(files: &[SourceFile]) -> (Vec<Diagnostic>, GraphStats) {
     let mut raw = Vec::new();
     let (taint_diags, (sources, sinks, tainted)) = crate::taint::check(&graph);
     raw.extend(taint_diags);
-    let (lock_diags, (lock_sites, lock_edges)) = crate::lockorder::check(&graph);
-    raw.extend(lock_diags);
     for file in files {
         let ctx = FileContext {
             path: &file.path,
@@ -51,8 +48,6 @@ pub fn analyze(files: &[SourceFile]) -> (Vec<Diagnostic>, GraphStats) {
         taint_sources: sources,
         taint_sinks: sinks,
         taint_paths: tainted,
-        lock_sites,
-        lock_edges,
         schema_entries: 0, // filled in by the caller after `schema::check`
     };
     (out, stats)

@@ -8,9 +8,9 @@
 //! type inference — calls resolve *by name*, gated so an edge only forms
 //! when the callee's crate is the caller's own crate or one the caller
 //! imports. That over-approximates real calls (same-name functions in one
-//! crate alias each other), which is the right direction for the taint and
-//! lock-order rules: they must never miss a path; spurious paths surface in
-//! review and earn either a fix or a reasoned allow.
+//! crate alias each other), which is the right direction for the taint
+//! rule: it must never miss a path; spurious paths surface in review and
+//! earn either a fix or a reasoned allow.
 
 use crate::lexer::{lex, Lexed, Token};
 use crate::rules::crate_of;
@@ -68,7 +68,7 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
 }
 
-/// Statistics for the v2 JSON report (`"graph": { ... }`).
+/// Statistics for the JSON report (`"graph": { ... }`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct GraphStats {
     /// Number of `fn` items found (active ones only).
@@ -81,10 +81,6 @@ pub struct GraphStats {
     pub taint_sinks: usize,
     /// Source sites reachable from a sink (pre-allow).
     pub taint_paths: usize,
-    /// Lock-guard acquisition sites.
-    pub lock_sites: usize,
-    /// Distinct held→acquired lock-order edges.
-    pub lock_edges: usize,
     /// Entries in the generated schema (metric names, label keys, JSON keys).
     pub schema_entries: usize,
 }

@@ -13,9 +13,9 @@
 //!
 //! * [`Allow`] records parsed `// lint:allow(RULE, reason = "...")`
 //!   escape-hatch comments with their line numbers;
-//! * inactive regions: tokens inside `#[cfg(test)]` / `#[cfg(loom)]` items
-//!   (and files with a matching inner attribute) are marked inactive, since
-//!   test-only and loom-model code is exempt from the runtime invariants.
+//! * inactive regions: tokens inside `#[cfg(test)]` items (and files with a
+//!   matching inner attribute) are marked inactive, since test-only code is
+//!   exempt from the runtime invariants.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +27,7 @@ pub struct Token {
     /// 1-based column (in characters) of the token's first character.
     pub col: usize,
     /// Whether the token is live runtime code: `false` inside
-    /// `#[cfg(test)]` / `#[cfg(loom)]` items.
+    /// `#[cfg(test)]` items.
     pub active: bool,
 }
 
@@ -73,7 +73,7 @@ impl Token {
 /// A parsed `lint:allow` escape-hatch comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allow {
-    /// The rule id being allowed, e.g. `DET-HASH-ITER`.
+    /// The rule id being allowed, e.g. `DET-TAINT`.
     pub rule: String,
     /// The justification string, empty when the comment omitted it.
     pub reason: String,
@@ -92,7 +92,7 @@ pub struct Lexed {
     pub allows: Vec<Allow>,
 }
 
-/// Lexes `source`, marking `#[cfg(test)]` / `#[cfg(loom)]` items inactive.
+/// Lexes `source`, marking `#[cfg(test)]` items inactive.
 pub fn lex(source: &str) -> Lexed {
     let mut lx = RawLexer::new(source);
     let mut tokens = Vec::new();
@@ -450,9 +450,9 @@ fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
     })
 }
 
-/// Marks tokens inside `#[cfg(test)]` / `#[cfg(loom)]` items as inactive.
+/// Marks tokens inside `#[cfg(test)]` items as inactive.
 ///
-/// Also handles the inner-attribute form `#![cfg(loom)]`, which deactivates
+/// Also handles the inner-attribute form `#![cfg(test)]`, which deactivates
 /// the whole file. The "item" following an exempting attribute extends over
 /// any further attributes, up to and including its brace block (or a `;`
 /// that arrives before any brace — e.g. a gated `use`).
@@ -495,25 +495,21 @@ fn mark_inactive(tokens: &mut [Token]) {
 }
 
 /// Whether the attribute tokens (inside `[...]`) are a `cfg(...)` whose
-/// predicate mentions `test` or `loom`.
+/// predicate names `test` and does not negate: `cfg(test)`,
+/// `cfg(all(test, ..))`, `cfg(any(test, ..))`. A `not(..)` anywhere keeps
+/// the item active — `#[cfg(not(test))]` code is live in every release
+/// build.
 fn attr_is_exempting_cfg(attr: &[Token]) -> bool {
     if attr.first().and_then(Token::ident) != Some("cfg") {
         return false;
     }
-    attr.iter()
-        .filter_map(Token::ident)
-        .any(|id| id == "test" || id == "loom")
+    let mentions = |name: &str| attr.iter().any(|t| t.ident() == Some(name));
+    mentions("test") && !mentions("not")
 }
 
-/// Public view of [`matching_bracket`] for the rules pass (clippy-allow
-/// attribute spans in `PANIC-POLICY`).
+/// Public view of [`matching_bracket`] for the rule modules.
 pub fn matching_bracket_pub(tokens: &[Token], open: usize) -> Option<usize> {
     matching_bracket(tokens, open)
-}
-
-/// Public view of [`item_end`] for the rules pass.
-pub fn item_end_pub(tokens: &[Token], start: usize) -> usize {
-    item_end(tokens, start)
 }
 
 /// Index of the matching `]`/`}`/`)` for the opener at `open`.
@@ -641,34 +637,43 @@ mod tests {
     }
 
     #[test]
-    fn cfg_loom_and_inner_attributes_deactivate() {
-        let gated = lex("#[cfg(loom)]\nfn model() { spawn(); }\nfn live() {}");
-        let spawn = gated
-            .tokens
-            .iter()
-            .find(|t| t.ident() == Some("spawn"))
-            .unwrap();
-        assert!(!spawn.active);
-        let whole = lex("#![cfg(loom)]\nfn anything() { spawn(); }");
+    fn cfg_predicates_and_inner_attributes_deactivate() {
+        let spawn_active = |src: &str| {
+            let lexed = lex(src);
+            let spawn = lexed.tokens.iter().find(|t| t.ident() == Some("spawn"));
+            spawn.unwrap().active
+        };
+        assert!(!spawn_active(
+            "#[cfg(all(test, unix))]\nfn model() { spawn(); }\nfn live() {}"
+        ));
+        assert!(!spawn_active(
+            "#[cfg(any(test, miri))]\nfn model() { spawn(); }"
+        ));
+        // A negated predicate is live in every release build.
+        assert!(spawn_active("#[cfg(not(test))]\nfn shipped() { spawn(); }"));
+        assert!(spawn_active(
+            "#![cfg(not(test))]\nfn shipped() { spawn(); }"
+        ));
+        let whole = lex("#![cfg(test)]\nfn anything() { spawn(); }");
         assert!(whole.tokens.iter().all(|t| !t.active));
     }
 
     #[test]
     fn allow_comments_parse_rule_and_reason() {
-        let src = "// lint:allow(DET-HASH-ITER, reason = \"lookup only\")\nlet x = 1;\n// lint:allow(DET-RNG)\n";
+        let src = "// lint:allow(DET-TAINT, reason = \"lookup only\")\nlet x = 1;\n// lint:allow(DET-FLOAT-REDUCE)\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
-        assert_eq!(lexed.allows[0].rule, "DET-HASH-ITER");
+        assert_eq!(lexed.allows[0].rule, "DET-TAINT");
         assert_eq!(lexed.allows[0].reason, "lookup only");
         assert!(lexed.allows[0].has_reason);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[1].rule, "DET-RNG");
+        assert_eq!(lexed.allows[1].rule, "DET-FLOAT-REDUCE");
         assert!(!lexed.allows[1].has_reason);
     }
 
     #[test]
     fn allow_reasons_may_contain_parens_and_commas() {
-        let src = "// lint:allow(DET-HASH-ITER, reason = \"keyed O(1) lookup, never iterated (see field doc)\")\n";
+        let src = "// lint:allow(DET-TAINT, reason = \"keyed O(1) lookup, never iterated (see field doc)\")\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
         assert!(lexed.allows[0].has_reason);
@@ -680,7 +685,7 @@ mod tests {
 
     #[test]
     fn doc_comments_do_not_carry_annotations() {
-        let src = "/// mentions lint:allow(DET-RNG, reason = \"docs\") in prose\n//! and lint:allow(DET-RNG) here\nfn f() {}\n";
+        let src = "/// mentions lint:allow(DET-FLOAT-REDUCE, reason = \"docs\") in prose\n//! and lint:allow(DET-FLOAT-REDUCE) here\nfn f() {}\n";
         assert!(lex(src).allows.is_empty());
     }
 

@@ -1,20 +1,20 @@
 //! `cargo xtask` — repo-local developer tasks.
 //!
-//! Three tasks, all over the same engine:
+//! Two tasks over the same engine:
 //!
 //! ```text
 //! cargo xtask lint             # token + graph rules + schema, exit 1 on hits
-//! cargo xtask lint --json      # stable machine-readable v2 report on stdout
+//! cargo xtask lint --json      # stable machine-readable v3 report on stdout
 //! cargo xtask lint PATH...     # restrict to specific files/directories
-//! cargo xtask analyze          # graph rules + schema only (item-graph pass)
 //! cargo xtask schema --check   # verify schema.lock matches the emitters
 //! cargo xtask schema --write   # regenerate schema.lock
 //! ```
 //!
-//! `lint` runs the per-file token rules (DESIGN.md §8.1), then builds the
-//! workspace item graph (`graph.rs`) and drives the graph rule families
-//! over it (§8.3): taint reachability, float comparator totality, event
-//! exhaustiveness, schema lock, lock-order acyclicity.
+//! `lint` holds the analyses no off-the-shelf lint expresses (the bans one
+//! does express live in `crates/clippy.toml`, DESIGN.md §8.1): the per-file
+//! float-accumulator rule, then — over the workspace item graph
+//! (`graph.rs`, §8.3) — taint reachability, float comparator totality,
+//! event exhaustiveness, and the schema lock.
 //!
 //! The crate is a library so the integration tests (`tests/lint_rules.rs`,
 //! `tests/graph_rules.rs`, `tests/schema_lock.rs`) drive the same engine
@@ -24,7 +24,6 @@ pub mod analysis;
 pub mod events;
 pub mod graph;
 pub mod lexer;
-pub mod lockorder;
 pub mod ordfloat;
 pub mod report;
 pub mod rules;
@@ -41,19 +40,9 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
 /// Lints every `.rs` file under `roots` (workspace-relative paths are
-/// resolved against `workspace`): token rules, graph rules, and the schema
+/// resolved against `workspace`): token rule, graph rules, and the schema
 /// lock. Returns the sorted report.
 pub fn run_lint(workspace: &Path, roots: &[PathBuf]) -> std::io::Result<Report> {
-    run(workspace, roots, true)
-}
-
-/// The item-graph analysis alone (`cargo xtask analyze`): graph rules and
-/// the schema lock, without the per-file token rules.
-pub fn run_analyze(workspace: &Path, roots: &[PathBuf]) -> std::io::Result<Report> {
-    run(workspace, roots, false)
-}
-
-fn run(workspace: &Path, roots: &[PathBuf], token_rules: bool) -> std::io::Result<Report> {
     let mut files = Vec::new();
     for root in roots {
         let abs = if root.is_absolute() {
@@ -75,9 +64,7 @@ fn run(workspace: &Path, roots: &[PathBuf], token_rules: bool) -> std::io::Resul
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        if token_rules {
-            report.diagnostics.extend(rules::lint_source(&rel, &source));
-        }
+        report.diagnostics.extend(rules::lint_source(&rel, &source));
         sources.push(SourceFile::new(&rel, &source));
         report.checked_files += 1;
     }

@@ -1,13 +1,12 @@
 //! CLI entry point for `cargo xtask`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => check(&args[1..], xtask::run_lint, "lint"),
-        Some("analyze") => check(&args[1..], xtask::run_analyze, "analyze"),
+        Some("lint") => lint(&args[1..]),
         Some("schema") => schema(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
@@ -25,18 +24,13 @@ const USAGE: &str = "\
 usage: cargo xtask <task>
 
 tasks:
-  lint [--json] [PATH...]   check determinism/concurrency invariants:
-                            per-file token rules, the item-graph rules
-                            (taint, lock order, float comparators, event
+  lint [--json] [PATH...]   check the determinism invariants clippy cannot
+                            express: float accumulators, the item-graph
+                            rules (taint, float comparators, event
                             exhaustiveness), and the schema lock (default
-                            PATH: crates/). --json writes the stable v2
+                            PATH: crates/). --json writes the stable v3
                             machine-readable report to stdout. Exits 0
                             when clean, 1 on violations.
-  lint --table              print the per-rule allowed-paths/scope table
-                            (the workspace's nondeterminism boundary).
-  analyze [--json] [PATH...]
-                            the item-graph analysis alone: graph rules and
-                            the schema lock, without the token rules.
   schema                    print the generated emitted-schema lock text.
   schema --check            fail (exit 1) if schema.lock drifted from the
                             emitter sources.
@@ -60,24 +54,18 @@ fn workspace_root() -> Result<PathBuf, ExitCode> {
     }
 }
 
-type Runner = fn(&Path, &[PathBuf]) -> std::io::Result<xtask::report::Report>;
-
-fn check(args: &[String], run: Runner, task: &str) -> ExitCode {
+fn lint(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut roots: Vec<PathBuf> = Vec::new();
     for arg in args {
         match arg.as_str() {
             "--json" => json = true,
-            "--table" => {
-                print!("{}", xtask::rules::render_allowed_paths());
-                return ExitCode::SUCCESS;
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with('-') => {
-                eprintln!("xtask {task}: unknown flag `{flag}`");
+                eprintln!("xtask lint: unknown flag `{flag}`");
                 return ExitCode::from(2);
             }
             path => roots.push(PathBuf::from(path)),
@@ -90,7 +78,7 @@ fn check(args: &[String], run: Runner, task: &str) -> ExitCode {
         Ok(w) => w,
         Err(code) => return code,
     };
-    match run(&workspace, &roots) {
+    match xtask::run_lint(&workspace, &roots) {
         Ok(report) => {
             if json {
                 print!("{}", report.render_json());
@@ -104,7 +92,7 @@ fn check(args: &[String], run: Runner, task: &str) -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("xtask {task}: {e}");
+            eprintln!("xtask lint: {e}");
             ExitCode::from(2)
         }
     }

@@ -5,9 +5,9 @@
 //!
 //! ```json
 //! {
-//!   "version": 2,
+//!   "version": 3,
 //!   "checked_files": 42,
-//!   "counts": { "DET-HASH-ITER": 0, ... },
+//!   "counts": { "DET-FLOAT-REDUCE": 0, ... },
 //!   "graph": { "functions": 0, "call_edges": 0, ... },
 //!   "diagnostics": [
 //!     { "rule": "...", "file": "...", "line": 1, "col": 2, "message": "..." }
@@ -17,7 +17,7 @@
 //!
 //! Diagnostics are sorted by `(file, line, col, rule)`; `counts` lists every
 //! known rule (zeroes included) in catalogue order; `graph` carries the
-//! item-graph statistics (version 2 — zeroes when only token rules ran).
+//! item-graph statistics (version 3: seven rule ids, six `graph` keys).
 //! Same input → byte-equal report.
 
 use crate::graph::GraphStats;
@@ -30,7 +30,7 @@ pub struct Report {
     pub checked_files: usize,
     /// All surviving diagnostics, sorted by `(file, line, col, rule)`.
     pub diagnostics: Vec<Diagnostic>,
-    /// Item-graph statistics (v2 reports; zeroes when no graph pass ran).
+    /// Item-graph statistics.
     pub graph: GraphStats,
 }
 
@@ -76,7 +76,7 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"version\": 2,\n");
+        out.push_str("  \"version\": 3,\n");
         out.push_str(&format!("  \"checked_files\": {},\n", self.checked_files));
         out.push_str("  \"counts\": {\n");
         for (i, rule) in RULE_IDS.iter().enumerate() {
@@ -87,14 +87,12 @@ impl Report {
         out.push_str("  },\n");
         let g = &self.graph;
         out.push_str("  \"graph\": {\n");
-        let stats: [(&str, usize); 8] = [
+        let stats: [(&str, usize); 6] = [
             ("functions", g.functions),
             ("call_edges", g.call_edges),
             ("taint_sources", g.taint_sources),
             ("taint_sinks", g.taint_sinks),
             ("taint_paths", g.taint_paths),
-            ("lock_sites", g.lock_sites),
-            ("lock_edges", g.lock_edges),
             ("schema_entries", g.schema_entries),
         ];
         for (i, (key, value)) in stats.iter().enumerate() {
@@ -156,18 +154,18 @@ mod tests {
             graph: GraphStats::default(),
             diagnostics: vec![
                 Diagnostic {
-                    rule: "DET-WALLCLOCK",
+                    rule: "ORD-TOTAL-FLOAT",
                     file: "crates/core/src/b.rs".into(),
                     line: 9,
                     col: 4,
-                    message: "clock \"read\"".into(),
+                    message: "a \"quoted\" word".into(),
                 },
                 Diagnostic {
-                    rule: "DET-HASH-ITER",
+                    rule: "DET-TAINT",
                     file: "crates/core/src/a.rs".into(),
                     line: 2,
                     col: 7,
-                    message: "map".into(),
+                    message: "taint".into(),
                 },
             ],
         };
@@ -179,8 +177,8 @@ mod tests {
     fn text_lines_are_span_accurate_and_sorted() {
         let text = sample().render_text();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("crates/core/src/a.rs:2:7: DET-HASH-ITER:"));
-        assert!(lines[1].starts_with("crates/core/src/b.rs:9:4: DET-WALLCLOCK:"));
+        assert!(lines[0].starts_with("crates/core/src/a.rs:2:7: DET-TAINT:"));
+        assert!(lines[1].starts_with("crates/core/src/b.rs:9:4: ORD-TOTAL-FLOAT:"));
         assert_eq!(lines[2], "xtask lint: 3 files checked, 2 violations");
     }
 
@@ -189,13 +187,14 @@ mod tests {
         let a = sample().render_json();
         let b = sample().render_json();
         assert_eq!(a, b, "same input must render byte-identical JSON");
-        assert!(a.contains("\"version\": 2"));
+        assert!(a.contains("\"version\": 3"));
         assert!(a.contains("\"checked_files\": 3"));
-        assert!(a.contains("\"DET-HASH-ITER\": 1"));
-        assert!(a.contains("\"PANIC-POLICY\": 0"), "zero counts are listed");
-        assert!(a.contains("\"graph\": {"), "v2 carries graph stats");
+        assert!(a.contains("\"DET-TAINT\": 1"));
+        assert!(a.contains("\"SCHEMA-LOCK\": 0"), "zero counts are listed");
+        assert!(a.contains("\"graph\": {"), "the report carries graph stats");
         assert!(a.contains("\"taint_paths\": 0"));
-        assert!(a.contains("clock \\\"read\\\""), "quotes are escaped");
+        assert!(!a.contains("lock_"), "v3 has no lock-order keys");
+        assert!(a.contains("a \\\"quoted\\\" word"), "quotes are escaped");
     }
 
     #[test]

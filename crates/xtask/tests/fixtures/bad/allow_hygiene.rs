@@ -2,9 +2,9 @@
 // LINT-ALLOW-REASON and NOT suppress its rule; an unknown rule id must
 // report LINT-UNKNOWN-RULE (linted as crates/core/src/fixture.rs).
 
-// lint:allow(DET-HASH-ITER)
-pub fn still_flagged() -> HashMap<u32, u32> {
-    todo!()
+pub struct StillFlagged {
+    // lint:allow(DET-FLOAT-REDUCE)
+    pub total: Mutex<f64>,
 }
 
 // lint:allow(DET-TYPO-RULE, reason = "this rule does not exist")

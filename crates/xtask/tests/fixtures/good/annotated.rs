@@ -1,33 +1,9 @@
-// Fixture: every hazard below carries a reasoned allow (or the clippy
-// documented-panic convention) and the file must lint clean when checked
-// as crates/core/src/fixture.rs.
+// Fixture: the hazard below carries a reasoned allow and the file must
+// lint clean when checked as crates/core/src/fixture.rs.
 
-use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
+use std::sync::Mutex;
 
-pub struct Caches {
-    // lint:allow(DET-HASH-ITER, reason = "keyed lookup only, never iterated")
-    pub lookup: HashMap<u64, f64>,
-    pub ordered: BTreeMap<u64, f64>,
-}
-
-pub fn timed_stage() -> f64 {
-    // lint:allow(DET-WALLCLOCK, reason = "stage wall-time telemetry only")
-    let t = Instant::now();
-    t.elapsed().as_secs_f64()
-}
-
-pub fn fan_out() {
-    // lint:allow(DET-RAW-SPAWN, reason = "reference back-end for cross-checks")
-    std::thread::spawn(|| ()).join().ok();
-}
-
-#[allow(clippy::unwrap_used)] // Documented panic: fixture invariant.
-pub fn documented(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-
-pub fn reasoned(y: Option<u32>) -> u32 {
-    // lint:allow(PANIC-POLICY, reason = "caller checked is_some on the line above")
-    y.unwrap()
+pub struct Budget {
+    // lint:allow(DET-FLOAT-REDUCE, reason = "single writer: the coordinator thread alone updates it, workers only read")
+    pub remaining_watts: Mutex<f64>,
 }

@@ -1,29 +1,18 @@
-// Fixture: contexts the rules must NOT reach — comments, string literals,
-// cfg(test)/cfg(loom) items, and `use` declarations. Linted as
-// crates/dds/src/fixture.rs; must be clean.
+// Fixture: contexts the rules must NOT reach — comments, string literals
+// and cfg(test) items. Linted as crates/dds/src/fixture.rs; must be clean.
 
-use std::collections::HashMap; // HashMap in a comment: HashMap::new()
+// Mutex<f64> in a comment: cell.fetch_add(x.to_bits(), Relaxed)
 
-pub const DOC: &str = "call HashMap::new() then Instant::now()";
-pub const RAW: &str = r#"thread_rng() and std::thread::spawn"#;
+pub const DOC: &str = "keep a Mutex<f64> and fetch_add into it";
+pub const RAW: &str = r#"f64::from_bits(cell.fetch_update(..))"#;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn tests_may_do_anything() {
-        let m: HashMap<u32, u32> = HashMap::new();
-        let t = std::time::Instant::now();
-        let h = std::thread::spawn(move || m.len());
-        h.join().unwrap();
-        let _ = t.elapsed();
-    }
-}
-
-#[cfg(loom)]
-mod loom_model {
-    pub fn model() {
-        loom::thread::spawn(|| ()).join().unwrap();
+        let acc: Mutex<f64> = Mutex::new(0.0);
+        *acc.lock().unwrap() += 1.0;
     }
 }

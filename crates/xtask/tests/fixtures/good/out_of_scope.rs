@@ -1,27 +1,13 @@
 // Fixture: scope boundaries. Linted as crates/workloads/src/fixture.rs —
-// NOT a decision-path crate — so the decision-path-only rules
-// (DET-HASH-ITER, DET-FLOAT-REDUCE, PANIC-POLICY) must stay quiet, while
-// seeded randomness and pool-based fan-out are fine everywhere.
+// NOT a decision-path crate — so the decision-path-only token rule
+// (DET-FLOAT-REDUCE) must stay quiet.
 
-use std::collections::HashMap;
+use std::sync::Mutex;
 
-pub fn load_mix(spec: &str) -> HashMap<String, f64> {
-    let mut mix = HashMap::new();
-    for part in spec.split(',') {
-        mix.insert(part.to_string(), 1.0);
-    }
-    mix
-}
-
-pub fn seeded_jitter(seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    rng.gen_range(0.0..1.0)
+pub struct ArrivalStats {
+    pub mean_gap_us: Mutex<f64>,
 }
 
 pub fn sum(xs: &[f64]) -> f64 {
     xs.iter().fold(0.0, |acc, x| acc + x)
-}
-
-pub fn first(x: Option<u32>) -> u32 {
-    x.unwrap_or_default()
 }
