@@ -1,59 +1,17 @@
 //! Plan-level power accounting shared by the CuttleSys pipeline stages and
 //! the baseline managers.
 //!
-//! Three pieces of arithmetic recur across the runtime and the
-//! gating/Flicker baselines: summing a plan's predicted chip power from its
-//! per-core components, gating jobs in descending power until a budget is
-//! met (§VI-B's last resort), and netting a profiling frame's energy out of
-//! the slice budget so the steady state is planned against what is actually
-//! left. They live here so every manager agrees on the arithmetic.
+//! Two pieces of arithmetic recur across the runtime and the gating/Flicker
+//! baselines: gating jobs in descending power until a budget is met (§VI-B's
+//! last resort, as a mask and as the batch actions of the all-narrowest
+//! plan), and netting a profiling frame's energy out of the slice budget so
+//! the steady state is planned against what is actually left. They live here
+//! so every manager agrees on the arithmetic. A plan's predicted chip power
+//! is not summed here: the quantum's `dds::PenaltyTable` answers that.
 
-/// Fixed per-core power components of a plan: the latency-critical cores
-/// and any cores with no job to run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerAccount {
-    /// Total predicted (or measured) power of every LC tenant's cores (W).
-    pub lc_watts: f64,
-    /// Power of a gated core (W).
-    pub gated_watts: f64,
-    /// Cores with no job assigned — gated by construction.
-    pub idle_cores: usize,
-}
+use simulator::JobConfig;
 
-impl PowerAccount {
-    /// Builds the account for a chip split: `num_cores` total, `lc_cores`
-    /// held across all LC tenants (drawing `lc_watts` in total), and
-    /// `num_batch` *present* batch jobs on the remainder.
-    pub fn for_split(
-        num_cores: usize,
-        lc_cores: usize,
-        num_batch: usize,
-        lc_watts: f64,
-        gated_watts: f64,
-    ) -> PowerAccount {
-        let batch_cores = num_cores.saturating_sub(lc_cores);
-        PowerAccount {
-            lc_watts,
-            gated_watts,
-            idle_cores: batch_cores.saturating_sub(num_batch),
-        }
-    }
-
-    /// Power of the LC tenants' cores (W).
-    pub fn lc_watts(&self) -> f64 {
-        self.lc_watts
-    }
-
-    /// Power of the job-less (gated) cores (W).
-    pub fn idle_watts(&self) -> f64 {
-        self.idle_cores as f64 * self.gated_watts
-    }
-
-    /// Fixed power a batch plan sits on top of: LC plus idle cores (W).
-    pub fn base_watts(&self) -> f64 {
-        self.lc_watts() + self.idle_watts()
-    }
-}
+use crate::types::BatchAction;
 
 /// §VI-B's last resort, shared by CuttleSys and Flicker: starting from
 /// every batch job running (predicted per-core power `job_watts[j]`) on top
@@ -78,6 +36,29 @@ pub fn gate_descending_power(
         gated[j] = true;
     }
     gated
+}
+
+/// The §VI-B plan as batch actions: every job of `active` (global batch
+/// indices; `narrowest_watts[slot]` is what job `active[slot]` is predicted
+/// to draw at the narrowest configuration) runs narrowest unless
+/// [`gate_descending_power`] gates it; every other of the `num_batch` jobs is
+/// gated. The repair stage and the safe-mode plan both end here.
+pub fn narrowest_then_gate(
+    num_batch: usize,
+    active: &[usize],
+    narrowest_watts: &[f64],
+    base_watts: f64,
+    cap_watts: f64,
+    gated_watts: f64,
+) -> Vec<BatchAction> {
+    let gated = gate_descending_power(narrowest_watts, base_watts, cap_watts, gated_watts);
+    let mut actions = vec![BatchAction::Gated; num_batch];
+    for (&j, &g) in active.iter().zip(&gated) {
+        if !g {
+            actions[j] = BatchAction::Run(JobConfig::profiling_low());
+        }
+    }
+    actions
 }
 
 /// The steady-state power budget left after a profiling prefix.
@@ -107,17 +88,6 @@ pub fn steady_state_budget(cap_watts: f64, slice_ms: f64, spent_ms: f64, spent_w
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn account_sums_components() {
-        let acct = PowerAccount::for_split(32, 18, 14, 54.0, 0.5);
-        assert_eq!(acct.idle_cores, 0);
-        assert!((acct.lc_watts() - 54.0).abs() < 1e-12);
-        // Relocating beyond the batch-job count leaves idle cores gated.
-        let acct = PowerAccount::for_split(32, 12, 16, 36.0, 0.5);
-        assert_eq!(acct.idle_cores, 4);
-        assert!((acct.base_watts() - (36.0 + 2.0)).abs() < 1e-12);
-    }
 
     #[test]
     fn gating_stops_exactly_when_under_cap() {

@@ -231,6 +231,7 @@ impl ScenarioDriver {
             slice,
             cap_watts,
             num_cores: tb.scenario.params.num_cores,
+            llc_ways: tb.scenario.params.llc_ways,
             num_batch: tb.scenario.num_batch(),
             lc: lc_specs
                 .iter()

@@ -31,7 +31,7 @@
 use simulator::fault::{unit, Corruption, FaultStream};
 use simulator::{CacheAlloc, CoreConfig, JobConfig};
 
-use crate::accounting::gate_descending_power;
+use crate::accounting::narrowest_then_gate;
 use crate::matrices::Predictions;
 use crate::pipeline::LcAllocation;
 use crate::types::{BatchAction, LcAssignment, Plan, ProfileSample, SliceInfo};
@@ -631,12 +631,14 @@ pub fn safe_mode_plan(
                 }
             })
             .collect();
-        let gated = gate_descending_power(&narrowest_watts, lc_watts, info.cap_watts, gated_watts);
-        for (slot, &j) in active.iter().enumerate() {
-            if !gated[slot] {
-                batch[j] = BatchAction::Run(JobConfig::from_index(lowest));
-            }
-        }
+        batch = narrowest_then_gate(
+            info.num_batch,
+            &active,
+            &narrowest_watts,
+            lc_watts,
+            info.cap_watts,
+            gated_watts,
+        );
     }
     Plan {
         lc: lc_assignments,
@@ -838,6 +840,7 @@ mod tests {
             slice: 0,
             cap_watts: 52.0,
             num_cores: 32,
+            llc_ways: 32,
             num_batch: 4,
             lc: vec![LcSliceInfo {
                 service,

@@ -25,8 +25,8 @@
 //! * [`matrices`] — the Resource Controller's rating-matrix bookkeeping:
 //!   offline-characterized training rows plus online observations.
 //! * [`pipeline`] — the decision quantum as an instrumented five-stage
-//!   pipeline (profile → reconstruct → pin → search → repair), with
-//!   swappable stage implementations.
+//!   pipeline (profile → reconstruct → pin → search → repair): one
+//!   `decide` over plain stage functions and one per-quantum power ledger.
 //! * [`telemetry`] — per-stage wall-clock timings and work counters,
 //!   threaded through the slice records (the source of the Table II
 //!   overhead report).
@@ -36,8 +36,8 @@
 //!   [`faults::FaultInjector`]) and the graceful-degradation policy: typed
 //!   stage errors, the last-good fallback bounds, and the safe-mode circuit
 //!   breaker.
-//! * [`runtime`] — the CuttleSys manager itself (§IV–§VI), a composition
-//!   of the default pipeline stages wrapped in the degradation ladder.
+//! * [`runtime`] — the CuttleSys manager itself (§IV–§VI): the pipeline's
+//!   state and search algorithm wrapped in the degradation ladder.
 //! * [`managers`] — baseline managers: no-gating, core-level gating (± way
 //!   partitioning), oracle-like and fixed 50-50 asymmetric multicores,
 //!   Flicker, and a PID feedback controller.

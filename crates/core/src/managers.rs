@@ -56,6 +56,16 @@ fn lc_assignments(info: &SliceInfo, config: JobConfig) -> Vec<LcAssignment> {
         .collect()
 }
 
+/// Total LC power at the previous core split, from each tenant's per-core
+/// Watts.
+fn total_lc_watts(info: &SliceInfo, watts_per_core: &[f64]) -> f64 {
+    info.lc
+        .iter()
+        .zip(watts_per_core)
+        .map(|(l, w)| l.last_cores as f64 * w)
+        .sum()
+}
+
 /// Nearest allocation (in log-ways space) to a fractional share.
 fn nearest_alloc(ways: f64) -> CacheAlloc {
     let d = |x: &CacheAlloc| (x.ways().log2() - ways.max(0.25).log2()).abs();
@@ -67,8 +77,8 @@ fn nearest_alloc(ways: f64) -> CacheAlloc {
 
 /// Effective per-job occupancy of an *unpartitioned* LLC.
 ///
-/// Baselines without way-partitioning hardware still share the 32-way LLC;
-/// each job occupies roughly its fair share. We approximate the share as
+/// Baselines without way-partitioning hardware still share the LLC; each
+/// job occupies roughly its fair share. We approximate the share as
 /// `llc_ways / jobs` rounded to the allocation alphabet, weighting each
 /// multi-core latency-critical tenant double. Returns `(lc, batch)`
 /// allocations.
@@ -97,7 +107,8 @@ impl ResourceManager for NoGatingManager {
         info: &SliceInfo,
         _probe: &mut dyn FnMut(&ProfilePlan, f64) -> ProfileSample,
     ) -> Plan {
-        let (lc_share, batch_share) = unpartitioned_share(32, info.lc.len(), info.num_batch);
+        let (lc_share, batch_share) =
+            unpartitioned_share(info.llc_ways, info.lc.len(), info.num_batch);
         Plan {
             lc: lc_assignments(info, JobConfig::new(CoreConfig::widest(), lc_share)),
             batch: vec![
@@ -147,20 +158,20 @@ impl CoreGatingManager {
 
     /// Configuration of batch job `j` given how many batch jobs are active
     /// (the unpartitioned share grows as cores are gated).
-    fn batch_config(&self, j: usize, active: usize) -> JobConfig {
+    fn batch_config(&self, info: &SliceInfo, j: usize, active: usize) -> JobConfig {
         let cache = match &self.partition {
             Some(p) => p[j],
-            None => unpartitioned_share(32, self.num_lc, active).1,
+            None => unpartitioned_share(info.llc_ways, self.num_lc, active).1,
         };
         JobConfig::new(CoreConfig::widest(), cache)
     }
 
-    fn lc_config(&self, active: usize) -> JobConfig {
+    fn lc_config(&self, info: &SliceInfo, active: usize) -> JobConfig {
         match self.partition {
             Some(_) => lc_widest(),
             None => JobConfig::new(
                 CoreConfig::widest(),
-                unpartitioned_share(32, self.num_lc, active).0,
+                unpartitioned_share(info.llc_ways, self.num_lc, active).0,
             ),
         }
     }
@@ -181,14 +192,14 @@ impl ResourceManager for CoreGatingManager {
     ) -> Plan {
         let num_lc = info.lc.len();
         let batch: Vec<BatchAction> = (0..info.num_batch)
-            .map(|j| BatchAction::Run(self.batch_config(j, info.num_batch)))
+            .map(|j| BatchAction::Run(self.batch_config(info, j, info.num_batch)))
             .collect();
         let sample = probe(
             &ProfilePlan {
                 lc_configs: info
                     .lc
                     .iter()
-                    .map(|l| vec![self.lc_config(info.num_batch); l.last_cores])
+                    .map(|l| vec![self.lc_config(info, info.num_batch); l.last_cores])
                     .collect(),
                 batch: batch.clone(),
             },
@@ -216,12 +227,7 @@ impl ResourceManager for CoreGatingManager {
         // which shrinks each job's LLC slice relative to the post-gating
         // steady state.
         const SHARE_GROWTH_GUARD: f64 = 0.99;
-        let lc_power: f64 = info
-            .lc
-            .iter()
-            .zip(&lc_watts)
-            .map(|(l, w)| l.last_cores as f64 * w)
-            .sum();
+        let lc_power = total_lc_watts(info, &lc_watts);
         let probe_watts = lc_power + per_job.iter().map(|(_, w)| w).sum::<f64>();
         let budget = SHARE_GROWTH_GUARD
             * steady_state_budget(
@@ -239,12 +245,12 @@ impl ResourceManager for CoreGatingManager {
                 if g {
                     BatchAction::Gated
                 } else {
-                    BatchAction::Run(self.batch_config(j, active))
+                    BatchAction::Run(self.batch_config(info, j, active))
                 }
             })
             .collect();
         Plan {
-            lc: lc_assignments(info, self.lc_config(active)),
+            lc: lc_assignments(info, self.lc_config(info, active)),
             batch,
         }
     }
@@ -317,16 +323,10 @@ impl ResourceManager for AsymmetricManager {
         _probe: &mut dyn FnMut(&ProfilePlan, f64) -> ProfileSample,
     ) -> Plan {
         let lc_cores: usize = info.lc.iter().map(|l| l.last_cores).sum();
-        let lc_watts: f64 = info
-            .lc
-            .iter()
-            .zip(&self.lc_watts_per_core)
-            .map(|(l, w)| l.last_cores as f64 * w)
-            .sum();
         let input = AsymmetricInput {
             num_cores: info.num_cores,
             lc_cores,
-            lc_watts,
+            lc_watts: total_lc_watts(info, &self.lc_watts_per_core),
             batch: self.choices.clone(),
             budget: info.cap_watts,
             gated_watts: self.gated_watts,
@@ -338,7 +338,7 @@ impl ResourceManager for AsymmetricManager {
             }
         };
         let active = plan.gated.iter().filter(|&&g| !g).count();
-        let (lc_share, batch_share) = unpartitioned_share(32, info.lc.len(), active);
+        let (lc_share, batch_share) = unpartitioned_share(info.llc_ways, info.lc.len(), active);
         let batch = plan
             .on_big
             .iter()
@@ -384,6 +384,8 @@ pub struct FlickerManager {
     /// Per-tenant QoS targets (ms), in priority order.
     qos_ms: Vec<f64>,
     num_lc: usize,
+    /// LLC associativity of the chip the scenario runs on.
+    llc_ways: u32,
     ga: GaParams,
     gated_watts: f64,
 }
@@ -395,6 +397,7 @@ impl FlickerManager {
             variant,
             qos_ms: scenario.lc_jobs().iter().map(|lc| lc.qos_ms).collect(),
             num_lc: scenario.num_lc(),
+            llc_ways: scenario.params.llc_ways,
             ga: GaParams {
                 seed: scenario.seed,
                 ..GaParams::default()
@@ -406,13 +409,13 @@ impl FlickerManager {
     /// Flicker does not partition the LLC: every batch job occupies its
     /// unpartitioned fair share of the paper's fully loaded chip.
     fn cache(&self) -> CacheAlloc {
-        unpartitioned_share(32, self.num_lc, 16).1
+        unpartitioned_share(self.llc_ways, self.num_lc, 16).1
     }
 
     /// An LC tenant's unpartitioned share (double weight for multi-core
     /// tenants).
     fn lc_cache(&self) -> CacheAlloc {
-        unpartitioned_share(32, self.num_lc, 16).0
+        unpartitioned_share(self.llc_ways, self.num_lc, 16).0
     }
 }
 
@@ -522,12 +525,7 @@ impl ResourceManager for FlickerManager {
         let watts: Vec<Vec<f64>> = (0..info.num_batch)
             .map(|j| model.power_row(j).iter().map(|w| w.max(0.0)).collect())
             .collect();
-        let lc_power: f64 = info
-            .lc
-            .iter()
-            .zip(&lc_watts)
-            .map(|(l, w)| l.last_cores as f64 * w)
-            .sum();
+        let lc_power = total_lc_watts(info, &lc_watts);
         // No way accounting: the LLC is unpartitioned.
         let objective = PenaltyTable::new(
             bips.iter().zip(&watts),
@@ -541,10 +539,10 @@ impl ResourceManager for FlickerManager {
         // The same last-resort rule as CuttleSys: gate in descending power
         // if even the narrowest plan misses the cap.
         let lowest = CoreConfig::narrowest().index();
-        let narrowest_watts: Vec<f64> = watts.iter().map(|row| row[lowest]).collect();
-        let lowest_power: f64 = lc_power + narrowest_watts.iter().sum::<f64>();
-        let batch: Vec<BatchAction> = if lowest_power > info.cap_watts {
+        let all_narrowest = vec![lowest; info.num_batch];
+        let batch: Vec<BatchAction> = if objective.power(&all_narrowest) > objective.max_power {
             let narrow = JobConfig::new(CoreConfig::narrowest(), self.cache());
+            let narrowest_watts: Vec<f64> = watts.iter().map(|row| row[lowest]).collect();
             gate_descending_power(&narrowest_watts, lc_power, info.cap_watts, self.gated_watts)
                 .into_iter()
                 .map(|g| {
@@ -607,7 +605,8 @@ impl ResourceManager for FeedbackManager {
             let actuation = self.pid.update(info.cap_watts * 0.97 - power);
             self.level.adjust(actuation);
         }
-        let (lc_share, batch_share) = unpartitioned_share(32, info.lc.len(), info.num_batch);
+        let (lc_share, batch_share) =
+            unpartitioned_share(info.llc_ways, info.lc.len(), info.num_batch);
         Plan {
             lc: lc_assignments(info, JobConfig::new(CoreConfig::widest(), lc_share)),
             batch: vec![
@@ -727,6 +726,21 @@ mod tests {
             "no-gating must bust a 50% cap"
         );
         assert_eq!(record.qos_violations(), 0);
+    }
+
+    #[test]
+    fn unpartitioned_shares_follow_the_chips_llc_ways() {
+        // One tenant (double weight) and 16 batch jobs: 32 / 18 ≈ 1.8 ways
+        // per job rounds to two, 16 / 18 ≈ 0.9 to one; the tenant holds
+        // twice the share.
+        for (llc_ways, batch_ways, lc_ways) in [(32, 2.0, 4.0), (16, 1.0, 2.0)] {
+            let mut s = scenario(CoreKind::Fixed, 0.9);
+            s.params.llc_ways = llc_ways;
+            let record = run_scenario(&s, &mut NoGatingManager);
+            let slice = &record.slices[0];
+            assert_eq!(slice.batch_configs[0].unwrap().cache.ways(), batch_ways);
+            assert_eq!(slice.lc[0].config.cache.ways(), lc_ways);
+        }
     }
 
     #[test]

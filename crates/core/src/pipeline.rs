@@ -2,12 +2,19 @@
 //!
 //! §IV–§VI describe CuttleSys as five consecutive stages per 100 ms
 //! quantum — profile, reconstruct, pin the LC configuration, search the
-//! batch space, repair against the cap. This module makes that structure
-//! explicit: each stage is a trait object behind [`DecisionPipeline`], the
-//! driver times every stage with a wall clock, and the resulting
-//! [`StageTelemetry`] flows into the run record so Table II-style overhead
-//! numbers come from the actual runtime rather than a separate
-//! micro-benchmark.
+//! batch space, repair against the cap. [`decide`] is that sequence: six
+//! private functions in one fixed order (the QoS stage has a pre-profiling
+//! half, `relocate`, and a post-reconstruction half, `pin`), each timed with
+//! a wall clock, so the resulting [`StageTelemetry`] flows into the run
+//! record and Table II-style overhead numbers come from the actual runtime
+//! rather than a separate micro-benchmark. The paper offers one alternative
+//! in the whole sequence — which algorithm explores the batch space
+//! (Fig. 10) — and that is [`SearchAlgo`], an enum.
+//!
+//! The quantum has one power ledger: `decide` builds the §VI-A
+//! [`PenaltyTable`] once, the search maximises over it and the repair stage
+//! asks the same table whether the all-narrowest plan fits, so the two can
+//! never disagree about what the chip draws.
 //!
 //! With multiple LC tenants the QoS stage walks them in priority order
 //! (their order in the scenario): relocation arbitrates cores tenant by
@@ -15,10 +22,6 @@
 //! explores the remaining batch dimensions. Batch jobs absent this slice
 //! (churn) are excluded from the search space and forced to
 //! [`BatchAction::Gated`].
-//!
-//! [`crate::runtime::CuttleSysManager`] is a composition of the default
-//! stage set; ablations swap a single stage (a different search algorithm,
-//! a different reconstruction configuration) without touching the rest.
 //!
 //! Every stage returns `Result<_, StageError>` instead of unwrapping: the
 //! profiling stage validates samples (finite, in physical range) with one
@@ -34,7 +37,7 @@ use baselines::ga::{ga_search, GaParams};
 use dds::{parallel_search, ParallelDdsParams, PenaltyTable, SearchSpace};
 use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
 
-use crate::accounting::{gate_descending_power, PowerAccount};
+use crate::accounting::narrowest_then_gate;
 use crate::faults::{
     poison_predictions, prediction_defects, DecisionError, QuantumFaults, ResilienceConfig,
     StageError,
@@ -57,7 +60,7 @@ pub struct LcAllocation {
 }
 
 /// Mutable state the stages operate over. Owned by the manager, borrowed
-/// for the duration of one [`DecisionPipeline::decide`] call.
+/// for the duration of one [`decide`] call.
 pub struct DecisionCtx<'a> {
     /// Facts about the current timeslice.
     pub info: &'a SliceInfo,
@@ -71,8 +74,6 @@ pub struct DecisionCtx<'a> {
     pub num_batch: usize,
     /// Power of a gated core (W).
     pub gated_watts: f64,
-    /// LLC associativity: the ways the tenants and batch jobs share.
-    pub llc_ways: f64,
     /// Compute-side faults injected into this quantum (NONE by default).
     pub faults: QuantumFaults,
     /// Bounds on the degradation ladder: sample sanity ranges, prediction
@@ -109,121 +110,21 @@ impl DecisionCtx<'_> {
 /// the slice, and returns the measurements.
 pub type Probe<'a> = dyn FnMut(&ProfilePlan, f64) -> ProfileSample + 'a;
 
-/// Stage 1: run profiling frames and record their samples.
-pub trait ProfileStage {
-    /// Issues frames through `probe` and folds validated samples into
-    /// `ctx.matrices`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no sample of the quantum survives validation, even after
-    /// the bounded retry.
-    fn profile(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        probe: &mut Probe,
-        tel: &mut StageTelemetry,
-    ) -> Result<(), StageError>;
-}
-
-/// Stage 2: complete the rating matrices into dense predictions.
-pub trait ReconstructStage {
-    /// Returns predictions at the tail library's reference core count.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the solve cannot run at all; a solve that *diverges* is
-    /// returned as-is and caught by the pipeline's sanity gate.
-    fn reconstruct(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        tel: &mut StageTelemetry,
-    ) -> Result<Predictions, StageError>;
-}
-
-/// Stage 3: core relocation and LC configuration pinning (§VI-A).
-pub trait QosStage {
-    /// Pre-profiling half: reclaim cores after measured violations that
-    /// reconfiguration alone cannot fix. Runs before stage 1 so the frames
-    /// profile the post-relocation layout.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the slice info does not describe a tenant it needs.
-    fn relocate(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        tel: &mut StageTelemetry,
-    ) -> Result<(), StageError>;
-
-    /// Post-reconstruction half: relinquish reclaimed cores when
-    /// predictions show slack, rescale each tenant's tail row to its final
-    /// core count, and pin every tenant's configuration in priority order.
-    /// Returns the pinned configurations and the rescaled predictions the
-    /// later stages use.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the slice info or predictions are missing a tenant.
-    fn pin(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        preds: &Predictions,
-        tel: &mut StageTelemetry,
-    ) -> Result<(Vec<JobConfig>, Predictions), StageError>;
-}
-
-/// Stage 4: search the batch jobs' configuration space.
-pub trait SearchStage {
-    /// Returns the best configuration index per batch job (entries for
-    /// absent jobs are placeholders — stage 5 gates them).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the search cannot evaluate its objective.
-    fn search(
-        &mut self,
-        ctx: &DecisionCtx,
-        preds: &Predictions,
-        lc_configs: &[JobConfig],
-        tel: &mut StageTelemetry,
-    ) -> Result<Vec<usize>, StageError>;
-}
-
-/// Stage 5: enforce the cap when even the narrowest plan misses it (§VI-B).
-pub trait RepairStage {
-    /// Turns the searched point into batch actions, gating if necessary.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the searched point does not match the slice's jobs.
-    fn repair(
-        &mut self,
-        ctx: &DecisionCtx,
-        preds: &Predictions,
-        lc_configs: &[JobConfig],
-        point: &[usize],
-        tel: &mut StageTelemetry,
-    ) -> Result<Vec<BatchAction>, StageError>;
-}
-
-/// The instrumented five-stage driver.
-pub struct DecisionPipeline {
-    /// Stage 1: profiling.
-    pub profile: Box<dyn ProfileStage + Send>,
-    /// Stage 2: matrix completion.
-    pub reconstruct: Box<dyn ReconstructStage + Send>,
-    /// Stage 3: QoS (relocation + pinning).
-    pub qos: Box<dyn QosStage + Send>,
-    /// Stage 4: batch search.
-    pub search: Box<dyn SearchStage + Send>,
-    /// Stage 5: power-cap repair.
-    pub repair: Box<dyn RepairStage + Send>,
+/// Which algorithm explores the batch dimensions of the §VI-A problem in
+/// stage 4. Either runs inline on the deciding thread: an evaluation is a
+/// walk over the quantum's [`PenaltyTable`], cheaper than handing it to
+/// another thread.
+#[derive(Debug, Clone)]
+pub enum SearchAlgo {
+    /// The paper's parallel Dynamically Dimensioned Search.
+    Dds(ParallelDdsParams),
+    /// Genetic algorithm at a matched evaluation budget (Fig. 10 ablation).
+    Ga(GaParams),
 }
 
 /// Checks the per-quantum deadline budget after a stage: wall-clock since
 /// the quantum began plus any injected stall. Marks the telemetry and
-/// fails so the driver skips the remaining stages.
+/// fails so [`decide`] skips the remaining stages.
 fn check_deadline(
     start: Instant,
     tel: &mut StageTelemetry,
@@ -253,102 +154,107 @@ fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), S
     Ok((out, t.elapsed().as_secs_f64() * 1e3))
 }
 
-impl DecisionPipeline {
-    /// Runs the five stages in order, timing each into `tel`, and returns
-    /// the plan and the predictions it was built from.
-    ///
-    /// Telemetry is accumulated through the borrowed `tel` so the stages
-    /// that *did* run stay visible even when a later stage fails. Between
-    /// stages the driver checks the quantum's deadline budget, and the
-    /// reconstruction output passes a sanity gate with a staleness-bounded
-    /// fallback to the last-good predictions.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`StageError`] encountered (wrapped in
-    /// [`DecisionError::Stage`]); the caller is expected to degrade to its
-    /// last-good decision or the safe-mode allocation.
-    pub fn decide(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        probe: &mut Probe,
-        tel: &mut StageTelemetry,
-    ) -> Result<(Plan, Predictions), DecisionError> {
-        // Wall-clock reads below are the quantum's *budget* clock: they feed
-        // stage telemetry and the deadline check (a real-time bound from the
-        // paper's 100ms quantum), never the plan itself — every stage output
-        // is a pure function of ctx/probe state.
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "deadline budget for the 100ms quantum; timing feeds telemetry and abort-on-overrun, not plan content"
-        )]
-        // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible")
-        let start = Instant::now();
-        let budget = ctx.resilience.deadline_ms;
+/// Runs the five stages in order, timing each into `tel`, and returns the
+/// plan and the predictions it was built from.
+///
+/// Telemetry is accumulated through the borrowed `tel` so the stages that
+/// *did* run stay visible even when a later stage fails. Between stages the
+/// deadline budget of the quantum is checked, and the reconstruction output
+/// passes a sanity gate with a staleness-bounded fallback to the last-good
+/// predictions.
+///
+/// # Errors
+///
+/// Returns the first [`StageError`] encountered (wrapped in
+/// [`DecisionError::Stage`]); the caller is expected to degrade to its
+/// last-good decision or the safe-mode allocation.
+pub fn decide(
+    algo: &SearchAlgo,
+    ctx: &mut DecisionCtx,
+    probe: &mut Probe,
+    tel: &mut StageTelemetry,
+) -> Result<(Plan, Predictions), DecisionError> {
+    // Wall-clock reads below are the quantum's *budget* clock: they feed
+    // stage telemetry and the deadline check (a real-time bound from the
+    // paper's 100ms quantum), never the plan itself — every stage output
+    // is a pure function of ctx/probe state.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "deadline budget for the 100ms quantum; timing feeds telemetry and abort-on-overrun, not plan content"
+    )]
+    // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible")
+    let start = Instant::now();
+    let budget = ctx.resilience.deadline_ms;
 
-        let ((), ms) = timed(|| self.qos.relocate(ctx, tel))?;
-        tel.qos_wall_ms += ms;
-        check_deadline(start, tel, budget, "qos")?;
+    let ((), ms) = timed(|| relocate(ctx, tel))?;
+    tel.qos_wall_ms += ms;
+    check_deadline(start, tel, budget, "qos")?;
 
-        let ((), ms) = timed(|| self.profile.profile(ctx, probe, tel))?;
-        tel.profile_wall_ms += ms;
-        check_deadline(start, tel, budget, "profile")?;
+    let ((), ms) = timed(|| profile(ctx, probe, tel))?;
+    tel.profile_wall_ms += ms;
+    check_deadline(start, tel, budget, "profile")?;
 
-        let (mut raw, ms) = timed(|| self.reconstruct.reconstruct(ctx, tel))?;
-        tel.reconstruct_wall_ms += ms;
-        // Sanity gate: a diverged solve (NaN, out-of-physical-range rows)
-        // must not reach the QoS scan. Last-good predictions substitute
-        // while they are fresh enough.
-        let defects = prediction_defects(&raw, ctx.resilience);
-        if defects > 0 {
-            match ctx.last_good_preds {
-                Some((lg, age)) if age <= ctx.resilience.staleness_bound => {
-                    tel.degradation.reconstruct_fallback = true;
-                    tel.degradation.stale_age = tel.degradation.stale_age.max(age);
-                    raw = lg.clone();
+    let (mut raw, ms) = timed(|| Ok(reconstruct(ctx, tel)))?;
+    tel.reconstruct_wall_ms += ms;
+    // Sanity gate: a diverged solve (NaN, out-of-physical-range rows)
+    // must not reach the QoS scan. Last-good predictions substitute
+    // while they are fresh enough.
+    let defects = prediction_defects(&raw, ctx.resilience);
+    if defects > 0 {
+        match ctx.last_good_preds {
+            Some((lg, age)) if age <= ctx.resilience.staleness_bound => {
+                tel.degradation.reconstruct_fallback = true;
+                tel.degradation.stale_age = tel.degradation.stale_age.max(age);
+                raw = lg.clone();
+            }
+            Some((_, age)) => {
+                return Err(StageError::PredictionsStale {
+                    age,
+                    bound: ctx.resilience.staleness_bound,
                 }
-                Some((_, age)) => {
-                    return Err(StageError::PredictionsStale {
-                        age,
-                        bound: ctx.resilience.staleness_bound,
-                    }
-                    .into())
+                .into())
+            }
+            None => {
+                return Err(StageError::ReconstructionDiverged {
+                    bad_values: defects,
                 }
-                None => {
-                    return Err(StageError::ReconstructionDiverged {
-                        bad_values: defects,
-                    }
-                    .into())
-                }
+                .into())
             }
         }
-        check_deadline(start, tel, budget, "reconstruct")?;
-
-        let ((lc_configs, preds), ms) = timed(|| self.qos.pin(ctx, &raw, tel))?;
-        tel.qos_wall_ms += ms;
-        check_deadline(start, tel, budget, "qos")?;
-
-        let (point, ms) = timed(|| self.search.search(ctx, &preds, &lc_configs, tel))?;
-        tel.search_wall_ms += ms;
-        check_deadline(start, tel, budget, "search")?;
-
-        let (batch, ms) = timed(|| self.repair.repair(ctx, &preds, &lc_configs, &point, tel))?;
-        tel.repair_wall_ms += ms;
-
-        let plan = Plan {
-            lc: ctx
-                .lc
-                .iter()
-                .zip(&lc_configs)
-                .map(|(a, &config)| LcAssignment {
-                    cores: a.cores,
-                    config,
-                })
-                .collect(),
-            batch,
-        };
-        Ok((plan, preds))
     }
+    check_deadline(start, tel, budget, "reconstruct")?;
+
+    let ((lc_configs, preds), ms) = timed(|| pin(ctx, &raw, tel))?;
+    tel.qos_wall_ms += ms;
+    check_deadline(start, tel, budget, "qos")?;
+
+    // The quantum's one power ledger, built once under the search stopwatch;
+    // slot `s` of `table` and of `point` is batch job `active[s]`.
+    let ((active, table, point), ms) = timed(|| {
+        let active = ctx.active_batch();
+        let table = penalty_table(ctx, &preds, &lc_configs, &active);
+        let point = search(algo, &table, tel);
+        Ok((active, table, point))
+    })?;
+    tel.search_wall_ms += ms;
+    check_deadline(start, tel, budget, "search")?;
+
+    let (batch, ms) = timed(|| Ok(repair(ctx, &table, &active, &point, tel)))?;
+    tel.repair_wall_ms += ms;
+
+    let plan = Plan {
+        lc: ctx
+            .lc
+            .iter()
+            .zip(&lc_configs)
+            .map(|(a, &config)| LcAssignment {
+                cores: a.cores,
+                config,
+            })
+            .collect(),
+        batch,
+    };
+    Ok((plan, preds))
 }
 
 /// Validates one profiling sample against the physical sanity ranges.
@@ -373,148 +279,148 @@ fn sanitize_sample(s: &SamplePoint, cfg: &ResilienceConfig) -> (Option<SamplePoi
     (Some(clean), rejected)
 }
 
-/// Total predicted LC power of the pinned configurations (W).
-fn lc_watts_total(ctx: &DecisionCtx, preds: &Predictions, lc_configs: &[JobConfig]) -> f64 {
-    ctx.lc
-        .iter()
-        .zip(lc_configs)
-        .zip(&preds.lc)
-        .map(|((a, config), lc)| a.cores as f64 * lc.watts[config.index()])
-        .sum()
-}
-
-/// The fixed per-core power components of the current split, from every LC
-/// tenant's predicted Watts at its pinned configuration.
-fn account_for(ctx: &DecisionCtx, preds: &Predictions, lc_configs: &[JobConfig]) -> PowerAccount {
-    PowerAccount::for_split(
-        ctx.info.num_cores,
-        ctx.total_lc_cores(),
-        ctx.active_batch().len(),
-        lc_watts_total(ctx, preds, lc_configs),
-        ctx.gated_watts,
-    )
-}
-
-/// §VIII-A1: two 1 ms frames in which half the cores run the widest-issue
-/// configuration and half the narrowest (swapped in the second frame, to
-/// avoid a chip-wide power overshoot), each job holding one LLC way.
-#[derive(Debug, Default)]
-pub struct SplitHalvesProfile;
-
-impl ProfileStage for SplitHalvesProfile {
-    fn profile(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        probe: &mut Probe,
-        tel: &mut StageTelemetry,
-    ) -> Result<(), StageError> {
-        let high = JobConfig::profiling_high();
-        let low = JobConfig::profiling_low();
-        let mut valid_total = 0usize;
-        let mut rejected_total = 0usize;
-        for swap in [false, true] {
-            let lc_configs: Vec<Vec<JobConfig>> = ctx
-                .lc
-                .iter()
-                .map(|a| {
-                    (0..a.cores)
-                        .map(|i| if (i < a.cores / 2) ^ swap { high } else { low })
-                        .collect()
-                })
-                .collect();
-            let batch: Vec<BatchAction> = (0..ctx.num_batch)
-                .map(|j| {
-                    if !ctx.info.batch_active.get(j).copied().unwrap_or(true) {
-                        return BatchAction::Gated;
-                    }
-                    BatchAction::Run(if (j < ctx.num_batch / 2) ^ swap {
-                        high
-                    } else {
-                        low
-                    })
-                })
-                .collect();
-            // One bounded retry: if every sample of a frame is rejected
-            // (a sensor blackout rather than ordinary loss), the frame is
-            // reissued once before the stage gives up.
-            let mut attempts = 0;
-            loop {
-                attempts += 1;
-                let sample = probe(
-                    &ProfilePlan {
-                        lc_configs: lc_configs.clone(),
-                        batch: batch.clone(),
-                    },
-                    1.0,
-                );
-                tel.profile_sim_ms += sample.duration_ms;
-                let mut valid = 0usize;
-                for s in &sample.samples {
-                    let (clean, rejected) = sanitize_sample(s, ctx.resilience);
-                    rejected_total += rejected;
-                    if let Some(c) = clean {
-                        ctx.matrices
-                            .record_sample(c.job, c.config.index(), c.bips, c.watts);
-                        valid += 1;
-                        tel.samples_recorded += 1;
-                    }
-                }
-                valid_total += valid;
-                if valid > 0 || attempts > 1 {
-                    break;
-                }
-                tel.degradation.sample_retries += 1;
+/// Stage 3, pre-profiling half — the reclaim policy of §VI-A: a measured QoS
+/// violation while already at the widest configuration means reconfiguration
+/// alone cannot help, so the tenant takes one core from the batch jobs.
+/// Tenants are walked in priority order, each checked against the shared core
+/// budget. Runs before stage 1 so the frames profile the post-relocation
+/// layout.
+///
+/// # Errors
+///
+/// Fails when the slice info does not describe a tenant it needs.
+fn relocate(ctx: &mut DecisionCtx, tel: &mut StageTelemetry) -> Result<(), StageError> {
+    for i in 0..ctx.lc.len() {
+        let Some(lc_info) = ctx.info.lc.get(i) else {
+            return Err(StageError::MissingTenant { tenant: i });
+        };
+        if let Some(tail) = lc_info.last_tail_ms {
+            if tail > lc_info.qos_ms
+                && ctx.total_lc_cores() + 1 < ctx.info.num_cores
+                && ctx
+                    .last_lc_config(i)
+                    .is_some_and(|c| c.core == CoreConfig::widest())
+            {
+                ctx.lc[i].cores += 1;
+                tel.reclaimed_core = true;
             }
         }
-        tel.degradation.samples_rejected += rejected_total;
-        if valid_total == 0 {
-            return Err(StageError::NoValidSamples {
-                rejected: rejected_total,
-            });
-        }
-        Ok(())
     }
+    Ok(())
 }
 
-/// §V: collaborative-filtering completion of the rating matrices — every
-/// live row folded into the configuration factors SGD learned from the
-/// known applications ([`JobMatrices::reconstruct`]). Stateless: the factors
-/// live with the matrices they were learned from.
-#[derive(Debug, Default)]
-pub struct CfReconstruct;
-
-impl ReconstructStage for CfReconstruct {
-    fn reconstruct(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        tel: &mut StageTelemetry,
-    ) -> Result<Predictions, StageError> {
-        // An injected stall burns wall-clock budget without changing the
-        // result; the deadline check after this stage accounts for it.
-        if ctx.faults.reconstruct_stall_ms > 0.0 {
-            tel.degradation.injected_stall_ms += ctx.faults.reconstruct_stall_ms;
-        }
-        // Each tenant's tail row is completed at the effective load of the
-        // cores it holds after relocation, the axis its observations live on.
-        let loads: Vec<f64> = ctx
-            .info
+/// Stage 1 (§VIII-A1): two 1 ms frames in which half the cores run the
+/// widest-issue configuration and half the narrowest (swapped in the second
+/// frame, to avoid a chip-wide power overshoot), each job holding one LLC
+/// way. Validated samples are folded into `ctx.matrices`.
+///
+/// # Errors
+///
+/// Fails when no sample of the quantum survives validation, even after the
+/// bounded retry.
+fn profile(
+    ctx: &mut DecisionCtx,
+    probe: &mut Probe,
+    tel: &mut StageTelemetry,
+) -> Result<(), StageError> {
+    let high = JobConfig::profiling_high();
+    let low = JobConfig::profiling_low();
+    let mut valid_total = 0usize;
+    let mut rejected_total = 0usize;
+    for swap in [false, true] {
+        let lc_configs: Vec<Vec<JobConfig>> = ctx
             .lc
             .iter()
-            .zip(ctx.lc.iter())
-            .map(|(l, a)| effective_load(l.load, a.cores))
+            .map(|a| {
+                (0..a.cores)
+                    .map(|i| if (i < a.cores / 2) ^ swap { high } else { low })
+                    .collect()
+            })
             .collect();
-        // SGD runs in a quantum only to learn the factors of a tail bucket
-        // met for the first time; the count is what actually ran.
-        let epochs_before = ctx.matrices.learning_epochs();
-        let mut preds = ctx.matrices.reconstruct(&loads);
-        tel.sgd_epochs += ctx.matrices.learning_epochs() - epochs_before;
-        // An injected divergence poisons the output with NaN — the
-        // pipeline's sanity gate is expected to catch exactly this.
-        if ctx.faults.reconstruct_diverge {
-            poison_predictions(&mut preds);
+        let batch: Vec<BatchAction> = (0..ctx.num_batch)
+            .map(|j| {
+                if !ctx.info.batch_active.get(j).copied().unwrap_or(true) {
+                    return BatchAction::Gated;
+                }
+                BatchAction::Run(if (j < ctx.num_batch / 2) ^ swap {
+                    high
+                } else {
+                    low
+                })
+            })
+            .collect();
+        // One bounded retry: if every sample of a frame is rejected
+        // (a sensor blackout rather than ordinary loss), the frame is
+        // reissued once before the stage gives up.
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let sample = probe(
+                &ProfilePlan {
+                    lc_configs: lc_configs.clone(),
+                    batch: batch.clone(),
+                },
+                1.0,
+            );
+            tel.profile_sim_ms += sample.duration_ms;
+            let mut valid = 0usize;
+            for s in &sample.samples {
+                let (clean, rejected) = sanitize_sample(s, ctx.resilience);
+                rejected_total += rejected;
+                if let Some(c) = clean {
+                    ctx.matrices
+                        .record_sample(c.job, c.config.index(), c.bips, c.watts);
+                    valid += 1;
+                    tel.samples_recorded += 1;
+                }
+            }
+            valid_total += valid;
+            if valid > 0 || attempts > 1 {
+                break;
+            }
+            tel.degradation.sample_retries += 1;
         }
-        Ok(preds)
     }
+    tel.degradation.samples_rejected += rejected_total;
+    if valid_total == 0 {
+        return Err(StageError::NoValidSamples {
+            rejected: rejected_total,
+        });
+    }
+    Ok(())
+}
+
+/// Stage 2 (§V): collaborative-filtering completion of the rating matrices —
+/// every live row folded into the configuration factors SGD learned from the
+/// known applications ([`JobMatrices::reconstruct`]). Returns predictions at
+/// the tail library's reference core count. A solve that *diverges* is
+/// returned as-is and caught by [`decide`]'s sanity gate.
+fn reconstruct(ctx: &mut DecisionCtx, tel: &mut StageTelemetry) -> Predictions {
+    // An injected stall burns wall-clock budget without changing the
+    // result; the deadline check after this stage accounts for it.
+    if ctx.faults.reconstruct_stall_ms > 0.0 {
+        tel.degradation.injected_stall_ms += ctx.faults.reconstruct_stall_ms;
+    }
+    // Each tenant's tail row is completed at the effective load of the
+    // cores it holds after relocation, the axis its observations live on.
+    let loads: Vec<f64> = ctx
+        .info
+        .lc
+        .iter()
+        .zip(ctx.lc.iter())
+        .map(|(l, a)| effective_load(l.load, a.cores))
+        .collect();
+    // SGD runs in a quantum only to learn the factors of a tail bucket
+    // met for the first time; the count is what actually ran.
+    let epochs_before = ctx.matrices.learning_epochs();
+    let mut preds = ctx.matrices.reconstruct(&loads);
+    tel.sgd_epochs += ctx.matrices.learning_epochs() - epochs_before;
+    // An injected divergence poisons the output with NaN — the
+    // pipeline's sanity gate is expected to catch exactly this.
+    if ctx.faults.reconstruct_diverge {
+        poison_predictions(&mut preds);
+    }
+    preds
 }
 
 /// Relinquish threshold: yield a reclaimed core when the predicted tail has
@@ -524,288 +430,225 @@ const RELINQUISH_SLACK: f64 = 0.2;
 /// is below `QOS_HEADROOM × QoS`, absorbing reconstruction error.
 const QOS_HEADROOM: f64 = 0.9;
 
-/// §VI-A: trust-region pinning with the reclaim/relinquish relocation
-/// policy, applied per tenant in priority order.
-#[derive(Debug, Default)]
-pub struct TrustRegionQos;
-
-impl TrustRegionQos {
-    /// Pins one tenant's configuration from its reconstructed tail row.
-    /// Returns `(config, met_qos)`.
-    ///
-    /// Among configurations predicted to meet QoS (with headroom), the scan
-    /// minimizes predicted power, breaking ties toward smaller cache
-    /// allocations — at tight caps the tenant's Watts are the binding
-    /// resource; its ways only matter as a tiebreak against the batch jobs'
-    /// cache demand.
-    pub fn pin_lc_config(
-        &self,
-        lc: &LcPrediction,
-        qos_ms: f64,
-        last_config: Option<JobConfig>,
-    ) -> (JobConfig, bool) {
-        let mut best: Option<(JobConfig, f64)> = None;
-        // Trust region: downsizing proceeds at most one step per dimension
-        // per timeslice from the previous configuration (widening is
-        // unlimited). Gradual descent means a mispredicted step lands just
-        // past the previous — observed-safe — configuration, bounding the
-        // magnitude of any transient violation.
-        let floor =
-            last_config.unwrap_or_else(|| JobConfig::new(CoreConfig::widest(), CacheAlloc::Four));
-        let within_trust = |jc: JobConfig| {
-            jc.core.fe.index() + 1 >= floor.core.fe.index()
-                && jc.core.be.index() + 1 >= floor.core.be.index()
-                && jc.core.ls.index() + 1 >= floor.core.ls.index()
-                && jc.cache.index() + 1 >= floor.cache.index()
-        };
-        for c in 0..NUM_JOB_CONFIGS {
-            if lc.tail_guarded[c] > qos_ms * QOS_HEADROOM {
-                continue;
-            }
-            let jc = JobConfig::from_index(c);
-            if !within_trust(jc) {
-                continue;
-            }
-            let watts = lc.watts[c];
-            let better = match &best {
-                None => true,
-                Some((b, w)) => (watts, jc.cache) < (*w, b.cache),
-            };
-            if better {
-                best = Some((jc, watts));
-            }
+/// Pins one tenant's configuration from its reconstructed tail row (§VI-A's
+/// trust-region scan). Returns `(config, met_qos)`.
+///
+/// Among configurations predicted to meet QoS (with headroom), the scan
+/// minimizes predicted power, breaking ties toward smaller cache
+/// allocations — at tight caps the tenant's Watts are the binding
+/// resource; its ways only matter as a tiebreak against the batch jobs'
+/// cache demand.
+fn pin_lc_config(
+    lc: &LcPrediction,
+    qos_ms: f64,
+    last_config: Option<JobConfig>,
+) -> (JobConfig, bool) {
+    let mut best: Option<(JobConfig, f64)> = None;
+    // Trust region: downsizing proceeds at most one step per dimension
+    // per timeslice from the previous configuration (widening is
+    // unlimited). Gradual descent means a mispredicted step lands just
+    // past the previous — observed-safe — configuration, bounding the
+    // magnitude of any transient violation.
+    let floor =
+        last_config.unwrap_or_else(|| JobConfig::new(CoreConfig::widest(), CacheAlloc::Four));
+    let within_trust = |jc: JobConfig| {
+        jc.core.fe.index() + 1 >= floor.core.fe.index()
+            && jc.core.be.index() + 1 >= floor.core.be.index()
+            && jc.core.ls.index() + 1 >= floor.core.ls.index()
+            && jc.cache.index() + 1 >= floor.cache.index()
+    };
+    for c in 0..NUM_JOB_CONFIGS {
+        if lc.tail_guarded[c] > qos_ms * QOS_HEADROOM {
+            continue;
         }
-        match best {
-            Some((jc, _)) => (jc, true),
-            None => {
-                // Nothing meets QoS: run the strongest configuration while
-                // the relocation policy reclaims cores.
-                (
-                    JobConfig::new(CoreConfig::widest(), CacheAlloc::Four),
-                    false,
-                )
-            }
+        let jc = JobConfig::from_index(c);
+        if !within_trust(jc) {
+            continue;
+        }
+        let watts = lc.watts[c];
+        let better = match &best {
+            None => true,
+            Some((b, w)) => (watts, jc.cache) < (*w, b.cache),
+        };
+        if better {
+            best = Some((jc, watts));
+        }
+    }
+    match best {
+        Some((jc, _)) => (jc, true),
+        None => {
+            // Nothing meets QoS: run the strongest configuration while
+            // the relocation policy reclaims cores.
+            (
+                JobConfig::new(CoreConfig::widest(), CacheAlloc::Four),
+                false,
+            )
         }
     }
 }
 
-impl QosStage for TrustRegionQos {
-    fn relocate(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        tel: &mut StageTelemetry,
-    ) -> Result<(), StageError> {
-        // Reclaim half (§VI-A): a measured QoS violation while already at
-        // the widest configuration means reconfiguration alone cannot
-        // help — take one core from the batch jobs. Tenants are walked in
-        // priority order, each checked against the shared core budget.
-        for i in 0..ctx.lc.len() {
-            let Some(lc_info) = ctx.info.lc.get(i) else {
-                return Err(StageError::MissingTenant { tenant: i });
-            };
-            if let Some(tail) = lc_info.last_tail_ms {
-                if tail > lc_info.qos_ms
-                    && ctx.total_lc_cores() + 1 < ctx.info.num_cores
-                    && ctx
-                        .last_lc_config(i)
-                        .is_some_and(|c| c.core == CoreConfig::widest())
-                {
-                    ctx.lc[i].cores += 1;
-                    tel.reclaimed_core = true;
-                }
+/// Stage 3, post-reconstruction half: relinquish reclaimed cores when
+/// predictions show slack, rescale each tenant's tail row to its final core
+/// count, and pin every tenant's configuration in priority order. Returns
+/// the pinned configurations and the rescaled predictions the later stages
+/// use.
+///
+/// # Errors
+///
+/// Fails when the slice info or predictions are missing a tenant.
+fn pin(
+    ctx: &mut DecisionCtx,
+    preds: &Predictions,
+    tel: &mut StageTelemetry,
+) -> Result<(Vec<JobConfig>, Predictions), StageError> {
+    let mut lc_configs = Vec::with_capacity(ctx.lc.len());
+    let mut rescaled_lc = Vec::with_capacity(ctx.lc.len());
+    for i in 0..ctx.lc.len() {
+        let lc_info = ctx
+            .info
+            .lc
+            .get(i)
+            .ok_or(StageError::MissingTenant { tenant: i })?;
+        let tenant_preds = preds
+            .lc
+            .get(i)
+            .ok_or(StageError::MissingTenant { tenant: i })?;
+        let last_config = ctx.last_lc_config(i);
+        // The tenant's predictions were reconstructed at the effective
+        // load of this core count; relocation below steps away from it.
+        let reconstructed_cores = ctx.lc[i].cores;
+        // Relinquish half: a reclaimed core is yielded back as soon as
+        // the predictions say one fewer core still meets QoS with slack
+        // (measured slack at the chosen configuration is not
+        // meaningful — the scan deliberately sits near the headroom
+        // boundary).
+        if ctx.lc[i].cores > ctx.lc[i].min_cores {
+            let fewer = tenant_preds.rescaled_step(reconstructed_cores, ctx.lc[i].cores - 1);
+            let (_, met) = pin_lc_config(
+                &fewer,
+                lc_info.qos_ms * (1.0 - RELINQUISH_SLACK / 2.0),
+                last_config,
+            );
+            if met && lc_info.last_tail_ms.is_some_and(|t| t <= lc_info.qos_ms) {
+                ctx.lc[i].cores -= 1;
+                tel.relinquished_core = true;
             }
         }
-        Ok(())
-    }
 
-    fn pin(
-        &mut self,
-        ctx: &mut DecisionCtx,
-        preds: &Predictions,
-        tel: &mut StageTelemetry,
-    ) -> Result<(Vec<JobConfig>, Predictions), StageError> {
-        let mut lc_configs = Vec::with_capacity(ctx.lc.len());
-        let mut rescaled_lc = Vec::with_capacity(ctx.lc.len());
-        for i in 0..ctx.lc.len() {
-            let lc_info = ctx
-                .info
-                .lc
-                .get(i)
-                .ok_or(StageError::MissingTenant { tenant: i })?;
-            let tenant_preds = preds
-                .lc
-                .get(i)
-                .ok_or(StageError::MissingTenant { tenant: i })?;
-            let last_config = ctx.last_lc_config(i);
-            // The tenant's predictions were reconstructed at the effective
-            // load of this core count; relocation below steps away from it.
-            let reconstructed_cores = ctx.lc[i].cores;
-            // Relinquish half: a reclaimed core is yielded back as soon as
-            // the predictions say one fewer core still meets QoS with slack
-            // (measured slack at the chosen configuration is not
-            // meaningful — the scan deliberately sits near the headroom
-            // boundary).
-            if ctx.lc[i].cores > ctx.lc[i].min_cores {
-                let fewer = tenant_preds.rescaled_step(reconstructed_cores, ctx.lc[i].cores - 1);
-                let (_, met) = self.pin_lc_config(
-                    &fewer,
-                    lc_info.qos_ms * (1.0 - RELINQUISH_SLACK / 2.0),
-                    last_config,
-                );
-                if met && lc_info.last_tail_ms.is_some_and(|t| t <= lc_info.qos_ms) {
-                    ctx.lc[i].cores -= 1;
-                    tel.relinquished_core = true;
-                }
-            }
-
-            let rescaled = tenant_preds.rescaled_step(reconstructed_cores, ctx.lc[i].cores);
-            // First touch of a load region: no observation within ±2 % load
-            // means the saturation wall's position is unknown — run the
-            // widest configuration for one slice and learn from it (this is
-            // also the system's t = 0 state).
-            let first_touch = ctx
-                .matrices
-                .tail_observations_near(
-                    i,
-                    bucket_for(effective_load(lc_info.load, ctx.lc[i].cores)),
-                )
-                .is_empty();
-            let (config, _met) = if first_touch {
-                (JobConfig::new(CoreConfig::widest(), CacheAlloc::Four), true)
-            } else {
-                self.pin_lc_config(&rescaled, lc_info.qos_ms, last_config)
-            };
-            lc_configs.push(config);
-            rescaled_lc.push(rescaled);
-        }
-        let preds = Predictions {
-            batch_bips: preds.batch_bips.clone(),
-            batch_watts: preds.batch_watts.clone(),
-            lc: rescaled_lc,
+        let rescaled = tenant_preds.rescaled_step(reconstructed_cores, ctx.lc[i].cores);
+        // First touch of a load region: no observation within ±2 % load
+        // means the saturation wall's position is unknown — run the
+        // widest configuration for one slice and learn from it (this is
+        // also the system's t = 0 state).
+        let first_touch = ctx
+            .matrices
+            .tail_observations_near(i, bucket_for(effective_load(lc_info.load, ctx.lc[i].cores)))
+            .is_empty();
+        let (config, _met) = if first_touch {
+            (JobConfig::new(CoreConfig::widest(), CacheAlloc::Four), true)
+        } else {
+            pin_lc_config(&rescaled, lc_info.qos_ms, last_config)
         };
-        Ok((lc_configs, preds))
+        lc_configs.push(config);
+        rescaled_lc.push(rescaled);
     }
-}
-
-/// Stage 4 as shipped: the §VI-A penalty objective over the batch dimensions
-/// ([`penalty_table`]), explored by one of two algorithms. Either runs inline
-/// on the deciding thread: an evaluation is a walk over the table, cheaper
-/// than handing it to another thread.
-#[derive(Debug, Clone)]
-pub enum SearchAlgo {
-    /// The paper's parallel Dynamically Dimensioned Search.
-    Dds(ParallelDdsParams),
-    /// Genetic algorithm at a matched evaluation budget (Fig. 10 ablation).
-    Ga(GaParams),
+    let preds = Predictions {
+        batch_bips: preds.batch_bips.clone(),
+        batch_watts: preds.batch_watts.clone(),
+        lc: rescaled_lc,
+    };
+    Ok((lc_configs, preds))
 }
 
 /// The §VI-A problem over the `active` batch jobs' dimensions (slot `s` of a
-/// point configures job `active[s]`), beside the LC tenants' pinned Watts
-/// and ways and the idle cores' gated Watts.
+/// point configures job `active[s]`). Outside the searched jobs the chip
+/// draws every LC tenant's predicted Watts at its pinned configuration plus
+/// the gated Watts of the cores with neither a tenant nor a present batch
+/// job, and holds the tenants' pinned ways.
 fn penalty_table<'a>(
     ctx: &DecisionCtx,
     preds: &'a Predictions,
     lc_configs: &[JobConfig],
     active: &[usize],
 ) -> PenaltyTable<'a> {
+    let lc_watts: f64 = ctx
+        .lc
+        .iter()
+        .zip(lc_configs)
+        .zip(&preds.lc)
+        .map(|((a, config), lc)| a.cores as f64 * lc.watts[config.index()])
+        .sum();
+    let idle_cores = ctx
+        .info
+        .num_cores
+        .saturating_sub(ctx.total_lc_cores())
+        .saturating_sub(active.len());
     PenaltyTable::new(
         active
             .iter()
             .map(|&j| (&preds.batch_bips[j], &preds.batch_watts[j])),
         JobConfig::all().map(|c| c.cache.ways()).collect(),
         (
-            account_for(ctx, preds, lc_configs).base_watts(),
+            lc_watts + idle_cores as f64 * ctx.gated_watts,
             lc_configs.iter().map(|c| c.cache.ways()).sum(),
         ),
-        (ctx.info.cap_watts, ctx.llc_ways),
+        (ctx.info.cap_watts, f64::from(ctx.info.llc_ways)),
     )
 }
 
-impl SearchStage for SearchAlgo {
-    fn search(
-        &mut self,
-        ctx: &DecisionCtx,
-        preds: &Predictions,
-        lc_configs: &[JobConfig],
-        tel: &mut StageTelemetry,
-    ) -> Result<Vec<usize>, StageError> {
-        let lowest = JobConfig::profiling_low().index();
-        let active = ctx.active_batch();
-        if active.is_empty() {
-            return Ok(vec![lowest; ctx.num_batch]);
-        }
-        let objective = penalty_table(ctx, preds, lc_configs, &active);
-        let space = SearchSpace::new(active.len(), NUM_JOB_CONFIGS);
-        let result = match self {
-            SearchAlgo::Dds(params) => parallel_search(&space, &objective, params),
-            SearchAlgo::Ga(params) => ga_search(&space, &objective, params),
-        };
-        tel.search_evaluations += result.evaluations;
-        tel.cache_misses += result.evaluations;
-        // Scatter the active-job point back to global batch indices;
-        // departed slots carry a placeholder that stage 5 gates.
-        let mut point = vec![lowest; ctx.num_batch];
-        for (slot, &j) in active.iter().enumerate() {
-            point[j] = result.best_point[slot];
-        }
-        Ok(point)
+/// Stage 4: maximises the quantum's objective over its slots with `algo`.
+/// Returns one configuration index per slot (none when no batch job is
+/// present: nothing to search).
+fn search(algo: &SearchAlgo, table: &PenaltyTable, tel: &mut StageTelemetry) -> Vec<usize> {
+    if table.slots() == 0 {
+        return Vec::new();
     }
+    let space = SearchSpace::new(table.slots(), NUM_JOB_CONFIGS);
+    let result = match algo {
+        SearchAlgo::Dds(params) => parallel_search(&space, table, params),
+        SearchAlgo::Ga(params) => ga_search(&space, table, params),
+    };
+    tel.search_evaluations += result.evaluations;
+    tel.cache_misses += result.evaluations;
+    result.best_point
 }
 
-/// §VI-B last resort: if the cap is missed even with every batch job at the
-/// narrowest configuration, gate batch cores in descending predicted power.
-#[derive(Debug, Default)]
-pub struct PowerCapRepair;
-
-impl RepairStage for PowerCapRepair {
-    fn repair(
-        &mut self,
-        ctx: &DecisionCtx,
-        preds: &Predictions,
-        lc_configs: &[JobConfig],
-        point: &[usize],
-        tel: &mut StageTelemetry,
-    ) -> Result<Vec<BatchAction>, StageError> {
-        let lowest = JobConfig::profiling_low().index();
-        let active = ctx.active_batch();
-        let lc_watts = lc_watts_total(ctx, preds, lc_configs);
-        let narrowest_watts: Vec<f64> = active
-            .iter()
-            .map(|&j| preds.batch_watts[j][lowest])
-            .collect();
-        let lowest_power: f64 = lc_watts + narrowest_watts.iter().sum::<f64>();
-        let is_active =
-            |j: usize| -> bool { ctx.info.batch_active.get(j).copied().unwrap_or(true) };
-        if lowest_power <= ctx.info.cap_watts {
-            return Ok(point
-                .iter()
-                .enumerate()
-                .map(|(j, &c)| {
-                    if is_active(j) {
-                        BatchAction::Run(JobConfig::from_index(c))
-                    } else {
-                        BatchAction::Gated
-                    }
-                })
-                .collect());
-        }
-        // Not even the narrowest plan fits: start from all-narrowest and
-        // gate the hungriest jobs until the predicted power fits.
-        let gated = gate_descending_power(
-            &narrowest_watts,
-            lc_watts,
-            ctx.info.cap_watts,
-            ctx.gated_watts,
-        );
-        tel.gated_jobs += gated.iter().filter(|&&g| g).count();
+/// Stage 5 (§VI-B): turns the searched `point` (slot `s` configures batch job
+/// `active[s]`) into one action per batch job; jobs absent this slice are
+/// gated. If the table says the cap is missed even with every present job at
+/// the narrowest configuration, the searched point is dropped and jobs are
+/// gated in descending predicted power on top of the table's base Watts.
+fn repair(
+    ctx: &DecisionCtx,
+    table: &PenaltyTable,
+    active: &[usize],
+    point: &[usize],
+    tel: &mut StageTelemetry,
+) -> Vec<BatchAction> {
+    let lowest = JobConfig::profiling_low().index();
+    if table.power(&vec![lowest; active.len()]) <= table.max_power {
         let mut actions = vec![BatchAction::Gated; ctx.num_batch];
-        for (slot, &j) in active.iter().enumerate() {
-            if !gated[slot] {
-                actions[j] = BatchAction::Run(JobConfig::from_index(lowest));
-            }
+        for (&j, &c) in active.iter().zip(point) {
+            actions[j] = BatchAction::Run(JobConfig::from_index(c));
         }
-        Ok(actions)
+        return actions;
     }
+    let narrowest_watts: Vec<f64> = (0..active.len())
+        .map(|slot| table.watts_at(slot, lowest))
+        .collect();
+    let actions = narrowest_then_gate(
+        ctx.num_batch,
+        active,
+        &narrowest_watts,
+        table.base_watts(),
+        table.max_power,
+        ctx.gated_watts,
+    );
+    tel.gated_jobs += active
+        .iter()
+        .filter(|&&j| actions[j] == BatchAction::Gated)
+        .count();
+    actions
 }
 
 #[cfg(test)]
@@ -844,6 +687,7 @@ mod tests {
             slice: 5,
             cap_watts,
             num_cores: 32,
+            llc_ways: 32,
             num_batch: 4,
             lc: vec![LcSliceInfo {
                 service,
@@ -870,7 +714,6 @@ mod tests {
 
     #[test]
     fn pin_minimizes_power_among_safe_configs() {
-        let qos = TrustRegionQos;
         let mut preds = flat_predictions(1.0);
         // Make one configuration clearly cheapest.
         let cheap = JobConfig::new(CoreConfig::narrowest(), CacheAlloc::One).index();
@@ -878,7 +721,7 @@ mod tests {
         // With the widest as the previous config, only one-step-down
         // configurations are eligible.
         let widest = JobConfig::new(CoreConfig::widest(), CacheAlloc::Four);
-        let (jc, met) = qos.pin_lc_config(&preds.lc[0], 10.0, Some(widest));
+        let (jc, met) = pin_lc_config(&preds.lc[0], 10.0, Some(widest));
         assert!(met);
         // The chosen config must be within one step of widest per dimension.
         assert!(jc.core.fe.index() + 1 >= widest.core.fe.index());
@@ -901,14 +744,13 @@ mod tests {
 
     #[test]
     fn pin_trust_region_downsizes_one_step_per_dimension() {
-        let qos = TrustRegionQos;
         // Every configuration is predicted safe and equally cheap except
         // the narrowest, which is strictly cheapest — the scan wants it.
         let mut preds = flat_predictions(1.0);
         let narrow = JobConfig::new(CoreConfig::narrowest(), CacheAlloc::One);
         preds.lc[0].watts[narrow.index()] = 0.1;
         let widest = JobConfig::new(CoreConfig::widest(), CacheAlloc::Four);
-        let (jc, met) = qos.pin_lc_config(&preds.lc[0], 10.0, Some(widest));
+        let (jc, met) = pin_lc_config(&preds.lc[0], 10.0, Some(widest));
         assert!(met);
         assert_ne!(
             jc, narrow,
@@ -921,7 +763,6 @@ mod tests {
 
     #[test]
     fn pin_allows_unrestricted_widening() {
-        let qos = TrustRegionQos;
         // Only the widest configuration is safe; the previous plan was the
         // narrowest. Widening is not trust-limited, so the scan must reach
         // the widest in one quantum.
@@ -929,25 +770,24 @@ mod tests {
         let widest = JobConfig::new(CoreConfig::widest(), CacheAlloc::Four);
         preds.lc[0].tail_guarded[widest.index()] = 1.0;
         let narrow = JobConfig::new(CoreConfig::narrowest(), CacheAlloc::One);
-        let (jc, met) = qos.pin_lc_config(&preds.lc[0], 10.0, Some(narrow));
+        let (jc, met) = pin_lc_config(&preds.lc[0], 10.0, Some(narrow));
         assert!(met);
         assert_eq!(jc, widest);
     }
 
     #[test]
     fn pin_falls_back_to_widest_when_nothing_meets_qos() {
-        let qos = TrustRegionQos;
         let preds = flat_predictions(1000.0);
-        let (jc, met) = qos.pin_lc_config(&preds.lc[0], 10.0, None);
+        let (jc, met) = pin_lc_config(&preds.lc[0], 10.0, None);
         assert!(!met);
         assert_eq!(jc, JobConfig::new(CoreConfig::widest(), CacheAlloc::Four));
     }
 
     #[test]
     fn repair_keeps_searched_point_when_narrowest_fits() {
-        let mut repair = PowerCapRepair;
         let preds = flat_predictions(1.0);
-        // lc 16 × 3 W + 4 × 2 W = 56 W, well under a 200 W cap.
+        // lc 16 × 3 W + 12 idle × 0.1 W + 4 × 2 W = 57.2 W, well under a
+        // 200 W cap.
         let inf = info(200.0);
         let mut matrices = test_matrices();
         let mut lc = vec![LcAllocation {
@@ -962,16 +802,15 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
         };
         let point = vec![3, 17, 42, 99];
         let mut tel = StageTelemetry::default();
-        let actions = repair
-            .repair(&ctx, &preds, &[JobConfig::from_index(0)], &point, &mut tel)
-            .unwrap();
+        let active = ctx.active_batch();
+        let table = penalty_table(&ctx, &preds, &[JobConfig::from_index(0)], &active);
+        let actions = repair(&ctx, &table, &active, &point, &mut tel);
         let expect: Vec<BatchAction> = point
             .iter()
             .map(|&c| BatchAction::Run(JobConfig::from_index(c)))
@@ -982,17 +821,17 @@ mod tests {
 
     #[test]
     fn repair_gates_descending_power_until_under_cap() {
-        let mut repair = PowerCapRepair;
         let mut preds = flat_predictions(1.0);
         let lowest = JobConfig::profiling_low().index();
         // Distinct narrowest-config powers so the gating order is known.
         for (j, w) in [(0usize, 8.0), (1, 6.0), (2, 4.0), (3, 2.0)] {
             preds.batch_watts[j][lowest] = w;
         }
-        // lc 16 × 3 = 48 W + 20 W batch = 68 W against a 60 W cap with
-        // 0.5 W gated cores: gating job 0 leaves 60.5, gating job 1 leaves
-        // 55 — under the cap, so exactly jobs 0 and 1 gate.
-        let inf = info(60.0);
+        // lc 16 × 3 = 48 W + 12 idle cores × 0.5 W = 6 W + 20 W batch = 74 W
+        // against a 66 W cap with 0.5 W gated cores: gating job 0 leaves
+        // 66.5, gating job 1 leaves 61 — under the cap, so exactly jobs 0
+        // and 1 gate.
+        let inf = info(66.0);
         let mut matrices = test_matrices();
         let mut lc = vec![LcAllocation {
             cores: 16,
@@ -1006,21 +845,15 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.5,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
-        let actions = repair
-            .repair(
-                &ctx,
-                &preds,
-                &[JobConfig::from_index(0)],
-                &[0, 0, 0, 0],
-                &mut tel,
-            )
-            .unwrap();
+        let active = ctx.active_batch();
+        let table = penalty_table(&ctx, &preds, &[JobConfig::from_index(0)], &active);
+        assert_eq!(table.power(&[lowest; 4]), 74.0);
+        let actions = repair(&ctx, &table, &active, &[0, 0, 0, 0], &mut tel);
         assert_eq!(actions[0], BatchAction::Gated);
         assert_eq!(actions[1], BatchAction::Gated);
         assert_eq!(actions[2], BatchAction::Run(JobConfig::from_index(lowest)));
@@ -1030,7 +863,6 @@ mod tests {
 
     #[test]
     fn repair_gates_everything_at_impossible_caps() {
-        let mut repair = PowerCapRepair;
         let preds = flat_predictions(1.0);
         // A 1 W cap cannot be met even fully gated: every job gates.
         let inf = info(1.0);
@@ -1047,28 +879,20 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.5,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
-        let actions = repair
-            .repair(
-                &ctx,
-                &preds,
-                &[JobConfig::from_index(0)],
-                &[0, 0, 0, 0],
-                &mut tel,
-            )
-            .unwrap();
+        let active = ctx.active_batch();
+        let table = penalty_table(&ctx, &preds, &[JobConfig::from_index(0)], &active);
+        let actions = repair(&ctx, &table, &active, &[0, 0, 0, 0], &mut tel);
         assert!(actions.iter().all(|a| *a == BatchAction::Gated));
         assert_eq!(tel.gated_jobs, 4);
     }
 
     #[test]
     fn repair_gates_departed_jobs_without_counting_them() {
-        let mut repair = PowerCapRepair;
         let preds = flat_predictions(1.0);
         let mut inf = info(200.0);
         inf.batch_active[2] = false;
@@ -1085,21 +909,15 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
-        let actions = repair
-            .repair(
-                &ctx,
-                &preds,
-                &[JobConfig::from_index(0)],
-                &[3, 17, 42, 99],
-                &mut tel,
-            )
-            .unwrap();
+        let active = ctx.active_batch();
+        let table = penalty_table(&ctx, &preds, &[JobConfig::from_index(0)], &active);
+        // Slot-indexed: the three present jobs are 0, 1 and 3.
+        let actions = repair(&ctx, &table, &active, &[3, 17, 99], &mut tel);
         assert_eq!(actions[2], BatchAction::Gated, "departed slot is gated");
         assert_eq!(actions[0], BatchAction::Run(JobConfig::from_index(3)));
         assert_eq!(tel.gated_jobs, 0, "departure is not a repair gating");
@@ -1107,7 +925,6 @@ mod tests {
 
     #[test]
     fn relocate_reclaims_only_at_widest_config() {
-        let mut qos = TrustRegionQos;
         let mut inf = info(100.0);
         inf.lc[0].last_tail_ms = Some(50.0);
         let mut matrices = test_matrices();
@@ -1126,13 +943,12 @@ mod tests {
                 last_plan: &last,
                 num_batch: 4,
                 gated_watts: 0.5,
-                llc_ways: 32.0,
                 faults: QuantumFaults::NONE,
                 resilience: &RES,
                 last_good_preds: None,
             };
             let mut tel = StageTelemetry::default();
-            qos.relocate(&mut ctx, &mut tel).unwrap();
+            relocate(&mut ctx, &mut tel).unwrap();
             assert_eq!(tel.reclaimed_core, expect_reclaim, "config {config:?}");
             assert_eq!(lc[0].cores, if expect_reclaim { 17 } else { 16 });
         }
@@ -1140,7 +956,6 @@ mod tests {
 
     #[test]
     fn relocate_arbitrates_cores_between_two_tenants() {
-        let mut qos = TrustRegionQos;
         let service = workloads::latency::service_by_name("xapian").unwrap();
         let masstree = workloads::latency::service_by_name("masstree").unwrap();
         // Both tenants violated at the widest config: both reclaim while
@@ -1149,6 +964,7 @@ mod tests {
             slice: 5,
             cap_watts: 100.0,
             num_cores: 32,
+            llc_ways: 32,
             num_batch: 4,
             lc: vec![
                 LcSliceInfo {
@@ -1208,13 +1024,12 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.5,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
-        qos.relocate(&mut ctx, &mut tel).unwrap();
+        relocate(&mut ctx, &mut tel).unwrap();
         // Tenant 0 (higher priority) reclaims to 15; the total is then
         // 29 + 1 < 32, so tenant 1 also reclaims; a second pass would stop
         // at the budget.
@@ -1255,7 +1070,6 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1266,7 +1080,7 @@ mod tests {
 
         // The §VI-A arithmetic evaluated from scratch per point: the reference.
         let (bips, watts) = (&preds.batch_bips, &preds.batch_watts);
-        let base_watts = account_for(&ctx, &preds, &lc_configs).base_watts();
+        let base_watts = 16.0 * 3.0 + 13.0 * 0.1;
         let power = |x: &[usize]| {
             base_watts
                 + x.iter()
@@ -1307,12 +1121,12 @@ mod tests {
         }
         assert!((500..1500).contains(&over_cap), "cap binds on {over_cap}");
 
-        let mut stage = SearchAlgo::Dds(ParallelDdsParams::default());
+        let algo = SearchAlgo::Dds(ParallelDdsParams::default());
         let mut tel = StageTelemetry::default();
-        let first = stage.search(&ctx, &preds, &lc_configs, &mut tel).unwrap();
-        let second = stage.search(&ctx, &preds, &lc_configs, &mut tel).unwrap();
+        let first = search(&algo, &tabulated, &mut tel);
+        let second = search(&algo, &tabulated, &mut tel);
         assert_eq!(first, second, "the search keeps no state between calls");
-        assert_eq!(first[1], JobConfig::profiling_low().index());
+        assert_eq!(first.len(), active.len(), "one choice per present job");
         assert_eq!(tel.search_evaluations, 2 * 3250);
         assert_eq!(tel.cache_misses, tel.search_evaluations);
     }
@@ -1320,12 +1134,13 @@ mod tests {
     #[test]
     fn the_search_is_bounded_by_the_chips_llc_ways() {
         let preds = flat_predictions(1.0);
-        let inf = info(200.0);
+        let mut inf = info(200.0);
         let mut matrices = test_matrices();
         let widest = JobConfig::new(CoreConfig::widest(), CacheAlloc::Four);
         // The tenant's four ways plus four jobs at four ways each: 20 ways.
         let point = [widest.index(); 4];
-        for (llc_ways, fits) in [(32.0, true), (16.0, false)] {
+        for (llc_ways, fits) in [(32, true), (16, false)] {
+            inf.llc_ways = llc_ways;
             let mut lc = vec![LcAllocation {
                 cores: 16,
                 min_cores: 16,
@@ -1338,85 +1153,162 @@ mod tests {
                 last_plan: &last,
                 num_batch: 4,
                 gated_watts: 0.1,
-                llc_ways,
                 faults: QuantumFaults::NONE,
                 resilience: &RES,
                 last_good_preds: None,
             };
             let table = penalty_table(&ctx, &preds, &[widest], &ctx.active_batch());
-            assert_eq!(table.max_ways, llc_ways);
+            assert_eq!(table.max_ways, f64::from(llc_ways));
             assert_eq!(table.cache_ways(&point), 20.0);
             assert_eq!(table.is_feasible(&point), fits, "{llc_ways} ways");
         }
     }
 
-    // --- stub stages for driving the hardened driver directly ---
+    /// One quantum, one ledger. Over seeded random rows, churn masks,
+    /// idle-core counts and caps, `repair` drops the searched point exactly
+    /// when the table it shares with `search` says the all-narrowest plan
+    /// misses the cap, and what it then emits fits by that table's own
+    /// `power` (gated jobs at the gated Watts) unless every present job is
+    /// already gated. A kept point is the search's, untouched: under the soft
+    /// penalty it may ride the cap, which is not repair's to fix.
+    #[test]
+    fn search_and_repair_agree_with_the_table_on_what_fits() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
 
-    struct NoopProfile;
-    impl ProfileStage for NoopProfile {
-        fn profile(
-            &mut self,
-            _ctx: &mut DecisionCtx,
-            _probe: &mut Probe,
-            _tel: &mut StageTelemetry,
-        ) -> Result<(), StageError> {
-            Ok(())
-        }
-    }
+        const GATED_WATTS: f64 = 0.5;
+        let mut rng = StdRng::seed_from_u64(0x1ED6E2);
+        let algo = SearchAlgo::Dds(ParallelDdsParams {
+            max_iters: 4,
+            initial_points: 10,
+            ..ParallelDdsParams::default()
+        });
+        let lowest = JobConfig::profiling_low().index();
+        let lc_configs = [JobConfig::new(CoreConfig::widest(), CacheAlloc::Four)];
+        let mut matrices = test_matrices();
+        // Cases the table keeps, cases it drops, and among the dropped those
+        // only the idle cores' Watts push over the cap.
+        let (mut kept, mut dropped, mut idle_decided) = (0, 0, 0);
+        let row = |rng: &mut StdRng, range: std::ops::Range<f64>| -> Vec<f64> {
+            (0..NUM_JOB_CONFIGS)
+                .map(|_| rng.random_range(range.clone()))
+                .collect()
+        };
+        for case in 0..384 {
+            let num_batch = rng.random_range(1..7);
+            let preds = Predictions {
+                batch_bips: (0..num_batch).map(|_| row(&mut rng, 0.05..4.0)).collect(),
+                batch_watts: (0..num_batch).map(|_| row(&mut rng, 1.0..4.0)).collect(),
+                ..flat_predictions(1.0)
+            };
+            let mut inf = info(0.0);
+            inf.num_batch = num_batch;
+            inf.batch_active = (0..num_batch).map(|_| rng.random_range(0..4) > 0).collect();
+            inf.num_cores = 16 + num_batch + rng.random_range(0..13);
+            let narrowest: f64 = (0..num_batch)
+                .filter(|&j| inf.batch_active[j])
+                .map(|j| preds.batch_watts[j][lowest])
+                .sum();
+            // One case in eight cannot be met at all; the rest straddle the
+            // all-narrowest plan, idle cores (at most 9 W) included.
+            inf.cap_watts = if case % 8 == 0 {
+                rng.random_range(0.0..48.0)
+            } else {
+                48.0 + narrowest + rng.random_range(-6.0..15.0)
+            };
+            let mut lc = vec![LcAllocation {
+                cores: 16,
+                min_cores: 16,
+            }];
+            let last = None;
+            let ctx = DecisionCtx {
+                info: &inf,
+                matrices: &mut matrices,
+                lc: &mut lc,
+                last_plan: &last,
+                num_batch,
+                gated_watts: GATED_WATTS,
+                faults: QuantumFaults::NONE,
+                resilience: &RES,
+                last_good_preds: None,
+            };
+            let active = ctx.active_batch();
+            let table = penalty_table(&ctx, &preds, &lc_configs, &active);
+            let mut tel = StageTelemetry::default();
+            let point = search(&algo, &table, &mut tel);
+            let actions = repair(&ctx, &table, &active, &point, &mut tel);
 
-    struct StaticReconstruct(Predictions);
-    impl ReconstructStage for StaticReconstruct {
-        fn reconstruct(
-            &mut self,
-            ctx: &mut DecisionCtx,
-            tel: &mut StageTelemetry,
-        ) -> Result<Predictions, StageError> {
-            if ctx.faults.reconstruct_stall_ms > 0.0 {
-                tel.degradation.injected_stall_ms += ctx.faults.reconstruct_stall_ms;
+            assert_eq!(actions.len(), num_batch);
+            for (j, action) in actions.iter().enumerate() {
+                assert!(inf.batch_active[j] || *action == BatchAction::Gated);
             }
-            let mut preds = self.0.clone();
-            if ctx.faults.reconstruct_diverge {
-                poison_predictions(&mut preds);
+            let present: Vec<BatchAction> = active.iter().map(|&j| actions[j]).collect();
+            let searched: Vec<BatchAction> = point
+                .iter()
+                .map(|&c| BatchAction::Run(JobConfig::from_index(c)))
+                .collect();
+            let fits = table.power(&vec![lowest; active.len()]) <= table.max_power;
+            if fits {
+                kept += 1;
+                assert_eq!(present, searched, "case {case}: a fitting plan is kept");
+                assert_eq!(tel.gated_jobs, 0);
+                continue;
             }
-            Ok(preds)
+            dropped += 1;
+            idle_decided += usize::from(48.0 + narrowest <= inf.cap_watts);
+            let narrow = BatchAction::Run(JobConfig::profiling_low());
+            let gated = present.iter().filter(|a| **a != narrow).count();
+            assert_eq!(tel.gated_jobs, gated);
+            let emitted = table.base_watts()
+                + present
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, action)| match action {
+                        BatchAction::Run(_) => table.watts_at(slot, lowest),
+                        BatchAction::Gated => GATED_WATTS,
+                    })
+                    .sum::<f64>();
+            assert!(
+                emitted <= table.max_power + 1e-9 || gated == present.len(),
+                "case {case}: emits {emitted} W against {} W with {gated} of {} gated",
+                table.max_power,
+                present.len()
+            );
         }
+        assert!(
+            kept >= 64 && dropped >= 64,
+            "{kept} kept, {dropped} dropped"
+        );
+        assert!(
+            idle_decided >= 16,
+            "idle cores decided {idle_decided} cases"
+        );
     }
 
-    struct NarrowestSearch;
-    impl SearchStage for NarrowestSearch {
-        fn search(
-            &mut self,
-            ctx: &DecisionCtx,
-            _preds: &Predictions,
-            _lc_configs: &[JobConfig],
-            _tel: &mut StageTelemetry,
-        ) -> Result<Vec<usize>, StageError> {
-            Ok(vec![JobConfig::profiling_low().index(); ctx.num_batch])
-        }
-    }
-
-    fn stub_pipeline(preds: Predictions) -> DecisionPipeline {
-        DecisionPipeline {
-            profile: Box::new(NoopProfile),
-            reconstruct: Box::new(StaticReconstruct(preds)),
-            qos: Box::new(TrustRegionQos),
-            search: Box::new(NarrowestSearch),
-            repair: Box::new(PowerCapRepair),
-        }
-    }
-
-    fn null_probe() -> impl FnMut(&ProfilePlan, f64) -> ProfileSample {
-        |_, _| ProfileSample {
-            duration_ms: 0.0,
-            samples: vec![],
+    /// A healthy probe: one finite sample per job (the tenant, then the
+    /// four batch jobs) in every frame.
+    fn steady_probe() -> impl FnMut(&ProfilePlan, f64) -> ProfileSample {
+        |_, ms| ProfileSample {
+            duration_ms: ms,
+            samples: (0..5)
+                .map(|job| SamplePoint {
+                    job,
+                    config: JobConfig::profiling_high(),
+                    bips: 1.0,
+                    watts: 2.0,
+                })
+                .collect(),
             lc_tails_ms: vec![],
         }
+    }
+
+    fn dds() -> SearchAlgo {
+        SearchAlgo::Dds(ParallelDdsParams::default())
     }
 
     #[test]
     fn sanity_gate_falls_back_to_fresh_last_good_predictions() {
         let good = flat_predictions(1.0);
-        let mut pipeline = stub_pipeline(flat_predictions(1.0));
         let inf = info(200.0);
         let mut matrices = test_matrices();
         let mut lc = vec![LcAllocation {
@@ -1431,7 +1323,6 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults {
                 reconstruct_diverge: true,
                 ..QuantumFaults::NONE
@@ -1439,9 +1330,9 @@ mod tests {
             resilience: &RES,
             last_good_preds: Some((&good, 2)),
         };
-        let mut probe = null_probe();
+        let mut probe = steady_probe();
         let mut tel = StageTelemetry::default();
-        let (plan, _) = pipeline.decide(&mut ctx, &mut probe, &mut tel).unwrap();
+        let (plan, _) = decide(&dds(), &mut ctx, &mut probe, &mut tel).unwrap();
         assert!(tel.degradation.reconstruct_fallback);
         assert_eq!(tel.degradation.stale_age, 2);
         assert!(tel.degradation.degraded());
@@ -1453,7 +1344,6 @@ mod tests {
         let inf = info(200.0);
         for (last_good_age, expected_stale) in [(None, false), (Some(9), true)] {
             let good = flat_predictions(1.0);
-            let mut pipeline = stub_pipeline(flat_predictions(1.0));
             let mut matrices = test_matrices();
             let mut lc = vec![LcAllocation {
                 cores: 16,
@@ -1467,7 +1357,6 @@ mod tests {
                 last_plan: &last,
                 num_batch: 4,
                 gated_watts: 0.1,
-                llc_ways: 32.0,
                 faults: QuantumFaults {
                     reconstruct_diverge: true,
                     ..QuantumFaults::NONE
@@ -1475,10 +1364,9 @@ mod tests {
                 resilience: &RES,
                 last_good_preds: last_good_age.map(|age| (&good, age)),
             };
-            let mut probe = null_probe();
+            let mut probe = steady_probe();
             let mut tel = StageTelemetry::default();
-            let err = pipeline
-                .decide(&mut ctx, &mut probe, &mut tel)
+            let err = decide(&dds(), &mut ctx, &mut probe, &mut tel)
                 .expect_err("diverged reconstruction with no usable fallback");
             match err {
                 DecisionError::Stage(StageError::PredictionsStale { age, bound }) => {
@@ -1502,7 +1390,6 @@ mod tests {
             deadline_ms: 100.0,
             ..ResilienceConfig::default()
         };
-        let mut pipeline = stub_pipeline(flat_predictions(1.0));
         let inf = info(200.0);
         let mut matrices = test_matrices();
         let mut lc = vec![LcAllocation {
@@ -1517,7 +1404,6 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults {
                 reconstruct_stall_ms: 10_000.0,
                 ..QuantumFaults::NONE
@@ -1525,10 +1411,9 @@ mod tests {
             resilience: &tight,
             last_good_preds: None,
         };
-        let mut probe = null_probe();
+        let mut probe = steady_probe();
         let mut tel = StageTelemetry::default();
-        let err = pipeline
-            .decide(&mut ctx, &mut probe, &mut tel)
+        let err = decide(&dds(), &mut ctx, &mut probe, &mut tel)
             .expect_err("a 10 s stall must blow a 100 ms budget");
         assert!(matches!(
             err,
@@ -1543,7 +1428,6 @@ mod tests {
 
     #[test]
     fn profile_rejects_invalid_samples_and_errors_when_nothing_survives() {
-        let mut stage = SplitHalvesProfile;
         let inf = info(200.0);
         let mut matrices = test_matrices();
         let mut lc = vec![LcAllocation {
@@ -1558,7 +1442,6 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1578,8 +1461,7 @@ mod tests {
             }
         };
         let mut tel = StageTelemetry::default();
-        let err = stage
-            .profile(&mut ctx, &mut probe, &mut tel)
+        let err = profile(&mut ctx, &mut probe, &mut tel)
             .expect_err("all-NaN samples must fail the stage");
         assert!(matches!(err, StageError::NoValidSamples { rejected: 8 }));
         // Two frames, each retried exactly once.
@@ -1591,7 +1473,6 @@ mod tests {
 
     #[test]
     fn profile_salvages_the_finite_field_of_a_half_valid_sample() {
-        let mut stage = SplitHalvesProfile;
         let inf = info(200.0);
         let mut matrices = test_matrices();
         let mut lc = vec![LcAllocation {
@@ -1606,7 +1487,6 @@ mod tests {
             last_plan: &last,
             num_batch: 4,
             gated_watts: 0.1,
-            llc_ways: 32.0,
             faults: QuantumFaults::NONE,
             resilience: &RES,
             last_good_preds: None,
@@ -1624,7 +1504,7 @@ mod tests {
             lc_tails_ms: vec![],
         };
         let mut tel = StageTelemetry::default();
-        stage.profile(&mut ctx, &mut probe, &mut tel).unwrap();
+        profile(&mut ctx, &mut probe, &mut tel).unwrap();
         assert_eq!(tel.samples_recorded, 2);
         assert_eq!(tel.degradation.samples_rejected, 2);
         assert_eq!(tel.degradation.sample_retries, 0);

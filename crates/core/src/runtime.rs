@@ -1,36 +1,36 @@
 //! The CuttleSys resource manager (§IV–§VI).
 //!
-//! Every 100 ms decision quantum runs the five-stage
-//! [`DecisionPipeline`]:
+//! Every 100 ms decision quantum runs the five stages of
+//! [`pipeline::decide`]:
 //!
 //! 1. **Profile** for 2 ms: two 1 ms frames in which half of each LC
 //!    tenant's cores run the widest-issue configuration and half the
 //!    narrowest (swapped in the second frame, to avoid a chip-wide power
-//!    overshoot), each job holding one LLC way ([`SplitHalvesProfile`]).
+//!    overshoot), each job holding one LLC way.
 //! 2. **Reconstruct** the throughput, tail-latency, and power rows of every
 //!    live job: each is folded, in closed form, into the configuration
 //!    factors SGD learned once from the offline-characterized training
 //!    applications, using the job's profiling samples and all observations
-//!    accumulated from previous steady states ([`CfReconstruct`]). One tail
-//!    row is completed per LC tenant, at that tenant's current load.
+//!    accumulated from previous steady states. One tail row is completed
+//!    per LC tenant, at that tenant's current load.
 //! 3. **Pin each LC configuration** in priority order: scan the tenant's
 //!    reconstructed tail row for configurations meeting its QoS; take the
 //!    smallest cache allocation and, among those, the lowest predicted
 //!    power (§VI-A). If nothing meets QoS, reclaim one core from the batch
 //!    jobs (§VI-A); once the measured tail shows ≥ 20 % slack, yield
-//!    reclaimed cores back ([`TrustRegionQos`]).
+//!    reclaimed cores back.
 //! 4. **Search** the *present* batch jobs' configuration space with
 //!    parallel DDS (Alg. 2) under the soft power/cache penalty objective;
 //!    optionally a GA can be substituted (the paper's Fig. 10 comparison)
 //!    ([`SearchAlgo`]).
-//! 5. **Repair**: if even the all-narrowest plan exceeds the cap, gate
-//!    batch cores in descending predicted power (§VI-B)
-//!    ([`PowerCapRepair`]).
+//! 5. **Repair**: if even the all-narrowest plan exceeds the cap — by the
+//!    same table the search maximised over — gate batch cores in descending
+//!    predicted power (§VI-B).
 //!
 //! The manager itself only owns the pipeline state — the rating matrices,
-//! the per-tenant LC core allocations, and the previous plan — and wires the
-//! stages together; each stage's logic lives in [`crate::pipeline`]. The
-//! pipeline driver times every stage and the manager surfaces the resulting
+//! the per-tenant LC core allocations, the previous plan — and the choice of
+//! search algorithm; each stage's logic lives in [`crate::pipeline`]. The
+//! pipeline times every stage and the manager surfaces the resulting
 //! [`StageTelemetry`] through [`ResourceManager::take_telemetry`], which is
 //! how the Table II overhead report gets runtime-measured numbers. On batch
 //! job departure (churn) the manager retires the job's observation rows so a
@@ -71,10 +71,7 @@ use crate::faults::{
 };
 use crate::matrices::{JobMatrices, Predictions};
 pub use crate::pipeline::SearchAlgo;
-use crate::pipeline::{
-    CfReconstruct, DecisionCtx, DecisionPipeline, LcAllocation, PowerCapRepair, SplitHalvesProfile,
-    TrustRegionQos,
-};
+use crate::pipeline::{self, DecisionCtx, LcAllocation};
 use crate::telemetry::StageTelemetry;
 use crate::types::{
     BatchAction, Plan, ProfilePlan, ProfileSample, ResourceManager, Scenario, SliceInfo,
@@ -90,13 +87,12 @@ struct LastGood {
     age: usize,
 }
 
-/// The CuttleSys runtime: pipeline state plus the five default stages.
+/// The CuttleSys runtime: pipeline state plus the search algorithm.
 pub struct CuttleSysManager {
     matrices: JobMatrices,
-    pipeline: DecisionPipeline,
+    search: SearchAlgo,
     lc: Vec<LcAllocation>,
     gated_watts: f64,
-    llc_ways: f64,
     num_batch: usize,
     name: String,
     last_plan: Option<Plan>,
@@ -126,13 +122,7 @@ impl CuttleSysManager {
         let name = Self::name_for(&search);
         CuttleSysManager {
             matrices,
-            pipeline: DecisionPipeline {
-                profile: Box::new(SplitHalvesProfile),
-                reconstruct: Box::new(CfReconstruct),
-                qos: Box::new(TrustRegionQos),
-                search: Box::new(search),
-                repair: Box::new(PowerCapRepair),
-            },
+            search,
             lc: scenario
                 .lc_jobs()
                 .iter()
@@ -142,7 +132,6 @@ impl CuttleSysManager {
                 })
                 .collect(),
             gated_watts: scenario.params.gated_core_watts,
-            llc_ways: f64::from(scenario.params.llc_ways),
             num_batch: scenario.num_batch(),
             name,
             last_plan: None,
@@ -166,7 +155,7 @@ impl CuttleSysManager {
     /// Substitutes the search algorithm (used by the Fig. 10 GA ablation).
     pub fn with_search(mut self, search: SearchAlgo) -> CuttleSysManager {
         self.name = Self::name_for(&search);
-        self.pipeline.search = Box::new(search);
+        self.search = search;
         self
     }
 
@@ -252,12 +241,11 @@ impl CuttleSysManager {
             last_plan: &self.last_plan,
             num_batch: self.num_batch,
             gated_watts: self.gated_watts,
-            llc_ways: self.llc_ways,
             faults,
             resilience: &self.resilience,
             last_good_preds: self.last_good.as_ref().map(|lg| (&lg.preds, lg.age)),
         };
-        self.pipeline.decide(&mut ctx, probe, tel)
+        pipeline::decide(&self.search, &mut ctx, probe, tel)
     }
 
     /// The fallback for a failed quantum: replay the last-good plan while it

@@ -6,8 +6,8 @@
 //! [`run_scenario`] advances it in 100 ms timeslices; each slice the
 //! [`ResourceManager`] under test may run short profiling frames (consuming
 //! real slice time, as in the paper — "results include all overheads") and
-//! must return a [`Plan`]; the remainder of the slice runs in steady state.
-//! The shared vocabulary (scenarios, plans, records) lives in
+//! must return a [`crate::types::Plan`]; the remainder of the slice runs in
+//! steady state. The shared vocabulary (scenarios, plans, records) lives in
 //! [`crate::types`]; this module is only the simulation loop.
 //!
 //! Managers only see *measurements*: noisy per-job throughput and power
@@ -349,7 +349,7 @@ impl Testbed {
 /// the testbed's measurement-noise RNG, so a clean plan is bit-identical to
 /// a build without fault hooks. Ground-truth records always report what
 /// physically ran (the *applied* plan) plus the per-slice
-/// [`InjectedFaults`] counts.
+/// [`crate::faults::InjectedFaults`] counts.
 pub fn run_scenario(scenario: &Scenario, manager: &mut dyn ResourceManager) -> RunRecord {
     let mut driver = crate::driver::ScenarioDriver::new(scenario);
     while !driver.is_done() {

@@ -516,6 +516,8 @@ pub struct SliceInfo {
     pub cap_watts: f64,
     /// Total cores on the chip.
     pub num_cores: usize,
+    /// LLC associativity: the ways every job on the chip shares.
+    pub llc_ways: u32,
     /// Number of batch jobs.
     pub num_batch: usize,
     /// Per-LC-tenant facts, in priority order.

@@ -93,6 +93,21 @@ impl<'a> PenaltyTable<'a> {
         }
     }
 
+    /// Number of slots (searched jobs): the length of every point.
+    pub fn slots(&self) -> usize {
+        self.watts.len()
+    }
+
+    /// What the chip draws outside the searched jobs, in Watts.
+    pub fn base_watts(&self) -> f64 {
+        self.base_watts
+    }
+
+    /// Watts of slot `slot`'s job at `choice`.
+    pub fn watts_at(&self, slot: usize, choice: usize) -> f64 {
+        self.watts[slot][choice]
+    }
+
     /// The raw benefit: geo-mean BIPS of the point's jobs.
     pub fn benefit(&self, point: &[usize]) -> f64 {
         let log_sum: f64 = point
@@ -148,6 +163,10 @@ mod tests {
             vec![1.0, 4.0, 1.0, 1.0],
             (1.0, 1.0),
             (10.0, 6.0),
+        );
+        assert_eq!(
+            (table.slots(), table.base_watts(), table.watts_at(1, 3)),
+            (3, 1.0, 8.0)
         );
         for (point, power, ways, value) in [
             ([0, 0, 2], 7.0, 4.0, 1.0),

@@ -1,6 +1,6 @@
 //! The item-graph analysis pass of `cargo xtask lint`.
 //!
-//! Builds the workspace [`Graph`](crate::graph::Graph) once and drives
+//! Builds the workspace [`Graph`] once and drives
 //! `DET-TAINT` over it, plus the per-file structural rules that share its
 //! scope discipline (`ORD-TOTAL-FLOAT`, `EVT-EXHAUSTIVE`). Inline
 //! `lint:allow` suppression applies exactly as for the token rule,

@@ -507,7 +507,7 @@ fn attr_is_exempting_cfg(attr: &[Token]) -> bool {
     mentions("test") && !mentions("not")
 }
 
-/// Public view of [`matching_bracket`] for the rule modules.
+/// Public view of `matching_bracket` for the rule modules.
 pub fn matching_bracket_pub(tokens: &[Token], open: usize) -> Option<usize> {
     matching_bracket(tokens, open)
 }

@@ -134,7 +134,7 @@ pub fn check(graph: &Graph) -> (Vec<Diagnostic>, (usize, usize, usize)) {
     (diags, (sources.len(), sinks.len(), tainted))
 }
 
-/// All direct source sites in active code, outside [`EXEMPT_PATHS`]
+/// All direct source sites in active code, outside `EXEMPT_PATHS`
 /// and outside `crates/util` (whose `Relaxed` loads are the pool/reduce
 /// plumbing itself).
 pub fn source_sites(graph: &Graph) -> Vec<SourceSite> {
