@@ -19,6 +19,8 @@
 //! * [`flicker`] — Flicker itself: 3-level sampling, RBF surrogates per job,
 //!   and GA search over core configurations only (no cache partitioning).
 
+#![forbid(unsafe_code)]
+
 pub mod asymmetric;
 pub mod feedback;
 pub mod flicker;

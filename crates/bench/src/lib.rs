@@ -13,6 +13,8 @@
 //! two-sample reconstruction and search problem several of them start from,
 //! and summary statistics.
 
+#![forbid(unsafe_code)]
+
 use cuttlesys::matrices::{JobMatrices, Predictions};
 use cuttlesys::types::{Scenario, BATCH_JOBS};
 use dds::PenaltyTable;

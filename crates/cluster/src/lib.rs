@@ -36,9 +36,10 @@
 //!
 //! # Determinism rules
 //!
-//! Everything here is sans-io: no wall clock, no sockets, no spawned
-//! threads (stepping may *borrow* a [`util::WorkerPool`], which owns the
-//! only threads involved). Determinism rests on two structural rules:
+//! Everything here is sans-io: no wall clock, no sockets, no threads of
+//! its own (stepping may *borrow* a [`util::WorkerPool`], whose scope
+//! spawns and joins the only threads involved inside that one call).
+//! Determinism rests on two structural rules:
 //!
 //! 1. **Nodes are share-nothing within a quantum.** Each node's step is a
 //!    pure function of its own state, so the coordinator may step nodes
@@ -56,6 +57,7 @@
 //! multiplier stays exactly 1.0 — so the cluster replays the single-node
 //! golden record bit-for-bit (`tests/cluster.rs` pins this).
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod balance;

@@ -121,7 +121,8 @@ impl FaultPlan {
     }
 
     /// Looks up a named profile (`clean`, `lossy-sensors`, `flaky-reconfig`)
-    /// — the vocabulary the fault-matrix CI job and `paper fault-matrix` share.
+    /// — the vocabulary `cargo paper fault-matrix` (and the CI job that runs
+    /// it), the sweep specs and the `control_plane` example share.
     pub fn named(name: &str, seed: u64) -> Option<FaultPlan> {
         match name {
             "clean" => Some(FaultPlan::none()),

@@ -57,6 +57,7 @@
 //! assert!(record.stage_summary().is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod accounting;

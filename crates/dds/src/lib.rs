@@ -34,6 +34,7 @@
 //! assert!(result.best_value >= -8.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod objective;

@@ -10,11 +10,13 @@
 //!
 //! The iteration loop stays on the calling thread and fans each iteration's
 //! per-worker candidate batches out through [`util::pool::for_each_slot`]:
-//! onto a [`WorkerPool`] when the caller has one, inline otherwise. Per-worker
-//! RNG streams persist across iterations and the reduction runs on the
-//! orchestrator in worker-index order, so the result does not depend on who
-//! runs a worker — no pool, a 1-thread pool and an 8-thread pool return the
-//! same bits.
+//! inline — what the runtime does — or, when the caller hands in a
+//! [`WorkerPool`], as one scope per iteration, whose threads are spawned and
+//! joined inside it (a cost the inline path does not pay; measured slower on
+//! this substrate). Per-worker RNG streams persist across iterations and the
+//! reduction runs on the orchestrator in worker-index order, so the result
+//! does not depend on who runs a worker — no pool, a 1-wide pool and an
+//! 8-wide pool return the same bits.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

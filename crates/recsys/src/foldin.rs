@@ -155,8 +155,6 @@ impl ConfigFactors {
     }
 }
 
-// None of these is a training loop — the factors are written down, not
-// learned — so all of them run under Miri.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +296,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn learned_factors_complete_a_two_sample_row() {
         // Multiplicative app-scale × config-effect structure plus a small
         // interaction — the shape performance matrices actually have.

@@ -188,7 +188,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn parallel_matches_serial_within_hogwild_tolerance() {
         let obs = synthetic(20, 40, 16, 2);
         let config = SgdConfig {
@@ -231,7 +230,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn single_thread_converges_like_serial() {
         let obs = synthetic(12, 20, 10, 3);
         let model = fit_parallel(&obs, &SgdConfig::default(), 1);
@@ -239,7 +237,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn multithreaded_run_trains_successfully() {
         let obs = synthetic(24, 50, 20, 2);
         let pool = util::WorkerPool::new(8);
@@ -268,7 +265,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn pooled_fit_trains_as_well_as_inline() {
         let obs = synthetic(20, 40, 16, 2);
         let config = SgdConfig {

@@ -44,6 +44,7 @@
 //! assert!(completed.get(4, 2).is_finite());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod foldin;

@@ -163,7 +163,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn observed_entries_pass_through_exactly() {
         let (_, m) = structured(10, 12, 8, 2);
         let out = Reconstructor::default().complete(&m, ValueTransform::Linear);
@@ -173,7 +172,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn completion_recovers_structure() {
         let (truth, m) = structured(16, 20, 13, 2);
         let out = Reconstructor::default().complete(&m, ValueTransform::Linear);
@@ -187,7 +185,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn log_transform_handles_wide_ranges() {
         // Latency-like data spanning 4 orders of magnitude.
         let rows = 10;
@@ -214,7 +211,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn predictions_are_clamped_to_plausible_range() {
         let (_, m) = structured(10, 12, 8, 2);
         let out = Reconstructor::default().complete(&m, ValueTransform::Linear);
@@ -229,7 +225,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn pooled_session_is_bit_identical_to_inline_and_to_complete() {
         let (_, m1) = structured(8, 10, 6, 2);
         let (_, m2) = structured(8, 10, 7, 3);

@@ -256,7 +256,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn recovers_held_out_entries_of_structured_matrix() {
         let (truth, obs) = synthetic(20, 30, 16, 2);
         let model = fit(&obs, &SgdConfig::default());
@@ -274,7 +273,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn train_rmse_is_small_after_convergence() {
         let (_, obs) = synthetic(12, 20, 10, 3);
         let model = fit(&obs, &SgdConfig::default());
@@ -283,7 +281,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn convergence_tolerance_stops_early() {
         let (_, obs) = synthetic(10, 15, 8, 3);
         let loose = fit(
@@ -304,7 +301,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn deterministic_for_fixed_seed() {
         let (_, obs) = synthetic(10, 15, 8, 2);
         let a = fit(&obs, &SgdConfig::default());
@@ -315,7 +311,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn full_rank_configuration_is_supported() {
         // The paper's literal choice: rank = number of configurations.
         let (_, obs) = synthetic(8, 12, 7, 3);
@@ -331,7 +326,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn reconstruct_matches_predict() {
         let (_, obs) = synthetic(6, 9, 5, 2);
         let model = fit(&obs, &SgdConfig::default());
@@ -340,7 +334,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn column_bias_learns_config_effect_from_training_rows() {
         let (_, obs) = synthetic(20, 30, 16, 2);
         let model = fit(&obs, &SgdConfig::default());

@@ -178,7 +178,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn exact_recovery_of_low_rank_matrix() {
         let a = rank2_matrix();
         let svd = truncated_svd(&a, 2, 60, 1);
@@ -223,7 +222,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore)] // training/fit loop; intractable under Miri (DESIGN.md §8)
     fn deterministic_for_fixed_seed() {
         let a = rank2_matrix();
         let s1 = truncated_svd(&a, 2, 40, 7);

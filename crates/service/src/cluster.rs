@@ -3,7 +3,7 @@
 //! [`ClusterService`] is to [`cluster::ClusterCoordinator`] what
 //! [`Service`](crate::Service) is to `ControlCore` — literally: the same
 //! reactor loop and the same handle, over a different plane. A dedicated
-//! thread owns the coordinator (and the worker pool it steps on, if any),
+//! thread owns the coordinator (and the pool width it steps at, if any),
 //! callers send it closures over a bounded channel, cluster events
 //! broadcast on the bus, and the optional HTTP endpoint serves the fleet's
 //! `/metrics` (every node family under a `node=` label) and a cluster-wide
@@ -34,7 +34,7 @@ use workloads::batch::SpecBenchmark;
 
 use crate::metrics;
 use crate::pacing::Pacing;
-use crate::reactor::{Handle, Plane, Stopped};
+use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
 
 /// Why a cluster service request failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,21 +92,19 @@ pub struct ClusterServiceBuilder {
     config: ClusterConfig,
     faults: FleetFaultPlan,
     pacing: Pacing,
-    bus_capacity: usize,
     metrics_addr: Option<String>,
     pool_threads: Option<usize>,
 }
 
 impl ClusterServiceBuilder {
-    /// Defaults: default policies, no fleet faults, manual pacing, a
-    /// 256-event bus, no HTTP endpoint, serial stepping.
+    /// Defaults: default policies, no fleet faults, manual pacing, no HTTP
+    /// endpoint, serial stepping.
     pub fn new(scenario: &ClusterScenario) -> ClusterServiceBuilder {
         ClusterServiceBuilder {
             scenario: scenario.clone(),
             config: ClusterConfig::default(),
             faults: FleetFaultPlan::none(),
             pacing: Pacing::Manual,
-            bus_capacity: 256,
             metrics_addr: None,
             pool_threads: None,
         }
@@ -132,12 +130,6 @@ impl ClusterServiceBuilder {
         self
     }
 
-    /// Events the broadcast bus retains for slow subscribers.
-    pub fn bus_capacity(mut self, capacity: usize) -> ClusterServiceBuilder {
-        self.bus_capacity = capacity;
-        self
-    }
-
     /// Serve `GET /metrics` and `GET /state` on this address (use
     /// `"127.0.0.1:0"` for an ephemeral port).
     pub fn metrics_addr(mut self, addr: &str) -> ClusterServiceBuilder {
@@ -145,9 +137,10 @@ impl ClusterServiceBuilder {
         self
     }
 
-    /// Step the fleet over a worker pool of this many threads instead of
-    /// serially. Bit-identical results at any width: nodes share nothing
-    /// within a quantum.
+    /// Step the fleet's nodes on up to this many threads — the reactor's
+    /// own included, the rest spawned and joined inside each quantum —
+    /// instead of serially. Bit-identical results at any width: nodes share
+    /// nothing within a quantum.
     pub fn pool_threads(mut self, threads: usize) -> ClusterServiceBuilder {
         self.pool_threads = Some(threads);
         self
@@ -168,7 +161,7 @@ impl ClusterServiceBuilder {
         Handle::start(
             (coordinator, self.pool_threads.map(WorkerPool::new)),
             self.pacing,
-            self.bus_capacity,
+            BUS_CAPACITY,
             self.metrics_addr.as_deref(),
         )
     }

@@ -35,6 +35,7 @@
 //! assert!(events.recv().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -54,7 +55,7 @@ use cuttlesys::control::{
 use cuttlesys::types::{RunRecord, Scenario, SliceRecord};
 use workloads::batch::SpecBenchmark;
 
-use crate::reactor::{Handle, Plane, Stopped};
+use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
 use crate::trace::{RegistrationTrace, TraceOp};
 
 pub use crate::pacing::Pacing;
@@ -105,17 +106,15 @@ impl From<ControlError> for ServiceError {
 pub struct ServiceBuilder {
     scenario: Scenario,
     pacing: Pacing,
-    bus_capacity: usize,
     metrics_addr: Option<String>,
 }
 
 impl ServiceBuilder {
-    /// Defaults: manual pacing, a 256-event bus, no HTTP endpoint.
+    /// Defaults: manual pacing, no HTTP endpoint.
     pub fn new(scenario: &Scenario) -> ServiceBuilder {
         ServiceBuilder {
             scenario: scenario.clone(),
             pacing: Pacing::Manual,
-            bus_capacity: 256,
             metrics_addr: None,
         }
     }
@@ -123,12 +122,6 @@ impl ServiceBuilder {
     /// How quanta are paced (manual requests vs. a wall-clock interval).
     pub fn pacing(mut self, pacing: Pacing) -> ServiceBuilder {
         self.pacing = pacing;
-        self
-    }
-
-    /// Events the broadcast bus retains for slow subscribers.
-    pub fn bus_capacity(mut self, capacity: usize) -> ServiceBuilder {
-        self.bus_capacity = capacity;
         self
     }
 
@@ -154,7 +147,7 @@ impl ServiceBuilder {
         Handle::start(
             core,
             self.pacing,
-            self.bus_capacity,
+            BUS_CAPACITY,
             self.metrics_addr.as_deref(),
         )
     }

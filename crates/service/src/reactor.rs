@@ -74,6 +74,9 @@ pub(crate) type Job<P> = Box<dyn FnOnce(P, &Bus<<P as Plane>::Event>) -> Option<
 /// Jobs the channel buffers before `send` blocks the caller.
 const COMMAND_QUEUE_DEPTH: usize = 64;
 
+/// Events the broadcast bus of a service retains for slow subscribers.
+pub(crate) const BUS_CAPACITY: usize = 256;
+
 /// Drains the plane's pending events onto the bus.
 fn publish<P: Plane>(plane: &mut P, bus: &Bus<P::Event>) {
     for event in plane.drain_events() {

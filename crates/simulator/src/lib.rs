@@ -27,6 +27,7 @@
 //! assert!(wide.get() > narrow.get());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;

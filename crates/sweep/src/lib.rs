@@ -22,6 +22,7 @@
 //! * [`detectors`] — the pure pass/fail reductions.
 //! * [`report`] — cross-seed stats, `summary.json`, and tables.
 
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod detectors;

@@ -1,15 +1,15 @@
 //! Shared runtime utilities for the CuttleSys workspace.
 //!
-//! Two things live here because more than one crate needs them and the
+//! Four things live here because more than one crate needs them and the
 //! crates that need them must not depend on each other:
 //!
-//! * [`pool`] — a persistent [`pool::WorkerPool`] with long-lived threads
-//!   and channel dispatch. The decision quantum leaves almost no budget for
-//!   the manager itself (Table 2 of the paper charges reconstruction + DDS
-//!   against the 100 ms quantum), so spawning OS threads per call is
-//!   avoidable overhead: HOGWILD SGD, the three-matrix reconstruction
-//!   driver, and parallel DDS all reuse one pool across quanta instead
-//!   (or, handed no pool, run their logical workers inline).
+//! * [`pool`] — [`pool::WorkerPool`], a width: each `scope` runs its jobs
+//!   on the caller plus at most `threads - 1` threads of one
+//!   `std::thread::scope`. The paper runs SGD and DDS on spare cores (§V,
+//!   §VI); here both measured faster inline, so no decision quantum opens a
+//!   scope. What does is coarse — the sweep runner, opt-in pooled fleet
+//!   stepping, the HOGWILD reference fit — and handed `None`, every
+//!   `Option<&WorkerPool>` entry point runs its logical workers inline.
 //! * [`rng64`] — the SplitMix64 finalizer and the counter-based stream
 //!   mixing built on it. Previously each crate carried its own copy of the
 //!   constants; a single unit-tested helper keeps the fault streams (and the
@@ -20,6 +20,8 @@
 //! * [`json`] — the hand-rolled [`json::JsonValue`] writer and parser.
 //!   Shared by the bench report tables, the core run-record snapshots, and
 //!   the control-plane service.
+
+#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod pool;

@@ -1,14 +1,13 @@
-//! A persistent worker pool with scoped, borrowing tasks.
+//! Scoped fan-out over at most a fixed number of threads.
 //!
-//! The decision loop fans its per-matrix reconstructions out every 100 ms
-//! quantum, and spawning a fresh OS thread per closure would make thread
-//! creation + teardown pure overhead there. This pool keeps its threads
-//! alive across quanta and dispatches boxed jobs over a mutex-and-condvar
-//! queue. It is the workspace's only compute fan-out: callers that take an
+//! A [`WorkerPool`] is a width, not a set of threads. [`WorkerPool::scope`]
+//! collects the jobs its closure spawns, then drains them on the calling
+//! thread plus `min(threads, jobs) - 1` threads of one `std::thread::scope`,
+//! which joins them before `scope` returns — so jobs may borrow from the
+//! caller's stack, and it is the borrow checker that says so. It is the
+//! workspace's only compute fan-out: callers that take an
 //! `Option<&WorkerPool>` go through [`for_each_slot`], where `None` means
 //! "run the logical workers inline on the calling thread".
-//!
-//! The API mirrors the scoped-thread shape of `std::thread::scope`:
 //!
 //! ```
 //! let pool = util::WorkerPool::new(4);
@@ -21,152 +20,49 @@
 //! assert_eq!(partials.iter().sum::<u64>(), 10);
 //! ```
 //!
-//! `scope` blocks until every job spawned inside it has finished, so jobs may
-//! borrow from the caller's stack (the lifetime is erased internally and
-//! restored by the barrier at scope exit — the same contract as
-//! `std::thread::scope`). While waiting, the scoping thread *helps*: it pops
-//! and runs queued jobs itself, which both speeds up the fan-out and keeps a
-//! job that opens a scope of its own deadlock-free even when the pool is
-//! smaller than the logical fan-out (nothing in the runtime nests scopes
-//! today; the property is pinned by a unit test and the stress test in
-//! `tests/concurrency.rs`).
+//! The contract, where it differs from a pool of long-lived workers:
 //!
-//! Panics inside a job are caught, held until every sibling job in the scope
-//! has drained, and then resumed on the scoping thread — again matching
-//! `std::thread::scope` semantics closely enough for our callers.
+//! * **Jobs start when the scope closure returns**, not when they are
+//!   spawned. A closure that blocked on a job's result *inside* `scope`
+//!   would wait forever: spawn, return, and read the results after `scope`
+//!   has. If the closure itself panics, its jobs never run.
+//! * **The caller is one of the `threads`.** At most `threads` jobs of one
+//!   scope run at once, the calling thread included; a 1-wide pool spawns
+//!   nothing and runs every job on the caller, in spawn order.
+//! * **[`WorkerPool::new`] is free; every scope pays for its threads.**
+//!   Spawning and joining costs tens of microseconds, so a scope is for
+//!   coarse work — a sweep's runs, a fleet's nodes, a HOGWILD fit. No
+//!   decision quantum opens one.
+//!
+//! A job may open a scope of its own on the same pool: the inner scope
+//! brings its own threads, so nesting cannot deadlock (the width bounds one
+//! scope, not the process). A panic inside a job is caught and held until
+//! every sibling job has run; the first is then resumed on the caller.
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Mutex;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Jobs are popped, then run; panics are caught, then stored.
+const UNPOISONED: &str = "no code that can panic runs under a scope's locks";
 
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// The shared dispatch queue: a mutex-guarded deque plus a condvar that
-/// wakes idle workers when jobs arrive or shutdown is signalled.
-struct Queue {
-    state: Mutex<QueueState>,
-    work_cv: Condvar,
-}
-
-impl Queue {
-    fn new() -> Self {
-        Queue {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let mut state = self.state.lock().unwrap();
-        state.jobs.push_back(job);
-        drop(state);
-        self.work_cv.notify_one();
-    }
-
-    /// Non-blocking pop, used by helping waiters.
-    fn try_pop(&self) -> Option<Job> {
-        self.state.lock().unwrap().jobs.pop_front()
-    }
-
-    /// Blocking pop for workers; returns `None` once shutdown is signalled
-    /// and the queue has drained.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.shutdown {
-                return None;
-            }
-            state = self.work_cv.wait(state).unwrap();
-        }
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().unwrap().shutdown = true;
-        self.work_cv.notify_all();
-    }
-}
-
-/// Book-keeping for one `scope` call: how many of its jobs are still
-/// outstanding, and the first panic any of them raised.
-struct ScopeState {
-    pending: Mutex<usize>,
-    done_cv: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-impl ScopeState {
-    fn new() -> Self {
-        ScopeState {
-            pending: Mutex::new(0),
-            done_cv: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn job_started(&self) {
-        *self.pending.lock().unwrap() += 1;
-    }
-
-    fn job_finished(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        *pending -= 1;
-        if *pending == 0 {
-            drop(pending);
-            self.done_cv.notify_all();
-        }
-    }
-}
-
-/// A pool of long-lived worker threads. Dropping the pool shuts the workers
-/// down and joins them.
+/// How many threads a [`WorkerPool::scope`] may use, the caller included.
 pub struct WorkerPool {
-    queue: Arc<Queue>,
-    workers: Vec<JoinHandle<()>>,
+    threads: usize,
 }
 
 impl WorkerPool {
-    /// Creates a pool with `threads` workers (clamped to at least one).
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the worker pool owns the deterministic fan-out threads; everything else goes through it"
-    )]
+    /// A pool `threads` wide (clamped to at least one). Spawns nothing.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let queue = Arc::new(Queue::new());
-        let workers = (0..threads)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                std::thread::Builder::new()
-                    .name(format!("cuttlesys-worker-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            job();
-                        }
-                    })
-                    .expect("spawning a pool worker thread")
-            })
-            .collect();
-        WorkerPool { queue, workers }
+        WorkerPool {
+            threads: threads.max(1),
+        }
     }
 
-    /// Number of worker threads in the pool.
+    /// The most jobs of one scope that run at once.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
     /// A reasonable default pool width for this machine: the available
@@ -181,7 +77,7 @@ impl WorkerPool {
     /// Fans `f` out over `items`, returning the results in input order.
     ///
     /// Each item's result lands in its own slot, so the output is
-    /// independent of which worker ran which item and in what order —
+    /// independent of which thread ran which item and in what order —
     /// the property the sweep harness relies on for byte-stable reports
     /// at any pool width. Blocks until every item has been processed;
     /// a panicking `f` is resumed here after the remaining items drain.
@@ -201,44 +97,41 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Runs `f` with a [`PoolScope`] whose spawned jobs may borrow from the
-    /// caller's stack. Blocks until every spawned job has finished; if any
-    /// job panicked, the first panic is resumed here after the rest drain.
+    /// Runs `f` to collect the jobs it spawns (they may borrow from the
+    /// caller's stack), runs them on up to [`threads`](Self::threads)
+    /// threads, this one included, and returns `f`'s result once all have
+    /// finished; the first job panic, if any, is resumed here after that.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned thread entry point: every compute fan-out in the workspace is a scope of this pool"
+    )]
     pub fn scope<'env, F, R>(&self, f: F) -> R
     where
-        F: FnOnce(&PoolScope<'_, 'env>) -> R,
+        F: FnOnce(&PoolScope<'env>) -> R,
     {
-        let state = Arc::new(ScopeState::new());
         let scope = PoolScope {
-            queue: &self.queue,
-            state: Arc::clone(&state),
-            _env: PhantomData,
-        };
-        // The guard waits for pending == 0 even if `f` itself panics after
-        // spawning jobs — jobs borrowing the stack must not outlive it.
-        let guard = WaitGuard {
-            queue: &self.queue,
-            state: &state,
+            jobs: Mutex::new(VecDeque::new()),
         };
         let result = f(&scope);
-        drop(guard);
-        if let Some(payload) = state.panic.lock().unwrap().take() {
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        let drain = || {
+            while let Some(job) = scope.pop() {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+                    first_panic.lock().expect(UNPOISONED).get_or_insert(payload);
+                }
+            }
+        };
+        let jobs = scope.jobs.lock().expect(UNPOISONED).len();
+        std::thread::scope(|threads| {
+            for _ in 1..self.threads.min(jobs) {
+                threads.spawn(drain);
+            }
+            drain();
+        });
+        if let Some(payload) = first_panic.into_inner().expect(UNPOISONED) {
             resume_unwind(payload);
         }
         result
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.queue.shutdown();
-        for handle in self.workers.drain(..) {
-            // A worker only panics if a job's panic escaped catch_unwind
-            // (e.g. a foreign exception); surface it rather than hide it.
-            if handle.join().is_err() {
-                eprintln!("cuttlesys worker thread terminated abnormally");
-            }
-        }
     }
 }
 
@@ -270,77 +163,24 @@ where
     }
 }
 
-/// Waits for every job of a scope to finish, *helping* by running queued
-/// jobs while it waits. Runs on drop so the wait happens even when the
-/// scope closure unwinds.
-struct WaitGuard<'a> {
-    queue: &'a Queue,
-    state: &'a ScopeState,
+/// Handle for spawning borrowing jobs inside [`WorkerPool::scope`]: the
+/// queue the scope drains once its closure has returned.
+pub struct PoolScope<'env> {
+    jobs: Mutex<VecDeque<Box<dyn FnOnce() + Send + 'env>>>,
 }
 
-impl Drop for WaitGuard<'_> {
-    fn drop(&mut self) {
-        loop {
-            // Help: drain queued jobs (ours or a sibling scope's — either
-            // makes progress and prevents nested-scope deadlock).
-            while let Some(job) = self.queue.try_pop() {
-                job();
-            }
-            let pending = self.state.pending.lock().unwrap();
-            if *pending == 0 {
-                return;
-            }
-            // A short timed wait: jobs may be queued by still-running jobs
-            // of this very scope, so we must recheck the queue periodically
-            // rather than block solely on the done condvar.
-            let _unused = self
-                .state
-                .done_cv
-                .wait_timeout(pending, Duration::from_millis(1))
-                .unwrap();
-        }
-    }
-}
-
-/// Handle for spawning borrowing jobs inside [`WorkerPool::scope`].
-pub struct PoolScope<'pool, 'env> {
-    queue: &'pool Queue,
-    state: Arc<ScopeState>,
-    // Invariant in 'env, like std::thread::Scope: the environment lifetime
-    // must not be shortened or lengthened by variance.
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> PoolScope<'_, 'env> {
-    /// Queues `f` to run on a pool worker (or on the scoping thread while it
-    /// waits). The closure may borrow from `'env`; the scope's exit barrier
-    /// guarantees it finishes before those borrows expire.
+impl<'env> PoolScope<'env> {
+    /// Queues `f`; it runs after the scope closure returns, on the calling
+    /// thread or one of the scope's own. The closure may borrow from `'env`.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
-        self.state.job_started();
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(f));
-            if let Err(payload) = outcome {
-                let mut slot = state.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            state.job_finished();
-        });
-        // SAFETY: the job is queued behind the scope's exit barrier —
-        // `WorkerPool::scope` (via WaitGuard, which runs even on unwind)
-        // does not return until `pending` drops to zero, i.e. until this
-        // closure has run to completion. Therefore every borrow of 'env
-        // inside `f` is live for as long as the closure can execute, and
-        // erasing the lifetime to 'static never lets a borrow dangle. This
-        // is the same argument std::thread::scope makes for its own
-        // lifetime erasure.
-        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        self.queue.push(job);
+        self.jobs.lock().expect(UNPOISONED).push_back(Box::new(f));
+    }
+
+    fn pop(&self) -> Option<Box<dyn FnOnce() + Send + 'env>> {
+        self.jobs.lock().expect(UNPOISONED).pop_front()
     }
 }
 
@@ -432,8 +272,8 @@ mod tests {
 
     #[test]
     fn nested_scopes_do_not_deadlock_even_when_oversubscribed() {
-        // 2 workers, 4 outer jobs that each open an inner scope of 4 jobs:
-        // the helping wait must let blocked outer jobs drain inner jobs.
+        // A 2-wide pool, 4 outer jobs that each open an inner scope of 4 jobs:
+        // each inner scope drains on its own threads, so none waits on another.
         let pool = WorkerPool::new(2);
         let counter = AtomicUsize::new(0);
         pool.scope(|outer| {
@@ -471,11 +311,11 @@ mod tests {
     #[test]
     fn a_panicking_job_propagates_after_siblings_finish() {
         let pool = WorkerPool::new(2);
-        let finished = Arc::new(AtomicUsize::new(0));
+        let finished = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scope(|scope| {
                 for i in 0..8 {
-                    let finished = Arc::clone(&finished);
+                    let finished = &finished;
                     scope.spawn(move || {
                         if i == 3 {
                             panic!("job 3 exploded");
@@ -485,7 +325,8 @@ mod tests {
                 }
             });
         }));
-        assert!(result.is_err(), "the job panic must resurface");
+        let payload = result.expect_err("the job panic must resurface");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 3 exploded"));
         assert_eq!(finished.load(Ordering::Relaxed), 7);
         // And the pool must still be usable afterwards.
         let counter = AtomicUsize::new(0);
@@ -495,6 +336,44 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_scope_never_runs_more_jobs_at_once_than_the_pool_is_wide() {
+        for width in [1, 2, 3] {
+            let pool = WorkerPool::new(width);
+            let running = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            pool.scope(|scope| {
+                for _ in 0..24 {
+                    scope.spawn(|| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= width, "width {width}: peak {peak}");
+        }
+    }
+
+    #[test]
+    fn a_one_wide_pool_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran = Mutex::new(Vec::new());
+        WorkerPool::new(1).scope(|scope| {
+            for i in 0..8 {
+                let ran = &ran;
+                scope.spawn(move || ran.lock().unwrap().push((i, std::thread::current().id())));
+            }
+        });
+        // On the caller, and (one thread, one FIFO queue) in spawn order.
+        assert_eq!(
+            ran.into_inner().unwrap(),
+            Vec::from_iter((0..8).map(|i| (i, caller)))
+        );
     }
 
     #[test]

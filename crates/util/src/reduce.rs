@@ -17,18 +17,6 @@
 //! The `DET-FLOAT-REDUCE` lint (`cargo xtask lint`) flags ad-hoc float
 //! accumulation idioms in the decision-path crates and points here.
 
-/// Folds per-worker partial results in worker-index order.
-///
-/// The plain left fold, named: calling it documents that the iteration
-/// order is the reduction order and that callers hand it worker-indexed
-/// slots (not a completion-ordered stream).
-pub fn ordered_fold<T, B, F>(parts: impl IntoIterator<Item = T>, init: B, f: F) -> B
-where
-    F: FnMut(B, T) -> B,
-{
-    parts.into_iter().fold(init, f)
-}
-
 /// Reduces `(candidate, value)` pairs against an incumbent, keeping the
 /// strictly better value; ties keep the earlier entry (the incumbent, then
 /// the lowest worker index).
@@ -37,7 +25,7 @@ where
 /// the next global best", with ties broken by worker index so the outcome
 /// does not depend on which thread finished first.
 pub fn ordered_best<T>(parts: impl IntoIterator<Item = (T, f64)>, incumbent: (T, f64)) -> (T, f64) {
-    ordered_fold(parts, incumbent, |best, (point, value)| {
+    parts.into_iter().fold(incumbent, |best, (point, value)| {
         if value > best.1 {
             (point, value)
         } else {
@@ -52,7 +40,7 @@ pub fn ordered_best<T>(parts: impl IntoIterator<Item = (T, f64)>, incumbent: (T,
 /// its own log, and the concatenation order (not the interleaving of
 /// evaluations) defines the record.
 pub fn ordered_concat<T>(parts: impl IntoIterator<Item = Vec<T>>) -> Vec<T> {
-    ordered_fold(parts, Vec::new(), |mut acc, mut part| {
+    parts.into_iter().fold(Vec::new(), |mut acc, mut part| {
         acc.append(&mut part);
         acc
     })
@@ -86,11 +74,5 @@ mod tests {
     fn ordered_concat_preserves_slot_order() {
         let parts = vec![vec![1, 2], vec![], vec![3]];
         assert_eq!(ordered_concat(parts), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn ordered_fold_runs_left_to_right() {
-        let trace = ordered_fold([1, 2, 3], String::new(), |acc, x| format!("{acc}{x}"));
-        assert_eq!(trace, "123");
     }
 }

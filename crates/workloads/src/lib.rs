@@ -33,6 +33,8 @@
 //! assert_eq!(xapian.max_qps, 22_000.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod des;
 pub mod latency;

@@ -20,6 +20,8 @@
 //! `tests/graph_rules.rs`, `tests/schema_lock.rs`) drive the same engine
 //! the CLI does, over the fixture corpus in `tests/fixtures/`.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod events;
 pub mod graph;

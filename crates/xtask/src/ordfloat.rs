@@ -6,7 +6,7 @@
 //! produce — into a panic or, worse, an `Ordering` that varies with
 //! element order. Decision-path crates and the bench/sweep reporting
 //! layers must compare floats with `f64::total_cmp` (total order over all
-//! bit patterns) or reduce through `util::reduce::best`.
+//! bit patterns) or reduce through `util::reduce::ordered_best`.
 
 use crate::lexer::Token;
 use crate::rules::{Diagnostic, FileContext};
@@ -53,7 +53,7 @@ pub fn check(ctx: &FileContext, tokens: &[Token], out: &mut Vec<Diagnostic>) {
                     message: format!(
                         "`partial_cmp` inside `{name}`: NaN breaks the comparator (panic \
                          or order-dependent result). Compare with `f64::total_cmp`, or \
-                         reduce through `util::reduce::best`"
+                         reduce through `util::reduce::ordered_best`"
                     ),
                 });
             }

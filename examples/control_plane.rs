@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example control_plane -- [profile]`
 //! where `profile` is `clean` (default), `lossy-sensors`, or
-//! `flaky-reconfig` — the same seeded fault profiles as the
-//! `fault_resilience` example, so the degradation ladder shows up in the
+//! `flaky-reconfig` — the same seeded fault profiles as
+//! `cargo paper fault-matrix`, so the degradation ladder shows up in the
 //! scraped gauges.
 //!
 //! Exits non-zero when the control plane misbehaves: a registration that

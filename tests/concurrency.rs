@@ -1,18 +1,14 @@
-//! Seeded stress tests of the two concurrent primitives the runtime owns:
-//! [`util::pool::WorkerPool`]'s helping-wait scopes and the broadcast
-//! [`service::bus::Bus`].
+//! Seeded stress tests of the one concurrent primitive the runtime still
+//! writes by hand: the broadcast [`service::bus::Bus`].
 //!
 //! These are stress tests, not model checks: each body runs [`ITERS`] times
 //! on real `std` threads with yield points that shuffle the interleaving
 //! between iterations. They catch a protocol bug that most interleavings
-//! expose; they prove nothing about the ones that did not occur (Miri and
-//! TSan cover memory errors and data races, DESIGN.md §8.2).
+//! expose; they prove nothing about the ones that did not occur.
 //!
-//! The pool hazards (see pool.rs for the protocol): the thread that called
-//! `scope()` executes queued tasks while it waits, so a blocked caller plus
-//! busy workers cannot deadlock; `scope()` must not return before every
-//! task spawned into it has finished (tasks borrow the caller's stack); a
-//! task may itself open a scope on the same pool.
+//! The compute fan-out needs none: `util::pool::WorkerPool` is a queue
+//! drained inside one `std::thread::scope`, with no protocol of its own to
+//! shake (its contract is pinned once, by the unit tests in `pool.rs`).
 //!
 //! The bus hazards (see bus.rs for the design): a subscriber that falls
 //! behind a small ring must see `Lagged(missed)` with the *exact* count, so
@@ -21,9 +17,8 @@
 //! progress; concurrent subscribers account independently.
 
 use service::bus::{Bus, Received, Subscriber};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::{yield_now, JoinHandle};
-use util::pool::WorkerPool;
 use util::rng64::{splitmix64, GOLDEN_GAMMA};
 
 /// Iterations per stress test.
@@ -65,93 +60,6 @@ fn drain(mut sub: Subscriber<u64>) -> (u64, u64) {
             Ok(Received::Lagged(n)) => lagged += n,
             Err(_closed) => return (received, lagged),
         }
-    }
-}
-
-#[test]
-fn scope_is_a_completion_barrier() {
-    for _ in 0..ITERS {
-        let pool = WorkerPool::new(2);
-        let done = AtomicUsize::new(0);
-        let tasks = 5;
-        pool.scope(|scope| {
-            for _ in 0..tasks {
-                scope.spawn(|| {
-                    yield_now();
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        // Every spawned task observed complete before scope() returned.
-        assert_eq!(done.load(Ordering::SeqCst), tasks);
-    }
-}
-
-#[test]
-fn helping_wait_runs_tasks_on_the_caller_when_workers_stall() {
-    for _ in 0..ITERS {
-        // One worker, more tasks than workers: the scope caller must help
-        // drain the queue or the join would stall behind the busy worker.
-        let pool = WorkerPool::new(1);
-        let done = AtomicUsize::new(0);
-        pool.scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    yield_now();
-                    done.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 4);
-    }
-}
-
-#[test]
-fn nested_scopes_on_the_same_pool_do_not_deadlock() {
-    for _ in 0..ITERS {
-        let pool = WorkerPool::new(2);
-        let done = AtomicUsize::new(0);
-        pool.scope(|outer| {
-            for _ in 0..2 {
-                outer.spawn(|| {
-                    // A task opening its own scope competes with its
-                    // siblings for the same workers; the helping wait is
-                    // what keeps this from deadlocking.
-                    pool.scope(|inner| {
-                        for _ in 0..2 {
-                            inner.spawn(|| {
-                                done.fetch_add(1, Ordering::SeqCst);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 4);
-    }
-}
-
-#[test]
-fn per_worker_slots_need_no_reduction_lock() {
-    for _ in 0..ITERS {
-        // The worker-ordered reduction pattern (util::reduce): concurrent
-        // writers each own a disjoint slot, the caller folds after the
-        // barrier. The fold must see every write, in slot order.
-        let pool = WorkerPool::new(2);
-        let mut slots = vec![0usize; 4];
-        pool.scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    yield_now();
-                    *slot = i + 1;
-                });
-            }
-        });
-        let folded: Vec<usize> = util::reduce::ordered_fold(slots, Vec::new(), |mut acc, s| {
-            acc.push(s);
-            acc
-        });
-        assert_eq!(folded, vec![1, 2, 3, 4]);
     }
 }
 
