@@ -137,8 +137,9 @@ fn worker_iteration(
 ) -> (Vec<usize>, f64) {
     let mut local_point = global_point.to_vec();
     let mut local_value = global_value;
+    let mut candidate = local_point.clone();
     for _ in 0..params.points_per_iteration {
-        let mut candidate = local_point.clone();
+        candidate.copy_from_slice(&local_point);
         let mut perturbed_any = false;
         for &d in free {
             if rng.random_range(0.0..1.0) < p_select {
@@ -158,7 +159,7 @@ fn worker_iteration(
         }
         if v > local_value {
             local_value = v;
-            local_point = candidate;
+            std::mem::swap(&mut local_point, &mut candidate);
         }
     }
     (local_point, local_value)

@@ -8,6 +8,12 @@
 //! M/M/k sojourn-time distribution; overload (ρ ≥ 1) maps to an explicit,
 //! monotonically growing saturation latency so design-space search still has
 //! a gradient to follow out of infeasible regions.
+//!
+//! Oracle tail rows, the testbed's stochastic p99 and the driver's profiling
+//! all pay for a quantile per call, so it runs the `k`-step Erlang-C
+//! recurrence once and then bisects on the closed-form survival function,
+//! stopping at the bisection's floating-point fixed point (about 55 halvings
+//! for a p99) — the same bits as running all 80 steps.
 
 use simulator::Millis;
 
@@ -100,9 +106,14 @@ impl MmcQueue {
         if self.is_saturated() {
             return 1.0;
         }
+        self.survival_given_wait(self.probability_of_wait(), t_ms)
+    }
+
+    /// [`response_survival`](Self::response_survival) of an unsaturated
+    /// queue with its wait probability `pw` already computed.
+    fn survival_given_wait(&self, pw: f64, t_ms: f64) -> f64 {
         let mu = self.service_rate_per_ms;
         let theta = self.servers as f64 * mu - self.arrival_rate_per_ms;
-        let pw = self.probability_of_wait();
         let s_tail = (-mu * t_ms).exp();
         if (theta - mu).abs() < 1e-9 * mu {
             // Exp(μ) + Exp(μ) = Gamma(2, μ): P(T > t) = e^{-μt}(1 + μt).
@@ -117,6 +128,19 @@ impl MmcQueue {
     /// for the paper's tail latency), found by bisection on the survival
     /// function.
     ///
+    /// Cost: one Erlang-C recurrence ([`probability_of_wait`](Self::probability_of_wait))
+    /// per call, then one survival evaluation per doubling of the upper
+    /// bound from `1/μ` and per halving of `[0, hi]` — about 55 halvings,
+    /// at most 80.
+    ///
+    /// The bisection stops once the midpoint is no longer strictly inside
+    /// `(lo, hi)`, i.e. equals an endpoint. That cannot change a bit of the
+    /// result of running all 80 steps: from then on each step either
+    /// reassigns that endpoint its own value or collapses the bracket onto
+    /// the midpoint, and either way the final `0.5 · (lo + hi)` is the
+    /// midpoint returned at the stop — whether or not the doubling bracketed
+    /// the quantile before giving up at `1e9`.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is not in `(0, 1)`.
@@ -125,10 +149,11 @@ impl MmcQueue {
         if self.is_saturated() {
             return self.saturated_latency();
         }
+        let pw = self.probability_of_wait();
         let target = 1.0 - q;
         let mut lo = 0.0;
         let mut hi = 1.0 / self.service_rate_per_ms;
-        while self.response_survival(hi) > target {
+        while self.survival_given_wait(pw, hi) > target {
             hi *= 2.0;
             if hi > 1e9 {
                 break;
@@ -136,7 +161,10 @@ impl MmcQueue {
         }
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
-            if self.response_survival(mid) > target {
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if self.survival_given_wait(pw, mid) > target {
                 lo = mid;
             } else {
                 hi = mid;
@@ -163,6 +191,98 @@ mod tests {
 
     fn q(servers: usize, mu: f64, lambda: f64) -> MmcQueue {
         MmcQueue::new(servers, mu, lambda)
+    }
+
+    /// The quantile as it was computed before the Erlang-C recurrence was
+    /// hoisted: the recurrence inside every survival evaluation and all 80
+    /// bisection steps.
+    fn reference_quantile(queue: &MmcQueue, q: f64) -> f64 {
+        if queue.is_saturated() {
+            return queue.saturated_latency().get();
+        }
+        let survival = |t_ms: f64| {
+            let mu = queue.service_rate_per_ms;
+            let theta = queue.servers as f64 * mu - queue.arrival_rate_per_ms;
+            let pw = queue.probability_of_wait();
+            let s_tail = (-mu * t_ms).exp();
+            if (theta - mu).abs() < 1e-9 * mu {
+                let conv_tail = s_tail * (1.0 + mu * t_ms);
+                return ((1.0 - pw) * s_tail + pw * conv_tail).clamp(0.0, 1.0);
+            }
+            let conv_tail = (theta * s_tail - mu * (-theta * t_ms).exp()) / (theta - mu);
+            ((1.0 - pw) * s_tail + pw * conv_tail).clamp(0.0, 1.0)
+        };
+        let target = 1.0 - q;
+        let mut lo = 0.0;
+        let mut hi = 1.0 / queue.service_rate_per_ms;
+        while survival(hi) > target {
+            hi *= 2.0;
+            if hi > 1e9 {
+                break;
+            }
+        }
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            if survival(mid) > target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    fn assert_matches_reference(queue: MmcQueue, qq: f64) {
+        let got = queue.response_quantile(qq).get();
+        let want = reference_quantile(&queue, qq);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{queue:?} q={qq}: {got} vs {want}"
+        );
+    }
+
+    #[test]
+    fn quantile_is_bit_identical_to_the_per_call_recurrence_with_80_steps() {
+        let quantiles = [0.01, 0.5, 0.9, 0.99, 0.999];
+        let rates = [1e-3, 0.05, 1.0, 37.0, 1e3];
+        let loads = [
+            0.0,
+            1e-6,
+            1e-3,
+            0.1,
+            0.3,
+            0.5,
+            0.7,
+            0.9,
+            0.99,
+            0.999,
+            1.0 - 1e-9,
+            1.0 - f64::EPSILON,
+        ];
+        for servers in [1, 2, 3, 8, 16, 64] {
+            for mu in rates {
+                for rho in loads {
+                    let queue = q(servers, mu, rho * servers as f64 * mu);
+                    for qq in quantiles {
+                        assert_matches_reference(queue, qq);
+                    }
+                }
+            }
+        }
+        for qq in quantiles {
+            for mu in rates {
+                // θ = kμ − λ = μ: the gamma-tail branch.
+                assert_matches_reference(q(2, mu, mu), qq);
+            }
+            // λ = 0 and μ = 1e-9: the doubling gives up at hi > 1e9 with
+            // the tail still above the target for q ≥ 0.9.
+            let slow = q(1, 1e-9, 0.0);
+            assert_matches_reference(slow, qq);
+            if qq >= 0.9 {
+                assert!(slow.response_quantile(qq).get() > 1e9);
+            }
+        }
     }
 
     #[test]
@@ -236,8 +356,10 @@ mod tests {
         let queue = q(2, 1.0, 1.0);
         let s = queue.response_survival(1.0);
         assert!(s > 0.0 && s < 1.0);
-        let p99 = queue.p99_ms().get();
-        assert!(p99 > 0.0 && p99.is_finite());
+        assert_eq!(
+            queue.p99_ms().get().to_bits(),
+            reference_quantile(&queue, 0.99).to_bits()
+        );
     }
 
     #[test]
