@@ -147,8 +147,10 @@ fn check_deadline(
 /// wall milliseconds it took. A failed stage returns its error alone, so the
 /// caller's `?` leaves that stage's wall-time field untouched.
 fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), StageError> {
-    #[allow(clippy::disallowed_methods, reason = "stage wall-time telemetry only")]
-    // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible")
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "stage wall-time telemetry only: plans and golden-record comparisons never read it"
+    )]
     let t = Instant::now();
     let out = stage()?;
     Ok((out, t.elapsed().as_secs_f64() * 1e3))
@@ -182,7 +184,6 @@ pub fn decide(
         clippy::disallowed_methods,
         reason = "deadline budget for the 100ms quantum; timing feeds telemetry and abort-on-overrun, not plan content"
     )]
-    // lint:allow(DET-TAINT, reason = "wall-ms telemetry is diagnostic: plans and golden-record comparisons never read it — numerically invisible")
     let start = Instant::now();
     let budget = ctx.resilience.deadline_ms;
 

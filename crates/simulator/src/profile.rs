@@ -18,6 +18,10 @@ static OUT_OF_RANGE_REJECTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of out-of-range profile fields rejected (and resampled from a
 /// known-good fallback) since process start.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a process-wide diagnostic count: tests read it, no decision or record does"
+)]
 pub fn out_of_range_rejections() -> u64 {
     OUT_OF_RANGE_REJECTIONS.load(Ordering::Relaxed)
 }
@@ -170,6 +174,10 @@ impl AppProfile {
             + guard(&mut self.mlp, f.mlp, 1.0, 10.0)
             + guard(&mut self.activity, f.activity, 0.4, 1.4);
         if rejected > 0 {
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "an integer event count, not a float reduction: the sum is the same in any order"
+            )]
             OUT_OF_RANGE_REJECTIONS.fetch_add(rejected, Ordering::Relaxed);
         }
         self

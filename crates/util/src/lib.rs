@@ -16,7 +16,8 @@
 //!   DDS per-thread seeding) from silently diverging.
 //! * [`reduce`] — worker-ordered reduction helpers. Parallel float
 //!   reductions must fold per-worker slots in worker-index order to stay
-//!   bit-deterministic; the `DET-FLOAT-REDUCE` lint points offenders here.
+//!   bit-deterministic; the atomic read-modify-write bans in
+//!   `crates/clippy.toml` point offenders here.
 //! * [`json`] — the hand-rolled [`json::JsonValue`] writer and parser.
 //!   Shared by the bench report tables, the core run-record snapshots, and
 //!   the control-plane service.

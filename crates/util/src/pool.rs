@@ -185,6 +185,10 @@ impl<'env> PoolScope<'env> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests count finished jobs with atomics and read the counts after the scope joined"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

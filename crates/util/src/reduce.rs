@@ -14,8 +14,8 @@
 //! 8-thread pool, and no pool at all return bit-identical answers
 //! (`tests/determinism.rs` pins this).
 //!
-//! The `DET-FLOAT-REDUCE` lint (`cargo xtask lint`) flags ad-hoc float
-//! accumulation idioms in the decision-path crates and points here.
+//! `crates/clippy.toml` bans the atomic read-modify-writes that ad-hoc
+//! float accumulation needs, and its reason points here.
 
 /// Reduces `(candidate, value)` pairs against an incumbent, keeping the
 /// strictly better value; ties keep the earlier entry (the incumbent, then

@@ -9,13 +9,9 @@
 //! of one. That is the property the rules actually need; full expression
 //! parsing is not.
 //!
-//! Two side products matter to the rules:
-//!
-//! * [`Allow`] records parsed `// lint:allow(RULE, reason = "...")`
-//!   escape-hatch comments with their line numbers;
-//! * inactive regions: tokens inside `#[cfg(test)]` items (and files with a
-//!   matching inner attribute) are marked inactive, since test-only code is
-//!   exempt from the runtime invariants.
+//! Tokens inside `#[cfg(test)]` items (and files with a matching inner
+//! attribute) are marked inactive, since test-only code is exempt from the
+//! runtime invariants.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,47 +66,22 @@ impl Token {
     }
 }
 
-/// A parsed `lint:allow` escape-hatch comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allow {
-    /// The rule id being allowed, e.g. `DET-TAINT`.
-    pub rule: String,
-    /// The justification string, empty when the comment omitted it.
-    pub reason: String,
-    /// 1-based line the comment appears on.
-    pub line: usize,
-    /// Whether the comment carried a non-empty `reason = "..."`.
-    pub has_reason: bool,
-}
-
-/// The lex of one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Tokens in source order (comments and whitespace removed).
-    pub tokens: Vec<Token>,
-    /// Escape-hatch comments in source order.
-    pub allows: Vec<Allow>,
-}
-
-/// Lexes `source`, marking `#[cfg(test)]` items inactive.
-pub fn lex(source: &str) -> Lexed {
+/// Lexes `source` into tokens in source order (comments and whitespace
+/// removed), marking `#[cfg(test)]` items inactive.
+pub fn lex(source: &str) -> Vec<Token> {
     let mut lx = RawLexer::new(source);
     let mut tokens = Vec::new();
     while let Some(tok) = lx.next_token() {
         tokens.push(tok);
     }
     mark_inactive(&mut tokens);
-    Lexed {
-        tokens,
-        allows: lx.allows,
-    }
+    tokens
 }
 
 struct RawLexer<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     line: usize,
     col: usize,
-    allows: Vec<Allow>,
 }
 
 impl<'a> RawLexer<'a> {
@@ -119,7 +90,6 @@ impl<'a> RawLexer<'a> {
             chars: source.chars().peekable(),
             line: 1,
             col: 1,
-            allows: Vec::new(),
         }
     }
 
@@ -216,22 +186,8 @@ impl<'a> RawLexer<'a> {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        while let Some(c) = self.peek() {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek().is_some_and(|c| c != '\n') {
             self.bump();
-        }
-        // Only plain `//` comments carry annotations; `///` and `//!` doc
-        // comments are documentation and may *mention* the syntax freely.
-        let is_doc = matches!(text.chars().nth(2), Some('/' | '!'));
-        if !is_doc {
-            if let Some(allow) = parse_allow(&text, line) {
-                self.allows.push(allow);
-            }
         }
     }
 
@@ -417,39 +373,6 @@ impl<'a> RawLexer<'a> {
     }
 }
 
-/// Parses `lint:allow(RULE)` / `lint:allow(RULE, reason = "...")` out of a
-/// line comment's text.
-fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
-    let idx = comment.find("lint:allow(")?;
-    let rest = &comment[idx + "lint:allow(".len()..];
-    // The rule id runs to the first `,` or `)`. The reason, when present,
-    // is a double-quoted string that may itself contain `(`/`)`/`,` — so it
-    // is parsed by its quotes, not by the closing paren.
-    let rule_end = rest.find([',', ')'])?;
-    let rule = rest[..rule_end].trim();
-    let reason = if rest[rule_end..].starts_with(',') {
-        rest[rule_end + 1..]
-            .trim_start()
-            .strip_prefix("reason")
-            .map(str::trim_start)
-            .and_then(|r| r.strip_prefix('='))
-            .map(str::trim_start)
-            .and_then(|r| r.strip_prefix('"'))
-            .and_then(|r| r.split('"').next())
-            .unwrap_or("")
-            .to_string()
-    } else {
-        String::new()
-    };
-    let has_reason = !reason.is_empty();
-    Some(Allow {
-        rule: rule.to_string(),
-        reason,
-        line,
-        has_reason,
-    })
-}
-
 /// Marks tokens inside `#[cfg(test)]` items as inactive.
 ///
 /// Also handles the inner-attribute form `#![cfg(test)]`, which deactivates
@@ -507,13 +430,8 @@ fn attr_is_exempting_cfg(attr: &[Token]) -> bool {
     mentions("test") && !mentions("not")
 }
 
-/// Public view of `matching_bracket` for the rule modules.
-pub fn matching_bracket_pub(tokens: &[Token], open: usize) -> Option<usize> {
-    matching_bracket(tokens, open)
-}
-
 /// Index of the matching `]`/`}`/`)` for the opener at `open`.
-fn matching_bracket(tokens: &[Token], open: usize) -> Option<usize> {
+pub fn matching_bracket(tokens: &[Token], open: usize) -> Option<usize> {
     let (o, c) = match tokens[open].kind {
         TokenKind::Punct('[') => ('[', ']'),
         TokenKind::Punct('{') => ('{', '}'),
@@ -574,9 +492,8 @@ fn item_end(tokens: &[Token], start: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn idents(lexed: &Lexed) -> Vec<(&str, bool)> {
-        lexed
-            .tokens
+    fn idents(tokens: &[Token]) -> Vec<(&str, bool)> {
+        tokens
             .iter()
             .filter_map(|t| t.ident().map(|s| (s, t.active)))
             .collect()
@@ -595,7 +512,6 @@ mod tests {
         let lexed = lex(src);
         assert!(idents(&lexed).iter().all(|(s, _)| *s != "HashMap"));
         assert!(lexed
-            .tokens
             .iter()
             .any(|t| matches!(&t.kind, TokenKind::Lifetime(l) if l == "env")));
     }
@@ -604,11 +520,7 @@ mod tests {
     fn spans_are_line_and_column_accurate() {
         let src = "fn main() {\n    let map = HashMap::new();\n}\n";
         let lexed = lex(src);
-        let tok = lexed
-            .tokens
-            .iter()
-            .find(|t| t.ident() == Some("HashMap"))
-            .unwrap();
+        let tok = lexed.iter().find(|t| t.ident() == Some("HashMap")).unwrap();
         assert_eq!((tok.line, tok.col), (2, 15));
     }
 
@@ -624,14 +536,12 @@ mod tests {
         "#;
         let lexed = lex(src);
         let rngs: Vec<bool> = lexed
-            .tokens
             .iter()
             .filter(|t| t.ident() == Some("thread_rng"))
             .map(|t| t.active)
             .collect();
         assert_eq!(rngs, vec![true, false]);
         assert!(lexed
-            .tokens
             .iter()
             .any(|t| t.ident() == Some("live_again") && t.active));
     }
@@ -640,7 +550,7 @@ mod tests {
     fn cfg_predicates_and_inner_attributes_deactivate() {
         let spawn_active = |src: &str| {
             let lexed = lex(src);
-            let spawn = lexed.tokens.iter().find(|t| t.ident() == Some("spawn"));
+            let spawn = lexed.iter().find(|t| t.ident() == Some("spawn"));
             spawn.unwrap().active
         };
         assert!(!spawn_active(
@@ -655,43 +565,12 @@ mod tests {
             "#![cfg(not(test))]\nfn shipped() { spawn(); }"
         ));
         let whole = lex("#![cfg(test)]\nfn anything() { spawn(); }");
-        assert!(whole.tokens.iter().all(|t| !t.active));
-    }
-
-    #[test]
-    fn allow_comments_parse_rule_and_reason() {
-        let src = "// lint:allow(DET-TAINT, reason = \"lookup only\")\nlet x = 1;\n// lint:allow(DET-FLOAT-REDUCE)\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.allows.len(), 2);
-        assert_eq!(lexed.allows[0].rule, "DET-TAINT");
-        assert_eq!(lexed.allows[0].reason, "lookup only");
-        assert!(lexed.allows[0].has_reason);
-        assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[1].rule, "DET-FLOAT-REDUCE");
-        assert!(!lexed.allows[1].has_reason);
-    }
-
-    #[test]
-    fn allow_reasons_may_contain_parens_and_commas() {
-        let src = "// lint:allow(DET-TAINT, reason = \"keyed O(1) lookup, never iterated (see field doc)\")\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.allows.len(), 1);
-        assert!(lexed.allows[0].has_reason);
-        assert_eq!(
-            lexed.allows[0].reason,
-            "keyed O(1) lookup, never iterated (see field doc)"
-        );
-    }
-
-    #[test]
-    fn doc_comments_do_not_carry_annotations() {
-        let src = "/// mentions lint:allow(DET-FLOAT-REDUCE, reason = \"docs\") in prose\n//! and lint:allow(DET-FLOAT-REDUCE) here\nfn f() {}\n";
-        assert!(lex(src).allows.is_empty());
+        assert!(whole.iter().all(|t| !t.active));
     }
 
     #[test]
     fn raw_identifier_prefix_r_is_not_a_raw_string() {
         let lexed = lex("let radius = r_values[0];");
-        assert!(lexed.tokens.iter().any(|t| t.ident() == Some("r_values")));
+        assert!(lexed.iter().any(|t| t.ident() == Some("r_values")));
     }
 }

@@ -1,39 +1,28 @@
 //! `cargo xtask` — repo-local developer tasks.
 //!
-//! Two tasks over the same engine:
-//!
 //! ```text
-//! cargo xtask lint             # token + graph rules + schema, exit 1 on hits
-//! cargo xtask lint --json      # stable machine-readable v3 report on stdout
-//! cargo xtask lint PATH...     # restrict to specific files/directories
+//! cargo xtask lint             # token rules + schema lock, exit 1 on hits
 //! cargo xtask schema --check   # verify schema.lock matches the emitters
 //! cargo xtask schema --write   # regenerate schema.lock
 //! ```
 //!
-//! `lint` holds the analyses no off-the-shelf lint expresses (the bans one
-//! does express live in `crates/clippy.toml`, DESIGN.md §8.1): the per-file
-//! float-accumulator rule, then — over the workspace item graph
-//! (`graph.rs`, §8.3) — taint reachability, float comparator totality,
-//! event exhaustiveness, and the schema lock.
+//! `lint` holds only what clippy misses on a planted case (the bans it does
+//! express live in `crates/clippy.toml`, DESIGN.md §8.1): float comparator
+//! totality, event exhaustiveness, and the schema lock (§8.3).
 //!
 //! The crate is a library so the integration tests (`tests/lint_rules.rs`,
-//! `tests/graph_rules.rs`, `tests/schema_lock.rs`) drive the same engine
-//! the CLI does, over the fixture corpus in `tests/fixtures/`.
+//! `tests/schema_lock.rs`) drive the same engine the CLI does, over the
+//! fixture corpus in `tests/fixtures/`.
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod events;
-pub mod graph;
 pub mod lexer;
 pub mod ordfloat;
-pub mod report;
 pub mod rules;
 pub mod schema;
-pub mod taint;
 
-use graph::SourceFile;
-use report::Report;
+use rules::Diagnostic;
 use std::path::{Path, PathBuf};
 
 /// Directories never linted: vendored stand-ins are out of policy scope,
@@ -41,24 +30,15 @@ use std::path::{Path, PathBuf};
 /// violates every rule.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
-/// Lints every `.rs` file under `roots` (workspace-relative paths are
-/// resolved against `workspace`): token rule, graph rules, and the schema
-/// lock. Returns the sorted report.
-pub fn run_lint(workspace: &Path, roots: &[PathBuf]) -> std::io::Result<Report> {
+/// Lints every `.rs` file under `<workspace>/crates` with the token rules,
+/// then checks the schema lock. Returns the diagnostics, sorted by
+/// `(file, line, col, rule)`, and the number of files checked.
+pub fn run_lint(workspace: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
     let mut files = Vec::new();
-    for root in roots {
-        let abs = if root.is_absolute() {
-            root.clone()
-        } else {
-            workspace.join(root)
-        };
-        collect_rs_files(&abs, &mut files)?;
-    }
+    collect_rs_files(&workspace.join("crates"), &mut files)?;
     files.sort();
-    files.dedup();
 
-    let mut report = Report::default();
-    let mut sources = Vec::new();
+    let mut diags = Vec::new();
     for file in &files {
         let source = std::fs::read_to_string(file)?;
         let rel = file
@@ -66,26 +46,11 @@ pub fn run_lint(workspace: &Path, roots: &[PathBuf]) -> std::io::Result<Report> 
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        report.diagnostics.extend(rules::lint_source(&rel, &source));
-        sources.push(SourceFile::new(&rel, &source));
-        report.checked_files += 1;
+        diags.extend(rules::lint_source(&rel, &source));
     }
-
-    let (graph_diags, stats) = analysis::analyze(&sources);
-    report.diagnostics.extend(graph_diags);
-    report.graph = stats;
-
-    let (schema_diags, schema_entries) = schema::check(workspace)?;
-    report.diagnostics.extend(schema_diags);
-    report.graph.schema_entries = schema_entries;
-
-    report.sort();
-    Ok(report)
-}
-
-/// The default lint roots: all first-party crate sources.
-pub fn default_roots() -> Vec<PathBuf> {
-    vec![PathBuf::from("crates")]
+    diags.extend(schema::check(workspace)?.0);
+    diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
+    Ok((diags, files.len()))
 }
 
 fn collect_rs_files(path: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

@@ -1,145 +1,82 @@
 //! CLI entry point for `cargo xtask`.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
+use xtask::rules::Diagnostic;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
-        Some("schema") => schema(&args[1..]),
-        Some("--help" | "-h" | "help") | None => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["lint"] | ["schema", "--check" | "--write"] => {}
+        [] | ["--help" | "-h" | "help"] | [_, "--help" | "-h"] => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => {
-            eprintln!("xtask: unknown task `{other}`\n");
+        _ => {
+            eprintln!("xtask: unknown arguments `{}`\n", args.join(" "));
             eprint!("{USAGE}");
-            ExitCode::from(2)
+            return ExitCode::from(2);
         }
     }
+    let cwd = match std::env::current_dir() {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("xtask: cannot determine working directory: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let Some(workspace) = xtask::find_workspace_root(&cwd) else {
+        eprintln!("xtask: no workspace Cargo.toml above {}", cwd.display());
+        return ExitCode::from(2);
+    };
+    let outcome = match args.as_slice() {
+        ["lint"] => xtask::run_lint(&workspace).map(|(diags, files)| {
+            report(
+                "lint",
+                &diags,
+                format!("{files} files checked, no violations"),
+            )
+        }),
+        ["schema", "--check"] => xtask::schema::check(&workspace).map(|(diags, entries)| {
+            report(
+                "schema",
+                &diags,
+                format!("schema.lock is in sync ({entries} entries)"),
+            )
+        }),
+        _ => xtask::schema::write_lock(&workspace).map(|n| {
+            println!("xtask schema: wrote {n} entries to schema.lock");
+            ExitCode::SUCCESS
+        }),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("xtask {}: {e}", args[0]);
+        ExitCode::from(2)
+    })
 }
 
 const USAGE: &str = "\
 usage: cargo xtask <task>
 
 tasks:
-  lint [--json] [PATH...]   check the determinism invariants clippy cannot
-                            express: float accumulators, the item-graph
-                            rules (taint, float comparators, event
-                            exhaustiveness), and the schema lock (default
-                            PATH: crates/). --json writes the stable v3
-                            machine-readable report to stdout. Exits 0
-                            when clean, 1 on violations.
-  schema                    print the generated emitted-schema lock text.
-  schema --check            fail (exit 1) if schema.lock drifted from the
-                            emitter sources.
-  schema --write            regenerate schema.lock from the sources.
+  lint             check what clippy cannot express: float comparator
+                   totality and event exhaustiveness over crates/, and
+                   the schema lock. Exits 0 when clean, 1 on violations.
+  schema --check   fail (exit 1) if schema.lock drifted from the emitter
+                   sources.
+  schema --write   regenerate schema.lock from the sources.
 ";
 
-fn workspace_root() -> Result<PathBuf, ExitCode> {
-    let cwd = match std::env::current_dir() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("xtask: cannot determine working directory: {e}");
-            return Err(ExitCode::from(2));
-        }
-    };
-    match xtask::find_workspace_root(&cwd) {
-        Some(w) => Ok(w),
-        None => {
-            eprintln!("xtask: no workspace Cargo.toml above {}", cwd.display());
-            Err(ExitCode::from(2))
-        }
+/// Prints each diagnostic and a summary trailer; exit 1 on any finding.
+fn report(task: &str, diags: &[Diagnostic], clean: String) -> ExitCode {
+    for d in diags {
+        println!("{d}");
     }
-}
-
-fn lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut roots: Vec<PathBuf> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("xtask lint: unknown flag `{flag}`");
-                return ExitCode::from(2);
-            }
-            path => roots.push(PathBuf::from(path)),
-        }
+    if diags.is_empty() {
+        println!("xtask {task}: {clean}");
+        ExitCode::SUCCESS
+    } else {
+        println!("xtask {task}: {} finding(s)", diags.len());
+        ExitCode::FAILURE
     }
-    if roots.is_empty() {
-        roots = xtask::default_roots();
-    }
-    let workspace = match workspace_root() {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    match xtask::run_lint(&workspace, &roots) {
-        Ok(report) => {
-            if json {
-                print!("{}", report.render_json());
-            } else {
-                print!("{}", report.render_text());
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("xtask lint: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn schema(args: &[String]) -> ExitCode {
-    let mode = match args.first().map(String::as_str) {
-        None => "print",
-        Some("--check") => "check",
-        Some("--write") => "write",
-        Some("--help" | "-h") => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Some(other) => {
-            eprintln!("xtask schema: unknown argument `{other}`");
-            return ExitCode::from(2);
-        }
-    };
-    let workspace = match workspace_root() {
-        Ok(w) => w,
-        Err(code) => return code,
-    };
-    let outcome = match mode {
-        "print" => xtask::schema::extract_workspace(&workspace).map(|entries| {
-            print!("{}", xtask::schema::render_lock(&entries));
-            ExitCode::SUCCESS
-        }),
-        "write" => xtask::schema::write_lock(&workspace).map(|n| {
-            println!("xtask schema: wrote {} entries to schema.lock", n);
-            ExitCode::SUCCESS
-        }),
-        _ => xtask::schema::check(&workspace).map(|(diags, entries)| {
-            if diags.is_empty() {
-                println!("xtask schema: schema.lock is in sync ({entries} entries)");
-                ExitCode::SUCCESS
-            } else {
-                for d in &diags {
-                    println!("{}:{}:{}: {}: {}", d.file, d.line, d.col, d.rule, d.message);
-                }
-                println!("xtask schema: {} drift finding(s)", diags.len());
-                ExitCode::FAILURE
-            }
-        }),
-    };
-    outcome.unwrap_or_else(|e| {
-        eprintln!("xtask schema: {e}");
-        ExitCode::from(2)
-    })
 }

@@ -21,14 +21,23 @@ const COMPARATOR_FNS: &[&str] = &[
     "select_nth_unstable_by",
 ];
 
-/// Crates outside the decision path whose float comparisons still shape
-/// published artifacts (bench tables, sweep summaries).
-const EXTRA_CRATES: &[&str] = &["bench", "sweep"];
+/// Crates in scope: the decision path, whose choices the golden record
+/// pins (`cluster` included: cross-node placement, migration and balancing
+/// decide what every node runs), and the bench/sweep reporting layers,
+/// whose float comparisons still shape published artifacts.
+const SCOPE_CRATES: &[&str] = &[
+    "core",
+    "dds",
+    "recsys",
+    "simulator",
+    "cluster",
+    "bench",
+    "sweep",
+];
 
 /// Runs the rule over one file's tokens.
 pub fn check(ctx: &FileContext, tokens: &[Token], out: &mut Vec<Diagnostic>) {
-    let in_scope = ctx.decision_path() || ctx.crate_name.is_some_and(|c| EXTRA_CRATES.contains(&c));
-    if !in_scope {
+    if !ctx.crate_name.is_some_and(|c| SCOPE_CRATES.contains(&c)) {
         return;
     }
     for (i, t) in tokens.iter().enumerate() {
@@ -42,7 +51,7 @@ pub fn check(ctx: &FileContext, tokens: &[Token], out: &mut Vec<Diagnostic>) {
         let Some(open) = tokens.get(i + 1).filter(|t| t.is_punct('(')).map(|_| i + 1) else {
             continue;
         };
-        let close = crate::lexer::matching_bracket_pub(tokens, open).unwrap_or(open);
+        let close = crate::lexer::matching_bracket(tokens, open).unwrap_or(open);
         for tok in &tokens[open..=close] {
             if tok.ident() == Some("partial_cmp") {
                 out.push(Diagnostic {

@@ -18,8 +18,7 @@
 //! with a `cargo xtask schema --write` in the same commit, making the diff
 //! reviewable where it belongs.
 
-use crate::graph::SourceFile;
-use crate::lexer::Token;
+use crate::lexer::{lex, matching_bracket, Token};
 use crate::rules::Diagnostic;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -70,9 +69,9 @@ impl Entry {
     }
 }
 
-/// Extracts the schema entries from one lexed emitter file.
-pub fn extract(file: &SourceFile, mode: Extract) -> Vec<Entry> {
-    let tokens = &file.lexed.tokens;
+/// Extracts the schema entries from one emitter file's source.
+pub fn extract(path: &str, source: &str, mode: Extract) -> Vec<Entry> {
+    let tokens = lex(source);
     let mut out = Vec::new();
     match mode {
         Extract::Metrics => {
@@ -82,14 +81,14 @@ pub fn extract(file: &SourceFile, mode: Extract) -> Vec<Entry> {
                 if matches!(t.ident(), Some("family") | Some("sample"))
                     && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
                 {
-                    let close = crate::lexer::matching_bracket_pub(tokens, i + 1).unwrap_or(i + 1);
+                    let close = matching_bracket(&tokens, i + 1).unwrap_or(i + 1);
                     if let Some(lit) = tokens[i + 1..close].iter().find(|t| t.str_lit().is_some()) {
                         let name = lit.str_lit().unwrap_or_default();
                         if !name.is_empty() {
                             out.push(Entry {
                                 kind: "metric",
                                 name: name.to_string(),
-                                file: file.path.clone(),
+                                file: path.to_string(),
                                 line: lit.line,
                                 col: lit.col,
                             });
@@ -102,7 +101,7 @@ pub fn extract(file: &SourceFile, mode: Extract) -> Vec<Entry> {
                         out.push(Entry {
                             kind: "label",
                             name: key,
-                            file: file.path.clone(),
+                            file: path.to_string(),
                             line: t.line,
                             col: t.col,
                         });
@@ -129,7 +128,7 @@ pub fn extract(file: &SourceFile, mode: Extract) -> Vec<Entry> {
                     out.push(Entry {
                         kind: "json-key",
                         name: text.to_string(),
-                        file: file.path.clone(),
+                        file: path.to_string(),
                         line: t.line,
                         col: t.col,
                     });
@@ -174,7 +173,7 @@ pub fn extract_workspace(workspace: &Path) -> std::io::Result<Vec<Entry>> {
             continue;
         }
         let source = std::fs::read_to_string(&abs)?;
-        entries.extend(extract(&SourceFile::new(rel, &source), *mode));
+        entries.extend(extract(rel, &source, *mode));
     }
     entries.sort();
     entries.dedup_by(|a, b| a.lock_line() == b.lock_line());

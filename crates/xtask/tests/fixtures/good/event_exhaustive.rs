@@ -27,3 +27,18 @@ pub fn is_even(n: usize) -> bool {
         _ => false,
     }
 }
+
+pub fn event_for(n: usize) -> ControlEvent {
+    // Arm bodies that build events do not make a match over a number one
+    // over events: the binding arm here is fine.
+    match n {
+        0 => ControlEvent::Lifecycle,
+        other => {
+            if other % 2 == 0 {
+                ControlEvent::Shed
+            } else {
+                ControlEvent::Breaker
+            }
+        }
+    }
+}

@@ -1,18 +1,16 @@
 // Fixture: contexts the rules must NOT reach — comments, string literals
 // and cfg(test) items. Linted as crates/dds/src/fixture.rs; must be clean.
 
-// Mutex<f64> in a comment: cell.fetch_add(x.to_bits(), Relaxed)
+// xs.sort_by(|a, b| a.partial_cmp(b).unwrap()) in a comment
 
-pub const DOC: &str = "keep a Mutex<f64> and fetch_add into it";
-pub const RAW: &str = r#"f64::from_bits(cell.fetch_update(..))"#;
+pub const DOC: &str = "say \" xs.sort_by(|a, b| a.partial_cmp(b).unwrap()) \"";
+pub const RAW: &str = r#"x" xs.max_by(|a, b| a.partial_cmp(b).unwrap()) "y"#;
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
-
     #[test]
     fn tests_may_do_anything() {
-        let acc: Mutex<f64> = Mutex::new(0.0);
-        *acc.lock().unwrap() += 1.0;
+        let mut xs = vec![2.0f64, 1.0];
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     }
 }
