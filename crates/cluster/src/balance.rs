@@ -14,28 +14,21 @@
 
 use cuttlesys::lifecycle::NodeId;
 
-/// Balance policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BalanceConfig {
-    /// A replica whose tail ratio (`tail_ms / qos_ms`) exceeds this after
-    /// a quantum sheds traffic. 1.0 means "balance on QoS violation".
-    pub tail_ratio_threshold: f64,
-    /// Share moved per breach, in absolute share units.
-    pub shift: f64,
-    /// No replica's share drops below this (a drained replica could never
-    /// recover: with no traffic its tail looks perfect forever).
-    pub min_share: f64,
-}
+/// A replica whose tail ratio (`tail_ms / qos_ms`) exceeds this after a
+/// quantum sheds traffic: balance on QoS violation.
+pub const TAIL_RATIO_THRESHOLD: f64 = 1.0;
 
-impl Default for BalanceConfig {
-    fn default() -> BalanceConfig {
-        BalanceConfig {
-            tail_ratio_threshold: 1.0,
-            shift: 0.1,
-            min_share: 0.25,
-        }
-    }
-}
+/// Share moved per breach, in absolute share units.
+pub const SHIFT: f64 = 0.1;
+
+/// No replica's share drops below this (a drained replica could never
+/// recover: with no traffic its tail looks perfect forever).
+pub const MIN_SHARE: f64 = 0.25;
+
+/// Turns traffic balancing on when set as [`crate::ClusterConfig::balance`];
+/// the policy's numbers are the constants above.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BalanceConfig;
 
 /// One share movement the policy decided: `amount` of service
 /// `lc_index`'s share moves `from → to`.
@@ -59,11 +52,7 @@ pub struct ShareShift {
 /// breacher is already at the share floor. Ties break toward the lowest
 /// node id on both ends (callers pass replicas in node-id order; the
 /// first extremum wins).
-pub fn decide_shift(
-    config: &BalanceConfig,
-    lc_index: usize,
-    replicas: &[(NodeId, f64, f64)],
-) -> Option<ShareShift> {
+pub fn decide_shift(lc_index: usize, replicas: &[(NodeId, f64, f64)]) -> Option<ShareShift> {
     if replicas.len() < 2 {
         return None;
     }
@@ -78,10 +67,10 @@ pub fn decide_shift(
         }
     }
     let (_, worst_ratio, worst_share) = replicas[worst];
-    if worst_ratio <= config.tail_ratio_threshold || worst == best {
+    if worst_ratio <= TAIL_RATIO_THRESHOLD || worst == best {
         return None;
     }
-    let amount = config.shift.min(worst_share - config.min_share);
+    let amount = SHIFT.min(worst_share - MIN_SHARE);
     if amount <= 0.0 {
         return None;
     }
@@ -104,49 +93,42 @@ mod tests {
 
     #[test]
     fn a_breaching_replica_sheds_to_the_best() {
-        let cfg = BalanceConfig::default();
         let replicas = [(n(0), 0.4, 1.0), (n(1), 1.3, 1.0), (n(2), 0.9, 1.0)];
-        let shift = decide_shift(&cfg, 0, &replicas).unwrap();
+        let shift = decide_shift(0, &replicas).unwrap();
         assert_eq!(shift.from, n(1));
         assert_eq!(shift.to, n(0));
-        assert!((shift.amount - cfg.shift).abs() < 1e-12);
+        assert!((shift.amount - SHIFT).abs() < 1e-12);
     }
 
     #[test]
     fn no_breach_or_single_node_means_no_shift() {
-        let cfg = BalanceConfig::default();
-        assert_eq!(
-            decide_shift(&cfg, 0, &[(n(0), 0.9, 1.0), (n(1), 0.8, 1.0)]),
-            None
-        );
-        assert_eq!(decide_shift(&cfg, 0, &[(n(0), 5.0, 1.0)]), None, "one node");
-        assert_eq!(decide_shift(&cfg, 0, &[]), None);
+        assert_eq!(decide_shift(0, &[(n(0), 0.9, 1.0), (n(1), 0.8, 1.0)]), None);
+        assert_eq!(decide_shift(0, &[(n(0), 5.0, 1.0)]), None, "one node");
+        assert_eq!(decide_shift(0, &[]), None);
     }
 
     #[test]
     fn the_share_floor_caps_the_shift() {
-        let cfg = BalanceConfig::default();
         // Breacher is 0.05 above the floor: only that much can move.
-        let shift = decide_shift(&cfg, 2, &[(n(0), 1.5, 0.30), (n(1), 0.2, 1.7)]).unwrap();
+        let shift = decide_shift(2, &[(n(0), 1.5, 0.30), (n(1), 0.2, 1.7)]).unwrap();
         assert!((shift.amount - 0.05).abs() < 1e-12);
         assert_eq!(shift.lc_index, 2);
         // At the floor: nothing moves.
         assert_eq!(
-            decide_shift(&cfg, 0, &[(n(0), 1.5, 0.25), (n(1), 0.2, 1.75)]),
+            decide_shift(0, &[(n(0), 1.5, 0.25), (n(1), 0.2, 1.75)]),
             None
         );
     }
 
     #[test]
     fn ties_break_toward_the_lowest_node_id() {
-        let cfg = BalanceConfig::default();
         let replicas = [
             (n(0), 0.3, 1.0),
             (n(1), 0.3, 1.0),
             (n(2), 1.2, 1.0),
             (n(3), 1.2, 1.0),
         ];
-        let shift = decide_shift(&cfg, 0, &replicas).unwrap();
+        let shift = decide_shift(0, &replicas).unwrap();
         assert_eq!(shift.from, n(2), "first worst wins");
         assert_eq!(shift.to, n(0), "first best wins");
     }
@@ -155,8 +137,7 @@ mod tests {
     fn a_sparse_fleet_balances_among_its_hosting_nodes_only() {
         // Nodes 0 and 3 host this LC; 1 and 2 do not and are simply absent
         // — the decision still pairs the real node ids.
-        let cfg = BalanceConfig::default();
-        let shift = decide_shift(&cfg, 1, &[(n(0), 1.4, 1.0), (n(3), 0.5, 1.0)]).unwrap();
+        let shift = decide_shift(1, &[(n(0), 1.4, 1.0), (n(3), 0.5, 1.0)]).unwrap();
         assert_eq!(shift.from, n(0));
         assert_eq!(shift.to, n(3));
     }

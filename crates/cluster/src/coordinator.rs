@@ -13,40 +13,39 @@
 //! 1. **Complete due migrations** (serial, start order): a tenant whose
 //!    modeled migration cost has elapsed is admitted on its destination;
 //!    a refusal schedules a bounded retry against the next-best node.
-//! 2. **Step every steppable node** — inline or on a borrowed
-//!    [`WorkerPool`] (`step_quantum_in`), or serially in either direction
-//!    (`step_quantum_ordered`); nodes share nothing within a quantum, so
-//!    any schedule reaches bit-identical state. Crashed and drained nodes
-//!    never step again; blacked-out nodes keep stepping (they are alive,
-//!    just unobservable — the split-brain is reconciled on rejoin).
+//! 2. **Step every steppable node**, one after another in node-id order;
+//!    a node's step reads and writes only its own state. Crashed and
+//!    drained nodes never step again; blacked-out nodes keep stepping
+//!    (they are alive, just unobservable — the split-brain is reconciled
+//!    on rejoin).
 //! 3. **Drain node events** into the cluster event queue, in node-id
 //!    order.
 //! 4. **Balance** LC traffic shares from the quantum's tail ratios.
 //! 5. **Auto-migrate** (when configured): a node still breaching after
 //!    balancing offloads its most recently placed batch tenant.
 //!
-//! Phases 0–1 and 3–5 are the only cross-node code, and they run serially
-//! in node-id order — that is the whole determinism argument (see the
-//! crate docs), and `tests/cluster.rs` plus `tests/fleet_resilience.rs`
-//! pin it. With [`FleetFaultPlan::none`] phase 0 observes a clean
-//! heartbeat on every Up node and does nothing at all, so a fault-free
-//! coordinator is bit-identical to one built before faults existed.
+//! Every phase runs serially in node-id order — that is the whole
+//! determinism argument (see the crate docs), and `tests/cluster.rs` plus
+//! `tests/fleet_resilience.rs` pin the results it yields. With
+//! [`FleetFaultPlan::none`] phase 0 observes a clean heartbeat on every Up
+//! node and does nothing at all, so a fault-free coordinator is
+//! bit-identical to one built before faults existed.
 
 use cuttlesys::control::AdmissionError;
 use cuttlesys::control::{ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind};
 use cuttlesys::lifecycle::{LifecycleState, NodeId, RelocationTarget};
 use cuttlesys::types::RunRecord;
-use cuttlesys::ResilienceConfig;
 use util::json::JsonValue;
-use util::WorkerPool;
 use workloads::batch::SpecBenchmark;
 
 use crate::balance::{decide_shift, BalanceConfig};
 use crate::faults::{FleetFaultInjector, FleetFaultPlan};
 use crate::health::{retry_backoff, DegradedMode, HealthConfig, HealthTracker, NodeHealth};
-use crate::migration::{InFlight, MigrateError, MigrationConfig};
+use crate::migration::{
+    InFlight, MigrateError, MigrationConfig, COST_QUANTA, MAX_RETRIES, RETRY_CAP_QUANTA,
+};
 use crate::node::NodeAgent;
-use crate::placement::{pick_best, PlacementConfig, PlacementError, PlacementScore};
+use crate::placement::{pick_best, PlacementError, PlacementScore};
 use crate::topology::ClusterScenario;
 
 /// Opaque handle to one tenant in the cluster's tenant table. Ids are
@@ -72,23 +71,10 @@ impl std::fmt::Display for ClusterTenantId {
     }
 }
 
-/// Which direction the serial stepper walks the node table — exists so
-/// the determinism tests can pin that the order is immaterial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepOrder {
-    /// Ascending node id (the canonical order).
-    #[default]
-    Forward,
-    /// Descending node id.
-    Reverse,
-}
-
 /// Cluster-wide policy configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClusterConfig {
-    /// Placement score weights.
-    pub placement: PlacementConfig,
-    /// Migration cost model and auto-migration trigger.
+    /// The auto-migration trigger.
     pub migration: MigrationConfig,
     /// Traffic balancing; `None` disables it.
     pub balance: Option<BalanceConfig>,
@@ -590,18 +576,6 @@ impl ClusterCoordinator {
         }
     }
 
-    /// Substitutes every node manager's degradation-ladder configuration
-    /// (each node runs the defaults otherwise).
-    #[must_use]
-    pub fn with_manager_config(mut self, resilience: ResilienceConfig) -> ClusterCoordinator {
-        self.nodes = self
-            .nodes
-            .into_iter()
-            .map(|n| n.with_manager_config(resilience))
-            .collect();
-        self
-    }
-
     /// Number of nodes in the cluster.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -715,7 +689,7 @@ impl ClusterCoordinator {
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, PlacementError> {
         let scores = self.scores_for(app, None);
-        let Some(node) = pick_best(&scores, &self.config.placement) else {
+        let Some(node) = pick_best(&scores) else {
             // Report the least-infeasible node's arithmetic (ties toward
             // the lowest id, matching every other policy here).
             let closest = scores.iter().reduce(|a, b| {
@@ -853,7 +827,7 @@ impl ClusterCoordinator {
             .core_mut()
             .deregister(local)
             .map_err(MigrateError::Source)?;
-        let admit_at = self.quantum + self.config.migration.cost_quanta.max(1);
+        let admit_at = self.quantum + COST_QUANTA;
         self.in_flight.push(InFlight {
             tenant: id,
             from,
@@ -1066,7 +1040,7 @@ impl ClusterCoordinator {
         }
         let Some(app) = entry.app else { return true };
         let scores = self.scores_for(app, Some(home));
-        let Some(dest) = pick_best(&scores, &self.config.placement) else {
+        let Some(dest) = pick_best(&scores) else {
             return false;
         };
         match self.nodes[dest.index()]
@@ -1131,7 +1105,7 @@ impl ClusterCoordinator {
                 live_tenants: n.live_tenants(),
             })
             .collect();
-        let Some(dest) = pick_best(&scores, &self.config.placement) else {
+        let Some(dest) = pick_best(&scores) else {
             // No surviving replica hosts this service: the traffic has
             // nowhere to fold. The entry stays homed on the failed node.
             return;
@@ -1256,9 +1230,8 @@ impl ClusterCoordinator {
     /// (the destination is down, or its admission control rejected the
     /// tenant) no longer loses the tenant: the move is re-aimed at the
     /// next-best serving node with bounded exponential backoff, and only
-    /// after [`MigrationConfig::max_retries`] refusals does the tenant
-    /// retire drained — announced by
-    /// [`ClusterEvent::MigrationAbandoned`], never silently.
+    /// after [`MAX_RETRIES`] refusals does the tenant retire drained —
+    /// announced by [`ClusterEvent::MigrationAbandoned`], never silently.
     fn complete_due_migrations(&mut self) {
         let due: Vec<InFlight> = self
             .in_flight
@@ -1304,7 +1277,7 @@ impl ClusterCoordinator {
                         quantum: self.quantum,
                     });
                     let attempts = m.attempts + 1;
-                    if attempts > self.config.migration.max_retries {
+                    if attempts > MAX_RETRIES {
                         // The tenant already drained from its source; it
                         // retires there, and the destination records the
                         // rejection as its own AdmissionRejected event.
@@ -1321,11 +1294,10 @@ impl ClusterCoordinator {
                     // back to the same destination when nothing else is
                     // feasible (it may free capacity by the retry).
                     let scores = self.scores_for(app, Some(m.dest));
-                    let next = pick_best(&scores, &self.config.placement).unwrap_or(m.dest);
-                    let cost = self.config.migration.cost_quanta.max(1);
-                    let wait = cost
+                    let next = pick_best(&scores).unwrap_or(m.dest);
+                    let wait = COST_QUANTA
                         .saturating_mul(1usize << attempts.min(16))
-                        .min(self.config.migration.retry_cap_quanta.max(cost));
+                        .min(RETRY_CAP_QUANTA);
                     let admit_at = self.quantum + wait;
                     self.in_flight.push(InFlight {
                         tenant: m.tenant,
@@ -1355,7 +1327,7 @@ impl ClusterCoordinator {
                 .extend(events.into_iter().map(ClusterEvent::Node));
         }
 
-        if let Some(balance) = self.config.balance {
+        if self.config.balance.is_some() {
             // The loop runs to the *widest* node's LC count; nodes that
             // don't host a service (or are down) drop out of that
             // service's replica set instead of truncating the fleet.
@@ -1379,7 +1351,7 @@ impl ClusterCoordinator {
                         )
                     })
                     .collect();
-                if let Some(shift) = decide_shift(&balance, lc_index, &replicas) {
+                if let Some(shift) = decide_shift(lc_index, &replicas) {
                     let share_of = |node: NodeId| {
                         replicas
                             .iter()
@@ -1441,7 +1413,7 @@ impl ClusterCoordinator {
                 };
                 let Some(app) = entry.app else { continue };
                 let scores = self.scores_for(app, Some(source));
-                if let Some(dest) = pick_best(&scores, &self.config.placement) {
+                if let Some(dest) = pick_best(&scores) {
                     // All preconditions were just checked; a refusal here
                     // would be a coordinator logic bug.
                     let moved = self.migrate(id, dest);
@@ -1452,69 +1424,24 @@ impl ClusterCoordinator {
     }
 
     /// Steps one lockstep quantum across the fleet, serially in ascending
-    /// node-id order.
+    /// node-id order. Every steppable node steps even when an earlier one
+    /// fails.
     ///
     /// # Errors
     ///
     /// Returns the first stepping node's [`ControlError`] in node-id
     /// order (a control-plane logic bug, surfaced hard).
     pub fn step_quantum(&mut self) -> Result<(), ClusterError> {
-        self.step_quantum_in(None)
-    }
-
-    /// Steps one lockstep quantum with per-node work spread over `pool`
-    /// when one is given, inline in node-id order otherwise. Nodes share
-    /// nothing within a quantum, so any pool width yields state
-    /// bit-identical to the serial stepper.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_quantum`](Self::step_quantum).
-    pub fn step_quantum_in(&mut self, pool: Option<&WorkerPool>) -> Result<(), ClusterError> {
         self.health_phase();
         self.complete_due_migrations();
-        let fate = &self.fate;
-        let mut slots: Vec<_> = self.nodes.iter_mut().map(|node| (node, None)).collect();
-        util::pool::for_each_slot(pool, &mut slots, |i, (node, error)| {
-            if fate[i].steppable() {
-                *error = node.step().err();
-            }
-        });
-        let first_error = slots.into_iter().find_map(|(_, error)| error);
-        self.finish_quantum(first_error)
-    }
-
-    /// Steps one lockstep quantum, walking nodes in the given serial
-    /// order. Nodes share nothing within a quantum, so the resulting
-    /// state is bit-identical for every order — the determinism tests
-    /// step the same cluster both ways and compare records.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_quantum`](Self::step_quantum).
-    pub fn step_quantum_ordered(&mut self, order: StepOrder) -> Result<(), ClusterError> {
-        self.health_phase();
-        self.complete_due_migrations();
-        let mut first_err: Vec<Option<ControlError>> = Vec::new();
-        first_err.resize_with(self.nodes.len(), || None);
-        let indices: Vec<usize> = match order {
-            StepOrder::Forward => (0..self.nodes.len()).collect(),
-            StepOrder::Reverse => (0..self.nodes.len()).rev().collect(),
-        };
-        for i in indices {
-            if !self.fate[i].steppable() {
-                continue;
-            }
-            if let Err(e) = self.nodes[i].step() {
-                first_err[i] = Some(e);
+        let mut first_error = None;
+        for (node, fate) in self.nodes.iter_mut().zip(&self.fate) {
+            if fate.steppable() {
+                if let Err(e) = node.step() {
+                    first_error.get_or_insert(e);
+                }
             }
         }
-        self.finish_quantum(first_err.into_iter().flatten().next())
-    }
-
-    /// Phase-2 epilogue shared by every stepper: surface the first error
-    /// in node-id order, then run the serial cross-node phases.
-    fn finish_quantum(&mut self, first_error: Option<ControlError>) -> Result<(), ClusterError> {
         if let Some(e) = first_error {
             return Err(ClusterError::Control(e));
         }

@@ -36,16 +36,13 @@
 //!
 //! # Determinism rules
 //!
-//! Everything here is sans-io: no wall clock, no sockets, no threads of
-//! its own (stepping may *borrow* a [`util::WorkerPool`], whose scope
-//! spawns and joins the only threads involved inside that one call).
+//! Everything here is sans-io: no wall clock, no sockets, no threads.
 //! Determinism rests on two structural rules:
 //!
 //! 1. **Nodes are share-nothing within a quantum.** Each node's step is a
-//!    pure function of its own state, so the coordinator may step nodes
-//!    in any order — or on any pool width — and reach bit-identical
-//!    per-node state ([`ClusterCoordinator::step_quantum_ordered`],
-//!    [`ClusterCoordinator::step_quantum_in`]).
+//!    pure function of its own state, and
+//!    [`ClusterCoordinator::step_quantum`] steps them in one loop in
+//!    ascending [`NodeId`] order.
 //! 2. **Cross-node decisions are serial and node-id-ordered.** Migration
 //!    completions, event draining, balancing, and auto-migration all
 //!    read and mutate state in ascending [`NodeId`] order, after every
@@ -72,7 +69,7 @@ pub mod topology;
 pub use balance::BalanceConfig;
 pub use coordinator::{
     ClusterConfig, ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterSnapshot,
-    ClusterTenantId, ClusterTenantSnapshot, StepOrder,
+    ClusterTenantId, ClusterTenantSnapshot,
 };
 pub use cuttlesys::lifecycle::{NodeId, RelocationTarget};
 pub use faults::{
@@ -81,5 +78,5 @@ pub use faults::{
 pub use health::{HealthConfig, NodeHealth};
 pub use migration::{MigrateError, MigrationConfig};
 pub use node::NodeAgent;
-pub use placement::{PlacementConfig, PlacementError, PlacementScore};
+pub use placement::{PlacementError, PlacementScore};
 pub use topology::ClusterScenario;

@@ -4,8 +4,8 @@
 //! plane already has: it is a **drain on the source** (the tenant stops
 //! being scheduled there at the next slice boundary) plus an **admit on
 //! the destination**, separated by a modeled migration cost of
-//! [`MigrationConfig::cost_quanta`] whole quanta during which the tenant
-//! executes nowhere — the degraded-service window of copying its state.
+//! [`COST_QUANTA`] whole quanta during which the tenant executes nowhere
+//! — the degraded-service window of copying its state.
 //! While in flight the tenant's cluster-visible lifecycle state is
 //! `Relocating(Node(dest))`, the relocation target the lifecycle state
 //! machine carries since this refactor.
@@ -19,35 +19,26 @@ use cuttlesys::lifecycle::NodeId;
 
 use crate::coordinator::ClusterTenantId;
 
-/// Migration policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Modeled cost of a move: whole quanta between the source drain and the
+/// destination admit (state transfer is never free).
+pub const COST_QUANTA: usize = 2;
+
+/// How many times a rejected destination admit is retried (against the
+/// next-best placement, with bounded backoff) before the move is abandoned
+/// and the tenant retires drained.
+pub const MAX_RETRIES: usize = 3;
+
+/// Retry backoff ceiling, in quanta: attempt `k` waits
+/// `min(COST_QUANTA · 2^k, RETRY_CAP_QUANTA)` before re-admitting.
+pub const RETRY_CAP_QUANTA: usize = 8;
+
+/// Migration policy.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MigrationConfig {
-    /// Modeled cost of a move: whole quanta between the source drain and
-    /// the destination admit (clamped to at least 1 — state transfer is
-    /// never free).
-    pub cost_quanta: usize,
     /// When `Some(r)`, the coordinator auto-migrates: a node whose worst
     /// tail ratio exceeds `r` after a quantum offloads its most recently
     /// placed live batch tenant to the best-scoring other node.
     pub auto_tail_ratio: Option<f64>,
-    /// How many times a rejected destination admit is retried (against the
-    /// next-best placement, with bounded backoff) before the move is
-    /// abandoned and the tenant retires drained.
-    pub max_retries: usize,
-    /// Retry backoff ceiling, in quanta: attempt `k` waits
-    /// `min(cost_quanta · 2^k, retry_cap_quanta)` before re-admitting.
-    pub retry_cap_quanta: usize,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> MigrationConfig {
-        MigrationConfig {
-            cost_quanta: 2,
-            auto_tail_ratio: None,
-            max_retries: 3,
-            retry_cap_quanta: 8,
-        }
-    }
 }
 
 /// One tenant mid-move.
@@ -124,11 +115,7 @@ mod tests {
 
     #[test]
     fn default_cost_is_nonzero() {
-        assert!(MigrationConfig::default().cost_quanta >= 1);
+        const { assert!(COST_QUANTA >= 1 && MAX_RETRIES >= 1 && RETRY_CAP_QUANTA >= COST_QUANTA) };
         assert_eq!(MigrationConfig::default().auto_tail_ratio, None);
-        assert!(MigrationConfig::default().max_retries >= 1);
-        assert!(
-            MigrationConfig::default().retry_cap_quanta >= MigrationConfig::default().cost_quanta
-        );
     }
 }

@@ -4,7 +4,6 @@
 use cuttlesys::control::{ControlCore, ControlError};
 use cuttlesys::lifecycle::NodeId;
 use cuttlesys::types::{Scenario, SliceRecord};
-use cuttlesys::ResilienceConfig;
 
 /// A per-node agent: the node's control plane, stepped by the coordinator
 /// one lockstep quantum at a time.
@@ -22,14 +21,6 @@ impl NodeAgent {
         NodeAgent {
             core: ControlCore::on_node(scenario, node),
         }
-    }
-
-    /// Substitutes the node manager's configuration; see
-    /// [`ControlCore::with_manager_config`].
-    #[must_use]
-    pub fn with_manager_config(mut self, resilience: ResilienceConfig) -> NodeAgent {
-        self.core = self.core.with_manager_config(resilience);
-        self
     }
 
     /// The node's identity.

@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! score = headroom_watts
-//!       + affinity_weight  × (live tenants running the same app)
-//!       − contention_weight × (live tenants, total)
+//!       + AFFINITY_WEIGHT   × (live tenants running the same app)
+//!       − CONTENTION_WEIGHT × (live tenants, total)
 //! ```
 //!
 //! Headroom is the bin-packing term (most spare budget wins), affinity
@@ -20,23 +20,11 @@
 
 use cuttlesys::lifecycle::NodeId;
 
-/// Weights for the placement score.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementConfig {
-    /// Watts-equivalent bonus per live same-app tenant on the node.
-    pub affinity_weight: f64,
-    /// Watts-equivalent penalty per live tenant on the node.
-    pub contention_weight: f64,
-}
+/// Watts-equivalent bonus per live same-app tenant on the node.
+pub const AFFINITY_WEIGHT: f64 = 0.5;
 
-impl Default for PlacementConfig {
-    fn default() -> PlacementConfig {
-        PlacementConfig {
-            affinity_weight: 0.5,
-            contention_weight: 0.25,
-        }
-    }
-}
+/// Watts-equivalent penalty per live tenant on the node.
+pub const CONTENTION_WEIGHT: f64 = 0.25;
 
 /// One node's scored placement candidacy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,10 +41,10 @@ pub struct PlacementScore {
 }
 
 impl PlacementScore {
-    /// The combined score under `config` (higher is better).
-    pub fn total(&self, config: &PlacementConfig) -> f64 {
-        self.headroom_watts + config.affinity_weight * self.same_app_tenants as f64
-            - config.contention_weight * self.live_tenants as f64
+    /// The combined score (higher is better).
+    pub fn total(&self) -> f64 {
+        self.headroom_watts + AFFINITY_WEIGHT * self.same_app_tenants as f64
+            - CONTENTION_WEIGHT * self.live_tenants as f64
     }
 
     /// Whether the node can admit the candidate at all.
@@ -103,10 +91,10 @@ impl std::error::Error for PlacementError {}
 
 /// Picks the best feasible node: highest [`PlacementScore::total`], ties
 /// toward the lowest node id. `None` when no node is feasible.
-pub fn pick_best(scores: &[PlacementScore], config: &PlacementConfig) -> Option<NodeId> {
+pub fn pick_best(scores: &[PlacementScore]) -> Option<NodeId> {
     let mut best: Option<(NodeId, f64)> = None;
     for s in scores.iter().filter(|s| s.feasible()) {
-        let total = s.total(config);
+        let total = s.total();
         let better = match best {
             None => true,
             // Strict inequality: on a tie the earlier (lower-id) node wins,
@@ -136,34 +124,31 @@ mod tests {
 
     #[test]
     fn headroom_dominates_and_ties_break_low() {
-        let cfg = PlacementConfig::default();
         let scores = [
             score(0, 4.0, 0, 0),
             score(1, 9.0, 0, 0),
             score(2, 9.0, 0, 0),
         ];
-        assert_eq!(pick_best(&scores, &cfg), Some(NodeId::from_index(1)));
+        assert_eq!(pick_best(&scores), Some(NodeId::from_index(1)));
         let tied = [score(0, 9.0, 0, 0), score(1, 9.0, 0, 0)];
-        assert_eq!(pick_best(&tied, &cfg), Some(NodeId::from_index(0)));
+        assert_eq!(pick_best(&tied), Some(NodeId::from_index(0)));
     }
 
     #[test]
     fn affinity_attracts_and_contention_repels() {
-        let cfg = PlacementConfig::default();
         // Equal headroom: the node already running two replicas wins.
         let scores = [score(0, 5.0, 0, 0), score(1, 5.0, 2, 2)];
-        assert_eq!(pick_best(&scores, &cfg), Some(NodeId::from_index(1)));
+        assert_eq!(pick_best(&scores), Some(NodeId::from_index(1)));
         // Same-app count equal: the emptier node wins.
         let scores = [score(0, 5.0, 0, 8), score(1, 5.0, 0, 1)];
-        assert_eq!(pick_best(&scores, &cfg), Some(NodeId::from_index(1)));
+        assert_eq!(pick_best(&scores), Some(NodeId::from_index(1)));
     }
 
     #[test]
     fn infeasible_nodes_never_win() {
-        let cfg = PlacementConfig::default();
         let scores = [score(0, -0.1, 9, 0), score(1, 0.0, 0, 9)];
-        assert_eq!(pick_best(&scores, &cfg), Some(NodeId::from_index(1)));
-        assert_eq!(pick_best(&[score(0, -1.0, 0, 0)], &cfg), None);
+        assert_eq!(pick_best(&scores), Some(NodeId::from_index(1)));
+        assert_eq!(pick_best(&[score(0, -1.0, 0, 0)]), None);
     }
 
     #[test]

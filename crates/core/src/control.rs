@@ -40,7 +40,6 @@ use workloads::oracle::Oracle;
 
 use crate::accounting::steady_state_budget;
 use crate::driver::{DriveError, ScenarioDriver};
-use crate::faults::ResilienceConfig;
 use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, RelocationTarget, TenantLifecycle};
 use crate::runtime::CuttleSysManager;
 use crate::types::{
@@ -397,14 +396,6 @@ impl ControlCore {
                 .expect("declared tenant admission is legal");
         }
         core
-    }
-
-    /// Substitutes the manager's degradation-ladder configuration (the
-    /// defaults otherwise).
-    #[must_use]
-    pub fn with_manager_config(mut self, resilience: ResilienceConfig) -> ControlCore {
-        self.manager = self.manager.with_resilience(resilience);
-        self
     }
 
     fn push_tenant(&mut self, name: String, kind: TenantKind) -> TenantId {

@@ -444,13 +444,14 @@ impl std::fmt::Display for DecisionError {
 
 impl std::error::Error for DecisionError {}
 
-/// Bounds on the degradation ladder's responses.
+/// Bounds on the degradation ladder's responses. The manager always runs
+/// the default; other values exist only in unit and property tests, which
+/// hand them straight to `pipeline::decide` and [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceConfig {
     /// Per-quantum compute budget (wall-clock plus injected stalls, ms).
-    /// Infinite by default: wall-clock deadlines are opt-in because debug
-    /// builds and loaded CI machines would otherwise trip them
-    /// nondeterministically.
+    /// Infinite by default: a finite wall-clock deadline would trip
+    /// nondeterministically on debug builds and loaded CI machines.
     pub deadline_ms: f64,
     /// Maximum age (in quanta) at which last-good predictions or plans may
     /// still substitute for a failed quantum.

@@ -159,12 +159,6 @@ impl CuttleSysManager {
         self
     }
 
-    /// Substitutes the degradation-ladder bounds.
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> CuttleSysManager {
-        self.resilience = resilience;
-        self
-    }
-
     /// Cores currently held across all latency-critical tenants.
     pub fn lc_cores(&self) -> usize {
         self.lc.iter().map(|a| a.cores).sum()

@@ -3,8 +3,8 @@
 //! [`ClusterService`] is to [`cluster::ClusterCoordinator`] what
 //! [`Service`](crate::Service) is to `ControlCore` — literally: the same
 //! reactor loop and the same handle, over a different plane. A dedicated
-//! thread owns the coordinator (and the pool width it steps at, if any),
-//! callers send it closures over a bounded channel, cluster events
+//! thread owns the coordinator, callers send it closures over a bounded
+//! channel, cluster events
 //! broadcast on the bus, and the optional HTTP endpoint serves the fleet's
 //! `/metrics` (every node family under a `node=` label) and a cluster-wide
 //! `/state` rendered from [`ClusterSnapshot::to_json`].
@@ -29,7 +29,6 @@ use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterScenario,
     ClusterSnapshot, ClusterTenantId, FleetFaultPlan, MigrateError, NodeId, PlacementError,
 };
-use util::WorkerPool;
 use workloads::batch::SpecBenchmark;
 
 use crate::metrics;
@@ -93,12 +92,11 @@ pub struct ClusterServiceBuilder {
     faults: FleetFaultPlan,
     pacing: Pacing,
     metrics_addr: Option<String>,
-    pool_threads: Option<usize>,
 }
 
 impl ClusterServiceBuilder {
     /// Defaults: default policies, no fleet faults, manual pacing, no HTTP
-    /// endpoint, serial stepping.
+    /// endpoint.
     pub fn new(scenario: &ClusterScenario) -> ClusterServiceBuilder {
         ClusterServiceBuilder {
             scenario: scenario.clone(),
@@ -106,7 +104,6 @@ impl ClusterServiceBuilder {
             faults: FleetFaultPlan::none(),
             pacing: Pacing::Manual,
             metrics_addr: None,
-            pool_threads: None,
         }
     }
 
@@ -137,15 +134,6 @@ impl ClusterServiceBuilder {
         self
     }
 
-    /// Step the fleet's nodes on up to this many threads — the reactor's
-    /// own included, the rest spawned and joined inside each quantum —
-    /// instead of serially. Bit-identical results at any width: nodes share
-    /// nothing within a quantum.
-    pub fn pool_threads(mut self, threads: usize) -> ClusterServiceBuilder {
-        self.pool_threads = Some(threads);
-        self
-    }
-
     /// Builds the coordinator and starts the cluster reactor (and, if
     /// configured, the HTTP endpoint).
     ///
@@ -159,7 +147,7 @@ impl ClusterServiceBuilder {
     pub fn start(self) -> io::Result<ClusterService> {
         let coordinator = ClusterCoordinator::with_faults(&self.scenario, self.config, self.faults);
         Handle::start(
-            (coordinator, self.pool_threads.map(WorkerPool::new)),
+            coordinator,
             self.pacing,
             BUS_CAPACITY,
             self.metrics_addr.as_deref(),
@@ -167,34 +155,30 @@ impl ClusterServiceBuilder {
     }
 }
 
-/// The fleet plane: the coordinator and the pool its quanta step on (`None`
-/// steps the nodes inline — bit-identical, nodes share nothing mid-quantum).
-type FleetPlane = (ClusterCoordinator, Option<WorkerPool>);
-
-impl Plane for FleetPlane {
+impl Plane for ClusterCoordinator {
     type Event = ClusterEvent;
     type Error = ClusterError;
 
     fn tick(&mut self) -> Result<(), ClusterError> {
-        self.0.step_quantum_in(self.1.as_ref())
+        self.step_quantum()
     }
 
     fn drain_events(&mut self) -> Vec<ClusterEvent> {
-        self.0.drain_events()
+        ClusterCoordinator::drain_events(self)
     }
 
     fn metrics(&self, bus_overwrites: u64) -> String {
-        metrics::render_cluster(&self.0, bus_overwrites)
+        metrics::render_cluster(self, bus_overwrites)
     }
 
     fn state_json(&self) -> String {
-        self.0.snapshot().to_json().to_string()
+        self.snapshot().to_json().to_string()
     }
 }
 
 /// A running cluster control plane: reactor thread, event bus, optional
 /// metrics endpoint. This is the service handle shared with
-/// [`Service`](crate::Service), over the fleet plane: the typed requests
+/// [`Service`](crate::Service), over a [`ClusterCoordinator`]: the typed requests
 /// are listed below, and the handle itself provides
 ///
 /// * `subscribe(&self) -> Subscriber<ClusterEvent>` — events published
@@ -206,7 +190,7 @@ impl Plane for FleetPlane {
 ///
 /// Dropping the service without `shutdown` stops the threads but discards
 /// the cluster record and skips the fleet drain.
-pub type ClusterService = Handle<FleetPlane>;
+pub type ClusterService = Handle<ClusterCoordinator>;
 
 impl ClusterService {
     /// Registers a batch tenant, letting placement choose the node.
@@ -221,7 +205,7 @@ impl ClusterService {
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, ClusterServiceError> {
         let name = name.to_string();
-        Ok(self.call(move |(fleet, _)| fleet.register_batch(&name, app))??)
+        Ok(self.call(move |fleet| fleet.register_batch(&name, app))??)
     }
 
     /// Registers a batch tenant on a specific node, bypassing placement.
@@ -238,7 +222,7 @@ impl ClusterService {
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, ClusterServiceError> {
         let name = name.to_string();
-        Ok(self.call(move |(fleet, _)| fleet.register_batch_on(node, &name, app))??)
+        Ok(self.call(move |fleet| fleet.register_batch_on(node, &name, app))??)
     }
 
     /// Drains a batch tenant on its node; it retires once its last slice
@@ -250,7 +234,7 @@ impl ClusterService {
     /// mid-migration tenants; [`ClusterServiceError::Stopped`] after
     /// shutdown.
     pub fn deregister(&self, tenant: ClusterTenantId) -> Result<(), ClusterServiceError> {
-        Ok(self.call(move |(fleet, _)| fleet.deregister(tenant))??)
+        Ok(self.call(move |fleet| fleet.deregister(tenant))??)
     }
 
     /// Starts migrating a batch tenant to `dest` (drain now, admit after
@@ -265,7 +249,7 @@ impl ClusterService {
         tenant: ClusterTenantId,
         dest: NodeId,
     ) -> Result<(), ClusterServiceError> {
-        Ok(self.call(move |(fleet, _)| fleet.migrate(tenant, dest))??)
+        Ok(self.call(move |fleet| fleet.migrate(tenant, dest))??)
     }
 
     /// Deliberately drains a node for maintenance: its tenants evacuate
@@ -279,7 +263,7 @@ impl ClusterService {
     /// is already down, drained, or crashed;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn drain_node(&self, node: NodeId) -> Result<(), ClusterServiceError> {
-        Ok(self.call(move |(fleet, _)| fleet.drain_node(node))??)
+        Ok(self.call(move |fleet| fleet.drain_node(node))??)
     }
 
     /// Runs one lockstep quantum across the fleet now (any pacing mode).
@@ -289,7 +273,7 @@ impl ClusterService {
     /// [`ClusterServiceError::Cluster`] on a control-plane logic bug;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn step_quantum(&self) -> Result<(), ClusterServiceError> {
-        Ok(self.call(FleetPlane::tick)??)
+        Ok(self.call(ClusterCoordinator::step_quantum)??)
     }
 
     /// A point-in-time view of the whole cluster.
@@ -298,7 +282,7 @@ impl ClusterService {
     ///
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn snapshot(&self) -> Result<ClusterSnapshot, ClusterServiceError> {
-        Ok(self.call(|(fleet, _)| fleet.snapshot())?)
+        Ok(self.call(|fleet| fleet.snapshot())?)
     }
 
     /// The cluster metrics document (what `GET /metrics` serves), with
@@ -320,8 +304,8 @@ impl ClusterService {
     /// [`ClusterServiceError::Cluster`] on a logic bug during the drain.
     pub fn shutdown(self) -> Result<ClusterRecord, ClusterServiceError> {
         Ok(self.finish(
-            |(fleet, _)| fleet.shutdown(),
-            |(fleet, _)| fleet.into_record(),
+            ClusterCoordinator::shutdown,
+            ClusterCoordinator::into_record,
         )??)
     }
 }
@@ -355,24 +339,6 @@ mod tests {
         for node in &record.nodes {
             assert_eq!(node.slices.len(), 3);
         }
-    }
-
-    #[test]
-    fn pooled_service_matches_serial_service() {
-        let scenario = quiet(3);
-        let serial = ClusterServiceBuilder::new(&scenario).start().unwrap();
-        let pooled = ClusterServiceBuilder::new(&scenario)
-            .pool_threads(2)
-            .start()
-            .unwrap();
-        for _ in 0..3 {
-            serial.step_quantum().unwrap();
-            pooled.step_quantum().unwrap();
-        }
-        assert_eq!(
-            serial.shutdown().unwrap().comparable(),
-            pooled.shutdown().unwrap().comparable()
-        );
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! Each detector is a pure function over the per-run metric series —
 //! no clock, no RNG, no I/O — so the verdict a sweep reaches is as
 //! deterministic as the runs themselves. A detector *trips* when its
-//! statistic crosses the configured threshold in any run of a cell;
+//! statistic crosses its threshold constant in any run of a cell;
 //! the report then aggregates trips per cell and fleet-wide, and the
 //! CLI exits nonzero when anything tripped.
 
 use util::json::JsonValue;
 
-/// Detector names the spec's `detectors` object accepts, sorted for
-/// error messages.
+/// Detector names, sorted: the order of the summary's trip counts.
 pub const DETECTOR_NAMES: &[&str] = &[
     "degraded_residency",
     "displaced_persistence",
@@ -20,45 +19,26 @@ pub const DETECTOR_NAMES: &[&str] = &[
     "throughput_cliff",
 ];
 
-/// Trip thresholds for every detector.
-///
-/// Counts are "trip at ≥ threshold"; residencies and the cliff are
-/// fractions in `[0, 1]` ("trip at ≥ fraction of quanta" / "trip when
-/// throughput drops by ≥ fraction between adjacent quanta").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorThresholds {
-    /// Longest run of consecutive QoS-violating quanta tolerated before
-    /// the streak detector trips.
-    pub qos_violation_streak: usize,
-    /// Fraction of quanta spent in safe mode that trips the residency
-    /// detector.
-    pub safe_mode_residency: f64,
-    /// Fraction of quanta spent anywhere on the degradation ladder that
-    /// trips the residency detector.
-    pub degraded_residency: f64,
-    /// Relative throughput drop between adjacent quanta that counts as
-    /// a cliff.
-    pub throughput_cliff: f64,
-    /// Consecutive quanta a displaced tenant may wait for re-placement
-    /// before the persistence detector trips (cluster only).
-    pub displaced_persistence: usize,
-    /// Tenants lost outright (crashed with their node, never re-placed)
-    /// tolerated per run (cluster only).
-    pub tenant_loss: usize,
-}
+// Trip thresholds. Counts trip at ≥ threshold; residencies and the cliff
+// are fractions in `[0, 1]` ("trip at ≥ fraction of quanta" / "trip when
+// throughput drops by ≥ fraction between adjacent quanta").
 
-impl Default for DetectorThresholds {
-    fn default() -> DetectorThresholds {
-        DetectorThresholds {
-            qos_violation_streak: 3,
-            safe_mode_residency: 0.25,
-            degraded_residency: 0.75,
-            throughput_cliff: 0.6,
-            displaced_persistence: 3,
-            tenant_loss: 0,
-        }
-    }
-}
+/// Longest run of consecutive QoS-violating quanta tolerated before the
+/// streak detector trips.
+pub const QOS_VIOLATION_STREAK: usize = 3;
+/// Fraction of quanta spent in safe mode that trips the residency detector.
+pub const SAFE_MODE_RESIDENCY: f64 = 0.25;
+/// Fraction of quanta spent anywhere on the degradation ladder that trips
+/// the residency detector.
+pub const DEGRADED_RESIDENCY: f64 = 0.75;
+/// Relative throughput drop between adjacent quanta that counts as a cliff.
+pub const THROUGHPUT_CLIFF: f64 = 0.6;
+/// Consecutive quanta a displaced tenant may wait for re-placement before
+/// the persistence detector trips (cluster only).
+pub const DISPLACED_PERSISTENCE: usize = 3;
+/// Tenants lost outright (crashed with their node, never re-placed)
+/// tolerated per run (cluster only).
+pub const TENANT_LOSS: usize = 0;
 
 /// Longest run of consecutive `true`s in a boolean series.
 ///
@@ -160,35 +140,35 @@ pub struct RunSeries {
 /// non-empty `displaced` series or a nonzero loss count), so
 /// single-node summaries stay free of vacuous cluster rows. A run
 /// `error` adds an always-tripped `run_error` finding.
-pub fn evaluate(series: &RunSeries, thresholds: &DetectorThresholds) -> Vec<Finding> {
+pub fn evaluate(series: &RunSeries) -> Vec<Finding> {
     let mut findings = Vec::new();
     let streak = max_true_streak(&series.qos_violated);
     findings.push(Finding {
         detector: "qos_violation_streak",
         value: streak as f64,
-        threshold: thresholds.qos_violation_streak as f64,
-        tripped: thresholds.qos_violation_streak > 0 && streak >= thresholds.qos_violation_streak,
+        threshold: QOS_VIOLATION_STREAK as f64,
+        tripped: streak >= QOS_VIOLATION_STREAK,
     });
     let safe_res = residency(series.safe_mode_quanta, series.quanta);
     findings.push(Finding {
         detector: "safe_mode_residency",
         value: safe_res,
-        threshold: thresholds.safe_mode_residency,
-        tripped: safe_res >= thresholds.safe_mode_residency && thresholds.safe_mode_residency > 0.0,
+        threshold: SAFE_MODE_RESIDENCY,
+        tripped: safe_res >= SAFE_MODE_RESIDENCY,
     });
     let deg_res = residency(series.degraded_quanta, series.quanta);
     findings.push(Finding {
         detector: "degraded_residency",
         value: deg_res,
-        threshold: thresholds.degraded_residency,
-        tripped: deg_res >= thresholds.degraded_residency && thresholds.degraded_residency > 0.0,
+        threshold: DEGRADED_RESIDENCY,
+        tripped: deg_res >= DEGRADED_RESIDENCY,
     });
     let cliff = max_adjacent_drop(&series.throughput);
     findings.push(Finding {
         detector: "throughput_cliff",
         value: cliff,
-        threshold: thresholds.throughput_cliff,
-        tripped: thresholds.throughput_cliff > 0.0 && cliff >= thresholds.throughput_cliff,
+        threshold: THROUGHPUT_CLIFF,
+        tripped: cliff >= THROUGHPUT_CLIFF,
     });
     let fleet_run = !series.displaced.is_empty() || series.tenants_lost > 0;
     if fleet_run {
@@ -197,15 +177,14 @@ pub fn evaluate(series: &RunSeries, thresholds: &DetectorThresholds) -> Vec<Find
         findings.push(Finding {
             detector: "displaced_persistence",
             value: displaced_streak as f64,
-            threshold: thresholds.displaced_persistence as f64,
-            tripped: thresholds.displaced_persistence > 0
-                && displaced_streak >= thresholds.displaced_persistence,
+            threshold: DISPLACED_PERSISTENCE as f64,
+            tripped: displaced_streak >= DISPLACED_PERSISTENCE,
         });
         findings.push(Finding {
             detector: "tenant_loss",
             value: series.tenants_lost as f64,
-            threshold: thresholds.tenant_loss as f64,
-            tripped: series.tenants_lost > thresholds.tenant_loss,
+            threshold: TENANT_LOSS as f64,
+            tripped: series.tenants_lost > TENANT_LOSS,
         });
     }
     if series.error.is_some() {
@@ -245,14 +224,13 @@ mod tests {
 
     #[test]
     fn fleet_detectors_only_appear_for_fleet_runs() {
-        let t = DetectorThresholds::default();
         let single = RunSeries {
             quanta: 4,
             qos_violated: vec![false; 4],
             throughput: vec![1.0; 4],
             ..RunSeries::default()
         };
-        let names: Vec<_> = evaluate(&single, &t).iter().map(|f| f.detector).collect();
+        let names: Vec<_> = evaluate(&single).iter().map(|f| f.detector).collect();
         assert!(!names.contains(&"displaced_persistence"));
         assert!(!names.contains(&"tenant_loss"));
 
@@ -260,7 +238,7 @@ mod tests {
             displaced: vec![0, 1, 1, 1],
             ..single
         };
-        let findings = evaluate(&fleet, &t);
+        let findings = evaluate(&fleet);
         let disp = findings
             .iter()
             .find(|f| f.detector == "displaced_persistence")
@@ -274,13 +252,12 @@ mod tests {
 
     #[test]
     fn run_error_always_trips() {
-        let t = DetectorThresholds::default();
         let series = RunSeries {
             quanta: 1,
             error: Some("boom".to_string()),
             ..RunSeries::default()
         };
-        let findings = evaluate(&series, &t);
+        let findings = evaluate(&series);
         let err = findings.iter().find(|f| f.detector == "run_error").unwrap();
         assert!(err.tripped);
     }

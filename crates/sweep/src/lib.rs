@@ -30,7 +30,7 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 
-pub use detectors::{DetectorThresholds, Finding, RunSeries};
+pub use detectors::{Finding, RunSeries};
 pub use report::{render_tables, summary_json, summary_json_partial, Stats};
 pub use runner::{
     filter_grid, run_sweep, run_sweep_cells, Cell, CellOutcome, RunMetrics, RunOutcome,

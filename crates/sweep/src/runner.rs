@@ -161,8 +161,7 @@ pub fn grid(spec: &SweepSpec) -> Vec<Cell> {
 
 fn run_single(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunMetrics {
     let scenario = spec.scenario_for(&cell.shape, cell.cap, &cell.fault, seed);
-    let mut manager =
-        CuttleSysManager::for_scenario(&scenario).with_resilience(spec.overrides.resilience);
+    let mut manager = CuttleSysManager::for_scenario(&scenario);
     let record = run_scenario(&scenario, &mut manager);
     let series = RunSeries {
         qos_violated: record.slices.iter().map(|s| s.qos_violation()).collect(),
@@ -195,8 +194,7 @@ fn run_cluster(spec: &SweepSpec, cell: &Cell, seed: u64, nodes: usize) -> RunMet
     let cs = ClusterScenario::uniform(&base, nodes).with_node_faults(node_faults);
     // Profiles are validated at load time, so the lookup cannot fail.
     let plan = FleetFaultPlan::named(&cell.fleet_fault, seed).unwrap_or_else(FleetFaultPlan::none);
-    let mut coord = ClusterCoordinator::with_faults(&cs, ClusterConfig::default(), plan)
-        .with_manager_config(spec.overrides.resilience);
+    let mut coord = ClusterCoordinator::with_faults(&cs, ClusterConfig::default(), plan);
 
     let mut displaced_series = Vec::with_capacity(spec.quanta);
     let mut fleet_degraded_quanta = 0;
@@ -294,7 +292,7 @@ fn run_point(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunOutcome {
         Topology::SingleNode => run_single(spec, cell, seed),
         Topology::Cluster { nodes } => run_cluster(spec, cell, seed, nodes),
     };
-    let findings = evaluate(&metrics.series, &spec.detectors);
+    let findings = evaluate(&metrics.series);
     RunOutcome { metrics, findings }
 }
 

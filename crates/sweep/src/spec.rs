@@ -5,51 +5,40 @@
 //! shapes, power caps, single-node fault profiles, fleet fault
 //! profiles) whose cross product defines the grid of cells; every cell
 //! is run once per seed. Loading is strict — unknown top-level fields,
-//! unknown override keys, unknown detector names, unknown profiles,
-//! services, or shapes are all *hard errors at load time*, each listing
-//! the valid vocabulary, so a typo can never silently shrink a sweep.
+//! unknown profiles, services, or shapes are all *hard errors at load
+//! time*, each listing the valid vocabulary, so a typo can never silently
+//! shrink a sweep. So are tenants no run could host: zero or too many LC
+//! cores, and negative loads, QoS targets or noise (the JSON parser already
+//! refuses non-finite numbers).
+//!
+//! A spec has no settings for the runtime itself: every run uses the
+//! manager's and the coordinator's defaults, and the detectors' thresholds
+//! are the constants in [`crate::detectors`].
 //!
 //! The loader also *lowers* the spec: load shapes become
-//! [`LoadPattern`]s, tenant mixes become [`Scenario`] job lists, and
-//! overrides are applied onto the [`ResilienceConfig`] defaults, so the
+//! [`LoadPattern`]s and tenant mixes become [`Scenario`] job lists, so the
 //! runner only ever sees fully-validated values.
 
-use cuttlesys::faults::{FaultPlan, ResilienceConfig};
+use cuttlesys::faults::FaultPlan;
 use cuttlesys::types::{BatchJobSpec, JobSpec, LcJobSpec, Scenario};
 use util::json::{self, JsonValue};
 use workloads::batch;
 use workloads::latency::{self, LcService};
 use workloads::loadgen::LoadPattern;
 
-use crate::detectors::{DetectorThresholds, DETECTOR_NAMES};
-
 /// Top-level spec fields the loader accepts, sorted for error messages.
 const SPEC_FIELDS: &[&str] = &[
     "caps",
-    "detectors",
     "fault_profiles",
     "fleet_fault_profiles",
     "load_shapes",
     "name",
     "noise",
-    "overrides",
     "phases",
     "quanta",
     "seeds",
     "tenants",
     "topology",
-];
-
-/// Valid override keys, sorted for error messages.
-pub const OVERRIDE_KEYS: &[&str] = &[
-    "resilience.breaker_close_after",
-    "resilience.breaker_open_after",
-    "resilience.breaker_probe_interval",
-    "resilience.deadline_ms",
-    "resilience.max_bips",
-    "resilience.max_tail_ms",
-    "resilience.max_watts",
-    "resilience.staleness_bound",
 ];
 
 /// Valid single-node fault-profile names, sorted.
@@ -263,13 +252,6 @@ impl LoadShape {
     }
 }
 
-/// Config overrides, already applied onto the sweep defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Overrides {
-    /// The per-run degradation-ladder bounds.
-    pub resilience: ResilienceConfig,
-}
-
 /// A fully-validated, lowered sweep specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
@@ -296,10 +278,6 @@ pub struct SweepSpec {
     pub noise: f64,
     /// Whether applications drift through phases (default true).
     pub phases: bool,
-    /// Applied config overrides.
-    pub overrides: Overrides,
-    /// Detector thresholds.
-    pub detectors: DetectorThresholds,
 }
 
 impl SweepSpec {
@@ -361,12 +339,6 @@ fn field_usize(obj: &JsonValue, field: &str, what: &str) -> Result<usize, SweepE
     obj.get(field)
         .and_then(JsonValue::as_usize)
         .ok_or_else(|| invalid(format!("scenario field \"{field}\" must be {what}")))
-}
-
-fn field_f64(obj: &JsonValue, field: &str) -> Result<f64, SweepError> {
-    obj.get(field)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| invalid(format!("scenario field \"{field}\" must be a number")))
 }
 
 fn shape_param(obj: &JsonValue, kind: &str, field: &str, default: f64) -> Result<f64, SweepError> {
@@ -526,22 +498,21 @@ fn parse_tenants(value: &JsonValue) -> Result<TenantMix, SweepError> {
         })?;
         let load = match entry.get("load") {
             None => 0.8,
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| invalid("an \"lc\" tenant field \"load\" must be a number"))?,
+            Some(v) => v.as_f64().filter(|l| *l >= 0.0).ok_or_else(|| {
+                invalid("an \"lc\" tenant field \"load\" must be a non-negative number")
+            })?,
         };
         let cores = match entry.get("cores") {
             None => 16,
-            Some(v) => v.as_usize().ok_or_else(|| {
+            Some(v) => v.as_usize().filter(|c| *c > 0).ok_or_else(|| {
                 invalid("an \"lc\" tenant field \"cores\" must be a positive integer")
             })?,
         };
         let qos_ms = match entry.get("qos_ms") {
             None => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| invalid("an \"lc\" tenant field \"qos_ms\" must be a number"))?,
-            ),
+            Some(v) => Some(v.as_f64().filter(|q| *q > 0.0).ok_or_else(|| {
+                invalid("an \"lc\" tenant field \"qos_ms\" must be a positive number")
+            })?),
         };
         lc.push(LcTenantSpec {
             service,
@@ -549,6 +520,15 @@ fn parse_tenants(value: &JsonValue) -> Result<TenantMix, SweepError> {
             cores,
             qos_ms,
         });
+    }
+    // Every run is on the paper's chip; batch jobs need at least one core.
+    let chip_cores = Scenario::paper_default().params.num_cores;
+    let lc_cores: usize = lc.iter().map(|t| t.cores).sum();
+    if lc_cores >= chip_cores {
+        return Err(invalid(format!(
+            "the \"lc\" tenants' \"cores\" sum to {lc_cores}, leaving none of the \
+             chip's {chip_cores} cores for batch jobs"
+        )));
     }
     let batch = match value.get("batch") {
         None => 0,
@@ -611,83 +591,6 @@ impl JsonFieldExt for JsonValue {
         self.as_array()
             .ok_or_else(|| invalid(format!("scenario field \"{field}\" must be an array")))
     }
-}
-
-fn apply_overrides(value: &JsonValue, overrides: &mut Overrides) -> Result<(), SweepError> {
-    let entries = value
-        .entries()
-        .ok_or_else(|| invalid("scenario field \"overrides\" must be an object"))?;
-    for (key, v) in entries {
-        let as_count = || {
-            v.as_usize().ok_or_else(|| {
-                invalid(format!("override \"{key}\" must be a non-negative integer"))
-            })
-        };
-        let as_num = || {
-            v.as_f64()
-                .ok_or_else(|| invalid(format!("override \"{key}\" must be a number")))
-        };
-        match key.as_str() {
-            "resilience.deadline_ms" => overrides.resilience.deadline_ms = as_num()?,
-            "resilience.staleness_bound" => overrides.resilience.staleness_bound = as_count()?,
-            "resilience.breaker_open_after" => {
-                overrides.resilience.breaker_open_after = as_count()?
-            }
-            "resilience.breaker_probe_interval" => {
-                overrides.resilience.breaker_probe_interval = as_count()?
-            }
-            "resilience.breaker_close_after" => {
-                overrides.resilience.breaker_close_after = as_count()?
-            }
-            "resilience.max_bips" => overrides.resilience.max_bips = as_num()?,
-            "resilience.max_watts" => overrides.resilience.max_watts = as_num()?,
-            "resilience.max_tail_ms" => overrides.resilience.max_tail_ms = as_num()?,
-            other => {
-                return Err(invalid(format!(
-                    "unknown override key \"{other}\"; valid keys are: {}",
-                    sorted_list(OVERRIDE_KEYS)
-                )))
-            }
-        }
-    }
-    Ok(())
-}
-
-fn apply_detectors(
-    value: &JsonValue,
-    thresholds: &mut DetectorThresholds,
-) -> Result<(), SweepError> {
-    let entries = value
-        .entries()
-        .ok_or_else(|| invalid("scenario field \"detectors\" must be an object"))?;
-    for (key, v) in entries {
-        let as_count = || {
-            v.as_usize().ok_or_else(|| {
-                invalid(format!(
-                    "detector \"{key}\" threshold must be a non-negative integer"
-                ))
-            })
-        };
-        let as_frac = || {
-            v.as_f64()
-                .ok_or_else(|| invalid(format!("detector \"{key}\" threshold must be a number")))
-        };
-        match key.as_str() {
-            "qos_violation_streak" => thresholds.qos_violation_streak = as_count()?,
-            "safe_mode_residency" => thresholds.safe_mode_residency = as_frac()?,
-            "degraded_residency" => thresholds.degraded_residency = as_frac()?,
-            "throughput_cliff" => thresholds.throughput_cliff = as_frac()?,
-            "displaced_persistence" => thresholds.displaced_persistence = as_count()?,
-            "tenant_loss" => thresholds.tenant_loss = as_count()?,
-            other => {
-                return Err(invalid(format!(
-                    "unknown detector \"{other}\"; valid detectors are: {}",
-                    sorted_list(DETECTOR_NAMES)
-                )))
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Parses and validates a scenario file.
@@ -778,7 +681,10 @@ pub fn load_spec(text: &str) -> Result<SweepSpec, SweepError> {
     }
     let noise = match doc.get("noise") {
         None => 0.03,
-        Some(_) => field_f64(&doc, "noise")?,
+        Some(v) => v
+            .as_f64()
+            .filter(|n| *n >= 0.0)
+            .ok_or_else(|| invalid("scenario field \"noise\" must be a non-negative number"))?,
     };
     let phases = match doc.get("phases") {
         None => true,
@@ -786,14 +692,6 @@ pub fn load_spec(text: &str) -> Result<SweepSpec, SweepError> {
             .as_bool()
             .ok_or_else(|| invalid("scenario field \"phases\" must be a boolean"))?,
     };
-    let mut overrides = Overrides::default();
-    if let Some(v) = doc.get("overrides") {
-        apply_overrides(v, &mut overrides)?;
-    }
-    let mut detectors = DetectorThresholds::default();
-    if let Some(v) = doc.get("detectors") {
-        apply_detectors(v, &mut detectors)?;
-    }
     Ok(SweepSpec {
         name,
         quanta,
@@ -806,7 +704,5 @@ pub fn load_spec(text: &str) -> Result<SweepSpec, SweepError> {
         fleet_fault_profiles,
         noise,
         phases,
-        overrides,
-        detectors,
     })
 }

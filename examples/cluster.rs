@@ -56,9 +56,8 @@ fn main() -> ExitCode {
     let config = ClusterConfig {
         migration: MigrationConfig {
             auto_tail_ratio: Some(1.0),
-            ..MigrationConfig::default()
         },
-        balance: Some(BalanceConfig::default()),
+        balance: Some(BalanceConfig),
         ..ClusterConfig::default()
     };
     let service = ClusterServiceBuilder::new(&scenario)

@@ -4,10 +4,9 @@
 //! * a one-node cluster replays the single-node run bit-for-bit (the
 //!   paper-default golden record pins that run in `tests/multi_tenant.rs`,
 //!   and `tests/control_plane.rs` pins the core path against it);
-//! * the same seed yields a bit-identical [`ClusterRecord`] whichever
-//!   direction the serial stepper walks the node table and at every
-//!   worker-pool width — nodes share nothing within a quantum, and the
-//!   cross-node phases run serially in node-id order;
+//! * under a flash crowd, balancing shifts traffic and auto-migration
+//!   moves batch work off the breaching node, while every LC service's
+//!   traffic shares keep summing to its replica count;
 //! * a cross-node migration equals an explicit drain plus a directed
 //!   admit after the modeled cost — the migration engine's two halves are
 //!   literally those calls;
@@ -15,17 +14,16 @@
 //!   time.
 //!
 //! Wall-clock stage timings are zeroed before comparison via
-//! [`ClusterRecord::comparable`] — the same convention as
+//! `ClusterRecord::comparable` — the same convention as
 //! `tests/determinism.rs`.
 
 use cluster::{
-    BalanceConfig, ClusterConfig, ClusterCoordinator, ClusterError, ClusterRecord, ClusterScenario,
-    NodeId, RelocationTarget,
+    BalanceConfig, ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterScenario,
+    MigrationConfig, NodeId, RelocationTarget,
 };
 use cuttlesys::control::ControlCore;
 use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::types::Scenario;
-use util::WorkerPool;
 use workloads::batch;
 use workloads::loadgen::LoadPattern;
 
@@ -77,48 +75,54 @@ fn a_one_node_cluster_replays_the_single_node_run_bit_for_bit() {
     );
 }
 
-/// Builds a churny 4-node cluster — balancing on, one manual migration
-/// mid-run — and drives it to completion with the given stepper.
-fn churny_record(
-    stepper: impl Fn(&mut ClusterCoordinator) -> Result<(), ClusterError>,
-) -> ClusterRecord {
-    let scenario = ClusterScenario::uniform(&roomy(4), 4);
+#[test]
+fn balancing_and_auto_migration_fire_and_conserve_traffic() {
+    // Three paper-default nodes with admission headroom; n0 takes the
+    // paper's flash crowd, as in `examples/cluster.rs`.
+    let base = Scenario::paper_default()
+        .with_duration_slices(10)
+        .with_cap(LoadPattern::Constant(2.0));
+    let mut scenario = ClusterScenario::uniform(&base, 3);
+    scenario.nodes[0] = scenario.nodes[0]
+        .clone()
+        .with_load(LoadPattern::paper_spike());
     let config = ClusterConfig {
-        balance: Some(BalanceConfig::default()),
+        balance: Some(BalanceConfig),
+        migration: MigrationConfig {
+            auto_tail_ratio: Some(1.0),
+        },
         ..ClusterConfig::default()
     };
     let mut coordinator = ClusterCoordinator::with_config(&scenario, config);
-    let app = batch::mix(1, 0xBEEF).apps[0];
-    let mover = coordinator
-        .register_batch_on(NodeId::from_index(0), "mover", app)
-        .expect("roomy cap admits the mover");
-    stepper(&mut coordinator).expect("quantum 0");
-    coordinator
-        .migrate(mover, NodeId::from_index(2))
-        .expect("mover is live and movable");
-    for _ in 1..4 {
-        stepper(&mut coordinator).expect("quantum");
+    let n0 = NodeId::from_index(0);
+    let (mut shifted, mut started) = (0, 0);
+    for q in 0..base.duration_slices {
+        coordinator
+            .step_quantum()
+            .unwrap_or_else(|e| panic!("q{q}: {e}"));
+        for event in coordinator.drain_events() {
+            match event {
+                ClusterEvent::SharesShifted { from, .. } if from == n0 => shifted += 1,
+                ClusterEvent::MigrationStarted { from, .. } if from == n0 => started += 1,
+                _ => {}
+            }
+        }
+        for lc in 0..base.num_lc() {
+            let total: f64 = (0..3)
+                .filter_map(|i| coordinator.node(NodeId::from_index(i)))
+                .map(|node| node.core().lc_traffic_shares()[lc])
+                .sum();
+            assert!(
+                (total - 3.0).abs() < 1e-9,
+                "q{q}: lc{lc} shares sum to {total}, not the 3 replicas"
+            );
+        }
     }
-    coordinator.shutdown().expect("fleet drain");
-    coordinator.into_record().comparable()
-}
-
-#[test]
-fn step_order_and_pool_width_are_immaterial() {
-    let forward = churny_record(|c| c.step_quantum());
-    let reverse = churny_record(|c| c.step_quantum_ordered(cluster::StepOrder::Reverse));
-    assert_eq!(
-        forward, reverse,
-        "walking the node table backwards must not perturb the record"
+    assert!(shifted > 0, "the flash crowd never shifted traffic off n0");
+    assert!(
+        started > 0,
+        "the flash crowd never migrated a tenant off n0"
     );
-    for width in [1, 2, 4] {
-        let pool = WorkerPool::new(width);
-        let pooled = churny_record(|c| c.step_quantum_in(Some(&pool)));
-        assert_eq!(
-            forward, pooled,
-            "a {width}-thread pool must match the serial stepper bit-for-bit"
-        );
-    }
 }
 
 #[test]
@@ -127,8 +131,7 @@ fn a_migration_equals_an_explicit_drain_plus_directed_admit() {
     let scenario = ClusterScenario::uniform(&base, 2);
     let app = batch::mix(1, 0xBEEF).apps[0];
     let (n0, n1) = (NodeId::from_index(0), NodeId::from_index(1));
-    // ClusterConfig::default() models a 2-quantum migration cost.
-    let cost = cluster::MigrationConfig::default().cost_quanta;
+    let cost = cluster::migration::COST_QUANTA;
 
     // Twin A: the migration engine.
     let mut a = ClusterCoordinator::new(&scenario);
@@ -181,9 +184,8 @@ fn sixty_four_nodes_with_ten_tenants_complete_a_full_scenario() {
     let scenario = ClusterScenario::uniform(&base, 64);
 
     let mut coordinator = ClusterCoordinator::new(&scenario);
-    let pool = WorkerPool::new(4);
     while !coordinator.is_done() {
-        coordinator.step_quantum_in(Some(&pool)).expect("quantum");
+        coordinator.step_quantum().expect("quantum");
     }
     assert_eq!(coordinator.quantum(), base.duration_slices);
     let snapshot = coordinator.snapshot();

@@ -1,10 +1,9 @@
 //! Fleet fault-tolerance acceptance tests — the properties PR 8's health
 //! layer must hold:
 //!
-//! * a scheduled node crash replays bit-for-bit whichever direction the
-//!   serial stepper walks the node table and at every worker-pool width
-//!   (fault injection, detection, and evacuation all live in the serial
-//!   node-id-ordered phases, so pooling cannot reorder them);
+//! * a scheduled node crash replays bit-for-bit (fault injection,
+//!   detection, and evacuation all live in the serial node-id-ordered
+//!   phases);
 //! * every tenant homed on a killed node is accounted for by the event
 //!   log — evacuated to a surviving node or parked displaced — never
 //!   silently dropped;
@@ -24,12 +23,11 @@
 //! [`ClusterRecord::comparable`], as in `tests/cluster.rs`.
 
 use cluster::{
-    ClusterConfig, ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterScenario,
+    ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario,
     ClusterTenantId, FleetFaultPlan, HealthConfig, NodeHealth, NodeId,
 };
 use cuttlesys::control::ControlCore;
 use cuttlesys::types::{JobSpec, Scenario};
-use util::WorkerPool;
 use workloads::loadgen::LoadPattern;
 
 fn quiet(slices: usize) -> Scenario {
@@ -54,20 +52,21 @@ fn n(index: usize) -> NodeId {
     NodeId::from_index(index)
 }
 
-/// Run a whole scenario under a fault plan with the given stepper and
-/// return the comparable record plus the full cluster event log.
+/// Run a whole scenario under a fault plan and return the comparable
+/// record plus the full cluster event log.
 fn run_with_plan(
     base: &Scenario,
     nodes: usize,
     config: ClusterConfig,
     plan: FleetFaultPlan,
-    stepper: impl Fn(&mut ClusterCoordinator) -> Result<(), ClusterError>,
 ) -> (ClusterRecord, Vec<ClusterEvent>) {
     let scenario = ClusterScenario::uniform(base, nodes);
     let mut coordinator = ClusterCoordinator::with_faults(&scenario, config, plan);
     let mut events = Vec::new();
     for quantum in 0..base.duration_slices {
-        stepper(&mut coordinator).unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
+        coordinator
+            .step_quantum()
+            .unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
         events.extend(coordinator.drain_events());
     }
     coordinator.shutdown().expect("fleet drain");
@@ -88,30 +87,18 @@ fn seeded_on(base: &Scenario, nodes: usize, node: NodeId) -> Vec<ClusterTenantId
 }
 
 #[test]
-fn a_node_crash_replays_bit_for_bit_at_any_step_order_and_pool_width() {
+fn a_node_crash_replays_bit_for_bit() {
     let base = roomy(8);
     let plan = FleetFaultPlan::none().with_crash(n(1), 2);
     let config = ClusterConfig::default();
 
-    let forward = run_with_plan(&base, 4, config, plan.clone(), |c| {
-        c.step_quantum_ordered(cluster::StepOrder::Forward)
-    });
-    let reverse = run_with_plan(&base, 4, config, plan.clone(), |c| {
-        c.step_quantum_ordered(cluster::StepOrder::Reverse)
-    });
-    assert_eq!(forward, reverse, "step order changed a faulted run");
-
-    for width in [1, 2, 8] {
-        let pool = WorkerPool::new(width);
-        let pooled = run_with_plan(&base, 4, config, plan.clone(), |c| {
-            c.step_quantum_in(Some(&pool))
-        });
-        assert_eq!(forward, pooled, "pool width {width} changed a faulted run");
-    }
+    let first = run_with_plan(&base, 4, config, plan.clone());
+    let again = run_with_plan(&base, 4, config, plan);
+    assert_eq!(first, again, "the same crash replayed differently");
 
     // The crashed node froze at the crash quantum and never stepped again.
-    assert_eq!(forward.0.nodes[1].slices.len(), 2);
-    assert!(forward.0.nodes[0].slices.len() > 2);
+    assert_eq!(first.0.nodes[1].slices.len(), 2);
+    assert!(first.0.nodes[0].slices.len() > 2);
 }
 
 #[test]
@@ -121,9 +108,7 @@ fn a_killed_node_loses_no_tenants_the_event_log_cannot_account_for() {
     assert!(!doomed.is_empty(), "node 1 seeds no tenants");
 
     let plan = FleetFaultPlan::none().with_crash(n(1), 2);
-    let (_, events) = run_with_plan(&base, 4, ClusterConfig::default(), plan, |c| {
-        c.step_quantum()
-    });
+    let (_, events) = run_with_plan(&base, 4, ClusterConfig::default(), plan);
 
     for id in &doomed {
         let accounted = events.iter().any(|e| match e {
@@ -159,20 +144,8 @@ fn a_drain_equals_a_crash_the_detector_catches_in_one_quantum() {
         ..ClusterConfig::default()
     };
 
-    let drained = run_with_plan(
-        &base,
-        4,
-        config,
-        FleetFaultPlan::none().with_drain(n(1), 2),
-        |c| c.step_quantum(),
-    );
-    let crashed = run_with_plan(
-        &base,
-        4,
-        config,
-        FleetFaultPlan::none().with_crash(n(1), 2),
-        |c| c.step_quantum(),
-    );
+    let drained = run_with_plan(&base, 4, config, FleetFaultPlan::none().with_drain(n(1), 2));
+    let crashed = run_with_plan(&base, 4, config, FleetFaultPlan::none().with_crash(n(1), 2));
 
     // Both evacuate in quantum 2 with identical candidate state, so the
     // evacuees land on the same destinations...

@@ -4,11 +4,10 @@
 //! because results land in pre-assigned slots regardless of scheduling;
 //! (2) for any on-disk seed ordering, because seeds are canonicalized
 //! (sorted, deduplicated) at load time; (3) between parallel and
-//! serial execution, which is the width-1 case of (1). Overrides, which do
-//! change decisions, must arrive on every node of a cluster cell too. The
-//! fixture is the same `scenarios/smoke.json` the golden test
-//! pins, so this file and `tests/sweep.rs` together say: every width and
-//! every ordering reproduces the golden bytes.
+//! serial execution, which is the width-1 case of (1). The fixture is the
+//! same `scenarios/smoke.json` the golden test pins, so this file and
+//! `tests/sweep.rs` together say: every width and every ordering
+//! reproduces the golden bytes.
 
 use sweep::{load_spec, run_sweep, summary_json};
 use util::WorkerPool;
@@ -35,36 +34,6 @@ fn summary_bytes_are_identical_at_widths_1_2_and_8() {
         summaries[1], summaries[2],
         "width-2 and width-8 sweeps must agree byte-for-byte"
     );
-}
-
-/// The summary of `text` with `overrides` (a JSON object body) injected.
-fn summary_with(text: &str, overrides: &str) -> String {
-    let text = text.replacen('{', &format!("{{\"overrides\": {{{overrides}}},"), 1);
-    let spec = load_spec(&text).expect("fixture loads");
-    summary_json(&spec, &run_sweep(&spec, &WorkerPool::new(2))).to_string()
-}
-
-/// The smoke fixture (`cluster:2`) and its single-node projection: an
-/// override must reach the managers of both.
-fn smoke_on_both_topologies() -> [String; 2] {
-    let smoke = smoke_text();
-    let single_node = smoke
-        .replace(r#""topology": {"kind": "cluster", "nodes": 2},"#, "")
-        .replace(r#""fleet_fault_profiles": ["clean", "node-crash"],"#, "");
-    assert_ne!(smoke, single_node, "test assumes the smoke fixture's lines");
-    [smoke, single_node]
-}
-
-#[test]
-fn a_decision_changing_override_reaches_cluster_nodes_as_well() {
-    // A zero compute deadline fails every quantum onto the degradation
-    // ladder, on whichever manager it reaches.
-    for text in smoke_on_both_topologies() {
-        assert!(
-            summary_with(&text, "\"resilience.deadline_ms\": 0") != summary_with(&text, ""),
-            "resilience.deadline_ms = 0 must degrade every node's quanta"
-        );
-    }
 }
 
 #[test]

@@ -57,31 +57,6 @@ fn a_minimal_scenario_loads_with_documented_defaults() {
     assert!((spec.noise - 0.03).abs() < 1e-12);
     assert!(spec.phases);
     assert_eq!(spec.topology, sweep::Topology::SingleNode);
-    assert_eq!(spec.overrides, sweep::spec::Overrides::default());
-}
-
-#[test]
-fn unknown_override_key_is_a_hard_error_listing_valid_keys() {
-    // A typo, and the retired `perf.*` keys: a node quantum has no compute
-    // knob left, and a scenario file still carrying one must not load.
-    for key in [
-        "resilience.deadline",
-        "perf.evaluation_cache",
-        "perf.pool_threads",
-        "perf.warm_start",
-    ] {
-        let text = scenario_with(&format!(r#""overrides": {{"{key}": true}}"#));
-        assert_eq!(
-            load_err(&text),
-            format!(
-                "unknown override key \"{key}\"; valid keys are: \
-                 resilience.breaker_close_after, resilience.breaker_open_after, \
-                 resilience.breaker_probe_interval, resilience.deadline_ms, \
-                 resilience.max_bips, resilience.max_tail_ms, resilience.max_watts, \
-                 resilience.staleness_bound"
-            )
-        );
-    }
 }
 
 #[test]
@@ -90,20 +65,25 @@ fn unknown_top_level_field_is_a_hard_error_listing_valid_fields() {
     assert_eq!(
         load_err(&text),
         "unknown scenario field \"quantums\"; valid fields are: \
-         caps, detectors, fault_profiles, fleet_fault_profiles, load_shapes, \
-         name, noise, overrides, phases, quanta, seeds, tenants, topology"
+         caps, fault_profiles, fleet_fault_profiles, load_shapes, \
+         name, noise, phases, quanta, seeds, tenants, topology"
     );
 }
 
 #[test]
-fn unknown_detector_is_a_hard_error_listing_the_catalogue() {
-    let text = scenario_with(r#""detectors": {"qos_streak": 3}"#);
-    assert_eq!(
-        load_err(&text),
-        "unknown detector \"qos_streak\"; valid detectors are: \
-         degraded_residency, displaced_persistence, qos_violation_streak, \
-         safe_mode_residency, tenant_loss, throughput_cliff"
-    );
+fn retired_override_and_detector_sections_are_unknown_fields() {
+    // Runs use the runtime's defaults and the detectors' constants; a file
+    // still carrying either section must not load as if it were obeyed.
+    for (field, body) in [
+        ("overrides", r#"{"resilience.deadline_ms": 0}"#),
+        ("detectors", r#"{"qos_violation_streak": 3}"#),
+    ] {
+        let text = scenario_with(&format!(r#""{field}": {body}"#));
+        assert!(
+            load_err(&text).starts_with(&format!("unknown scenario field \"{field}\"; ")),
+            "{field}"
+        );
+    }
 }
 
 #[test]
@@ -144,6 +124,66 @@ fn fleet_profiles_without_a_cluster_topology_are_rejected() {
         load_err(&text),
         "\"fleet_fault_profiles\" requires a cluster topology"
     );
+}
+
+/// A minimal scenario whose one LC tenant carries `fields` as well.
+fn tenant_with(fields: &str) -> String {
+    scenario_with("").replace(
+        r#"{"service": "xapian"}"#,
+        &format!(r#"{{"service": "xapian", {fields}}}"#),
+    )
+}
+
+#[test]
+fn lc_core_counts_no_chip_can_host_are_rejected() {
+    assert_eq!(
+        load_err(&tenant_with(r#""cores": 0"#)),
+        "an \"lc\" tenant field \"cores\" must be a positive integer"
+    );
+    assert_eq!(
+        load_err(&tenant_with(r#""cores": 32"#)),
+        "the \"lc\" tenants' \"cores\" sum to 32, leaving none of the \
+         chip's 32 cores for batch jobs"
+    );
+    let two = scenario_with("").replace(
+        r#"[{"service": "xapian"}]"#,
+        r#"[{"service": "xapian", "cores": 20}, {"service": "silo", "cores": 12}]"#,
+    );
+    assert!(load_err(&two).contains("sum to 32"));
+    let fits = load_spec(&tenant_with(r#""cores": 31"#)).expect("31 LC cores leave one");
+    assert_eq!(fits.tenants.lc[0].cores, 31);
+}
+
+#[test]
+fn negative_tenant_loads_and_qos_targets_are_rejected() {
+    assert_eq!(
+        load_err(&tenant_with(r#""load": -0.5"#)),
+        "an \"lc\" tenant field \"load\" must be a non-negative number"
+    );
+    for qos in ["-1", "0"] {
+        assert_eq!(
+            load_err(&tenant_with(&format!(r#""qos_ms": {qos}"#))),
+            "an \"lc\" tenant field \"qos_ms\" must be a positive number",
+            "qos_ms {qos}"
+        );
+    }
+    let idle = load_spec(&tenant_with(r#""load": 0, "qos_ms": 5"#)).expect("idle tenant loads");
+    assert_eq!(idle.tenants.lc[0].load, 0.0);
+}
+
+#[test]
+fn negative_or_non_finite_noise_is_rejected() {
+    assert_eq!(
+        load_err(&scenario_with(r#""noise": -5"#)),
+        "scenario field \"noise\" must be a non-negative number"
+    );
+    // A number too large for an f64 never reaches the field check.
+    assert!(matches!(
+        load_spec(&scenario_with(r#""noise": 1e999"#)),
+        Err(SweepError::Json(_))
+    ));
+    let exact = load_spec(&scenario_with(r#""noise": 0"#)).expect("noise 0 loads");
+    assert_eq!(exact.noise, 0.0);
 }
 
 #[test]
