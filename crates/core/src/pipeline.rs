@@ -34,7 +34,7 @@
 use std::time::Instant;
 
 use baselines::ga::{ga_search, GaParams};
-use dds::{parallel_search, ParallelDdsParams, PenaltyTable, SearchSpace};
+use dds::{Draws, ParallelDdsParams, PenaltyTable, SearchSpace};
 use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
 
 use crate::accounting::narrowest_then_gate;
@@ -157,7 +157,10 @@ fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), S
 }
 
 /// Runs the five stages in order, timing each into `tel`, and returns the
-/// plan and the predictions it was built from.
+/// plan and the predictions it was built from. `draws` is the caller's
+/// cache of DDS's random draws: the search stage replays them while the
+/// slot count and the [`ParallelDdsParams`] stay the same, and draws afresh
+/// into it when either changes.
 ///
 /// Telemetry is accumulated through the borrowed `tel` so the stages that
 /// *did* run stay visible even when a later stage fails. Between stages the
@@ -172,6 +175,7 @@ fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), S
 /// last-good decision or the safe-mode allocation.
 pub fn decide(
     algo: &SearchAlgo,
+    draws: &mut Option<Draws>,
     ctx: &mut DecisionCtx,
     probe: &mut Probe,
     tel: &mut StageTelemetry,
@@ -234,7 +238,7 @@ pub fn decide(
     let ((active, table, point), ms) = timed(|| {
         let active = ctx.active_batch();
         let table = penalty_table(ctx, &preds, &lc_configs, &active);
-        let point = search(algo, &table, tel);
+        let point = search(algo, draws, &table, tel);
         Ok((active, table, point))
     })?;
     tel.search_wall_ms += ms;
@@ -600,13 +604,31 @@ fn penalty_table<'a>(
 /// Stage 4: maximises the quantum's objective over its slots with `algo`.
 /// Returns one configuration index per slot (none when no batch job is
 /// present: nothing to search).
-fn search(algo: &SearchAlgo, table: &PenaltyTable, tel: &mut StageTelemetry) -> Vec<usize> {
+///
+/// DDS replays `cache` when it holds the draws of this space and these
+/// parameters, and otherwise draws afresh into it. The draws depend on
+/// nothing else — not on the table, which changes every quantum — so
+/// replaying them runs, bit for bit, the search that drawing afresh would;
+/// the cache rebuilds only when the slot count (batch churn) or the
+/// parameters change.
+fn search(
+    algo: &SearchAlgo,
+    cache: &mut Option<Draws>,
+    table: &PenaltyTable,
+    tel: &mut StageTelemetry,
+) -> Vec<usize> {
     if table.slots() == 0 {
         return Vec::new();
     }
     let space = SearchSpace::new(table.slots(), NUM_JOB_CONFIGS);
     let result = match algo {
-        SearchAlgo::Dds(params) => parallel_search(&space, table, params),
+        SearchAlgo::Dds(params) => {
+            let draws = match cache {
+                Some(d) if d.matches(&space, params) => d,
+                _ => cache.insert(Draws::new(&space, params)),
+            };
+            draws.run_in(None, table)
+        }
         SearchAlgo::Ga(params) => ga_search(&space, table, params),
     };
     tel.search_evaluations += result.evaluations;
@@ -1124,9 +1146,10 @@ mod tests {
 
         let algo = SearchAlgo::Dds(ParallelDdsParams::default());
         let mut tel = StageTelemetry::default();
-        let first = search(&algo, &tabulated, &mut tel);
-        let second = search(&algo, &tabulated, &mut tel);
-        assert_eq!(first, second, "the search keeps no state between calls");
+        let mut draws = None;
+        let first = search(&algo, &mut draws, &tabulated, &mut tel);
+        let second = search(&algo, &mut draws, &tabulated, &mut tel);
+        assert_eq!(first, second, "replaying the kept draws is the same search");
         assert_eq!(first.len(), active.len(), "one choice per present job");
         assert_eq!(tel.search_evaluations, 2 * 3250);
         assert_eq!(tel.cache_misses, tel.search_evaluations);
@@ -1236,7 +1259,7 @@ mod tests {
             let active = ctx.active_batch();
             let table = penalty_table(&ctx, &preds, &lc_configs, &active);
             let mut tel = StageTelemetry::default();
-            let point = search(&algo, &table, &mut tel);
+            let point = search(&algo, &mut None, &table, &mut tel);
             let actions = repair(&ctx, &table, &active, &point, &mut tel);
 
             assert_eq!(actions.len(), num_batch);
@@ -1286,6 +1309,54 @@ mod tests {
         );
     }
 
+    /// One kept `Option<Draws>` carried through quanta whose slot counts go
+    /// 16, 16, 11, 12, 12, 16 (batch churn), each over fresh rows: every
+    /// point equals a search that draws afresh, and the draws are rebuilt
+    /// exactly when the slot count changes — 4 times — and reused twice.
+    #[test]
+    fn kept_draws_are_rebuilt_exactly_when_the_slot_count_changes() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        let params = ParallelDdsParams::default();
+        let algo = SearchAlgo::Dds(params.clone());
+        let ways: Vec<f64> = JobConfig::all().map(|c| c.cache.ways()).collect();
+        let mut kept: Option<Draws> = None;
+        let (mut rebuilt, mut reused) = (0, 0);
+        for slots in [16, 16, 11, 12, 12, 16] {
+            let mut row = |range: std::ops::Range<f64>| -> Vec<f64> {
+                (0..NUM_JOB_CONFIGS)
+                    .map(|_| rng.random_range(range.clone()))
+                    .collect()
+            };
+            let bips: Vec<Vec<f64>> = (0..slots).map(|_| row(0.05..4.0)).collect();
+            let watts: Vec<Vec<f64>> = (0..slots).map(|_| row(1.0..4.0)).collect();
+            let table = PenaltyTable::new(
+                bips.iter().zip(&watts),
+                ways.clone(),
+                (49.3, 4.0),
+                (49.3 + 2.5 * slots as f64, 32.0),
+            );
+            let space = SearchSpace::new(slots, NUM_JOB_CONFIGS);
+            if kept.as_ref().is_some_and(|d| d.matches(&space, &params)) {
+                reused += 1;
+            } else {
+                rebuilt += 1;
+            }
+            let mut tel = StageTelemetry::default();
+            let point = search(&algo, &mut kept, &table, &mut tel);
+            assert!(kept.as_ref().is_some_and(|d| d.matches(&space, &params)));
+            assert_eq!(
+                point,
+                search(&algo, &mut None, &table, &mut tel),
+                "{slots} slots"
+            );
+            assert_eq!(tel.search_evaluations, 2 * 3250);
+        }
+        assert_eq!((rebuilt, reused), (4, 2));
+    }
+
     /// A healthy probe: one finite sample per job (the tenant, then the
     /// four batch jobs) in every frame.
     fn steady_probe() -> impl FnMut(&ProfilePlan, f64) -> ProfileSample {
@@ -1333,7 +1404,7 @@ mod tests {
         };
         let mut probe = steady_probe();
         let mut tel = StageTelemetry::default();
-        let (plan, _) = decide(&dds(), &mut ctx, &mut probe, &mut tel).unwrap();
+        let (plan, _) = decide(&dds(), &mut None, &mut ctx, &mut probe, &mut tel).unwrap();
         assert!(tel.degradation.reconstruct_fallback);
         assert_eq!(tel.degradation.stale_age, 2);
         assert!(tel.degradation.degraded());
@@ -1367,7 +1438,7 @@ mod tests {
             };
             let mut probe = steady_probe();
             let mut tel = StageTelemetry::default();
-            let err = decide(&dds(), &mut ctx, &mut probe, &mut tel)
+            let err = decide(&dds(), &mut None, &mut ctx, &mut probe, &mut tel)
                 .expect_err("diverged reconstruction with no usable fallback");
             match err {
                 DecisionError::Stage(StageError::PredictionsStale { age, bound }) => {
@@ -1414,7 +1485,7 @@ mod tests {
         };
         let mut probe = steady_probe();
         let mut tel = StageTelemetry::default();
-        let err = decide(&dds(), &mut ctx, &mut probe, &mut tel)
+        let err = decide(&dds(), &mut None, &mut ctx, &mut probe, &mut tel)
             .expect_err("a 10 s stall must blow a 100 ms budget");
         assert!(matches!(
             err,

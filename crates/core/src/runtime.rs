@@ -29,7 +29,8 @@
 //!
 //! The manager itself only owns the pipeline state — the rating matrices,
 //! the per-tenant LC core allocations, the previous plan — and the choice of
-//! search algorithm; each stage's logic lives in [`crate::pipeline`]. The
+//! search algorithm with DDS's cached random draws; each stage's logic lives
+//! in [`crate::pipeline`]. The
 //! pipeline times every stage and the manager surfaces the resulting
 //! [`StageTelemetry`] through [`ResourceManager::take_telemetry`], which is
 //! how the Table II overhead report gets runtime-measured numbers. On batch
@@ -60,7 +61,7 @@
 //! Every rung is recorded in the quantum's
 //! [`crate::telemetry::DegradationEvents`].
 
-use dds::ParallelDdsParams;
+use dds::{Draws, ParallelDdsParams};
 use simulator::power::CoreKind;
 use simulator::Chip;
 use workloads::batch;
@@ -91,6 +92,8 @@ struct LastGood {
 pub struct CuttleSysManager {
     matrices: JobMatrices,
     search: SearchAlgo,
+    /// DDS's random draws, kept across quanta for the search to replay.
+    draws: Option<Draws>,
     lc: Vec<LcAllocation>,
     gated_watts: f64,
     num_batch: usize,
@@ -115,6 +118,10 @@ impl CuttleSysManager {
         let training: Vec<simulator::AppProfile> =
             batch::training_set().iter().map(|b| b.profile).collect();
         let matrices = JobMatrices::new(oracle, &training, scenario.num_lc(), scenario.num_batch());
+        // The DDS seed is the scenario's, fixed across quanta: every quantum
+        // searches with the same random numbers (common random numbers), so
+        // the draws are made once and each search only replays them.
+        // Reseeding per quantum would redraw them every time.
         let search = SearchAlgo::Dds(ParallelDdsParams {
             seed: scenario.seed,
             ..Default::default()
@@ -123,6 +130,7 @@ impl CuttleSysManager {
         CuttleSysManager {
             matrices,
             search,
+            draws: None,
             lc: scenario
                 .lc_jobs()
                 .iter()
@@ -239,7 +247,7 @@ impl CuttleSysManager {
             resilience: &self.resilience,
             last_good_preds: self.last_good.as_ref().map(|lg| (&lg.preds, lg.age)),
         };
-        pipeline::decide(&self.search, &mut ctx, probe, tel)
+        pipeline::decide(&self.search, &mut self.draws, &mut ctx, probe, tel)
     }
 
     /// The fallback for a failed quantum: replay the last-good plan while it

@@ -17,7 +17,10 @@
 //! * [`parallel`] — the paper's parallel DDS (Alg. 2): thread groups with
 //!   perturbation radii `r = [0.2, 0.3, 0.4, 0.5]`, `pointsPerIteration`
 //!   candidates per thread per round, and a barrier-synchronized global-best
-//!   exchange;
+//!   exchange. Its random draws never read the objective, so they are made
+//!   once as [`Draws`] and replayed: a caller searching the same space with
+//!   the same parameters every quantum keeps them and pays only for moves
+//!   and evaluations;
 //! * [`objective`] — the objective abstraction and the tabulated soft-penalty
 //!   objective of §VI-A.
 //!
@@ -43,7 +46,7 @@ pub mod rng;
 pub mod serial;
 
 pub use objective::{Objective, PenaltyTable};
-pub use parallel::{parallel_search, parallel_search_in, ParallelDdsParams};
+pub use parallel::{parallel_search, parallel_search_in, Draws, ParallelDdsParams};
 pub use serial::{search, DdsParams};
 
 /// A discrete search space: `dims` decision variables, each taking a value

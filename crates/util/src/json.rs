@@ -236,7 +236,8 @@ impl std::error::Error for JsonError {}
 /// The grammar matches what [`JsonValue`] can emit: objects keep key
 /// insertion order (duplicate keys are rejected), numbers become `f64`,
 /// and `\uXXXX` escapes (including surrogate pairs) decode to chars.
-/// Trailing non-whitespace after the document is an error.
+/// Trailing non-whitespace after the document is an error, and so is
+/// nesting arrays and objects deeper than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
@@ -248,6 +249,7 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         pos: 0,
         line: 1,
         col: 1,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -258,11 +260,18 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     Ok(value)
 }
 
+/// How deeply [`parse`] lets arrays and objects nest. The parser recurses
+/// once per level, so without a bound a file of `[`s overflows the stack;
+/// nothing the repository reads or writes nests beyond a handful.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
     col: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -324,8 +333,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -334,6 +343,23 @@ impl Parser<'_> {
             Some(b) => Err(self.err(format!("unexpected character '{}'", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open it
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -627,6 +653,23 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unexpected character"));
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_depth_limit() {
+        for (open, per_level) in [("[", 1), ("{\"a\":", 5)] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert_eq!(
+                (err.line, err.col),
+                (1, MAX_DEPTH * per_level + 1),
+                "{open}"
+            );
+            assert!(err.message.contains("deeper than 128 levels"), "{err}");
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let one_more = format!("[{deepest}]");
+        assert!(parse(&one_more).is_err());
     }
 
     #[test]
