@@ -8,18 +8,19 @@
 //!
 //! * **Injection** — a [`FaultPlan`] describes, as per-quantum
 //!   probabilities, which failures a run suffers: dropped or corrupted
-//!   profiling samples (noise, bias, NaN), stalled or diverged
-//!   reconstructions, failed reconfiguration commands (the core stays in its
-//!   previous shape), and power-telemetry blackouts. A [`FaultInjector`]
+//!   profiling samples (noise, bias, NaN), diverged reconstructions, failed
+//!   reconfiguration commands (the core stays in its previous shape), and
+//!   power-telemetry blackouts. A [`FaultInjector`]
 //!   realizes the plan *deterministically*: every decision is a pure
 //!   function of `(plan seed, quantum, sample)` via the counter-based
 //!   streams in [`simulator::fault`], so a fault run is exactly as
 //!   reproducible as a clean one and never perturbs the simulation's own
 //!   RNG.
 //! * **Degradation** — [`StageError`]/[`DecisionError`] type the ways a
-//!   decision quantum can fail, [`ResilienceConfig`] bounds the responses
-//!   (sample sanity ranges, prediction staleness, a per-quantum deadline),
-//!   and [`CircuitBreaker`] drops the manager into a safe-mode allocation
+//!   decision quantum can fail, constants bound the responses (the sample
+//!   and prediction sanity ceilings [`MAX_BIPS`], [`MAX_WATTS`] and
+//!   [`MAX_TAIL_MS`], and the prediction [`STALENESS_BOUND`]), and
+//!   [`CircuitBreaker`] drops the manager into a safe-mode allocation
 //!   after consecutive failed quanta, probing its way back. The ladder is
 //!   strictly ordered: retry the sample, fall back to the last-good
 //!   decision, and only then give up into safe mode.
@@ -55,10 +56,6 @@ pub struct FaultPlan {
     pub corrupt_bias: f64,
     /// Fraction of corruptions that return NaN instead of a plausible value.
     pub corrupt_nan: f64,
-    /// Per-quantum probability that the reconstruction stalls.
-    pub reconstruct_stall: f64,
-    /// Wall-clock milliseconds a stalled reconstruction loses.
-    pub stall_ms: f64,
     /// Per-quantum probability that the reconstruction diverges to NaN.
     pub reconstruct_diverge: f64,
     /// Per-quantum probability that the reconfiguration command fails and
@@ -83,8 +80,6 @@ impl FaultPlan {
             corrupt_sigma: 0.0,
             corrupt_bias: 0.0,
             corrupt_nan: 0.0,
-            reconstruct_stall: 0.0,
-            stall_ms: 0.0,
             reconstruct_diverge: 0.0,
             reconfig_fail: 0.0,
             power_blackout: 0.0,
@@ -108,13 +103,11 @@ impl FaultPlan {
     }
 
     /// The flaky-reconfiguration profile: commands fail, reconstructions
-    /// stall or diverge, but the sensors are honest.
+    /// diverge, but the sensors are honest.
     pub fn flaky_reconfig(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
             reconfig_fail: 0.25,
-            reconstruct_stall: 0.2,
-            stall_ms: 50.0,
             reconstruct_diverge: 0.15,
             ..FaultPlan::none()
         }
@@ -143,7 +136,6 @@ impl FaultPlan {
     pub fn is_clean(&self) -> bool {
         self.sample_drop == 0.0
             && self.sample_corrupt == 0.0
-            && self.reconstruct_stall == 0.0
             && self.reconstruct_diverge == 0.0
             && self.reconfig_fail == 0.0
             && self.power_blackout == 0.0
@@ -169,8 +161,6 @@ impl Default for FaultPlan {
 /// reconfiguration failure) are applied by the testbed from the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QuantumFaults {
-    /// Wall-clock milliseconds an injected stall adds to reconstruction.
-    pub reconstruct_stall_ms: f64,
     /// Whether this quantum's reconstruction diverges to NaN.
     pub reconstruct_diverge: bool,
     /// Whether this quantum's reconfiguration command fails.
@@ -182,7 +172,6 @@ pub struct QuantumFaults {
 impl QuantumFaults {
     /// The fault-free quantum.
     pub const NONE: QuantumFaults = QuantumFaults {
-        reconstruct_stall_ms: 0.0,
         reconstruct_diverge: false,
         reconfig_fail: false,
         power_blackout: false,
@@ -237,10 +226,9 @@ impl FaultInjector {
             return QuantumFaults::NONE;
         }
         let s = slice as u64;
-        let stall = self.plan.reconstruct_stall > 0.0
-            && unit(self.plan.seed, FaultStream::Reconstruct, s) < self.plan.reconstruct_stall;
         QuantumFaults {
-            reconstruct_stall_ms: if stall { self.plan.stall_ms } else { 0.0 },
+            // The reconstruct stream's counters start at `1 << 40`; moving
+            // them would change every divergence draw a pinned run saw.
             reconstruct_diverge: self.plan.reconstruct_diverge > 0.0
                 && unit(
                     self.plan.seed,
@@ -331,17 +319,8 @@ pub enum StageError {
     PredictionsStale {
         /// Quanta since the predictions were produced.
         age: usize,
-        /// The configured bound.
+        /// The bound, [`STALENESS_BOUND`].
         bound: usize,
-    },
-    /// The per-quantum compute deadline was exceeded.
-    DeadlineExceeded {
-        /// The stage after which the budget ran out.
-        stage: &'static str,
-        /// Wall-clock (plus injected stall) consumed so far (ms).
-        consumed_ms: f64,
-        /// The configured budget (ms).
-        budget_ms: f64,
     },
     /// The slice info did not describe an LC tenant the pipeline needed.
     MissingTenant {
@@ -359,7 +338,6 @@ impl StageError {
             StageError::ReconstructionDiverged { .. } | StageError::PredictionsStale { .. } => {
                 "reconstruct"
             }
-            StageError::DeadlineExceeded { stage, .. } => stage,
             StageError::MissingTenant { .. } => "qos",
         }
     }
@@ -380,14 +358,6 @@ impl std::fmt::Display for StageError {
                     "last-good predictions too stale (age {age} > bound {bound})"
                 )
             }
-            StageError::DeadlineExceeded {
-                stage,
-                consumed_ms,
-                budget_ms,
-            } => write!(
-                f,
-                "deadline exceeded after {stage} ({consumed_ms:.1} ms > {budget_ms:.1} ms)"
-            ),
             StageError::MissingTenant { tenant } => {
                 write!(f, "slice info missing LC tenant {tenant}")
             }
@@ -444,46 +414,21 @@ impl std::fmt::Display for DecisionError {
 
 impl std::error::Error for DecisionError {}
 
-/// Bounds on the degradation ladder's responses. The manager always runs
-/// the default; other values exist only in unit and property tests, which
-/// hand them straight to `pipeline::decide` and [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// Per-quantum compute budget (wall-clock plus injected stalls, ms).
-    /// Infinite by default: a finite wall-clock deadline would trip
-    /// nondeterministically on debug builds and loaded CI machines.
-    pub deadline_ms: f64,
-    /// Maximum age (in quanta) at which last-good predictions or plans may
-    /// still substitute for a failed quantum.
-    pub staleness_bound: usize,
-    /// Consecutive failed quanta before the circuit breaker opens.
-    pub breaker_open_after: usize,
-    /// While open, probe a full decision every this many quanta.
-    pub breaker_probe_interval: usize,
-    /// Successful probes required to close the breaker again.
-    pub breaker_close_after: usize,
-    /// Physical sanity ceiling for a per-core throughput sample (BIPS).
-    pub max_bips: f64,
-    /// Physical sanity ceiling for a per-core power sample (W).
-    pub max_watts: f64,
-    /// Physical sanity ceiling for a predicted tail latency (ms).
-    pub max_tail_ms: f64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> ResilienceConfig {
-        ResilienceConfig {
-            deadline_ms: f64::INFINITY,
-            staleness_bound: 5,
-            breaker_open_after: 3,
-            breaker_probe_interval: 4,
-            breaker_close_after: 2,
-            max_bips: 1e3,
-            max_watts: 1e3,
-            max_tail_ms: 1e4,
-        }
-    }
-}
+/// Maximum age (in quanta) at which last-good predictions or plans may still
+/// substitute for a failed quantum.
+pub const STALENESS_BOUND: usize = 5;
+/// Consecutive failed quanta before the circuit breaker opens.
+pub const BREAKER_OPEN_AFTER: usize = 3;
+/// While open, the breaker probes a full decision every this many quanta.
+pub const BREAKER_PROBE_INTERVAL: usize = 4;
+/// Successful probes required to close the breaker again.
+pub const BREAKER_CLOSE_AFTER: usize = 2;
+/// Physical sanity ceiling for a per-core throughput sample (BIPS).
+pub const MAX_BIPS: f64 = 1e3;
+/// Physical sanity ceiling for a per-core power sample (W).
+pub const MAX_WATTS: f64 = 1e3;
+/// Physical sanity ceiling for a predicted tail latency (ms).
+pub const MAX_TAIL_MS: f64 = 1e4;
 
 /// Circuit-breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -534,19 +479,17 @@ impl CircuitBreaker {
     }
 
     /// Whether an open breaker should probe a full decision this quantum.
-    pub fn should_probe(&self, cfg: &ResilienceConfig) -> bool {
-        self.state == BreakerState::Open
-            && cfg.breaker_probe_interval > 0
-            && self.quanta_open.is_multiple_of(cfg.breaker_probe_interval)
+    pub fn should_probe(&self) -> bool {
+        self.state == BreakerState::Open && self.quanta_open.is_multiple_of(BREAKER_PROBE_INTERVAL)
     }
 
     /// Records a successful decision (normal or probe).
-    pub fn on_success(&mut self, cfg: &ResilienceConfig) {
+    pub fn on_success(&mut self) {
         match self.state {
             BreakerState::Closed => self.consecutive_failures = 0,
             BreakerState::Open => {
                 self.probe_successes += 1;
-                if self.probe_successes >= cfg.breaker_close_after {
+                if self.probe_successes >= BREAKER_CLOSE_AFTER {
                     self.state = BreakerState::Closed;
                     self.consecutive_failures = 0;
                     self.quanta_open = 0;
@@ -558,11 +501,11 @@ impl CircuitBreaker {
     }
 
     /// Records a failed decision (normal or probe).
-    pub fn on_failure(&mut self, cfg: &ResilienceConfig) {
+    pub fn on_failure(&mut self) {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= cfg.breaker_open_after {
+                if self.consecutive_failures >= BREAKER_OPEN_AFTER {
                     self.state = BreakerState::Open;
                     self.quanta_open = 0;
                     self.probe_successes = 0;
@@ -650,26 +593,22 @@ pub fn safe_mode_plan(
 
 /// Counts non-finite or out-of-physical-range entries in a prediction set —
 /// the reconstruction sanity gate (NaN / row-divergence check).
-pub fn prediction_defects(preds: &Predictions, cfg: &ResilienceConfig) -> usize {
+pub fn prediction_defects(preds: &Predictions) -> usize {
     let bad_rate = |v: f64, max: f64| !v.is_finite() || v < 0.0 || v > max;
     let mut bad = 0;
     for row in preds.batch_bips.iter() {
-        bad += row.iter().filter(|&&v| bad_rate(v, cfg.max_bips)).count();
+        bad += row.iter().filter(|&&v| bad_rate(v, MAX_BIPS)).count();
     }
     for row in preds.batch_watts.iter() {
-        bad += row.iter().filter(|&&v| bad_rate(v, cfg.max_watts)).count();
+        bad += row.iter().filter(|&&v| bad_rate(v, MAX_WATTS)).count();
     }
     for lc in preds.lc.iter() {
-        bad += lc
-            .watts
-            .iter()
-            .filter(|&&v| bad_rate(v, cfg.max_watts))
-            .count();
+        bad += lc.watts.iter().filter(|&&v| bad_rate(v, MAX_WATTS)).count();
         bad += lc
             .tail
             .iter()
             .chain(lc.tail_guarded.iter())
-            .filter(|&&v| bad_rate(v, cfg.max_tail_ms))
+            .filter(|&&v| bad_rate(v, MAX_TAIL_MS))
             .count();
     }
     bad
@@ -725,7 +664,7 @@ mod tests {
         assert_ne!(fires(&a), fires(&c));
         // At these rates something must fire within 200 quanta.
         assert!(fires(&a).iter().any(|q| q.reconfig_fail));
-        assert!(fires(&a).iter().any(|q| q.reconstruct_stall_ms > 0.0));
+        assert!(fires(&a).iter().any(|q| q.reconstruct_diverge));
     }
 
     #[test]
@@ -782,41 +721,40 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures_and_probes_back() {
-        let cfg = ResilienceConfig::default();
         let mut b = CircuitBreaker::new();
-        for _ in 0..cfg.breaker_open_after - 1 {
+        for _ in 0..BREAKER_OPEN_AFTER - 1 {
             b.begin_quantum();
-            b.on_failure(&cfg);
+            b.on_failure();
             assert!(!b.is_open());
         }
         b.begin_quantum();
-        b.on_failure(&cfg);
+        b.on_failure();
         assert!(b.is_open());
         assert_eq!(b.opens, 1);
-        // While open, most quanta are safe mode; every probe_interval-th
-        // quantum probes. Two successful probes close it.
+        // While open, most quanta are safe mode; every
+        // BREAKER_PROBE_INTERVAL-th quantum probes. Two successful probes
+        // close it.
         let mut probes = 0;
         for _ in 0..20 {
             b.begin_quantum();
-            if b.should_probe(&cfg) {
+            if b.should_probe() {
                 probes += 1;
-                b.on_success(&cfg);
+                b.on_success();
             }
             if !b.is_open() {
                 break;
             }
         }
-        assert_eq!(probes, cfg.breaker_close_after);
+        assert_eq!(probes, BREAKER_CLOSE_AFTER);
         assert!(!b.is_open());
         assert_eq!(b.closes, 1);
         // A failure after recovery starts the count fresh.
-        b.on_failure(&cfg);
+        b.on_failure();
         assert!(!b.is_open());
     }
 
     #[test]
     fn sanity_gate_counts_poisoned_predictions() {
-        let cfg = ResilienceConfig::default();
         let mut preds = Predictions {
             batch_bips: vec![vec![1.0; NUM_JOB_CONFIGS]; 2],
             batch_watts: vec![vec![2.0; NUM_JOB_CONFIGS]; 2],
@@ -826,13 +764,13 @@ mod tests {
                 tail_guarded: vec![4.0; NUM_JOB_CONFIGS],
             }],
         };
-        assert_eq!(prediction_defects(&preds, &cfg), 0);
+        assert_eq!(prediction_defects(&preds), 0);
         preds.batch_bips[0][0] = f64::NAN;
         preds.lc[0].tail[3] = -1.0;
         preds.lc[0].watts[5] = 1e9;
-        assert_eq!(prediction_defects(&preds, &cfg), 3);
+        assert_eq!(prediction_defects(&preds), 3);
         poison_predictions(&mut preds);
-        assert!(prediction_defects(&preds, &cfg) > 100);
+        assert!(prediction_defects(&preds) > 100);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use control::{
     AdmissionError, ControlCore, ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind,
 };
 pub use driver::ScenarioDriver;
-pub use faults::{DecisionError, FaultInjector, FaultPlan, ResilienceConfig, StageError};
+pub use faults::{DecisionError, FaultInjector, FaultPlan, StageError};
 pub use lifecycle::{LifecycleError, LifecycleState, TenantLifecycle};
 pub use runtime::CuttleSysManager;
 pub use testbed::run_scenario;

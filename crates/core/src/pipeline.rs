@@ -27,9 +27,10 @@
 //! profiling stage validates samples (finite, in physical range) with one
 //! bounded retry, the reconstruction output passes a sanity gate (NaN /
 //! row-divergence check) with a staleness-bounded fall back to the
-//! last-good predictions, and an optional per-quantum deadline budget
-//! aborts the remaining stages — the manager then replays its last-good
-//! decision (see [`crate::faults`] for the degradation ladder).
+//! last-good predictions. A failed stage aborts the remaining ones and the
+//! manager replays its last-good decision (see [`crate::faults`] for the
+//! degradation ladder). The stage stopwatch is the only clock `decide`
+//! reads, and nothing it measures reaches the plan.
 
 use std::time::Instant;
 
@@ -39,8 +40,8 @@ use simulator::{CacheAlloc, CoreConfig, JobConfig, NUM_JOB_CONFIGS};
 
 use crate::accounting::narrowest_then_gate;
 use crate::faults::{
-    poison_predictions, prediction_defects, DecisionError, QuantumFaults, ResilienceConfig,
-    StageError,
+    poison_predictions, prediction_defects, DecisionError, QuantumFaults, StageError, MAX_BIPS,
+    MAX_WATTS, STALENESS_BOUND,
 };
 use crate::matrices::{bucket_for, effective_load, JobMatrices, LcPrediction, Predictions};
 use crate::telemetry::StageTelemetry;
@@ -76,9 +77,6 @@ pub struct DecisionCtx<'a> {
     pub gated_watts: f64,
     /// Compute-side faults injected into this quantum (NONE by default).
     pub faults: QuantumFaults,
-    /// Bounds on the degradation ladder: sample sanity ranges, prediction
-    /// staleness, and the per-quantum deadline.
-    pub resilience: &'a ResilienceConfig,
     /// The most recent predictions that passed the sanity gate, with their
     /// age in quanta — the reconstruction fallback.
     pub last_good_preds: Option<(&'a Predictions, usize)>,
@@ -122,27 +120,6 @@ pub enum SearchAlgo {
     Ga(GaParams),
 }
 
-/// Checks the per-quantum deadline budget after a stage: wall-clock since
-/// the quantum began plus any injected stall. Marks the telemetry and
-/// fails so [`decide`] skips the remaining stages.
-fn check_deadline(
-    start: Instant,
-    tel: &mut StageTelemetry,
-    budget_ms: f64,
-    stage: &'static str,
-) -> Result<(), StageError> {
-    let consumed_ms = start.elapsed().as_secs_f64() * 1e3 + tel.degradation.injected_stall_ms;
-    if consumed_ms > budget_ms {
-        tel.degradation.deadline_exceeded = true;
-        return Err(StageError::DeadlineExceeded {
-            stage,
-            consumed_ms,
-            budget_ms,
-        });
-    }
-    Ok(())
-}
-
 /// The stage stopwatch: runs one stage call and returns its output with the
 /// wall milliseconds it took. A failed stage returns its error alone, so the
 /// caller's `?` leaves that stage's wall-time field untouched.
@@ -163,10 +140,9 @@ fn timed<T>(stage: impl FnOnce() -> Result<T, StageError>) -> Result<(T, f64), S
 /// into it when either changes.
 ///
 /// Telemetry is accumulated through the borrowed `tel` so the stages that
-/// *did* run stay visible even when a later stage fails. Between stages the
-/// deadline budget of the quantum is checked, and the reconstruction output
-/// passes a sanity gate with a staleness-bounded fallback to the last-good
-/// predictions.
+/// *did* run stay visible even when a later stage fails. The reconstruction
+/// output passes a sanity gate with a staleness-bounded fallback to the
+/// last-good predictions.
 ///
 /// # Errors
 ///
@@ -180,34 +156,21 @@ pub fn decide(
     probe: &mut Probe,
     tel: &mut StageTelemetry,
 ) -> Result<(Plan, Predictions), DecisionError> {
-    // Wall-clock reads below are the quantum's *budget* clock: they feed
-    // stage telemetry and the deadline check (a real-time bound from the
-    // paper's 100ms quantum), never the plan itself — every stage output
-    // is a pure function of ctx/probe state.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "deadline budget for the 100ms quantum; timing feeds telemetry and abort-on-overrun, not plan content"
-    )]
-    let start = Instant::now();
-    let budget = ctx.resilience.deadline_ms;
-
     let ((), ms) = timed(|| relocate(ctx, tel))?;
     tel.qos_wall_ms += ms;
-    check_deadline(start, tel, budget, "qos")?;
 
     let ((), ms) = timed(|| profile(ctx, probe, tel))?;
     tel.profile_wall_ms += ms;
-    check_deadline(start, tel, budget, "profile")?;
 
     let (mut raw, ms) = timed(|| Ok(reconstruct(ctx, tel)))?;
     tel.reconstruct_wall_ms += ms;
     // Sanity gate: a diverged solve (NaN, out-of-physical-range rows)
     // must not reach the QoS scan. Last-good predictions substitute
     // while they are fresh enough.
-    let defects = prediction_defects(&raw, ctx.resilience);
+    let defects = prediction_defects(&raw);
     if defects > 0 {
         match ctx.last_good_preds {
-            Some((lg, age)) if age <= ctx.resilience.staleness_bound => {
+            Some((lg, age)) if age <= STALENESS_BOUND => {
                 tel.degradation.reconstruct_fallback = true;
                 tel.degradation.stale_age = tel.degradation.stale_age.max(age);
                 raw = lg.clone();
@@ -215,7 +178,7 @@ pub fn decide(
             Some((_, age)) => {
                 return Err(StageError::PredictionsStale {
                     age,
-                    bound: ctx.resilience.staleness_bound,
+                    bound: STALENESS_BOUND,
                 }
                 .into())
             }
@@ -227,11 +190,9 @@ pub fn decide(
             }
         }
     }
-    check_deadline(start, tel, budget, "reconstruct")?;
 
     let ((lc_configs, preds), ms) = timed(|| pin(ctx, &raw, tel))?;
     tel.qos_wall_ms += ms;
-    check_deadline(start, tel, budget, "qos")?;
 
     // The quantum's one power ledger, built once under the search stopwatch;
     // slot `s` of `table` and of `point` is batch job `active[s]`.
@@ -242,7 +203,6 @@ pub fn decide(
         Ok((active, table, point))
     })?;
     tel.search_wall_ms += ms;
-    check_deadline(start, tel, budget, "search")?;
 
     let (batch, ms) = timed(|| Ok(repair(ctx, &table, &active, &point, tel)))?;
     tel.repair_wall_ms += ms;
@@ -266,10 +226,10 @@ pub fn decide(
 /// Returns the sample with any invalid field zeroed (so the matrices skip
 /// it) and the count of rejected fields, or `None` when nothing in the
 /// sample is usable.
-fn sanitize_sample(s: &SamplePoint, cfg: &ResilienceConfig) -> (Option<SamplePoint>, usize) {
+fn sanitize_sample(s: &SamplePoint) -> (Option<SamplePoint>, usize) {
     let ok = |v: f64, max: f64| v.is_finite() && (0.0..=max).contains(&v);
-    let bips_ok = ok(s.bips, cfg.max_bips);
-    let watts_ok = ok(s.watts, cfg.max_watts);
+    let bips_ok = ok(s.bips, MAX_BIPS);
+    let watts_ok = ok(s.watts, MAX_WATTS);
     let rejected = usize::from(!bips_ok) + usize::from(!watts_ok);
     if !bips_ok && !watts_ok {
         return (None, rejected);
@@ -370,7 +330,7 @@ fn profile(
             tel.profile_sim_ms += sample.duration_ms;
             let mut valid = 0usize;
             for s in &sample.samples {
-                let (clean, rejected) = sanitize_sample(s, ctx.resilience);
+                let (clean, rejected) = sanitize_sample(s);
                 rejected_total += rejected;
                 if let Some(c) = clean {
                     ctx.matrices
@@ -401,11 +361,6 @@ fn profile(
 /// the tail library's reference core count. A solve that *diverges* is
 /// returned as-is and caught by [`decide`]'s sanity gate.
 fn reconstruct(ctx: &mut DecisionCtx, tel: &mut StageTelemetry) -> Predictions {
-    // An injected stall burns wall-clock budget without changing the
-    // result; the deadline check after this stage accounts for it.
-    if ctx.faults.reconstruct_stall_ms > 0.0 {
-        tel.degradation.injected_stall_ms += ctx.faults.reconstruct_stall_ms;
-    }
     // Each tenant's tail row is completed at the effective load of the
     // cores it holds after relocation, the axis its observations live on.
     let loads: Vec<f64> = ctx
@@ -681,17 +636,6 @@ mod tests {
     use crate::types::{LcSliceInfo, SliceInfo};
     use dds::Objective;
 
-    const RES: ResilienceConfig = ResilienceConfig {
-        deadline_ms: f64::INFINITY,
-        staleness_bound: 5,
-        breaker_open_after: 3,
-        breaker_probe_interval: 4,
-        breaker_close_after: 2,
-        max_bips: 1e3,
-        max_watts: 1e3,
-        max_tail_ms: 1e4,
-    };
-
     fn flat_predictions(tail_ms: f64) -> Predictions {
         Predictions {
             batch_bips: vec![vec![1.0; NUM_JOB_CONFIGS]; 4],
@@ -826,7 +770,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.1,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let point = vec![3, 17, 42, 99];
@@ -869,7 +812,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.5,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
@@ -903,7 +845,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.5,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
@@ -933,7 +874,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.1,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
@@ -967,7 +907,6 @@ mod tests {
                 num_batch: 4,
                 gated_watts: 0.5,
                 faults: QuantumFaults::NONE,
-                resilience: &RES,
                 last_good_preds: None,
             };
             let mut tel = StageTelemetry::default();
@@ -1048,7 +987,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.5,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let mut tel = StageTelemetry::default();
@@ -1094,7 +1032,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.1,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let lc_configs = [JobConfig::new(CoreConfig::widest(), CacheAlloc::Four)];
@@ -1178,7 +1115,6 @@ mod tests {
                 num_batch: 4,
                 gated_watts: 0.1,
                 faults: QuantumFaults::NONE,
-                resilience: &RES,
                 last_good_preds: None,
             };
             let table = penalty_table(&ctx, &preds, &[widest], &ctx.active_batch());
@@ -1253,7 +1189,6 @@ mod tests {
                 num_batch,
                 gated_watts: GATED_WATTS,
                 faults: QuantumFaults::NONE,
-                resilience: &RES,
                 last_good_preds: None,
             };
             let active = ctx.active_batch();
@@ -1399,7 +1334,6 @@ mod tests {
                 reconstruct_diverge: true,
                 ..QuantumFaults::NONE
             },
-            resilience: &RES,
             last_good_preds: Some((&good, 2)),
         };
         let mut probe = steady_probe();
@@ -1433,7 +1367,6 @@ mod tests {
                     reconstruct_diverge: true,
                     ..QuantumFaults::NONE
                 },
-                resilience: &RES,
                 last_good_preds: last_good_age.map(|age| (&good, age)),
             };
             let mut probe = steady_probe();
@@ -1444,7 +1377,7 @@ mod tests {
                 DecisionError::Stage(StageError::PredictionsStale { age, bound }) => {
                     assert!(expected_stale);
                     assert_eq!(age, 9);
-                    assert_eq!(bound, RES.staleness_bound);
+                    assert_eq!(bound, STALENESS_BOUND);
                 }
                 DecisionError::Stage(StageError::ReconstructionDiverged { bad_values }) => {
                     assert!(!expected_stale);
@@ -1454,48 +1387,6 @@ mod tests {
             }
             assert_eq!(err.stage(), "reconstruct");
         }
-    }
-
-    #[test]
-    fn injected_stall_trips_a_finite_deadline() {
-        let tight = ResilienceConfig {
-            deadline_ms: 100.0,
-            ..ResilienceConfig::default()
-        };
-        let inf = info(200.0);
-        let mut matrices = test_matrices();
-        let mut lc = vec![LcAllocation {
-            cores: 16,
-            min_cores: 16,
-        }];
-        let last = None;
-        let mut ctx = DecisionCtx {
-            info: &inf,
-            matrices: &mut matrices,
-            lc: &mut lc,
-            last_plan: &last,
-            num_batch: 4,
-            gated_watts: 0.1,
-            faults: QuantumFaults {
-                reconstruct_stall_ms: 10_000.0,
-                ..QuantumFaults::NONE
-            },
-            resilience: &tight,
-            last_good_preds: None,
-        };
-        let mut probe = steady_probe();
-        let mut tel = StageTelemetry::default();
-        let err = decide(&dds(), &mut None, &mut ctx, &mut probe, &mut tel)
-            .expect_err("a 10 s stall must blow a 100 ms budget");
-        assert!(matches!(
-            err,
-            DecisionError::Stage(StageError::DeadlineExceeded {
-                stage: "reconstruct",
-                ..
-            })
-        ));
-        assert!(tel.degradation.deadline_exceeded);
-        assert!(tel.degradation.injected_stall_ms >= 10_000.0);
     }
 
     #[test]
@@ -1515,7 +1406,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.1,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         let mut frames = 0usize;
@@ -1560,7 +1450,6 @@ mod tests {
             num_batch: 4,
             gated_watts: 0.1,
             faults: QuantumFaults::NONE,
-            resilience: &RES,
             last_good_preds: None,
         };
         // Valid bips, blacked-out watts: the sample still counts, only the

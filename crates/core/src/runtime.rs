@@ -39,24 +39,27 @@
 //!
 //! # The degradation ladder
 //!
-//! A decision quantum can fail: every profiling sample rejected, the
+//! A decision quantum can fail: every profiling sample rejected, or the
 //! reconstruction diverged past the sanity gate with nothing fresh to fall
-//! back to, or the compute deadline blown. [`CuttleSysManager::decide`]
-//! surfaces those failures as typed [`DecisionError`]s, and
-//! [`ResourceManager::plan`] walks the ladder instead of panicking:
+//! back to. [`CuttleSysManager::decide`] surfaces those failures as typed
+//! [`DecisionError`]s, and [`ResourceManager::plan`] walks the ladder
+//! instead of panicking:
 //!
 //! 1. **Replay last-good** — while the most recent successful decision is
-//!    within [`ResilienceConfig::staleness_bound`] quanta old, its plan is
-//!    replayed (departed batch jobs gated).
+//!    within [`STALENESS_BOUND`] quanta old, its plan is replayed (departed
+//!    batch jobs gated).
 //! 2. **Safe mode** — otherwise the manager emits the maximally conservative
 //!    [`safe_mode_plan`]: LC tenants keep their cores at the widest
 //!    configuration, batch jobs gate (or run narrowest under the cap when
 //!    last-good predictions still permit power accounting).
-//! 3. **Circuit breaker** — after [`ResilienceConfig::breaker_open_after`]
-//!    consecutive failures the [`CircuitBreaker`] opens and the manager stops
-//!    attempting full decisions, emitting safe mode directly; every
-//!    [`ResilienceConfig::breaker_probe_interval`] quanta it probes one full
-//!    decision, and enough successful probes close the breaker again.
+//! 3. **Circuit breaker** — after
+//!    [`BREAKER_OPEN_AFTER`](crate::faults::BREAKER_OPEN_AFTER) consecutive
+//!    failures the [`CircuitBreaker`] opens and the manager stops attempting
+//!    full decisions, emitting safe mode directly; every
+//!    [`BREAKER_PROBE_INTERVAL`](crate::faults::BREAKER_PROBE_INTERVAL)
+//!    quanta it probes one full decision, and
+//!    [`BREAKER_CLOSE_AFTER`](crate::faults::BREAKER_CLOSE_AFTER) successful
+//!    probes close the breaker again.
 //!
 //! Every rung is recorded in the quantum's
 //! [`crate::telemetry::DegradationEvents`].
@@ -68,7 +71,7 @@ use workloads::batch;
 use workloads::oracle::Oracle;
 
 use crate::faults::{
-    safe_mode_plan, CircuitBreaker, DecisionError, FaultInjector, ResilienceConfig,
+    safe_mode_plan, CircuitBreaker, DecisionError, FaultInjector, STALENESS_BOUND,
 };
 use crate::matrices::{JobMatrices, Predictions};
 pub use crate::pipeline::SearchAlgo;
@@ -102,7 +105,6 @@ pub struct CuttleSysManager {
     last_loads: Vec<f64>,
     prev_active: Vec<bool>,
     last_telemetry: Option<StageTelemetry>,
-    resilience: ResilienceConfig,
     injector: FaultInjector,
     breaker: CircuitBreaker,
     last_good: Option<LastGood>,
@@ -146,7 +148,6 @@ impl CuttleSysManager {
             last_loads: vec![0.0; scenario.num_lc()],
             prev_active: vec![true; scenario.num_batch()],
             last_telemetry: None,
-            resilience: ResilienceConfig::default(),
             injector: FaultInjector::new(scenario.faults.clone()),
             breaker: CircuitBreaker::new(),
             last_good: None,
@@ -218,8 +219,7 @@ impl CuttleSysManager {
     /// Returns a [`DecisionError`] when the scenario describes no LC tenant
     /// or any pipeline stage fails ([`crate::faults::StageError`]): no valid
     /// profiling samples after the bounded retry, a diverged reconstruction
-    /// with no fresh last-good predictions, a blown compute deadline, or a
-    /// malformed slice shape.
+    /// with no fresh last-good predictions, or a malformed slice shape.
     pub fn decide(
         &mut self,
         info: &SliceInfo,
@@ -244,7 +244,6 @@ impl CuttleSysManager {
             num_batch: self.num_batch,
             gated_watts: self.gated_watts,
             faults,
-            resilience: &self.resilience,
             last_good_preds: self.last_good.as_ref().map(|lg| (&lg.preds, lg.age)),
         };
         pipeline::decide(&self.search, &mut self.draws, &mut ctx, probe, tel)
@@ -256,7 +255,7 @@ impl CuttleSysManager {
     fn fallback_plan(&mut self, info: &SliceInfo, tel: &mut StageTelemetry) -> Plan {
         if !self.breaker.is_open() {
             if let Some(lg) = &self.last_good {
-                if lg.age <= self.resilience.staleness_bound {
+                if lg.age <= STALENESS_BOUND {
                     tel.degradation.replayed_last_good = true;
                     tel.degradation.stale_age = tel.degradation.stale_age.max(lg.age);
                     let mut plan = lg.plan.clone();
@@ -304,8 +303,7 @@ impl ResourceManager for CuttleSysManager {
             lg.age += 1;
         }
         self.breaker.begin_quantum();
-        let resilience = self.resilience;
-        let plan = if self.breaker.is_open() && !self.breaker.should_probe(&resilience) {
+        let plan = if self.breaker.is_open() && !self.breaker.should_probe() {
             // Breaker open, no probe due: emit safe mode without even
             // attempting a decision (the failure is assumed to persist until
             // a probe proves otherwise).
@@ -324,7 +322,7 @@ impl ResourceManager for CuttleSysManager {
             }
             match self.decide(info, probe, &mut tel) {
                 Ok((plan, preds)) => {
-                    self.breaker.on_success(&resilience);
+                    self.breaker.on_success();
                     // A quantum that only succeeded by replaying last-good
                     // predictions must not reset their age, or persistent
                     // reconstruction failures would never hit the staleness
@@ -342,7 +340,7 @@ impl ResourceManager for CuttleSysManager {
                     plan
                 }
                 Err(e) => {
-                    self.breaker.on_failure(&resilience);
+                    self.breaker.on_failure();
                     tel.degradation.failed_stage = Some(e.stage());
                     self.fallback_plan(info, &mut tel)
                 }

@@ -23,11 +23,6 @@ pub struct DegradationEvents {
     /// Age (in quanta) of the last-good state substituted this quantum,
     /// zero when none was needed.
     pub stale_age: usize,
-    /// Whether the per-quantum deadline budget was exceeded (remaining
-    /// stages skipped).
-    pub deadline_exceeded: bool,
-    /// Wall-clock milliseconds of injected reconstruction stall.
-    pub injected_stall_ms: f64,
     /// Whether the quantum replayed the last-good decision instead of
     /// computing a fresh one.
     pub replayed_last_good: bool,
@@ -43,10 +38,9 @@ pub struct DegradationEvents {
 
 impl DegradationEvents {
     /// Whether the quantum's decision was degraded in any way (a fallback
-    /// was used, a stage was skipped, or the breaker was open).
+    /// was used, a stage failed, or the breaker was open).
     pub fn degraded(&self) -> bool {
         self.reconstruct_fallback
-            || self.deadline_exceeded
             || self.replayed_last_good
             || self.safe_mode
             || self.breaker_open
@@ -143,8 +137,6 @@ pub struct TelemetrySummary {
     pub sample_retries: usize,
     /// Quanta in which reconstruction fell back to last-good predictions.
     pub reconstruct_fallbacks: usize,
-    /// Quanta in which the compute deadline was exceeded.
-    pub deadline_exceeded: usize,
     /// Quanta that replayed the last-good decision.
     pub last_good_replays: usize,
     /// Quanta spent in the safe-mode allocation.
@@ -171,7 +163,6 @@ impl TelemetrySummary {
         let mut samples_rejected = 0usize;
         let mut sample_retries = 0usize;
         let mut reconstruct_fallbacks = 0usize;
-        let mut deadline_exceeded = 0usize;
         let mut last_good_replays = 0usize;
         let mut safe_mode_quanta = 0usize;
         let mut breaker_open_quanta = 0usize;
@@ -201,7 +192,6 @@ impl TelemetrySummary {
             samples_rejected += d.samples_rejected;
             sample_retries += d.sample_retries;
             reconstruct_fallbacks += usize::from(d.reconstruct_fallback);
-            deadline_exceeded += usize::from(d.deadline_exceeded);
             last_good_replays += usize::from(d.replayed_last_good);
             safe_mode_quanta += usize::from(d.safe_mode);
             breaker_open_quanta += usize::from(d.breaker_open);
@@ -226,7 +216,6 @@ impl TelemetrySummary {
             samples_rejected,
             sample_retries,
             reconstruct_fallbacks,
-            deadline_exceeded,
             last_good_replays,
             safe_mode_quanta,
             breaker_open_quanta,
@@ -281,7 +270,6 @@ impl TelemetrySummary {
                 "reconstruct_fallbacks".into(),
                 n(self.reconstruct_fallbacks),
             ),
-            ("deadline_exceeded".into(), n(self.deadline_exceeded)),
             ("last_good_replays".into(), n(self.last_good_replays)),
             ("safe_mode_quanta".into(), n(self.safe_mode_quanta)),
             ("breaker_open_quanta".into(), n(self.breaker_open_quanta)),

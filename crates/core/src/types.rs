@@ -118,7 +118,7 @@ pub struct Scenario {
     pub phases: bool,
     /// Master seed.
     pub seed: u64,
-    /// Fault-injection plan (dropped/corrupted samples, stalled or diverged
+    /// Fault-injection plan (dropped/corrupted samples, diverged
     /// reconstructions, failed reconfigurations, power blackouts). Defaults
     /// to [`FaultPlan::none`], under which every fault hook is a guaranteed
     /// no-op and runs are bit-identical to a build without them.

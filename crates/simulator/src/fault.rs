@@ -24,7 +24,7 @@ pub enum FaultStream {
     Sample = 1,
     /// Corruption kind and magnitude for a corrupted sample.
     Corruption = 2,
-    /// Per-quantum reconstruction stall/divergence decisions.
+    /// Per-quantum reconstruction divergence decisions.
     Reconstruct = 3,
     /// Per-quantum reconfiguration-command failures.
     Reconfig = 4,

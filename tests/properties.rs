@@ -326,45 +326,89 @@ fn overwhelming_penalty_never_prefers_an_infeasible_plan() {
 
 /// The circuit breaker is `&mut self` and owned by the deciding thread, so
 /// whatever reports to it arrives as some sequence of calls. Over any such
-/// sequence the ledger stays consistent, a burst of failures opens it exactly
-/// once, and a close quorum of successes closes it exactly once.
+/// sequence it agrees after every call with a reference model of the Closed
+/// and Open rules, a burst of failures opens it exactly once, and a close
+/// quorum of successes closes it exactly once.
 #[test]
 fn breaker_ledger_survives_any_order_of_reports() {
-    use cuttlesys::faults::{CircuitBreaker, ResilienceConfig};
+    use cuttlesys::faults::{
+        CircuitBreaker, BREAKER_CLOSE_AFTER, BREAKER_OPEN_AFTER, BREAKER_PROBE_INTERVAL,
+    };
 
-    fn assert_consistent(b: &CircuitBreaker) {
-        assert!(b.closes <= b.opens, "closes cannot outrun opens: {b:?}");
-        assert_eq!(b.is_open(), b.opens > b.closes, "{b:?}");
+    /// The Closed and Open rules: Closed counts consecutive failures, Open
+    /// counts probe successes, the other kind of report restarts the count,
+    /// and reaching the quorum flips the state and restarts everything.
+    #[derive(Debug, Default)]
+    struct Model {
+        open: bool,
+        count: usize,
+        quanta_open: usize,
+        opens: usize,
+        closes: usize,
+    }
+
+    impl Model {
+        fn report(&mut self, failed: bool) {
+            self.count = if failed != self.open {
+                self.count + 1
+            } else {
+                0
+            };
+            let quorum = if self.open {
+                BREAKER_CLOSE_AFTER
+            } else {
+                BREAKER_OPEN_AFTER
+            };
+            if self.count == quorum {
+                self.opens += usize::from(!self.open);
+                self.closes += usize::from(self.open);
+                (self.open, self.count, self.quanta_open) = (!self.open, 0, 0);
+            }
+        }
+    }
+
+    const SUCCESS: usize = 1;
+    const FAILURE: usize = 2;
+
+    /// Makes one call (0 begins a quantum) on both, then compares them.
+    fn step(b: &mut CircuitBreaker, m: &mut Model, call: usize) {
+        match call {
+            SUCCESS => {
+                b.on_success();
+                m.report(false);
+            }
+            FAILURE => {
+                b.on_failure();
+                m.report(true);
+            }
+            _ => {
+                b.begin_quantum();
+                m.quanta_open += usize::from(m.open);
+            }
+        }
+        let probes = m.open && m.quanta_open.is_multiple_of(BREAKER_PROBE_INTERVAL);
+        assert_eq!(
+            (b.is_open(), b.opens, b.closes, b.should_probe()),
+            (m.open, m.opens, m.closes, probes),
+            "{b:?} vs {m:?}"
+        );
     }
 
     let mut rng = rng_for("breaker_ledger_survives_any_order_of_reports");
     for _ in 0..CASES * 16 {
-        let cfg = ResilienceConfig {
-            breaker_open_after: rng.random_range(1..5),
-            breaker_probe_interval: rng.random_range(1..5),
-            breaker_close_after: rng.random_range(1..4),
-            ..ResilienceConfig::default()
-        };
-        let mut b = CircuitBreaker::new();
+        let (mut b, mut m) = (CircuitBreaker::new(), Model::default());
         for _ in 0..rng.random_range(0..40) {
-            match rng.random_range(0..3) {
-                0 => b.begin_quantum(),
-                1 => b.on_success(&cfg),
-                _ => b.on_failure(&cfg),
-            }
-            assert_consistent(&b);
+            step(&mut b, &mut m, rng.random_range(0..3));
         }
         let opens = b.opens + usize::from(!b.is_open());
-        for _ in 0..cfg.breaker_open_after + rng.random_range(0..4) {
-            b.on_failure(&cfg);
-            assert_consistent(&b);
+        for _ in 0..BREAKER_OPEN_AFTER + rng.random_range(0..4) {
+            step(&mut b, &mut m, FAILURE);
         }
         assert!(b.is_open(), "{b:?}");
         assert_eq!(b.opens, opens, "re-tripping while open double-counted");
         let closes = b.closes + 1;
-        for _ in 0..cfg.breaker_close_after + rng.random_range(0..4) {
-            b.on_success(&cfg);
-            assert_consistent(&b);
+        for _ in 0..BREAKER_CLOSE_AFTER + rng.random_range(0..4) {
+            step(&mut b, &mut m, SUCCESS);
         }
         assert!(!b.is_open(), "{b:?}");
         assert_eq!(b.closes, closes, "the close is recorded exactly once");
