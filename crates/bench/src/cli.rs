@@ -311,6 +311,92 @@ mod tests {
         }
     }
 
+    /// Seeded random command lines for every experiment, drawn from every
+    /// registry flag and switch word, the experiment's own values, numbers
+    /// at and beyond the `u64` and `f64` limits, empty strings and dashes
+    /// (so `--json` is often followed by another flag, and arguments repeat).
+    /// `parse` never panics, and on every `Ok` each declared `Int` and
+    /// `Fraction` argument reads back through `Args::int` / `Args::fraction`
+    /// inside its declared range.
+    #[test]
+    fn parse_survives_hostile_command_lines() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::panic::catch_unwind;
+
+        let numbers: Vec<&str> = "-1 -0 +5 0 1 2 7 10 0x10 1_000 0,7 18446744073709551615
+            18446744073709551616 340282366920938463463374607431768211456 0.0 -0.0 0.5 .5 1. 1e0
+            1.0000000000000002 0.9999999999999999 4.9e-324 1e-400 1.7976931348623157e308 1e309
+            inf -inf NaN"
+            .split_whitespace()
+            .collect();
+        let mut words = vec!["", " ", "-", "--", "---json", "x.json", "ü"];
+        for spec in REGISTRY.iter().flat_map(specs_of) {
+            words.push(spec.name);
+            if let Kind::OneOf(one_of) = spec.kind {
+                words.extend(one_of);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xC11);
+        let mut accepted = 0;
+        for experiment in REGISTRY {
+            let specs = specs_of(experiment);
+            // Half the tokens come from the experiment's own arguments, so
+            // that non-empty lines parse and hostile numbers follow its flags.
+            let mut own = vec![];
+            for spec in &specs {
+                own.extend([spec.name, spec.default]);
+                if let Kind::OneOf(one_of) = spec.kind {
+                    own.extend(one_of);
+                }
+            }
+            // Every number alone and after every option, then random lines.
+            let mut lines: Vec<Vec<&str>> = numbers.iter().map(|&n| vec![n]).collect();
+            for spec in specs.iter().filter(|s| s.is_option()) {
+                lines.extend(numbers.iter().map(|&n| vec![spec.name, n]));
+            }
+            for _ in 0..1000 {
+                let len = rng.random_range(1..7);
+                lines.push(
+                    (0..len)
+                        .map(|_| {
+                            let pool = match rng.random_range(0..4) {
+                                0 | 1 => &own[..],
+                                2 => &numbers[..],
+                                _ => &words[..],
+                            };
+                            pool[rng.random_range(0..pool.len())]
+                        })
+                        .collect(),
+                );
+            }
+            for line in lines {
+                let argv: Vec<String> = line.iter().map(|t| t.to_string()).collect();
+                let at = format!("paper {} {argv:?}", experiment.id);
+                let parsed = catch_unwind(|| parse(&specs, &argv));
+                let Ok(args) = parsed.unwrap_or_else(|_| panic!("{at}: parse panicked")) else {
+                    continue;
+                };
+                accepted += 1;
+                let read = catch_unwind(|| {
+                    specs.iter().all(|spec| match spec.kind {
+                        Kind::Int(min) => args.int(spec.name) >= min,
+                        Kind::Fraction => {
+                            let f = args.fraction(spec.name);
+                            f > 0.0 && f <= 1.0
+                        }
+                        Kind::OneOf(_) | Kind::Text => true,
+                    })
+                });
+                assert!(
+                    read.unwrap_or(false),
+                    "{at}: accepted {args:?}, which does not read back"
+                );
+            }
+        }
+        assert!(accepted > 1500, "only {accepted} command lines accepted");
+    }
+
     #[test]
     fn every_declared_default_is_itself_valid() {
         for experiment in REGISTRY {

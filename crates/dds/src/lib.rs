@@ -20,7 +20,10 @@
 //!   exchange. Its random draws never read the objective, so they are made
 //!   once as [`Draws`] and replayed: a caller searching the same space with
 //!   the same parameters every quantum keeps them and pays only for moves
-//!   and evaluations;
+//!   and evaluations. A move is stored as an integer shift wherever that
+//!   provably reflects to the same choice as its `f64` delta, and each
+//!   worker applies a candidate to its local best in place and undoes it
+//!   when it loses;
 //! * [`objective`] — the objective abstraction and the tabulated soft-penalty
 //!   objective of §VI-A.
 //!

@@ -109,6 +109,7 @@ impl<'a> PenaltyTable<'a> {
     }
 
     /// The raw benefit: geo-mean BIPS of the point's jobs.
+    #[inline]
     pub fn benefit(&self, point: &[usize]) -> f64 {
         let log_sum: f64 = point
             .iter()
@@ -119,6 +120,7 @@ impl<'a> PenaltyTable<'a> {
     }
 
     /// Total power of the point, in Watts.
+    #[inline]
     pub fn power(&self, point: &[usize]) -> f64 {
         self.base_watts
             + point
@@ -129,6 +131,7 @@ impl<'a> PenaltyTable<'a> {
     }
 
     /// Total LLC ways of the point.
+    #[inline]
     pub fn cache_ways(&self, point: &[usize]) -> f64 {
         self.base_ways + point.iter().map(|&c| self.ways[c]).sum::<f64>()
     }
@@ -140,6 +143,7 @@ impl<'a> PenaltyTable<'a> {
 }
 
 impl Objective for PenaltyTable<'_> {
+    #[inline]
     fn evaluate(&self, point: &[usize]) -> f64 {
         let power_excess = (self.power(point) - self.max_power).max(0.0);
         let cache_excess = (self.cache_ways(point) - self.max_ways).max(0.0);

@@ -13,12 +13,15 @@
 //! worker's own stream, which dimensions every candidate perturbs and by how
 //! much. None of it reads the objective or the point — a move is a dimension
 //! and an `f64` delta added before reflection — so the draws are a function
-//! of the space, the parameters and the seed alone. [`Draws::run_in`] then
-//! replays them: it applies each candidate's deltas to its worker's local
-//! best and evaluates. A caller that searches the same space with the same
-//! parameters again (the runtime, once per quantum) keeps the draws and pays
-//! only for the replay; [`parallel_search_in`] is draw-then-replay in one
-//! call.
+//! of the space, the parameters and the seed alone. A delta is stored as
+//! the integer shift that provably lands on the same choice from every
+//! current choice (see [`Draws`]); the rare one with no such shift keeps its
+//! `f64`. [`Draws::run_in`] then replays them: each worker applies a
+//! candidate's moves to its local best in place, evaluates, and undoes them
+//! when the candidate loses. A caller that searches the same space with the
+//! same parameters again (the runtime, once per quantum) keeps the draws and
+//! pays only for the replay; [`parallel_search_in`] is draw-then-replay in
+//! one call.
 //!
 //! The iteration loop stays on the calling thread and fans each iteration's
 //! per-worker candidate batches out through [`util::pool::for_each_slot`]:
@@ -91,6 +94,10 @@ fn validate(params: &ParallelDdsParams) {
         !params.r_values.is_empty(),
         "need at least one perturbation radius"
     );
+    assert!(
+        params.r_values.iter().all(|r| r.is_finite() && *r > 0.0),
+        "need finite, positive perturbation radii"
+    );
 }
 
 /// The seed of logical worker `t`, spread by the SplitMix64 golden gamma.
@@ -109,21 +116,95 @@ fn worker_radius(params: &ParallelDdsParams, t: usize) -> f64 {
 /// and replayed by [`Draws::run_in`] against any objective.
 ///
 /// Candidates are numbered iteration, then worker, then candidate; candidate
-/// `c`'s moves are `ends[c - 1]..ends[c]` of `dims` and `deltas`, in the
-/// order the worker's stream drew them. A move is about 10 bytes: the 16 ×
-/// 108 runtime problem at Fig. 6's parameters holds ≈ 13.6 k of them.
+/// `c`'s moves are `ends[c - 1]..ends[c]` of `moves`, in the order the
+/// worker's stream drew them. A move is 4 bytes, a `u16` dimension and an
+/// `i16` shift: the 16 × 108 runtime problem at Fig. 6's parameters holds
+/// ≈ 13.6 k of them.
+///
+/// # Integer moves
+///
+/// A drawn move adds `δ = r · #confs · N(0, 1)` to the current choice `c` and
+/// reflects: `SearchSpace::reflect(c as f64 + δ)`. It is stored as the shift
+/// `s = δ.round()` when, writing `n` for `#confs`,
+///
+/// * `n < 2¹¹`,
+/// * `|δ| ≤ 16 n`, and
+/// * `|frac(δ) − ½| ≥ 2⁻²⁰` (δ is not within 2⁻²⁰ of a rounding tie),
+///
+/// and replayed by mirroring the integer `c + s` the way `reflect` mirrors
+/// `c + δ` (about 0, and about `n − ½`) until it lies in `0..n`. That is
+/// exact for every `c` in `0..n`:
+///
+/// * In real arithmetic both mirrors map half-integers to half-integers, so
+///   `c + δ` stays as far from a tie as δ is. Away from a tie, rounding
+///   commutes with each mirror and `round(c + δ) = c + s`. Where the two
+///   loops stop differently — `x ∈ [n − ½, n)`, which `reflect` clamps to
+///   `n − 1`, or `x ∈ (−½, 0)` — one extra integer mirror gives the same
+///   choice.
+/// * In `f64`, `|c + δ| < 17 n` takes at most 35 of `reflect`'s 64 passes
+///   (≈ 17 n / (n − ½): 34 at `n = 1`, 18 at `n = 108`), and every
+///   intermediate stays below 2¹⁶ in magnitude, so each of the at most 71
+///   roundings errs by at most 2⁻³⁸: under 2⁻³¹ in all, far inside the 2⁻²⁰
+///   margin. A branch taken differently on a value that close to 0 or `n`
+///   lands on the same choice, since those points are ½ from any tie.
+///
+/// `tests::integer_shifts_replay_reflect_exactly` checks every `c` on the
+/// bounds, at ties and a few ulp off them. A move outside the rule keeps its
+/// `f64` delta in `fallback` and replays through `reflect`: about one in
+/// 5 · 10⁵ at the paper's radii (the 2⁻²⁰ margin), every move of a space of
+/// 2¹¹ or more choices.
 #[derive(Debug)]
 pub struct Draws {
     space: SearchSpace,
     params: ParallelDdsParams,
     /// The `initial_points` random starting points, back to back.
     initial: Vec<usize>,
-    /// The dimension each move perturbs.
-    dims: Vec<u16>,
-    /// The delta each move adds, `r · #confs · N(0, 1)`, before reflection.
-    deltas: Vec<f64>,
+    /// Every move, candidate after candidate.
+    moves: Vec<Move>,
+    /// The delta of every move whose shift is [`FALLBACK`], by ascending
+    /// move index.
+    fallback: Vec<(u32, f64)>,
     /// One past each candidate's last move.
     ends: Vec<u32>,
+}
+
+/// One drawn move: the dimension it perturbs and the shift it applies.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    dim: u16,
+    shift: i16,
+}
+
+/// The shift of a move whose delta [`integer_shift`] cannot encode; it
+/// replays from `Draws::fallback`. No encoded shift reaches it: `|s| ≤ 16 n
+/// < 2¹⁵`.
+const FALLBACK: i16 = i16::MIN;
+
+/// The integer shift that replays `delta` exactly from every choice of a
+/// `choices`-wide dimension, when the rule of [`Draws`] grants one.
+fn integer_shift(delta: f64, choices: usize) -> Option<i16> {
+    const TIE_MARGIN: f64 = 1.0 / (1u32 << 20) as f64;
+    let tie_distance = ((delta - delta.trunc()).abs() - 0.5).abs();
+    let exact =
+        choices < 1 << 11 && delta.abs() <= 16.0 * choices as f64 && tie_distance >= TIE_MARGIN;
+    exact.then(|| delta.round() as i16)
+}
+
+/// `SearchSpace::reflect` on the integers: mirrors `choice + shift` about 0
+/// and about `choices − ½` until it lies in `0..choices`. For `k ≥ 0`,
+/// `min(k, 2n − 1 − k)` is `k` inside `0..n` and its mirror above, so each
+/// pass is one mirror pair without a data-dependent branch.
+#[inline]
+fn reflect_shifted(choice: usize, shift: i16, choices: usize) -> usize {
+    let n = choices as i32;
+    let mut k = choice as i32 + i32::from(shift);
+    loop {
+        k = k.abs();
+        k = k.min(2 * n - 1 - k);
+        if k >= 0 {
+            return k as usize;
+        }
+    }
 }
 
 impl Draws {
@@ -137,8 +218,9 @@ impl Draws {
     /// # Panics
     ///
     /// Panics if any of `max_iters`, `points_per_iteration`,
-    /// `initial_points`, `threads`, or `r_values` is zero/empty, or if the
-    /// space has more than 65 536 dimensions.
+    /// `initial_points`, `threads`, or `r_values` is zero/empty, if a radius
+    /// is not finite and positive, or if the space has more than 65 536
+    /// dimensions.
     pub fn new(space: &SearchSpace, params: &ParallelDdsParams) -> Draws {
         validate(params);
         assert!(
@@ -164,8 +246,8 @@ impl Draws {
             space: space.clone(),
             params: params.clone(),
             initial,
-            dims: Vec::new(),
-            deltas: Vec::new(),
+            moves: Vec::new(),
+            fallback: Vec::new(),
             ends: Vec::with_capacity(candidates),
         };
         for i in 1..=params.max_iters {
@@ -173,28 +255,37 @@ impl Draws {
             for (t, rng) in rngs.iter_mut().enumerate() {
                 let scale = worker_radius(params, t) * space.num_choices() as f64;
                 for _ in 0..params.points_per_iteration {
-                    let start = draws.dims.len();
+                    let start = draws.moves.len();
                     for &d in &free {
                         if rng.random_range(0.0..1.0) < p_select {
                             draws.push_move(d, scale * standard_normal(rng));
                         }
                     }
-                    if draws.dims.len() == start && !free.is_empty() {
+                    if draws.moves.len() == start && !free.is_empty() {
                         let d = free[rng.random_range(0..free.len())];
                         draws.push_move(d, scale * standard_normal(rng));
                     }
-                    draws.ends.push(draws.dims.len() as u32);
+                    draws.ends.push(draws.moves.len() as u32);
                 }
             }
         }
-        draws.dims.shrink_to_fit();
-        draws.deltas.shrink_to_fit();
+        draws.moves.shrink_to_fit();
+        draws.fallback.shrink_to_fit();
         draws
     }
 
     fn push_move(&mut self, d: usize, delta: f64) {
-        self.dims.push(d as u16);
-        self.deltas.push(delta);
+        let shift = match integer_shift(delta, self.space.num_choices()) {
+            Some(shift) => shift,
+            None => {
+                self.fallback.push((self.moves.len() as u32, delta));
+                FALLBACK
+            }
+        };
+        self.moves.push(Move {
+            dim: d as u16,
+            shift,
+        });
     }
 
     /// Whether these are the draws of `params` over `space`, i.e. whether
@@ -210,27 +301,37 @@ impl Draws {
     /// and with no pool at all: each worker applies its own candidates'
     /// moves in drawn order, and the reduction happens on the orchestrator
     /// in worker-index order.
-    pub fn run_in(&self, pool: Option<&WorkerPool>, objective: &dyn Objective) -> SearchResult {
+    pub fn run_in<O: Objective + ?Sized>(
+        &self,
+        pool: Option<&WorkerPool>,
+        objective: &O,
+    ) -> SearchResult {
         let params = &self.params;
         let mut explored = Vec::new();
         let (mut best_point, mut best_value) = self.initial_phase(objective, &mut explored);
 
-        let mut workers: Vec<Worker> = (0..params.threads).map(|_| Worker::default()).collect();
+        let mut workers: Vec<Worker> = (0..params.threads)
+            .map(|_| Worker {
+                point: best_point.clone(),
+                value: best_value,
+                undo: Vec::new(),
+                explored: Vec::new(),
+            })
+            .collect();
         for i in 0..params.max_iters {
             util::pool::for_each_slot(pool, &mut workers, |t, w| {
+                w.point.copy_from_slice(&best_point);
+                w.value = best_value;
                 let first = (i * params.threads + t) * params.points_per_iteration;
-                w.local = self.worker_iteration(
-                    objective,
-                    first,
-                    &best_point,
-                    best_value,
-                    &mut w.explored,
-                );
+                self.worker_iteration(objective, first, w);
             });
             // Reduction in worker-index order (Alg. 2: install the best local
             // best as the next global best, ties to the lowest index).
-            let locals = workers.iter_mut().map(|w| std::mem::take(&mut w.local));
-            (best_point, best_value) = util::reduce::ordered_best(locals, (best_point, best_value));
+            let locals = workers.iter().map(|w| (Some(&w.point), w.value));
+            if let (Some(point), value) = util::reduce::ordered_best(locals, (None, best_value)) {
+                best_point.copy_from_slice(point);
+                best_value = value;
+            }
         }
 
         explored.extend(util::reduce::ordered_concat(
@@ -248,9 +349,9 @@ impl Draws {
     /// Phase 1 (Alg. 2 lines 5-6): the random initial points, the first
     /// strictly best becoming the incumbent. Done serially — it is a tiny
     /// fraction of the work.
-    fn initial_phase(
+    fn initial_phase<O: Objective + ?Sized>(
         &self,
-        objective: &dyn Objective,
+        objective: &O,
         explored: &mut ExploredLog,
     ) -> (Vec<usize>, f64) {
         let mut best: (&[usize], f64) = (&[], f64::NAN);
@@ -266,53 +367,62 @@ impl Draws {
         (best.0.to_vec(), best.1)
     }
 
-    /// The moves of candidate `c`, as a range of `dims` and `deltas`.
-    fn moves(&self, c: usize) -> Range<usize> {
+    /// The moves of candidate `c`, as a range of `moves`.
+    fn span(&self, c: usize) -> Range<usize> {
         let start = c.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
         start..self.ends[c] as usize
     }
 
+    /// The delta of move `m`, whose shift is [`FALLBACK`].
+    fn fallback_delta(&self, m: usize) -> f64 {
+        let at = self.fallback.partition_point(|&(k, _)| (k as usize) < m);
+        self.fallback[at].1
+    }
+
     /// One logical worker's share of one iteration: the
-    /// `points_per_iteration` candidates from `first` on, each perturbed from
-    /// the worker's local best (which starts at the global best), greedily
-    /// keeping the local best.
-    fn worker_iteration(
-        &self,
-        objective: &dyn Objective,
-        first: usize,
-        global_point: &[usize],
-        global_value: f64,
-        explored: &mut ExploredLog,
-    ) -> (Vec<usize>, f64) {
-        let mut local_point = global_point.to_vec();
-        let mut local_value = global_value;
-        let mut candidate = local_point.clone();
+    /// `points_per_iteration` candidates from `first` on, each applied to
+    /// the worker's local best in place (it starts at the global best),
+    /// evaluated, and undone unless it is strictly better.
+    fn worker_iteration<O: Objective + ?Sized>(&self, objective: &O, first: usize, w: &mut Worker) {
+        let choices = self.space.num_choices();
         for c in first..first + self.params.points_per_iteration {
-            candidate.copy_from_slice(&local_point);
-            let moves = self.moves(c);
-            for (&d, &delta) in self.dims[moves.clone()].iter().zip(&self.deltas[moves]) {
-                let d = usize::from(d);
-                candidate[d] = self.space.reflect(candidate[d] as f64 + delta);
+            let span = self.span(c);
+            for (m, &Move { dim, shift }) in span.clone().zip(&self.moves[span]) {
+                let d = usize::from(dim);
+                let choice = w.point[d];
+                w.undo.push((d, choice));
+                w.point[d] = if shift == FALLBACK {
+                    self.space.reflect(choice as f64 + self.fallback_delta(m))
+                } else {
+                    reflect_shifted(choice, shift, choices)
+                };
             }
-            let v = objective.evaluate(&candidate);
+            let v = objective.evaluate(&w.point);
             if self.params.record_explored {
-                explored.push((candidate.clone(), v));
+                w.explored.push((w.point.clone(), v));
             }
-            if v > local_value {
-                local_value = v;
-                std::mem::swap(&mut local_point, &mut candidate);
+            if v > w.value {
+                w.value = v;
+                w.undo.clear();
+            } else {
+                for (d, choice) in w.undo.drain(..).rev() {
+                    w.point[d] = choice;
+                }
             }
         }
-        (local_point, local_value)
     }
 }
 
-/// One logical worker's slots: its evaluation log across iterations and the
-/// per-iteration best it hands to the reduction.
-#[derive(Default)]
+/// One logical worker's state for a whole run: its local best, which each
+/// candidate is applied to and undone from in place, and its evaluation log
+/// across iterations.
 struct Worker {
+    point: Vec<usize>,
+    value: f64,
+    /// `(dimension, previous choice)` for each move of the candidate under
+    /// evaluation.
+    undo: Vec<(usize, usize)>,
     explored: ExploredLog,
-    local: (Vec<usize>, f64),
 }
 
 /// Runs parallel DDS (Alg. 2), maximizing `objective` over `space`, with the
@@ -324,10 +434,11 @@ struct Worker {
 /// # Panics
 ///
 /// Panics if any of `max_iters`, `points_per_iteration`, `initial_points`,
-/// `threads`, or `r_values` is zero/empty.
-pub fn parallel_search(
+/// `threads`, or `r_values` is zero/empty, or if a radius is not finite and
+/// positive.
+pub fn parallel_search<O: Objective + ?Sized>(
     space: &SearchSpace,
-    objective: &dyn Objective,
+    objective: &O,
     params: &ParallelDdsParams,
 ) -> SearchResult {
     parallel_search_in(None, space, objective, params)
@@ -337,10 +448,10 @@ pub fn parallel_search(
 /// `pool` when one is given: [`Draws::new`], then [`Draws::run_in`].
 /// Bit-identical for the same `params` whatever the pool's width, and with
 /// no pool at all.
-pub fn parallel_search_in(
+pub fn parallel_search_in<O: Objective + ?Sized>(
     pool: Option<&WorkerPool>,
     space: &SearchSpace,
-    objective: &dyn Objective,
+    objective: &O,
     params: &ParallelDdsParams,
 ) -> SearchResult {
     Draws::new(space, params).run_in(pool, objective)
@@ -508,20 +619,26 @@ mod tests {
     /// The replay against the drawing search, over the three `PenaltyTable`
     /// shapes in use (the runtime's 16 × 108 under a binding cap, `paper
     /// fig10`'s 16 × 108 beside 32 W, Flicker's 5 × 27), a space with frozen
-    /// dimensions and a one-dimensional one, at 50 seeds each, inline and
-    /// on pools of width 1, 2 and 8.
+    /// dimensions, a one-dimensional one, and a 4 × 3 one at radius 8 whose
+    /// deltas often exceed `16 · #confs` and so replay from the fallback
+    /// list, at 50 seeds each, inline and on pools of width 1, 2 and 8.
     #[test]
     fn replayed_draws_match_the_drawing_search_to_the_bit() {
         let pools: Vec<WorkerPool> = [1, 2, 8].into_iter().map(WorkerPool::new).collect();
-        let check = |space: &SearchSpace, objective: &dyn Objective, shape: &str| {
+        let check = |space: &SearchSpace,
+                     objective: &dyn Objective,
+                     base: &ParallelDdsParams,
+                     shape: &str| {
+            let mut fallbacks = 0;
             for seed in 0..50 {
                 let params = ParallelDdsParams {
                     seed,
                     record_explored: true,
-                    ..ParallelDdsParams::default()
+                    ..base.clone()
                 };
                 let want = drawing_search(space, objective, &params);
                 let draws = Draws::new(space, &params);
+                fallbacks += draws.fallback.len();
                 for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
                     let width = pool.map_or(0, WorkerPool::threads);
                     let got = draws.run_in(pool, objective);
@@ -532,7 +649,9 @@ mod tests {
                     assert_eq!(got.explored, want.explored, "{at}");
                 }
             }
+            fallbacks
         };
+        let fig6 = ParallelDdsParams::default();
 
         let mut rng = StdRng::seed_from_u64(0xD4A55);
         for (slots, choices, partitioned, base, max) in [
@@ -558,13 +677,105 @@ mod tests {
                 .collect();
             let table = PenaltyTable::new(bips.iter().zip(&watts), ways, base, max);
             let space = SearchSpace::new(slots, choices);
-            check(&space, &table, &format!("{slots} × {choices} table"));
+            check(&space, &table, &fig6, &format!("{slots} × {choices} table"));
         }
         let mut frozen = SearchSpace::new(12, 108);
         frozen.freeze(0, 100);
         frozen.freeze(11, 3);
-        check(&frozen, &separable(50), "12 dims, 2 frozen");
-        check(&SearchSpace::new(1, 108), &separable(50), "1 dim");
+        check(&frozen, &separable(50), &fig6, "12 dims, 2 frozen");
+        check(&SearchSpace::new(1, 108), &separable(50), &fig6, "1 dim");
+        let wide = ParallelDdsParams {
+            r_values: vec![8.0],
+            ..fig6.clone()
+        };
+        let fallbacks = check(
+            &SearchSpace::new(4, 3),
+            &separable(1),
+            &wide,
+            "4 × 3, r = 8",
+        );
+        assert!(
+            fallbacks > 0,
+            "the 4 × 3 shape never used the fallback list"
+        );
+    }
+
+    /// Every `c` in `0..n` for `n ∈ {1, 2, 3, 27, 108}`: a delta the rule
+    /// encodes lands, as an integer shift, where `reflect` lands. Covered:
+    /// a sweep of `[−16 n, 16 n]`, tiny and signed-zero deltas, deltas on
+    /// and just past `±16 n`, and deltas on the 2⁻²⁰ tie margin. Exact ties,
+    /// ties ± 1–4 ulp and deltas past `16 n` are not encoded.
+    #[test]
+    fn integer_shifts_replay_reflect_exactly() {
+        const MARGIN: f64 = 1.0 / (1u32 << 20) as f64;
+        let ulps = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
+        for n in [1usize, 2, 3, 27, 108] {
+            let space = SearchSpace::new(1, n);
+            let bound = 16.0 * n as f64;
+            // An irrational step spreads the sweep's fractional parts.
+            let step = std::f64::consts::FRAC_1_PI;
+            let steps = (bound / step) as i64;
+            let mut deltas: Vec<f64> = (-steps..=steps).map(|j| j as f64 * step).collect();
+            deltas.extend([0.0, -0.0, 1e-300, -1e-300, f64::MIN_POSITIVE, 0.49, -0.51]);
+            for tie in [0.5, 1.5, n as f64 - 0.5, n as f64 + 0.5, bound - 0.5] {
+                for x in [tie, -tie] {
+                    for k in -4..=4 {
+                        assert_eq!(integer_shift(ulps(x, k), n), None, "{x} {k:+} ulp");
+                    }
+                    deltas.extend([x + MARGIN, x - MARGIN]);
+                }
+            }
+            for edge in [bound, ulps(bound, -1), bound - 0.25] {
+                deltas.extend([edge, -edge]);
+            }
+            for past in [ulps(bound, 1), bound + 0.25] {
+                assert_eq!(integer_shift(past, n), None, "{past} at n = {n}");
+                assert_eq!(integer_shift(-past, n), None, "{} at n = {n}", -past);
+            }
+            for delta in deltas {
+                let Some(shift) = integer_shift(delta, n) else {
+                    let tie_distance = ((delta - delta.trunc()).abs() - 0.5).abs();
+                    assert!(tie_distance < MARGIN, "{delta} not encoded at n = {n}");
+                    continue;
+                };
+                for c in 0..n {
+                    assert_eq!(
+                        reflect_shifted(c, shift, n),
+                        space.reflect(c as f64 + delta),
+                        "n = {n}, c = {c}, delta = {delta:e}, shift = {shift}"
+                    );
+                }
+            }
+        }
+        assert_eq!(integer_shift(f64::NAN, 108), None);
+        assert_eq!(integer_shift(f64::INFINITY, 108), None);
+        assert_eq!(integer_shift(3.2, 1 << 11), None);
+    }
+
+    fn draws_with_radius(r: f64) -> Draws {
+        let params = ParallelDdsParams {
+            r_values: vec![0.2, r],
+            ..ParallelDdsParams::default()
+        };
+        Draws::new(&SearchSpace::new(4, 10), &params)
+    }
+
+    #[test]
+    #[should_panic(expected = "need finite, positive perturbation radii")]
+    fn nan_radius_rejected() {
+        draws_with_radius(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "need finite, positive perturbation radii")]
+    fn zero_radius_rejected() {
+        draws_with_radius(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need finite, positive perturbation radii")]
+    fn negative_radius_rejected() {
+        draws_with_radius(-0.2);
     }
 
     #[test]
