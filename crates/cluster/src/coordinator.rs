@@ -6,10 +6,10 @@
 //!
 //! 0. **Health** (serial, node-id order): inject this quantum's planned
 //!    fleet faults ([`FleetFaultPlan`]), observe every node's heartbeat
-//!    (did it answer the previous steps, or is it crashed / blacked out /
-//!    slow?), advance each node's [`NodeHealth`] state machine, evacuate
-//!    nodes newly declared Down, retry the displaced queue with bounded
-//!    backoff, and run the fleet degraded-mode hysteresis.
+//!    (did it answer the previous steps, or is it crashed, drained or
+//!    blacked out?), advance each node's [`NodeHealth`] state machine,
+//!    evacuate nodes newly declared Down, retry the displaced queue with
+//!    bounded backoff, and run the fleet degraded-mode hysteresis.
 //! 1. **Complete due migrations** (serial, start order): a tenant whose
 //!    modeled migration cost has elapsed is admitted on its destination;
 //!    a refusal schedules a bounded retry against the next-best node.
@@ -40,7 +40,9 @@ use workloads::batch::SpecBenchmark;
 
 use crate::balance::{decide_shift, BalanceConfig};
 use crate::faults::{FleetFaultInjector, FleetFaultPlan};
-use crate::health::{retry_backoff, DegradedMode, HealthConfig, HealthTracker, NodeHealth};
+use crate::health::{
+    retry_backoff, DegradedMode, HealthTracker, NodeHealth, MIN_DEGRADED_SHARE, SHARE_SHRINK,
+};
 use crate::migration::{
     InFlight, MigrateError, MigrationConfig, COST_QUANTA, MAX_RETRIES, RETRY_CAP_QUANTA,
 };
@@ -78,9 +80,6 @@ pub struct ClusterConfig {
     pub migration: MigrationConfig,
     /// Traffic balancing; `None` disables it.
     pub balance: Option<BalanceConfig>,
-    /// Health detection thresholds, displaced-retry backoff, and the
-    /// fleet degraded-mode hysteresis.
-    pub health: HealthConfig,
 }
 
 /// What the fault plan has done to one node so far — mechanical truth,
@@ -93,9 +92,6 @@ struct NodeFate {
     drained: bool,
     /// Blacked out (silent but alive) until this quantum.
     silent_until: usize,
-    /// This quantum's step overran its deadline (one missed heartbeat);
-    /// refreshed by fault injection every quantum.
-    slow: bool,
 }
 
 impl NodeFate {
@@ -106,7 +102,7 @@ impl NodeFate {
 
     /// Whether the node fails to heartbeat at `quantum`.
     fn silent_at(self, quantum: usize) -> bool {
-        self.crashed || self.drained || quantum < self.silent_until || self.slow
+        self.crashed || self.drained || quantum < self.silent_until
     }
 }
 
@@ -907,7 +903,6 @@ impl ClusterCoordinator {
         // draws at all).
         for i in 0..self.nodes.len() {
             let verdict = self.faults.node_quantum(NodeId::from_index(i), q);
-            self.fate[i].slow = verdict.slow;
             if verdict.crash {
                 self.fate[i].crashed = true;
             }
@@ -921,12 +916,11 @@ impl ClusterCoordinator {
         }
         // (b) Observe heartbeats and advance each state machine. The
         // heartbeat is the one observable the coordinator has: did the
-        // node answer this quantum, or is it crashed / blacked out /
-        // overrunning its step deadline? Timeouts are quantum-counted,
-        // never wall-clock.
+        // node answer this quantum, or is it crashed, drained or blacked
+        // out? Timeouts are quantum-counted, never wall-clock.
         for i in 0..self.nodes.len() {
             let beat = !self.fate[i].silent_at(q);
-            let Some((from, to)) = self.health[i].observe(beat, &self.config.health) else {
+            let Some((from, to)) = self.health[i].observe(beat) else {
                 continue;
             };
             self.pending.push(ClusterEvent::NodeHealthChanged {
@@ -946,7 +940,7 @@ impl ClusterCoordinator {
         // (d) Degraded-mode hysteresis: the fleet is infeasible while
         // displaced tenants remain unplaceable after their retries.
         let infeasible = !self.displaced.is_empty();
-        match self.degraded.observe(infeasible, &self.config.health) {
+        match self.degraded.observe(infeasible) {
             Some(true) => self
                 .pending
                 .push(ClusterEvent::FleetDegraded { quantum: q }),
@@ -1002,7 +996,7 @@ impl ClusterCoordinator {
     /// initial backoff. Parked tenants are retried every quantum their
     /// backoff allows; they are never dropped.
     fn park(&mut self, id: ClusterTenantId, from: NodeId) {
-        let retry_at = self.quantum + retry_backoff(&self.config.health, 0);
+        let retry_at = self.quantum + retry_backoff(0);
         self.displaced.push(DisplacedTenant {
             tenant: id,
             from,
@@ -1153,7 +1147,7 @@ impl ClusterCoordinator {
                 continue;
             }
             let attempts = d.attempts + 1;
-            let retry_at = self.quantum + retry_backoff(&self.config.health, attempts);
+            let retry_at = self.quantum + retry_backoff(attempts);
             self.pending.push(ClusterEvent::Displaced {
                 tenant: d.tenant,
                 name: self.tenants[d.tenant.0].name.clone(),
@@ -1209,14 +1203,13 @@ impl ClusterCoordinator {
             }
         }
         // No batch left to shed: shrink LC shares toward the floor.
-        let cfg = self.config.health;
         for i in 0..self.nodes.len() {
             if !self.health[i].state().is_serving() {
                 continue;
             }
             let shares = self.nodes[i].core().lc_traffic_shares().to_vec();
             for (lc_index, share) in shares.into_iter().enumerate() {
-                let target = (share - cfg.share_shrink).max(cfg.min_degraded_share);
+                let target = (share - SHARE_SHRINK).max(MIN_DEGRADED_SHARE);
                 if target < share {
                     let _ = self.nodes[i]
                         .core_mut()

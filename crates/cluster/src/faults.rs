@@ -2,11 +2,11 @@
 //!
 //! PR 3 gave one node's sensors and reconfiguration commands a seeded,
 //! bit-replayable fault model (`cuttlesys::faults`). This module lifts the
-//! same discipline to the fleet: node crashes, temporary blackouts (a node
-//! silent for K quanta), slow nodes (step-deadline overruns, one missed
-//! heartbeat each), and scheduled maintenance drains. Every probabilistic
-//! verdict is a pure function of `(seed, stream, node, quantum)` drawn
-//! from the workspace's counter-based splitmix64 streams
+//! same discipline to the fleet: node crashes drawn at a per-(node,
+//! quantum) rate, plus faults scheduled at exact coordinates — a crash, a
+//! temporary blackout (a node silent for K quanta), or a maintenance
+//! drain. The crash verdict is a pure function of `(seed, node, quantum)`
+//! drawn from the workspace's counter-based splitmix64 streams
 //! ([`simulator::fault`]), so fault draws never perturb the simulation's
 //! own randomness: a clean run and a faulty run of the same scenario step
 //! the exact same per-node quanta, and two faulty runs with the same plan
@@ -30,9 +30,6 @@ pub enum FleetFaultKind {
         /// How many quanta the node stays silent.
         quanta: usize,
     },
-    /// The node overruns its step deadline this quantum: one missed
-    /// heartbeat, then business as usual.
-    Slow,
     /// A scheduled maintenance drain: the coordinator evacuates the node
     /// with warning, then takes it out of the fleet.
     Drain,
@@ -51,27 +48,16 @@ pub struct ScheduledFault {
     pub kind: FleetFaultKind,
 }
 
-/// Which fleet faults can fire, at what per-(node, quantum) rates, from
-/// which seed — plus any exactly-scheduled faults. The plan is pure data;
-/// [`FleetFaultInjector`] turns it into per-quantum verdicts.
+/// The per-(node, quantum) crash rate and its seed, plus any
+/// exactly-scheduled faults. The plan is pure data; [`FleetFaultInjector`]
+/// turns it into per-quantum verdicts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultPlan {
-    /// Seed for every probabilistic draw in this plan.
+    /// Seed of the crash draws.
     pub seed: u64,
     /// Per-(node, quantum) probability of a permanent crash.
     pub crash: f64,
-    /// Per-(node, quantum) probability that a blackout starts.
-    pub blackout: f64,
-    /// How many quanta a probabilistic blackout lasts.
-    pub blackout_quanta: usize,
-    /// Per-(node, quantum) probability of a step-deadline overrun.
-    pub slow: f64,
-    /// Per-(node, quantum) probability of a scheduled maintenance drain.
-    pub drain: f64,
-    /// Probabilistic faults fire only in `[start, end)` quanta when set.
-    /// Scheduled faults carry their own coordinates and ignore the window.
-    pub window: Option<(usize, usize)>,
-    /// Exactly-scheduled faults, applied on top of the probabilistic ones.
+    /// Exactly-scheduled faults, applied on top of the drawn crashes.
     pub scheduled: Vec<ScheduledFault>,
 }
 
@@ -82,40 +68,22 @@ impl FleetFaultPlan {
         FleetFaultPlan {
             seed: 0,
             crash: 0.0,
-            blackout: 0.0,
-            blackout_quanta: 0,
-            slow: 0.0,
-            drain: 0.0,
-            window: None,
             scheduled: Vec::new(),
         }
     }
 
-    /// A named profile, mirroring `cuttlesys::faults` — `"clean"`,
-    /// `"node-crash"`, `"blackout"`, `"slow-node"`, `"maintenance-drain"`.
-    /// Returns `None` for an unknown name.
+    /// A named profile, mirroring `cuttlesys::faults` — `"clean"` or
+    /// `"node-crash"`. Returns `None` for an unknown name.
     pub fn named(name: &str, seed: u64) -> Option<FleetFaultPlan> {
-        let base = FleetFaultPlan {
-            seed,
-            ..FleetFaultPlan::none()
-        };
-        Some(match name {
-            "clean" => base,
-            "node-crash" => FleetFaultPlan {
-                crash: 0.02,
-                ..base
-            },
-            "blackout" => FleetFaultPlan {
-                blackout: 0.05,
-                blackout_quanta: 3,
-                ..base
-            },
-            "slow-node" => FleetFaultPlan { slow: 0.2, ..base },
-            "maintenance-drain" => FleetFaultPlan {
-                drain: 0.02,
-                ..base
-            },
+        let crash = match name {
+            "clean" => 0.0,
+            "node-crash" => 0.02,
             _ => return None,
+        };
+        Some(FleetFaultPlan {
+            seed,
+            crash,
+            scheduled: Vec::new(),
         })
     }
 
@@ -151,19 +119,7 @@ impl FleetFaultPlan {
 
     /// Whether this plan can never fire anything.
     pub fn is_clean(&self) -> bool {
-        self.crash == 0.0
-            && self.blackout == 0.0
-            && self.slow == 0.0
-            && self.drain == 0.0
-            && self.scheduled.is_empty()
-    }
-
-    /// Whether probabilistic faults are live at `quantum`.
-    pub fn active_at(&self, quantum: usize) -> bool {
-        match self.window {
-            Some((start, end)) => quantum >= start && quantum < end,
-            None => true,
-        }
+        self.crash == 0.0 && self.scheduled.is_empty()
     }
 }
 
@@ -180,8 +136,6 @@ pub struct NodeQuantumFaults {
     pub crash: bool,
     /// A blackout of this many quanta starts (0 = none).
     pub blackout_quanta: usize,
-    /// The node overruns this quantum's step deadline.
-    pub slow: bool,
     /// A maintenance drain is scheduled.
     pub drain: bool,
 }
@@ -191,7 +145,6 @@ impl NodeQuantumFaults {
     pub const NONE: NodeQuantumFaults = NodeQuantumFaults {
         crash: false,
         blackout_quanta: 0,
-        slow: false,
         drain: false,
     };
 }
@@ -232,28 +185,15 @@ impl FleetFaultInjector {
                 FleetFaultKind::Blackout { quanta } => {
                     out.blackout_quanta = out.blackout_quanta.max(quanta.max(1));
                 }
-                FleetFaultKind::Slow => out.slow = true,
                 FleetFaultKind::Drain => out.drain = true,
             }
         }
-        if self.plan.active_at(quantum) {
-            let (seed, idx) = (self.plan.seed, pack(node, quantum));
-            // Short-circuit on a zero rate so a purely scheduled plan
-            // performs no draws at all.
-            if self.plan.crash > 0.0 && unit(seed, FaultStream::NodeCrash, idx) < self.plan.crash {
-                out.crash = true;
-            }
-            if self.plan.blackout > 0.0
-                && unit(seed, FaultStream::NodeBlackout, idx) < self.plan.blackout
-            {
-                out.blackout_quanta = out.blackout_quanta.max(self.plan.blackout_quanta.max(1));
-            }
-            if self.plan.slow > 0.0 && unit(seed, FaultStream::NodeSlow, idx) < self.plan.slow {
-                out.slow = true;
-            }
-            if self.plan.drain > 0.0 && unit(seed, FaultStream::NodeDrain, idx) < self.plan.drain {
-                out.drain = true;
-            }
+        // Short-circuit on a zero rate so a purely scheduled plan performs
+        // no draws at all.
+        if self.plan.crash > 0.0
+            && unit(self.plan.seed, FaultStream::NodeCrash, pack(node, quantum)) < self.plan.crash
+        {
+            out.crash = true;
         }
         out
     }
@@ -299,23 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn the_window_confines_probabilistic_faults() {
-        let plan = FleetFaultPlan {
-            window: Some((10, 20)),
-            slow: 0.9,
-            ..FleetFaultPlan::none()
-        };
-        let injector = FleetFaultInjector::new(plan);
-        for q in 0..40 {
-            let v = injector.node_quantum(NodeId::local(), q);
-            if !(10..20).contains(&q) {
-                assert_eq!(v, NodeQuantumFaults::NONE, "quantum {q} outside window");
-            }
-        }
-        assert!((10..20).any(|q| injector.node_quantum(NodeId::local(), q).slow));
-    }
-
-    #[test]
     fn scheduled_faults_fire_at_exactly_their_coordinates() {
         let plan = FleetFaultPlan::none()
             .with_crash(NodeId::from_index(1), 3)
@@ -337,13 +260,7 @@ mod tests {
 
     #[test]
     fn named_profiles_cover_the_catalog() {
-        for name in [
-            "clean",
-            "node-crash",
-            "blackout",
-            "slow-node",
-            "maintenance-drain",
-        ] {
+        for name in ["clean", "node-crash"] {
             let plan = FleetFaultPlan::named(name, 1).expect(name);
             assert_eq!(plan.is_clean(), name == "clean", "{name}");
         }

@@ -5,27 +5,29 @@
 //! module turns that one observable into a per-node state machine:
 //!
 //! ```text
-//!        miss            missed >= down_after
+//!        miss            missed >= DOWN_AFTER
 //!  Up ─────────→ Suspect ────────────────────→ Down
 //!   ↑ beat          │ beat                      │ beat
 //!   │←──────────────┘                           ▼
-//!   │         clean >= recover_after        Recovering
+//!   │         clean >= RECOVER_AFTER        Recovering
 //!   └───────────────────────────────────────────┘
 //!                                     (a miss while Recovering relapses
 //!                                      straight back to Down)
 //! ```
 //!
-//! Every timeout is **quantum-counted** — `down_after` missed heartbeats,
-//! `recover_after` clean quanta — never wall-clock. The coordinator steps
-//! the fleet in simulated lockstep time; a wall clock here would make the
-//! detector's verdicts depend on host scheduling and break bit-replay
-//! (the invariant linter keeps this file on the decision path).
+//! Every timeout is **quantum-counted** — [`DOWN_AFTER`] missed
+//! heartbeats, [`RECOVER_AFTER`] clean quanta — never wall-clock. The
+//! coordinator steps the fleet in simulated lockstep time; a wall clock
+//! here would make the detector's verdicts depend on host scheduling and
+//! break bit-replay (the invariant linter keeps this file on the decision
+//! path).
 //!
-//! The same config carries the displaced-queue backoff arithmetic
-//! ([`retry_backoff`]: `min(retry_base · 2^attempts, retry_cap)` quanta)
-//! and the fleet [`DegradedMode`] hysteresis (enter after `degrade_after`
-//! consecutive infeasible quanta, exit after `restore_after` consecutive
-//! feasible ones — the fleet-level analogue of PR 3's circuit breaker).
+//! The same module holds the displaced-queue backoff arithmetic
+//! ([`retry_backoff`]: `min(RETRY_BASE · 2^attempts, RETRY_CAP)` quanta)
+//! and the fleet [`DegradedMode`] hysteresis (enter after
+//! [`DEGRADE_AFTER`] consecutive infeasible quanta, exit after
+//! [`RESTORE_AFTER`] consecutive feasible ones — the fleet-level analogue
+//! of PR 3's circuit breaker).
 
 /// One node's health as the coordinator sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,53 +73,33 @@ impl NodeHealth {
     }
 }
 
-/// Quantum-counted health thresholds, displaced-retry backoff, and the
-/// fleet degraded-mode hysteresis knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// Consecutive missed heartbeats before a node is declared Down (and
-    /// its tenants evacuated).
-    pub down_after: usize,
-    /// Consecutive clean quanta a Recovering node needs to return to Up.
-    pub recover_after: usize,
-    /// Displaced-queue backoff base, in quanta (first retry waits this).
-    pub retry_base: usize,
-    /// Displaced-queue backoff ceiling, in quanta.
-    pub retry_cap: usize,
-    /// Consecutive infeasible quanta (displaced tenants unplaceable)
-    /// before the fleet enters degraded mode.
-    pub degrade_after: usize,
-    /// Consecutive feasible quanta before the fleet exits degraded mode.
-    pub restore_after: usize,
-    /// While degraded and out of batch to shed, LC traffic shares shrink
-    /// toward this floor (the fleet's safe-mode allocation) ...
-    pub min_degraded_share: f64,
-    /// ... by this much per quantum.
-    pub share_shrink: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            down_after: 3,
-            recover_after: 2,
-            retry_base: 1,
-            retry_cap: 8,
-            degrade_after: 2,
-            restore_after: 2,
-            min_degraded_share: 0.5,
-            share_shrink: 0.1,
-        }
-    }
-}
+/// Consecutive missed heartbeats before a node is declared Down (and its
+/// tenants evacuated).
+pub const DOWN_AFTER: usize = 3;
+/// Consecutive clean quanta a Recovering node needs to return to Up.
+pub const RECOVER_AFTER: usize = 2;
+/// Displaced-queue backoff base, in quanta (the first retry waits this).
+pub const RETRY_BASE: usize = 1;
+/// Displaced-queue backoff ceiling, in quanta.
+pub const RETRY_CAP: usize = 8;
+/// Consecutive infeasible quanta (displaced tenants unplaceable) before
+/// the fleet enters degraded mode.
+pub const DEGRADE_AFTER: usize = 2;
+/// Consecutive feasible quanta before the fleet exits degraded mode.
+pub const RESTORE_AFTER: usize = 2;
+/// While degraded and out of batch to shed, LC traffic shares shrink
+/// toward this floor (the fleet's safe-mode allocation) ...
+pub const MIN_DEGRADED_SHARE: f64 = 0.5;
+/// ... by this much per quantum.
+pub const SHARE_SHRINK: f64 = 0.1;
 
 /// Bounded exponential backoff for the displaced queue, in quanta:
-/// `min(retry_base · 2^attempts, retry_cap)`, never less than one. Pure
-/// arithmetic over quantum counts — deterministic and replayable.
-pub fn retry_backoff(config: &HealthConfig, attempts: u32) -> usize {
-    let base = config.retry_base.max(1);
-    base.saturating_mul(1usize << attempts.min(16))
-        .min(config.retry_cap.max(1))
+/// `min(RETRY_BASE · 2^attempts, RETRY_CAP)`. Pure arithmetic over
+/// quantum counts — deterministic and replayable.
+pub fn retry_backoff(attempts: u32) -> usize {
+    RETRY_BASE
+        .saturating_mul(1usize << attempts.min(16))
+        .min(RETRY_CAP)
 }
 
 /// One node's health detector: feed it the heartbeat verdict each
@@ -144,23 +126,17 @@ impl HealthTracker {
     /// to))` when the state changed (missed-count and clean-count updates
     /// within Suspect/Recovering count as changes too — the coordinator
     /// reports only the Down/serving edges it cares about).
-    pub fn observe(
-        &mut self,
-        heartbeat: bool,
-        config: &HealthConfig,
-    ) -> Option<(NodeHealth, NodeHealth)> {
+    pub fn observe(&mut self, heartbeat: bool) -> Option<(NodeHealth, NodeHealth)> {
         let from = self.state;
-        let down_after = config.down_after.max(1);
-        let recover_after = config.recover_after.max(1);
         let missed_step = |missed: usize| {
-            if missed >= down_after {
+            if missed >= DOWN_AFTER {
                 NodeHealth::Down
             } else {
                 NodeHealth::Suspect { missed }
             }
         };
         let clean_step = |clean: usize| {
-            if clean >= recover_after {
+            if clean >= RECOVER_AFTER {
                 NodeHealth::Up
             } else {
                 NodeHealth::Recovering { clean }
@@ -197,7 +173,7 @@ impl Default for HealthTracker {
 
 /// Fleet-level degraded mode with hysteretic entry and exit: the
 /// coordinator reports each quantum whether lost capacity left displaced
-/// tenants unplaceable, and the mode flips only after a configured streak
+/// tenants unplaceable, and the mode flips only after a fixed streak
 /// in either direction — one bad (or good) quantum never flaps the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradedMode {
@@ -219,18 +195,18 @@ impl DegradedMode {
 
     /// Observes one quantum's feasibility verdict. Returns `Some(true)`
     /// on entry, `Some(false)` on exit, `None` otherwise.
-    pub fn observe(&mut self, infeasible: bool, config: &HealthConfig) -> Option<bool> {
+    pub fn observe(&mut self, infeasible: bool) -> Option<bool> {
         if infeasible {
             self.infeasible_streak += 1;
             self.feasible_streak = 0;
-            if !self.active && self.infeasible_streak >= config.degrade_after.max(1) {
+            if !self.active && self.infeasible_streak >= DEGRADE_AFTER {
                 self.active = true;
                 return Some(true);
             }
         } else {
             self.feasible_streak += 1;
             self.infeasible_streak = 0;
-            if self.active && self.feasible_streak >= config.restore_after.max(1) {
+            if self.active && self.feasible_streak >= RESTORE_AFTER {
                 self.active = false;
                 return Some(false);
             }
@@ -246,69 +222,53 @@ mod tests {
 
     #[test]
     fn the_detector_walks_up_suspect_down_recovering_up() {
-        let config = HealthConfig::default();
         let mut t = HealthTracker::new();
-        assert_eq!(t.observe(true, &config), None, "clean quantum, no change");
+        assert_eq!(t.observe(true), None, "clean quantum, no change");
         assert_eq!(
-            t.observe(false, &config),
+            t.observe(false),
             Some((NodeHealth::Up, NodeHealth::Suspect { missed: 1 }))
         );
         assert_eq!(
-            t.observe(false, &config),
+            t.observe(false),
             Some((
                 NodeHealth::Suspect { missed: 1 },
                 NodeHealth::Suspect { missed: 2 }
             ))
         );
-        // Third consecutive miss crosses down_after = 3.
+        // Third consecutive miss crosses DOWN_AFTER = 3.
         assert_eq!(
-            t.observe(false, &config),
+            t.observe(false),
             Some((NodeHealth::Suspect { missed: 2 }, NodeHealth::Down))
         );
-        assert_eq!(t.observe(false, &config), None, "down stays down");
+        assert_eq!(t.observe(false), None, "down stays down");
         assert_eq!(
-            t.observe(true, &config),
+            t.observe(true),
             Some((NodeHealth::Down, NodeHealth::Recovering { clean: 1 }))
         );
-        // Second clean quantum crosses recover_after = 2.
+        // Second clean quantum crosses RECOVER_AFTER = 2.
         assert_eq!(
-            t.observe(true, &config),
+            t.observe(true),
             Some((NodeHealth::Recovering { clean: 1 }, NodeHealth::Up))
         );
     }
 
     #[test]
     fn a_heartbeat_clears_suspicion_and_a_relapse_returns_to_down() {
-        let config = HealthConfig::default();
         let mut t = HealthTracker::new();
-        t.observe(false, &config);
+        t.observe(false);
         assert_eq!(
-            t.observe(true, &config),
+            t.observe(true),
             Some((NodeHealth::Suspect { missed: 1 }, NodeHealth::Up))
         );
         // Down, one clean quantum, then a miss: straight back to Down.
         for _ in 0..3 {
-            t.observe(false, &config);
+            t.observe(false);
         }
         assert_eq!(t.state(), NodeHealth::Down);
-        t.observe(true, &config);
+        t.observe(true);
         assert_eq!(
-            t.observe(false, &config),
+            t.observe(false),
             Some((NodeHealth::Recovering { clean: 1 }, NodeHealth::Down))
-        );
-    }
-
-    #[test]
-    fn down_after_one_means_immediate_detection() {
-        let config = HealthConfig {
-            down_after: 1,
-            ..HealthConfig::default()
-        };
-        let mut t = HealthTracker::new();
-        assert_eq!(
-            t.observe(false, &config),
-            Some((NodeHealth::Up, NodeHealth::Down)),
-            "a kill with warning: detected the quantum it happens"
         );
     }
 
@@ -321,49 +281,25 @@ mod tests {
 
     #[test]
     fn retry_backoff_doubles_and_saturates_at_the_cap() {
-        let config = HealthConfig::default(); // base 1, cap 8
-        let waits: Vec<usize> = (0..6).map(|a| retry_backoff(&config, a)).collect();
+        let waits: Vec<usize> = (0..6).map(retry_backoff).collect();
         assert_eq!(waits, vec![1, 2, 4, 8, 8, 8]);
         // Huge attempt counts cannot overflow.
-        assert_eq!(retry_backoff(&config, u32::MAX), 8);
-        let zeroed = HealthConfig {
-            retry_base: 0,
-            retry_cap: 0,
-            ..config
-        };
-        assert_eq!(retry_backoff(&zeroed, 0), 1, "never less than one quantum");
+        assert_eq!(retry_backoff(u32::MAX), RETRY_CAP);
     }
 
     #[test]
     fn degraded_mode_is_hysteretic_in_both_directions() {
-        let config = HealthConfig::default(); // degrade_after 2, restore_after 2
         let mut mode = DegradedMode::new();
-        assert_eq!(
-            mode.observe(true, &config),
-            None,
-            "one bad quantum is noise"
-        );
-        assert_eq!(mode.observe(false, &config), None, "streak broken");
-        assert_eq!(mode.observe(true, &config), None);
-        assert_eq!(
-            mode.observe(true, &config),
-            Some(true),
-            "second in a row enters"
-        );
+        assert_eq!(mode.observe(true), None, "one bad quantum is noise");
+        assert_eq!(mode.observe(false), None, "streak broken");
+        assert_eq!(mode.observe(true), None);
+        assert_eq!(mode.observe(true), Some(true), "second in a row enters");
         assert!(mode.active());
-        assert_eq!(mode.observe(true, &config), None, "already degraded");
-        assert_eq!(
-            mode.observe(false, &config),
-            None,
-            "one good quantum is noise"
-        );
-        assert_eq!(mode.observe(true, &config), None, "streak broken");
-        assert_eq!(mode.observe(false, &config), None);
-        assert_eq!(
-            mode.observe(false, &config),
-            Some(false),
-            "second in a row exits"
-        );
+        assert_eq!(mode.observe(true), None, "already degraded");
+        assert_eq!(mode.observe(false), None, "one good quantum is noise");
+        assert_eq!(mode.observe(true), None, "streak broken");
+        assert_eq!(mode.observe(false), None);
+        assert_eq!(mode.observe(false), Some(false), "second in a row exits");
         assert!(!mode.active());
     }
 }

@@ -23,9 +23,9 @@
 //!   ratio breaches a threshold, the coordinator shifts a fraction of
 //!   that service's traffic share to the least-loaded replica,
 //!   conserving the total offered load.
-//! * **Fault tolerance** ([`faults`], [`health`]) — a seeded
-//!   [`FleetFaultPlan`] deterministically injects node crashes,
-//!   blackouts, slow nodes, and maintenance drains; a per-node
+//! * **Fault tolerance** ([`faults`], [`health`]) — a
+//!   [`FleetFaultPlan`] deterministically injects seeded node crashes and
+//!   scheduled crashes, blackouts, and maintenance drains; a per-node
 //!   [`NodeHealth`] state machine driven by quantum-counted heartbeat
 //!   timeouts detects them; detection triggers evacuation (batch tenants
 //!   re-enter admission elsewhere, LC traffic folds onto surviving
@@ -75,7 +75,7 @@ pub use cuttlesys::lifecycle::{NodeId, RelocationTarget};
 pub use faults::{
     FleetFaultInjector, FleetFaultKind, FleetFaultPlan, NodeQuantumFaults, ScheduledFault,
 };
-pub use health::{HealthConfig, NodeHealth};
+pub use health::NodeHealth;
 pub use migration::{MigrateError, MigrationConfig};
 pub use node::NodeAgent;
 pub use placement::{PlacementError, PlacementScore};

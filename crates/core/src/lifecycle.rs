@@ -270,22 +270,6 @@ impl TenantLifecycle {
         self.transitions += 1;
         Ok(())
     }
-
-    /// Moves to `to` only if not already there; a no-op self-"transition"
-    /// is not an error (the control plane calls this every quantum with the
-    /// state the telemetry implies).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifecycleError`] when a real (state-changing) transition
-    /// is requested and it is illegal.
-    pub fn settle(&mut self, to: LifecycleState) -> Result<bool, LifecycleError> {
-        if self.state == to {
-            return Ok(false);
-        }
-        self.transition(to)?;
-        Ok(true)
-    }
 }
 
 impl Default for TenantLifecycle {
@@ -437,15 +421,5 @@ mod tests {
         );
         assert_eq!(Running.relocation_target(), None);
         assert_eq!(format!("{}", NodeId::from_index(3)), "n3");
-    }
-
-    #[test]
-    fn settle_is_idempotent() {
-        let mut lc = TenantLifecycle::new();
-        lc.transition(Admitted).unwrap();
-        lc.transition(Running).unwrap();
-        assert!(!lc.settle(Running).unwrap(), "no-op settle");
-        assert!(lc.settle(Degraded).unwrap(), "real settle transitions");
-        assert_eq!(lc.transitions(), 3);
     }
 }

@@ -715,8 +715,7 @@ impl RunRecord {
 
     /// The record with wall-clock stage timings (and the ledger-only cache
     /// counters) zeroed, so runs compare on simulated quantities only — the
-    /// convention every determinism test in this workspace uses
-    /// (`service::comparable` delegates here).
+    /// convention every determinism test in this workspace uses.
     pub fn comparable(mut self) -> RunRecord {
         for slice in self.slices.iter_mut() {
             if let Some(t) = slice.telemetry.as_mut() {

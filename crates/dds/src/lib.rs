@@ -9,9 +9,9 @@
 //!
 //! CuttleSys (§VI) adapts DDS to the co-scheduling problem: a point is a
 //! vector assigning one of `m·p = 108` (core configuration, cache allocation)
-//! pairs to every batch job, the latency-critical job's dimensions are frozen
-//! to the QoS-safe configuration, and a penalty objective enforces the power
-//! and cache budgets. The crate provides:
+//! pairs to every batch job — the latency-critical jobs keep the QoS-safe
+//! configuration and are not dimensions of the search at all — and a penalty
+//! objective enforces the power and cache budgets. The crate provides:
 //!
 //! * [`serial`] — the reference single-threaded DDS;
 //! * [`parallel`] — the paper's parallel DDS (Alg. 2): thread groups with
@@ -53,20 +53,19 @@ pub use parallel::{parallel_search, parallel_search_in, Draws, ParallelDdsParams
 pub use serial::{search, DdsParams};
 
 /// A discrete search space: `dims` decision variables, each taking a value
-/// in `0..num_choices`, with an optional set of frozen dimensions.
+/// in `0..num_choices`.
 ///
-/// Frozen dimensions implement Alg. 2 line 5: cores assigned to the
-/// latency-critical service keep the configuration chosen by the QoS scan
-/// while DDS explores the batch jobs' dimensions.
+/// Alg. 2 line 5 keeps the latency-critical service's cores at the
+/// configuration the QoS scan chose; here those cores are simply not
+/// dimensions — the space holds the batch jobs' slots only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchSpace {
     dims: usize,
     num_choices: usize,
-    frozen: Vec<Option<usize>>,
 }
 
 impl SearchSpace {
-    /// Creates a space with no frozen dimensions.
+    /// Creates a space.
     ///
     /// # Panics
     ///
@@ -74,22 +73,7 @@ impl SearchSpace {
     pub fn new(dims: usize, num_choices: usize) -> SearchSpace {
         assert!(dims > 0, "search space needs at least one dimension");
         assert!(num_choices > 0, "each dimension needs at least one choice");
-        SearchSpace {
-            dims,
-            num_choices,
-            frozen: vec![None; dims],
-        }
-    }
-
-    /// Freezes dimension `dim` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` or `value` is out of range.
-    pub fn freeze(&mut self, dim: usize, value: usize) {
-        assert!(dim < self.dims, "dimension {dim} out of range");
-        assert!(value < self.num_choices, "value {value} out of range");
-        self.frozen[dim] = Some(value);
+        SearchSpace { dims, num_choices }
     }
 
     /// Number of decision variables.
@@ -102,33 +86,15 @@ impl SearchSpace {
         self.num_choices
     }
 
-    /// The frozen value of `dim`, if any.
-    pub fn frozen_value(&self, dim: usize) -> Option<usize> {
-        self.frozen[dim]
-    }
-
-    /// Indices of the dimensions DDS may perturb.
-    pub fn free_dims(&self) -> Vec<usize> {
-        (0..self.dims)
-            .filter(|&d| self.frozen[d].is_none())
-            .collect()
-    }
-
-    /// Whether `point` lies in the space and honours the frozen values.
+    /// Whether `point` lies in the space.
     pub fn contains(&self, point: &[usize]) -> bool {
-        point.len() == self.dims
-            && point.iter().all(|&v| v < self.num_choices)
-            && self
-                .frozen
-                .iter()
-                .zip(point)
-                .all(|(f, &v)| f.is_none_or(|fv| fv == v))
+        point.len() == self.dims && point.iter().all(|&v| v < self.num_choices)
     }
 
-    /// Draws a uniformly random point honouring the frozen dimensions.
+    /// Draws a uniformly random point.
     pub fn random_point(&self, rng: &mut impl rand::RngExt) -> Vec<usize> {
         (0..self.dims)
-            .map(|d| self.frozen[d].unwrap_or_else(|| rng.random_range(0..self.num_choices)))
+            .map(|_| rng.random_range(0..self.num_choices))
             .collect()
     }
 
@@ -174,35 +140,25 @@ mod tests {
 
     #[test]
     fn space_accessors() {
-        let mut s = SearchSpace::new(4, 10);
+        let s = SearchSpace::new(4, 10);
         assert_eq!(s.dims(), 4);
         assert_eq!(s.num_choices(), 10);
-        s.freeze(1, 7);
-        assert_eq!(s.frozen_value(1), Some(7));
-        assert_eq!(s.free_dims(), vec![0, 2, 3]);
     }
 
     #[test]
-    fn contains_checks_bounds_and_frozen() {
-        let mut s = SearchSpace::new(3, 5);
-        s.freeze(0, 2);
+    fn contains_checks_bounds_and_length() {
+        let s = SearchSpace::new(3, 5);
         assert!(s.contains(&[2, 4, 0]));
-        assert!(!s.contains(&[1, 4, 0]), "frozen value violated");
         assert!(!s.contains(&[2, 5, 0]), "out of range");
         assert!(!s.contains(&[2, 4]), "wrong length");
     }
 
     #[test]
-    fn random_points_honour_frozen_dims() {
-        let mut s = SearchSpace::new(6, 108);
-        s.freeze(0, 42);
-        s.freeze(5, 3);
+    fn random_points_lie_in_the_space() {
+        let s = SearchSpace::new(6, 108);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let p = s.random_point(&mut rng);
-            assert!(s.contains(&p));
-            assert_eq!(p[0], 42);
-            assert_eq!(p[5], 3);
+            assert!(s.contains(&s.random_point(&mut rng)));
         }
     }
 

@@ -211,9 +211,9 @@ impl Draws {
     /// Draws everything a run of `params` over `space` consumes: the
     /// initial points from the `seed` stream, then, iteration by iteration,
     /// each worker's `points_per_iteration` candidates from its own stream
-    /// — a Bernoulli(`p_select`) choice per free dimension, one uniformly
-    /// chosen free dimension when none was chosen, and a normal delta per
-    /// chosen dimension.
+    /// — a Bernoulli(`p_select`) choice per dimension, one uniformly chosen
+    /// dimension when none was chosen, and a normal delta per chosen
+    /// dimension.
     ///
     /// # Panics
     ///
@@ -232,10 +232,10 @@ impl Draws {
             .flat_map(|_| space.random_point(&mut rng))
             .collect();
 
-        let free = space.free_dims();
+        let dims = space.dims();
         let candidates = params.max_iters * params.threads * params.points_per_iteration;
         assert!(
-            candidates.saturating_mul(free.len().max(1)) <= u32::MAX as usize,
+            candidates.saturating_mul(dims) <= u32::MAX as usize,
             "a candidate's end offset is 32 bits"
         );
         let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
@@ -256,13 +256,13 @@ impl Draws {
                 let scale = worker_radius(params, t) * space.num_choices() as f64;
                 for _ in 0..params.points_per_iteration {
                     let start = draws.moves.len();
-                    for &d in &free {
+                    for d in 0..dims {
                         if rng.random_range(0.0..1.0) < p_select {
                             draws.push_move(d, scale * standard_normal(rng));
                         }
                     }
-                    if draws.moves.len() == start && !free.is_empty() {
-                        let d = free[rng.random_range(0..free.len())];
+                    if draws.moves.len() == start {
+                        let d = rng.random_range(0..dims);
                         draws.push_move(d, scale * standard_normal(rng));
                     }
                     draws.ends.push(draws.moves.len() as u32);
@@ -483,16 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn respects_frozen_dimensions() {
-        let mut space = SearchSpace::new(8, 108);
-        space.freeze(0, 100);
-        space.freeze(7, 3);
-        let result = parallel_search(&space, &separable(50), &ParallelDdsParams::default());
-        assert_eq!(result.best_point[0], 100);
-        assert_eq!(result.best_point[7], 3);
-    }
-
-    #[test]
     fn deterministic_for_fixed_seed() {
         let space = SearchSpace::new(8, 108);
         let params = ParallelDdsParams {
@@ -530,7 +520,6 @@ mod tests {
             }
         }
 
-        let free = space.free_dims();
         let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
         let mut workers: Vec<(StdRng, f64, ExploredLog)> = (0..params.threads)
             .map(|t| {
@@ -547,7 +536,6 @@ mod tests {
                         space,
                         objective,
                         params,
-                        &free,
                         *r,
                         p_select,
                         &best_point,
@@ -578,7 +566,6 @@ mod tests {
         space: &SearchSpace,
         objective: &dyn Objective,
         params: &ParallelDdsParams,
-        free: &[usize],
         r: f64,
         p_select: f64,
         global_point: &[usize],
@@ -592,15 +579,15 @@ mod tests {
         for _ in 0..params.points_per_iteration {
             candidate.copy_from_slice(&local_point);
             let mut perturbed_any = false;
-            for &d in free {
+            for choice in candidate.iter_mut() {
                 if rng.random_range(0.0..1.0) < p_select {
                     let delta = r * space.num_choices() as f64 * standard_normal(rng);
-                    candidate[d] = space.reflect(candidate[d] as f64 + delta);
+                    *choice = space.reflect(*choice as f64 + delta);
                     perturbed_any = true;
                 }
             }
-            if !perturbed_any && !free.is_empty() {
-                let d = free[rng.random_range(0..free.len())];
+            if !perturbed_any {
+                let d = rng.random_range(0..space.dims());
                 let delta = r * space.num_choices() as f64 * standard_normal(rng);
                 candidate[d] = space.reflect(candidate[d] as f64 + delta);
             }
@@ -618,8 +605,8 @@ mod tests {
 
     /// The replay against the drawing search, over the three `PenaltyTable`
     /// shapes in use (the runtime's 16 × 108 under a binding cap, `paper
-    /// fig10`'s 16 × 108 beside 32 W, Flicker's 5 × 27), a space with frozen
-    /// dimensions, a one-dimensional one, and a 4 × 3 one at radius 8 whose
+    /// fig10`'s 16 × 108 beside 32 W, Flicker's 5 × 27), a one-dimensional
+    /// space, and a 4 × 3 one at radius 8 whose
     /// deltas often exceed `16 · #confs` and so replay from the fallback
     /// list, at 50 seeds each, inline and on pools of width 1, 2 and 8.
     #[test]
@@ -679,10 +666,6 @@ mod tests {
             let space = SearchSpace::new(slots, choices);
             check(&space, &table, &fig6, &format!("{slots} × {choices} table"));
         }
-        let mut frozen = SearchSpace::new(12, 108);
-        frozen.freeze(0, 100);
-        frozen.freeze(11, 3);
-        check(&frozen, &separable(50), &fig6, "12 dims, 2 frozen");
         check(&SearchSpace::new(1, 108), &separable(50), &fig6, "1 dim");
         let wide = ParallelDdsParams {
             r_values: vec![8.0],
@@ -785,9 +768,7 @@ mod tests {
         let draws = Draws::new(&space, &params);
         assert!(draws.matches(&space, &params));
         assert!(!draws.matches(&SearchSpace::new(9, 108), &params));
-        let mut frozen = space.clone();
-        frozen.freeze(3, 7);
-        assert!(!draws.matches(&frozen, &params));
+        assert!(!draws.matches(&SearchSpace::new(8, 107), &params));
         let reseeded = ParallelDdsParams {
             seed: params.seed + 1,
             ..params.clone()

@@ -1,7 +1,7 @@
 //! The reference single-threaded DDS.
 //!
 //! Tolson & Shoemaker's algorithm, specialized to the discrete configuration
-//! spaces of §VI: each iteration perturbs every free dimension with
+//! spaces of §VI: each iteration perturbs every dimension with
 //! probability `p(i) = 1 − ln(i)/ln(maxIter)` (at least one), by
 //! `r · #confs · N(0,1)` reflected back into range, and greedily keeps the
 //! better point.
@@ -50,7 +50,6 @@ pub fn search(space: &SearchSpace, objective: &dyn Objective, params: &DdsParams
     assert!(params.max_iters > 0, "need at least one iteration");
     assert!(params.initial_points > 0, "need at least one initial point");
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let free = space.free_dims();
     let mut explored = Vec::new();
     let mut evaluations = 0;
 
@@ -81,16 +80,16 @@ pub fn search(space: &SearchSpace, objective: &dyn Objective, params: &DdsParams
         let p_select = 1.0 - (i as f64).ln() / ln_max;
         let mut candidate = best_point.clone();
         let mut perturbed_any = false;
-        for &d in &free {
+        for choice in candidate.iter_mut() {
             if rng.random_range(0.0..1.0) < p_select {
                 let delta = params.r * space.num_choices() as f64 * standard_normal(&mut rng);
-                candidate[d] = space.reflect(candidate[d] as f64 + delta);
+                *choice = space.reflect(*choice as f64 + delta);
                 perturbed_any = true;
             }
         }
-        if !perturbed_any && !free.is_empty() {
+        if !perturbed_any {
             // DDS always perturbs at least one dimension.
-            let d = free[rng.random_range(0..free.len())];
+            let d = rng.random_range(0..space.dims());
             let delta = params.r * space.num_choices() as f64 * standard_normal(&mut rng);
             candidate[d] = space.reflect(candidate[d] as f64 + delta);
         }
@@ -135,17 +134,6 @@ mod tests {
             "best value {}",
             result.best_value
         );
-    }
-
-    #[test]
-    fn respects_frozen_dimensions() {
-        let mut space = SearchSpace::new(6, 50);
-        space.freeze(0, 9);
-        space.freeze(3, 11);
-        let result = search(&space, &separable(40), &DdsParams::default());
-        assert_eq!(result.best_point[0], 9);
-        assert_eq!(result.best_point[3], 11);
-        assert!(space.contains(&result.best_point));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! * [`metrics`] + an HTTP endpoint — `GET /metrics` renders a
 //!   Prometheus-style document from the telemetry the pipeline already
 //!   collects; `GET /state` serves the tenant-table snapshot as JSON.
-//! * [`trace`] — record the request sequence, replay it bit-for-bit.
 //!
 //! ```
 //! use cuttlesys::types::Scenario;
@@ -45,7 +44,6 @@ mod http;
 pub mod metrics;
 pub mod pacing;
 mod reactor;
-pub mod trace;
 
 use std::io;
 
@@ -56,7 +54,6 @@ use cuttlesys::types::{RunRecord, Scenario, SliceRecord};
 use workloads::batch::SpecBenchmark;
 
 use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
-use crate::trace::{RegistrationTrace, TraceOp};
 
 pub use crate::pacing::Pacing;
 
@@ -241,28 +238,6 @@ impl Service {
         Ok(self.scrape()?)
     }
 
-    /// Applies a recorded trace, op by op, through the live service.
-    /// Admission rejections are recorded behavior, not errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first non-admission failure.
-    pub fn apply_trace(&self, trace: &RegistrationTrace) -> Result<(), ServiceError> {
-        for op in trace.ops() {
-            match op {
-                TraceOp::Register { name, app } => match self.register_batch(name, *app) {
-                    Ok(_) | Err(ServiceError::Admission(_)) => {}
-                    Err(e) => return Err(e),
-                },
-                TraceOp::Deregister { tenant } => self.deregister(*tenant)?,
-                TraceOp::Step => {
-                    self.step_quantum()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Drains every tenant to Retired, closes the bus, stops the threads,
     /// and returns the completed run record.
     ///
@@ -273,13 +248,6 @@ impl Service {
     pub fn shutdown(self) -> Result<RunRecord, ServiceError> {
         Ok(self.finish(ControlCore::shutdown, ControlCore::into_record)??)
     }
-}
-
-/// Zeroes the wall-clock stage timings (and the ledger-only cache counters)
-/// in a [`RunRecord`] so runs compare on simulated quantities only — the
-/// convention every determinism test in this workspace uses.
-pub fn comparable(record: RunRecord) -> RunRecord {
-    record.comparable()
 }
 
 #[cfg(test)]
@@ -372,16 +340,16 @@ mod tests {
     }
 
     #[test]
-    fn live_service_matches_trace_replay() {
+    fn live_service_matches_a_directly_stepped_core() {
         let scenario = quiet(3);
-        let mut trace = trace::RegistrationTrace::new();
-        for _ in 0..scenario.duration_slices {
-            trace.step();
-        }
         let service = ServiceBuilder::new(&scenario).start().unwrap();
-        service.apply_trace(&trace).unwrap();
+        let mut core = ControlCore::new(&scenario);
+        for _ in 0..scenario.duration_slices {
+            service.step_quantum().unwrap();
+            core.step_quantum().unwrap();
+        }
         let live = service.shutdown().unwrap();
-        let replayed = trace.replay(&scenario).unwrap();
-        assert_eq!(comparable(live), comparable(replayed));
+        core.shutdown().unwrap();
+        assert_eq!(live.comparable(), core.into_record().comparable());
     }
 }

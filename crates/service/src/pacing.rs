@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pacing {
     /// Quanta run only on explicit `step_quantum` requests. Deterministic;
-    /// the mode every test and trace replay uses.
+    /// the mode tests and benchmarks use.
     Manual,
     /// A quantum fires every `period` of wall time (the paper's 100 ms
     /// cadence would be `Duration::from_millis(100)`).

@@ -32,13 +32,6 @@ pub enum FaultStream {
     Power = 5,
     /// Per-(node, quantum) fleet crash decisions.
     NodeCrash = 6,
-    /// Per-(node, quantum) fleet blackout starts (node silent for K quanta).
-    NodeBlackout = 7,
-    /// Per-(node, quantum) step-deadline overruns (slow node: one missed
-    /// heartbeat).
-    NodeSlow = 8,
-    /// Per-(node, quantum) scheduled maintenance drains.
-    NodeDrain = 9,
 }
 
 /// A raw 64-bit draw for `(seed, stream, index)` — pure and stateless.

@@ -106,6 +106,21 @@ pub fn cell_stats(cell: &CellOutcome) -> Vec<(&'static str, Stats)> {
         .collect()
 }
 
+/// The detectors that tripped in any of a cell's runs, sorted and
+/// deduplicated.
+fn tripped_detectors(cell: &CellOutcome) -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = cell
+        .runs
+        .iter()
+        .flat_map(|run| &run.findings)
+        .filter(|f| f.tripped)
+        .map(|f| f.detector)
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
 fn run_to_json(run: &RunOutcome) -> JsonValue {
     let m = &run.metrics;
     let mut fields = vec![
@@ -199,18 +214,10 @@ pub fn summary_json(spec: &SweepSpec, outcome: &SweepOutcome) -> JsonValue {
                 .into_iter()
                 .map(|(metric, s)| (metric.to_string(), s.to_json()))
                 .collect();
-            let tripped: Vec<JsonValue> = {
-                let mut names: Vec<&str> = Vec::new();
-                for run in &cell.runs {
-                    for f in &run.findings {
-                        if f.tripped && !names.contains(&f.detector) {
-                            names.push(f.detector);
-                        }
-                    }
-                }
-                names.sort_unstable();
-                names.iter().map(|n| JsonValue::from(*n)).collect()
-            };
+            let tripped: Vec<JsonValue> = tripped_detectors(cell)
+                .into_iter()
+                .map(JsonValue::from)
+                .collect();
             JsonValue::Obj(vec![
                 ("shape".to_string(), JsonValue::Str(cell.cell.shape.label())),
                 ("cap".to_string(), JsonValue::Num(cell.cell.cap)),
@@ -341,18 +348,7 @@ pub fn render_tables(spec: &SweepSpec, outcome: &SweepOutcome) -> String {
                 .find(|(m, _)| *m == name)
                 .map_or(0.0, |(_, s)| s.mean)
         };
-        let tripped: Vec<&str> = {
-            let mut names: Vec<&str> = Vec::new();
-            for run in &cell.runs {
-                for f in &run.findings {
-                    if f.tripped && !names.contains(&f.detector) {
-                        names.push(f.detector);
-                    }
-                }
-            }
-            names.sort_unstable();
-            names
-        };
+        let tripped = tripped_detectors(cell);
         cells_table.row(vec![
             cell.cell.label(),
             format!("{}", cell.runs.len()),

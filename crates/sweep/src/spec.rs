@@ -7,9 +7,10 @@
 //! is run once per seed. Loading is strict — unknown top-level fields,
 //! unknown profiles, services, or shapes are all *hard errors at load
 //! time*, each listing the valid vocabulary, so a typo can never silently
-//! shrink a sweep. So are tenants no run could host: zero or too many LC
-//! cores, and negative loads, QoS targets or noise (the JSON parser already
-//! refuses non-finite numbers).
+//! shrink a sweep. So are tenants and load shapes no run could host: zero
+//! or too many LC cores, negative loads (of a tenant or of a shape), QoS
+//! targets or noise, and a shape period that is not positive (the JSON
+//! parser already refuses non-finite numbers).
 //!
 //! A spec has no settings for the runtime itself: every run uses the
 //! manager's and the coordinator's defaults, and the detectors' thresholds
@@ -45,13 +46,7 @@ const SPEC_FIELDS: &[&str] = &[
 pub const FAULT_PROFILES: &[&str] = &["clean", "flaky-reconfig", "lossy-sensors"];
 
 /// Valid fleet fault-profile names, sorted.
-pub const FLEET_FAULT_PROFILES: &[&str] = &[
-    "blackout",
-    "clean",
-    "maintenance-drain",
-    "node-crash",
-    "slow-node",
-];
+pub const FLEET_FAULT_PROFILES: &[&str] = &["clean", "node-crash"];
 
 /// Valid load-shape kinds, sorted.
 pub const LOAD_SHAPES: &[&str] = &["diurnal", "flash-crowd", "ramp", "square-wave", "steady"];
@@ -352,6 +347,18 @@ fn shape_param(obj: &JsonValue, kind: &str, field: &str, default: f64) -> Result
     }
 }
 
+/// A shape's load level: a number, and never negative (`load_at` would
+/// clamp it to 0 and the run would quietly measure an idle service).
+fn shape_load(obj: &JsonValue, kind: &str, field: &str, default: f64) -> Result<f64, SweepError> {
+    let load = shape_param(obj, kind, field, default)?;
+    if load < 0.0 {
+        return Err(invalid(format!(
+            "load shape \"{kind}\" field \"{field}\" must be a non-negative number"
+        )));
+    }
+    Ok(load)
+}
+
 fn parse_shape(value: &JsonValue) -> Result<LoadShape, SweepError> {
     let (kind, obj) = match value {
         JsonValue::Str(s) => (s.as_str(), None),
@@ -365,12 +372,14 @@ fn parse_shape(value: &JsonValue) -> Result<LoadShape, SweepError> {
         _ => return Err(invalid("a load shape must be a string or an object")),
     };
     let obj = obj.unwrap_or(&JsonValue::Null);
+    // A period must be positive: a zero one turns a square wave into an
+    // unbounded list of steps and a diurnal load into NaN.
     let opt_period = |kind: &str| -> Result<Option<f64>, SweepError> {
         match obj.get("period_s") {
             None => Ok(None),
-            Some(v) => v.as_f64().map(Some).ok_or_else(|| {
+            Some(v) => v.as_f64().filter(|p| *p > 0.0).map(Some).ok_or_else(|| {
                 invalid(format!(
-                    "load shape \"{kind}\" field \"period_s\" must be a number"
+                    "load shape \"{kind}\" field \"period_s\" must be a positive number"
                 ))
             }),
         }
@@ -378,23 +387,23 @@ fn parse_shape(value: &JsonValue) -> Result<LoadShape, SweepError> {
     match kind {
         "steady" => Ok(LoadShape::Steady),
         "diurnal" => Ok(LoadShape::Diurnal {
-            min: shape_param(obj, kind, "min", 0.2)?,
-            max: shape_param(obj, kind, "max", 1.0)?,
+            min: shape_load(obj, kind, "min", 0.2)?,
+            max: shape_load(obj, kind, "max", 1.0)?,
             period_s: opt_period(kind)?,
         }),
         "flash-crowd" => Ok(LoadShape::FlashCrowd {
-            base: shape_param(obj, kind, "base", 0.2)?,
-            peak: shape_param(obj, kind, "peak", 1.3)?,
+            base: shape_load(obj, kind, "base", 0.2)?,
+            peak: shape_load(obj, kind, "peak", 1.3)?,
             start_frac: shape_param(obj, kind, "start_frac", 0.3)?,
             end_frac: shape_param(obj, kind, "end_frac", 0.7)?,
         }),
         "ramp" => Ok(LoadShape::Ramp {
-            from: shape_param(obj, kind, "from", 0.2)?,
-            to: shape_param(obj, kind, "to", 1.0)?,
+            from: shape_load(obj, kind, "from", 0.2)?,
+            to: shape_load(obj, kind, "to", 1.0)?,
         }),
         "square-wave" => Ok(LoadShape::SquareWave {
-            lo: shape_param(obj, kind, "lo", 0.2)?,
-            hi: shape_param(obj, kind, "hi", 1.0)?,
+            lo: shape_load(obj, kind, "lo", 0.2)?,
+            hi: shape_load(obj, kind, "hi", 1.0)?,
             period_s: opt_period(kind)?,
         }),
         other => Err(invalid(format!(

@@ -43,7 +43,6 @@ pub const SCHEMA_SOURCES: &[(&str, Extract)] = &[
     ("crates/core/src/telemetry.rs", Extract::JsonKeys),
     ("crates/core/src/types.rs", Extract::JsonKeys),
     ("crates/service/src/metrics.rs", Extract::Metrics),
-    ("crates/service/src/trace.rs", Extract::JsonKeys),
     ("crates/sweep/src/detectors.rs", Extract::JsonKeys),
     ("crates/sweep/src/report.rs", Extract::JsonKeys),
 ];

@@ -58,7 +58,6 @@ fn main() -> ExitCode {
             auto_tail_ratio: Some(1.0),
         },
         balance: Some(BalanceConfig),
-        ..ClusterConfig::default()
     };
     let service = ClusterServiceBuilder::new(&scenario)
         .config(config)

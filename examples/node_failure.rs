@@ -28,7 +28,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use cluster::{ClusterConfig, ClusterEvent, ClusterScenario, FleetFaultPlan, HealthConfig, NodeId};
+use cluster::{ClusterEvent, ClusterScenario, FleetFaultPlan, NodeId};
 use cuttlesys::control::ControlEvent;
 use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::types::Scenario;
@@ -75,16 +75,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = ClusterConfig {
-        health: HealthConfig {
-            down_after: 2,
-            recover_after: 2,
-            ..HealthConfig::default()
-        },
-        ..ClusterConfig::default()
-    };
     let service = ClusterServiceBuilder::new(&scenario)
-        .config(config)
         .faults(plan)
         .metrics_addr("127.0.0.1:0")
         .start()

@@ -91,7 +91,6 @@ fn balancing_and_auto_migration_fire_and_conserve_traffic() {
         migration: MigrationConfig {
             auto_tail_ratio: Some(1.0),
         },
-        ..ClusterConfig::default()
     };
     let mut coordinator = ClusterCoordinator::with_config(&scenario, config);
     let n0 = NodeId::from_index(0);

@@ -4,13 +4,14 @@
 //! long-lived service must be *observation-equivalent* to the static
 //! batch runs the golden record pins. Concretely:
 //!
-//! * a recorded registration trace replayed through a fresh
-//!   [`ControlCore`] is bit-identical to the same trace driven through a
-//!   live [`Service`] in manual pacing (same seed, same request sequence,
-//!   same [`RunRecord`]);
-//! * a trace whose registrations all land before slice 0 is bit-identical
-//!   to the equivalent static [`Scenario`] run via `run_scenario` — the
-//!   paper-default golden record therefore also pins the service path;
+//! * a request sequence (register, deregister, step) applied to a fresh
+//!   [`ControlCore`] is bit-identical to the same sequence sent to a live
+//!   [`service::Service`] in manual pacing (same seed, same request
+//!   sequence, same [`RunRecord`]);
+//! * a sequence whose registrations all land before slice 0 is
+//!   bit-identical to the equivalent static [`Scenario`] run via
+//!   `run_scenario` — the paper-default golden record therefore also pins
+//!   the service path;
 //! * a mid-run deregistration is bit-identical to declaring the same
 //!   departure slice statically (drain removes a row, and row removal
 //!   commutes with when it was requested).
@@ -18,20 +19,71 @@
 //! Mid-run *registration* is deliberately NOT claimed equivalent to a
 //! static scenario with the job present from t=0: SGD completes every
 //! batch row each quantum, so a row that exists earlier trains earlier.
-//! Equivalence holds between live service and trace replay (same request
-//! sequence), which is the property operators need for postmortems.
+//! Equivalence holds between the live service and a core replaying the
+//! same request sequence, which is the property operators need for
+//! postmortems.
 //!
 //! Wall-clock stage timings are zeroed before comparison via
-//! `service::comparable` — the same convention as `tests/determinism.rs`.
+//! [`RunRecord::comparable`] — the same convention as
+//! `tests/determinism.rs`.
 
-use cuttlesys::control::{ControlCore, TenantKind};
+use cuttlesys::control::{ControlCore, TenantId, TenantKind};
 use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::runtime::CuttleSysManager;
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::{BatchJobSpec, JobSpec, RunRecord, Scenario};
-use service::trace::RegistrationTrace;
-use service::{comparable, ServiceBuilder};
+use service::{ServiceBuilder, ServiceError};
+use workloads::batch::SpecBenchmark;
 use workloads::loadgen::LoadPattern;
+
+/// One control-plane request, in arrival order.
+enum Request {
+    Register(&'static str, SpecBenchmark),
+    Deregister(TenantId),
+    Step,
+}
+
+/// Applies `requests` to a fresh control core over `scenario` and returns
+/// the comparable run. Admission rejections are recorded behaviour, not
+/// errors: the rejected tenant's row and event stay, as they do live.
+fn replay(scenario: &Scenario, requests: &[Request]) -> RunRecord {
+    let mut core = ControlCore::new(scenario);
+    for request in requests {
+        match request {
+            Request::Register(name, app) => {
+                let _ = core.register_batch(name, *app);
+            }
+            Request::Deregister(tenant) => core.deregister(*tenant).expect("drain accepted"),
+            Request::Step => {
+                core.step_quantum().expect("quantum");
+            }
+        }
+    }
+    core.into_record().comparable()
+}
+
+/// Sends `requests` to a live service over `scenario`, then shuts it down
+/// and returns the comparable run.
+fn drive(scenario: &Scenario, requests: &[Request]) -> RunRecord {
+    let service = ServiceBuilder::new(scenario).start().expect("service");
+    for request in requests {
+        match request {
+            Request::Register(name, app) => match service.register_batch(name, *app) {
+                Ok(_) | Err(ServiceError::Admission(_)) => {}
+                Err(e) => panic!("register {name}: {e}"),
+            },
+            Request::Deregister(tenant) => service.deregister(*tenant).expect("drain accepted"),
+            Request::Step => {
+                service.step_quantum().expect("quantum");
+            }
+        }
+    }
+    service.shutdown().expect("clean shutdown").comparable()
+}
+
+fn steps(n: usize) -> Vec<Request> {
+    (0..n).map(|_| Request::Step).collect()
+}
 
 fn quiet() -> Scenario {
     Scenario {
@@ -45,16 +97,10 @@ fn quiet() -> Scenario {
 #[test]
 fn a_step_only_trace_matches_the_static_scenario_bit_for_bit() {
     let scenario = Scenario::paper_default();
-    let mut trace = RegistrationTrace::new();
-    for _ in 0..scenario.duration_slices {
-        trace.step();
-    }
-
     let static_record = run_scenario(&scenario, &mut CuttleSysManager::for_scenario(&scenario));
-    let replayed = trace.replay(&scenario).expect("replay runs");
     assert_eq!(
-        comparable(replayed),
-        comparable(static_record),
+        replay(&scenario, &steps(scenario.duration_slices)),
+        static_record.comparable(),
         "the service path must not perturb the golden-record run"
     );
 }
@@ -67,28 +113,21 @@ fn live_service_and_trace_replay_agree_on_a_churny_run() {
 
     // One registration before slice 0, two quanta, one deregistration of a
     // declared batch tenant, then the rest of the horizon.
-    let mut trace = RegistrationTrace::new();
-    trace.register("newcomer", newcomer);
-    trace.step();
-    trace.step();
-    let declared_batch = {
-        let core = ControlCore::new(&scenario);
-        core.tenants()
-            .iter()
-            .enumerate()
-            .find(|(_, t)| matches!(t.kind(), TenantKind::Batch { .. }))
-            .map(|(i, _)| cuttlesys::control::TenantId::from_index(i))
-            .expect("quick_demo declares a batch job")
-    };
-    trace.deregister(declared_batch);
-    trace.step();
-    trace.step();
-
-    let service = ServiceBuilder::new(&scenario).start().expect("service");
-    service.apply_trace(&trace).expect("live run");
-    let live = service.shutdown().expect("clean shutdown");
-    let replayed = trace.replay(&scenario).expect("replay runs");
-    assert_eq!(comparable(live), comparable(replayed));
+    let declared_batch = ControlCore::new(&scenario)
+        .tenants()
+        .iter()
+        .position(|t| matches!(t.kind(), TenantKind::Batch { .. }))
+        .map(TenantId::from_index)
+        .expect("quick_demo declares a batch job");
+    let requests = [
+        Request::Register("newcomer", newcomer),
+        Request::Step,
+        Request::Step,
+        Request::Deregister(declared_batch),
+        Request::Step,
+        Request::Step,
+    ];
+    assert_eq!(drive(&scenario, &requests), replay(&scenario, &requests));
 }
 
 #[test]
@@ -120,7 +159,7 @@ fn mid_run_drain_matches_the_statically_declared_departure() {
         .iter()
         .enumerate()
         .find(|(_, t)| matches!(t.kind(), TenantKind::Batch { .. }))
-        .map(|(i, _)| cuttlesys::control::TenantId::from_index(i))
+        .map(|(i, _)| TenantId::from_index(i))
         .expect("quick_demo declares a batch job");
     for slice in 0..scenario.duration_slices {
         if slice == drain_at {
@@ -132,19 +171,14 @@ fn mid_run_drain_matches_the_statically_declared_departure() {
         core.tenant(tenant).expect("tenant").state(),
         LifecycleState::Retired
     );
-    assert_eq!(comparable(core.into_record()), comparable(static_record));
+    assert_eq!(core.into_record().comparable(), static_record.comparable());
 }
 
 #[test]
 fn replaying_the_same_trace_twice_is_bit_identical() {
     let scenario = quiet();
-    let mut trace = RegistrationTrace::new();
-    for _ in 0..scenario.duration_slices {
-        trace.step();
-    }
-    let a = trace.replay(&scenario).expect("first replay");
-    let b = trace.replay(&scenario).expect("second replay");
-    assert_eq!(comparable(a), comparable(b));
+    let requests = steps(scenario.duration_slices);
+    assert_eq!(replay(&scenario, &requests), replay(&scenario, &requests));
 }
 
 /// DESIGN §10.3's claim that the single-node `/metrics` document is

@@ -7,9 +7,9 @@
 //! * every tenant homed on a killed node is accounted for by the event
 //!   log — evacuated to a surviving node or parked displaced — never
 //!   silently dropped;
-//! * a deliberate maintenance drain equals a crash the detector catches
-//!   in one quantum: same evacuation quantum, same destinations, and the
-//!   surviving nodes' records match bit-for-bit;
+//! * a deliberate maintenance drain equals a crash the detector declares
+//!   Down in the drain's quantum: same evacuation quantum, same
+//!   destinations, and the surviving nodes' records match bit-for-bit;
 //! * a blacked-out node (alive but unobservable) is evacuated while
 //!   silent, then rejoins without duplicating tenants — the coordinator
 //!   reconciles the stale local rows it abandoned;
@@ -22,9 +22,10 @@
 //! Wall-clock stage timings are zeroed before comparison via
 //! [`ClusterRecord::comparable`], as in `tests/cluster.rs`.
 
+use cluster::health::DOWN_AFTER;
 use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario,
-    ClusterTenantId, FleetFaultPlan, HealthConfig, NodeHealth, NodeId,
+    ClusterTenantId, FleetFaultPlan, NodeHealth, NodeId,
 };
 use cuttlesys::control::ControlCore;
 use cuttlesys::types::{JobSpec, Scenario};
@@ -134,21 +135,28 @@ fn a_killed_node_loses_no_tenants_the_event_log_cannot_account_for() {
 }
 
 #[test]
-fn a_drain_equals_a_crash_the_detector_catches_in_one_quantum() {
+fn a_drain_equals_a_crash_declared_down_in_the_same_quantum() {
     let base = roomy(8);
-    let config = ClusterConfig {
-        health: HealthConfig {
-            down_after: 1,
-            ..HealthConfig::default()
-        },
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
+    // A crash at quantum 2 misses its first heartbeat there and is declared
+    // Down DOWN_AFTER heartbeats later, at quantum 4: the drain's quantum.
+    let (crash_at, drain_at) = (2, 2 + DOWN_AFTER - 1);
 
-    let drained = run_with_plan(&base, 4, config, FleetFaultPlan::none().with_drain(n(1), 2));
-    let crashed = run_with_plan(&base, 4, config, FleetFaultPlan::none().with_crash(n(1), 2));
+    let drained = run_with_plan(
+        &base,
+        4,
+        config,
+        FleetFaultPlan::none().with_drain(n(1), drain_at),
+    );
+    let crashed = run_with_plan(
+        &base,
+        4,
+        config,
+        FleetFaultPlan::none().with_crash(n(1), crash_at),
+    );
 
-    // Both evacuate in quantum 2 with identical candidate state, so the
-    // evacuees land on the same destinations...
+    // Both evacuate in the drain's quantum with identical candidate state,
+    // so the evacuees land on the same destinations...
     let destinations = |events: &[ClusterEvent]| -> Vec<(ClusterTenantId, NodeId, usize)> {
         events
             .iter()
@@ -167,6 +175,10 @@ fn a_drain_equals_a_crash_the_detector_catches_in_one_quantum() {
     assert!(!drain_dests.is_empty(), "the drain evacuated nothing");
     assert_eq!(drain_dests, destinations(&crashed.1));
 
+    assert!(drain_dests
+        .iter()
+        .all(|&(_, _, quantum)| quantum == drain_at));
+
     // ...and the surviving nodes' histories are bit-identical. Only the
     // dead node differs: a drain shuts its control plane down cleanly, a
     // crash freezes it mid-scenario.
@@ -180,7 +192,7 @@ fn a_drain_equals_a_crash_the_detector_catches_in_one_quantum() {
     assert!(drained
         .1
         .iter()
-        .any(|e| matches!(e, ClusterEvent::NodeDrained { node, quantum } if *node == n(1) && *quantum == 2)));
+        .any(|e| matches!(e, ClusterEvent::NodeDrained { node, quantum } if *node == n(1) && *quantum == drain_at)));
     assert!(!drained
         .1
         .iter()
@@ -190,18 +202,12 @@ fn a_drain_equals_a_crash_the_detector_catches_in_one_quantum() {
 #[test]
 fn a_blacked_out_node_rejoins_without_duplicate_tenants() {
     let base = roomy(12);
-    let config = ClusterConfig {
-        health: HealthConfig {
-            down_after: 2,
-            recover_after: 2,
-            ..HealthConfig::default()
-        },
-        ..ClusterConfig::default()
-    };
+    // Silent from quantum 2 to 7: Down at 4, Recovering at 7, Up at 8.
     let plan = FleetFaultPlan::none().with_blackout(n(1), 2, 5);
 
     let scenario = ClusterScenario::uniform(&base, 3);
-    let mut coordinator = ClusterCoordinator::with_faults(&scenario, config, plan);
+    let mut coordinator =
+        ClusterCoordinator::with_faults(&scenario, ClusterConfig::default(), plan);
     let mut events = Vec::new();
     for quantum in 0..base.duration_slices {
         coordinator
@@ -277,21 +283,11 @@ fn sustained_infeasibility_engages_degraded_mode_once_and_recovery_disengages_it
         }
         _ => true,
     });
-    let config = ClusterConfig {
-        health: HealthConfig {
-            down_after: 2,
-            retry_base: 1,
-            retry_cap: 2,
-            degrade_after: 2,
-            restore_after: 2,
-            ..HealthConfig::default()
-        },
-        ..ClusterConfig::default()
-    };
     let plan = FleetFaultPlan::none().with_crash(n(1), 2);
 
     let scenario = ClusterScenario::uniform(&base, 2);
-    let mut coordinator = ClusterCoordinator::with_faults(&scenario, config, plan);
+    let mut coordinator =
+        ClusterCoordinator::with_faults(&scenario, ClusterConfig::default(), plan);
     let mut events = Vec::new();
     for quantum in 0..base.duration_slices {
         coordinator

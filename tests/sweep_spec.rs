@@ -8,10 +8,12 @@
 //! never fire on constant series, and the residency detector agrees
 //! with the metrics the core runtime reports.
 
+use cuttlesys::types::TIMESLICE_MS;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sweep::detectors::{max_adjacent_drop, max_true_streak, residency};
-use sweep::{load_spec, SweepError};
+use sweep::{load_spec, LoadShape, SweepError};
+use workloads::loadgen::LoadPattern;
 
 /// Cases per property; inputs are drawn from a per-property fixed seed.
 const CASES: usize = 256;
@@ -169,6 +171,132 @@ fn negative_tenant_loads_and_qos_targets_are_rejected() {
     }
     let idle = load_spec(&tenant_with(r#""load": 0, "qos_ms": 5"#)).expect("idle tenant loads");
     assert_eq!(idle.tenants.lc[0].load, 0.0);
+}
+
+/// A minimal scenario sweeping one load shape, given as a JSON object.
+fn shape_with(object: &str) -> String {
+    scenario_with(&format!(r#""load_shapes": [{object}]"#))
+}
+
+#[test]
+fn non_positive_periods_and_negative_shape_loads_are_rejected() {
+    // A zero period lowered a square wave into ~4·10⁸ steps and aborted the
+    // sweep on allocation.
+    assert_eq!(
+        load_err(&shape_with(r#"{"kind": "square-wave", "period_s": 0}"#)),
+        "load shape \"square-wave\" field \"period_s\" must be a positive number"
+    );
+    // A negative ramp ran to `verdict: pass`, its load clamped to 0.
+    assert_eq!(
+        load_err(&shape_with(r#"{"kind": "ramp", "from": -0.5, "to": -0.5}"#)),
+        "load shape \"ramp\" field \"from\" must be a non-negative number"
+    );
+    for (kind, field) in [
+        ("diurnal", "min"),
+        ("diurnal", "max"),
+        ("flash-crowd", "base"),
+        ("flash-crowd", "peak"),
+        ("ramp", "from"),
+        ("ramp", "to"),
+        ("square-wave", "lo"),
+        ("square-wave", "hi"),
+    ] {
+        assert_eq!(
+            load_err(&shape_with(&format!(
+                r#"{{"kind": "{kind}", "{field}": -0.1}}"#
+            ))),
+            format!("load shape \"{kind}\" field \"{field}\" must be a non-negative number")
+        );
+    }
+    for kind in ["diurnal", "square-wave"] {
+        for period in ["0", "-1", "\"10\""] {
+            assert_eq!(
+                load_err(&shape_with(&format!(
+                    r#"{{"kind": "{kind}", "period_s": {period}}}"#
+                ))),
+                format!("load shape \"{kind}\" field \"period_s\" must be a positive number"),
+                "period {period}"
+            );
+        }
+    }
+    let idle = load_spec(&shape_with(r#"{"kind": "ramp", "from": 0, "to": 0}"#))
+        .expect("an idle ramp loads");
+    assert_eq!(
+        idle.load_shapes,
+        vec![LoadShape::Ramp { from: 0.0, to: 0.0 }]
+    );
+}
+
+/// Generated load-shape objects: the loader never panics on one, and a
+/// shape it accepts gives a finite load at every quantum and, for a square
+/// wave, at most `2·duration_s/period_s + 1` steps.
+#[test]
+fn accepted_load_shapes_lower_to_finite_bounded_patterns() {
+    const KINDS: &[&str] = &[
+        "diurnal",
+        "flash-crowd",
+        "ramp",
+        "square-wave",
+        "steady",
+        "sine",
+    ];
+    const FIELDS: &[&str] = &[
+        "min",
+        "max",
+        "period_s",
+        "base",
+        "peak",
+        "start_frac",
+        "end_frac",
+        "from",
+        "to",
+        "lo",
+        "hi",
+    ];
+    const VALUES: &[&str] = &[
+        "-1", "-0.5", "-1e-9", "-0", "0", "1e-9", "0.01", "0.3", "1", "1.7", "5", "1e6", "null",
+        "true", "\"x\"",
+    ];
+    let mut rng = rng_for("load-shapes");
+    let mut accepted = 0;
+    for _ in 0..CASES {
+        let kind = KINDS[rng.random_range(0..KINDS.len())];
+        let mut fields = vec![format!(r#""kind": "{kind}""#)];
+        for field in FIELDS {
+            if rng.random_range(0.0..1.0) < 0.3 {
+                let value = if rng.random_range(0..2) == 0 {
+                    VALUES[rng.random_range(0..VALUES.len())].to_string()
+                } else {
+                    format!("{}", rng.random_range(-2.0..3.0))
+                };
+                fields.push(format!(r#""{field}": {value}"#));
+            }
+        }
+        let object = format!("{{{}}}", fields.join(", "));
+        let quanta = rng.random_range(1..60);
+        let text = shape_with(&object).replace(r#""quanta": 2"#, &format!(r#""quanta": {quanta}"#));
+        let Ok(spec) = load_spec(&text) else { continue };
+        accepted += 1;
+        let shape = &spec.load_shapes[0];
+        let duration_s = spec.duration_s();
+        let pattern = shape.lower(spec.tenants.lc[0].load, duration_s);
+        for q in 0..quanta {
+            let load = pattern.load_at(q as f64 * TIMESLICE_MS / 1000.0);
+            assert!(load.is_finite(), "{object}: load {load} at quantum {q}");
+        }
+        if let (LoadShape::SquareWave { period_s, .. }, LoadPattern::Steps(steps)) =
+            (shape, &pattern)
+        {
+            let period = period_s.unwrap_or(duration_s);
+            let bound = 2.0 * duration_s / period + 1.0;
+            assert!(
+                steps.len() as f64 <= bound,
+                "{object}: {} steps over {duration_s} s, bound {bound}",
+                steps.len()
+            );
+        }
+    }
+    assert!(accepted > CASES / 8, "only {accepted} shapes loaded");
 }
 
 #[test]
