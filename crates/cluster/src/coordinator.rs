@@ -973,10 +973,7 @@ impl ClusterCoordinator {
                         .is_some_and(|t| {
                             matches!(
                                 t.state(),
-                                LifecycleState::Admitted
-                                    | LifecycleState::Running
-                                    | LifecycleState::Degraded
-                                    | LifecycleState::Relocating(_)
+                                LifecycleState::Admitted | LifecycleState::Running
                             )
                         })
             })

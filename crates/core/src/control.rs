@@ -13,15 +13,15 @@
 //!   ([`crate::accounting::steady_state_budget`]). Rejection is permanent
 //!   for that registration: the tenant goes Registering → Retired and the
 //!   caller gets [`AdmissionError`].
-//! * **step_quantum** — runs one 100 ms decision quantum and settles every
-//!   tenant's [`TenantLifecycle`] from what the quantum actually did:
-//!   degraded quanta (last-good replay, safe mode, open breaker) move live
-//!   tenants to Degraded, an LC tenant whose core reservation changed
-//!   passes through Relocating, drained batch jobs retire once their last
-//!   slice has run.
-//! * **events** — every lifecycle transition, admission rejection, breaker
-//!   open/close, and degraded quantum is queued as a [`ControlEvent`];
-//!   the service layer drains the queue after each quantum and broadcasts.
+//! * **step_quantum** — runs one 100 ms decision quantum and moves each
+//!   [`TenantLifecycle`] only where the quantum started or ended a tenant:
+//!   a tenant's first run takes it Admitted → Running, and a drained batch
+//!   job retires once its last slice has run. How the quantum itself went
+//!   (a degraded decision, a reshaped LC core reservation) is stated once,
+//!   in the returned [`SliceRecord`], not copied into tenant states.
+//! * **events** — every lifecycle transition, admission rejection, and
+//!   degraded quantum is queued as a [`ControlEvent`]; the service layer
+//!   drains the queue after each quantum and broadcasts.
 //! * **snapshot** — a serializable [`ControlSnapshot`] of the tenant table
 //!   (the `/state` endpoint renders it via [`ControlSnapshot::to_json`]).
 //!
@@ -40,7 +40,7 @@ use workloads::oracle::Oracle;
 
 use crate::accounting::steady_state_budget;
 use crate::driver::{DriveError, ScenarioDriver};
-use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, RelocationTarget, TenantLifecycle};
+use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, TenantLifecycle};
 use crate::runtime::CuttleSysManager;
 use crate::types::{
     BatchJobSpec, JobSpec, ResourceManager, RunRecord, Scenario, SliceRecord, TIMESLICE_MS,
@@ -166,20 +166,6 @@ pub enum ControlEvent {
         /// The next-to-run slice when the rejection happened.
         slice: usize,
     },
-    /// The safe-mode circuit breaker opened during a quantum.
-    BreakerOpened {
-        /// The node whose breaker opened.
-        node: NodeId,
-        /// The slice whose quantum opened it.
-        slice: usize,
-    },
-    /// The safe-mode circuit breaker closed during a quantum.
-    BreakerClosed {
-        /// The node whose breaker closed.
-        node: NodeId,
-        /// The slice whose quantum closed it.
-        slice: usize,
-    },
     /// A quantum was served from the degradation ladder.
     QuantumDegraded {
         /// The node whose quantum degraded.
@@ -197,8 +183,6 @@ impl ControlEvent {
         match self {
             ControlEvent::Lifecycle { node, .. }
             | ControlEvent::AdmissionRejected { node, .. }
-            | ControlEvent::BreakerOpened { node, .. }
-            | ControlEvent::BreakerClosed { node, .. }
             | ControlEvent::QuantumDegraded { node, .. } => *node,
         }
     }
@@ -340,8 +324,6 @@ pub struct ControlCore {
     manager: CuttleSysManager,
     oracle: Oracle,
     tenants: Vec<TenantEntry>,
-    prev_lc_cores: Vec<usize>,
-    prev_breaker: (usize, usize),
     pending: Vec<ControlEvent>,
 }
 
@@ -375,8 +357,6 @@ impl ControlCore {
             manager: CuttleSysManager::for_scenario(scenario),
             oracle: Oracle::new(Chip::new(scenario.params, CoreKind::Reconfigurable)),
             tenants: Vec::new(),
-            prev_lc_cores: scenario.lc_jobs().iter().map(|lc| lc.cores).collect(),
-            prev_breaker: (0, 0),
             pending: Vec::new(),
         };
         for (i, lc) in scenario.lc_jobs().iter().enumerate() {
@@ -426,23 +406,6 @@ impl ControlCore {
             slice,
         });
         Ok(())
-    }
-
-    /// Like [`transition`](Self::transition) but a no-op (and no event)
-    /// when the tenant is already in `to`'s state kind (a tenant relocating
-    /// toward another node stays put when a quantum re-settles it as
-    /// relocating locally).
-    fn settle(&mut self, id: TenantId, to: LifecycleState) -> Result<(), ControlError> {
-        let state = self
-            .tenants
-            .get(id.0)
-            .ok_or(ControlError::UnknownTenant(id))?
-            .lifecycle
-            .state();
-        if state.same_kind(to) {
-            return Ok(());
-        }
-        self.transition(id, to)
     }
 
     /// The worst-case steady-state power a tenant can draw: its peak
@@ -581,96 +544,51 @@ impl ControlCore {
         self.transition(id, LifecycleState::Draining)
     }
 
-    /// Runs one decision quantum and settles every tenant's lifecycle from
-    /// what the quantum did. Queued [`ControlEvent`]s are drained with
-    /// [`drain_events`](Self::drain_events).
+    /// Runs one decision quantum, then promotes every tenant that ran for
+    /// the first time (Admitted → Running) and retires every drained batch
+    /// job whose last slice has run (Draining → Retired). Queued
+    /// [`ControlEvent`]s are drained with [`drain_events`](Self::drain_events).
     ///
     /// # Errors
     ///
-    /// Returns [`ControlError::Lifecycle`] if settling implies an illegal
-    /// transition — a control-plane logic bug, surfaced hard.
+    /// Returns [`ControlError::Lifecycle`] if a promotion or retirement is
+    /// illegal — a control-plane logic bug, surfaced hard.
     pub fn step_quantum(&mut self) -> Result<SliceRecord, ControlError> {
         let slice = self.driver.next_slice();
         let record = self.driver.step(&mut self.manager).clone();
         let after = self.driver.next_slice();
-        let degraded = record
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.degradation.degraded());
-        let safe_mode = record
-            .telemetry
-            .as_ref()
-            .is_some_and(|t| t.degradation.safe_mode);
         let ran = self.driver.scenario().batch_active(slice);
         let present_next = self.driver.scenario().batch_active(after);
 
         for i in 0..self.tenants.len() {
-            let id = TenantId(i);
-            let (kind, state) = {
-                let t = &self.tenants[i];
-                (t.kind, t.lifecycle.state())
+            let to = match (self.tenants[i].kind, self.tenants[i].lifecycle.state()) {
+                (TenantKind::LatencyCritical { .. }, LifecycleState::Admitted) => {
+                    LifecycleState::Running
+                }
+                (TenantKind::Batch { batch_index }, LifecycleState::Admitted)
+                    if ran.get(batch_index).copied().unwrap_or(false) =>
+                {
+                    LifecycleState::Running
+                }
+                (TenantKind::Batch { batch_index }, LifecycleState::Draining)
+                    if !present_next.get(batch_index).copied().unwrap_or(false) =>
+                {
+                    LifecycleState::Retired
+                }
+                _ => continue,
             };
-            match kind {
-                TenantKind::LatencyCritical { lc_index } => {
-                    let cores = record.lc[lc_index].cores;
-                    let moved = cores != self.prev_lc_cores[lc_index];
-                    self.prev_lc_cores[lc_index] = cores;
-                    if state == LifecycleState::Admitted {
-                        self.transition(id, LifecycleState::Running)?;
-                    }
-                    if self.tenants[i].lifecycle.state().is_live() {
-                        let target = if degraded {
-                            LifecycleState::Degraded
-                        } else if moved {
-                            LifecycleState::Relocating(RelocationTarget::Local)
-                        } else {
-                            LifecycleState::Running
-                        };
-                        self.settle(id, target)?;
-                    }
-                }
-                TenantKind::Batch { batch_index } => {
-                    if state == LifecycleState::Admitted
-                        && ran.get(batch_index).copied().unwrap_or(false)
-                    {
-                        self.transition(id, LifecycleState::Running)?;
-                    }
-                    let state = self.tenants[i].lifecycle.state();
-                    if state.is_live() {
-                        let target = if degraded {
-                            LifecycleState::Degraded
-                        } else {
-                            LifecycleState::Running
-                        };
-                        self.settle(id, target)?;
-                    } else if state == LifecycleState::Draining
-                        && !present_next.get(batch_index).copied().unwrap_or(false)
-                    {
-                        self.transition(id, LifecycleState::Retired)?;
-                    }
-                }
-            }
+            self.transition(TenantId(i), to)?;
         }
 
-        let (opens, closes) = self.manager.breaker_cycles();
-        if opens > self.prev_breaker.0 {
-            self.pending.push(ControlEvent::BreakerOpened {
-                node: self.node,
-                slice,
-            });
-        }
-        if closes > self.prev_breaker.1 {
-            self.pending.push(ControlEvent::BreakerClosed {
-                node: self.node,
-                slice,
-            });
-        }
-        self.prev_breaker = (opens, closes);
-        if degraded {
+        if let Some(t) = record
+            .telemetry
+            .as_ref()
+            .filter(|t| t.degradation.degraded())
+        {
             self.pending.push(ControlEvent::QuantumDegraded {
                 node: self.node,
                 slice,
-                safe_mode,
+                safe_mode: t.degradation.safe_mode,
             });
         }
         Ok(record)
@@ -928,6 +846,51 @@ mod tests {
         core.step_quantum().unwrap();
         core.shutdown().unwrap();
         assert!(core.tenants().iter().all(|t| t.state().is_terminal()));
+    }
+
+    /// How a quantum went is stated once, in its record: neither a degraded
+    /// decision nor an LC core change moves a tenant's lifecycle state.
+    #[test]
+    fn degraded_quanta_and_lc_core_changes_are_not_lifecycle_events() {
+        // The load spike makes the LC service reclaim cores and yield them
+        // back; one diverged reconstruction degrades slice 4.
+        let plan = crate::faults::FaultPlan {
+            reconstruct_diverge: 1.0,
+            ..crate::faults::FaultPlan::none()
+        }
+        .with_window(4, 5);
+        let scenario = Scenario {
+            duration_slices: 10,
+            noise: 0.0,
+            phases: false,
+            ..Scenario::paper_default()
+        }
+        .with_load(workloads::loadgen::LoadPattern::paper_spike())
+        .with_faults(plan);
+        let mut core = ControlCore::new(&scenario);
+        let mut cores = core.step_quantum().unwrap().lc_cores();
+        core.drain_events();
+
+        let (mut changes, mut events) = (0, Vec::new());
+        while !core.is_done() {
+            let record = core.step_quantum().unwrap();
+            changes += usize::from(record.lc_cores() != cores);
+            cores = record.lc_cores();
+            events.extend(core.drain_events());
+        }
+        assert!(changes >= 2, "the spike never moved the LC cores");
+        assert_eq!(
+            events,
+            [ControlEvent::QuantumDegraded {
+                node: NodeId::local(),
+                slice: 4,
+                safe_mode: false,
+            }]
+        );
+        assert!(core
+            .tenants()
+            .iter()
+            .all(|t| t.state() == LifecycleState::Running));
     }
 
     #[test]

@@ -1,29 +1,23 @@
 //! The tenant lifecycle state machine the control plane enforces.
 //!
 //! Every tenant the control plane tracks — latency-critical services and
-//! batch applications alike — moves through one explicit state machine:
+//! batch applications alike — moves through one explicit state machine,
+//! from registration to retirement:
 //!
 //! ```text
-//!                 ┌──────────────→ Retired (admission rejected)
-//!                 │
-//! Registering → Admitted → Running ⇄ Degraded
-//!                 │           │  ⇄       │
-//!                 │           │ Relocating
-//!                 │           │   │      │
-//!                 └───────→ Draining ←───┘
-//!                             │
-//!                             ▼
-//!                          Retired
+//! Registering → Admitted → Running → Draining → Retired
+//!      │           │                    ▲          ▲
+//!      │           └────────────────────┘          │
+//!      └───────────────────────────────────────────┘
+//!                      (admission rejected)
 //! ```
 //!
-//! The machine subsumes two previously implicit mechanisms:
-//!
-//! * the **degradation ladder** (PR 3): a quantum that fell back to a
-//!   last-good replay or safe mode moves its tenants Running → Degraded,
-//!   and a clean quantum moves them back;
-//! * the **churn paths** (PR 2): batch arrival is Admitted → Running,
-//!   departure is Running → Draining → Retired, and an LC tenant whose
-//!   core reservation is being reshaped passes through Relocating.
+//! Batch arrival is Admitted → Running, departure is Running → Draining →
+//! Retired, and a tenant deregistered before its first quantum drains
+//! straight from Admitted. The table records lifecycle only: how a single
+//! quantum went (a degraded decision, a reshaped LC core reservation) is
+//! stated once, in the slice record and its telemetry, not copied into
+//! every tenant's state.
 //!
 //! Illegal transitions are *hard errors*, not warnings: the control plane
 //! treats an out-of-order transition as a logic bug and surfaces
@@ -33,13 +27,11 @@
 //! rejected, and from every reachable state some legal path reaches
 //! [`LifecycleState::Retired`].
 //!
-//! Since the cluster refactor, [`LifecycleState::Relocating`] carries its
-//! [`RelocationTarget`]: an on-chip reshape ([`RelocationTarget::Local`])
-//! or a cross-node move with a destination [`NodeId`]. Legality is decided
-//! on the state's *kind* ([`LifecycleState::same_kind`]), so the transition
-//! table stays a finite, exactly-enumerable relation: every
-//! `Relocating(target)` value behaves identically under the table, and the
-//! ALL×ALL property test remains exhaustive over representatives.
+//! [`LifecycleState::Relocating`] is not in the table: no node's tenant
+//! table ever holds it. It is the cluster's view of a tenant that has left
+//! its node — in flight to a destination ([`RelocationTarget::Node`]) or
+//! parked without one ([`RelocationTarget::Displaced`]) — built by the
+//! cluster coordinator on top of the node tables.
 
 /// Identity of one node (one reconfigurable chip plus its agent) in a
 /// cluster. A single-node deployment is node `n0` ([`NodeId::local`]); ids
@@ -74,25 +66,12 @@ impl std::fmt::Display for NodeId {
 /// Where a relocating tenant is headed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RelocationTarget {
-    /// An on-chip reshape: the tenant stays on its node but its core
-    /// reservation is being regrown or shrunk (the PR-2 churn path).
-    Local,
     /// A cross-node move: the tenant is in flight to this node.
     Node(NodeId),
     /// Evacuated off a failed node with no destination yet: the cluster
     /// parks the tenant in its displaced queue and retries placement with
     /// bounded, quantum-counted backoff until capacity returns.
     Displaced,
-}
-
-impl std::fmt::Display for RelocationTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RelocationTarget::Local => write!(f, "local"),
-            RelocationTarget::Node(node) => write!(f, "{node}"),
-            RelocationTarget::Displaced => write!(f, "displaced"),
-        }
-    }
 }
 
 /// The states a tenant moves through, from registration to retirement.
@@ -102,14 +81,11 @@ pub enum LifecycleState {
     Registering,
     /// Admission control accepted the tenant; it has not run a quantum yet.
     Admitted,
-    /// The tenant is live and its quanta are deciding cleanly.
+    /// The tenant is live: it holds resources every quantum plans for.
     Running,
-    /// The most recent quantum served this tenant from the degradation
-    /// ladder (last-good replay, safe mode, or an open breaker).
-    Degraded,
-    /// The tenant's resources are being reshaped: an on-chip core
-    /// reservation change ([`RelocationTarget::Local`]) or a cross-node
-    /// move carrying its destination ([`RelocationTarget::Node`]).
+    /// The cluster's view of a tenant between nodes (in flight or
+    /// displaced). Never held by a node's tenant table, so it has no row
+    /// in the transition table.
     Relocating(RelocationTarget),
     /// Deregistration accepted; the tenant finishes its current slice and
     /// releases its resources.
@@ -120,56 +96,41 @@ pub enum LifecycleState {
 }
 
 impl LifecycleState {
-    /// Every state kind, in declaration order (used by the property tests
-    /// to enumerate the full transition relation). `Relocating` appears as
-    /// its [`RelocationTarget::Local`] representative: the table is
-    /// target-agnostic, so one representative per kind is exhaustive.
-    pub const ALL: [LifecycleState; 7] = [
+    /// Every state a node's tenant table can hold, in lifecycle order (the
+    /// property tests enumerate the transition relation over it).
+    pub const ALL: [LifecycleState; 5] = [
         LifecycleState::Registering,
         LifecycleState::Admitted,
         LifecycleState::Running,
-        LifecycleState::Degraded,
-        LifecycleState::Relocating(RelocationTarget::Local),
         LifecycleState::Draining,
         LifecycleState::Retired,
     ];
 
-    /// The state kinds legally reachable in one transition from `self`
-    /// (representatives, as in [`LifecycleState::ALL`]). This table *is*
-    /// the specification; [`TenantLifecycle::transition`] consults nothing
-    /// else. Legality is decided by [`LifecycleState::same_kind`], so every
-    /// `Relocating(target)` shares one row and one entry.
+    /// The states legally reachable in one transition from `self`. This
+    /// table *is* the specification; [`TenantLifecycle::transition`]
+    /// consults nothing else.
     pub fn successors(self) -> &'static [LifecycleState] {
         use LifecycleState::*;
-        const RELOCATING: LifecycleState = Relocating(RelocationTarget::Local);
         match self {
             // Admission either accepts or permanently rejects.
             Registering => &[Admitted, Retired],
             // An admitted tenant starts running, or is deregistered before
             // its first quantum.
             Admitted => &[Running, Draining],
-            Running => &[Degraded, RELOCATING, Draining],
-            Degraded => &[Running, RELOCATING, Draining],
-            Relocating(_) => &[Running, Degraded, Draining],
+            Running => &[Draining],
             Draining => &[Retired],
-            Retired => &[],
+            // Terminal, and the cluster-only view no node table enters.
+            Relocating(_) | Retired => &[],
         }
     }
 
-    /// Whether `self` and `other` are the same state *kind* — equal up to
-    /// the relocation target. The transition table is defined over kinds.
-    pub fn same_kind(self, other: LifecycleState) -> bool {
-        std::mem::discriminant(&self) == std::mem::discriminant(&other)
-    }
-
-    /// Whether `self → to` is a legal transition (target-agnostic: any
-    /// relocation target is admissible where the table lists `Relocating`).
+    /// Whether `self → to` is a legal transition.
     pub fn can_transition(self, to: LifecycleState) -> bool {
-        self.successors().iter().any(|s| s.same_kind(to))
+        self.successors().contains(&to)
     }
 
     /// The relocation destination, when the tenant is mid-move to another
-    /// node (`None` for every other state, including local reshapes).
+    /// node (`None` for every other state, including a displaced tenant).
     pub fn relocation_target(self) -> Option<NodeId> {
         match self {
             LifecycleState::Relocating(RelocationTarget::Node(node)) => Some(node),
@@ -181,7 +142,7 @@ impl LifecycleState {
     pub fn is_live(self) -> bool {
         matches!(
             self,
-            LifecycleState::Running | LifecycleState::Degraded | LifecycleState::Relocating(_)
+            LifecycleState::Running | LifecycleState::Relocating(_)
         )
     }
 
@@ -196,7 +157,6 @@ impl LifecycleState {
             LifecycleState::Registering => "registering",
             LifecycleState::Admitted => "admitted",
             LifecycleState::Running => "running",
-            LifecycleState::Degraded => "degraded",
             LifecycleState::Relocating(_) => "relocating",
             LifecycleState::Draining => "draining",
             LifecycleState::Retired => "retired",
@@ -287,11 +247,11 @@ mod tests {
     #[test]
     fn the_happy_path_reaches_retired() {
         let mut lc = TenantLifecycle::new();
-        for to in [Admitted, Running, Degraded, Running, Draining, Retired] {
+        for to in [Admitted, Running, Draining, Retired] {
             lc.transition(to).expect("legal step");
         }
         assert_eq!(lc.state(), Retired);
-        assert_eq!(lc.transitions(), 6);
+        assert_eq!(lc.transitions(), 4);
     }
 
     #[test]
@@ -377,46 +337,26 @@ mod tests {
         }
     }
 
-    /// Every relocation target behaves identically under the table: the
-    /// representative in `ALL` speaks for the whole family, which is what
-    /// keeps the ALL×ALL enumeration above exact.
+    /// The cluster's relocation view is live but never a node-table state:
+    /// no transition enters or leaves it.
     #[test]
-    fn relocation_targets_share_the_representative_row() {
-        let targets = [
-            RelocationTarget::Local,
-            RelocationTarget::Node(NodeId::local()),
-            RelocationTarget::Node(NodeId::from_index(63)),
-            RelocationTarget::Displaced,
-        ];
-        for target in targets {
-            let state = Relocating(target);
-            assert!(state.same_kind(Relocating(RelocationTarget::Local)));
-            assert_eq!(
-                state.successors(),
-                Relocating(RelocationTarget::Local).successors(),
-                "{target}"
-            );
-            assert!(Running.can_transition(state), "{target}");
-            assert!(Degraded.can_transition(state), "{target}");
-            assert!(state.can_transition(Draining), "{target}");
-            assert!(state.is_live(), "{target}");
+    fn relocating_is_a_cluster_view_no_table_enters() {
+        let to_n5 = Relocating(RelocationTarget::Node(NodeId::from_index(5)));
+        for state in [to_n5, Relocating(RelocationTarget::Displaced)] {
+            assert!(state.is_live());
             assert_eq!(state.name(), "relocating");
-            // A retarget is not a transition: Relocating -> Relocating is
-            // off-table regardless of the targets involved.
-            let mut lc = TenantLifecycle {
-                state,
-                transitions: 0,
-            };
-            assert!(lc
-                .transition(Relocating(RelocationTarget::Node(NodeId::from_index(9))))
-                .is_err());
+            assert!(state.successors().is_empty());
+            for from in LifecycleState::ALL {
+                let mut lc = TenantLifecycle {
+                    state: from,
+                    transitions: 0,
+                };
+                assert!(lc.transition(state).is_err(), "{from:?} -> {state:?}");
+            }
         }
+        assert_eq!(to_n5.relocation_target(), Some(NodeId::from_index(5)));
         assert_eq!(
-            Relocating(RelocationTarget::Node(NodeId::from_index(5))).relocation_target(),
-            Some(NodeId::from_index(5))
-        );
-        assert_eq!(
-            Relocating(RelocationTarget::Local).relocation_target(),
+            Relocating(RelocationTarget::Displaced).relocation_target(),
             None
         );
         assert_eq!(Running.relocation_target(), None);

@@ -13,8 +13,8 @@
 //!   The same loop and the same handle run the fleet ([`cluster`]): a
 //!   [`Service`] and a [`cluster::ClusterService`] differ only in the plane
 //!   they own and the typed requests they offer.
-//! * [`bus`] — a bounded broadcast bus for lifecycle, admission, breaker,
-//!   and degradation events. Publishing never blocks a quantum; lagged
+//! * [`bus`] — a bounded broadcast bus for lifecycle, admission, and
+//!   degraded-quantum events. Publishing never blocks a quantum; lagged
 //!   subscribers observably drop ([`bus::Received::Lagged`]).
 //! * [`metrics`] + an HTTP endpoint — `GET /metrics` renders a
 //!   Prometheus-style document from the telemetry the pipeline already

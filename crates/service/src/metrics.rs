@@ -277,8 +277,10 @@ fn node_families(out: &mut String, nodes: &[NodeView]) {
     );
 }
 
-/// The `cuttlesys_tenants` family: tenants per lifecycle state, over the
-/// states of whichever tenant table the document describes.
+/// The `cuttlesys_tenants` family: tenants per lifecycle state name, over
+/// the states of whichever tenant table the document describes. A node's
+/// table holds only [`LifecycleState::ALL`]; `relocating` counts the
+/// cluster view's tenants between nodes.
 fn tenants_per_state(out: &mut String, states: &[LifecycleState]) {
     family(
         out,
@@ -286,9 +288,16 @@ fn tenants_per_state(out: &mut String, states: &[LifecycleState]) {
         "gauge",
         "Tenants per lifecycle state.",
     );
-    for state in LifecycleState::ALL {
-        let n = states.iter().filter(|s| s.same_kind(state)).count();
-        let label = format!("state=\"{}\"", state.name());
+    for name in [
+        "registering",
+        "admitted",
+        "running",
+        "relocating",
+        "draining",
+        "retired",
+    ] {
+        let n = states.iter().filter(|s| s.name() == name).count();
+        let label = format!("state=\"{name}\"");
         sample(out, "cuttlesys_tenants", &[&label], n as f64);
     }
 }

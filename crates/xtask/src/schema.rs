@@ -10,8 +10,9 @@
 //!   in `service::metrics`;
 //! * **label** — every `key="` label key inside the same file's literals;
 //! * **json-key** — every `("key".to_string(), ...)` / `("key".into(), ...)`
-//!   object-key literal in the `util::json` builder files (`to_json` impls,
-//!   sweep's `summary_json` writer).
+//!   object-key literal, and every `("key", ...)` tuple directly inside an
+//!   `object([...])` call, in the `util::json` builder files (`to_json`
+//!   impls, sweep's `summary_json` writer).
 //!
 //! `cargo xtask schema --check` (run inside the lint gate) fails on any
 //! drift between the sources and the committed lock; a schema change ships
@@ -109,8 +110,39 @@ pub fn extract(path: &str, source: &str, mode: Extract) -> Vec<Entry> {
             }
         }
         Extract::JsonKeys => {
+            let mut push = |t: &Token| {
+                if let Some(text) = t.str_lit().filter(|text| !text.is_empty()) {
+                    out.push(Entry {
+                        kind: "json-key",
+                        name: text.to_string(),
+                        file: path.to_string(),
+                        line: t.line,
+                        col: t.col,
+                    });
+                }
+            };
             for (i, t) in tokens.iter().enumerate() {
-                let Some(text) = t.str_lit() else { continue };
+                // `object([("key", value), ...])`: the literal opening each
+                // tuple that is itself an element of the array, so literals
+                // nested inside a value (`format!("…", x)`) stay out.
+                if t.ident() == Some("object")
+                    && tokens.get(i + 1).is_some_and(|n| n.is_punct('('))
+                    && tokens.get(i + 2).is_some_and(|n| n.is_punct('['))
+                {
+                    let close = matching_bracket(&tokens, i + 2).unwrap_or(i + 2);
+                    let mut j = i + 3;
+                    while j < close {
+                        if !tokens[j].is_punct('(') {
+                            j += 1;
+                            continue;
+                        }
+                        let element = tokens[j - 1].is_punct('[') || tokens[j - 1].is_punct(',');
+                        if element && tokens.get(j + 2).is_some_and(|n| n.is_punct(',')) {
+                            push(&tokens[j + 1]);
+                        }
+                        j = matching_bracket(&tokens, j).unwrap_or(j) + 1;
+                    }
+                }
                 // `( "key" . to_string ( ) ,` / `( "key" . into ( ) ,` —
                 // the trailing comma distinguishes a tuple-key position
                 // from a plain `Str("value".to_string())` argument.
@@ -123,14 +155,8 @@ pub fn extract(path: &str, source: &str, mode: Extract) -> Vec<Entry> {
                     && tokens.get(i + 3).is_some_and(|n| n.is_punct('('))
                     && tokens.get(i + 4).is_some_and(|n| n.is_punct(')'))
                     && tokens.get(i + 5).is_some_and(|n| n.is_punct(','));
-                if preceded && key_call && !text.is_empty() {
-                    out.push(Entry {
-                        kind: "json-key",
-                        name: text.to_string(),
-                        file: path.to_string(),
-                        line: t.line,
-                        col: t.col,
-                    });
+                if preceded && key_call {
+                    push(t);
                 }
             }
         }

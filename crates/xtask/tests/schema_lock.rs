@@ -50,6 +50,36 @@ fn extraction_is_byte_stable_and_matches_the_committed_lock() {
     }
 }
 
+/// `JsonValue::object([("key", value), ...])` builds locked objects too: a
+/// literal opening a tuple element of the array is a key, wherever the
+/// call nests; a literal inside a value (`format!`, a call, a nested
+/// tuple) is not.
+#[test]
+fn object_array_tuple_keys_are_extracted_and_values_are_not() {
+    let source = r#"
+fn to_json(&self) -> JsonValue {
+    JsonValue::object([
+        ("quantum", self.quantum.into()),
+        ("label", format!("{}-x", self.label).into()),
+        ("pair", JsonValue::from(("inner", 1))),
+        (
+            "rows",
+            JsonValue::Arr(self.rows.iter().map(|r| JsonValue::object([("row", r.into())])).collect()),
+        ),
+    ])
+}
+"#;
+    let keys: Vec<String> = xtask::schema::extract(
+        "crates/cluster/src/coordinator.rs",
+        source,
+        xtask::schema::Extract::JsonKeys,
+    )
+    .into_iter()
+    .map(|e| e.name)
+    .collect();
+    assert_eq!(keys, ["quantum", "label", "pair", "rows", "row"]);
+}
+
 /// Builds a minimal workspace with one metrics emitter file.
 fn toy_workspace(dir: &Path, metric: &str) {
     let metrics_dir = dir.join("crates/service/src");

@@ -1,7 +1,7 @@
 //! Integration tests for fault injection and the degradation ladder:
 //! deterministic replay under a seeded [`FaultPlan`], zero panics through a
-//! mid-run reconstruction blackout, bounded QoS damage, and circuit-breaker
-//! open/recover cycles.
+//! mid-run reconstruction blackout, bounded QoS damage, the retry and
+//! last-good-plan rungs, and circuit-breaker open/recover cycles.
 //!
 //! Records are compared through extracted bit-level tuples rather than
 //! `PartialEq` on whole records: stage telemetry carries wall-clock floats
@@ -9,6 +9,7 @@
 //! NaNs (`NaN != NaN`).
 
 use cuttlesys::faults::FaultPlan;
+use cuttlesys::telemetry::DegradationEvents;
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::{RunRecord, Scenario};
 use cuttlesys::CuttleSysManager;
@@ -212,4 +213,61 @@ fn flaky_reconfig_leaves_cores_stuck_but_run_completes() {
         record.power_violations(),
         touched
     );
+}
+
+#[test]
+fn lost_profiling_frames_retry_then_replay_the_last_good_plan() {
+    // Every profiling sample of slices 4 and 5 is dropped: the ladder's
+    // retry rung re-samples both frames, profiling still fails, and the
+    // last-good-plan rung replays slice 3's decision.
+    let plan = FaultPlan {
+        sample_drop: 1.0,
+        ..FaultPlan::none()
+    }
+    .with_window(4, 6);
+    let mut scenario = Scenario::paper_default().with_faults(plan);
+    scenario.duration_slices = 10;
+    let mut manager = CuttleSysManager::for_scenario(&scenario);
+    let record = run_scenario(&scenario, &mut manager);
+    let degradation = |slice: usize| {
+        record.slices[slice]
+            .telemetry
+            .as_ref()
+            .expect("cuttlesys always reports telemetry")
+            .degradation
+    };
+
+    let last_good = &record.slices[3];
+    for (slice, stale_age) in [(4, 1), (5, 2)] {
+        assert_eq!(
+            degradation(slice),
+            DegradationEvents {
+                sample_retries: 2,
+                stale_age,
+                replayed_last_good: true,
+                failed_stage: Some("profile"),
+                ..DegradationEvents::default()
+            },
+            "slice {slice}"
+        );
+        let replayed = &record.slices[slice];
+        let lc_configs = |s: &cuttlesys::types::SliceRecord| -> Vec<_> {
+            s.lc.iter().map(|l| (l.cores, l.config)).collect()
+        };
+        assert_eq!(lc_configs(replayed), lc_configs(last_good), "slice {slice}");
+        assert_eq!(
+            replayed.batch_configs, last_good.batch_configs,
+            "slice {slice}"
+        );
+    }
+    // Two replays are far from the breaker's threshold, and the run is
+    // clean again once the window closes.
+    assert_eq!(manager.breaker_cycles(), (0, 0));
+    for slice in 6..10 {
+        assert_eq!(
+            degradation(slice),
+            DegradationEvents::default(),
+            "slice {slice}"
+        );
+    }
 }

@@ -16,6 +16,9 @@
 //! * sustained placement infeasibility after capacity loss engages
 //!   degraded mode exactly once (hysteresis, no flapping), shedding
 //!   frees capacity for the displaced queue, and the fleet recovers;
+//! * a migration whose destination refuses is re-aimed with backoff and
+//!   either lands on a serving node or, after its last retry, is
+//!   abandoned loudly;
 //! * [`FleetFaultPlan::none`] is a bit-for-bit no-op against the
 //!   single-node golden run.
 //!
@@ -375,4 +378,117 @@ fn a_clean_fault_plan_is_a_bit_for_bit_no_op() {
         core.into_record().comparable(),
         "a clean fault plan perturbed the single-node run"
     );
+}
+
+/// Steps a 3-node fleet of `base`, migrating tenant `c1` (a batch tenant
+/// of n0) to n1 after quantum 0 and, when asked, draining n1 before
+/// quantum 2. Returns the fleet and its cluster-level events.
+fn migrate_c1_to_n1(
+    base: &Scenario,
+    drain_n1: bool,
+) -> (ClusterCoordinator, ClusterTenantId, Vec<ClusterEvent>) {
+    let c1 = ClusterTenantId::from_index(1);
+    let mut coordinator = ClusterCoordinator::new(&ClusterScenario::uniform(base, 3));
+    let mut events = Vec::new();
+    for quantum in 0..base.duration_slices {
+        if drain_n1 && quantum == 2 {
+            coordinator.drain_node(n(1)).expect("n1 drains");
+        }
+        coordinator.step_quantum().expect("cluster quantum");
+        if quantum == 0 {
+            coordinator.migrate(c1, n(1)).expect("migration starts");
+        }
+        events.extend(
+            coordinator
+                .drain_events()
+                .into_iter()
+                .filter(|e| !matches!(e, ClusterEvent::Node(_))),
+        );
+    }
+    (coordinator, c1, events)
+}
+
+/// A tenant's migration outcomes, as `(quantum, outcome, destination)`.
+fn migration_log(
+    events: &[ClusterEvent],
+    id: ClusterTenantId,
+) -> Vec<(usize, &'static str, NodeId)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            ClusterEvent::MigrationFailed {
+                tenant,
+                to,
+                quantum,
+                ..
+            } if tenant == id => Some((quantum, "failed", to)),
+            ClusterEvent::MigrationRetried {
+                tenant,
+                to,
+                quantum,
+                ..
+            } if tenant == id => Some((quantum, "retried", to)),
+            ClusterEvent::MigrationCompleted {
+                tenant,
+                to,
+                quantum,
+                ..
+            } if tenant == id => Some((quantum, "completed", to)),
+            ClusterEvent::MigrationAbandoned {
+                tenant,
+                to,
+                quantum,
+                ..
+            } if tenant == id => Some((quantum, "abandoned", to)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_destination_that_keeps_refusing_is_retried_with_backoff_then_abandoned() {
+    // The cap collapses at 0.3 s, before the move lands at quantum 3: from
+    // then on n1's admission control refuses every admit, and with every
+    // other node just as starved the re-aim falls back to n1.
+    let base = Scenario {
+        cap: LoadPattern::Steps(vec![(0.0, 2.0), (0.3, 0.01)]),
+        ..quiet(24)
+    };
+    let (coordinator, c1, events) = migrate_c1_to_n1(&base, false);
+    let mut want = Vec::new();
+    for quantum in [3, 7, 15] {
+        want.extend([(quantum, "failed", n(1)), (quantum, "retried", n(1))]);
+    }
+    want.extend([(23, "failed", n(1)), (23, "abandoned", n(1))]);
+    assert_eq!(migration_log(&events, c1), want);
+    assert!(events.iter().any(|e| matches!(
+        e,
+        ClusterEvent::MigrationAbandoned { tenant, attempts: 4, .. } if *tenant == c1
+    )));
+    assert_eq!(
+        coordinator.tenant_state(c1),
+        Some(cuttlesys::lifecycle::LifecycleState::Retired)
+    );
+}
+
+#[test]
+fn a_refused_move_is_re_aimed_at_a_serving_node_and_completes() {
+    // n1 is drained while the move is in flight, so the admit at quantum 3
+    // is refused without asking n1; the re-aim picks the best serving node
+    // (today the source, n0) and the move lands after the backoff.
+    let (coordinator, c1, events) = migrate_c1_to_n1(&roomy(10), true);
+    let log = migration_log(&events, c1);
+    let to = log[1].2;
+    assert_eq!(
+        log,
+        [
+            (3, "failed", n(1)),
+            (3, "retried", to),
+            (7, "completed", to)
+        ]
+    );
+    assert_ne!(to, n(1));
+    assert_eq!(coordinator.node_health(to), Some(NodeHealth::Up));
+    assert_eq!(coordinator.tenant_node(c1), Some(to));
+    assert!(coordinator.tenant_state(c1).is_some_and(|s| s.is_live()));
 }
