@@ -13,19 +13,21 @@
 //! 1. **Complete due migrations** (serial, start order): a tenant whose
 //!    modeled migration cost has elapsed is admitted on its destination;
 //!    a refusal schedules a bounded retry against the next-best node.
-//! 2. **Step every steppable node**, one after another in node-id order;
-//!    a node's step reads and writes only its own state. Crashed and
-//!    drained nodes never step again; blacked-out nodes keep stepping
-//!    (they are alive, just unobservable — the split-brain is reconciled
-//!    on rejoin).
+//! 2. **Step every steppable node**, concurrently: each node is one job
+//!    of a single [`WorkerPool`] scope, and a node's step reads and writes
+//!    only its own state. Errors are reduced in node-id order after the
+//!    scope joins. Crashed and drained nodes never step again; blacked-out
+//!    nodes keep stepping (they are alive, just unobservable — the
+//!    split-brain is reconciled on rejoin).
 //! 3. **Drain node events** into the cluster event queue, in node-id
 //!    order.
 //! 4. **Balance** LC traffic shares from the quantum's tail ratios.
 //! 5. **Auto-migrate** (when configured): a node still breaching after
 //!    balancing offloads its most recently placed batch tenant.
 //!
-//! Every phase runs serially in node-id order — that is the whole
-//! determinism argument (see the crate docs), and `tests/cluster.rs` plus
+//! Every other phase runs serially in node-id order. Together with phase
+//! 2's share-nothing jobs that is the whole determinism argument (see the
+//! crate docs), and `tests/cluster.rs` plus
 //! `tests/fleet_resilience.rs` pin the results it yields. With
 //! [`FleetFaultPlan::none`] phase 0 observes a clean heartbeat on every Up
 //! node and does nothing at all, so a fault-free coordinator is
@@ -36,6 +38,7 @@ use cuttlesys::control::{ControlError, ControlEvent, ControlSnapshot, TenantId, 
 use cuttlesys::lifecycle::{LifecycleState, NodeId, RelocationTarget};
 use cuttlesys::types::RunRecord;
 use util::json::JsonValue;
+use util::pool::{for_each_slot, WorkerPool};
 use workloads::batch::SpecBenchmark;
 
 use crate::balance::{decide_shift, BalanceConfig};
@@ -496,6 +499,9 @@ pub struct ClusterCoordinator {
     degraded: DegradedMode,
     /// Evacuations performed so far (batch re-placements + LC foldings).
     evacuations: usize,
+    /// The width phase 2 steps the nodes at (and construction builds
+    /// them at): one scope per quantum, one job per node.
+    pool: WorkerPool,
 }
 
 impl ClusterCoordinator {
@@ -531,12 +537,10 @@ impl ClusterCoordinator {
         config: ClusterConfig,
         plan: FleetFaultPlan,
     ) -> ClusterCoordinator {
-        let nodes: Vec<NodeAgent> = scenario
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, s)| NodeAgent::new(s, NodeId::from_index(i)))
-            .collect();
+        let pool = WorkerPool::new(WorkerPool::default_threads());
+        let nodes = pool.map_indexed(&scenario.nodes, |i, s| {
+            NodeAgent::new(s, NodeId::from_index(i))
+        });
         let mut tenants = Vec::new();
         for agent in &nodes {
             let scenario = agent.core().scenario();
@@ -569,6 +573,7 @@ impl ClusterCoordinator {
             stale_locals: vec![Vec::new(); n],
             degraded: DegradedMode::new(),
             evacuations: 0,
+            pool,
         }
     }
 
@@ -1413,26 +1418,29 @@ impl ClusterCoordinator {
         }
     }
 
-    /// Steps one lockstep quantum across the fleet, serially in ascending
-    /// node-id order. Every steppable node steps even when an earlier one
-    /// fails.
+    /// Steps one lockstep quantum across the fleet. The nodes step
+    /// concurrently, as the jobs of one [`WorkerPool`] scope; every other
+    /// phase runs serially in ascending node-id order. Every steppable node
+    /// steps even when another one fails.
     ///
     /// # Errors
     ///
-    /// Returns the first stepping node's [`ControlError`] in node-id
-    /// order (a control-plane logic bug, surfaced hard).
+    /// Returns the lowest-id stepping node's [`ControlError`] (a
+    /// control-plane logic bug, surfaced hard).
     pub fn step_quantum(&mut self) -> Result<(), ClusterError> {
         self.health_phase();
         self.complete_due_migrations();
-        let mut first_error = None;
-        for (node, fate) in self.nodes.iter_mut().zip(&self.fate) {
-            if fate.steppable() {
-                if let Err(e) = node.step() {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_error {
+        let mut slots: Vec<(&mut NodeAgent, Option<ControlError>)> = self
+            .nodes
+            .iter_mut()
+            .zip(&self.fate)
+            .filter(|(_, fate)| fate.steppable())
+            .map(|(node, _)| (node, None))
+            .collect();
+        for_each_slot(Some(&self.pool), &mut slots, |_, (node, error)| {
+            *error = node.step().err();
+        });
+        if let Some(e) = slots.into_iter().find_map(|(_, error)| error) {
             return Err(ClusterError::Control(e));
         }
         self.settle_cross_node();

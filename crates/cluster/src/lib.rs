@@ -36,13 +36,15 @@
 //!
 //! # Determinism rules
 //!
-//! Everything here is sans-io: no wall clock, no sockets, no threads.
-//! Determinism rests on two structural rules:
+//! Everything here is sans-io: no wall clock, no sockets. The only
+//! threads are those of one [`util::WorkerPool`] scope per quantum, in
+//! which the nodes step. Determinism rests on two structural rules:
 //!
 //! 1. **Nodes are share-nothing within a quantum.** Each node's step is a
-//!    pure function of its own state, and
-//!    [`ClusterCoordinator::step_quantum`] steps them in one loop in
-//!    ascending [`NodeId`] order.
+//!    pure function of its own state, so
+//!    [`ClusterCoordinator::step_quantum`] steps them concurrently, one
+//!    job per node, and reduces their errors in ascending [`NodeId`] order
+//!    once every job has finished.
 //! 2. **Cross-node decisions are serial and node-id-ordered.** Migration
 //!    completions, event draining, balancing, and auto-migration all
 //!    read and mutate state in ascending [`NodeId`] order, after every

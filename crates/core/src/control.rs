@@ -9,10 +9,10 @@
 //!   power (its peak per-core draw across all 108 configurations, from the
 //!   same offline oracle characterization the rating matrices train on)
 //!   must fit in the steady-state budget left after every already-admitted
-//!   tenant's worst case is committed
-//!   ([`crate::accounting::steady_state_budget`]). Rejection is permanent
-//!   for that registration: the tenant goes Registering → Retired and the
-//!   caller gets [`AdmissionError`].
+//!   tenant's worst case (computed once, when its row is recorded) is
+//!   committed ([`crate::accounting::steady_state_budget`]). Rejection is
+//!   permanent for that registration: the tenant goes Registering → Retired
+//!   and the caller gets [`AdmissionError`].
 //! * **step_quantum** — runs one 100 ms decision quantum and moves each
 //!   [`TenantLifecycle`] only where the quantum started or ended a tenant:
 //!   a tenant's first run takes it Admitted → Running, and a drained batch
@@ -33,7 +33,7 @@
 //! replayable bit-for-bit (see `tests/control_plane.rs`).
 
 use simulator::power::CoreKind;
-use simulator::Chip;
+use simulator::{AppProfile, Chip};
 use util::json::JsonValue;
 use workloads::batch::SpecBenchmark;
 use workloads::oracle::Oracle;
@@ -108,6 +108,9 @@ pub struct TenantEntry {
     name: String,
     kind: TenantKind,
     lifecycle: TenantLifecycle,
+    /// The tenant's worst-case steady-state power, fixed at registration:
+    /// profiles and declared LC core counts never change at runtime.
+    worst_case_watts: f64,
 }
 
 impl TenantEntry {
@@ -360,17 +363,21 @@ impl ControlCore {
             pending: Vec::new(),
         };
         for (i, lc) in scenario.lc_jobs().iter().enumerate() {
+            let worst_case = lc.cores as f64 * core.peak_watts(&lc.service.profile);
             let id = core.push_tenant(
                 format!("{}#{i}", lc.service.name),
                 TenantKind::LatencyCritical { lc_index: i },
+                worst_case,
             );
             core.transition(id, LifecycleState::Admitted)
                 .expect("declared tenant admission is legal");
         }
         for (j, b) in scenario.batch_jobs().iter().enumerate() {
+            let worst_case = core.peak_watts(&b.app.profile);
             let id = core.push_tenant(
                 format!("{}#{j}", b.app.name),
                 TenantKind::Batch { batch_index: j },
+                worst_case,
             );
             core.transition(id, LifecycleState::Admitted)
                 .expect("declared tenant admission is legal");
@@ -378,12 +385,13 @@ impl ControlCore {
         core
     }
 
-    fn push_tenant(&mut self, name: String, kind: TenantKind) -> TenantId {
+    fn push_tenant(&mut self, name: String, kind: TenantKind, worst_case_watts: f64) -> TenantId {
         let id = TenantId(self.tenants.len());
         self.tenants.push(TenantEntry {
             name,
             kind,
             lifecycle: TenantLifecycle::new(),
+            worst_case_watts,
         });
         id
     }
@@ -408,29 +416,22 @@ impl ControlCore {
         Ok(())
     }
 
-    /// The worst-case steady-state power a tenant can draw: its peak
-    /// per-core draw across all configurations (from the oracle
-    /// characterization), times its core reservation for LC tenants.
-    fn worst_case_watts(&self, kind: TenantKind) -> f64 {
-        let peak = |row: Vec<f64>| row.into_iter().fold(0.0, f64::max);
-        match kind {
-            TenantKind::LatencyCritical { lc_index } => {
-                let lc = self.driver.scenario().lc_jobs()[lc_index];
-                lc.cores as f64 * peak(self.oracle.power_row(&lc.service.profile))
-            }
-            TenantKind::Batch { batch_index } => {
-                let b = self.driver.scenario().batch_jobs()[batch_index];
-                peak(self.oracle.power_row(&b.app.profile))
-            }
-        }
+    /// An app's peak per-core draw across all configurations, from the
+    /// oracle characterization. A tenant's worst-case steady-state power is
+    /// this peak, times its core reservation for LC tenants.
+    fn peak_watts(&self, profile: &AppProfile) -> f64 {
+        self.oracle
+            .power_row(profile)
+            .into_iter()
+            .fold(0.0, f64::max)
     }
 
-    /// Admission arithmetic for a candidate batch app: `(required, budget)`
-    /// where `required` is every non-retired tenant's worst case plus the
-    /// candidate's, and `budget` is the steady-state power left after the
-    /// profiling window is charged at the (candidate-inclusive) nominal
-    /// budget.
-    fn admission_check(&self, app: SpecBenchmark) -> (f64, f64) {
+    /// Admission arithmetic for a candidate batch app whose peak draw is
+    /// `candidate`: `(required, budget)` where `required` is every
+    /// non-retired tenant's worst case plus the candidate's, and `budget`
+    /// is the steady-state power left after the profiling window is
+    /// charged at the (candidate-inclusive) nominal budget.
+    fn admission_check(&self, app: SpecBenchmark, candidate: f64) -> (f64, f64) {
         let scenario = self.driver.scenario();
         // The nominal budget is defined over the full co-location (§VII-A),
         // so evaluate it as if the candidate were already present.
@@ -450,13 +451,8 @@ impl ControlCore {
                 let s = t.lifecycle.state();
                 s != LifecycleState::Registering && !s.is_terminal()
             })
-            .map(|t| self.worst_case_watts(t.kind))
+            .map(|t| t.worst_case_watts)
             .sum();
-        let candidate = self
-            .oracle
-            .power_row(&app.profile)
-            .into_iter()
-            .fold(0.0, f64::max);
         let budget = steady_state_budget(cap_watts, TIMESLICE_MS, PROFILING_MS, nominal);
         (committed + candidate, budget)
     }
@@ -479,16 +475,18 @@ impl ControlCore {
         app: SpecBenchmark,
     ) -> Result<TenantId, AdmissionError> {
         let slice = self.driver.next_slice();
-        let (required_watts, budget_watts) = self.admission_check(app);
+        let peak = self.peak_watts(&app.profile);
+        let (required_watts, budget_watts) = self.admission_check(app, peak);
         if required_watts > budget_watts {
             let id = self.push_tenant(
                 name.to_string(),
                 // The job never materializes; record the index it *would*
-                // have taken. The row is terminal, so it is never used to
-                // address the job tables.
+                // have taken. The row is terminal, so neither the index nor
+                // the worst case is ever read.
                 TenantKind::Batch {
                     batch_index: self.driver.scenario().num_batch(),
                 },
+                peak,
             );
             self.transition(id, LifecycleState::Retired)
                 .expect("rejection is legal");
@@ -508,7 +506,7 @@ impl ControlCore {
         let batch_index = self.driver.admit_batch(app);
         let grown = self.manager.admit_batch();
         debug_assert_eq!(batch_index, grown, "driver and manager row counts agree");
-        let id = self.push_tenant(name.to_string(), TenantKind::Batch { batch_index });
+        let id = self.push_tenant(name.to_string(), TenantKind::Batch { batch_index }, peak);
         self.transition(id, LifecycleState::Admitted)
             .expect("admission is legal");
         Ok(id)
@@ -659,7 +657,7 @@ impl ControlCore {
     /// layer calls this on every node to bin-pack a tenant onto the node
     /// with the most worst-case headroom.
     pub fn admission_preview(&self, app: SpecBenchmark) -> (f64, f64) {
-        self.admission_check(app)
+        self.admission_check(app, self.peak_watts(&app.profile))
     }
 
     /// Scales the offered load of one LC service (cluster load balancing
@@ -891,6 +889,89 @@ mod tests {
             .tenants()
             .iter()
             .all(|t| t.state() == LifecycleState::Running));
+    }
+
+    /// The admission arithmetic recomputed from scratch, as it was before
+    /// worst cases were cached: every counted tenant's oracle power row is
+    /// re-simulated and its peak folded in registration order.
+    fn fresh_preview(core: &ControlCore, app: SpecBenchmark) -> (f64, f64) {
+        let peak = |row: Vec<f64>| row.into_iter().fold(0.0, f64::max);
+        let scenario = core.driver.scenario();
+        let mut hypothetical = scenario.clone();
+        hypothetical.jobs.push(JobSpec::Batch(BatchJobSpec {
+            app,
+            arrive_slice: core.driver.next_slice(),
+            depart_slice: None,
+        }));
+        let nominal = hypothetical.nominal_budget_watts();
+        let t_s = core.driver.next_slice() as f64 * TIMESLICE_MS / 1000.0;
+        let cap_watts = scenario.cap.load_at(t_s) * nominal;
+        let committed: f64 = core
+            .tenants
+            .iter()
+            .filter(|t| {
+                let s = t.lifecycle.state();
+                s != LifecycleState::Registering && !s.is_terminal()
+            })
+            .map(|t| match t.kind {
+                TenantKind::LatencyCritical { lc_index } => {
+                    let lc = scenario.lc_jobs()[lc_index];
+                    lc.cores as f64 * peak(core.oracle.power_row(&lc.service.profile))
+                }
+                TenantKind::Batch { batch_index } => {
+                    let b = scenario.batch_jobs()[batch_index];
+                    peak(core.oracle.power_row(&b.app.profile))
+                }
+            })
+            .sum();
+        let candidate = peak(core.oracle.power_row(&app.profile));
+        let budget = steady_state_budget(cap_watts, TIMESLICE_MS, PROFILING_MS, nominal);
+        (committed + candidate, budget)
+    }
+
+    #[test]
+    fn cached_admission_arithmetic_equals_a_fresh_recomputation() {
+        // Loose before 0.2 s and after 0.3 s; a starvation cap for slice 2.
+        let mut s = quiet(6);
+        s.cap = workloads::loadgen::LoadPattern::Steps(vec![(0.0, 2.0), (0.2, 0.05), (0.3, 2.0)]);
+        let apps = batch::mix(4, 0xBEEF).apps;
+        let mut core = ControlCore::new(&s);
+        let assert_fresh = |core: &ControlCore, when: &str| {
+            for app in &apps {
+                let (required, budget) = core.admission_preview(*app);
+                let (fresh_required, fresh_budget) = fresh_preview(core, *app);
+                assert_eq!(
+                    (required.to_bits(), budget.to_bits()),
+                    (fresh_required.to_bits(), fresh_budget.to_bits()),
+                    "{} {when}",
+                    app.name
+                );
+            }
+        };
+        assert_fresh(&core, "with only the declared tenants");
+        core.step_quantum().unwrap();
+        let admitted = [
+            core.register_batch("first", apps[0]).expect("admitted"),
+            core.register_batch("second", apps[1]).expect("admitted"),
+        ];
+        let third = core.register_batch("third", apps[2]).expect("admitted");
+        assert_fresh(&core, "after three admissions");
+        core.step_quantum().unwrap();
+        assert!(core.register_batch("rejected", apps[3]).is_err());
+        assert_eq!(
+            core.tenants().last().unwrap().state(),
+            LifecycleState::Retired
+        );
+        assert_fresh(&core, "after a rejection");
+        core.step_quantum().unwrap();
+        core.deregister(third).unwrap();
+        assert_fresh(&core, "while the third drains");
+        core.step_quantum().unwrap();
+        assert_eq!(core.tenant(third).unwrap().state(), LifecycleState::Retired);
+        for id in admitted {
+            assert_eq!(core.tenant(id).unwrap().state(), LifecycleState::Running);
+        }
+        assert_fresh(&core, "after the third retired");
     }
 
     #[test]

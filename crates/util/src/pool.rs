@@ -32,7 +32,7 @@
 //! * **[`WorkerPool::new`] is free; every scope pays for its threads.**
 //!   Spawning and joining costs tens of microseconds, so a scope is for
 //!   coarse work — a sweep's runs, a fleet's nodes, a HOGWILD fit. No
-//!   decision quantum opens one.
+//!   node's decision quantum opens one; the fleet quantum opens one.
 //!
 //! A job may open a scope of its own on the same pool: the inner scope
 //! brings its own threads, so nesting cannot deadlock (the width bounds one

@@ -4,6 +4,8 @@
 //! * a one-node cluster replays the single-node run bit-for-bit (the
 //!   paper-default golden record pins that run in `tests/multi_tenant.rs`,
 //!   and `tests/control_plane.rs` pins the core path against it);
+//! * eight nodes stepped concurrently each replay their own control core
+//!   stepped alone, bit-for-bit;
 //! * under a flash crowd, balancing shifts traffic and auto-migration
 //!   moves batch work off the breaching node, while every LC service's
 //!   traffic shares keep summing to its replica count;
@@ -19,7 +21,7 @@
 
 use cluster::{
     BalanceConfig, ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterScenario,
-    MigrationConfig, NodeId, RelocationTarget,
+    FleetFaultPlan, MigrationConfig, NodeId, RelocationTarget,
 };
 use cuttlesys::control::ControlCore;
 use cuttlesys::lifecycle::LifecycleState;
@@ -73,6 +75,37 @@ fn a_one_node_cluster_replays_the_single_node_run_bit_for_bit() {
         core.into_record().comparable(),
         "N=1 must be the exact degenerate case of the cluster"
     );
+}
+
+#[test]
+fn eight_concurrently_stepped_nodes_each_replay_their_bare_core_bit_for_bit() {
+    // No balance, no auto-migration, no faults: nothing crosses nodes, so
+    // each node's record is its own scenario's, however the fleet quantum
+    // spreads the node steps over threads.
+    const QUANTA: usize = 30;
+    let scenario = ClusterScenario::uniform(&Scenario::paper_default(), 8);
+    let mut coordinator = ClusterCoordinator::with_faults(
+        &scenario,
+        ClusterConfig::default(),
+        FleetFaultPlan::none(),
+    );
+    for _ in 0..QUANTA {
+        coordinator.step_quantum().expect("cluster quantum");
+    }
+    let record = coordinator.into_record();
+    assert_eq!(record.nodes.len(), 8);
+
+    for (i, (node, s)) in record.nodes.into_iter().zip(&scenario.nodes).enumerate() {
+        let mut core = ControlCore::on_node(s, NodeId::from_index(i));
+        for _ in 0..QUANTA {
+            core.step_quantum().expect("core quantum");
+        }
+        assert_eq!(
+            node.comparable(),
+            core.into_record().comparable(),
+            "node {i} stepped in the fleet differs from its core stepped alone"
+        );
+    }
 }
 
 #[test]
