@@ -8,8 +8,8 @@
 //! given twice — is a usage error, never a silent default. Flags may appear
 //! anywhere relative to positionals.
 //!
-//! Exit status follows the sweep CLI: `0` ok, `1` usage (or an unwritable
-//! `--json` path), `2` the experiment's own acceptance failed.
+//! Exit status: `0` ok, `1` usage (or an input the experiment refused, or
+//! an unwritable `--json` path), `2` the experiment's own acceptance failed.
 
 use std::path::Path;
 
@@ -213,6 +213,10 @@ pub fn run(argv: &[String]) -> u8 {
         }
     };
     let report = (experiment.run)(&args);
+    if let Some(msg) = &report.refused {
+        eprintln!("paper {id}: {msg}");
+        return 1;
+    }
     print!("{}", report.render());
     let json = args.word(JSON.name);
     if !json.is_empty() {
@@ -418,16 +422,16 @@ mod tests {
     }
 
     #[test]
-    fn the_registry_holds_the_seventeen_experiments_once_each() {
+    fn the_registry_holds_the_eighteen_experiments_once_each() {
         let mut ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
-        assert_eq!(ids.len(), 17);
+        assert_eq!(ids.len(), 18);
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 17, "duplicate id");
+        assert_eq!(ids.len(), 18, "duplicate id");
         let declared: usize = REGISTRY.iter().map(|e| e.args.len()).sum();
         assert_eq!(
-            declared, 14,
-            "per-experiment arguments (ISSUE 15 counts 14 + --json)"
+            declared, 16,
+            "per-experiment arguments (the paper's 14 + the sweep's 2, plus --json)"
         );
     }
 }

@@ -4,7 +4,7 @@
 //! what the paper reports there; its `run` builds the [`Report`]. Arguments
 //! are declared here as data — nothing below parses a command line.
 
-use crate::cli::Kind::{Fraction, Int, OneOf};
+use crate::cli::Kind::{Fraction, Int, OneOf, Text};
 use crate::cli::{ArgSpec, Args, Kind};
 use crate::report::Report;
 
@@ -23,6 +23,7 @@ mod gating_orders;
 mod pareto;
 mod reconfig_cost;
 mod sgd;
+mod sweep;
 mod table2;
 mod training_set;
 
@@ -72,6 +73,10 @@ const PANEL: ArgSpec = arg(
 );
 /// The fault plan's seed.
 const SEED: ArgSpec = arg("--seed", Int(0), "7");
+/// The sweep's scenario file (required; absent, the sweep refuses).
+const SCENARIO: ArgSpec = arg("scenario", Text, "");
+/// The sweep's output directory (absent: `runs/<name>`).
+const OUT: ArgSpec = arg("--out", Text, "");
 
 /// Every experiment, in the order of DESIGN.md §4.
 #[rustfmt::skip]
@@ -93,4 +98,5 @@ pub const REGISTRY: &[Experiment] = &[
     Experiment { id: "ablation-sgd", paper_item: "§V", args: &[], run: sgd::run },
     Experiment { id: "ablation-reconfig-cost", paper_item: "§IV quantum choice", args: &[], run: reconfig_cost::run },
     Experiment { id: "fault-matrix", paper_item: "robustness (DESIGN.md §7)", args: &[SEED, SLICES], run: fault_matrix::run },
+    Experiment { id: "sweep", paper_item: "§VII-§VIII scenario grids", args: &[SCENARIO, OUT], run: sweep::run },
 ];

@@ -1,5 +1,7 @@
 //! The experiment harness: every table and figure of the paper, regenerated
 //! by one binary, `paper` (`cargo paper <id> [args]`; `cargo paper list`).
+//! The same binary runs the statistical scenario sweeps of the `sweep`
+//! crate (`cargo paper sweep <scenario.json> [--out <dir>]`).
 //!
 //! * [`experiments`] — one module per experiment and the [`REGISTRY`] table
 //!   that names them (DESIGN.md §4 is the index, by id).

@@ -110,6 +110,9 @@ pub struct Report {
     tables: Vec<Table>,
     /// The experiment's own acceptance failed (exit status 2).
     pub failed: bool,
+    /// The experiment refused its input (exit status 1): the message goes
+    /// to stderr and nothing is printed or written.
+    pub refused: Option<String>,
 }
 
 impl Report {

@@ -1,8 +1,9 @@
 //! The `paper` binary from the outside: exit statuses, what goes to which
-//! stream, and — the fence for "same" — every experiment's stdout against
-//! the output its pre-consolidation binary printed
+//! stream, and — the fence for "same" — every paper experiment's stdout
+//! against the output its pre-consolidation binary printed
 //! (`tests/golden/paper/<id>.txt`, captured from the 17 `src/bin/*.rs`
-//! programs before they were folded into one).
+//! programs before they were folded into one). `paper sweep` is pinned by
+//! the summary it writes (`tests/golden/sweep_smoke_summary.json`).
 
 use std::process::{Command, Output};
 
@@ -135,7 +136,7 @@ fn malformed_invocations_exit_1_with_usage_on_stderr_and_nothing_on_stdout() {
 }
 
 #[test]
-fn list_names_the_seventeen_ids_and_design_md_cites_each() {
+fn list_names_the_eighteen_ids_and_design_md_cites_each() {
     let out = paper(&["list"]);
     assert_eq!(out.status.code(), Some(0));
     let listing = text(&out.stdout);
@@ -143,7 +144,7 @@ fn list_names_the_seventeen_ids_and_design_md_cites_each() {
     let start = design.find("\n## 4. ").expect("DESIGN.md has a §4");
     let end = start + 1 + design[start + 1..].find("\n## ").expect("§4 ends");
     let section4 = &design[start..end];
-    assert_eq!(bench::REGISTRY.len(), 17);
+    assert_eq!(bench::REGISTRY.len(), 18);
     for experiment in bench::REGISTRY {
         let id = experiment.id;
         assert!(
@@ -190,4 +191,95 @@ fn a_failed_acceptance_exits_2_after_printing_and_writing_the_report() {
         panic!("--json writes an array of tables: {written}");
     };
     assert_eq!(tables.len(), 1);
+}
+
+/// A scratch path for one sweep test's files.
+fn scratch(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("paper_sweep_{name}"))
+}
+
+fn scenario(name: &str) -> String {
+    format!("{}/../../scenarios/{name}.json", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn a_sweep_writes_the_golden_summary_and_a_tripped_detector_exits_2() {
+    let smoke = scratch("smoke");
+    let out = paper(&[
+        "sweep",
+        &scenario("smoke"),
+        "--out",
+        smoke.to_str().expect("utf-8"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    assert!(text(&out.stdout).ends_with("verdict: pass\n"));
+    let written = std::fs::read(smoke.join("summary.json")).expect("summary.json written");
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/sweep_smoke_summary.json"
+    );
+    assert!(
+        written == std::fs::read(golden).expect("golden exists"),
+        "paper sweep scenarios/smoke.json drifted from tests/golden/sweep_smoke_summary.json"
+    );
+
+    let collapse = scratch("collapse");
+    let out = paper(&[
+        "sweep",
+        &scenario("collapse"),
+        "--out",
+        collapse.to_str().expect("utf-8"),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out.stderr));
+    assert!(text(&out.stdout).contains("verdict: FAIL"));
+    assert!(collapse.join("summary.json").exists());
+}
+
+#[test]
+fn refused_sweep_inputs_exit_1_with_nothing_on_stdout() {
+    let zero_cores = r#"{"name": "zero-cores", "quanta": 2, "seeds": [1],
+        "tenants": {"lc": [{"service": "xapian", "cores": 0}]}}"#;
+    let zero_period = r#"{"name": "zero-period", "quanta": 2, "seeds": [1],
+        "tenants": {"lc": [{"service": "xapian"}]},
+        "load_shapes": [{"kind": "square-wave", "period_s": 0}]}"#;
+    let deep = "[".repeat(200_000);
+    let missing = scratch("missing.json");
+    let mut cases = vec![
+        (vec![], "a scenario file is required".to_string()),
+        (
+            vec![missing.display().to_string()],
+            format!("cannot read {}", missing.display()),
+        ),
+    ];
+    for (name, body, needle) in [
+        (
+            "zero-cores",
+            zero_cores,
+            "field \"cores\" must be a positive integer",
+        ),
+        (
+            "zero-period",
+            zero_period,
+            "field \"period_s\" must be a positive number",
+        ),
+        ("deep", &deep, "nest deeper than 128 levels"),
+    ] {
+        let path = scratch(&format!("{name}.json"));
+        std::fs::write(&path, body).expect("scratch spec written");
+        let out = scratch(name).display().to_string();
+        cases.push((
+            vec![path.display().to_string(), "--out".into(), out],
+            needle.to_string(),
+        ));
+    }
+    for (args, needle) in cases {
+        let mut argv = vec!["sweep"];
+        argv.extend(args.iter().map(String::as_str));
+        let out = paper(&argv);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}: {}", text(&out.stdout));
+        let err = text(&out.stderr);
+        assert!(err.starts_with("paper sweep: "), "{argv:?}: {err}");
+        assert!(err.contains(&needle), "{argv:?}: {err}");
+    }
 }

@@ -770,7 +770,9 @@ impl ClusterCoordinator {
         Ok(id)
     }
 
-    /// Deregisters a batch tenant: it drains on its node and retires.
+    /// Deregisters a batch tenant: it drains on its node and retires. A
+    /// tenant parked in the displaced queue leaves the queue, so it is
+    /// never placed afterwards.
     ///
     /// # Errors
     ///
@@ -788,12 +790,19 @@ impl ClusterCoordinator {
             return Err(ClusterError::NotABatchTenant(id));
         }
         let (node, local) = (entry.node, entry.local);
-        self.nodes
+        let drained = self
+            .nodes
             .get_mut(node.index())
             .ok_or(ClusterError::UnknownNode(node))?
             .core_mut()
-            .deregister(local)?;
-        Ok(())
+            .deregister(local);
+        if let Some(at) = self.displaced.iter().position(|d| d.tenant == id) {
+            // The old row stays on its failed node, and a drained node has
+            // already retired it: leaving the queue is the deregistration.
+            self.displaced.remove(at);
+            return Ok(());
+        }
+        Ok(drained?)
     }
 
     /// Starts migrating a batch tenant to `dest`: drains it on its source
@@ -804,10 +813,12 @@ impl ClusterCoordinator {
     /// # Errors
     ///
     /// Returns [`MigrateError`] when the tenant cannot move (unknown, LC,
-    /// already in flight, same node, unknown destination, or the source
+    /// already relocating, same node, unknown destination, or the source
     /// refuses the drain).
     pub fn migrate(&mut self, id: ClusterTenantId, dest: NodeId) -> Result<(), MigrateError> {
-        if self.in_flight.iter().any(|m| m.tenant == id) {
+        if self.in_flight.iter().any(|m| m.tenant == id)
+            || self.displaced.iter().any(|d| d.tenant == id)
+        {
             return Err(MigrateError::AlreadyInFlight(id));
         }
         let entry = self

@@ -65,7 +65,8 @@ pub enum MigrateError {
     /// Only batch tenants move; LC tenants are pinned to their node (their
     /// traffic shifts instead, via the balance policy).
     NotABatchTenant(ClusterTenantId),
-    /// The tenant is already mid-move.
+    /// The tenant is already relocating: mid-move, or parked in the
+    /// displaced queue.
     AlreadyInFlight(ClusterTenantId),
     /// Source and destination are the same node.
     SameNode(NodeId),
@@ -85,7 +86,7 @@ impl std::fmt::Display for MigrateError {
             MigrateError::NotABatchTenant(t) => {
                 write!(f, "tenant {t} is latency-critical and pinned to its node")
             }
-            MigrateError::AlreadyInFlight(t) => write!(f, "tenant {t} is already migrating"),
+            MigrateError::AlreadyInFlight(t) => write!(f, "tenant {t} is already relocating"),
             MigrateError::SameNode(n) => write!(f, "tenant already lives on {n}"),
             MigrateError::UnknownNode(n) => write!(f, "unknown node {n}"),
             MigrateError::Source(e) => write!(f, "source drain failed: {e}"),

@@ -20,7 +20,11 @@
 //! * [`spec`] — the scenario format and its strict loader.
 //! * [`runner`] — grid enumeration and parallel execution.
 //! * [`detectors`] — the pure pass/fail reductions.
-//! * [`report`] — cross-seed stats, `summary.json`, and tables.
+//! * [`report`] — cross-seed stats and `summary.json`.
+//!
+//! This crate is the library only. `cargo paper sweep <scenario.json>
+//! [--out <dir>]` (the `bench` crate's `sweep` experiment) loads a spec,
+//! runs it, writes `summary.json` and prints the pass/fail tables.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -31,9 +35,6 @@ pub mod runner;
 pub mod spec;
 
 pub use detectors::{Finding, RunSeries};
-pub use report::{render_tables, summary_json, summary_json_partial, Stats};
-pub use runner::{
-    filter_grid, run_sweep, run_sweep_cells, Cell, CellOutcome, RunMetrics, RunOutcome,
-    SweepOutcome,
-};
+pub use report::{summary_json, Stats};
+pub use runner::{run_sweep, Cell, CellOutcome, RunMetrics, RunOutcome, SweepOutcome};
 pub use spec::{load_spec, LoadShape, SweepError, SweepSpec, Topology};

@@ -1,5 +1,4 @@
-//! Cross-seed statistics, the byte-stable `summary.json`, and the
-//! pass/fail table.
+//! Cross-seed statistics and the byte-stable `summary.json`.
 //!
 //! Everything here is a pure function of the [`SweepOutcome`]: no
 //! wall-clock, no hostnames, no paths — the summary of a sweep is the
@@ -7,7 +6,6 @@
 //! on-disk seed ordering. Statistics reduce in sorted-seed order, so
 //! float summation order is fixed by construction.
 
-use bench::report::Table;
 use util::json::JsonValue;
 
 use crate::detectors::DETECTOR_NAMES;
@@ -107,8 +105,9 @@ pub fn cell_stats(cell: &CellOutcome) -> Vec<(&'static str, Stats)> {
 }
 
 /// The detectors that tripped in any of a cell's runs, sorted and
-/// deduplicated.
-fn tripped_detectors(cell: &CellOutcome) -> Vec<&'static str> {
+/// deduplicated (the summary's `tripped` list and the pass/fail table's
+/// column).
+pub fn tripped_detectors(cell: &CellOutcome) -> Vec<&'static str> {
     let mut names: Vec<&'static str> = cell
         .runs
         .iter()
@@ -307,69 +306,6 @@ pub fn summary_json(spec: &SweepSpec, outcome: &SweepOutcome) -> JsonValue {
             JsonValue::from(if outcome.tripped() { "fail" } else { "pass" }),
         ),
     ])
-}
-
-/// [`summary_json`] for a `--filter`ed partial sweep: the same document
-/// with `"partial": true` and the filter substring recorded right after
-/// the name, so a partial file can never be mistaken for (or diffed
-/// against) the golden full summary. The runner writes partial results
-/// to `summary.partial.json`, never to `summary.json`.
-pub fn summary_json_partial(spec: &SweepSpec, outcome: &SweepOutcome, filter: &str) -> JsonValue {
-    match summary_json(spec, outcome) {
-        JsonValue::Obj(mut fields) => {
-            fields.insert(1, ("partial".to_string(), JsonValue::Bool(true)));
-            fields.insert(
-                2,
-                ("filter".to_string(), JsonValue::Str(filter.to_string())),
-            );
-            JsonValue::Obj(fields)
-        }
-        other => other,
-    }
-}
-
-/// Renders the pass/fail table: one row per cell, then the detector
-/// trip counts.
-pub fn render_tables(spec: &SweepSpec, outcome: &SweepOutcome) -> String {
-    let mut cells_table = Table::new(
-        &format!("sweep: {} ({} runs)", spec.name, outcome.total_runs()),
-        &[
-            "cell",
-            "runs",
-            "qos viol (mean)",
-            "batch Ginstr (mean)",
-            "tripped",
-        ],
-    );
-    for cell in &outcome.cells {
-        let cs = cell_stats(cell);
-        let find = |name: &str| {
-            cs.iter()
-                .find(|(m, _)| *m == name)
-                .map_or(0.0, |(_, s)| s.mean)
-        };
-        let tripped = tripped_detectors(cell);
-        cells_table.row(vec![
-            cell.cell.label(),
-            format!("{}", cell.runs.len()),
-            format!("{:.2}", find("qos_violations")),
-            format!("{:.3}", find("batch_instructions") / 1e9),
-            if tripped.is_empty() {
-                "-".to_string()
-            } else {
-                tripped.join(",")
-            },
-        ]);
-    }
-    let mut det_table = Table::new("detectors", &["detector", "trips", "verdict"]);
-    for (name, trips) in detector_summary(outcome) {
-        det_table.row(vec![
-            name.to_string(),
-            format!("{trips}"),
-            if trips == 0 { "pass" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    format!("{}\n{}", cells_table.render(), det_table.render())
 }
 
 #[cfg(test)]

@@ -296,39 +296,13 @@ fn run_point(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunOutcome {
     RunOutcome { metrics, findings }
 }
 
-/// The cells of [`grid`] whose [`Cell::label`] contains `filter`.
-///
-/// This is the `sweep run --filter` selection rule: a plain substring
-/// match against the exact label the pass/fail table prints, so a row
-/// copied out of a failing CI log re-runs that cell verbatim. An empty
-/// filter matches every cell.
-pub fn filter_grid(spec: &SweepSpec, filter: &str) -> Vec<Cell> {
-    grid(spec)
-        .into_iter()
-        .filter(|c| c.label().contains(filter))
-        .collect()
-}
-
 /// Executes every run of the sweep across `pool`, returning cells in
 /// grid order with runs in seed order — bit-identical at any pool
 /// width and for any on-disk seed ordering.
 pub fn run_sweep(spec: &SweepSpec, pool: &WorkerPool) -> SweepOutcome {
-    run_cells(spec, pool, grid(spec))
-}
-
-/// [`run_sweep`] over a caller-chosen subset of the grid (normally from
-/// [`filter_grid`]). The subset keeps grid order, so a filtered outcome
-/// is a projection of the full sweep: every surviving cell's runs are
-/// bit-identical to what the unfiltered sweep produces for that cell.
-pub fn run_sweep_cells(spec: &SweepSpec, pool: &WorkerPool, cells: Vec<Cell>) -> SweepOutcome {
-    run_cells(spec, pool, cells)
-}
-
-fn run_cells(spec: &SweepSpec, pool: &WorkerPool, cells: Vec<Cell>) -> SweepOutcome {
-    let points: Vec<(usize, u64)> = cells
-        .iter()
-        .enumerate()
-        .flat_map(|(c, _)| spec.seeds.iter().map(move |&s| (c, s)))
+    let cells = grid(spec);
+    let points: Vec<(usize, u64)> = (0..cells.len())
+        .flat_map(|c| spec.seeds.iter().map(move |&s| (c, s)))
         .collect();
     let outcomes = pool.map_indexed(&points, |_, &(c, seed)| run_point(spec, &cells[c], seed));
     let per_cell = spec.seeds.len();

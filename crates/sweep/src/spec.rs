@@ -9,8 +9,9 @@
 //! time*, each listing the valid vocabulary, so a typo can never silently
 //! shrink a sweep. So are tenants and load shapes no run could host: zero
 //! or too many LC cores, negative loads (of a tenant or of a shape), QoS
-//! targets or noise, and a shape period that is not positive (the JSON
-//! parser already refuses non-finite numbers).
+//! targets or noise, a shape period that is not positive (the JSON
+//! parser already refuses non-finite numbers), and a `name` that would
+//! lead its output directory out of `runs/`.
 //!
 //! A spec has no settings for the runtime itself: every run uses the
 //! manager's and the coordinator's defaults, and the detectors' thresholds
@@ -250,7 +251,9 @@ impl LoadShape {
 /// A fully-validated, lowered sweep specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// Scenario identifier; names the output directory.
+    /// Scenario identifier; names the default output directory
+    /// `runs/<name>`, so it is one plain path component (not empty, no
+    /// `/` or `\`, not `.` or `..`).
     pub name: String,
     /// Decision quanta per run.
     pub quanta: usize,
@@ -627,6 +630,13 @@ pub fn load_spec(text: &str) -> Result<SweepSpec, SweepError> {
         .and_then(JsonValue::as_str)
         .ok_or_else(|| invalid("scenario is missing required string field \"name\""))?
         .to_string();
+    // The name is the default output directory under `runs/`, so it must
+    // be one plain path component.
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        return Err(invalid(format!(
+            "scenario field \"name\" must be one plain path component, got \"{name}\""
+        )));
+    }
     let quanta = field_usize(&doc, "quanta", "a positive integer")?;
     if quanta == 0 {
         return Err(invalid(

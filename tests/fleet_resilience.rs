@@ -19,6 +19,9 @@
 //! * a migration whose destination refuses is re-aimed with backoff and
 //!   either lands on a serving node or, after its last retry, is
 //!   abandoned loudly;
+//! * a tenant parked in the displaced queue deregisters (it leaves the
+//!   queue and is never placed) but refuses a migration, so it never holds
+//!   two live rows;
 //! * [`FleetFaultPlan::none`] is a bit-for-bit no-op against the
 //!   single-node golden run.
 //!
@@ -28,7 +31,7 @@
 use cluster::health::DOWN_AFTER;
 use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario,
-    ClusterTenantId, FleetFaultPlan, NodeHealth, NodeId,
+    ClusterTenantId, FleetFaultPlan, MigrateError, NodeHealth, NodeId,
 };
 use cuttlesys::control::ControlCore;
 use cuttlesys::types::{JobSpec, Scenario};
@@ -272,12 +275,10 @@ fn a_blacked_out_node_rejoins_without_duplicate_tenants() {
     coordinator.shutdown().expect("fleet drain");
 }
 
-#[test]
-fn sustained_infeasibility_engages_degraded_mode_once_and_recovery_disengages_it() {
-    // Tight admission with a small batch population: the survivor absorbs
-    // part of the dead node's load, the rest is displaced until degraded
-    // mode sheds the survivor's own batch work to make room.
-    let mut base = quiet(12);
+/// A quiet base cut to four batch jobs: on two nodes, the survivor of a
+/// crash cannot admit all of the dead node's batch work at once.
+fn four_batch_quiet(slices: usize) -> Scenario {
+    let mut base = quiet(slices);
     let mut batch_kept = 0;
     base.jobs.retain(|job| match job {
         JobSpec::Batch(_) => {
@@ -286,11 +287,23 @@ fn sustained_infeasibility_engages_degraded_mode_once_and_recovery_disengages_it
         }
         _ => true,
     });
-    let plan = FleetFaultPlan::none().with_crash(n(1), 2);
+    base
+}
 
-    let scenario = ClusterScenario::uniform(&base, 2);
-    let mut coordinator =
-        ClusterCoordinator::with_faults(&scenario, ClusterConfig::default(), plan);
+/// Two nodes of `base` under `plan`.
+fn two_nodes(base: &Scenario, plan: FleetFaultPlan) -> ClusterCoordinator {
+    let scenario = ClusterScenario::uniform(base, 2);
+    ClusterCoordinator::with_faults(&scenario, ClusterConfig::default(), plan)
+}
+
+#[test]
+fn sustained_infeasibility_engages_degraded_mode_once_and_recovery_disengages_it() {
+    // Tight admission with a small batch population: the survivor absorbs
+    // part of the dead node's load, the rest is displaced until degraded
+    // mode sheds the survivor's own batch work to make room.
+    let base = four_batch_quiet(12);
+    let plan = FleetFaultPlan::none().with_crash(n(1), 2);
+    let mut coordinator = two_nodes(&base, plan);
     let mut events = Vec::new();
     for quantum in 0..base.duration_slices {
         coordinator
@@ -491,4 +504,101 @@ fn a_refused_move_is_re_aimed_at_a_serving_node_and_completes() {
     assert_eq!(coordinator.node_health(to), Some(NodeHealth::Up));
     assert_eq!(coordinator.tenant_node(c1), Some(to));
     assert!(coordinator.tenant_state(c1).is_some_and(|s| s.is_live()));
+}
+
+/// Steps [`two_nodes`] of [`four_batch_quiet`] under `plan` until the
+/// first tenant is parked displaced, hands the fleet and that tenant to
+/// `act`, then steps the rest of the run. Returns the fleet, the tenant,
+/// the quantum it was parked in, and the cluster-level events after `act`.
+fn act_on_the_first_displaced(
+    plan: FleetFaultPlan,
+    act: impl FnOnce(&mut ClusterCoordinator, ClusterTenantId),
+) -> (
+    ClusterCoordinator,
+    ClusterTenantId,
+    usize,
+    Vec<ClusterEvent>,
+) {
+    let base = four_batch_quiet(12);
+    let mut coordinator = two_nodes(&base, plan);
+    let mut stepped = 0;
+    let (id, parked_at) = loop {
+        assert!(
+            stepped < base.duration_slices,
+            "nothing was displaced, the test is vacuous"
+        );
+        coordinator.step_quantum().expect("cluster quantum");
+        stepped += 1;
+        let parked = coordinator.drain_events().iter().find_map(|e| match *e {
+            ClusterEvent::Displaced {
+                tenant, quantum, ..
+            } => Some((tenant, quantum)),
+            _ => None,
+        });
+        if let Some(found) = parked {
+            break found;
+        }
+    };
+    act(&mut coordinator, id);
+    let mut events = Vec::new();
+    for _ in stepped..base.duration_slices {
+        coordinator.step_quantum().expect("cluster quantum");
+        events.extend(coordinator.drain_events());
+    }
+    (coordinator, id, parked_at, events)
+}
+
+/// How often `id` was evacuated in `events`.
+fn evacuations_of(events: &[ClusterEvent], id: ClusterTenantId) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, ClusterEvent::Evacuated { tenant, .. } if *tenant == id))
+        .count()
+}
+
+#[test]
+fn a_deregistered_evacuee_leaves_the_displaced_queue_and_is_never_placed() {
+    // A crashed node is declared Down (and evacuated) two quanta after it
+    // stops, and its evacuee's old row drains on deregistration. A drained
+    // node evacuates at once and has already retired the row.
+    use cuttlesys::lifecycle::LifecycleState::{Draining, Retired};
+    for (plan, parked_in, state) in [
+        (FleetFaultPlan::none().with_crash(n(1), 2), 4, Draining),
+        (FleetFaultPlan::none().with_drain(n(1), 2), 2, Retired),
+    ] {
+        let (coordinator, id, parked_at, events) =
+            act_on_the_first_displaced(plan, |coordinator, id| {
+                let queued = coordinator.displaced_tenants();
+                coordinator
+                    .deregister(id)
+                    .expect("a parked tenant deregisters");
+                assert_eq!(coordinator.displaced_tenants(), queued - 1);
+            });
+        assert_eq!(parked_at, parked_in);
+        assert_eq!(evacuations_of(&events, id), 0, "{events:?}");
+        assert_eq!(coordinator.tenant_state(id), Some(state));
+    }
+}
+
+#[test]
+fn a_parked_evacuee_refuses_a_migration_and_is_placed_once() {
+    let plan = FleetFaultPlan::none().with_crash(n(1), 2);
+    let (coordinator, id, parked_at, events) =
+        act_on_the_first_displaced(plan, |coordinator, id| {
+            assert_eq!(
+                coordinator.migrate(id, n(0)),
+                Err(MigrateError::AlreadyInFlight(id))
+            );
+        });
+    assert_eq!(parked_at, 4);
+    assert_eq!(evacuations_of(&events, id), 1, "{events:?}");
+    assert!(
+        !events.iter().any(|e| matches!(
+            e,
+            ClusterEvent::MigrationCompleted { tenant, .. } if *tenant == id
+        )),
+        "{events:?}"
+    );
+    assert_eq!(coordinator.tenant_node(id), Some(n(0)));
+    assert!(coordinator.tenant_state(id).is_some_and(|s| s.is_live()));
 }

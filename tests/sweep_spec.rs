@@ -128,6 +128,22 @@ fn fleet_profiles_without_a_cluster_topology_are_rejected() {
     );
 }
 
+#[test]
+fn names_that_are_not_one_plain_path_component_are_rejected() {
+    // The name is the default output directory `runs/<name>`: none of
+    // these may lead it anywhere else.
+    for name in ["", ".", "..", "../x", "/abs/dir", "a/b", "smoke/", r"a\b"] {
+        let quoted = name.replace('\\', r"\\");
+        let text = scenario_with("").replace(r#""name": "t""#, &format!(r#""name": "{quoted}""#));
+        assert_eq!(
+            load_err(&text),
+            format!("scenario field \"name\" must be one plain path component, got \"{name}\""),
+        );
+    }
+    let smoke = scenario_with("").replace(r#""name": "t""#, r#""name": "smoke""#);
+    assert_eq!(load_spec(&smoke).expect("a plain name loads").name, "smoke");
+}
+
 /// A minimal scenario whose one LC tenant carries `fields` as well.
 fn tenant_with(fields: &str) -> String {
     scenario_with("").replace(
