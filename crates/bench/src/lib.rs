@@ -86,7 +86,7 @@ pub fn two_sample_predictions(apps: &[AppProfile]) -> Predictions {
 /// The runtime's batch search problem over predicted rows: geo-mean BIPS
 /// under the paper's soft power / LLC-way penalties (Fig. 6), beside a
 /// pinned LC service drawing a representative 32 W on two ways.
-pub fn search_problem(preds: &Predictions, max_power: f64) -> PenaltyTable<'_> {
+pub fn search_problem(preds: &Predictions, max_power: f64) -> PenaltyTable {
     PenaltyTable::new(
         preds.batch_bips.iter().zip(&preds.batch_watts),
         JobConfig::all().map(|c| c.cache.ways()).collect(),

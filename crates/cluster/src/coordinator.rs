@@ -26,16 +26,20 @@
 //!    balancing offloads its most recently placed batch tenant.
 //!
 //! Every other phase runs serially in node-id order. Together with phase
-//! 2's share-nothing jobs that is the whole determinism argument (see the
+//! 2's jobs, which share no mutable state (only each chip's factor library,
+//! whose entries are pure), that is the whole determinism argument (see the
 //! crate docs), and `tests/cluster.rs` plus
 //! `tests/fleet_resilience.rs` pin the results it yields. With
 //! [`FleetFaultPlan::none`] phase 0 observes a clean heartbeat on every Up
 //! node and does nothing at all, so a fault-free coordinator is
 //! bit-identical to one built before faults existed.
 
+use std::sync::Arc;
+
 use cuttlesys::control::AdmissionError;
 use cuttlesys::control::{ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind};
 use cuttlesys::lifecycle::{LifecycleState, NodeId, RelocationTarget};
+use cuttlesys::matrices::FactorLibrary;
 use cuttlesys::types::RunRecord;
 use util::json::JsonValue;
 use util::pool::{for_each_slot, WorkerPool};
@@ -538,8 +542,23 @@ impl ClusterCoordinator {
         plan: FleetFaultPlan,
     ) -> ClusterCoordinator {
         let pool = WorkerPool::new(WorkerPool::default_threads());
+        // One factor library per distinct chip: nodes on equal parameters
+        // learn the same factors, so they share them.
+        let mut libraries: Vec<Arc<FactorLibrary>> = Vec::new();
+        let node_libraries: Vec<Arc<FactorLibrary>> = scenario
+            .nodes
+            .iter()
+            .map(|s| {
+                let known = libraries.iter().find(|l| *l.params() == s.params).cloned();
+                known.unwrap_or_else(|| {
+                    let library = Arc::new(FactorLibrary::for_chip(s.params));
+                    libraries.push(Arc::clone(&library));
+                    library
+                })
+            })
+            .collect();
         let nodes = pool.map_indexed(&scenario.nodes, |i, s| {
-            NodeAgent::new(s, NodeId::from_index(i))
+            NodeAgent::new(s, NodeId::from_index(i), Arc::clone(&node_libraries[i]))
         });
         let mut tenants = Vec::new();
         for agent in &nodes {

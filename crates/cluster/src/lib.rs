@@ -40,11 +40,18 @@
 //! threads are those of one [`util::WorkerPool`] scope per quantum, in
 //! which the nodes step. Determinism rests on two structural rules:
 //!
-//! 1. **Nodes are share-nothing within a quantum.** Each node's step is a
-//!    pure function of its own state, so
+//! 1. **Nodes share no mutable state within a quantum.** Each node's step
+//!    is a pure function of its own state, so
 //!    [`ClusterCoordinator::step_quantum`] steps them concurrently, one
 //!    job per node, and reduces their errors in ascending [`NodeId`] order
-//!    once every job has finished.
+//!    once every job has finished. What nodes do share is read-only in
+//!    effect: the coordinator builds one
+//!    [`cuttlesys::matrices::FactorLibrary`] per distinct chip
+//!    (`Scenario::params`) and hands it to every node on that chip. Its
+//!    lazily learned tail buckets are pure functions of (chip, bucket),
+//!    filled once behind a `OnceLock`, and each node counts a bucket's
+//!    SGD epochs the first time *it* meets the bucket, so which node
+//!    learned it moves no bit.
 //! 2. **Cross-node decisions are serial and node-id-ordered.** Migration
 //!    completions, event draining, balancing, and auto-migration all
 //!    read and mutate state in ascending [`NodeId`] order, after every

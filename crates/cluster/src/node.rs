@@ -1,8 +1,11 @@
 //! One node of the cluster: a [`ControlCore`] agent plus the per-quantum
 //! readings the coordinator's cross-node policies consume.
 
+use std::sync::Arc;
+
 use cuttlesys::control::{ControlCore, ControlError};
 use cuttlesys::lifecycle::NodeId;
+use cuttlesys::matrices::FactorLibrary;
 use cuttlesys::types::{Scenario, SliceRecord};
 
 /// A per-node agent: the node's control plane, stepped by the coordinator
@@ -12,14 +15,16 @@ pub struct NodeAgent {
 }
 
 impl NodeAgent {
-    /// Builds the agent for `node` over its scenario.
+    /// Builds the agent for `node` over its scenario, sharing `library`
+    /// (learned for `scenario.params`) with the fleet's other nodes on that
+    /// chip.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`ControlCore::on_node`].
-    pub fn new(scenario: &Scenario, node: NodeId) -> NodeAgent {
+    pub fn new(scenario: &Scenario, node: NodeId, library: Arc<FactorLibrary>) -> NodeAgent {
         NodeAgent {
-            core: ControlCore::on_node(scenario, node),
+            core: ControlCore::sharing(scenario, node, library),
         }
     }
 
@@ -102,7 +107,8 @@ mod tests {
             duration_slices: 2,
             ..Scenario::quick_demo()
         };
-        let mut node = NodeAgent::new(&s, NodeId::from_index(3));
+        let library = Arc::new(FactorLibrary::for_chip(s.params));
+        let mut node = NodeAgent::new(&s, NodeId::from_index(3), library);
         assert_eq!(node.id(), NodeId::from_index(3));
         assert_eq!(node.last_tail_ratio(), 0.0, "no quantum yet");
         assert_eq!(node.lc_tail_ratio(0), None);

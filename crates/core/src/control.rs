@@ -32,6 +32,8 @@
 //! metrics endpoint; this split is what makes a recorded registration trace
 //! replayable bit-for-bit (see `tests/control_plane.rs`).
 
+use std::sync::Arc;
+
 use simulator::power::CoreKind;
 use simulator::{AppProfile, Chip};
 use util::json::JsonValue;
@@ -41,6 +43,7 @@ use workloads::oracle::Oracle;
 use crate::accounting::steady_state_budget;
 use crate::driver::{DriveError, ScenarioDriver};
 use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, TenantLifecycle};
+use crate::matrices::FactorLibrary;
 use crate::runtime::CuttleSysManager;
 use crate::types::{
     BatchJobSpec, JobSpec, ResourceManager, RunRecord, Scenario, SliceRecord, TIMESLICE_MS,
@@ -352,12 +355,24 @@ impl ControlCore {
     /// single-node deployments use [`new`](Self::new), whose
     /// [`NodeId::local`] identity is node 0 — the two produce bit-identical
     /// records.
-    #[allow(clippy::expect_used)]
     pub fn on_node(scenario: &Scenario, node: NodeId) -> ControlCore {
+        ControlCore::sharing(
+            scenario,
+            node,
+            Arc::new(FactorLibrary::for_chip(scenario.params)),
+        )
+    }
+
+    /// Like [`on_node`](Self::on_node), over a factor library shared with
+    /// the other nodes on chips with `scenario.params` (a fleet learns each
+    /// chip's factors once). Records are bit-identical to
+    /// [`on_node`](Self::on_node)'s.
+    #[allow(clippy::expect_used)]
+    pub fn sharing(scenario: &Scenario, node: NodeId, library: Arc<FactorLibrary>) -> ControlCore {
         let mut core = ControlCore {
             node,
             driver: ScenarioDriver::new(scenario),
-            manager: CuttleSysManager::for_scenario(scenario),
+            manager: CuttleSysManager::sharing(scenario, library),
             oracle: Oracle::new(Chip::new(scenario.params, CoreKind::Reconfigurable)),
             tenants: Vec::new(),
             pending: Vec::new(),

@@ -11,12 +11,21 @@
 //!
 //! The training rows of a matrix never change, so they are not refitted:
 //! SGD learns each matrix's configuration factors from them once
-//! ([`recsys::ConfigFactors`]) — throughput and power when the bookkeeping
-//! is built, tail factors the first time a load bucket is met — and
-//! [`JobMatrices::reconstruct`] folds every live row into those factors with
-//! a closed-form solve over the row's own observations. Nothing a
-//! reconstruction computes outlives it, so there is no solver state to
-//! invalidate on churn or after a diverged quantum.
+//! ([`recsys::ConfigFactors`]) — throughput and power when the
+//! [`FactorLibrary`] is built, tail factors the first time any of its
+//! holders meets a load bucket — and [`JobMatrices::reconstruct`] folds
+//! every live row into those factors with a closed-form solve over the row's
+//! own observations. Nothing a reconstruction computes outlives it, so there
+//! is no solver state to invalidate on churn or after a diverged quantum.
+//!
+//! The factors describe the chip, not a node: they are a pure function of
+//! the chip's parameters, the training applications and the load bucket. So
+//! one [`FactorLibrary`] per chip is shared, behind an `Arc`, by every
+//! bookkeeping on that chip (a fleet's nodes), and whichever holder meets a
+//! bucket first learns it for all. Each bookkeeping still counts a bucket's
+//! SGD epochs the first time *it* meets the bucket, whoever learned it, so
+//! [`JobMatrices::learning_epochs`] does not depend on who else shares the
+//! library.
 //!
 //! Tail latency depends on the offered load, so tail bookkeeping is bucketed
 //! by load percent: the library is characterized per bucket (lazily) and
@@ -28,9 +37,12 @@
 //! live observations so a later arrival in the same slot starts cold.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use recsys::{ConfigFactors, SgdConfig, ValueTransform};
-use simulator::{AppProfile, NUM_JOB_CONFIGS};
+use simulator::power::CoreKind;
+use simulator::{AppProfile, Chip, SystemParams, NUM_JOB_CONFIGS};
+use workloads::batch;
 use workloads::latency::{self, LcService};
 use workloads::oracle::Oracle;
 
@@ -138,20 +150,84 @@ impl Predictions {
     }
 }
 
+/// What the offline characterization of one chip teaches about its
+/// configurations: the throughput and power factors, learned at
+/// construction, and one tail-factor slot per load bucket, learned by
+/// whichever holder meets the bucket first. Every entry is a pure function
+/// of the chip, the training applications and the bucket, so holders on one
+/// chip share one library and no sharing moves a bit.
+pub struct FactorLibrary {
+    oracle: Oracle,
+    tail_library: Vec<LcService>,
+    bips: ConfigFactors,
+    watts: ConfigFactors,
+    /// [`LOAD_BUCKETS`] slots. A holder that meets an empty slot learns it;
+    /// a concurrent holder waits for that learn rather than repeating it.
+    tail: Vec<OnceLock<ConfigFactors>>,
+}
+
+impl FactorLibrary {
+    /// Characterizes `training_apps` through `oracle` (the paper's one-time
+    /// offline profiling of 16 known applications) and learns their
+    /// throughput and power factors.
+    pub(crate) fn new(oracle: Oracle, training_apps: &[AppProfile]) -> FactorLibrary {
+        let training_bips: Vec<_> = training_apps.iter().map(|a| oracle.bips_row(a)).collect();
+        let training_watts: Vec<_> = training_apps.iter().map(|a| oracle.power_row(a)).collect();
+        FactorLibrary {
+            bips: learn_factors(&training_bips),
+            watts: learn_factors(&training_watts),
+            tail: (0..LOAD_BUCKETS).map(|_| OnceLock::new()).collect(),
+            tail_library: tail_library(),
+            oracle,
+        }
+    }
+
+    /// The runtime's library for a reconfigurable chip with `params`,
+    /// trained on the 16 offline applications of §V.
+    pub fn for_chip(params: SystemParams) -> FactorLibrary {
+        let training: Vec<AppProfile> = batch::training_set().iter().map(|b| b.profile).collect();
+        FactorLibrary::new(
+            Oracle::new(Chip::new(params, CoreKind::Reconfigurable)),
+            &training,
+        )
+    }
+
+    /// The parameters of the chip the library characterizes.
+    pub fn params(&self) -> &SystemParams {
+        self.oracle.chip().params()
+    }
+
+    /// `bucket`'s tail factors, learned on first use: the library
+    /// characterized at the bucket's load through the oracle, then one SGD
+    /// fit.
+    fn tail(&self, bucket: usize) -> &ConfigFactors {
+        self.tail[bucket].get_or_init(|| {
+            let load = bucket_load(bucket);
+            let rows: Vec<Vec<f64>> = self
+                .tail_library
+                .iter()
+                .map(|svc| {
+                    self.oracle
+                        .tail_row(svc, TAIL_REFERENCE_CORES, load)
+                        .into_iter()
+                        .map(|t| t.min(TAIL_CAP_MS))
+                        .collect()
+                })
+                .collect();
+            learn_factors(&rows)
+        })
+    }
+}
+
 /// The rating-matrix bookkeeping for `num_lc` LC tenants and `num_batch`
 /// batch jobs.
 pub struct JobMatrices {
     num_lc: usize,
     num_batch: usize,
-    /// Configuration factors of the throughput and power matrices, learned
-    /// from the training applications at construction.
-    bips_factors: ConfigFactors,
-    watts_factors: ConfigFactors,
-    /// Tail factors per load bucket, learned from the library characterized
-    /// at that bucket on first use; at most [`LOAD_BUCKETS`] entries.
-    tail_factors: BTreeMap<usize, ConfigFactors>,
-    tail_library: Vec<LcService>,
-    oracle: Oracle,
+    library: Arc<FactorLibrary>,
+    /// Per load bucket, whether this bookkeeping has met it (and so counted
+    /// its epochs).
+    met: Vec<bool>,
     // Observation maps are BTreeMaps, not HashMaps: every one of them is
     // iterated on the decision path (the row solves, the monotone tail
     // closure), and a float sum's order must be a function of the
@@ -214,29 +290,35 @@ fn tail_library() -> Vec<LcService> {
 
 impl JobMatrices {
     /// Creates the bookkeeping for `num_lc` LC tenants and `num_batch` live
-    /// batch jobs, with training rows characterized offline through
-    /// `oracle` (the paper's one-time offline profiling of 16 known
-    /// applications).
+    /// batch jobs over a library of its own, with training rows
+    /// characterized offline through `oracle` (the paper's one-time offline
+    /// profiling of 16 known applications).
     pub fn new(
         oracle: Oracle,
         training_apps: &[AppProfile],
         num_lc: usize,
         num_batch: usize,
     ) -> JobMatrices {
+        JobMatrices::sharing(
+            Arc::new(FactorLibrary::new(oracle, training_apps)),
+            num_lc,
+            num_batch,
+        )
+    }
+
+    /// Creates the bookkeeping over a shared `library`.
+    pub(crate) fn sharing(
+        library: Arc<FactorLibrary>,
+        num_lc: usize,
+        num_batch: usize,
+    ) -> JobMatrices {
         assert!(num_lc > 0, "at least one LC tenant");
-        let training_bips: Vec<_> = training_apps.iter().map(|a| oracle.bips_row(a)).collect();
-        let training_watts: Vec<_> = training_apps.iter().map(|a| oracle.power_row(a)).collect();
-        let bips_factors = learn_factors(&training_bips);
-        let watts_factors = learn_factors(&training_watts);
         JobMatrices {
             num_lc,
             num_batch,
-            learning_epochs: bips_factors.epochs + watts_factors.epochs,
-            bips_factors,
-            watts_factors,
-            tail_factors: BTreeMap::new(),
-            tail_library: tail_library(),
-            oracle,
+            learning_epochs: library.bips.epochs + library.watts.epochs,
+            library,
+            met: vec![false; LOAD_BUCKETS],
             batch_bips_obs: vec![BTreeMap::new(); num_batch],
             batch_watts_obs: vec![BTreeMap::new(); num_batch],
             lc_watts_obs: vec![BTreeMap::new(); num_lc],
@@ -246,7 +328,9 @@ impl JobMatrices {
 
     /// SGD epochs run so far to learn configuration factors: the throughput
     /// and power factors at construction, plus each tail bucket met since.
-    /// A reconstruction that meets no new bucket leaves it unchanged.
+    /// A reconstruction that meets no new bucket leaves it unchanged. A
+    /// bucket counts the first time this bookkeeping meets it, whether this
+    /// bookkeeping or another holder of the library learned it.
     pub fn learning_epochs(&self) -> usize {
         self.learning_epochs
     }
@@ -359,27 +443,14 @@ impl JobMatrices {
         merged
     }
 
-    /// Learns `bucket`'s tail factors unless already known: characterizes
-    /// the library at the bucket's load through the oracle, then one SGD fit.
-    fn learn_tail_factors(&mut self, bucket: usize) {
-        if self.tail_factors.contains_key(&bucket) {
-            return;
+    /// Meets `bucket`: has the library learn its tail factors unless some
+    /// holder already has, and counts their epochs the first time this
+    /// bookkeeping meets the bucket.
+    fn meet_tail_bucket(&mut self, bucket: usize) {
+        if !self.met[bucket] {
+            self.met[bucket] = true;
+            self.learning_epochs += self.library.tail(bucket).epochs;
         }
-        let load = bucket_load(bucket);
-        let rows: Vec<Vec<f64>> = self
-            .tail_library
-            .iter()
-            .map(|svc| {
-                self.oracle
-                    .tail_row(svc, TAIL_REFERENCE_CORES, load)
-                    .into_iter()
-                    .map(|t| t.min(TAIL_CAP_MS))
-                    .collect()
-            })
-            .collect();
-        let factors = learn_factors(&rows);
-        self.learning_epochs += factors.epochs;
-        self.tail_factors.insert(bucket, factors);
     }
 
     /// Returns dense predictions for the live jobs: every batch job's
@@ -391,15 +462,16 @@ impl JobMatrices {
         assert_eq!(loads.len(), self.num_lc, "one load per LC tenant");
         let buckets: Vec<usize> = loads.iter().map(|&l| bucket_for(l)).collect();
         for &bucket in &buckets {
-            self.learn_tail_factors(bucket);
+            self.meet_tail_bucket(bucket);
         }
 
+        let library = &*self.library;
         let fold = |factors: &ConfigFactors, obs: &[BTreeMap<usize, f64>]| -> Vec<Vec<f64>> {
             obs.iter().map(|o| factors.fold_in(o)).collect()
         };
-        let batch_bips = fold(&self.bips_factors, &self.batch_bips_obs);
-        let batch_watts = fold(&self.watts_factors, &self.batch_watts_obs);
-        let lc_watts = fold(&self.watts_factors, &self.lc_watts_obs);
+        let batch_bips = fold(&library.bips, &self.batch_bips_obs);
+        let batch_watts = fold(&library.watts, &self.batch_watts_obs);
+        let lc_watts = fold(&library.watts, &self.lc_watts_obs);
 
         let dominates = |a: simulator::JobConfig, b: simulator::JobConfig| {
             a.core.fe >= b.core.fe
@@ -414,7 +486,7 @@ impl JobMatrices {
             .enumerate()
             .map(|(lc, (watts, bucket))| {
                 let obs = self.tail_obs[lc].get(bucket).unwrap_or(&unobserved);
-                let tail = self.tail_factors[bucket].fold_in(obs);
+                let tail = library.tail(*bucket).fold_in(obs);
 
                 // Monotone closure over (neighbour-merged) direct
                 // observations: tail latency is monotone in every resource
@@ -824,6 +896,48 @@ mod tests {
         assert_eq!(m.learning_epochs(), first_visit, "same bucket, no SGD");
         let _ = m.reconstruct(&[0.5]);
         assert!(m.learning_epochs() > first_visit, "a new bucket is learned");
-        assert!(m.tail_factors.len() <= LOAD_BUCKETS);
+    }
+
+    #[test]
+    fn a_bucket_learned_by_another_holder_counts_and_predicts_as_if_learned_here() {
+        let training: Vec<AppProfile> = batch::training_set().iter().map(|b| b.profile).collect();
+        let library = Arc::new(FactorLibrary::new(oracle(), &training));
+        let mut first = JobMatrices::sharing(Arc::clone(&library), 1, 4);
+        let at_setup = first.learning_epochs();
+        let _ = first.reconstruct(&[0.8]);
+        let learned = first.learning_epochs() - at_setup;
+        assert!(learned > 0, "the first holder learns bucket 80");
+
+        let mut second = JobMatrices::sharing(library, 1, 4);
+        let mut private = matrices();
+        for m in [&mut second, &mut private] {
+            m.record_sample(1, 5, 2.5, 3.5);
+            m.record_sample(3, 40, 1.7, 2.9);
+            m.record_lc_power(0, 9, 3.1);
+            m.record_tail(0, 0.8, TAIL_REFERENCE_CORES, 7, 4.2);
+        }
+        assert_eq!(second.learning_epochs(), at_setup);
+        let shared = second.reconstruct(&[0.8]);
+        assert_eq!(
+            second.learning_epochs() - at_setup,
+            learned,
+            "a bucket met here for the first time counts, whoever learned it"
+        );
+        let own = private.reconstruct(&[0.8]);
+        assert_eq!(private.learning_epochs(), second.learning_epochs());
+
+        let bits = |rows: &[&Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let all = |p: &Predictions| {
+            let mut rows: Vec<&Vec<f64>> = p.batch_bips.iter().chain(&p.batch_watts).collect();
+            for lc in &p.lc {
+                rows.extend([&lc.watts, &lc.tail, &lc.tail_guarded]);
+            }
+            bits(&rows)
+        };
+        assert_eq!(all(&shared), all(&own));
     }
 }

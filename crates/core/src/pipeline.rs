@@ -525,12 +525,12 @@ fn pin(
 /// draws every LC tenant's predicted Watts at its pinned configuration plus
 /// the gated Watts of the cores with neither a tenant nor a present batch
 /// job, and holds the tenants' pinned ways.
-fn penalty_table<'a>(
+fn penalty_table(
     ctx: &DecisionCtx,
-    preds: &'a Predictions,
+    preds: &Predictions,
     lc_configs: &[JobConfig],
     active: &[usize],
-) -> PenaltyTable<'a> {
+) -> PenaltyTable {
     let lc_watts: f64 = ctx
         .lc
         .iter()

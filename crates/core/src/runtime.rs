@@ -64,16 +64,14 @@
 //! Every rung is recorded in the quantum's
 //! [`crate::telemetry::DegradationEvents`].
 
+use std::sync::Arc;
+
 use dds::{Draws, ParallelDdsParams};
-use simulator::power::CoreKind;
-use simulator::Chip;
-use workloads::batch;
-use workloads::oracle::Oracle;
 
 use crate::faults::{
     safe_mode_plan, CircuitBreaker, DecisionError, FaultInjector, STALENESS_BOUND,
 };
-use crate::matrices::{JobMatrices, Predictions};
+use crate::matrices::{FactorLibrary, JobMatrices, Predictions};
 pub use crate::pipeline::SearchAlgo;
 use crate::pipeline::{self, DecisionCtx, LcAllocation};
 use crate::telemetry::StageTelemetry;
@@ -116,10 +114,13 @@ impl CuttleSysManager {
     /// configures the default fold-in + parallel DDS pipeline. Spawns no
     /// thread.
     pub fn for_scenario(scenario: &Scenario) -> CuttleSysManager {
-        let oracle = Oracle::new(Chip::new(scenario.params, CoreKind::Reconfigurable));
-        let training: Vec<simulator::AppProfile> =
-            batch::training_set().iter().map(|b| b.profile).collect();
-        let matrices = JobMatrices::new(oracle, &training, scenario.num_lc(), scenario.num_batch());
+        CuttleSysManager::sharing(scenario, Arc::new(FactorLibrary::for_chip(scenario.params)))
+    }
+
+    /// Like [`for_scenario`](Self::for_scenario), over a factor library
+    /// shared with the other managers of chips with `scenario.params`.
+    pub(crate) fn sharing(scenario: &Scenario, library: Arc<FactorLibrary>) -> CuttleSysManager {
+        let matrices = JobMatrices::sharing(library, scenario.num_lc(), scenario.num_batch());
         // The DDS seed is the scenario's, fixed across quanta: every quantum
         // searches with the same random numbers (common random numbers), so
         // the draws are made once and each search only replays them.

@@ -39,13 +39,16 @@ where
 /// implement the evident intent: penalize only the excess.
 ///
 /// The objective is a separable per-job sum, so everything that depends on
-/// one (slot, choice) pair alone is tabulated once: each job's `ln(BIPS)`
-/// row, its Watts row, and the LLC ways of every choice. An evaluation then
-/// only loads and adds, each sum on its own and in slot order.
-pub struct PenaltyTable<'a> {
-    ln_bips: Vec<Vec<f64>>,
-    watts: Vec<&'a [f64]>,
+/// one (slot, choice) pair alone is tabulated once: each job's `ln(BIPS)` and
+/// Watts, packed slot-major into one buffer, and the LLC ways of every
+/// choice. An evaluation then makes one pass over the point, adding into
+/// three accumulators, each in slot order from `Iterator::sum`'s −0.0 start,
+/// so every value is bit-equal to the three sums taken on their own.
+pub struct PenaltyTable {
+    /// `(ln BIPS, Watts)` of slot `s` at choice `c`, at `s · choices + c`.
+    cells: Vec<(f64, f64)>,
     ways: Vec<f64>,
+    slots: usize,
     base_watts: f64,
     base_ways: f64,
     /// Power budget (the paper's `maxPower`).
@@ -58,32 +61,46 @@ pub struct PenaltyTable<'a> {
     pub penalty_cache: f64,
 }
 
-impl<'a> PenaltyTable<'a> {
+impl PenaltyTable {
     /// Tabulates the problem from one `(BIPS row, Watts row)` pair per slot
     /// and the LLC ways of each choice; `base_watts` and `base_ways` are what
     /// the chip draws and holds outside the searched jobs. The penalty
     /// weights start at Fig. 6's 2 per Watt and 2 per way.
-    pub fn new<'b, B, W>(
-        rows: impl IntoIterator<Item = (&'b B, &'a W)>,
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the slot, if a row's length differs from the number of
+    /// choices (`ways.len()`): a ragged row would shift every later slot's
+    /// cells.
+    pub fn new<B, W>(
+        rows: impl IntoIterator<Item = (B, W)>,
         ways: Vec<f64>,
         (base_watts, base_ways): (f64, f64),
         (max_power, max_ways): (f64, f64),
-    ) -> PenaltyTable<'a>
+    ) -> PenaltyTable
     where
-        B: AsRef<[f64]> + ?Sized + 'b,
-        W: AsRef<[f64]> + ?Sized + 'a,
+        B: AsRef<[f64]>,
+        W: AsRef<[f64]>,
     {
-        let (ln_bips, watts) = rows
-            .into_iter()
-            .map(|(bips, watts)| {
-                let ln: Vec<f64> = bips.as_ref().iter().map(|b| b.max(1e-9).ln()).collect();
-                (ln, watts.as_ref())
-            })
-            .unzip();
+        let choices = ways.len();
+        let rows = rows.into_iter();
+        let mut cells = Vec::with_capacity(rows.size_hint().0 * choices);
+        let mut slots = 0;
+        for (slot, (bips, watts)) in rows.enumerate() {
+            let (bips, watts) = (bips.as_ref(), watts.as_ref());
+            assert!(
+                bips.len() == choices && watts.len() == choices,
+                "slot {slot}: BIPS row of {} and Watts row of {} for {choices} choices",
+                bips.len(),
+                watts.len()
+            );
+            cells.extend(bips.iter().zip(watts).map(|(b, &w)| (b.max(1e-9).ln(), w)));
+            slots += 1;
+        }
         PenaltyTable {
-            ln_bips,
-            watts,
+            cells,
             ways,
+            slots,
             base_watts,
             base_ways,
             max_power,
@@ -95,7 +112,7 @@ impl<'a> PenaltyTable<'a> {
 
     /// Number of slots (searched jobs): the length of every point.
     pub fn slots(&self) -> usize {
-        self.watts.len()
+        self.slots
     }
 
     /// What the chip draws outside the searched jobs, in Watts.
@@ -105,49 +122,62 @@ impl<'a> PenaltyTable<'a> {
 
     /// Watts of slot `slot`'s job at `choice`.
     pub fn watts_at(&self, slot: usize, choice: usize) -> f64 {
-        self.watts[slot][choice]
+        assert!(choice < self.ways.len(), "choice {choice} out of range");
+        self.cells[slot * self.ways.len() + choice].1
+    }
+
+    /// The point's `(Σ ln BIPS, Σ Watts, Σ ways)` over its slots, in one
+    /// pass, each sum in slot order from −0.0 (where `Iterator::sum` starts).
+    #[inline]
+    fn sums(&self, point: &[usize]) -> (f64, f64, f64) {
+        let (mut ln_bips, mut watts, mut ways) = (-0.0, -0.0, -0.0);
+        // `max(1)`: `chunks_exact` refuses 0, and a table without choices
+        // has no cells to chunk.
+        for (&c, row) in point
+            .iter()
+            .zip(self.cells.chunks_exact(self.ways.len().max(1)))
+        {
+            let (l, w) = row[c];
+            ln_bips += l;
+            watts += w;
+            ways += self.ways[c];
+        }
+        (ln_bips, watts, ways)
     }
 
     /// The raw benefit: geo-mean BIPS of the point's jobs.
     #[inline]
     pub fn benefit(&self, point: &[usize]) -> f64 {
-        let log_sum: f64 = point
-            .iter()
-            .zip(&self.ln_bips)
-            .map(|(&c, row)| row[c])
-            .sum();
-        (log_sum / self.ln_bips.len() as f64).exp()
+        (self.sums(point).0 / self.slots as f64).exp()
     }
 
     /// Total power of the point, in Watts.
     #[inline]
     pub fn power(&self, point: &[usize]) -> f64 {
-        self.base_watts
-            + point
-                .iter()
-                .zip(&self.watts)
-                .map(|(&c, row)| row[c])
-                .sum::<f64>()
+        self.base_watts + self.sums(point).1
     }
 
     /// Total LLC ways of the point.
     #[inline]
     pub fn cache_ways(&self, point: &[usize]) -> f64 {
-        self.base_ways + point.iter().map(|&c| self.ways[c]).sum::<f64>()
+        self.base_ways + self.sums(point).2
     }
 
     /// Whether `point` satisfies both hard constraints.
     pub fn is_feasible(&self, point: &[usize]) -> bool {
-        self.power(point) <= self.max_power && self.cache_ways(point) <= self.max_ways
+        let (_, watts, ways) = self.sums(point);
+        self.base_watts + watts <= self.max_power && self.base_ways + ways <= self.max_ways
     }
 }
 
-impl Objective for PenaltyTable<'_> {
+impl Objective for PenaltyTable {
     #[inline]
     fn evaluate(&self, point: &[usize]) -> f64 {
-        let power_excess = (self.power(point) - self.max_power).max(0.0);
-        let cache_excess = (self.cache_ways(point) - self.max_ways).max(0.0);
-        self.benefit(point) - self.penalty_power * power_excess - self.penalty_cache * cache_excess
+        let (ln_bips, watts, ways) = self.sums(point);
+        let power_excess = (self.base_watts + watts - self.max_power).max(0.0);
+        let cache_excess = (self.base_ways + ways - self.max_ways).max(0.0);
+        let benefit = (ln_bips / self.slots as f64).exp();
+        benefit - self.penalty_power * power_excess - self.penalty_cache * cache_excess
     }
 }
 
@@ -219,13 +249,16 @@ mod tests {
             let power =
                 |x: &[usize]| base.0 + x.iter().enumerate().map(|(s, &c)| watts[s][c]).sum::<f64>();
             let cache_ways = |x: &[usize]| base.1 + x.iter().map(|&c| ways[c]).sum::<f64>();
-            let reference = |x: &[usize]| {
+            let benefit = |x: &[usize]| {
                 let log_sum: f64 = x
                     .iter()
                     .enumerate()
                     .map(|(s, &c)| bips[s][c].max(1e-9).ln())
                     .sum();
                 (log_sum / slots as f64).exp()
+            };
+            let reference = |x: &[usize]| {
+                benefit(x)
                     - 2.0 * (power(x) - max.0).max(0.0)
                     - 2.0 * (cache_ways(x) - max.1).max(0.0)
             };
@@ -240,6 +273,13 @@ mod tests {
                     reference(&x).to_bits(),
                     "objective diverged at {x:?}"
                 );
+                for (what, got, want) in [
+                    ("benefit", table.benefit(&x), benefit(&x)),
+                    ("power", table.power(&x), power(&x)),
+                    ("cache ways", table.cache_ways(&x), cache_ways(&x)),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what} diverged at {x:?}");
+                }
                 assert_eq!(
                     table.is_feasible(&x),
                     power(&x) <= max.0 && cache_ways(&x) <= max.1,
@@ -252,6 +292,18 @@ mod tests {
                 "{slots} × {choices}: constraints bind on {infeasible} of 2000 points"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 1: BIPS row of 3 and Watts row of 4 for 4 choices")]
+    fn ragged_rows_are_refused() {
+        let (full, short) = ([1.0; 4], [1.0; 3]);
+        let _ = PenaltyTable::new(
+            [(&full[..], &full[..]), (&short[..], &full[..])],
+            vec![1.0; 4],
+            (0.0, 0.0),
+            (10.0, 6.0),
+        );
     }
 
     #[test]

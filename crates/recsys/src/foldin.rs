@@ -18,6 +18,12 @@
 //! shrinks by `λ` once, hence `λ·|Ω|`). The (r + 1) × (r + 1) normal
 //! equations are solved directly: no epoch loop, no learning rate, no RNG,
 //! and nothing carried from one solve to the next.
+//!
+//! [`ConfigFactors::fold_in`] runs once per live row per quantum, so it does
+//! each piece of arithmetic once: every observation goes through the
+//! transform once, feeding both the solve and the clamp range, and the
+//! completed row is emitted by walking the sorted observations alongside
+//! the columns instead of looking each column up.
 
 use std::collections::BTreeMap;
 
@@ -78,18 +84,28 @@ impl ConfigFactors {
     /// element 0 is the row bias, the rest the factor vector. A row without
     /// observations is the library's average application, all zeros.
     pub fn solve_row(&self, observed: &BTreeMap<usize, f64>) -> Vec<f64> {
+        self.solve(observed).0
+    }
+
+    /// The row's `(b, q)`, and the `(min, max)` of the dense rows' range
+    /// joined with the row's transformed observations: one pass, so each
+    /// observation goes through the transform once.
+    fn solve(&self, observed: &BTreeMap<usize, f64>) -> (Vec<f64>, (f64, f64)) {
         let n = self.p.cols() + 1;
         let mut x = vec![0.0; n];
         if observed.is_empty() {
-            return x;
+            return (x, self.range);
         }
         // Normal equations (AᵀA + λ|Ω|·I)·x = Aᵀy over features (1, P_c),
         // kept as an n × (n + 1) augmented system.
         let mut m = vec![vec![0.0; n + 1]; n];
         let mut a = vec![1.0; n];
+        let (mut lo, mut hi) = self.range;
         for (&c, &v) in observed {
+            let t = self.transform.forward(v);
+            (lo, hi) = (lo.min(t), hi.max(t));
             a[1..].copy_from_slice(self.p.row(c));
-            let y = self.transform.forward(v) - self.mu - self.col_bias[c];
+            let y = t - self.mu - self.col_bias[c];
             for i in 0..n {
                 for k in 0..n {
                     m[i][k] += a[i] * a[k];
@@ -128,28 +144,30 @@ impl ConfigFactors {
             let tail: f64 = (i + 1..n).map(|k| m[i][k] * x[k]).sum();
             x[i] = (m[i][n] - tail) / m[i][i];
         }
-        x
+        (x, (lo, hi))
     }
 
     /// Completes one row: observed entries pass through exactly, the rest
     /// are predicted from the folded-in `(b, q)` and clamped to the
     /// 25 %-widened range of the dense rows and the row's own observations
     /// (low-rank extrapolation far outside it is never trustworthy).
+    ///
+    /// Each observation goes through the transform once, for both the solve
+    /// and the range, and the columns are emitted by walking the sorted
+    /// observations alongside them.
     pub fn fold_in(&self, observed: &BTreeMap<usize, f64>) -> Vec<f64> {
-        let x = self.solve_row(observed);
-        let (lo, hi) = observed.values().fold(self.range, |(lo, hi), &v| {
-            let t = self.transform.forward(v);
-            (lo.min(t), hi.max(t))
-        });
+        let (x, (lo, hi)) = self.solve(observed);
         let span = (hi - lo).max(1e-9);
         let (clamp_lo, clamp_hi) = (lo - 0.25 * span, hi + 0.25 * span);
+        let mut next = observed.iter().peekable();
         (0..self.col_bias.len())
-            .map(|c| {
-                observed.get(&c).copied().unwrap_or_else(|| {
+            .map(|c| match next.next_if(|&(&o, _)| o == c) {
+                Some((_, &v)) => v,
+                None => {
                     let residual: f64 = x[1..].iter().zip(self.p.row(c)).map(|(q, p)| q * p).sum();
                     let t = self.mu + self.col_bias[c] + x[0] + residual;
                     self.transform.inverse(t.clamp(clamp_lo, clamp_hi))
-                })
+                }
             })
             .collect()
     }
@@ -235,6 +253,92 @@ mod tests {
         };
         let x = exact.solve_row(&observe(&exact, &truth, &[0, 3, 7]));
         assert!(distance(&x, &truth) < 1e-9);
+    }
+
+    /// `fold_in` as it was before it transformed each observation once:
+    /// `forward` in both the solve and the range, a `get` per column.
+    fn reference_fold_in(f: &ConfigFactors, observed: &BTreeMap<usize, f64>) -> Vec<f64> {
+        let x = f.solve_row(observed);
+        let (lo, hi) = observed.values().fold(f.range, |(lo, hi), &v| {
+            let t = f.transform.forward(v);
+            (lo.min(t), hi.max(t))
+        });
+        let span = (hi - lo).max(1e-9);
+        let (clamp_lo, clamp_hi) = (lo - 0.25 * span, hi + 0.25 * span);
+        (0..f.col_bias.len())
+            .map(|c| {
+                observed.get(&c).copied().unwrap_or_else(|| {
+                    let residual: f64 = x[1..].iter().zip(f.p.row(c)).map(|(q, p)| q * p).sum();
+                    let t = f.mu + f.col_bias[c] + x[0] + residual;
+                    f.transform.inverse(t.clamp(clamp_lo, clamp_hi))
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fold_in_matches_the_reference_to_the_bit() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        for cols in [108, 27] {
+            for transform in [ValueTransform::Log, ValueTransform::Linear] {
+                let range = (-1.5, 2.5);
+                let f = ConfigFactors {
+                    transform,
+                    mu: rng.random_range(-0.5..1.0),
+                    col_bias: (0..cols).map(|_| rng.random_range(-0.8..0.8)).collect(),
+                    p: DenseMatrix::from_vec(
+                        cols,
+                        2,
+                        (0..2 * cols).map(|_| rng.random_range(-1.0..1.0)).collect(),
+                    ),
+                    regularization: LAMBDA,
+                    range,
+                    epochs: 0,
+                };
+                let value = |t: f64| match transform {
+                    ValueTransform::Log => t.exp(),
+                    ValueTransform::Linear => t,
+                };
+                let mut maps = vec![
+                    BTreeMap::new(),
+                    BTreeMap::from([(rng.random_range(0..cols), value(0.4))]),
+                    (0..cols)
+                        .map(|c| (c, value(rng.random_range(range.0..range.1))))
+                        .collect(),
+                    BTreeMap::from([
+                        (0, value(range.0)),
+                        (cols / 2, value(range.1)),
+                        (cols - 1, 1e-300),
+                        (1, 1e6),
+                    ]),
+                ];
+                for len in [2, 5, 17, cols - 1] {
+                    maps.push(
+                        (0..len)
+                            .map(|_| {
+                                let c = rng.random_range(0..cols);
+                                (c, value(rng.random_range(range.0 - 1.0..range.1 + 1.0)))
+                            })
+                            .collect(),
+                    );
+                }
+                for obs in &maps {
+                    let (got, want) = (f.fold_in(obs), reference_fold_in(&f, obs));
+                    assert_eq!(got.len(), cols);
+                    for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{cols} columns, {transform:?}, {} observations: column {c}",
+                            obs.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

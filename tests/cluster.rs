@@ -5,7 +5,8 @@
 //!   paper-default golden record pins that run in `tests/multi_tenant.rs`,
 //!   and `tests/control_plane.rs` pins the core path against it);
 //! * eight nodes stepped concurrently each replay their own control core
-//!   stepped alone, bit-for-bit;
+//!   stepped alone, bit-for-bit, and so do two nodes on different chips
+//!   (the fleet shares learned factors only between equal chips);
 //! * under a flash crowd, balancing shifts traffic and auto-migration
 //!   moves batch work off the breaching node, while every LC service's
 //!   traffic shares keep summing to its replica count;
@@ -104,6 +105,32 @@ fn eight_concurrently_stepped_nodes_each_replay_their_bare_core_bit_for_bit() {
             node.comparable(),
             core.into_record().comparable(),
             "node {i} stepped in the fleet differs from its core stepped alone"
+        );
+    }
+}
+
+#[test]
+fn nodes_on_different_chips_each_replay_their_bare_core_bit_for_bit() {
+    // The fleet shares one factor library per distinct chip; node 1's chip
+    // differs from node 0's in one parameter, so it must learn its own.
+    const QUANTA: usize = 20;
+    let mut scenario = ClusterScenario::uniform(&Scenario::paper_default(), 2);
+    scenario.nodes[1].params.dram_latency_cycles = 260.0;
+    let mut coordinator = ClusterCoordinator::new(&scenario);
+    for _ in 0..QUANTA {
+        coordinator.step_quantum().expect("cluster quantum");
+    }
+    let record = coordinator.into_record();
+
+    for (i, (node, s)) in record.nodes.into_iter().zip(&scenario.nodes).enumerate() {
+        let mut core = ControlCore::on_node(s, NodeId::from_index(i));
+        for _ in 0..QUANTA {
+            core.step_quantum().expect("core quantum");
+        }
+        assert_eq!(
+            node.comparable(),
+            core.into_record().comparable(),
+            "node {i} on its own chip differs from its core stepped alone"
         );
     }
 }
