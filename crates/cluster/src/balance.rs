@@ -10,7 +10,7 @@
 //! conserved, so the fleet-wide offered load is unchanged — only its
 //! distribution moves.
 //!
-//! [`ScenarioDriver`]: cuttlesys::driver::ScenarioDriver
+//! [`ScenarioDriver`]: cuttlesys::ScenarioDriver
 
 use cuttlesys::lifecycle::NodeId;
 

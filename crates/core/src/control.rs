@@ -41,10 +41,10 @@ use workloads::batch::SpecBenchmark;
 use workloads::oracle::Oracle;
 
 use crate::accounting::steady_state_budget;
-use crate::driver::{DriveError, ScenarioDriver};
 use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, TenantLifecycle};
 use crate::matrices::FactorLibrary;
 use crate::runtime::CuttleSysManager;
+use crate::testbed::{DriveError, ScenarioDriver};
 use crate::types::{
     BatchJobSpec, JobSpec, ResourceManager, RunRecord, Scenario, SliceRecord, TIMESLICE_MS,
 };

@@ -13,11 +13,10 @@
 //!
 //! * [`types`] — the shared vocabulary: scenarios, plans, profiling frames,
 //!   per-slice records, and the [`ResourceManager`] trait.
-//! * [`testbed`] — the simulated server every resource manager runs on:
-//!   timeslice execution, noisy measurements, and ground-truth records.
-//! * [`driver`] — the simulation loop as a steppable value
-//!   ([`driver::ScenarioDriver`]): one 100 ms slice per call, with batch
-//!   jobs injected and drained between steps (runtime churn).
+//! * [`testbed`] — the simulated server every resource manager runs on
+//!   ([`ScenarioDriver`]): one 100 ms slice per step, noisy measurements,
+//!   ground-truth records, and batch jobs admitted and drained between
+//!   steps (runtime churn).
 //! * [`lifecycle`] — the tenant lifecycle state machine the control plane
 //!   enforces (Registering → … → Retired; illegal transitions are errors).
 //! * [`control`] — the sans-io control-plane core ([`control::ControlCore`]):
@@ -62,7 +61,6 @@
 
 pub mod accounting;
 pub mod control;
-pub mod driver;
 pub mod faults;
 pub mod lifecycle;
 pub mod managers;
@@ -76,17 +74,8 @@ pub mod types;
 pub use control::{
     AdmissionError, ControlCore, ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind,
 };
-pub use driver::ScenarioDriver;
 pub use faults::{DecisionError, FaultInjector, FaultPlan, StageError};
 pub use lifecycle::{LifecycleError, LifecycleState, TenantLifecycle};
 pub use runtime::CuttleSysManager;
-pub use testbed::run_scenario;
+pub use testbed::{run_scenario, ScenarioDriver};
 pub use types::{Plan, ResourceManager, RunRecord, Scenario};
-
-/// Draws a standard normal variate via the Box–Muller transform (shared by
-/// the testbed's measurement-noise model).
-pub(crate) fn rng_normal(rng: &mut impl rand::RngExt) -> f64 {
-    let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}

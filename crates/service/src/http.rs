@@ -140,9 +140,11 @@ fn serve<P: Plane>(mut stream: TcpStream, jobs: &SyncSender<Job<P>>, bus: &Bus<P
             Err(_) => return,
         }
     }
-    let request_line = match std::str::from_utf8(&buf[..n]) {
-        Ok(text) => text.lines().next().unwrap_or("").to_string(),
-        Err(_) => return,
+    // Only the request line must be text: header values may carry obs-text
+    // bytes (RFC 9110 §5.5), and no header is routed on.
+    let line = buf[..n].split(|&b| b == b'\n').next().unwrap_or_default();
+    let Ok(request_line) = std::str::from_utf8(line) else {
+        return;
     };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
@@ -199,7 +201,9 @@ mod tests {
     use super::*;
     use crate::{Service, ServiceBuilder};
     use cuttlesys::types::Scenario;
+    use std::net::Shutdown;
     use std::time::Instant;
+    use util::rng64::mix_stream;
 
     fn endpoint() -> (Service, SocketAddr) {
         let service = ServiceBuilder::new(&Scenario::quick_demo())
@@ -274,6 +278,63 @@ mod tests {
             service.step_quantum().unwrap();
             let response = get(addr, "/state");
             assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        }
+    }
+
+    #[test]
+    fn a_valid_request_line_with_a_non_utf8_header_is_served() {
+        let (_service, addr) = endpoint();
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(b"GET /metrics HTTP/1.1\r\nUser-Agent: caf\xe9\r\n\r\n")
+            .unwrap();
+        let mut response = Vec::new();
+        conn.read_to_end(&mut response).unwrap();
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response:?}");
+    }
+
+    /// Seeded hostile request heads: random bytes, a valid head cut short,
+    /// a head past the 1 KiB buffer, and a peer that leaves before the
+    /// response. Each client shuts its write half, so no case waits out
+    /// [`IO_TIMEOUT`].
+    #[test]
+    fn generated_hostile_heads_leave_the_endpoint_serving() {
+        const SEED: u64 = 0x4854_5450;
+        const CASES: u64 = 64;
+        let (service, addr) = endpoint();
+        let valid = b"GET /metrics HTTP/1.1\r\nHost: x\r\nUser-Agent: probe\r\n\r\n";
+        for case in 0..CASES {
+            let mut index = 0;
+            let mut draw = |bound: usize| {
+                index += 1;
+                (mix_stream(SEED, case, index) % bound as u64) as usize
+            };
+            let kind = case % 4;
+            let head: Vec<u8> = match kind {
+                0 => (0..draw(2048)).map(|_| draw(256) as u8).collect(),
+                1 => valid[..draw(valid.len())].to_vec(),
+                2 => {
+                    let mut head = b"GET /".to_vec();
+                    head.resize(1024 + draw(3072), b'a');
+                    head.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+                    head
+                }
+                _ => valid.to_vec(),
+            };
+            let mut conn = TcpStream::connect(addr).unwrap();
+            // The server may reset the connection under an oversized write.
+            let _ = conn.write_all(&head);
+            let _ = conn.shutdown(Shutdown::Write);
+            if kind != 3 {
+                let _ = conn.read_to_end(&mut Vec::new());
+            }
+            drop(conn);
+            assert!(service.step_quantum().is_ok(), "case {case}");
+            let response = get(addr, "/state");
+            assert!(
+                response.starts_with("HTTP/1.1 200 OK"),
+                "case {case}: {response}"
+            );
         }
     }
 }
