@@ -242,6 +242,9 @@ fn refused_sweep_inputs_exit_1_with_nothing_on_stdout() {
     let zero_period = r#"{"name": "zero-period", "quanta": 2, "seeds": [1],
         "tenants": {"lc": [{"service": "xapian"}]},
         "load_shapes": [{"kind": "square-wave", "period_s": 0}]}"#;
+    let tiny_period = zero_period
+        .replace("zero-period", "tiny-period")
+        .replace("\"period_s\": 0", "\"period_s\": 1e-300");
     let deep = "[".repeat(200_000);
     let missing = scratch("missing.json");
     let mut cases = vec![
@@ -261,6 +264,11 @@ fn refused_sweep_inputs_exit_1_with_nothing_on_stdout() {
             "zero-period",
             zero_period,
             "field \"period_s\" must be a positive number",
+        ),
+        (
+            "tiny-period",
+            &tiny_period,
+            "field \"period_s\" must be at least one decision quantum",
         ),
         ("deep", &deep, "nest deeper than 128 levels"),
     ] {

@@ -8,7 +8,7 @@
 //!    fleet faults ([`FleetFaultPlan`]), observe every node's heartbeat
 //!    (did it answer the previous steps, or is it crashed, drained or
 //!    blacked out?), advance each node's [`NodeHealth`] state machine,
-//!    evacuate nodes newly declared Down, retry the displaced queue with
+//!    evacuate nodes newly declared Down, retry displaced tenants with
 //!    bounded backoff, and run the fleet degraded-mode hysteresis.
 //! 1. **Complete due migrations** (serial, start order): a tenant whose
 //!    modeled migration cost has elapsed is admitted on its destination;
@@ -46,15 +46,13 @@ use util::pool::{for_each_slot, WorkerPool};
 use workloads::batch::SpecBenchmark;
 
 use crate::balance::{decide_shift, BalanceConfig};
-use crate::faults::{FleetFaultInjector, FleetFaultPlan};
-use crate::health::{
-    retry_backoff, DegradedMode, HealthTracker, NodeHealth, MIN_DEGRADED_SHARE, SHARE_SHRINK,
-};
+use crate::faults::FleetFaultPlan;
+use crate::health::{DegradedMode, HealthTracker, NodeHealth, MIN_DEGRADED_SHARE, SHARE_SHRINK};
 use crate::migration::{
-    InFlight, MigrateError, MigrationConfig, COST_QUANTA, MAX_RETRIES, RETRY_CAP_QUANTA,
+    retry_backoff, MigrationConfig, Relocation, COST_QUANTA, MAX_RETRIES, RETRY_BASE,
 };
 use crate::node::NodeAgent;
-use crate::placement::{pick_best, PlacementError, PlacementScore};
+use crate::placement::{pick_best, PlacementScore};
 use crate::topology::ClusterScenario;
 
 /// Opaque handle to one tenant in the cluster's tenant table. Ids are
@@ -111,19 +109,6 @@ impl NodeFate {
     fn silent_at(self, quantum: usize) -> bool {
         self.crashed || self.drained || quantum < self.silent_until
     }
-}
-
-/// One evacuated tenant the fleet had no room for: parked, retried each
-/// quantum its backoff allows, never silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct DisplacedTenant {
-    tenant: ClusterTenantId,
-    /// The failed node it was evacuated from.
-    from: NodeId,
-    /// Placement attempts so far (drives the backoff).
-    attempts: u32,
-    /// The next quantum at which placement is retried.
-    retry_at: usize,
 }
 
 /// One row of the cluster tenant table.
@@ -256,8 +241,8 @@ pub enum ClusterEvent {
         /// The quantum of the evacuation.
         quantum: usize,
     },
-    /// An evacuated tenant had nowhere to go and was parked in the
-    /// displaced queue; emitted again after every failed retry.
+    /// An evacuated tenant had nowhere to go and was parked displaced;
+    /// emitted again after every failed retry.
     Displaced {
         /// The parked tenant.
         tenant: ClusterTenantId,
@@ -266,7 +251,7 @@ pub enum ClusterEvent {
         /// The failed node it came from.
         from: NodeId,
         /// Placement attempts so far.
-        attempts: u32,
+        attempts: usize,
         /// The quantum of the next retry.
         retry_at: usize,
         /// The quantum of this failure.
@@ -304,20 +289,36 @@ pub enum ClusterEvent {
 pub enum ClusterError {
     /// No tenant has this id.
     UnknownTenant(ClusterTenantId),
-    /// The operation applies only to batch tenants.
+    /// The operation applies only to batch tenants; LC tenants are pinned
+    /// to their node (their traffic shifts instead, via the balance
+    /// policy).
     NotABatchTenant(ClusterTenantId),
     /// The node id is not in the cluster.
     UnknownNode(NodeId),
     /// The node is already down, drained, or crashed.
     NodeUnavailable(NodeId),
-    /// The tenant is mid-migration; wait for the move to settle.
-    InFlight(ClusterTenantId),
+    /// The tenant is relocating — in flight, or parked displaced; wait
+    /// for it to settle.
+    Relocating(ClusterTenantId),
+    /// A migration's source and destination are the same node.
+    SameNode(NodeId),
+    /// Every node is down: placement has no candidate at all.
+    NoServingNode,
+    /// No serving node has the worst-case headroom to admit the tenant.
+    /// The fields report the least-bad node's arithmetic.
+    NoCapacity {
+        /// The closest-to-feasible node.
+        closest: NodeId,
+        /// Committed + candidate worst-case power on that node (W).
+        required_watts: f64,
+        /// The steady-state budget it had to fit (W).
+        budget_watts: f64,
+    },
     /// A node's admission control rejected a directed registration.
     Admission(AdmissionError),
-    /// A node's control plane refused a request.
+    /// A node's control plane refused a request (for a migration: the
+    /// source refused the drain).
     Control(ControlError),
-    /// A migration request was refused.
-    Migrate(MigrateError),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -331,10 +332,20 @@ impl std::fmt::Display for ClusterError {
             ClusterError::NodeUnavailable(n) => {
                 write!(f, "node {n} is already down, drained, or crashed")
             }
-            ClusterError::InFlight(t) => write!(f, "tenant {t} is mid-migration"),
+            ClusterError::Relocating(t) => write!(f, "tenant {t} is already relocating"),
+            ClusterError::SameNode(n) => write!(f, "tenant already lives on {n}"),
+            ClusterError::NoServingNode => write!(f, "no node is serving"),
+            ClusterError::NoCapacity {
+                closest,
+                required_watts,
+                budget_watts,
+            } => write!(
+                f,
+                "no node can place the tenant: closest is {closest} needing \
+                 {required_watts:.1} W against {budget_watts:.1} W"
+            ),
             ClusterError::Admission(e) => write!(f, "{e}"),
             ClusterError::Control(e) => write!(f, "{e}"),
-            ClusterError::Migrate(e) => write!(f, "{e}"),
         }
     }
 }
@@ -344,12 +355,6 @@ impl std::error::Error for ClusterError {}
 impl From<ControlError> for ClusterError {
     fn from(e: ControlError) -> ClusterError {
         ClusterError::Control(e)
-    }
-}
-
-impl From<MigrateError> for ClusterError {
-    fn from(e: MigrateError) -> ClusterError {
-        ClusterError::Migrate(e)
     }
 }
 
@@ -379,11 +384,11 @@ pub struct ClusterSnapshot {
     pub lc_shares: Vec<Vec<f64>>,
     /// The cluster tenant table, in registration order.
     pub tenants: Vec<ClusterTenantSnapshot>,
-    /// Tenants currently mid-migration.
+    /// Tenants currently in flight between nodes.
     pub in_flight: usize,
     /// Per-node health state names, in node-id order.
     pub node_health: Vec<&'static str>,
-    /// Tenants parked in the displaced queue.
+    /// Tenants parked displaced, with no destination yet.
     pub displaced: usize,
     /// Evacuations performed so far.
     pub evacuations: usize,
@@ -485,17 +490,18 @@ impl ClusterRecord {
 pub struct ClusterCoordinator {
     nodes: Vec<NodeAgent>,
     tenants: Vec<ClusterTenantEntry>,
-    in_flight: Vec<InFlight>,
+    /// Relocating tenants — in flight to a node, or displaced with nowhere
+    /// to go — in queue order: a move or a parking joins at the back, and
+    /// so does a re-aimed move.
+    relocating: Vec<Relocation>,
     config: ClusterConfig,
     quantum: usize,
     pending: Vec<ClusterEvent>,
-    faults: FleetFaultInjector,
+    faults: FleetFaultPlan,
     /// Per-node health detectors, in node-id order.
     health: Vec<HealthTracker>,
     /// Per-node mechanical fault state, in node-id order.
     fate: Vec<NodeFate>,
-    /// Evacuated tenants with nowhere to go, in displacement order.
-    displaced: Vec<DisplacedTenant>,
     /// Per-node local tenant rows that were evacuated elsewhere while the
     /// node was unobservable-but-alive (blackout split-brain); drained
     /// when the node rejoins.
@@ -581,14 +587,13 @@ impl ClusterCoordinator {
         ClusterCoordinator {
             nodes,
             tenants,
-            in_flight: Vec::new(),
+            relocating: Vec::new(),
             config,
             quantum: 0,
             pending: Vec::new(),
-            faults: FleetFaultInjector::new(plan),
+            faults: plan,
             health: vec![HealthTracker::new(); n],
             fate: vec![NodeFate::default(); n],
-            displaced: Vec::new(),
             stale_locals: vec![Vec::new(); n],
             degraded: DegradedMode::new(),
             evacuations: 0,
@@ -616,9 +621,12 @@ impl ClusterCoordinator {
         self.health.get(id.index()).map(HealthTracker::state)
     }
 
-    /// Tenants currently parked in the displaced queue.
+    /// Tenants currently parked displaced.
     pub fn displaced_tenants(&self) -> usize {
-        self.displaced.len()
+        self.relocating
+            .iter()
+            .filter(|r| r.dest().is_none())
+            .count()
     }
 
     /// Evacuations performed so far (batch re-placements plus LC traffic
@@ -632,17 +640,19 @@ impl ClusterCoordinator {
         self.degraded.active()
     }
 
+    /// The tenant's relocation record, while it is relocating.
+    fn relocation(&self, id: ClusterTenantId) -> Option<&Relocation> {
+        self.relocating.iter().find(|r| r.tenant == id)
+    }
+
     /// The cluster-visible lifecycle state of a tenant: its hosting
     /// node's view, overlaid with `Relocating(Node(dest))` while the
     /// tenant is in flight between nodes and `Relocating(Displaced)`
-    /// while it is parked in the displaced queue.
+    /// while it is parked displaced.
     pub fn tenant_state(&self, id: ClusterTenantId) -> Option<LifecycleState> {
         let entry = self.tenants.get(id.0)?;
-        if let Some(m) = self.in_flight.iter().find(|m| m.tenant == id) {
-            return Some(LifecycleState::Relocating(RelocationTarget::Node(m.dest)));
-        }
-        if self.displaced.iter().any(|d| d.tenant == id) {
-            return Some(LifecycleState::Relocating(RelocationTarget::Displaced));
+        if let Some(r) = self.relocation(id) {
+            return Some(LifecycleState::Relocating(r.target));
         }
         self.nodes
             .get(entry.node.index())?
@@ -653,10 +663,9 @@ impl ClusterCoordinator {
 
     /// The node currently (or last) hosting a tenant.
     pub fn tenant_node(&self, id: ClusterTenantId) -> Option<NodeId> {
-        if let Some(m) = self.in_flight.iter().find(|m| m.tenant == id) {
-            return Some(m.dest);
-        }
-        self.tenants.get(id.0).map(|e| e.node)
+        self.relocation(id)
+            .and_then(Relocation::dest)
+            .or_else(|| self.tenants.get(id.0).map(|e| e.node))
     }
 
     /// Scores every *serving* node (minus `exclude`) as a placement
@@ -701,38 +710,35 @@ impl ClusterCoordinator {
     ///
     /// # Errors
     ///
-    /// Returns [`PlacementError::NoCapacity`] when no node's steady-state
-    /// budget fits the candidate's worst case.
+    /// [`ClusterError::NoCapacity`] when no serving node's steady-state
+    /// budget fits the candidate's worst case;
+    /// [`ClusterError::NoServingNode`] when every node is down.
     pub fn register_batch(
         &mut self,
         name: &str,
         app: SpecBenchmark,
-    ) -> Result<ClusterTenantId, PlacementError> {
+    ) -> Result<ClusterTenantId, ClusterError> {
         let scores = self.scores_for(app, None);
         let Some(node) = pick_best(&scores) else {
             // Report the least-infeasible node's arithmetic (ties toward
             // the lowest id, matching every other policy here).
-            let closest = scores.iter().reduce(|a, b| {
-                if b.headroom_watts > a.headroom_watts {
-                    b
-                } else {
-                    a
-                }
-            });
-            return Err(match closest {
-                Some(s) => {
-                    let (required, budget) = self
-                        .nodes
-                        .get(s.node.index())
-                        .map(|n| n.core().admission_preview(app))
-                        .unwrap_or((0.0, 0.0));
-                    PlacementError::NoCapacity {
-                        closest: s.node,
-                        required_watts: required,
-                        budget_watts: budget,
+            let closest = scores
+                .iter()
+                .reduce(|a, b| {
+                    if b.headroom_watts > a.headroom_watts {
+                        b
+                    } else {
+                        a
                     }
-                }
-                None => PlacementError::UnknownNode(NodeId::local()),
+                })
+                .ok_or(ClusterError::NoServingNode)?
+                .node;
+            let (required_watts, budget_watts) =
+                self.nodes[closest.index()].core().admission_preview(app);
+            return Err(ClusterError::NoCapacity {
+                closest,
+                required_watts,
+                budget_watts,
             });
         };
         self.register_batch_on(node, name, app)
@@ -740,14 +746,12 @@ impl ClusterCoordinator {
                 ClusterError::Admission(AdmissionError::PowerBudgetExceeded {
                     required_watts,
                     budget_watts,
-                }) => PlacementError::NoCapacity {
+                }) => ClusterError::NoCapacity {
                     closest: node,
                     required_watts,
                     budget_watts,
                 },
-                // register_batch_on only fails with Admission or UnknownNode,
-                // and the node came from our own table.
-                _ => PlacementError::UnknownNode(node),
+                e => e,
             })
     }
 
@@ -790,16 +794,17 @@ impl ClusterCoordinator {
     }
 
     /// Deregisters a batch tenant: it drains on its node and retires. A
-    /// tenant parked in the displaced queue leaves the queue, so it is
+    /// tenant parked displaced leaves the relocation table, so it is
     /// never placed afterwards.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::InFlight`] while the tenant is mid-migration;
+    /// [`ClusterError::Relocating`] while the tenant is in flight;
     /// otherwise the hosting node's [`ControlError`].
     pub fn deregister(&mut self, id: ClusterTenantId) -> Result<(), ClusterError> {
-        if self.in_flight.iter().any(|m| m.tenant == id) {
-            return Err(ClusterError::InFlight(id));
+        let relocation = self.relocating.iter().position(|r| r.tenant == id);
+        if relocation.is_some_and(|at| self.relocating[at].dest().is_some()) {
+            return Err(ClusterError::Relocating(id));
         }
         let entry = self
             .tenants
@@ -815,10 +820,11 @@ impl ClusterCoordinator {
             .ok_or(ClusterError::UnknownNode(node))?
             .core_mut()
             .deregister(local);
-        if let Some(at) = self.displaced.iter().position(|d| d.tenant == id) {
-            // The old row stays on its failed node, and a drained node has
-            // already retired it: leaving the queue is the deregistration.
-            self.displaced.remove(at);
+        if let Some(at) = relocation {
+            // A displaced tenant's old row stays on its failed node, and a
+            // drained node has already retired it: leaving the table is
+            // the deregistration.
+            self.relocating.remove(at);
             return Ok(());
         }
         Ok(drained?)
@@ -831,39 +837,35 @@ impl ClusterCoordinator {
     ///
     /// # Errors
     ///
-    /// Returns [`MigrateError`] when the tenant cannot move (unknown, LC,
-    /// already relocating, same node, unknown destination, or the source
-    /// refuses the drain).
-    pub fn migrate(&mut self, id: ClusterTenantId, dest: NodeId) -> Result<(), MigrateError> {
-        if self.in_flight.iter().any(|m| m.tenant == id)
-            || self.displaced.iter().any(|d| d.tenant == id)
-        {
-            return Err(MigrateError::AlreadyInFlight(id));
+    /// [`ClusterError::Relocating`], [`ClusterError::UnknownTenant`],
+    /// [`ClusterError::NotABatchTenant`], [`ClusterError::UnknownNode`]
+    /// or [`ClusterError::SameNode`] when the tenant cannot move;
+    /// [`ClusterError::Control`] when the source refuses the drain.
+    pub fn migrate(&mut self, id: ClusterTenantId, dest: NodeId) -> Result<(), ClusterError> {
+        if self.relocation(id).is_some() {
+            return Err(ClusterError::Relocating(id));
         }
         let entry = self
             .tenants
             .get(id.0)
-            .ok_or(MigrateError::UnknownTenant(id))?;
+            .ok_or(ClusterError::UnknownTenant(id))?;
         if entry.app.is_none() {
-            return Err(MigrateError::NotABatchTenant(id));
+            return Err(ClusterError::NotABatchTenant(id));
         }
         if dest.index() >= self.nodes.len() {
-            return Err(MigrateError::UnknownNode(dest));
+            return Err(ClusterError::UnknownNode(dest));
         }
         if entry.node == dest {
-            return Err(MigrateError::SameNode(dest));
+            return Err(ClusterError::SameNode(dest));
         }
         let (from, local, name) = (entry.node, entry.local, entry.name.clone());
-        self.nodes[from.index()]
-            .core_mut()
-            .deregister(local)
-            .map_err(MigrateError::Source)?;
+        self.nodes[from.index()].core_mut().deregister(local)?;
         let admit_at = self.quantum + COST_QUANTA;
-        self.in_flight.push(InFlight {
+        self.relocating.push(Relocation {
             tenant: id,
             from,
-            dest,
-            admit_at,
+            target: RelocationTarget::Node(dest),
+            due: admit_at,
             attempts: 0,
         });
         self.pending.push(ClusterEvent::MigrationStarted {
@@ -927,7 +929,7 @@ impl ClusterCoordinator {
 
     /// Phase 0: inject planned faults, observe heartbeats, advance every
     /// node's health state machine, evacuate nodes newly declared Down,
-    /// retry the displaced queue, and run the degraded-mode hysteresis —
+    /// retry displaced tenants, and run the degraded-mode hysteresis —
     /// all serial, in node-id order. On a healthy fleet with a clean
     /// fault plan every step here is a no-op, which is why
     /// [`FleetFaultPlan::none`] leaves the coordinator bit-identical to
@@ -974,7 +976,7 @@ impl ClusterCoordinator {
         self.retry_displaced();
         // (d) Degraded-mode hysteresis: the fleet is infeasible while
         // displaced tenants remain unplaceable after their retries.
-        let infeasible = !self.displaced.is_empty();
+        let infeasible = self.displaced_tenants() > 0;
         match self.degraded.observe(infeasible) {
             Some(true) => self
                 .pending
@@ -991,7 +993,7 @@ impl ClusterCoordinator {
 
     /// Moves every recoverable tenant off a node that has been declared
     /// Down, in tenant-id order: batch tenants re-enter admission on the
-    /// best-scoring serving node (or park in the displaced queue), LC
+    /// best-scoring serving node (or park displaced), LC
     /// tenants fold their traffic share onto the best surviving replica.
     fn evacuate_node(&mut self, node_index: usize) {
         let source = NodeId::from_index(node_index);
@@ -1000,8 +1002,7 @@ impl ClusterCoordinator {
             .filter(|id| {
                 let e = &self.tenants[id.0];
                 e.node == source
-                    && !self.in_flight.iter().any(|m| m.tenant == *id)
-                    && !self.displaced.iter().any(|d| d.tenant == *id)
+                    && self.relocation(*id).is_none()
                     && self.nodes[node_index]
                         .core()
                         .tenant(e.local)
@@ -1024,16 +1025,17 @@ impl ClusterCoordinator {
         }
     }
 
-    /// Parks an unplaceable evacuee in the displaced queue with the
-    /// initial backoff. Parked tenants are retried every quantum their
-    /// backoff allows; they are never dropped.
+    /// Parks an unplaceable evacuee displaced with the initial backoff.
+    /// Parked tenants are retried every quantum their backoff allows; they
+    /// are never dropped.
     fn park(&mut self, id: ClusterTenantId, from: NodeId) {
-        let retry_at = self.quantum + retry_backoff(0);
-        self.displaced.push(DisplacedTenant {
+        let retry_at = self.quantum + retry_backoff(RETRY_BASE, 0);
+        self.relocating.push(Relocation {
             tenant: id,
             from,
+            target: RelocationTarget::Displaced,
+            due: retry_at,
             attempts: 0,
-            retry_at,
         });
         self.pending.push(ClusterEvent::Displaced {
             tenant: id,
@@ -1165,33 +1167,32 @@ impl ClusterCoordinator {
     }
 
     /// Retries every displaced tenant whose backoff has elapsed, in
-    /// displacement order. A failure re-parks the tenant with the next
-    /// (bounded) backoff and announces it — the queue shrinks only by
-    /// successful placement, never by dropping.
+    /// queue order. A failure keeps the tenant parked in its place with the
+    /// next (bounded) backoff and announces it — a displaced tenant leaves
+    /// the table only by successful placement, never by dropping.
     fn retry_displaced(&mut self) {
-        let parked = std::mem::take(&mut self.displaced);
-        for d in parked {
-            if d.retry_at > self.quantum {
-                self.displaced.push(d);
+        for r in std::mem::take(&mut self.relocating) {
+            if r.dest().is_some() || r.due > self.quantum {
+                self.relocating.push(r);
                 continue;
             }
-            if self.place_evacuee(d.tenant) {
+            if self.place_evacuee(r.tenant) {
                 continue;
             }
-            let attempts = d.attempts + 1;
-            let retry_at = self.quantum + retry_backoff(attempts);
+            let attempts = r.attempts + 1;
+            let retry_at = self.quantum + retry_backoff(RETRY_BASE, attempts);
             self.pending.push(ClusterEvent::Displaced {
-                tenant: d.tenant,
-                name: self.tenants[d.tenant.0].name.clone(),
-                from: d.from,
+                tenant: r.tenant,
+                name: self.tenants[r.tenant.0].name.clone(),
+                from: r.from,
                 attempts,
                 retry_at,
                 quantum: self.quantum,
             });
-            self.displaced.push(DisplacedTenant {
+            self.relocating.push(Relocation {
                 attempts,
-                retry_at,
-                ..d
+                due: retry_at,
+                ..r
             });
         }
     }
@@ -1220,8 +1221,7 @@ impl ClusterCoordinator {
             .filter(|(id, e)| {
                 e.app.is_some()
                     && self.health[e.node.index()].state().is_serving()
-                    && !self.in_flight.iter().any(|m| m.tenant == *id)
-                    && !self.displaced.iter().any(|d| d.tenant == *id)
+                    && self.relocation(*id).is_none()
                     && self.nodes[e.node.index()]
                         .core()
                         .tenant(e.local)
@@ -1258,14 +1258,15 @@ impl ClusterCoordinator {
     /// after [`MAX_RETRIES`] refusals does the tenant retire drained —
     /// announced by [`ClusterEvent::MigrationAbandoned`], never silently.
     fn complete_due_migrations(&mut self) {
-        let due: Vec<InFlight> = self
-            .in_flight
+        let q = self.quantum;
+        let due: Vec<(Relocation, NodeId)> = self
+            .relocating
             .iter()
-            .filter(|m| m.admit_at <= self.quantum)
-            .copied()
+            .filter(|r| r.due <= q)
+            .filter_map(|r| Some((*r, r.dest()?)))
             .collect();
-        self.in_flight.retain(|m| m.admit_at > self.quantum);
-        for m in due {
+        self.relocating.retain(|r| r.due > q || r.dest().is_none());
+        for (m, dest) in due {
             let entry = &self.tenants[m.tenant.0];
             let name = entry.name.clone();
             // In-flight tenants are batch by construction (migrate()
@@ -1273,8 +1274,8 @@ impl ClusterCoordinator {
             let Some(app) = entry.app else { continue };
             // A non-serving destination counts as a refusal without
             // bothering its admission control.
-            let admitted = if self.health[m.dest.index()].state().is_serving() {
-                self.nodes[m.dest.index()]
+            let admitted = if self.health[dest.index()].state().is_serving() {
+                self.nodes[dest.index()]
                     .core_mut()
                     .register_batch(&name, app)
                     .ok()
@@ -1284,13 +1285,13 @@ impl ClusterCoordinator {
             match admitted {
                 Some(local) => {
                     let entry = &mut self.tenants[m.tenant.0];
-                    entry.node = m.dest;
+                    entry.node = dest;
                     entry.local = local;
                     self.pending.push(ClusterEvent::MigrationCompleted {
                         tenant: m.tenant,
                         name,
                         from: m.from,
-                        to: m.dest,
+                        to: dest,
                         quantum: self.quantum,
                     });
                 }
@@ -1298,7 +1299,7 @@ impl ClusterCoordinator {
                     self.pending.push(ClusterEvent::MigrationFailed {
                         tenant: m.tenant,
                         name: name.clone(),
-                        to: m.dest,
+                        to: dest,
                         quantum: self.quantum,
                     });
                     let attempts = m.attempts + 1;
@@ -1309,7 +1310,7 @@ impl ClusterCoordinator {
                         self.pending.push(ClusterEvent::MigrationAbandoned {
                             tenant: m.tenant,
                             name,
-                            to: m.dest,
+                            to: dest,
                             attempts,
                             quantum: self.quantum,
                         });
@@ -1318,18 +1319,14 @@ impl ClusterCoordinator {
                     // Next-best destination, excluding the refuser; fall
                     // back to the same destination when nothing else is
                     // feasible (it may free capacity by the retry).
-                    let scores = self.scores_for(app, Some(m.dest));
-                    let next = pick_best(&scores).unwrap_or(m.dest);
-                    let wait = COST_QUANTA
-                        .saturating_mul(1usize << attempts.min(16))
-                        .min(RETRY_CAP_QUANTA);
-                    let admit_at = self.quantum + wait;
-                    self.in_flight.push(InFlight {
-                        tenant: m.tenant,
-                        from: m.from,
-                        dest: next,
-                        admit_at,
+                    let scores = self.scores_for(app, Some(dest));
+                    let next = pick_best(&scores).unwrap_or(dest);
+                    let admit_at = self.quantum + retry_backoff(COST_QUANTA, attempts);
+                    self.relocating.push(Relocation {
+                        target: RelocationTarget::Node(next),
+                        due: admit_at,
                         attempts,
+                        ..m
                     });
                     self.pending.push(ClusterEvent::MigrationRetried {
                         tenant: m.tenant,
@@ -1426,8 +1423,7 @@ impl ClusterCoordinator {
                     .find(|(id, e)| {
                         e.node == source
                             && e.app.is_some()
-                            && !self.in_flight.iter().any(|m| m.tenant == *id)
-                            && !self.displaced.iter().any(|d| d.tenant == *id)
+                            && self.relocation(*id).is_none()
                             && self.nodes[i]
                                 .core()
                                 .tenant(e.local)
@@ -1519,9 +1515,9 @@ impl ClusterCoordinator {
                         .unwrap_or(LifecycleState::Retired),
                 })
                 .collect(),
-            in_flight: self.in_flight.len(),
+            in_flight: self.relocating.len() - self.displaced_tenants(),
             node_health: self.health.iter().map(|h| h.state().name()).collect(),
-            displaced: self.displaced.len(),
+            displaced: self.displaced_tenants(),
             evacuations: self.evacuations,
             degraded: self.degraded.active(),
         }
@@ -1536,8 +1532,7 @@ impl ClusterCoordinator {
     /// Propagates the first node's [`ControlError`] — impossible by the
     /// transition table, so any error here is a logic bug.
     pub fn shutdown(&mut self) -> Result<(), ClusterError> {
-        self.in_flight.clear();
-        self.displaced.clear();
+        self.relocating.clear();
         for i in 0..self.nodes.len() {
             // A crashed node is gone — nothing drains cleanly off it —
             // and a drained node's control plane already shut down; both
@@ -1567,5 +1562,31 @@ impl ClusterCoordinator {
                 })
                 .collect(),
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn errors_name_the_parties_and_render_their_arithmetic() {
+        let t = ClusterTenantId::from_index(4);
+        assert!(ClusterError::UnknownTenant(t).to_string().contains("c4"));
+        assert!(ClusterError::NotABatchTenant(t)
+            .to_string()
+            .contains("pinned"));
+        assert!(ClusterError::Relocating(t).to_string().contains("c4"));
+        assert!(ClusterError::SameNode(NodeId::from_index(2))
+            .to_string()
+            .contains("n2"));
+        let msg = ClusterError::NoCapacity {
+            closest: NodeId::from_index(2),
+            required_watts: 12.5,
+            budget_watts: 10.0,
+        }
+        .to_string();
+        assert!(msg.contains("n2") && msg.contains("12.5") && msg.contains("10.0"));
     }
 }

@@ -49,8 +49,10 @@ pub struct ScheduledFault {
 }
 
 /// The per-(node, quantum) crash rate and its seed, plus any
-/// exactly-scheduled faults. The plan is pure data; [`FleetFaultInjector`]
-/// turns it into per-quantum verdicts.
+/// exactly-scheduled faults. Every verdict
+/// ([`node_quantum`](Self::node_quantum)) is a pure function of the plan
+/// and the `(node, quantum)` coordinates, so the coordinator can ask in
+/// any order (or never) without perturbing anything.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultPlan {
     /// Seed of the crash draws.
@@ -121,6 +123,34 @@ impl FleetFaultPlan {
     pub fn is_clean(&self) -> bool {
         self.crash == 0.0 && self.scheduled.is_empty()
     }
+
+    /// The faults striking `node` at the start of `quantum`.
+    pub fn node_quantum(&self, node: NodeId, quantum: usize) -> NodeQuantumFaults {
+        if self.is_clean() {
+            return NodeQuantumFaults::NONE;
+        }
+        let mut out = NodeQuantumFaults::NONE;
+        for s in &self.scheduled {
+            if s.node != node || s.quantum != quantum {
+                continue;
+            }
+            match s.kind {
+                FleetFaultKind::Crash => out.crash = true,
+                FleetFaultKind::Blackout { quanta } => {
+                    out.blackout_quanta = out.blackout_quanta.max(quanta.max(1));
+                }
+                FleetFaultKind::Drain => out.drain = true,
+            }
+        }
+        // Short-circuit on a zero rate so a purely scheduled plan performs
+        // no draws at all.
+        if self.crash > 0.0
+            && unit(self.seed, FaultStream::NodeCrash, pack(node, quantum)) < self.crash
+        {
+            out.crash = true;
+        }
+        out
+    }
 }
 
 impl Default for FleetFaultPlan {
@@ -155,50 +185,6 @@ fn pack(node: NodeId, quantum: usize) -> u64 {
     ((node.index() as u64) << 40) ^ quantum as u64
 }
 
-/// Stateless verdict engine over a [`FleetFaultPlan`]: every verdict is a
-/// pure function of the plan and the `(node, quantum)` coordinates, so
-/// the coordinator can ask in any order (or never) without perturbing
-/// anything.
-#[derive(Debug, Clone)]
-pub struct FleetFaultInjector {
-    plan: FleetFaultPlan,
-}
-
-impl FleetFaultInjector {
-    /// Wraps a plan.
-    pub fn new(plan: FleetFaultPlan) -> FleetFaultInjector {
-        FleetFaultInjector { plan }
-    }
-
-    /// The faults striking `node` at the start of `quantum`.
-    pub fn node_quantum(&self, node: NodeId, quantum: usize) -> NodeQuantumFaults {
-        if self.plan.is_clean() {
-            return NodeQuantumFaults::NONE;
-        }
-        let mut out = NodeQuantumFaults::NONE;
-        for s in &self.plan.scheduled {
-            if s.node != node || s.quantum != quantum {
-                continue;
-            }
-            match s.kind {
-                FleetFaultKind::Crash => out.crash = true,
-                FleetFaultKind::Blackout { quanta } => {
-                    out.blackout_quanta = out.blackout_quanta.max(quanta.max(1));
-                }
-                FleetFaultKind::Drain => out.drain = true,
-            }
-        }
-        // Short-circuit on a zero rate so a purely scheduled plan performs
-        // no draws at all.
-        if self.plan.crash > 0.0
-            && unit(self.plan.seed, FaultStream::NodeCrash, pack(node, quantum)) < self.plan.crash
-        {
-            out.crash = true;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -206,12 +192,12 @@ mod tests {
 
     #[test]
     fn the_clean_plan_never_fires() {
-        let injector = FleetFaultInjector::new(FleetFaultPlan::none());
-        assert!(injector.plan.is_clean());
+        let plan = FleetFaultPlan::none();
+        assert!(plan.is_clean());
         for node in 0..8 {
             for quantum in 0..200 {
                 assert_eq!(
-                    injector.node_quantum(NodeId::from_index(node), quantum),
+                    plan.node_quantum(NodeId::from_index(node), quantum),
                     NodeQuantumFaults::NONE
                 );
             }
@@ -220,14 +206,16 @@ mod tests {
 
     #[test]
     fn verdicts_are_deterministic_and_seed_sensitive() {
-        let plan = FleetFaultPlan::named("node-crash", 7).unwrap();
-        let a = FleetFaultInjector::new(plan.clone());
-        let b = FleetFaultInjector::new(plan.clone());
-        let c = FleetFaultInjector::new(FleetFaultPlan { seed: 8, ..plan });
-        let verdicts = |inj: &FleetFaultInjector| -> Vec<NodeQuantumFaults> {
+        let a = FleetFaultPlan::named("node-crash", 7).unwrap();
+        let b = a.clone();
+        let c = FleetFaultPlan {
+            seed: 8,
+            ..a.clone()
+        };
+        let verdicts = |plan: &FleetFaultPlan| -> Vec<NodeQuantumFaults> {
             (0..4)
                 .flat_map(|n| (0..500).map(move |q| (n, q)))
-                .map(|(n, q)| inj.node_quantum(NodeId::from_index(n), q))
+                .map(|(n, q)| plan.node_quantum(NodeId::from_index(n), q))
                 .collect()
         };
         assert_eq!(verdicts(&a), verdicts(&b), "same plan, same verdicts");
@@ -244,10 +232,9 @@ mod tests {
             .with_crash(NodeId::from_index(1), 3)
             .with_blackout(NodeId::from_index(2), 5, 4)
             .with_drain(NodeId::from_index(0), 7);
-        let injector = FleetFaultInjector::new(plan);
         for node in 0..3 {
             for q in 0..12 {
-                let v = injector.node_quantum(NodeId::from_index(node), q);
+                let v = plan.node_quantum(NodeId::from_index(node), q);
                 match (node, q) {
                     (1, 3) => assert!(v.crash),
                     (2, 5) => assert_eq!(v.blackout_quanta, 4),

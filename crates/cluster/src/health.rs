@@ -22,12 +22,12 @@
 //! break bit-replay (the invariant linter keeps this file on the decision
 //! path).
 //!
-//! The same module holds the displaced-queue backoff arithmetic
-//! ([`retry_backoff`]: `min(RETRY_BASE · 2^attempts, RETRY_CAP)` quanta)
-//! and the fleet [`DegradedMode`] hysteresis (enter after
-//! [`DEGRADE_AFTER`] consecutive infeasible quanta, exit after
+//! The same module holds the fleet [`DegradedMode`] hysteresis (enter
+//! after [`DEGRADE_AFTER`] consecutive infeasible quanta, exit after
 //! [`RESTORE_AFTER`] consecutive feasible ones — the fleet-level analogue
-//! of PR 3's circuit breaker).
+//! of the node manager's circuit breaker). The displaced tenants' retry
+//! backoff is the one every relocation shares,
+//! [`crate::migration::retry_backoff`].
 
 /// One node's health as the coordinator sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +78,6 @@ impl NodeHealth {
 pub const DOWN_AFTER: usize = 3;
 /// Consecutive clean quanta a Recovering node needs to return to Up.
 pub const RECOVER_AFTER: usize = 2;
-/// Displaced-queue backoff base, in quanta (the first retry waits this).
-pub const RETRY_BASE: usize = 1;
-/// Displaced-queue backoff ceiling, in quanta.
-pub const RETRY_CAP: usize = 8;
 /// Consecutive infeasible quanta (displaced tenants unplaceable) before
 /// the fleet enters degraded mode.
 pub const DEGRADE_AFTER: usize = 2;
@@ -92,15 +88,6 @@ pub const RESTORE_AFTER: usize = 2;
 pub const MIN_DEGRADED_SHARE: f64 = 0.5;
 /// ... by this much per quantum.
 pub const SHARE_SHRINK: f64 = 0.1;
-
-/// Bounded exponential backoff for the displaced queue, in quanta:
-/// `min(RETRY_BASE · 2^attempts, RETRY_CAP)`. Pure arithmetic over
-/// quantum counts — deterministic and replayable.
-pub fn retry_backoff(attempts: u32) -> usize {
-    RETRY_BASE
-        .saturating_mul(1usize << attempts.min(16))
-        .min(RETRY_CAP)
-}
 
 /// One node's health detector: feed it the heartbeat verdict each
 /// quantum, get back the transition (if any).
@@ -277,14 +264,6 @@ mod tests {
         let mut t = HealthTracker::new();
         assert_eq!(t.force_down(), Some((NodeHealth::Up, NodeHealth::Down)));
         assert_eq!(t.force_down(), None);
-    }
-
-    #[test]
-    fn retry_backoff_doubles_and_saturates_at_the_cap() {
-        let waits: Vec<usize> = (0..6).map(retry_backoff).collect();
-        assert_eq!(waits, vec![1, 2, 4, 8, 8, 8]);
-        // Huge attempt counts cannot overflow.
-        assert_eq!(retry_backoff(u32::MAX), RETRY_CAP);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * **Migration** ([`migration`]) — a cross-node move is a drain on the
 //!   source plus an admit on the destination, with a modeled cost in
 //!   whole quanta during which the tenant is in flight and its
-//!   cluster-visible lifecycle state is `Relocating(Node(dest))`.
+//!   cluster-visible lifecycle state is `Relocating(Node(dest))`. In-flight
+//!   and displaced tenants share one ordered relocation table and one
+//!   bounded retry backoff.
 //! * **Balance** ([`balance`]) — when a node's worst tail-latency-to-QoS
 //!   ratio breaches a threshold, the coordinator shifts a fraction of
 //!   that service's traffic share to the least-loaded replica,
@@ -29,7 +31,7 @@
 //!   [`NodeHealth`] state machine driven by quantum-counted heartbeat
 //!   timeouts detects them; detection triggers evacuation (batch tenants
 //!   re-enter admission elsewhere, LC traffic folds onto surviving
-//!   replicas), unplaceable tenants park in a displaced queue with
+//!   replicas), unplaceable tenants park `Relocating(Displaced)` with
 //!   bounded backoff, and sustained infeasibility engages a hysteretic
 //!   fleet degraded mode that sheds batch work, then shrinks LC shares
 //!   toward safe-mode allocations.
@@ -81,11 +83,9 @@ pub use coordinator::{
     ClusterTenantId, ClusterTenantSnapshot,
 };
 pub use cuttlesys::lifecycle::{NodeId, RelocationTarget};
-pub use faults::{
-    FleetFaultInjector, FleetFaultKind, FleetFaultPlan, NodeQuantumFaults, ScheduledFault,
-};
+pub use faults::{FleetFaultKind, FleetFaultPlan, NodeQuantumFaults, ScheduledFault};
 pub use health::NodeHealth;
-pub use migration::{MigrateError, MigrationConfig};
+pub use migration::MigrationConfig;
 pub use node::NodeAgent;
-pub use placement::{PlacementError, PlacementScore};
+pub use placement::PlacementScore;
 pub use topology::ClusterScenario;

@@ -1,4 +1,5 @@
-//! Migration: moving a batch tenant between nodes.
+//! Relocation: moving a batch tenant between nodes, and parking the ones
+//! the fleet has no room for.
 //!
 //! A cross-node move reuses the churn machinery the single-node control
 //! plane already has: it is a **drain on the source** (the tenant stops
@@ -7,15 +8,20 @@
 //! [`COST_QUANTA`] whole quanta during which the tenant executes nowhere
 //! — the degraded-service window of copying its state.
 //! While in flight the tenant's cluster-visible lifecycle state is
-//! `Relocating(Node(dest))`, the relocation target the lifecycle state
-//! machine carries since this refactor.
+//! `Relocating(Node(dest))`.
+//!
+//! An evacuee from a failed node that no serving node can admit has no
+//! destination yet: it is `Relocating(Displaced)` until a placement retry
+//! succeeds. Both kinds of relocating tenant are one `Relocation` record
+//! in one ordered table, and both wait [`retry_backoff`] quanta between
+//! attempts — from [`COST_QUANTA`] for a refused move, from [`RETRY_BASE`]
+//! for a failed placement, under one [`RETRY_CAP`].
 //!
 //! Because the move *is* a drain plus an admit, a migration is
 //! bit-identical to issuing the same drain and the same (delayed) admit
 //! by hand — `tests/cluster.rs` pins that equivalence.
 
-use cuttlesys::control::{AdmissionError, ControlError};
-use cuttlesys::lifecycle::NodeId;
+use cuttlesys::lifecycle::{NodeId, RelocationTarget};
 
 use crate::coordinator::ClusterTenantId;
 
@@ -28,9 +34,12 @@ pub const COST_QUANTA: usize = 2;
 /// and the tenant retires drained.
 pub const MAX_RETRIES: usize = 3;
 
-/// Retry backoff ceiling, in quanta: attempt `k` waits
-/// `min(COST_QUANTA · 2^k, RETRY_CAP_QUANTA)` before re-admitting.
-pub const RETRY_CAP_QUANTA: usize = 8;
+/// Backoff base of a displaced tenant's placement retries, in quanta (the
+/// first retry waits this).
+pub const RETRY_BASE: usize = 1;
+
+/// Backoff ceiling of every relocation retry, in quanta.
+pub const RETRY_CAP: usize = 8;
 
 /// Migration policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -41,61 +50,41 @@ pub struct MigrationConfig {
     pub auto_tail_ratio: Option<f64>,
 }
 
-/// One tenant mid-move.
+/// One relocating tenant: in flight to a known node, or displaced with no
+/// destination yet.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct InFlight {
-    /// The moving tenant.
+pub(crate) struct Relocation {
+    /// The relocating tenant.
     pub tenant: ClusterTenantId,
-    /// Where it came from.
+    /// The node it left.
     pub from: NodeId,
-    /// Where it is headed.
-    pub dest: NodeId,
-    /// The quantum at whose start the destination admit happens.
-    pub admit_at: usize,
-    /// How many destination admits have been refused so far; drives the
-    /// retry backoff and the abandon threshold.
+    /// `Node(dest)` while in flight, `Displaced` while parked.
+    pub target: RelocationTarget,
+    /// The quantum at whose start the next admit (or placement retry)
+    /// happens.
+    pub due: usize,
+    /// Refused admits (or failed placements) so far; drives the backoff
+    /// and, for a move, the abandon threshold.
     pub attempts: usize,
 }
 
-/// Why a migration request was refused.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MigrateError {
-    /// No tenant has this id.
-    UnknownTenant(ClusterTenantId),
-    /// Only batch tenants move; LC tenants are pinned to their node (their
-    /// traffic shifts instead, via the balance policy).
-    NotABatchTenant(ClusterTenantId),
-    /// The tenant is already relocating: mid-move, or parked in the
-    /// displaced queue.
-    AlreadyInFlight(ClusterTenantId),
-    /// Source and destination are the same node.
-    SameNode(NodeId),
-    /// The destination node id is not in the cluster.
-    UnknownNode(NodeId),
-    /// The source node refused the drain (e.g. the tenant is not live).
-    Source(ControlError),
-    /// The destination's admission control rejected the tenant when the
-    /// move completed; the tenant retires drained.
-    Rejected(AdmissionError),
-}
-
-impl std::fmt::Display for MigrateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MigrateError::UnknownTenant(t) => write!(f, "unknown cluster tenant {t}"),
-            MigrateError::NotABatchTenant(t) => {
-                write!(f, "tenant {t} is latency-critical and pinned to its node")
-            }
-            MigrateError::AlreadyInFlight(t) => write!(f, "tenant {t} is already relocating"),
-            MigrateError::SameNode(n) => write!(f, "tenant already lives on {n}"),
-            MigrateError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            MigrateError::Source(e) => write!(f, "source drain failed: {e}"),
-            MigrateError::Rejected(e) => write!(f, "destination rejected the move: {e}"),
+impl Relocation {
+    /// The destination of an in-flight move; `None` while displaced.
+    pub fn dest(&self) -> Option<NodeId> {
+        match self.target {
+            RelocationTarget::Node(dest) => Some(dest),
+            RelocationTarget::Displaced => None,
         }
     }
 }
 
-impl std::error::Error for MigrateError {}
+/// Bounded exponential backoff, in quanta: `min(base · 2^attempts,
+/// RETRY_CAP)`. Pure arithmetic over quantum counts — deterministic and
+/// replayable.
+pub fn retry_backoff(base: usize, attempts: usize) -> usize {
+    base.saturating_mul(1usize << attempts.min(16))
+        .min(RETRY_CAP)
+}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -103,20 +92,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn errors_name_the_parties() {
-        let t = ClusterTenantId::from_index(4);
-        assert!(MigrateError::UnknownTenant(t).to_string().contains("c4"));
-        assert!(MigrateError::NotABatchTenant(t)
-            .to_string()
-            .contains("pinned"));
-        assert!(MigrateError::SameNode(NodeId::from_index(2))
-            .to_string()
-            .contains("n2"));
+    fn default_cost_is_nonzero() {
+        const { assert!(COST_QUANTA >= 1 && MAX_RETRIES >= 1 && RETRY_CAP >= COST_QUANTA) };
+        assert_eq!(MigrationConfig::default().auto_tail_ratio, None);
     }
 
     #[test]
-    fn default_cost_is_nonzero() {
-        const { assert!(COST_QUANTA >= 1 && MAX_RETRIES >= 1 && RETRY_CAP_QUANTA >= COST_QUANTA) };
-        assert_eq!(MigrationConfig::default().auto_tail_ratio, None);
+    fn retry_backoff_doubles_and_saturates_at_the_cap() {
+        let waits: Vec<usize> = (0..6).map(|k| retry_backoff(RETRY_BASE, k)).collect();
+        assert_eq!(waits, vec![1, 2, 4, 8, 8, 8]);
+        let waits: Vec<usize> = (0..4).map(|k| retry_backoff(COST_QUANTA, k)).collect();
+        assert_eq!(waits, vec![2, 4, 8, 8]);
+        // Huge attempt counts cannot overflow.
+        assert_eq!(retry_backoff(RETRY_BASE, usize::MAX), RETRY_CAP);
     }
 }

@@ -53,42 +53,6 @@ impl PlacementScore {
     }
 }
 
-/// Why placement could not choose a node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PlacementError {
-    /// No node has the worst-case headroom to admit the candidate. The
-    /// fields report the least-bad node's arithmetic.
-    NoCapacity {
-        /// The closest-to-feasible node.
-        closest: NodeId,
-        /// Committed + candidate worst-case power on that node (W).
-        required_watts: f64,
-        /// The steady-state budget it had to fit (W).
-        budget_watts: f64,
-    },
-    /// The destination node id is not in the cluster.
-    UnknownNode(NodeId),
-}
-
-impl std::fmt::Display for PlacementError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlacementError::NoCapacity {
-                closest,
-                required_watts,
-                budget_watts,
-            } => write!(
-                f,
-                "no node can place the tenant: closest is {closest} needing \
-                 {required_watts:.1} W against {budget_watts:.1} W"
-            ),
-            PlacementError::UnknownNode(node) => write!(f, "unknown node {node}"),
-        }
-    }
-}
-
-impl std::error::Error for PlacementError {}
-
 /// Picks the best feasible node: highest [`PlacementScore::total`], ties
 /// toward the lowest node id. `None` when no node is feasible.
 pub fn pick_best(scores: &[PlacementScore]) -> Option<NodeId> {
@@ -149,19 +113,5 @@ mod tests {
         let scores = [score(0, -0.1, 9, 0), score(1, 0.0, 0, 9)];
         assert_eq!(pick_best(&scores), Some(NodeId::from_index(1)));
         assert_eq!(pick_best(&[score(0, -1.0, 0, 0)]), None);
-    }
-
-    #[test]
-    fn errors_render_their_arithmetic() {
-        let e = PlacementError::NoCapacity {
-            closest: NodeId::from_index(2),
-            required_watts: 12.5,
-            budget_watts: 10.0,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("n2") && msg.contains("12.5") && msg.contains("10.0"));
-        assert!(PlacementError::UnknownNode(NodeId::from_index(7))
-            .to_string()
-            .contains("n7"));
     }
 }

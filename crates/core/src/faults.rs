@@ -10,8 +10,9 @@
 //!   probabilities, which failures a run suffers: dropped or corrupted
 //!   profiling samples (noise, bias, NaN), diverged reconstructions, failed
 //!   reconfiguration commands (the core stays in its previous shape), and
-//!   power-telemetry blackouts. A [`FaultInjector`]
-//!   realizes the plan *deterministically*: every decision is a pure
+//!   power-telemetry blackouts. The plan answers its own draws
+//!   *deterministically* ([`FaultPlan::quantum`],
+//!   [`FaultPlan::corrupt_profile`]): every decision is a pure
 //!   function of `(plan seed, quantum, sample)` via the counter-based
 //!   streams in [`simulator::fault`], so a fault run is exactly as
 //!   reproducible as a clean one and never perturbs the simulation's own
@@ -69,7 +70,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan: nothing ever fires, and the injector is a
+    /// The fault-free plan: nothing ever fires, and every draw is a
     /// guaranteed no-op (bit-identical behaviour to a build without fault
     /// hooks).
     pub fn none() -> FaultPlan {
@@ -148,6 +149,76 @@ impl FaultPlan {
                 .window
                 .is_none_or(|(start, end)| (start..end).contains(&slice))
     }
+
+    /// The compute-side faults of quantum `slice` — a pure function of the
+    /// plan seed and the slice index.
+    pub fn quantum(&self, slice: usize) -> QuantumFaults {
+        if !self.active_at(slice) {
+            return QuantumFaults::NONE;
+        }
+        let s = slice as u64;
+        QuantumFaults {
+            // The reconstruct stream's counters start at `1 << 40`; moving
+            // them would change every divergence draw a pinned run saw.
+            reconstruct_diverge: self.reconstruct_diverge > 0.0
+                && unit(self.seed, FaultStream::Reconstruct, s.wrapping_add(1 << 40))
+                    < self.reconstruct_diverge,
+            reconfig_fail: self.reconfig_fail > 0.0
+                && unit(self.seed, FaultStream::Reconfig, s) < self.reconfig_fail,
+            power_blackout: self.power_blackout > 0.0
+                && unit(self.seed, FaultStream::Power, s) < self.power_blackout,
+        }
+    }
+
+    /// Drops and corrupts the samples of one profiling frame in place,
+    /// deterministically in `(slice, frame, sample index)`. Returns
+    /// `(dropped, corrupted)` counts.
+    pub fn corrupt_profile(
+        &self,
+        slice: usize,
+        frame: u64,
+        sample: &mut ProfileSample,
+    ) -> (usize, usize) {
+        if !self.active_at(slice) || (self.sample_drop == 0.0 && self.sample_corrupt == 0.0) {
+            return (0, 0);
+        }
+        let mut dropped = 0;
+        let mut corrupted = 0;
+        let mut k = 0u64;
+        sample.samples.retain_mut(|s| {
+            let index = ((slice as u64) << 24) ^ (frame << 16) ^ k;
+            k += 1;
+            let u = unit(self.seed, FaultStream::Sample, index);
+            if u < self.sample_drop {
+                dropped += 1;
+                return false;
+            }
+            if u < self.sample_drop + self.sample_corrupt {
+                let kind = self.corruption_kind(index);
+                s.bips = kind.apply(s.bips, self.seed, index.wrapping_mul(3) + 1);
+                s.watts = kind.apply(s.watts, self.seed, index.wrapping_mul(3) + 2);
+                corrupted += 1;
+            }
+            true
+        });
+        (dropped, corrupted)
+    }
+
+    /// Which corruption a corrupted sample at `index` suffers.
+    fn corruption_kind(&self, index: u64) -> Corruption {
+        let v = unit(self.seed, FaultStream::Corruption, index.wrapping_mul(3));
+        if v < self.corrupt_nan {
+            Corruption::Nan
+        } else if v < self.corrupt_nan + (1.0 - self.corrupt_nan) / 2.0 {
+            Corruption::Noise {
+                sigma: self.corrupt_sigma,
+            }
+        } else {
+            Corruption::Bias {
+                bias: self.corrupt_bias,
+            }
+        }
+    }
 }
 
 impl Default for FaultPlan {
@@ -199,103 +270,6 @@ impl InjectedFaults {
             || self.samples_corrupted > 0
             || self.power_blackout
             || self.reconfig_failed
-    }
-}
-
-/// Realizes a [`FaultPlan`] deterministically.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wraps a plan.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
-        FaultInjector { plan }
-    }
-
-    /// Whether this injector can never fire (a guaranteed no-op).
-    pub fn is_clean(&self) -> bool {
-        self.plan.is_clean()
-    }
-
-    /// The compute-side faults of quantum `slice` — a pure function of the
-    /// plan seed and the slice index.
-    pub fn quantum(&self, slice: usize) -> QuantumFaults {
-        if !self.plan.active_at(slice) {
-            return QuantumFaults::NONE;
-        }
-        let s = slice as u64;
-        QuantumFaults {
-            // The reconstruct stream's counters start at `1 << 40`; moving
-            // them would change every divergence draw a pinned run saw.
-            reconstruct_diverge: self.plan.reconstruct_diverge > 0.0
-                && unit(
-                    self.plan.seed,
-                    FaultStream::Reconstruct,
-                    s.wrapping_add(1 << 40),
-                ) < self.plan.reconstruct_diverge,
-            reconfig_fail: self.plan.reconfig_fail > 0.0
-                && unit(self.plan.seed, FaultStream::Reconfig, s) < self.plan.reconfig_fail,
-            power_blackout: self.plan.power_blackout > 0.0
-                && unit(self.plan.seed, FaultStream::Power, s) < self.plan.power_blackout,
-        }
-    }
-
-    /// Drops and corrupts the samples of one profiling frame in place,
-    /// deterministically in `(slice, frame, sample index)`. Returns
-    /// `(dropped, corrupted)` counts.
-    pub fn corrupt_profile(
-        &self,
-        slice: usize,
-        frame: u64,
-        sample: &mut ProfileSample,
-    ) -> (usize, usize) {
-        if !self.plan.active_at(slice)
-            || (self.plan.sample_drop == 0.0 && self.plan.sample_corrupt == 0.0)
-        {
-            return (0, 0);
-        }
-        let mut dropped = 0;
-        let mut corrupted = 0;
-        let mut k = 0u64;
-        sample.samples.retain_mut(|s| {
-            let index = ((slice as u64) << 24) ^ (frame << 16) ^ k;
-            k += 1;
-            let u = unit(self.plan.seed, FaultStream::Sample, index);
-            if u < self.plan.sample_drop {
-                dropped += 1;
-                return false;
-            }
-            if u < self.plan.sample_drop + self.plan.sample_corrupt {
-                let kind = self.corruption_kind(index);
-                s.bips = kind.apply(s.bips, self.plan.seed, index.wrapping_mul(3) + 1);
-                s.watts = kind.apply(s.watts, self.plan.seed, index.wrapping_mul(3) + 2);
-                corrupted += 1;
-            }
-            true
-        });
-        (dropped, corrupted)
-    }
-
-    /// Which corruption a corrupted sample at `index` suffers.
-    fn corruption_kind(&self, index: u64) -> Corruption {
-        let v = unit(
-            self.plan.seed,
-            FaultStream::Corruption,
-            index.wrapping_mul(3),
-        );
-        if v < self.plan.corrupt_nan {
-            Corruption::Nan
-        } else if v < self.plan.corrupt_nan + (1.0 - self.plan.corrupt_nan) / 2.0 {
-            Corruption::Noise {
-                sigma: self.plan.corrupt_sigma,
-            }
-        } else {
-            Corruption::Bias {
-                bias: self.plan.corrupt_bias,
-            }
-        }
     }
 }
 
@@ -639,13 +613,13 @@ mod tests {
     use crate::types::{LcSliceInfo, SamplePoint};
     use simulator::NUM_JOB_CONFIGS;
 
-    fn lossy() -> FaultInjector {
-        FaultInjector::new(FaultPlan::lossy_sensors(7))
+    fn lossy() -> FaultPlan {
+        FaultPlan::lossy_sensors(7)
     }
 
     #[test]
     fn clean_plan_never_fires() {
-        let inj = FaultInjector::new(FaultPlan::none());
+        let inj = FaultPlan::none();
         assert!(inj.is_clean());
         for slice in 0..100 {
             assert_eq!(inj.quantum(slice), QuantumFaults::NONE);
@@ -654,12 +628,11 @@ mod tests {
 
     #[test]
     fn quantum_faults_are_deterministic_and_seed_sensitive() {
-        let a = FaultInjector::new(FaultPlan::flaky_reconfig(1));
-        let b = FaultInjector::new(FaultPlan::flaky_reconfig(1));
-        let c = FaultInjector::new(FaultPlan::flaky_reconfig(2));
-        let fires = |inj: &FaultInjector| -> Vec<QuantumFaults> {
-            (0..200).map(|s| inj.quantum(s)).collect()
-        };
+        let a = FaultPlan::flaky_reconfig(1);
+        let b = FaultPlan::flaky_reconfig(1);
+        let c = FaultPlan::flaky_reconfig(2);
+        let fires =
+            |inj: &FaultPlan| -> Vec<QuantumFaults> { (0..200).map(|s| inj.quantum(s)).collect() };
         assert_eq!(fires(&a), fires(&b));
         assert_ne!(fires(&a), fires(&c));
         // At these rates something must fire within 200 quanta.
@@ -674,7 +647,7 @@ mod tests {
             ..FaultPlan::none()
         }
         .with_window(3, 6);
-        let inj = FaultInjector::new(plan);
+        let inj = plan;
         for slice in 0..10 {
             assert_eq!(
                 inj.quantum(slice).reconfig_fail,

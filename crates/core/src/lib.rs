@@ -32,9 +32,9 @@
 //! * [`accounting`] — plan-level power arithmetic shared by the pipeline
 //!   stages and the baseline managers.
 //! * [`faults`] — seeded deterministic fault injection ([`FaultPlan`],
-//!   [`faults::FaultInjector`]) and the graceful-degradation policy: typed
-//!   stage errors, the last-good fallback bounds, and the safe-mode circuit
-//!   breaker.
+//!   which answers its own per-quantum draws) and the graceful-degradation
+//!   policy: typed stage errors, the last-good fallback bounds, and the
+//!   safe-mode circuit breaker.
 //! * [`runtime`] — the CuttleSys manager itself (§IV–§VI): the pipeline's
 //!   state and search algorithm wrapped in the degradation ladder.
 //! * [`managers`] — baseline managers: no-gating, core-level gating (± way
@@ -74,7 +74,7 @@ pub mod types;
 pub use control::{
     AdmissionError, ControlCore, ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind,
 };
-pub use faults::{DecisionError, FaultInjector, FaultPlan, StageError};
+pub use faults::{DecisionError, FaultPlan, StageError};
 pub use lifecycle::{LifecycleError, LifecycleState, TenantLifecycle};
 pub use runtime::CuttleSysManager;
 pub use testbed::{run_scenario, ScenarioDriver};

@@ -68,9 +68,7 @@ use std::sync::Arc;
 
 use dds::{Draws, ParallelDdsParams};
 
-use crate::faults::{
-    safe_mode_plan, CircuitBreaker, DecisionError, FaultInjector, STALENESS_BOUND,
-};
+use crate::faults::{safe_mode_plan, CircuitBreaker, DecisionError, FaultPlan, STALENESS_BOUND};
 use crate::matrices::{FactorLibrary, JobMatrices, Predictions};
 pub use crate::pipeline::SearchAlgo;
 use crate::pipeline::{self, DecisionCtx, LcAllocation};
@@ -103,7 +101,7 @@ pub struct CuttleSysManager {
     last_loads: Vec<f64>,
     prev_active: Vec<bool>,
     last_telemetry: Option<StageTelemetry>,
-    injector: FaultInjector,
+    faults: FaultPlan,
     breaker: CircuitBreaker,
     last_good: Option<LastGood>,
 }
@@ -149,7 +147,7 @@ impl CuttleSysManager {
             last_loads: vec![0.0; scenario.num_lc()],
             prev_active: vec![true; scenario.num_batch()],
             last_telemetry: None,
-            injector: FaultInjector::new(scenario.faults.clone()),
+            faults: scenario.faults.clone(),
             breaker: CircuitBreaker::new(),
             last_good: None,
         }
@@ -236,7 +234,7 @@ impl CuttleSysManager {
                 got: info.lc.len(),
             });
         }
-        let faults = self.injector.quantum(info.slice);
+        let faults = self.faults.quantum(info.slice);
         let mut ctx = DecisionCtx {
             info,
             matrices: &mut self.matrices,

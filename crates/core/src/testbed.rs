@@ -49,7 +49,7 @@ use workloads::batch::SpecBenchmark;
 use workloads::phase::PhasedProfile;
 use workloads::queueing::MmcQueue;
 
-use crate::faults::{FaultInjector, InjectedFaults};
+use crate::faults::InjectedFaults;
 use crate::types::{
     BatchAction, BatchJobSpec, JobSpec, LcAssignment, LcSliceInfo, LcSliceRecord, Plan,
     ProfilePlan, ProfileSample, ResourceManager, RunRecord, SamplePoint, Scenario, SliceInfo,
@@ -144,7 +144,6 @@ pub struct ScenarioDriver {
     chip: Chip,
     profiles: Vec<PhasedProfile>,
     rng: StdRng,
-    injector: FaultInjector,
     now_ms: f64,
     num_lc: usize,
     /// Per-tenant input load during the current slice.
@@ -190,7 +189,6 @@ impl ScenarioDriver {
             chip: Chip::new(scenario.params, scenario.kind),
             profiles: (0..num_jobs).map(|j| job_profile(scenario, j)).collect(),
             rng: StdRng::seed_from_u64(scenario.seed),
-            injector: FaultInjector::new(scenario.faults.clone()),
             now_ms: 0.0,
             num_lc,
             current_load: vec![0.0; num_lc],
@@ -316,7 +314,7 @@ impl ScenarioDriver {
         let num_jobs = self.instructions.len();
         let lc_specs: Vec<_> = self.scenario.lc_jobs().into_iter().cloned().collect();
 
-        let qf = self.injector.quantum(slice);
+        let qf = self.scenario.faults.quantum(slice);
         let mut slice_faults = InjectedFaults {
             power_blackout: qf.power_blackout,
             reconfig_failed: qf.reconfig_fail,
@@ -374,7 +372,9 @@ impl ScenarioDriver {
                     }
                 }
                 let (dropped, corrupted) =
-                    self.injector.corrupt_profile(slice, frame_idx, &mut sample);
+                    self.scenario
+                        .faults
+                        .corrupt_profile(slice, frame_idx, &mut sample);
                 frame_idx += 1;
                 slice_faults.samples_dropped += dropped;
                 slice_faults.samples_corrupted += corrupted;
@@ -470,7 +470,7 @@ impl ScenarioDriver {
             batch_configs: applied_plan.batch.iter().map(|a| a.config()).collect(),
             batch_gmean_bips: gmean,
             telemetry,
-            fault: if self.injector.is_clean() {
+            fault: if self.scenario.faults.is_clean() {
                 None
             } else {
                 Some(slice_faults)

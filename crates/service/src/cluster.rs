@@ -27,7 +27,7 @@ use std::io;
 
 use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterScenario,
-    ClusterSnapshot, ClusterTenantId, FleetFaultPlan, MigrateError, NodeId, PlacementError,
+    ClusterSnapshot, ClusterTenantId, FleetFaultPlan, NodeId,
 };
 use workloads::batch::SpecBenchmark;
 
@@ -40,21 +40,15 @@ use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
 pub enum ClusterServiceError {
     /// The cluster reactor has stopped; no further requests can be served.
     Stopped,
-    /// Placement found no node with capacity for the tenant.
-    Placement(PlacementError),
     /// The coordinator refused the request.
     Cluster(ClusterError),
-    /// A migration request was refused.
-    Migrate(MigrateError),
 }
 
 impl std::fmt::Display for ClusterServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClusterServiceError::Stopped => write!(f, "cluster control plane stopped"),
-            ClusterServiceError::Placement(e) => write!(f, "{e}"),
             ClusterServiceError::Cluster(e) => write!(f, "{e}"),
-            ClusterServiceError::Migrate(e) => write!(f, "{e}"),
         }
     }
 }
@@ -67,21 +61,9 @@ impl From<Stopped> for ClusterServiceError {
     }
 }
 
-impl From<PlacementError> for ClusterServiceError {
-    fn from(e: PlacementError) -> ClusterServiceError {
-        ClusterServiceError::Placement(e)
-    }
-}
-
 impl From<ClusterError> for ClusterServiceError {
     fn from(e: ClusterError) -> ClusterServiceError {
         ClusterServiceError::Cluster(e)
-    }
-}
-
-impl From<MigrateError> for ClusterServiceError {
-    fn from(e: MigrateError) -> ClusterServiceError {
-        ClusterServiceError::Migrate(e)
     }
 }
 
@@ -197,7 +179,7 @@ impl ClusterService {
     ///
     /// # Errors
     ///
-    /// [`ClusterServiceError::Placement`] when no node has capacity;
+    /// [`ClusterServiceError::Cluster`] when no node has capacity;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn register_batch(
         &self,
@@ -231,7 +213,7 @@ impl ClusterService {
     /// # Errors
     ///
     /// [`ClusterServiceError::Cluster`] for LC tenants, unknown ids, or
-    /// mid-migration tenants; [`ClusterServiceError::Stopped`] after
+    /// in-flight tenants; [`ClusterServiceError::Stopped`] after
     /// shutdown.
     pub fn deregister(&self, tenant: ClusterTenantId) -> Result<(), ClusterServiceError> {
         Ok(self.call(move |fleet| fleet.deregister(tenant))??)
@@ -242,7 +224,7 @@ impl ClusterService {
     ///
     /// # Errors
     ///
-    /// [`ClusterServiceError::Migrate`] when the tenant cannot move;
+    /// [`ClusterServiceError::Cluster`] when the tenant cannot move;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn migrate(
         &self,

@@ -6,7 +6,8 @@
 /// Defaults reproduce Table I of the paper: a 32-core chip at 4 GHz in 22 nm
 /// with a shared 32-way 64 MB LLC, 20-cycle L2 and 200-cycle DRAM access
 /// latency, plus the AnyCore-derived reconfiguration overheads of §VII
-/// (1.67 % frequency and 18 % energy penalty per cycle, 19 % area).
+/// (1.67 % frequency and 18 % energy penalty per cycle; the 19 % area
+/// penalty has no model to feed and is not carried).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemParams {
     /// Number of cores on the chip.
@@ -28,9 +29,6 @@ pub struct SystemParams {
     /// Relative energy-per-cycle penalty of reconfigurable cores vs. fixed
     /// cores (0.18 = 18 %).
     pub reconfig_energy_penalty: f64,
-    /// Relative area penalty of reconfigurable cores vs. fixed cores
-    /// (0.19 = 19 %). Not used by the models; recorded for reporting.
-    pub reconfig_area_penalty: f64,
     /// Residual power of a core parked in the deepest gated state (C6), in
     /// Watts.
     pub gated_core_watts: f64,
@@ -69,7 +67,6 @@ impl Default for SystemParams {
             memory_bandwidth_gaps: 4.0,
             reconfig_frequency_penalty: 0.0167,
             reconfig_energy_penalty: 0.18,
-            reconfig_area_penalty: 0.19,
             gated_core_watts: 0.05,
             reconfig_transition_us: 10.0,
         }

@@ -9,8 +9,8 @@
 //! time*, each listing the valid vocabulary, so a typo can never silently
 //! shrink a sweep. So are tenants and load shapes no run could host: zero
 //! or too many LC cores, negative loads (of a tenant or of a shape), QoS
-//! targets or noise, a shape period that is not positive (the JSON
-//! parser already refuses non-finite numbers), and a `name` that would
+//! targets or noise, a shape period shorter than one decision quantum
+//! (the JSON parser already refuses non-finite numbers), and a `name` that would
 //! lead its output directory out of `runs/`.
 //!
 //! A spec has no settings for the runtime itself: every run uses the
@@ -375,16 +375,21 @@ fn parse_shape(value: &JsonValue) -> Result<LoadShape, SweepError> {
         _ => return Err(invalid("a load shape must be a string or an object")),
     };
     let obj = obj.unwrap_or(&JsonValue::Null);
-    // A period must be positive: a zero one turns a square wave into an
-    // unbounded list of steps and a diurnal load into NaN.
+    // A period must be positive and at least one decision quantum: a zero
+    // one turns a diurnal load into NaN, and a square wave lowers to one
+    // step per half period, so a tiny one exhausts memory.
     let opt_period = |kind: &str| -> Result<Option<f64>, SweepError> {
-        match obj.get("period_s") {
-            None => Ok(None),
-            Some(v) => v.as_f64().filter(|p| *p > 0.0).map(Some).ok_or_else(|| {
-                invalid(format!(
-                    "load shape \"{kind}\" field \"period_s\" must be a positive number"
-                ))
-            }),
+        let Some(v) = obj.get("period_s") else {
+            return Ok(None);
+        };
+        let field = format!("load shape \"{kind}\" field \"period_s\"");
+        let quantum_s = cuttlesys::types::TIMESLICE_MS / 1000.0;
+        match v.as_f64().filter(|p| *p > 0.0) {
+            None => Err(invalid(format!("{field} must be a positive number"))),
+            Some(p) if p < quantum_s => Err(invalid(format!(
+                "{field} must be at least one decision quantum ({quantum_s} s)"
+            ))),
+            Some(p) => Ok(Some(p)),
         }
     };
     match kind {

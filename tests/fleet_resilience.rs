@@ -19,9 +19,13 @@
 //! * a migration whose destination refuses is re-aimed with backoff and
 //!   either lands on a serving node or, after its last retry, is
 //!   abandoned loudly;
-//! * a tenant parked in the displaced queue deregisters (it leaves the
-//!   queue and is never placed) but refuses a migration, so it never holds
+//! * a tenant parked displaced deregisters (it leaves the relocation
+//!   table and is never placed) but refuses a migration, so it never holds
 //!   two live rows;
+//! * after every quantum of these runs the snapshot's `in_flight` and
+//!   `displaced` counters agree with the tenants' `Relocating` states;
+//! * a registration with every node down is refused as
+//!   [`ClusterError::NoServingNode`], blaming no node;
 //! * [`FleetFaultPlan::none`] is a bit-for-bit no-op against the
 //!   single-node golden run.
 //!
@@ -30,11 +34,13 @@
 
 use cluster::health::DOWN_AFTER;
 use cluster::{
-    ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario,
-    ClusterTenantId, FleetFaultPlan, MigrateError, NodeHealth, NodeId,
+    ClusterConfig, ClusterCoordinator, ClusterError, ClusterEvent, ClusterRecord, ClusterScenario,
+    ClusterTenantId, FleetFaultPlan, NodeHealth, NodeId, RelocationTarget,
 };
 use cuttlesys::control::ControlCore;
+use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::types::{JobSpec, Scenario};
+use workloads::batch;
 use workloads::loadgen::LoadPattern;
 
 fn quiet(slices: usize) -> Scenario {
@@ -59,6 +65,37 @@ fn n(index: usize) -> NodeId {
     NodeId::from_index(index)
 }
 
+/// Steps one quantum, then checks that the relocation counters agree with
+/// the tenants' states: the snapshot's `in_flight` counts the tenants in
+/// `Relocating(Node(_))`, and its `displaced` (like `displaced_tenants`)
+/// those in `Relocating(Displaced)`.
+fn step_checked(coordinator: &mut ClusterCoordinator) {
+    let quantum = coordinator.quantum();
+    coordinator
+        .step_quantum()
+        .unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
+    let snapshot = coordinator.snapshot();
+    let relocating = |target: fn(RelocationTarget) -> bool| {
+        (0..snapshot.tenants.len())
+            .filter(|&i| {
+                matches!(
+                    coordinator.tenant_state(ClusterTenantId::from_index(i)),
+                    Some(LifecycleState::Relocating(t)) if target(t)
+                )
+            })
+            .count()
+    };
+    let in_flight = relocating(|t| matches!(t, RelocationTarget::Node(_)));
+    let displaced = relocating(|t| t == RelocationTarget::Displaced);
+    assert_eq!(snapshot.in_flight, in_flight, "quantum {quantum}");
+    assert_eq!(snapshot.displaced, displaced, "quantum {quantum}");
+    assert_eq!(
+        coordinator.displaced_tenants(),
+        displaced,
+        "quantum {quantum}"
+    );
+}
+
 /// Run a whole scenario under a fault plan and return the comparable
 /// record plus the full cluster event log.
 fn run_with_plan(
@@ -70,10 +107,8 @@ fn run_with_plan(
     let scenario = ClusterScenario::uniform(base, nodes);
     let mut coordinator = ClusterCoordinator::with_faults(&scenario, config, plan);
     let mut events = Vec::new();
-    for quantum in 0..base.duration_slices {
-        coordinator
-            .step_quantum()
-            .unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
+    for _ in 0..base.duration_slices {
+        step_checked(&mut coordinator);
         events.extend(coordinator.drain_events());
     }
     coordinator.shutdown().expect("fleet drain");
@@ -215,10 +250,8 @@ fn a_blacked_out_node_rejoins_without_duplicate_tenants() {
     let mut coordinator =
         ClusterCoordinator::with_faults(&scenario, ClusterConfig::default(), plan);
     let mut events = Vec::new();
-    for quantum in 0..base.duration_slices {
-        coordinator
-            .step_quantum()
-            .unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
+    for _ in 0..base.duration_slices {
+        step_checked(&mut coordinator);
         events.extend(coordinator.drain_events());
     }
 
@@ -305,10 +338,8 @@ fn sustained_infeasibility_engages_degraded_mode_once_and_recovery_disengages_it
     let plan = FleetFaultPlan::none().with_crash(n(1), 2);
     let mut coordinator = two_nodes(&base, plan);
     let mut events = Vec::new();
-    for quantum in 0..base.duration_slices {
-        coordinator
-            .step_quantum()
-            .unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
+    for _ in 0..base.duration_slices {
+        step_checked(&mut coordinator);
         events.extend(coordinator.drain_events());
     }
 
@@ -407,7 +438,7 @@ fn migrate_c1_to_n1(
         if drain_n1 && quantum == 2 {
             coordinator.drain_node(n(1)).expect("n1 drains");
         }
-        coordinator.step_quantum().expect("cluster quantum");
+        step_checked(&mut coordinator);
         if quantum == 0 {
             coordinator.migrate(c1, n(1)).expect("migration starts");
         }
@@ -527,7 +558,7 @@ fn act_on_the_first_displaced(
             stepped < base.duration_slices,
             "nothing was displaced, the test is vacuous"
         );
-        coordinator.step_quantum().expect("cluster quantum");
+        step_checked(&mut coordinator);
         stepped += 1;
         let parked = coordinator.drain_events().iter().find_map(|e| match *e {
             ClusterEvent::Displaced {
@@ -542,7 +573,7 @@ fn act_on_the_first_displaced(
     act(&mut coordinator, id);
     let mut events = Vec::new();
     for _ in stepped..base.duration_slices {
-        coordinator.step_quantum().expect("cluster quantum");
+        step_checked(&mut coordinator);
         events.extend(coordinator.drain_events());
     }
     (coordinator, id, parked_at, events)
@@ -587,7 +618,7 @@ fn a_parked_evacuee_refuses_a_migration_and_is_placed_once() {
         act_on_the_first_displaced(plan, |coordinator, id| {
             assert_eq!(
                 coordinator.migrate(id, n(0)),
-                Err(MigrateError::AlreadyInFlight(id))
+                Err(ClusterError::Relocating(id))
             );
         });
     assert_eq!(parked_at, 4);
@@ -601,4 +632,18 @@ fn a_parked_evacuee_refuses_a_migration_and_is_placed_once() {
     );
     assert_eq!(coordinator.tenant_node(id), Some(n(0)));
     assert!(coordinator.tenant_state(id).is_some_and(|s| s.is_live()));
+}
+
+#[test]
+fn a_registration_with_every_node_down_blames_no_node() {
+    let mut coordinator = two_nodes(&roomy(4), FleetFaultPlan::none());
+    step_checked(&mut coordinator);
+    for node in [n(0), n(1)] {
+        coordinator.drain_node(node).expect("node drains");
+    }
+    let app = batch::mix(1, 0xBEEF).apps[0];
+    assert_eq!(
+        coordinator.register_batch("orphan", app),
+        Err(ClusterError::NoServingNode)
+    );
 }

@@ -234,6 +234,20 @@ fn non_positive_periods_and_negative_shape_loads_are_rejected() {
                 "period {period}"
             );
         }
+        // A positive period of 1e-300 s lowered a square wave one step per
+        // half period and aborted the sweep on a 2 GiB allocation.
+        for period in ["1e-300", "0.09"] {
+            assert_eq!(
+                load_err(&shape_with(&format!(
+                    r#"{{"kind": "{kind}", "period_s": {period}}}"#
+                ))),
+                format!(
+                    "load shape \"{kind}\" field \"period_s\" must be at least one \
+                     decision quantum (0.1 s)"
+                ),
+                "period {period}"
+            );
+        }
     }
     let idle = load_spec(&shape_with(r#"{"kind": "ramp", "from": 0, "to": 0}"#))
         .expect("an idle ramp loads");
