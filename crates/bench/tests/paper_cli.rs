@@ -245,6 +245,10 @@ fn refused_sweep_inputs_exit_1_with_nothing_on_stdout() {
     let tiny_period = zero_period
         .replace("zero-period", "tiny-period")
         .replace("\"period_s\": 0", "\"period_s\": 1e-300");
+    let oversize = zero_cores
+        .replace("zero-cores", "oversize")
+        .replace("\"quanta\": 2", "\"quanta\": 4000000000")
+        .replace("\"cores\": 0", "\"cores\": 16");
     let deep = "[".repeat(200_000);
     let missing = scratch("missing.json");
     let mut cases = vec![
@@ -270,6 +274,7 @@ fn refused_sweep_inputs_exit_1_with_nothing_on_stdout() {
             &tiny_period,
             "field \"period_s\" must be at least one decision quantum",
         ),
+        ("oversize", &oversize, "more than 1000000 node-quanta"),
         ("deep", &deep, "nest deeper than 128 levels"),
     ] {
         let path = scratch(&format!("{name}.json"));

@@ -47,7 +47,7 @@ use workloads::batch::SpecBenchmark;
 
 use crate::balance::{decide_shift, BalanceConfig};
 use crate::faults::FleetFaultPlan;
-use crate::health::{DegradedMode, HealthTracker, NodeHealth, MIN_DEGRADED_SHARE, SHARE_SHRINK};
+use crate::health::{DegradedMode, NodeHealth, MIN_DEGRADED_SHARE, SHARE_SHRINK};
 use crate::migration::{
     retry_backoff, MigrationConfig, Relocation, COST_QUANTA, MAX_RETRIES, RETRY_BASE,
 };
@@ -85,30 +85,6 @@ pub struct ClusterConfig {
     pub migration: MigrationConfig,
     /// Traffic balancing; `None` disables it.
     pub balance: Option<BalanceConfig>,
-}
-
-/// What the fault plan has done to one node so far — mechanical truth,
-/// as opposed to the coordinator's *knowledge* in [`NodeHealth`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct NodeFate {
-    /// The node crashed; it never steps again.
-    crashed: bool,
-    /// The node was drained for maintenance; it never steps again.
-    drained: bool,
-    /// Blacked out (silent but alive) until this quantum.
-    silent_until: usize,
-}
-
-impl NodeFate {
-    /// Whether the node still executes steps.
-    fn steppable(self) -> bool {
-        !self.crashed && !self.drained
-    }
-
-    /// Whether the node fails to heartbeat at `quantum`.
-    fn silent_at(self, quantum: usize) -> bool {
-        self.crashed || self.drained || quantum < self.silent_until
-    }
 }
 
 /// One row of the cluster tenant table.
@@ -407,12 +383,7 @@ impl ClusterSnapshot {
             ("degraded", self.degraded.into()),
             (
                 "node_health",
-                JsonValue::Arr(
-                    self.node_health
-                        .iter()
-                        .map(|h| JsonValue::from(*h))
-                        .collect(),
-                ),
+                JsonValue::array(self.node_health.iter().copied()),
             ),
             (
                 "nodes",
@@ -488,6 +459,8 @@ impl ClusterRecord {
 /// N per-node agents stepped in lockstep under deterministic cross-node
 /// placement, migration, and balancing policies.
 pub struct ClusterCoordinator {
+    /// The fleet in node-id order: each node's control plane, health,
+    /// fault fate and stale rows.
     nodes: Vec<NodeAgent>,
     tenants: Vec<ClusterTenantEntry>,
     /// Relocating tenants — in flight to a node, or displaced with nowhere
@@ -498,14 +471,6 @@ pub struct ClusterCoordinator {
     quantum: usize,
     pending: Vec<ClusterEvent>,
     faults: FleetFaultPlan,
-    /// Per-node health detectors, in node-id order.
-    health: Vec<HealthTracker>,
-    /// Per-node mechanical fault state, in node-id order.
-    fate: Vec<NodeFate>,
-    /// Per-node local tenant rows that were evacuated elsewhere while the
-    /// node was unobservable-but-alive (blackout split-brain); drained
-    /// when the node rejoins.
-    stale_locals: Vec<Vec<TenantId>>,
     degraded: DegradedMode,
     /// Evacuations performed so far (batch re-placements + LC foldings).
     evacuations: usize,
@@ -568,14 +533,14 @@ impl ClusterCoordinator {
         });
         let mut tenants = Vec::new();
         for agent in &nodes {
-            let scenario = agent.core().scenario();
-            let batch_apps: Vec<SpecBenchmark> =
-                scenario.batch_jobs().iter().map(|b| b.app).collect();
+            let batch_jobs = agent.core().scenario().batch_jobs();
             for (i, t) in agent.core().tenants().iter().enumerate() {
                 tenants.push(ClusterTenantEntry {
                     name: t.name().to_string(),
                     app: match t.kind() {
-                        TenantKind::Batch { batch_index } => batch_apps.get(batch_index).copied(),
+                        TenantKind::Batch { batch_index } => {
+                            batch_jobs.get(batch_index).map(|b| b.app)
+                        }
                         TenantKind::LatencyCritical { .. } => None,
                     },
                     node: agent.id(),
@@ -583,7 +548,6 @@ impl ClusterCoordinator {
                 });
             }
         }
-        let n = nodes.len();
         ClusterCoordinator {
             nodes,
             tenants,
@@ -592,9 +556,6 @@ impl ClusterCoordinator {
             quantum: 0,
             pending: Vec::new(),
             faults: plan,
-            health: vec![HealthTracker::new(); n],
-            fate: vec![NodeFate::default(); n],
-            stale_locals: vec![Vec::new(); n],
             degraded: DegradedMode::new(),
             evacuations: 0,
             pool,
@@ -618,7 +579,7 @@ impl ClusterCoordinator {
 
     /// One node's health state, if the id is valid.
     pub fn node_health(&self, id: NodeId) -> Option<NodeHealth> {
-        self.health.get(id.index()).map(HealthTracker::state)
+        self.nodes.get(id.index()).map(NodeAgent::health)
     }
 
     /// Tenants currently parked displaced.
@@ -677,32 +638,8 @@ impl ClusterCoordinator {
     fn scores_for(&self, app: SpecBenchmark, exclude: Option<NodeId>) -> Vec<PlacementScore> {
         self.nodes
             .iter()
-            .filter(|n| Some(n.id()) != exclude)
-            .filter(|n| self.health[n.id().index()].state().is_serving())
-            .map(|n| {
-                let (required, budget) = n.core().admission_preview(app);
-                let scenario = n.core().scenario();
-                let batch_names: Vec<&'static str> =
-                    scenario.batch_jobs().iter().map(|b| b.app.name).collect();
-                let same_app = n
-                    .core()
-                    .tenants()
-                    .iter()
-                    .filter(|t| t.state().is_live())
-                    .filter(|t| match t.kind() {
-                        TenantKind::Batch { batch_index } => {
-                            batch_names.get(batch_index) == Some(&app.name)
-                        }
-                        TenantKind::LatencyCritical { .. } => false,
-                    })
-                    .count();
-                PlacementScore {
-                    node: n.id(),
-                    headroom_watts: budget - required,
-                    same_app_tenants: same_app,
-                    live_tenants: n.live_tenants(),
-                }
-            })
+            .filter(|n| Some(n.id()) != exclude && n.is_serving())
+            .map(|n| n.placement_score(app))
             .collect()
     }
 
@@ -762,6 +699,9 @@ impl ClusterCoordinator {
     /// # Errors
     ///
     /// [`ClusterError::UnknownNode`] for an invalid node,
+    /// [`ClusterError::NodeUnavailable`] for a node that is not serving (a
+    /// crashed node stays a target until it is declared Down, like it does
+    /// for placement; its evacuation recovers the tenant),
     /// [`ClusterError::Admission`] when the node's admission control
     /// rejects the tenant (the rejection is still recorded on the node).
     pub fn register_batch_on(
@@ -774,6 +714,9 @@ impl ClusterCoordinator {
             .nodes
             .get_mut(node.index())
             .ok_or(ClusterError::UnknownNode(node))?;
+        if !agent.is_serving() {
+            return Err(ClusterError::NodeUnavailable(node));
+        }
         let local = agent
             .core_mut()
             .register_batch(name, app)
@@ -889,11 +832,11 @@ impl ClusterCoordinator {
     /// [`ClusterError::NodeUnavailable`] when the node is already down,
     /// drained, or crashed.
     pub fn drain_node(&mut self, node: NodeId) -> Result<(), ClusterError> {
-        if node.index() >= self.nodes.len() {
-            return Err(ClusterError::UnknownNode(node));
-        }
-        let fate = self.fate[node.index()];
-        if fate.crashed || fate.drained || self.health[node.index()].state().is_down() {
+        let agent = self
+            .nodes
+            .get(node.index())
+            .ok_or(ClusterError::UnknownNode(node))?;
+        if !agent.steppable() || !agent.is_serving() {
             return Err(ClusterError::NodeUnavailable(node));
         }
         self.drain_node_inner(node.index());
@@ -908,10 +851,9 @@ impl ClusterCoordinator {
             node,
             quantum: self.quantum,
         });
-        self.fate[node_index].drained = true;
         // Down *before* evacuating, so the node cannot be chosen as its
         // own tenants' destination.
-        if let Some((from, to)) = self.health[node_index].force_down() {
+        if let Some((from, to)) = self.nodes[node_index].mark_drained() {
             self.pending.push(ClusterEvent::NodeHealthChanged {
                 node,
                 from,
@@ -940,14 +882,9 @@ impl ClusterCoordinator {
         // draws at all).
         for i in 0..self.nodes.len() {
             let verdict = self.faults.node_quantum(NodeId::from_index(i), q);
-            if verdict.crash {
-                self.fate[i].crashed = true;
-            }
-            if verdict.blackout_quanta > 0 {
-                let until = q + verdict.blackout_quanta;
-                self.fate[i].silent_until = self.fate[i].silent_until.max(until);
-            }
-            if verdict.drain && self.fate[i].steppable() && !self.health[i].state().is_down() {
+            let node = &mut self.nodes[i];
+            node.strike(verdict, q);
+            if verdict.drain && node.steppable() && node.is_serving() {
                 self.drain_node_inner(i);
             }
         }
@@ -956,8 +893,7 @@ impl ClusterCoordinator {
         // node answer this quantum, or is it crashed, drained or blacked
         // out? Timeouts are quantum-counted, never wall-clock.
         for i in 0..self.nodes.len() {
-            let beat = !self.fate[i].silent_at(q);
-            let Some((from, to)) = self.health[i].observe(beat) else {
+            let Some((from, to)) = self.nodes[i].observe_heartbeat(q) else {
                 continue;
             };
             self.pending.push(ClusterEvent::NodeHealthChanged {
@@ -969,7 +905,7 @@ impl ClusterCoordinator {
             if to.is_down() {
                 self.evacuate_node(i);
             } else if from.is_down() {
-                self.reconcile_rejoin(i);
+                self.nodes[i].drop_stale_rows();
             }
         }
         // (c) Retry displaced tenants whose backoff has elapsed.
@@ -1003,15 +939,13 @@ impl ClusterCoordinator {
                 let e = &self.tenants[id.0];
                 e.node == source
                     && self.relocation(*id).is_none()
-                    && self.nodes[node_index]
-                        .core()
-                        .tenant(e.local)
-                        .is_some_and(|t| {
-                            matches!(
-                                t.state(),
-                                LifecycleState::Admitted | LifecycleState::Running
-                            )
-                        })
+                    && matches!(
+                        self.nodes[node_index]
+                            .core()
+                            .tenant(e.local)
+                            .map(|t| t.state()),
+                        Some(LifecycleState::Admitted | LifecycleState::Running)
+                    )
             })
             .collect();
         for id in candidates {
@@ -1057,13 +991,8 @@ impl ClusterCoordinator {
         let home = entry.node;
         let old_local = entry.local;
         let name = entry.name.clone();
-        if self.health[home.index()].state().is_serving()
-            && self.fate[home.index()].steppable()
-            && self.nodes[home.index()]
-                .core()
-                .tenant(old_local)
-                .is_some_and(|t| t.state().is_live())
-        {
+        let home_agent = &self.nodes[home.index()];
+        if home_agent.is_serving() && home_agent.steppable() && home_agent.hosts_live(old_local) {
             return true;
         }
         let Some(app) = entry.app else { return true };
@@ -1076,11 +1005,11 @@ impl ClusterCoordinator {
             .register_batch(&name, app)
         {
             Ok(local) => {
-                if self.fate[home.index()].steppable() {
+                if self.nodes[home.index()].steppable() {
                     // The old row still exists on an alive-but-silent
                     // node (blackout split-brain): remember it so the
                     // duplicate drains when the node rejoins.
-                    self.stale_locals[home.index()].push(old_local);
+                    self.nodes[home.index()].remember_stale(old_local);
                 }
                 let entry = &mut self.tenants[id.0];
                 entry.node = dest;
@@ -1100,61 +1029,40 @@ impl ClusterCoordinator {
     }
 
     /// Evacuates one LC tenant by folding its traffic share onto the
-    /// best surviving replica of the same service. LC tenants cannot
-    /// re-enter admission (their matrix rows and queue state are pinned),
-    /// so the *traffic* moves instead — the cluster entry is re-homed to
-    /// the survivor's own LC row, which may leave two cluster entries
-    /// mapping to the same local row until the failed node is replaced.
+    /// surviving replica of the same service with the fewest live tenants
+    /// (ties toward the lowest id, as placement breaks them). LC tenants
+    /// cannot re-enter admission (their matrix rows and queue state are
+    /// pinned), so the *traffic* moves instead — the cluster entry is
+    /// re-homed to the survivor's own LC row, which may leave two cluster
+    /// entries mapping to the same local row until the failed node is
+    /// replaced.
     fn evacuate_lc(&mut self, id: ClusterTenantId) {
         let entry = &self.tenants[id.0];
-        let source = entry.node;
-        let old_local = entry.local;
-        let name = entry.name.clone();
+        let (source, name) = (entry.node, entry.name.clone());
         let Some(TenantKind::LatencyCritical { lc_index }) = self.nodes[source.index()]
             .core()
-            .tenant(old_local)
+            .tenant(entry.local)
             .map(|t| t.kind())
         else {
             return;
         };
-        // Surviving replicas: serving nodes that host this LC service.
-        // Scored through the shared placement policy (tenant-count
-        // pressure only; LC admission is not power-gated here).
-        let scores: Vec<PlacementScore> = self
+        let Some(dest) = self
             .nodes
             .iter()
-            .filter(|n| n.id() != source)
-            .filter(|n| self.health[n.id().index()].state().is_serving())
-            .filter(|n| n.core().scenario().num_lc() > lc_index)
-            .map(|n| PlacementScore {
-                node: n.id(),
-                headroom_watts: 0.0,
-                same_app_tenants: 1,
-                live_tenants: n.live_tenants(),
-            })
-            .collect();
-        let Some(dest) = pick_best(&scores) else {
+            .filter(|n| n.id() != source && n.is_serving() && n.serves_lc(lc_index))
+            .min_by_key(|n| n.live_tenants())
+            .map(NodeAgent::id)
+        else {
             // No surviving replica hosts this service: the traffic has
             // nowhere to fold. The entry stays homed on the failed node.
             return;
         };
-        let src_share = self.nodes[source.index()].core().lc_traffic_shares()[lc_index];
-        let dest_share = self.nodes[dest.index()].core().lc_traffic_shares()[lc_index];
-        // Indices are valid by the filters above; the driver cannot
-        // refuse them.
-        let _ = self.nodes[source.index()]
-            .core_mut()
-            .set_lc_traffic_share(lc_index, 0.0);
-        let _ = self.nodes[dest.index()]
-            .core_mut()
-            .set_lc_traffic_share(lc_index, dest_share + src_share);
-        let dest_local = self.nodes[dest.index()].core().tenants().iter().position(
-            |t| matches!(t.kind(), TenantKind::LatencyCritical { lc_index: li } if li == lc_index),
-        );
-        if let Some(pos) = dest_local {
+        let share = self.nodes[source.index()].core().lc_traffic_shares()[lc_index];
+        self.shift_share(lc_index, source, dest, share);
+        if let Some(local) = self.nodes[dest.index()].lc_tenant(lc_index) {
             let entry = &mut self.tenants[id.0];
             entry.node = dest;
-            entry.local = TenantId::from_index(pos);
+            entry.local = local;
         }
         self.evacuations += 1;
         self.pending.push(ClusterEvent::Evacuated {
@@ -1164,6 +1072,20 @@ impl ClusterCoordinator {
             to: dest,
             quantum: self.quantum,
         });
+    }
+
+    /// Moves `amount` of LC service `lc_index`'s traffic share from one
+    /// replica to another, conserving the service's total. Both nodes host
+    /// the service, so the driver cannot refuse the indices.
+    fn shift_share(&mut self, lc_index: usize, from: NodeId, to: NodeId, amount: f64) {
+        let share = |node: NodeId| self.nodes[node.index()].core().lc_traffic_shares()[lc_index];
+        let (from_share, to_share) = (share(from) - amount, share(to) + amount);
+        let _ = self.nodes[from.index()]
+            .core_mut()
+            .set_lc_traffic_share(lc_index, from_share);
+        let _ = self.nodes[to.index()]
+            .core_mut()
+            .set_lc_traffic_share(lc_index, to_share);
     }
 
     /// Retries every displaced tenant whose backoff has elapsed, in
@@ -1197,14 +1119,23 @@ impl ClusterCoordinator {
         }
     }
 
-    /// Drains the stale local rows a rejoining node accumulated while it
-    /// was unobservable: tenants evacuated elsewhere in the meantime must
-    /// not run twice. The row may have already retired; refusals are
-    /// fine.
-    fn reconcile_rejoin(&mut self, node_index: usize) {
-        for local in std::mem::take(&mut self.stale_locals[node_index]) {
-            let _ = self.nodes[node_index].core_mut().deregister(local);
-        }
+    /// Live batch tenants that are not relocating, on the nodes `on`
+    /// accepts, newest first, with their app: the candidates degraded-mode
+    /// shedding and auto-migration pick from.
+    fn movable_batch<'a>(
+        &'a self,
+        on: impl Fn(NodeId) -> bool + 'a,
+    ) -> impl Iterator<Item = (ClusterTenantId, SpecBenchmark)> + 'a {
+        self.tenants
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(move |(i, e)| {
+                on(e.node)
+                    && self.relocation(ClusterTenantId(*i)).is_none()
+                    && self.nodes[e.node.index()].hosts_live(e.local)
+            })
+            .filter_map(|(i, e)| Some((ClusterTenantId(i), e.app?)))
     }
 
     /// While degraded, frees capacity each quantum: sheds the most
@@ -1213,20 +1144,7 @@ impl ClusterCoordinator {
     /// safe-mode floor.
     fn shed_for_capacity(&mut self) {
         let victims: Vec<ClusterTenantId> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(idx, e)| (ClusterTenantId(idx), e))
-            .filter(|(id, e)| {
-                e.app.is_some()
-                    && self.health[e.node.index()].state().is_serving()
-                    && self.relocation(*id).is_none()
-                    && self.nodes[e.node.index()]
-                        .core()
-                        .tenant(e.local)
-                        .is_some_and(|t| t.state().is_live())
-            })
+            .movable_batch(|node| self.nodes[node.index()].is_serving())
             .map(|(id, _)| id)
             .collect();
         for id in victims {
@@ -1235,17 +1153,12 @@ impl ClusterCoordinator {
             }
         }
         // No batch left to shed: shrink LC shares toward the floor.
-        for i in 0..self.nodes.len() {
-            if !self.health[i].state().is_serving() {
-                continue;
-            }
-            let shares = self.nodes[i].core().lc_traffic_shares().to_vec();
+        for node in self.nodes.iter_mut().filter(|n| n.is_serving()) {
+            let shares = node.core().lc_traffic_shares().to_vec();
             for (lc_index, share) in shares.into_iter().enumerate() {
                 let target = (share - SHARE_SHRINK).max(MIN_DEGRADED_SHARE);
                 if target < share {
-                    let _ = self.nodes[i]
-                        .core_mut()
-                        .set_lc_traffic_share(lc_index, target);
+                    let _ = node.core_mut().set_lc_traffic_share(lc_index, target);
                 }
             }
         }
@@ -1274,7 +1187,7 @@ impl ClusterCoordinator {
             let Some(app) = entry.app else { continue };
             // A non-serving destination counts as a refusal without
             // bothering its admission control.
-            let admitted = if self.health[dest.index()].state().is_serving() {
+            let admitted = if self.nodes[dest.index()].is_serving() {
                 self.nodes[dest.index()]
                     .core_mut()
                     .register_batch(&name, app)
@@ -1341,12 +1254,17 @@ impl ClusterCoordinator {
         }
     }
 
+    /// Moves node `i`'s queued control events into the cluster queue.
+    fn drain_node_events(&mut self, i: usize) {
+        let events = self.nodes[i].core_mut().drain_events();
+        self.pending
+            .extend(events.into_iter().map(ClusterEvent::Node));
+    }
+
     /// Phases 3–5: drain node events, balance traffic, auto-migrate.
     fn settle_cross_node(&mut self) {
         for i in 0..self.nodes.len() {
-            let events: Vec<ControlEvent> = self.nodes[i].core_mut().drain_events();
-            self.pending
-                .extend(events.into_iter().map(ClusterEvent::Node));
+            self.drain_node_events(i);
         }
 
         if self.config.balance.is_some() {
@@ -1363,8 +1281,7 @@ impl ClusterCoordinator {
                 let replicas: Vec<(NodeId, f64, f64)> = self
                     .nodes
                     .iter()
-                    .filter(|n| self.health[n.id().index()].state().is_serving())
-                    .filter(|n| n.core().scenario().num_lc() > lc_index)
+                    .filter(|n| n.is_serving() && n.serves_lc(lc_index))
                     .map(|n| {
                         (
                             n.id(),
@@ -1374,23 +1291,7 @@ impl ClusterCoordinator {
                     })
                     .collect();
                 if let Some(shift) = decide_shift(lc_index, &replicas) {
-                    let share_of = |node: NodeId| {
-                        replicas
-                            .iter()
-                            .find(|r| r.0 == node)
-                            .map(|r| r.2)
-                            .unwrap_or(0.0)
-                    };
-                    let from_share = share_of(shift.from) - shift.amount;
-                    let to_share = share_of(shift.to) + shift.amount;
-                    // Ids came from the replica table we just built, so
-                    // the driver cannot refuse them.
-                    let _ = self.nodes[shift.from.index()]
-                        .core_mut()
-                        .set_lc_traffic_share(lc_index, from_share);
-                    let _ = self.nodes[shift.to.index()]
-                        .core_mut()
-                        .set_lc_traffic_share(lc_index, to_share);
+                    self.shift_share(lc_index, shift.from, shift.to, shift.amount);
                     self.pending.push(ClusterEvent::SharesShifted {
                         lc_index,
                         from: shift.from,
@@ -1404,37 +1305,17 @@ impl ClusterCoordinator {
 
         if let Some(threshold) = self.config.migration.auto_tail_ratio {
             for i in 0..self.nodes.len() {
-                if !self.health[i].state().is_serving() {
+                let node = &self.nodes[i];
+                if !node.is_serving() || node.last_tail_ratio() <= threshold {
                     continue;
                 }
-                if self.nodes[i].last_tail_ratio() <= threshold {
-                    continue;
-                }
-                let source = NodeId::from_index(i);
-                // The most recently placed live batch tenant on the
-                // breaching node, skipping tenants already in flight or
-                // parked displaced.
-                let candidate = self
-                    .tenants
-                    .iter()
-                    .enumerate()
-                    .rev()
-                    .map(|(idx, e)| (ClusterTenantId(idx), e))
-                    .find(|(id, e)| {
-                        e.node == source
-                            && e.app.is_some()
-                            && self.relocation(*id).is_none()
-                            && self.nodes[i]
-                                .core()
-                                .tenant(e.local)
-                                .is_some_and(|t| t.state().is_live())
-                    });
-                let Some((id, entry)) = candidate else {
+                // The most recently placed movable batch tenant on the
+                // breaching node.
+                let source = node.id();
+                let Some((id, app)) = self.movable_batch(|node| node == source).next() else {
                     continue;
                 };
-                let Some(app) = entry.app else { continue };
-                let scores = self.scores_for(app, Some(source));
-                if let Some(dest) = pick_best(&scores) {
+                if let Some(dest) = pick_best(&self.scores_for(app, Some(source))) {
                     // All preconditions were just checked; a refusal here
                     // would be a coordinator logic bug.
                     let moved = self.migrate(id, dest);
@@ -1459,9 +1340,8 @@ impl ClusterCoordinator {
         let mut slots: Vec<(&mut NodeAgent, Option<ControlError>)> = self
             .nodes
             .iter_mut()
-            .zip(&self.fate)
-            .filter(|(_, fate)| fate.steppable())
-            .map(|(node, _)| (node, None))
+            .filter(|node| node.steppable())
+            .map(|node| (node, None))
             .collect();
         for_each_slot(Some(&self.pool), &mut slots, |_, (node, error)| {
             *error = node.step().err();
@@ -1479,8 +1359,7 @@ impl ClusterCoordinator {
     pub fn is_done(&self) -> bool {
         self.nodes
             .iter()
-            .enumerate()
-            .all(|(i, n)| !self.fate[i].steppable() || n.core().is_done())
+            .all(|n| !n.steppable() || n.core().is_done())
     }
 
     /// Takes every cluster event queued since the previous drain.
@@ -1504,11 +1383,7 @@ impl ClusterCoordinator {
                 .enumerate()
                 .map(|(i, e)| ClusterTenantSnapshot {
                     name: e.name.clone(),
-                    kind: if e.app.is_some() {
-                        "batch"
-                    } else {
-                        "latency_critical"
-                    },
+                    kind: e.app.map_or("latency_critical", |_| "batch"),
                     node: self.tenant_node(ClusterTenantId(i)).unwrap_or(e.node),
                     state: self
                         .tenant_state(ClusterTenantId(i))
@@ -1516,7 +1391,7 @@ impl ClusterCoordinator {
                 })
                 .collect(),
             in_flight: self.relocating.len() - self.displaced_tenants(),
-            node_health: self.health.iter().map(|h| h.state().name()).collect(),
+            node_health: self.nodes.iter().map(|n| n.health().name()).collect(),
             displaced: self.displaced_tenants(),
             evacuations: self.evacuations,
             degraded: self.degraded.active(),
@@ -1537,14 +1412,12 @@ impl ClusterCoordinator {
             // A crashed node is gone — nothing drains cleanly off it —
             // and a drained node's control plane already shut down; both
             // still surface any events queued before the lights went out.
-            if self.fate[i].steppable() {
+            if self.nodes[i].steppable() {
                 self.nodes[i].core_mut().shutdown()?;
             }
             // The drain emits lifecycle events (Draining, Retired) on the
             // node core; surface them like any other quantum's phase 3.
-            let events: Vec<ControlEvent> = self.nodes[i].core_mut().drain_events();
-            self.pending
-                .extend(events.into_iter().map(ClusterEvent::Node));
+            self.drain_node_events(i);
         }
         Ok(())
     }
@@ -1556,10 +1429,7 @@ impl ClusterCoordinator {
             nodes: self
                 .nodes
                 .into_iter()
-                .map(|n| {
-                    let core = n.into_core();
-                    core.into_record()
-                })
+                .map(|n| n.into_core().into_record())
                 .collect(),
         }
     }

@@ -1,8 +1,9 @@
 //! Per-node health tracking and the fleet degraded-mode hysteresis.
 //!
 //! The coordinator cannot see inside a failed node — it sees only whether
-//! the node answered this quantum's lockstep step (its "heartbeat"). This
-//! module turns that one observable into a per-node state machine:
+//! the node answered this quantum's lockstep step (its "heartbeat").
+//! [`NodeHealth::observe`] turns that one observable into a state machine,
+//! one per node, held on the node's [`crate::NodeAgent`]:
 //!
 //! ```text
 //!        miss            missed >= DOWN_AFTER
@@ -71,6 +72,47 @@ impl NodeHealth {
     pub fn is_down(self) -> bool {
         self == NodeHealth::Down
     }
+
+    /// Observes one quantum's heartbeat verdict. Returns `Some((from,
+    /// to))` when the state changed (missed-count and clean-count updates
+    /// within Suspect/Recovering count as changes too — the coordinator
+    /// reports only the Down/serving edges it cares about).
+    pub fn observe(&mut self, heartbeat: bool) -> Option<(NodeHealth, NodeHealth)> {
+        let from = *self;
+        let missed_step = |missed: usize| {
+            if missed >= DOWN_AFTER {
+                NodeHealth::Down
+            } else {
+                NodeHealth::Suspect { missed }
+            }
+        };
+        let clean_step = |clean: usize| {
+            if clean >= RECOVER_AFTER {
+                NodeHealth::Up
+            } else {
+                NodeHealth::Recovering { clean }
+            }
+        };
+        *self = match (from, heartbeat) {
+            (NodeHealth::Up, true) => NodeHealth::Up,
+            (NodeHealth::Up, false) => missed_step(1),
+            (NodeHealth::Suspect { .. }, true) => NodeHealth::Up,
+            (NodeHealth::Suspect { missed }, false) => missed_step(missed + 1),
+            (NodeHealth::Down, true) => clean_step(1),
+            (NodeHealth::Down, false) => NodeHealth::Down,
+            (NodeHealth::Recovering { clean }, true) => clean_step(clean + 1),
+            (NodeHealth::Recovering { .. }, false) => NodeHealth::Down,
+        };
+        (*self != from).then_some((from, *self))
+    }
+
+    /// Forces the node Down (the maintenance-drain path: the coordinator
+    /// takes a healthy node out deliberately). Returns the transition, or
+    /// `None` if already Down.
+    pub fn force_down(&mut self) -> Option<(NodeHealth, NodeHealth)> {
+        let from = std::mem::replace(self, NodeHealth::Down);
+        (from != NodeHealth::Down).then_some((from, NodeHealth::Down))
+    }
 }
 
 /// Consecutive missed heartbeats before a node is declared Down (and its
@@ -88,75 +130,6 @@ pub const RESTORE_AFTER: usize = 2;
 pub const MIN_DEGRADED_SHARE: f64 = 0.5;
 /// ... by this much per quantum.
 pub const SHARE_SHRINK: f64 = 0.1;
-
-/// One node's health detector: feed it the heartbeat verdict each
-/// quantum, get back the transition (if any).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthTracker {
-    state: NodeHealth,
-}
-
-impl HealthTracker {
-    /// A fresh tracker: the node starts Up.
-    pub fn new() -> HealthTracker {
-        HealthTracker {
-            state: NodeHealth::Up,
-        }
-    }
-
-    /// The current health state.
-    pub fn state(&self) -> NodeHealth {
-        self.state
-    }
-
-    /// Observes one quantum's heartbeat verdict. Returns `Some((from,
-    /// to))` when the state changed (missed-count and clean-count updates
-    /// within Suspect/Recovering count as changes too — the coordinator
-    /// reports only the Down/serving edges it cares about).
-    pub fn observe(&mut self, heartbeat: bool) -> Option<(NodeHealth, NodeHealth)> {
-        let from = self.state;
-        let missed_step = |missed: usize| {
-            if missed >= DOWN_AFTER {
-                NodeHealth::Down
-            } else {
-                NodeHealth::Suspect { missed }
-            }
-        };
-        let clean_step = |clean: usize| {
-            if clean >= RECOVER_AFTER {
-                NodeHealth::Up
-            } else {
-                NodeHealth::Recovering { clean }
-            }
-        };
-        self.state = match (from, heartbeat) {
-            (NodeHealth::Up, true) => NodeHealth::Up,
-            (NodeHealth::Up, false) => missed_step(1),
-            (NodeHealth::Suspect { .. }, true) => NodeHealth::Up,
-            (NodeHealth::Suspect { missed }, false) => missed_step(missed + 1),
-            (NodeHealth::Down, true) => clean_step(1),
-            (NodeHealth::Down, false) => NodeHealth::Down,
-            (NodeHealth::Recovering { clean }, true) => clean_step(clean + 1),
-            (NodeHealth::Recovering { .. }, false) => NodeHealth::Down,
-        };
-        (self.state != from).then_some((from, self.state))
-    }
-
-    /// Forces the node Down (the maintenance-drain path: the coordinator
-    /// takes a healthy node out deliberately). Returns the transition, or
-    /// `None` if already Down.
-    pub fn force_down(&mut self) -> Option<(NodeHealth, NodeHealth)> {
-        let from = self.state;
-        self.state = NodeHealth::Down;
-        (from != NodeHealth::Down).then_some((from, NodeHealth::Down))
-    }
-}
-
-impl Default for HealthTracker {
-    fn default() -> HealthTracker {
-        HealthTracker::new()
-    }
-}
 
 /// Fleet-level degraded mode with hysteretic entry and exit: the
 /// coordinator reports each quantum whether lost capacity left displaced
@@ -209,7 +182,7 @@ mod tests {
 
     #[test]
     fn the_detector_walks_up_suspect_down_recovering_up() {
-        let mut t = HealthTracker::new();
+        let mut t = NodeHealth::Up;
         assert_eq!(t.observe(true), None, "clean quantum, no change");
         assert_eq!(
             t.observe(false),
@@ -241,7 +214,7 @@ mod tests {
 
     #[test]
     fn a_heartbeat_clears_suspicion_and_a_relapse_returns_to_down() {
-        let mut t = HealthTracker::new();
+        let mut t = NodeHealth::Up;
         t.observe(false);
         assert_eq!(
             t.observe(true),
@@ -251,7 +224,7 @@ mod tests {
         for _ in 0..3 {
             t.observe(false);
         }
-        assert_eq!(t.state(), NodeHealth::Down);
+        assert_eq!(t, NodeHealth::Down);
         t.observe(true);
         assert_eq!(
             t.observe(false),
@@ -261,7 +234,7 @@ mod tests {
 
     #[test]
     fn force_down_reports_once() {
-        let mut t = HealthTracker::new();
+        let mut t = NodeHealth::Up;
         assert_eq!(t.force_down(), Some((NodeHealth::Up, NodeHealth::Down)));
         assert_eq!(t.force_down(), None);
     }

@@ -5,9 +5,11 @@
 //! lifts that per-chip manager into a two-level architecture in the shape
 //! of Google-scale cluster schedulers: each simulated node runs its own
 //! [`cuttlesys::control::ControlCore`] (driver + manager + tenant table),
-//! and a [`ClusterCoordinator`] steps every node through the same 100 ms
-//! decision quantum in lockstep, making the *cross-node* decisions the
-//! per-node agents cannot:
+//! wrapped in a [`NodeAgent`] that also holds everything the coordinator
+//! knows about and has done to the node (its health, its faults, its
+//! stale rows), and a [`ClusterCoordinator`] steps every node through the
+//! same 100 ms decision quantum in lockstep, making the *cross-node*
+//! decisions the per-node agents cannot:
 //!
 //! * **Placement** ([`placement`]) — a registering batch tenant is
 //!   bin-packed onto a node by reconstructed demand against each node's
@@ -31,7 +33,7 @@
 //!   [`NodeHealth`] state machine driven by quantum-counted heartbeat
 //!   timeouts detects them; detection triggers evacuation (batch tenants
 //!   re-enter admission elsewhere, LC traffic folds onto surviving
-//!   replicas), unplaceable tenants park `Relocating(Displaced)` with
+//!   replicas through the same share shift balancing uses), unplaceable tenants park `Relocating(Displaced)` with
 //!   bounded backoff, and sustained infeasibility engages a hysteretic
 //!   fleet degraded mode that sheds batch work, then shrinks LC shares
 //!   toward safe-mode allocations.

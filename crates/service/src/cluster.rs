@@ -194,8 +194,8 @@ impl ClusterService {
     ///
     /// # Errors
     ///
-    /// [`ClusterServiceError::Cluster`] for an unknown node or an
-    /// admission rejection; [`ClusterServiceError::Stopped`] after
+    /// [`ClusterServiceError::Cluster`] for an unknown or non-serving node
+    /// or an admission rejection; [`ClusterServiceError::Stopped`] after
     /// shutdown.
     pub fn register_batch_on(
         &self,

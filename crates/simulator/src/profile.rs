@@ -8,24 +8,6 @@
 //! `workloads` crate; this type only defines the parameter space and its
 //! invariants.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of profile fields rejected by
-/// [`AppProfile::rejecting_out_of_range`]. Mirrors the `metrics.rs` policy of
-/// refusing out-of-range values rather than coercing them, but keeps the
-/// event observable instead of panicking.
-static OUT_OF_RANGE_REJECTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of out-of-range profile fields rejected (and resampled from a
-/// known-good fallback) since process start.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "a process-wide diagnostic count: tests read it, no decision or record does"
-)]
-pub fn out_of_range_rejections() -> u64 {
-    OUT_OF_RANGE_REJECTIONS.load(Ordering::Relaxed)
-}
-
 /// Parameters describing one application's microarchitectural behaviour.
 ///
 /// All fields are plain data so workload catalogs can construct profiles
@@ -139,8 +121,7 @@ impl AppProfile {
     }
 
     /// Replaces any field outside its calibrated range (or non-finite) with
-    /// the corresponding field of `fallback`, counting each rejection in the
-    /// process-wide [`out_of_range_rejections`] counter.
+    /// the corresponding field of `fallback`.
     ///
     /// This is the same reject-don't-coerce stance `metrics.rs` takes for
     /// NaN, adapted for a path where panicking is not acceptable: a derived
@@ -149,37 +130,27 @@ impl AppProfile {
     /// a boundary the models were never validated at.
     #[must_use]
     pub fn rejecting_out_of_range(mut self, fallback: &AppProfile) -> AppProfile {
-        fn guard(v: &mut f64, fb: f64, lo: f64, hi: f64) -> u64 {
+        fn guard(v: &mut f64, fb: f64, lo: f64, hi: f64) {
             if !v.is_finite() || *v < lo || *v > hi {
                 *v = fb;
-                1
-            } else {
-                0
             }
         }
         let f = fallback;
-        let rejected = guard(&mut self.ilp, f.ilp, 0.2, 6.0)
-            + guard(&mut self.fe_sensitivity, f.fe_sensitivity, 0.0, 1.0)
-            + guard(&mut self.be_sensitivity, f.be_sensitivity, 0.0, 1.0)
-            + guard(&mut self.ls_sensitivity, f.ls_sensitivity, 0.0, 1.0)
-            + guard(&mut self.mem_fraction, f.mem_fraction, 0.05, 0.6)
-            + guard(&mut self.l1_miss_rate, f.l1_miss_rate, 0.005, 0.6)
-            + guard(&mut self.llc_miss_floor, f.llc_miss_floor, 0.0, 0.95)
-            + guard(
-                &mut self.llc_working_set_ways,
-                f.llc_working_set_ways,
-                0.1,
-                16.0,
-            )
-            + guard(&mut self.mlp, f.mlp, 1.0, 10.0)
-            + guard(&mut self.activity, f.activity, 0.4, 1.4);
-        if rejected > 0 {
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "an integer event count, not a float reduction: the sum is the same in any order"
-            )]
-            OUT_OF_RANGE_REJECTIONS.fetch_add(rejected, Ordering::Relaxed);
-        }
+        guard(&mut self.ilp, f.ilp, 0.2, 6.0);
+        guard(&mut self.fe_sensitivity, f.fe_sensitivity, 0.0, 1.0);
+        guard(&mut self.be_sensitivity, f.be_sensitivity, 0.0, 1.0);
+        guard(&mut self.ls_sensitivity, f.ls_sensitivity, 0.0, 1.0);
+        guard(&mut self.mem_fraction, f.mem_fraction, 0.05, 0.6);
+        guard(&mut self.l1_miss_rate, f.l1_miss_rate, 0.005, 0.6);
+        guard(&mut self.llc_miss_floor, f.llc_miss_floor, 0.0, 0.95);
+        guard(
+            &mut self.llc_working_set_ways,
+            f.llc_working_set_ways,
+            0.1,
+            16.0,
+        );
+        guard(&mut self.mlp, f.mlp, 1.0, 10.0);
+        guard(&mut self.activity, f.activity, 0.4, 1.4);
         self
     }
 
@@ -223,25 +194,30 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_fields_fall_back_and_are_counted() {
-        let base = AppProfile::balanced();
-        let mut drifted = base;
+    fn out_of_range_fields_and_only_those_fall_back() {
+        // Every field of the fallback differs from the drifted profile's,
+        // so the result shows field by field where each value came from.
+        let fallback = AppProfile::memory_bound();
+        let mut drifted = AppProfile::balanced();
         drifted.ilp = 9.0; // above calibrated range
         drifted.l1_miss_rate = f64::NAN;
         drifted.activity = 1.1; // fine — must survive untouched
 
-        let before = out_of_range_rejections();
-        let fixed = drifted.rejecting_out_of_range(&base);
-        assert_eq!(fixed.ilp, base.ilp, "out-of-range field resampled");
-        assert_eq!(fixed.l1_miss_rate, base.l1_miss_rate, "NaN field resampled");
-        assert_eq!(fixed.activity, 1.1, "in-range field untouched");
+        let fixed = drifted.rejecting_out_of_range(&fallback);
+        assert_eq!(
+            fixed,
+            AppProfile {
+                ilp: fallback.ilp,
+                l1_miss_rate: fallback.l1_miss_rate,
+                ..drifted
+            },
+            "exactly the out-of-range and NaN fields are resampled"
+        );
         assert!(fixed.validate().is_ok());
-        assert_eq!(out_of_range_rejections() - before, 2);
 
-        // An already-valid profile passes through unchanged and uncounted.
-        let mid = out_of_range_rejections();
-        assert_eq!(base.rejecting_out_of_range(&base), base);
-        assert_eq!(out_of_range_rejections(), mid);
+        // An already-valid profile passes through unchanged.
+        let base = AppProfile::balanced();
+        assert_eq!(base.rejecting_out_of_range(&fallback), base);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! shrink a sweep. So are tenants and load shapes no run could host: zero
 //! or too many LC cores, negative loads (of a tenant or of a shape), QoS
 //! targets or noise, a shape period shorter than one decision quantum
-//! (the JSON parser already refuses non-finite numbers), and a `name` that would
-//! lead its output directory out of `runs/`.
+//! (the JSON parser already refuses non-finite numbers), a `name` that would
+//! lead its output directory out of `runs/`, and a sweep larger than
+//! [`MAX_NODE_QUANTA`].
 //!
 //! A spec has no settings for the runtime itself: every run uses the
 //! manager's and the coordinator's defaults, and the detectors' thresholds
@@ -52,6 +53,16 @@ pub const FLEET_FAULT_PROFILES: &[&str] = &["clean", "node-crash"];
 /// Valid load-shape kinds, sorted.
 pub const LOAD_SHAPES: &[&str] = &["diurnal", "flash-crowd", "ramp", "square-wave", "steady"];
 
+/// The most node-quanta — grid cells × seeds × nodes × quanta — one spec
+/// may describe. Each node-quantum is one full decision (about 2 ms of one
+/// core in a release build) and keeps a slice record of about 300 bytes
+/// while its run lasts, so a million is about half an hour of one core and
+/// at most about 0.3 GB of records. That is far above the committed specs
+/// (`smoke` 36, `soak` 200, `collapse` 10), and it refuses at load a typo
+/// such as `"quanta": 4000000000`, which would otherwise abort the process
+/// on a terabyte allocation.
+pub const MAX_NODE_QUANTA: usize = 1_000_000;
+
 /// Why a scenario file was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepError {
@@ -74,6 +85,13 @@ impl std::error::Error for SweepError {}
 
 fn invalid(msg: impl Into<String>) -> SweepError {
     SweepError::Invalid(msg.into())
+}
+
+fn too_large() -> SweepError {
+    invalid(format!(
+        "the scenario describes more than {MAX_NODE_QUANTA} node-quanta \
+         (grid cells × seeds × nodes × quanta)"
+    ))
 }
 
 /// Where the runs execute: one simulated node, or a lockstep fleet.
@@ -448,6 +466,11 @@ fn parse_seeds(value: &JsonValue) -> Result<Vec<u64>, SweepError> {
             if end <= start {
                 return Err(bad());
             }
+            // Counted before it is collected: every seed is at least one
+            // node-quantum.
+            if end - start > MAX_NODE_QUANTA as u64 {
+                return Err(too_large());
+            }
             (start..end).collect()
         }
         _ => return Err(bad()),
@@ -716,6 +739,24 @@ pub fn load_spec(text: &str) -> Result<SweepSpec, SweepError> {
             .as_bool()
             .ok_or_else(|| invalid("scenario field \"phases\" must be a boolean"))?,
     };
+    let nodes = match topology {
+        Topology::SingleNode => 1,
+        Topology::Cluster { nodes } => nodes,
+    };
+    let node_quanta = [
+        load_shapes.len(),
+        caps.len(),
+        fault_profiles.len(),
+        fleet_fault_profiles.len(),
+        seeds.len(),
+        nodes,
+        quanta,
+    ]
+    .into_iter()
+    .try_fold(1, usize::checked_mul);
+    if node_quanta.is_none_or(|n| n > MAX_NODE_QUANTA) {
+        return Err(too_large());
+    }
     Ok(SweepSpec {
         name,
         quanta,

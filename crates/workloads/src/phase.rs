@@ -57,8 +57,7 @@ impl PhasedProfile {
     /// A modulated field that escapes its calibrated range (possible only
     /// for a base profile already near a boundary) is rejected and resampled
     /// from the base via [`AppProfile::rejecting_out_of_range`] — the models
-    /// were never validated at clamped boundary values, and the rejection is
-    /// counted rather than silent.
+    /// were never validated at clamped boundary values.
     pub fn at(&self, t_s: f64) -> AppProfile {
         if self.amplitude == 0.0 {
             return self.base;

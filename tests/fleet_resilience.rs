@@ -23,9 +23,16 @@
 //!   table and is never placed) but refuses a migration, so it never holds
 //!   two live rows;
 //! * after every quantum of these runs the snapshot's `in_flight` and
-//!   `displaced` counters agree with the tenants' `Relocating` states;
+//!   `displaced` counters agree with the tenants' `Relocating` states, and
+//!   each LC service's traffic shares, down nodes included, still sum to
+//!   its replica count (an evacuation folds a dead replica's share onto a
+//!   survivor, it never drops it);
 //! * a registration with every node down is refused as
 //!   [`ClusterError::NoServingNode`], blaming no node;
+//! * a registration directed at a drained node is refused as
+//!   [`ClusterError::NodeUnavailable`], while one directed at a crashed
+//!   node not yet declared Down is accepted and recovered by the
+//!   evacuation its detection triggers;
 //! * [`FleetFaultPlan::none`] is a bit-for-bit no-op against the
 //!   single-node golden run.
 //!
@@ -68,7 +75,11 @@ fn n(index: usize) -> NodeId {
 /// Steps one quantum, then checks that the relocation counters agree with
 /// the tenants' states: the snapshot's `in_flight` counts the tenants in
 /// `Relocating(Node(_))`, and its `displaced` (like `displaced_tenants`)
-/// those in `Relocating(Displaced)`.
+/// those in `Relocating(Displaced)`. Also checks that LC traffic is
+/// conserved: each service's shares over every node that hosts it, down
+/// nodes included, sum to the number of those nodes. Only degraded-mode
+/// shrinking may lower that sum, and it shrinks LC shares only once no
+/// batch work is left to shed, which no run here reaches.
 fn step_checked(coordinator: &mut ClusterCoordinator) {
     let quantum = coordinator.quantum();
     coordinator
@@ -94,6 +105,21 @@ fn step_checked(coordinator: &mut ClusterCoordinator) {
         displaced,
         "quantum {quantum}"
     );
+    let services = snapshot.lc_shares.iter().map(Vec::len).max().unwrap_or(0);
+    for lc in 0..services {
+        let shares: Vec<f64> = snapshot
+            .lc_shares
+            .iter()
+            .filter_map(|node| node.get(lc).copied())
+            .collect();
+        let total: f64 = shares.iter().sum();
+        assert!(
+            (total - shares.len() as f64).abs() < 1e-9,
+            "quantum {quantum}: lc{lc} shares {:?} sum to {total}, not its {} replicas",
+            snapshot.lc_shares,
+            shares.len()
+        );
+    }
 }
 
 /// Run a whole scenario under a fault plan and return the comparable
@@ -646,4 +672,58 @@ fn a_registration_with_every_node_down_blames_no_node() {
         coordinator.register_batch("orphan", app),
         Err(ClusterError::NoServingNode)
     );
+}
+
+#[test]
+fn a_directed_registration_on_a_drained_node_is_refused() {
+    let mut coordinator = two_nodes(&roomy(8), FleetFaultPlan::none());
+    coordinator.drain_node(n(1)).expect("n1 drains");
+    let app = batch::mix(1, 0xBEEF).apps[0];
+    // The drained node never steps again and its evacuation has already
+    // run: a tenant admitted there would wait forever.
+    assert_eq!(
+        coordinator.register_batch_on(n(1), "late", app),
+        Err(ClusterError::NodeUnavailable(n(1)))
+    );
+    for _ in 0..5 {
+        step_checked(&mut coordinator);
+    }
+    let snapshot = coordinator.snapshot();
+    assert!(
+        snapshot.tenants.iter().all(|t| t.name != "late"),
+        "the refused tenant entered the table"
+    );
+}
+
+#[test]
+fn a_directed_registration_on_an_undetected_crash_is_recovered_by_evacuation() {
+    let base = roomy(8);
+    let mut coordinator = two_nodes(&base, FleetFaultPlan::none().with_crash(n(1), 1));
+    step_checked(&mut coordinator);
+    step_checked(&mut coordinator);
+    // n1 crashed at quantum 1 but has missed only one heartbeat: like
+    // placement, a directed registration still takes it.
+    assert_eq!(
+        coordinator.node_health(n(1)),
+        Some(NodeHealth::Suspect { missed: 1 })
+    );
+    let app = batch::mix(1, 0xBEEF).apps[0];
+    let late = coordinator
+        .register_batch_on(n(1), "late", app)
+        .expect("a crash not yet declared Down is still a target");
+    let mut events = Vec::new();
+    for _ in 2..base.duration_slices {
+        step_checked(&mut coordinator);
+        events.extend(coordinator.drain_events());
+    }
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            ClusterEvent::Evacuated { tenant, from, to, .. }
+                if *tenant == late && *from == n(1) && *to == n(0)
+        )),
+        "the tenant was not evacuated off the crashed node: {events:?}"
+    );
+    assert_eq!(coordinator.tenant_node(late), Some(n(0)));
+    assert!(coordinator.tenant_state(late).is_some_and(|s| s.is_live()));
 }

@@ -12,6 +12,7 @@ use cuttlesys::types::TIMESLICE_MS;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sweep::detectors::{max_adjacent_drop, max_true_streak, residency};
+use sweep::spec::MAX_NODE_QUANTA;
 use sweep::{load_spec, LoadShape, SweepError};
 use workloads::loadgen::LoadPattern;
 
@@ -372,6 +373,42 @@ fn seeds_are_canonicalized_sorted_and_deduplicated() {
     let range = load_spec(&scenario_with("").replace("[1]", r#"{"range": [3, 6]}"#))
         .expect("seed range loads");
     assert_eq!(range.seeds, vec![3, 4, 5]);
+}
+
+/// [`scenario_with`] at `quanta` quanta over the seeds `seeds`.
+fn sized(quanta: usize, seeds: &str, extra: &str) -> String {
+    scenario_with(extra)
+        .replace(r#""quanta": 2"#, &format!(r#""quanta": {quanta}"#))
+        .replace("[1]", seeds)
+}
+
+#[test]
+fn specs_past_the_node_quanta_bound_are_refused_at_load() {
+    let max = MAX_NODE_QUANTA;
+    let cluster = |nodes: usize| format!(r#""topology": {{"kind": "cluster", "nodes": {nodes}}}"#);
+    let at = load_spec(&sized(max, "[1]", "")).expect("a spec at the bound loads");
+    assert_eq!(at.quanta, max);
+    let refusal = format!(
+        "the scenario describes more than {max} node-quanta \
+         (grid cells × seeds × nodes × quanta)"
+    );
+    for text in [
+        // One node-quantum past the bound along each factor.
+        sized(max + 1, "[1]", ""),
+        sized(1, &format!(r#"{{"range": [0, {}]}}"#, max + 1), ""),
+        sized(1, "[1]", &cluster(max + 1)),
+        // Past it only as a product: of quanta and seeds, and of grid cells.
+        sized(max / 2 + 1, "[1, 2]", ""),
+        sized(
+            max / 4 + 1,
+            "[1]",
+            r#""caps": [0.5, 0.7], "fault_profiles": ["clean", "lossy-sensors"]"#,
+        ),
+        // A product that overflows the integer type.
+        sized(u32::MAX as usize, "[1, 2]", &cluster(u32::MAX as usize)),
+    ] {
+        assert_eq!(load_err(&text), refusal, "{text}");
+    }
 }
 
 #[test]
