@@ -8,12 +8,15 @@
 //! given twice — is a usage error, never a silent default. Flags may appear
 //! anywhere relative to positionals.
 //!
-//! Exit status: `0` ok, `1` usage (or an input the experiment refused, or
-//! an unwritable `--json` path), `2` the experiment's own acceptance failed.
-
-use std::path::Path;
+//! `paper record` runs, in registry order, every experiment that needs no
+//! argument, each at its defaults and under a `=== paper <id> ===` header:
+//! the paper record, kept as `results/full_run.txt`.
+//!
+//! Exit status: `0` ok, `1` usage (or an input the experiment refused), `2`
+//! an experiment's own acceptance failed.
 
 use crate::experiments::{Experiment, REGISTRY};
+use crate::report::Report;
 
 /// Which values an argument accepts.
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +59,11 @@ impl ArgSpec {
         !self.is_switch() && !self.name.starts_with("--")
     }
 
+    /// A positional without a default must be given.
+    fn is_required(&self) -> bool {
+        self.is_positional() && self.default.is_empty()
+    }
+
     fn accepts(&self, value: &str) -> bool {
         match self.kind {
             Kind::Int(min) => value.parse::<u64>().is_ok_and(|v| v >= min),
@@ -88,18 +96,6 @@ impl ArgSpec {
     }
 }
 
-/// The global option every experiment accepts.
-const JSON: ArgSpec = ArgSpec {
-    name: "--json",
-    kind: Kind::Text,
-    default: "",
-};
-
-/// An experiment's arguments plus the global one, in usage order.
-fn specs_of(experiment: &Experiment) -> Vec<ArgSpec> {
-    experiment.args.iter().copied().chain([JSON]).collect()
-}
-
 fn synopsis(specs: &[ArgSpec]) -> String {
     let each: Vec<String> = specs.iter().map(ArgSpec::synopsis).collect();
     each.join(" ")
@@ -107,8 +103,11 @@ fn synopsis(specs: &[ArgSpec]) -> String {
 
 /// The usage line of one experiment.
 pub fn usage(experiment: &Experiment) -> String {
-    let specs = specs_of(experiment);
-    format!("usage: paper {} {}", experiment.id, synopsis(&specs))
+    format!(
+        "usage: paper {} {}",
+        experiment.id,
+        synopsis(experiment.args)
+    )
 }
 
 /// A validated command line: one value per declared argument.
@@ -186,16 +185,20 @@ pub fn parse(specs: &[ArgSpec], argv: &[String]) -> Result<Args, String> {
 /// Runs `paper <argv>`: prints to stdout/stderr and returns the exit status.
 pub fn run(argv: &[String]) -> u8 {
     let Some((id, rest)) = argv.split_first() else {
-        eprintln!("usage: paper <id> [args] [--json <path>] | paper list");
+        eprintln!("usage: paper <id> [args] | paper list | paper record");
         return 1;
     };
     if id == "list" && rest.is_empty() {
-        println!("paper <id> [arguments] [--json <path>], where <id> is one of:");
+        println!("paper <id> [arguments], where <id> is one of:");
         for e in REGISTRY {
             let row = format!("  {:<24}{:<28}{}", e.id, e.paper_item, synopsis(e.args));
             println!("{}", row.trim_end());
         }
+        println!("paper record runs each one that needs no argument, at its defaults.");
         return 0;
+    }
+    if id == "record" && rest.is_empty() {
+        return record();
     }
     let Some(experiment) = REGISTRY.iter().find(|e| e.id == id) else {
         let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
@@ -205,27 +208,43 @@ pub fn run(argv: &[String]) -> u8 {
         );
         return 1;
     };
-    let args = match parse(&specs_of(experiment), rest) {
-        Ok(args) => args,
+    match parse(experiment.args, rest) {
+        Ok(args) => finish(id, &(experiment.run)(&args)),
         Err(msg) => {
             eprintln!("paper {id}: {msg}\n{}", usage(experiment));
-            return 1;
+            1
         }
-    };
-    let report = (experiment.run)(&args);
+    }
+}
+
+/// The experiments `paper record` runs: those without a required argument,
+/// in registry order.
+fn recorded() -> impl Iterator<Item = &'static Experiment> {
+    REGISTRY
+        .iter()
+        .filter(|e| !e.args.iter().any(ArgSpec::is_required))
+}
+
+/// `paper record`: each [`recorded`] experiment at its defaults; the worst
+/// exit status wins.
+fn record() -> u8 {
+    let mut status = 0;
+    for e in recorded() {
+        println!("=== paper {} ===", e.id);
+        let args = parse(e.args, &[]).expect("every default is valid");
+        status = status.max(finish(e.id, &(e.run)(&args)));
+        println!();
+    }
+    status
+}
+
+/// Prints a report and returns its exit status.
+fn finish(id: &str, report: &Report) -> u8 {
     if let Some(msg) = &report.refused {
         eprintln!("paper {id}: {msg}");
         return 1;
     }
     print!("{}", report.render());
-    let json = args.word(JSON.name);
-    if !json.is_empty() {
-        if let Err(e) = util::json::emit_json(Path::new(json), &report.to_json()) {
-            eprintln!("cannot write {json}: {e}");
-            return 1;
-        }
-        println!("JSON report written to {json}");
-    }
     if report.failed {
         2
     } else {
@@ -240,7 +259,7 @@ mod tests {
     fn parse_for(id: &str, argv: &[&str]) -> Result<Args, String> {
         let experiment = REGISTRY.iter().find(|e| e.id == id).expect("known id");
         let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
-        parse(&specs_of(experiment), &argv)
+        parse(experiment.args, &argv)
     }
 
     #[test]
@@ -250,25 +269,21 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.int("slices"), 3);
         assert_eq!(a.word("--scenario"), "relocation");
-        let c = parse_for("fig05", &["1", "--runtime", "--json", "x.json"]).unwrap();
+        let c = parse_for("fig05", &["1", "--runtime"]).unwrap();
         assert_eq!(
             (c.word("mode"), c.int("mixes_per_service")),
             ("--runtime", 1)
         );
-        assert_eq!(c.word("--json"), "x.json");
     }
 
     #[test]
     fn absent_arguments_take_their_declared_defaults() {
         let a = parse_for("fault-matrix", &[]).unwrap();
-        assert_eq!(
-            (a.int("--seed"), a.int("slices"), a.word("--json")),
-            (7, 10, "")
-        );
+        assert_eq!((a.int("--seed"), a.int("slices")), (7, 10));
         let b = parse_for("flicker", &["0.6"]).unwrap();
         assert_eq!(
             (b.fraction("cap_fraction"), b.int("mixes_per_service")),
-            (0.6, 1)
+            (0.6, 2)
         );
         assert_eq!(parse_for("fig01", &[]).unwrap().word("--full"), "");
     }
@@ -307,7 +322,6 @@ mod tests {
                 &["--sweep", "--scatter"],
                 "mode given more than once",
             ),
-            ("fig08", &["3", "--json"], "flag --json needs a value"),
             ("table2", &["--full"], "unknown flag \"--full\""),
         ] {
             let err = parse_for(id, argv).expect_err(&format!("{id} {argv:?} must be rejected"));
@@ -318,7 +332,7 @@ mod tests {
     /// Seeded random command lines for every experiment, drawn from every
     /// registry flag and switch word, the experiment's own values, numbers
     /// at and beyond the `u64` and `f64` limits, empty strings and dashes
-    /// (so `--json` is often followed by another flag, and arguments repeat).
+    /// (so an option is often followed by another flag, and arguments repeat).
     /// `parse` never panics, and on every `Ok` each declared `Int` and
     /// `Fraction` argument reads back through `Args::int` / `Args::fraction`
     /// inside its declared range.
@@ -335,7 +349,7 @@ mod tests {
             .split_whitespace()
             .collect();
         let mut words = vec!["", " ", "-", "--", "---json", "x.json", "ü"];
-        for spec in REGISTRY.iter().flat_map(specs_of) {
+        for spec in REGISTRY.iter().flat_map(|e| e.args) {
             words.push(spec.name);
             if let Kind::OneOf(one_of) = spec.kind {
                 words.extend(one_of);
@@ -344,11 +358,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xC11);
         let mut accepted = 0;
         for experiment in REGISTRY {
-            let specs = specs_of(experiment);
+            let specs = experiment.args;
             // Half the tokens come from the experiment's own arguments, so
             // that non-empty lines parse and hostile numbers follow its flags.
-            let mut own = vec![];
-            for spec in &specs {
+            let mut own = vec![""];
+            for spec in specs {
                 own.extend([spec.name, spec.default]);
                 if let Kind::OneOf(one_of) = spec.kind {
                     own.extend(one_of);
@@ -359,7 +373,7 @@ mod tests {
             for spec in specs.iter().filter(|s| s.is_option()) {
                 lines.extend(numbers.iter().map(|&n| vec![spec.name, n]));
             }
-            for _ in 0..1000 {
+            for _ in 0..2500 {
                 let len = rng.random_range(1..7);
                 lines.push(
                     (0..len)
@@ -377,7 +391,7 @@ mod tests {
             for line in lines {
                 let argv: Vec<String> = line.iter().map(|t| t.to_string()).collect();
                 let at = format!("paper {} {argv:?}", experiment.id);
-                let parsed = catch_unwind(|| parse(&specs, &argv));
+                let parsed = catch_unwind(|| parse(specs, &argv));
                 let Ok(args) = parsed.unwrap_or_else(|_| panic!("{at}: parse panicked")) else {
                     continue;
                 };
@@ -404,7 +418,7 @@ mod tests {
     #[test]
     fn every_declared_default_is_itself_valid() {
         for experiment in REGISTRY {
-            for spec in specs_of(experiment) {
+            for spec in experiment.args {
                 assert!(
                     spec.default.is_empty() || spec.accepts(spec.default),
                     "{}: {}",
@@ -417,8 +431,16 @@ mod tests {
         assert_eq!(
             usage(fig08),
             "usage: paper fig08 [--scenario <all|load|power|relocation>, default all] \
-             [slices: integer >= 1, default 10] [--json <path>]"
+             [slices: integer >= 1, default 10]"
         );
+    }
+
+    #[test]
+    fn the_record_runs_every_experiment_but_the_sweep() {
+        let ids: Vec<&str> = recorded().map(|e| e.id).collect();
+        let all: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        assert_eq!(ids, all[..17]);
+        assert_eq!(all[17], "sweep");
     }
 
     #[test]
@@ -431,7 +453,7 @@ mod tests {
         let declared: usize = REGISTRY.iter().map(|e| e.args.len()).sum();
         assert_eq!(
             declared, 16,
-            "per-experiment arguments (the paper's 14 + the sweep's 2, plus --json)"
+            "per-experiment arguments (the paper's 14 + the sweep's 2)"
         );
     }
 }

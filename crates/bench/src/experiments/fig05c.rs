@@ -3,7 +3,7 @@
 //! partitioning), the oracle-like asymmetric multicore, the fixed 50-50
 //! asymmetric multicore, and CuttleSys.
 //!
-//! Default 2 mixes per service; the paper uses 10 → 50 co-locations.
+//! Default 10 mixes per service → the paper's 50 co-locations.
 
 use baselines::gating::GatingOrder;
 use cuttlesys::managers::{AsymmetricMode, Scheme};

@@ -33,7 +33,7 @@ pub struct Experiment {
     pub id: &'static str,
     /// The table, figure or section of the paper it regenerates.
     pub paper_item: &'static str,
-    /// Its declared arguments (the global `--json` is not listed).
+    /// Its declared arguments.
     pub args: &'static [ArgSpec],
     /// Runs it.
     pub run: fn(&Args) -> Report,
@@ -83,13 +83,13 @@ const OUT: ArgSpec = arg("--out", Text, "");
 pub const REGISTRY: &[Experiment] = &[
     Experiment { id: "fig01", paper_item: "Fig. 1 (§III)", args: &[FULL], run: fig01::run },
     Experiment { id: "table2", paper_item: "Table II", args: &[], run: table2::run },
-    Experiment { id: "fig05", paper_item: "Fig. 5(a)/(b)", args: &[FIG05_MODE, mixes("2")], run: fig05::run },
-    Experiment { id: "fig05c", paper_item: "Fig. 5(c)", args: &[mixes("2")], run: fig05c::run },
+    Experiment { id: "fig05", paper_item: "Fig. 5(a)/(b)", args: &[FIG05_MODE, mixes("10")], run: fig05::run },
+    Experiment { id: "fig05c", paper_item: "Fig. 5(c)", args: &[mixes("10")], run: fig05c::run },
     Experiment { id: "fig07", paper_item: "Fig. 7", args: &[CAP], run: fig07::run },
     Experiment { id: "fig08", paper_item: "Fig. 8(a)-(c)", args: &[PANEL, SLICES], run: fig08::run },
     Experiment { id: "fig09", paper_item: "Fig. 9", args: &[], run: fig09::run },
-    Experiment { id: "fig10", paper_item: "Fig. 10(a)/(b)", args: &[FIG10_MODE, mixes("1")], run: fig10::run },
-    Experiment { id: "flicker", paper_item: "§VIII-E", args: &[CAP, mixes("1")], run: flicker::run },
+    Experiment { id: "fig10", paper_item: "Fig. 10(a)/(b)", args: &[FIG10_MODE, mixes("10")], run: fig10::run },
+    Experiment { id: "flicker", paper_item: "§VIII-E", args: &[CAP, mixes("2")], run: flicker::run },
     Experiment { id: "pareto", paper_item: "§I/§II motivation", args: &[], run: pareto::run },
     Experiment { id: "feedback", paper_item: "§IV open vs closed loop", args: &[], run: feedback::run },
     Experiment { id: "ablation-training-set", paper_item: "§VIII-A2", args: &[], run: training_set::run },

@@ -117,13 +117,11 @@ pub(super) fn run(_: &Args) -> Report {
         dynamic * dvfs_floor.dynamic_scale(params.frequency_ghz) + leak * dvfs_floor.leakage_scale()
     };
     report.line(format!(
-        "Idle (parked) core power: fixed core at DVFS floor {:.2} W vs          reconfigurable core at {{2,2,2}} {:.2} W ({:.0}% lower) — the
-         energy-proportionality benefit of gating capacity instead of slowing it.
-",
-        dvfs_parked,
-        reconf_idle,
+        "Idle (parked) core power: fixed core at DVFS floor {dvfs_parked:.2} W vs reconfigurable \
+         core at {{2,2,2}} {reconf_idle:.2} W ({:.0}% lower) —",
         100.0 * (1.0 - reconf_idle / dvfs_parked)
     ));
+    report.line("the energy-proportionality benefit of gating capacity instead of slowing it.\n");
 
     // Chip-level: 16 batch cores under tightening budgets — maxBIPS over
     // the modern ladder vs an oracle sweep of core configurations.

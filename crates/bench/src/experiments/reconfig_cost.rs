@@ -44,7 +44,8 @@ pub(super) fn run(_: &Args) -> Report {
     report.table(table);
     report.line("Even two orders of magnitude above the AnyCore-scale estimate, transition");
     report.line("stalls are noise at a 100 ms quantum — the paper's choice is safe here.");
-    report.line("(The fixed 2 ms profiling + ~10 ms decision overhead are the real quantum");
-    report.line("floor: at 10 ms quanta they would consume the entire interval.)");
+    report.line("(The fixed 2 ms of profiling plus the decision itself, which `paper table2`");
+    report.line("measures, are the real quantum floor: at 10 ms quanta they would take a");
+    report.line("visible share of every interval.)");
     report
 }

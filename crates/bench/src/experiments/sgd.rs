@@ -129,8 +129,8 @@ pub(super) fn run(_: &Args) -> Report {
     report.table(table);
     report.line("Measured reality on cache-coherent x86: faithful lock-free HOGWILD does not");
     report.line("gain wall-clock here — atomic element accesses defeat vectorization and the");
-    report.line("shared column factors ping-pong between cores. The runtime's parallelism");
-    report.line("instead comes from running the three reconstructions concurrently");
-    report.line("(complete_all_session on the worker pool), which is contention-free.");
+    report.line("shared column factors ping-pong between cores. The runtime does not need it:");
+    report.line("it learns the configuration factors once and folds each live row in inline,");
+    report.line("with a closed-form solve, so no SGD runs in a steady-state quantum.");
     report
 }

@@ -1,12 +1,13 @@
 //! The experiment harness: every table and figure of the paper, regenerated
-//! by one binary, `paper` (`cargo paper <id> [args]`; `cargo paper list`).
+//! by one binary, `paper` (`cargo paper <id> [args]`; `cargo paper list`;
+//! `cargo paper record` for all of them at their defaults).
 //! The same binary runs the statistical scenario sweeps of the `sweep`
 //! crate (`cargo paper sweep <scenario.json> [--out <dir>]`).
 //!
 //! * [`experiments`] — one module per experiment and the [`REGISTRY`] table
 //!   that names them (DESIGN.md §4 is the index, by id).
 //! * [`cli`] — the one strict argument parser (each experiment declares its
-//!   arguments as data) and the one print / `--json` / exit-status path.
+//!   arguments as data), the one print / exit-status path, and the record.
 //! * [`report`] — fixed-width [`Table`]s and the [`Report`] an experiment
 //!   returns.
 //!

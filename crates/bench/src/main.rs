@@ -1,4 +1,4 @@
-//! `paper <id> [args] [--json <path>]` — see [`bench::cli`].
+//! `paper <id> [args] | paper list | paper record` — see [`bench::cli`].
 
 use std::process::ExitCode;
 

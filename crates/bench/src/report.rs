@@ -2,13 +2,9 @@
 //!
 //! Every experiment reports the same rows/series the paper's table or
 //! figure does; a fixed-width text table keeps the output diffable and easy
-//! to transcribe into EXPERIMENTS.md. An experiment never prints: it fills a
+//! to quote in EXPERIMENTS.md. An experiment never prints: it fills a
 //! [`Report`] with tables and footer lines in the order they should appear,
-//! and the `paper` binary prints it and — under the global `--json <path>` —
-//! writes the same tables as one JSON array, so plots can be regenerated
-//! without scraping text.
-
-use util::json::JsonValue;
+//! and the `paper` binary prints it.
 
 /// A fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -67,39 +63,6 @@ impl Table {
         }
         out
     }
-
-    /// The table as a JSON object `{title, headers, rows}`.
-    ///
-    /// Cells that parse as finite numbers become JSON numbers so downstream
-    /// plotting scripts need no string munging; everything else (names,
-    /// `2.46x` ratios, `70%` caps) stays a string.
-    pub fn to_json(&self) -> JsonValue {
-        let cell = |c: &String| match c.parse::<f64>() {
-            Ok(v) if v.is_finite() => JsonValue::Num(v),
-            _ => JsonValue::Str(c.clone()),
-        };
-        JsonValue::Obj(vec![
-            ("title".into(), JsonValue::Str(self.title.clone())),
-            (
-                "headers".into(),
-                JsonValue::Arr(
-                    self.headers
-                        .iter()
-                        .map(|h| JsonValue::Str(h.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "rows".into(),
-                JsonValue::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| JsonValue::Arr(r.iter().map(cell).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// What an experiment hands back to `main`: its tables and footer lines in
@@ -107,11 +70,10 @@ impl Table {
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     text: String,
-    tables: Vec<Table>,
     /// The experiment's own acceptance failed (exit status 2).
     pub failed: bool,
     /// The experiment refused its input (exit status 1): the message goes
-    /// to stderr and nothing is printed or written.
+    /// to stderr and nothing is printed.
     pub refused: Option<String>,
 }
 
@@ -120,7 +82,6 @@ impl Report {
     pub fn table(&mut self, table: Table) {
         self.text.push_str(&table.render());
         self.text.push('\n');
-        self.tables.push(table);
     }
 
     /// Appends one line of prose (an empty string is a blank line).
@@ -132,11 +93,6 @@ impl Report {
     /// The report as it is printed to stdout.
     pub fn render(&self) -> &str {
         &self.text
-    }
-
-    /// The report's tables as a JSON array of [`Table::to_json`] objects.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(self.tables.iter().map(Table::to_json).collect())
     }
 }
 
@@ -175,24 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn table_to_json_types_numeric_cells() {
-        let mut t = Table::new("demo", &["scheme", "value"]);
-        t.row(vec!["cuttlesys".into(), "1.25".into()]);
-        let json = t.to_json().to_string();
-        assert!(json.contains("\"rows\":[[\"cuttlesys\",1.25]]"), "{json}");
-    }
-
-    #[test]
-    fn report_prints_in_order_and_serializes_tables_only() {
+    fn report_prints_in_order() {
         let mut t = Table::new("demo", &["k"]);
         t.row(vec!["1".into()]);
         let mut report = Report::default();
         report.table(t);
         report.line("footer");
         assert_eq!(report.render(), "== demo ==\nk\n-\n1\n\nfooter\n");
-        assert_eq!(
-            report.to_json().to_string(),
-            "[{\"title\":\"demo\",\"headers\":[\"k\"],\"rows\":[[1]]}]"
-        );
     }
 }

@@ -1,9 +1,9 @@
 //! The `paper` binary from the outside: exit statuses, what goes to which
-//! stream, and — the fence for "same" — every paper experiment's stdout
-//! against the output its pre-consolidation binary printed
-//! (`tests/golden/paper/<id>.txt`, captured from the 17 `src/bin/*.rs`
-//! programs before they were folded into one). `paper sweep` is pinned by
-//! the summary it writes (`tests/golden/sweep_smoke_summary.json`).
+//! stream, and — the fence for "same" — the paper record: `paper record`
+//! must print `results/full_run.txt`, and every table EXPERIMENTS.md quotes
+//! from it (a fence opened with `record <id>`) must occur in that section.
+//! `paper sweep` is pinned by the summary it writes
+//! (`tests/golden/sweep_smoke_summary.json`).
 
 use std::process::{Command, Output};
 
@@ -18,30 +18,56 @@ fn text(bytes: &[u8]) -> String {
     String::from_utf8(bytes.to_vec()).expect("utf-8 output")
 }
 
-/// The invocation each golden file was captured with: default arguments,
-/// except 1 mix where the default is larger and 3 slices where slices are
-/// settable (`fault-matrix` keeps its 10: at 3 it fails its own acceptance,
-/// which `a_failed_acceptance_exits_2` uses). `true` marks the four whose
-/// tables carry wall-clock columns.
-const GOLDEN_RUNS: [(&str, &[&str], bool); 17] = [
-    ("fig01", &[], false),
-    ("table2", &[], true),
-    ("fig05", &["--both", "1"], false),
-    ("fig05c", &["1"], false),
-    ("fig07", &[], false),
-    ("fig08", &["3"], false),
-    ("fig09", &[], false),
-    ("fig10", &[], false),
-    ("flicker", &[], false),
-    ("pareto", &[], false),
-    ("feedback", &[], false),
-    ("ablation-training-set", &[], true),
-    ("ablation-dds-iters", &[], true),
-    ("ablation-gating-orders", &["1"], false),
-    ("ablation-sgd", &[], true),
-    ("ablation-reconfig-cost", &[], false),
-    ("fault-matrix", &[], false),
+/// The record sections whose tables carry wall-clock columns: they are
+/// compared through [`mask_timings`], every other section byte for byte.
+const TIMED: [&str; 4] = [
+    "table2",
+    "ablation-training-set",
+    "ablation-dds-iters",
+    "ablation-sgd",
 ];
+
+/// The committed paper record: what `paper record` prints.
+const RECORD: &str = include_str!("../../../results/full_run.txt");
+
+/// A record's sections, `(id, body)`, in order: each body is what `paper
+/// <id>` prints, followed by one blank line.
+fn sections(record: &str) -> Vec<(&str, &str)> {
+    let mut out: Vec<(&str, &str)> = vec![];
+    let mut rest = record;
+    while let Some(header) = rest.strip_prefix("=== paper ") {
+        let (id, after) = header.split_once(" ===\n").expect("a header line");
+        let end = after.find("\n=== paper ").map_or(after.len(), |i| i + 1);
+        out.push((id, &after[..end]));
+        rest = &after[end..];
+    }
+    assert!(rest.is_empty(), "text outside any section: {rest:.80}");
+    out
+}
+
+/// The committed section of `id`.
+fn section(id: &str) -> &'static str {
+    let found = sections(RECORD).into_iter().find(|(s, _)| *s == id);
+    found
+        .unwrap_or_else(|| panic!("results/full_run.txt has no section {id}"))
+        .1
+}
+
+/// `text` as section `id` is compared: through [`mask_timings`] in the four
+/// [`TIMED`] sections, verbatim in the others.
+fn comparable(id: &str, text: &str) -> String {
+    if TIMED.contains(&id) {
+        mask_timings(text)
+    } else {
+        text.to_string()
+    }
+}
+
+/// `quote`'s lines occur, in order and whole, in section `id` of the record.
+fn quotes(id: &str, quote: &str) -> bool {
+    let (body, quote) = (comparable(id, section(id)), comparable(id, quote));
+    format!("\n{body}").contains(&format!("\n{quote}"))
+}
 
 /// Blanks what a stopwatch or a HOGWILD race decides — `<x> ms`,
 /// `<x> ms/app`, and `ablation-sgd`'s `<x>x` speedup and `<x> pp` delta —
@@ -75,27 +101,61 @@ fn mask_timings(text: &str) -> String {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "runs all 17 experiments; minutes unoptimized — CI runs it under --release"
+    ignore = "runs all 17 experiments at full size; minutes unoptimized — CI runs it under --release"
 )]
-fn every_experiment_prints_what_its_old_binary_printed() {
-    let golden_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/paper");
-    for (id, args, timed) in GOLDEN_RUNS {
-        let golden = std::fs::read_to_string(format!("{golden_dir}/{id}.txt"))
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
-        let mut argv = vec![id];
-        argv.extend(args);
-        let out = paper(&argv);
-        assert_eq!(out.status.code(), Some(0), "{id}: {}", text(&out.stderr));
-        let printed = text(&out.stdout);
-        if timed {
-            assert_eq!(
-                mask_timings(&printed),
-                mask_timings(&golden),
-                "{id} (timings masked)"
-            );
-        } else {
-            assert_eq!(printed, golden, "{id}");
-        }
+fn the_committed_record_is_what_paper_record_prints() {
+    let out = paper(&["record"]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let printed = text(&out.stdout);
+    let (printed, committed) = (sections(&printed), sections(RECORD));
+    let ids = |s: &[(&str, &str)]| s.iter().map(|(id, _)| id.to_string()).collect::<Vec<_>>();
+    assert_eq!(ids(&printed), ids(&committed));
+    assert_eq!(printed.len(), 17);
+    for ((id, body), (_, pinned)) in printed.iter().zip(&committed) {
+        assert_eq!(
+            comparable(id, body),
+            comparable(id, pinned),
+            "{id}: regenerate with `cargo paper record > results/full_run.txt`"
+        );
+    }
+    // `paper <id>` alone prints its record section.
+    for id in ["fig07", "table2"] {
+        let out = paper(&[id]);
+        assert_eq!(out.status.code(), Some(0), "{id}");
+        let alone = format!("{}\n", text(&out.stdout));
+        assert_eq!(
+            comparable(id, &alone),
+            comparable(id, section(id)),
+            "paper {id}"
+        );
+    }
+}
+
+#[test]
+fn every_record_quote_in_experiments_md_is_in_the_record() {
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let mut quoted = vec![];
+    let mut rest = doc;
+    let fence = "\n```record ";
+    while let Some(start) = rest.find(fence) {
+        let (id, after) = rest[start + fence.len()..]
+            .split_once('\n')
+            .expect("a fence line");
+        let end = after.find("```\n").expect("the quote is closed");
+        let quote = &after[..end];
+        assert!(!quote.trim().is_empty(), "empty quote of {id}");
+        assert!(
+            quotes(id, quote),
+            "EXPERIMENTS.md quotes `record {id}` but that section does not print:\n{quote}"
+        );
+        quoted.push(id);
+        rest = &after[end..];
+    }
+    for (id, _) in sections(RECORD) {
+        assert!(
+            quoted.contains(&id),
+            "EXPERIMENTS.md quotes nothing of {id}"
+        );
     }
 }
 
@@ -120,11 +180,12 @@ fn malformed_invocations_exit_1_with_usage_on_stderr_and_nothing_on_stdout() {
             "usage: paper fault-matrix ",
         ),
         (&["fig07", "0,7"], "usage: paper fig07 "),
-        (&["fig08", "3", "--json"], "flag --json needs a value"),
+        (&["fig07", "--json", "x"], "unknown flag \"--json\""),
         (&["fig09", "3"], "usage: paper fig09 "),
         (&["fig10", "1", "2"], "unexpected argument \"2\""),
         (&["fig99"], "unknown experiment \"fig99\""),
         (&["list", "fig01"], "unknown experiment \"list\""),
+        (&["record", "fig01"], "unknown experiment \"record\""),
         (&[], "usage: paper <id>"),
     ] {
         let out = paper(argv);
@@ -170,27 +231,14 @@ fn positional_and_flag_order_does_not_change_the_run() {
 }
 
 #[test]
-fn a_failed_acceptance_exits_2_after_printing_and_writing_the_report() {
+fn a_failed_acceptance_exits_2_after_printing_the_report() {
     // Three slices are too few for the flaky-reconfig profile to leave a
     // telemetry trace — the experiment's own acceptance check.
-    let json = std::env::temp_dir().join(format!("paper_cli_{}.json", std::process::id()));
-    let out = paper(&[
-        "fault-matrix",
-        "3",
-        "--json",
-        json.to_str().expect("utf-8 path"),
-    ]);
+    let out = paper(&["fault-matrix", "3"]);
     assert_eq!(out.status.code(), Some(2), "{}", text(&out.stderr));
     assert!(text(&out.stderr).contains("flaky-reconfig: no degradation telemetry"));
     assert!(text(&out.stdout)
         .contains("== Fault-resilience matrix: xapian + mix 0, 3 slices, seed 7 =="));
-    let written = std::fs::read_to_string(&json).expect("--json wrote the report");
-    std::fs::remove_file(&json).expect("temp file removable");
-    let doc = util::json::parse(&written).expect("valid JSON");
-    let util::json::JsonValue::Arr(tables) = doc else {
-        panic!("--json writes an array of tables: {written}");
-    };
-    assert_eq!(tables.len(), 1);
 }
 
 /// A scratch path for one sweep test's files.

@@ -47,7 +47,7 @@ use workloads::batch::SpecBenchmark;
 
 use crate::balance::{decide_shift, BalanceConfig};
 use crate::faults::FleetFaultPlan;
-use crate::health::{DegradedMode, NodeHealth, MIN_DEGRADED_SHARE, SHARE_SHRINK};
+use crate::health::{DegradedMode, NodeHealth};
 use crate::migration::{
     retry_backoff, MigrationConfig, Relocation, COST_QUANTA, MAX_RETRIES, RETRY_BASE,
 };
@@ -234,8 +234,8 @@ pub enum ClusterEvent {
         quantum: usize,
     },
     /// Lost capacity left displaced tenants unplaceable for long enough;
-    /// the fleet starts shedding batch work (then shrinking LC shares
-    /// toward safe-mode allocations) until placement is feasible again.
+    /// the fleet sheds batch work, one tenant a quantum, until placement
+    /// is feasible again or no batch is left to shed.
     FleetDegraded {
         /// The quantum degraded mode engaged.
         quantum: usize,
@@ -1139,9 +1139,9 @@ impl ClusterCoordinator {
     }
 
     /// While degraded, frees capacity each quantum: sheds the most
-    /// recently placed live batch tenant on a serving node; once no batch
-    /// remains, shrinks every serving node's LC traffic shares toward the
-    /// safe-mode floor.
+    /// recently placed live batch tenant on a serving node. LC traffic is
+    /// never shed: admission charges an LC tenant for its cores, not its
+    /// share, so a smaller share would free no room for an evacuee.
     fn shed_for_capacity(&mut self) {
         let victims: Vec<ClusterTenantId> = self
             .movable_batch(|node| self.nodes[node.index()].is_serving())
@@ -1150,16 +1150,6 @@ impl ClusterCoordinator {
         for id in victims {
             if self.deregister(id).is_ok() {
                 return;
-            }
-        }
-        // No batch left to shed: shrink LC shares toward the floor.
-        for node in self.nodes.iter_mut().filter(|n| n.is_serving()) {
-            let shares = node.core().lc_traffic_shares().to_vec();
-            for (lc_index, share) in shares.into_iter().enumerate() {
-                let target = (share - SHARE_SHRINK).max(MIN_DEGRADED_SHARE);
-                if target < share {
-                    let _ = node.core_mut().set_lc_traffic_share(lc_index, target);
-                }
             }
         }
     }

@@ -125,11 +125,6 @@ pub const RECOVER_AFTER: usize = 2;
 pub const DEGRADE_AFTER: usize = 2;
 /// Consecutive feasible quanta before the fleet exits degraded mode.
 pub const RESTORE_AFTER: usize = 2;
-/// While degraded and out of batch to shed, LC traffic shares shrink
-/// toward this floor (the fleet's safe-mode allocation) ...
-pub const MIN_DEGRADED_SHARE: f64 = 0.5;
-/// ... by this much per quantum.
-pub const SHARE_SHRINK: f64 = 0.1;
 
 /// Fleet-level degraded mode with hysteretic entry and exit: the
 /// coordinator reports each quantum whether lost capacity left displaced

@@ -35,8 +35,7 @@
 //!   re-enter admission elsewhere, LC traffic folds onto surviving
 //!   replicas through the same share shift balancing uses), unplaceable tenants park `Relocating(Displaced)` with
 //!   bounded backoff, and sustained infeasibility engages a hysteretic
-//!   fleet degraded mode that sheds batch work, then shrinks LC shares
-//!   toward safe-mode allocations.
+//!   fleet degraded mode that sheds batch work (never LC traffic).
 //!
 //! # Determinism rules
 //!

@@ -42,6 +42,7 @@
 //! recorded registration trace replayed through the service reproduces the
 //! equivalent static scenario's record bit-for-bit.
 
+use dds::rng::standard_normal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simulator::{CacheAlloc, Chip, CoreState, JobConfig, JobId, LlcPartition};
@@ -55,14 +56,6 @@ use crate::types::{
     ProfilePlan, ProfileSample, ResourceManager, RunRecord, SamplePoint, Scenario, SliceInfo,
     SliceOutcome, SliceRecord, TIMESLICE_MS,
 };
-
-/// Draws a standard normal variate via the Box–Muller transform (the
-/// measurement-noise model).
-fn rng_normal(rng: &mut impl rand::RngExt) -> f64 {
-    let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
 
 /// Job `j`'s phase profile (LC tenants first, then batch jobs, as in every
 /// per-job vector). The seed depends on the scenario seed and the index
@@ -526,7 +519,7 @@ impl ScenarioDriver {
         if sigma == 0.0 {
             return value;
         }
-        (value * (1.0 + sigma * rng_normal(&mut self.rng))).max(0.0)
+        (value * (1.0 + sigma * standard_normal(&mut self.rng))).max(0.0)
     }
 
     /// Runs a profiling frame and returns what the manager measures: one

@@ -14,8 +14,6 @@
 //!   driven by the simulator's performance model.
 //! * [`queueing`] — an analytic M/M/k tail-latency model with explicit
 //!   saturation behaviour.
-//! * [`des`] — a discrete-event M/G/k queue simulator used to validate the
-//!   analytic model and to produce noisy runtime measurements.
 //! * [`loadgen`] — constant, diurnal, step, and spike input-load patterns
 //!   (§VIII-D).
 //! * [`phase`] — slow application phase drift, the source of runtime
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod des;
 pub mod latency;
 pub mod loadgen;
 pub mod oracle;
@@ -44,7 +41,6 @@ pub mod phase;
 pub mod queueing;
 
 pub use batch::{SpecBenchmark, SpecMix};
-pub use des::DesQueue;
 pub use latency::LcService;
 pub use loadgen::LoadPattern;
 pub use oracle::Oracle;

@@ -16,6 +16,8 @@
 //! * sustained placement infeasibility after capacity loss engages
 //!   degraded mode exactly once (hysteresis, no flapping), shedding
 //!   frees capacity for the displaced queue, and the fleet recovers;
+//! * a fleet that stays infeasible after every batch tenant is shed
+//!   keeps its LC traffic: degraded mode never lowers a share;
 //! * a migration whose destination refuses is re-aimed with backoff and
 //!   either lands on a serving node or, after its last retry, is
 //!   abandoned loudly;
@@ -77,9 +79,7 @@ fn n(index: usize) -> NodeId {
 /// `Relocating(Node(_))`, and its `displaced` (like `displaced_tenants`)
 /// those in `Relocating(Displaced)`. Also checks that LC traffic is
 /// conserved: each service's shares over every node that hosts it, down
-/// nodes included, sum to the number of those nodes. Only degraded-mode
-/// shrinking may lower that sum, and it shrinks LC shares only once no
-/// batch work is left to shed, which no run here reaches.
+/// nodes included, sum to the number of those nodes.
 fn step_checked(coordinator: &mut ClusterCoordinator) {
     let quantum = coordinator.quantum();
     coordinator
@@ -404,6 +404,52 @@ fn sustained_infeasibility_engages_degraded_mode_once_and_recovery_disengages_it
         );
     }
 
+    coordinator.shutdown().expect("fleet drain");
+}
+
+#[test]
+fn degraded_mode_sheds_batch_work_but_never_lc_traffic() {
+    // At this cap the survivor has no headroom for any evacuee, even after
+    // every retry, so the fleet stays infeasible after degraded mode has shed all of the
+    // survivor's own batch work. `step_checked` holds each LC service's
+    // shares at its replica count in every quantum, that one included.
+    let base = Scenario {
+        cap: LoadPattern::Constant(0.5),
+        ..four_batch_quiet(16)
+    };
+    let plan = FleetFaultPlan::none().with_crash(n(1), 2);
+    let mut coordinator = two_nodes(&base, plan);
+    let mut events = Vec::new();
+    let mut shed_all_at = None;
+    for _ in 0..base.duration_slices {
+        step_checked(&mut coordinator);
+        events.extend(coordinator.drain_events());
+        let snapshot = coordinator.snapshot();
+        let survivor_batch = snapshot
+            .tenants
+            .iter()
+            .filter(|t| t.node == n(0) && t.kind == "batch" && t.state.is_live())
+            .count();
+        if survivor_batch == 0 && snapshot.degraded {
+            shed_all_at.get_or_insert(snapshot.quantum);
+        }
+    }
+    let refused_retries = events
+        .iter()
+        .filter(|e| matches!(e, ClusterEvent::Displaced { attempts, .. } if *attempts > 0))
+        .count();
+    assert!(refused_retries > 0, "no retry was refused: {events:?}");
+    assert_eq!(
+        coordinator.displaced_tenants(),
+        4,
+        "the survivor placed one of the dead node's four batch tenants"
+    );
+    let shed_all_at = shed_all_at.expect("degraded mode never shed all the survivor's batch work");
+    assert!(
+        shed_all_at + 1 < base.duration_slices,
+        "no quantum ran degraded with no batch left to shed"
+    );
+    assert!(coordinator.is_degraded(), "the fleet recovered: {events:?}");
     coordinator.shutdown().expect("fleet drain");
 }
 
