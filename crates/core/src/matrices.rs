@@ -156,9 +156,19 @@ impl Predictions {
 /// whichever holder meets the bucket first. Every entry is a pure function
 /// of the chip, the training applications and the bucket, so holders on one
 /// chip share one library and no sharing moves a bit.
+///
+/// Of a tail bucket's training rows only the arrival rate depends on the
+/// bucket. So the per-core service rate of every tail-library variant in
+/// every configuration (two IPC evaluations each) is computed once, when
+/// the library is built, and meeting a bucket costs only its M/M/16 p99s and
+/// one fit. [`Oracle::tail_row`] queues the same rates the same way, so the
+/// rows are its bits, capped at [`TAIL_CAP_MS`]; and [`recsys::sgd::fit`]
+/// performs Alg. 1's per-entry updates in their order, so the factors are
+/// the bits of that reference loop too.
 pub struct FactorLibrary {
     oracle: Oracle,
-    tail_library: Vec<LcService>,
+    /// The tail-library variants, each with its service rates.
+    tail_library: Vec<(LcService, Vec<f64>)>,
     bips: ConfigFactors,
     watts: ConfigFactors,
     /// [`LOAD_BUCKETS`] slots. A holder that meets an empty slot learns it;
@@ -177,7 +187,13 @@ impl FactorLibrary {
             bips: learn_factors(&training_bips),
             watts: learn_factors(&training_watts),
             tail: (0..LOAD_BUCKETS).map(|_| OnceLock::new()).collect(),
-            tail_library: tail_library(),
+            tail_library: tail_library()
+                .into_iter()
+                .map(|svc| {
+                    let rates = oracle.service_rates(&svc);
+                    (svc, rates)
+                })
+                .collect(),
             oracle,
         }
     }
@@ -197,25 +213,27 @@ impl FactorLibrary {
         self.oracle.chip().params()
     }
 
-    /// `bucket`'s tail factors, learned on first use: the library
-    /// characterized at the bucket's load through the oracle, then one SGD
-    /// fit.
+    /// `bucket`'s tail factors, learned on first use: one SGD fit of the
+    /// bucket's [`tail_rows`](FactorLibrary::tail_rows).
     fn tail(&self, bucket: usize) -> &ConfigFactors {
-        self.tail[bucket].get_or_init(|| {
-            let load = bucket_load(bucket);
-            let rows: Vec<Vec<f64>> = self
-                .tail_library
-                .iter()
-                .map(|svc| {
-                    self.oracle
-                        .tail_row(svc, TAIL_REFERENCE_CORES, load)
-                        .into_iter()
-                        .map(|t| t.min(TAIL_CAP_MS))
-                        .collect()
-                })
-                .collect();
-            learn_factors(&rows)
-        })
+        self.tail[bucket].get_or_init(|| learn_factors(&self.tail_rows(bucket)))
+    }
+
+    /// The tail library characterized at `bucket`'s load: each variant's
+    /// stored service rates queued on [`TAIL_REFERENCE_CORES`] cores, capped
+    /// at [`TAIL_CAP_MS`].
+    fn tail_rows(&self, bucket: usize) -> Vec<Vec<f64>> {
+        let load = bucket_load(bucket);
+        self.tail_library
+            .iter()
+            .map(|(svc, rates)| {
+                let mut row = Oracle::tail_row_at_rates(svc, rates, TAIL_REFERENCE_CORES, load);
+                for t in &mut row {
+                    *t = t.min(TAIL_CAP_MS);
+                }
+                row
+            })
+            .collect()
     }
 }
 
@@ -578,6 +596,35 @@ mod tests {
         for orig in latency::services() {
             assert!(lib.iter().all(|v| v.profile != orig.profile));
         }
+    }
+
+    #[test]
+    fn library_bucket_rows_are_the_oracle_tail_rows_to_the_bit() {
+        let oracle = oracle();
+        let library = FactorLibrary::for_chip(SystemParams::default());
+        let variants = tail_library();
+        let step = if cfg!(debug_assertions) { 10 } else { 1 };
+        let (mut idle, mut capped) = (0, 0);
+        for bucket in (0..LOAD_BUCKETS).step_by(step) {
+            let rows = library.tail_rows(bucket);
+            assert_eq!(rows.len(), variants.len());
+            for (svc, row) in variants.iter().zip(&rows) {
+                let expected: Vec<u64> = oracle
+                    .tail_row(svc, TAIL_REFERENCE_CORES, bucket_load(bucket))
+                    .into_iter()
+                    .map(|t| t.min(TAIL_CAP_MS).to_bits())
+                    .collect();
+                let got: Vec<u64> = row.iter().map(|t| t.to_bits()).collect();
+                assert_eq!(got, expected, "{} at bucket {bucket}", svc.name);
+                if bucket == 0 {
+                    idle += row.len();
+                }
+                capped += row.iter().filter(|&&t| t == TAIL_CAP_MS).count();
+            }
+        }
+        // Bucket 0 (no arrivals) and capped, saturated cells are covered.
+        assert_eq!(idle, variants.len() * NUM_JOB_CONFIGS);
+        assert!(capped > 0, "no saturated, capped cell was compared");
     }
 
     #[test]

@@ -65,7 +65,12 @@ pub struct SgdModel {
     pub q: DenseMatrix,
     /// Column factors, `cols × rank`.
     pub p: DenseMatrix,
-    /// RMSE over observed entries after the final epoch.
+    /// RMSE over the observed entries. The two fitters measure it at
+    /// different moments: [`fit`] reports the errors met *during* its final
+    /// epoch, each taken before that entry's update (infinite when no epoch
+    /// ran); [`crate::hogwild::fit_parallel_in`] reports
+    /// [`rmse`](SgdModel::rmse) of the finished model. Compare two models'
+    /// training error through `rmse`, not through this field.
     pub train_rmse: f64,
     /// Number of epochs actually run.
     pub epochs: usize,
@@ -82,6 +87,19 @@ impl SgdModel {
             .map(|(a, b)| a * b)
             .sum();
         self.mu + self.row_bias[row] + self.col_bias[col] + residual
+    }
+
+    /// RMSE of the model's predictions over the observed entries of
+    /// `matrix`, in its row-major order.
+    pub fn rmse(&self, matrix: &RatingMatrix) -> f64 {
+        let sq_err: f64 = matrix
+            .observed()
+            .map(|(i, j, r)| {
+                let e = r - self.predict(i, j);
+                e * e
+            })
+            .sum();
+        (sq_err / matrix.observed_len() as f64).sqrt()
     }
 
     /// The full reconstructed matrix.
@@ -168,6 +186,20 @@ pub(crate) fn initial_factors(
 /// Fits Alg. 1 (with bias terms) on the observed entries of `matrix`:
 /// in-place SGD until `max_iters` epochs or relative-RMSE convergence.
 ///
+/// Each epoch visits the observed entries in row-major order, so a row's
+/// entries form one run. The row's bias and factor vector are read once at
+/// the start of its run, updated in locals (registers, at the default rank
+/// 2) across the run, and written back at its end; only the column's bias
+/// and factors go through memory per entry. Every update is the same
+/// floating-point operation, in the same order, on the same values as the
+/// per-entry formulation of the module docs, so the model is the same to the
+/// bit at every rank — `tests/inference.rs` checks this against the
+/// per-entry loop.
+///
+/// The model's `train_rmse` is the RMSE of the final epoch's errors, each
+/// taken before its entry's update — the figure the convergence test
+/// compares — not a pass over the finished model.
+///
 /// # Panics
 ///
 /// Panics if the matrix has no observed entries.
@@ -176,45 +208,85 @@ pub fn fit(matrix: &RatingMatrix, config: &SgdConfig) -> SgdModel {
         matrix.observed_len() > 0,
         "cannot fit an empty rating matrix"
     );
-    let (mu, mut row_bias, mut col_bias) = initial_biases(matrix);
-    let (mut q, mut p) = initial_factors(matrix, config, mu, &row_bias, &col_bias);
-    let observed: Vec<(usize, usize, f64)> = matrix.observed().collect();
-    let (eta, lambda) = (config.learning_rate, config.regularization);
-    let n = observed.len() as f64;
-    let rank = q.cols();
-    let mut prev_rmse = f64::INFINITY;
-    let mut epochs = 0;
-    let mut rmse = f64::INFINITY;
-    for _ in 0..config.max_iters {
-        epochs += 1;
-        let mut sq_err = 0.0;
-        for &(i, j, r) in &observed {
-            let residual: f64 = q.row(i).iter().zip(p.row(j)).map(|(a, b)| a * b).sum();
-            let err = r - (mu + row_bias[i] + col_bias[j] + residual);
-            sq_err += err * err;
-            row_bias[i] += eta * (err - lambda * row_bias[i]);
-            col_bias[j] += eta * (err - lambda * col_bias[j]);
-            for k in 0..rank {
-                let qik = q.get(i, k);
-                let pjk = p.get(j, k);
-                q.set(i, k, qik + eta * (err * pjk - lambda * qik));
-                p.set(j, k, pjk + eta * (err * qik - lambda * pjk));
-            }
-        }
-        rmse = (sq_err / n).sqrt();
-        if prev_rmse.is_finite() && (prev_rmse - rmse).abs() <= config.convergence_tol * prev_rmse {
-            break;
-        }
-        prev_rmse = rmse;
-    }
-    SgdModel {
+    let (mu, row_bias, col_bias) = initial_biases(matrix);
+    let (q, p) = initial_factors(matrix, config, mu, &row_bias, &col_bias);
+    let mut model = SgdModel {
         mu,
         row_bias,
         col_bias,
         q,
         p,
-        train_rmse: rmse,
-        epochs,
+        train_rmse: f64::INFINITY,
+        epochs: 0,
+    };
+    let observed: Vec<(usize, usize, f64)> = matrix.observed().collect();
+    if model.q.cols() == 2 {
+        run_epochs::<[f64; 2]>(&mut model, &observed, config);
+    } else {
+        run_epochs::<Vec<f64>>(&mut model, &observed, config);
+    }
+    model
+}
+
+/// A row's factor vector while SGD walks the row's run: a fixed-size array
+/// at the runtime's rank, so it lives in registers, a `Vec` at any other.
+trait RowFactors: AsRef<[f64]> + AsMut<[f64]> {
+    fn zeroed(rank: usize) -> Self;
+}
+
+impl<const R: usize> RowFactors for [f64; R] {
+    fn zeroed(_rank: usize) -> Self {
+        [0.0; R]
+    }
+}
+
+impl RowFactors for Vec<f64> {
+    fn zeroed(rank: usize) -> Self {
+        vec![0.0; rank]
+    }
+}
+
+/// The epoch loop of [`fit`], over `observed` in row-major order.
+fn run_epochs<Q: RowFactors>(
+    model: &mut SgdModel,
+    observed: &[(usize, usize, f64)],
+    config: &SgdConfig,
+) {
+    let (mu, eta, lambda) = (model.mu, config.learning_rate, config.regularization);
+    let n = observed.len() as f64;
+    let mut qi = Q::zeroed(model.q.cols());
+    let rank = qi.as_ref().len();
+    let mut prev_rmse = f64::INFINITY;
+    for _ in 0..config.max_iters {
+        model.epochs += 1;
+        let mut sq_err = 0.0;
+        for run in observed.chunk_by(|a, b| a.0 == b.0) {
+            let i = run[0].0;
+            let mut bi = model.row_bias[i];
+            qi.as_mut().copy_from_slice(model.q.row(i));
+            for &(_, j, r) in run {
+                let pj = &mut model.p.row_mut(j)[..rank];
+                let residual: f64 = qi.as_ref().iter().zip(pj.iter()).map(|(a, b)| a * b).sum();
+                let cj = &mut model.col_bias[j];
+                let err = r - (mu + bi + *cj + residual);
+                sq_err += err * err;
+                bi += eta * (err - lambda * bi);
+                *cj += eta * (err - lambda * *cj);
+                for (qk, pk) in qi.as_mut().iter_mut().zip(pj) {
+                    let (qik, pjk) = (*qk, *pk);
+                    *qk = qik + eta * (err * pjk - lambda * qik);
+                    *pk = pjk + eta * (err * qik - lambda * pjk);
+                }
+            }
+            model.row_bias[i] = bi;
+            model.q.row_mut(i).copy_from_slice(qi.as_ref());
+        }
+        let rmse = (sq_err / n).sqrt();
+        model.train_rmse = rmse;
+        if prev_rmse.is_finite() && (prev_rmse - rmse).abs() <= config.convergence_tol * prev_rmse {
+            break;
+        }
+        prev_rmse = rmse;
     }
 }
 

@@ -18,6 +18,7 @@
 use simulator::{AppProfile, Chip, JobConfig};
 
 use crate::latency::LcService;
+use crate::queueing::MmcQueue;
 
 /// Exhaustive ground-truth evaluator for one chip.
 #[derive(Debug, Clone, Copy)]
@@ -65,14 +66,40 @@ impl Oracle {
     }
 
     /// 99th-percentile latency (ms) of `service` on `cores` cores at `load`
-    /// (fraction of its max QPS) in every job configuration.
+    /// (fraction of its max QPS) in every job configuration: the
+    /// [`service_rates`](Oracle::service_rates) queued at the load's arrival
+    /// rate by [`tail_row_at_rates`](Oracle::tail_row_at_rates).
     pub fn tail_row(&self, service: &LcService, cores: usize, load: f64) -> Vec<f64> {
+        Oracle::tail_row_at_rates(service, &self.service_rates(service), cores, load)
+    }
+
+    /// Uncontended per-core service rate (requests per millisecond) of
+    /// `service` in every job configuration. It does not depend on the
+    /// load, so a caller that queues one service at many loads computes it
+    /// once.
+    pub fn service_rates(&self, service: &LcService) -> Vec<f64> {
         JobConfig::all()
-            .map(|jc| {
-                service
-                    .tail_latency_ms(self.chip.perf(), cores, jc.core, jc.cache, load, 0.0)
-                    .get()
-            })
+            .map(|jc| service.service_rate_per_core(self.chip.perf(), jc.core, jc.cache, 0.0))
+            .collect()
+    }
+
+    /// 99th-percentile latency (ms) of `service` on `cores` cores at `load`
+    /// for each per-core service rate of `rates` (as from
+    /// [`service_rates`](Oracle::service_rates)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores == 0` or a rate is not positive and finite.
+    pub fn tail_row_at_rates(
+        service: &LcService,
+        rates: &[f64],
+        cores: usize,
+        load: f64,
+    ) -> Vec<f64> {
+        let arrival = service.arrival_rate_per_ms(load);
+        rates
+            .iter()
+            .map(|&mu| MmcQueue::new(cores, mu, arrival).p99_ms().get())
             .collect()
     }
 
