@@ -44,29 +44,36 @@ impl GatingOrder {
     }
 }
 
-/// Selects which gateable cores to gate so that
-/// `Σ active watts + Σ gated residuals + fixed_watts ≤ budget`.
+/// The greedy victim loop every gate on the chip shares: starting from
+/// `fixed_watts` plus every core's Watts, gates cores in `order` (ties by
+/// ascending index), each gated core drawing `gated_watts` instead, until
+/// the total fits `budget` or every core is gated. Returns the mask
+/// (`true` = gated).
 ///
-/// `cores` carries each gateable core's measured `(bips, watts)`;
-/// `fixed_watts` is the power of cores that may never be gated (the
-/// latency-critical service's cores plus uncore). Returns a gating mask over
-/// `cores`.
-///
-/// Implements the paper's refinement: after the greedy pass, the last victim
-/// is swapped for whichever active core meets the budget with the smallest
-/// slack.
-pub fn select_gated(
+/// `cores` carries each gateable core's `(bips, watts)`. With
+/// [`GatingOrder::DescendingPower`] this is §VI-B's last resort: the
+/// repair stage, the safe-mode plan and Flicker gate through it.
+pub fn gate_in_order(
     cores: &[(f64, f64)],
     fixed_watts: f64,
     budget: f64,
     gated_watts: f64,
     order: GatingOrder,
 ) -> Vec<bool> {
+    greedy(cores, fixed_watts, budget, gated_watts, order).0
+}
+
+/// [`gate_in_order`]'s loop, also returning the remaining total and the
+/// last victim for [`select_gated`]'s refinement.
+fn greedy(
+    cores: &[(f64, f64)],
+    fixed_watts: f64,
+    budget: f64,
+    gated_watts: f64,
+    order: GatingOrder,
+) -> (Vec<bool>, f64, Option<usize>) {
     let mut gated = vec![false; cores.len()];
     let mut total = fixed_watts + cores.iter().map(|&(_, w)| w).sum::<f64>();
-    if total <= budget {
-        return gated;
-    }
     let mut priority: Vec<usize> = (0..cores.len()).collect();
     priority.sort_by(|&a, &b| {
         order
@@ -75,7 +82,7 @@ pub fn select_gated(
             .then(a.cmp(&b))
     });
     let mut last_victim = None;
-    for &i in &priority {
+    for i in priority {
         if total <= budget {
             break;
         }
@@ -83,6 +90,29 @@ pub fn select_gated(
         total -= cores[i].1 - gated_watts;
         last_victim = Some(i);
     }
+    (gated, total, last_victim)
+}
+
+/// Selects which gateable cores to gate so that
+/// `Σ active watts + Σ gated residuals + fixed_watts ≤ budget`: the
+/// core-gating baseline's rule.
+///
+/// `cores` carries each gateable core's measured `(bips, watts)`;
+/// `fixed_watts` is the power of cores that may never be gated (the
+/// latency-critical service's cores plus uncore). Returns a gating mask over
+/// `cores`.
+///
+/// Implements the paper's refinement: after the greedy pass
+/// ([`gate_in_order`]), the last victim is swapped for whichever active core
+/// meets the budget with the smallest slack.
+pub fn select_gated(
+    cores: &[(f64, f64)],
+    fixed_watts: f64,
+    budget: f64,
+    gated_watts: f64,
+    order: GatingOrder,
+) -> Vec<bool> {
+    let (mut gated, total, last_victim) = greedy(cores, fixed_watts, budget, gated_watts, order);
     // Refinement: replace the last victim with the active core whose gating
     // meets the budget with the least slack.
     if let Some(last) = last_victim {
@@ -112,44 +142,20 @@ pub fn select_gated(
     gated
 }
 
-/// UCP-style greedy way-partitioning over the coarse allocations CuttleSys
-/// also uses.
-///
-/// Starts every job at half a way and repeatedly grants the upgrade with the
-/// highest marginal miss-rate reduction per additional way (weighted by the
-/// job's LLC access intensity), while ways remain. This is the lookahead
-/// greedy of Utility-Based Cache Partitioning restricted to the
-/// `{1/2, 1, 2, 4}` allocation alphabet.
-pub fn ucp_partition(apps: &[AppProfile], total_ways: f64) -> Vec<CacheAlloc> {
-    greedy_partition(apps, total_ways, |app, from, to| {
-        (app.llc_miss_rate(from) - app.llc_miss_rate(to)) * app.llc_accesses_per_instr()
-    })
-}
-
-/// Way-partitioning by marginal *IPC* utility: the same greedy lookahead,
-/// but the upgrade benefit is evaluated through the performance model
-/// rather than raw miss counts. This is closer to what UCP's utility
-/// monitors approximate (misses weighted by their performance impact), and
-/// is what the gating baseline uses so extra ways are never handed to jobs
-/// that cannot convert them into instructions.
+/// UCP-style way-partitioning by marginal *IPC* utility over the coarse
+/// allocations CuttleSys also uses: start every job at half a way and
+/// repeatedly grant the upgrade with the highest IPC gain per additional
+/// way, while ways remain. This is the lookahead greedy of Utility-Based
+/// Cache Partitioning (Qureshi & Patt) restricted to the `{1/2, 1, 2, 4}`
+/// allocation alphabet, with the benefit evaluated through the performance
+/// model — what UCP's utility monitors approximate (misses weighted by
+/// their performance impact) — so extra ways are never handed to jobs that
+/// cannot convert them into instructions.
 pub fn ipc_partition(
     perf: &PerfModel,
     apps: &[AppProfile],
     core: CoreConfig,
     total_ways: f64,
-) -> Vec<CacheAlloc> {
-    greedy_partition(apps, total_ways, |app, from, to| {
-        perf.ipc(app, core, to, 0.0) - perf.ipc(app, core, from, 0.0)
-    })
-}
-
-/// Shared greedy lookahead: start every job at half a way, repeatedly grant
-/// the upgrade with the highest `utility(app, from_ways, to_ways)` per
-/// additional way while ways remain.
-fn greedy_partition(
-    apps: &[AppProfile],
-    total_ways: f64,
-    utility: impl Fn(&AppProfile, f64, f64) -> f64,
 ) -> Vec<CacheAlloc> {
     let mut allocs = vec![CacheAlloc::Half; apps.len()];
     let mut used: f64 = apps.len() as f64 * 0.5;
@@ -166,7 +172,9 @@ fn greedy_partition(
             if used + extra > total_ways {
                 continue;
             }
-            let gain = utility(app, allocs[i].ways(), next.ways()) / extra;
+            let utility =
+                perf.ipc(app, core, next.ways(), 0.0) - perf.ipc(app, core, allocs[i].ways(), 0.0);
+            let gain = utility / extra;
             if best.is_none_or(|(_, g, _)| gain > g) {
                 best = Some((i, gain, next));
             }
@@ -248,27 +256,153 @@ mod tests {
         assert!(g.iter().all(|&x| x));
     }
 
+    /// The descending-power gate as the core crate's repair stage and safe
+    /// mode once spelled it, before they called [`gate_in_order`]: a stable
+    /// sort on `b.total_cmp(a)` instead of the key order with an explicit
+    /// index tie-break.
+    fn reference_descending_gate(
+        job_watts: &[f64],
+        base_watts: f64,
+        cap_watts: f64,
+        gated_watts: f64,
+    ) -> Vec<bool> {
+        let mut gated = vec![false; job_watts.len()];
+        let mut power = base_watts + job_watts.iter().sum::<f64>();
+        let mut order: Vec<usize> = (0..job_watts.len()).collect();
+        order.sort_by(|&a, &b| job_watts[b].total_cmp(&job_watts[a]));
+        for j in order {
+            if power <= cap_watts {
+                break;
+            }
+            power -= job_watts[j] - gated_watts;
+            gated[j] = true;
+        }
+        gated
+    }
+
+    fn descending(watts: &[f64], base: f64, cap: f64, gated_watts: f64) -> Vec<bool> {
+        let cores: Vec<(f64, f64)> = watts.iter().map(|&w| (0.0, w)).collect();
+        gate_in_order(&cores, base, cap, gated_watts, GatingOrder::DescendingPower)
+    }
+
     #[test]
-    fn ucp_gives_more_ways_to_cache_hungry_jobs() {
-        let hungry = AppProfile::memory_bound();
+    fn gating_stops_exactly_when_under_cap() {
+        // base 10 W + jobs 5+4+3+2 W = 24 W against a 17 W cap with 0.5 W
+        // gated cores: gating the 5 W job leaves 19.5, gating the 4 W job
+        // leaves 16 — under the cap, so exactly two jobs gate.
+        let gated = descending(&[5.0, 4.0, 3.0, 2.0], 10.0, 17.0, 0.5);
+        assert_eq!(gated, vec![true, true, false, false]);
+    }
+
+    #[test]
+    fn gating_is_a_no_op_when_already_under() {
+        let gated = descending(&[5.0, 4.0], 1.0, 20.0, 0.5);
+        assert_eq!(gated, vec![false, false]);
+    }
+
+    #[test]
+    fn gating_exhausts_all_jobs_at_impossible_caps() {
+        let gated = descending(&[5.0, 4.0, 3.0], 100.0, 1.0, 0.5);
+        assert_eq!(gated, vec![true, true, true]);
+    }
+
+    #[test]
+    fn the_shared_greedy_gates_like_the_descending_power_reference() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // Draws from a few distinct Watts so ties are common, with signed
+        // zeros, NaN and infinity (safe mode's "unknown" reading) among
+        // them.
+        const WATTS: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            1.5,
+            1.5,
+            2.25,
+            4.0,
+            0.75,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x6A7E);
+        for case in 0..4000 {
+            let n = rng.random_range(0..12);
+            let watts: Vec<f64> = (0..n)
+                .map(|_| match rng.random_range(0..3) {
+                    0 => WATTS[rng.random_range(0..WATTS.len())],
+                    _ => rng.random_range(0.0..6.0),
+                })
+                .collect();
+            let base = rng.random_range(0.0..20.0);
+            let gated_watts = [0.0, 0.05, 0.5][case % 3];
+            let sum = base + watts.iter().sum::<f64>();
+            // Every fourth cap is already met, every fourth cannot be.
+            let cap = match case % 4 {
+                0 if sum.is_finite() => sum + 1.0,
+                0 => f64::INFINITY,
+                1 => -1.0,
+                _ if sum.is_finite() => rng.random_range(0.0..sum.clamp(1.0, 60.0)),
+                _ => rng.random_range(0.0..60.0),
+            };
+            let want = reference_descending_gate(&watts, base, cap, gated_watts);
+            assert_eq!(
+                descending(&watts, base, cap, gated_watts),
+                want,
+                "case {case}: watts {watts:?} base {base} cap {cap}"
+            );
+        }
+        // The hand-picked rows: of two equal Watts the lower index gates
+        // (one victim of the two 3 W jobs fits 7.5 W); `-0.0` beside `0.0`;
+        // a NaN reading (the total stays NaN, so everything gates); an
+        // already-met cap; an impossible one.
+        for (watts, base, cap) in [
+            (vec![2.0, 3.0, 2.0, 3.0], 0.0, 7.5),
+            (vec![0.0, -0.0, 0.0, 1.0], 0.0, 0.5),
+            (vec![1.0, f64::NAN, 2.0], 0.0, 1.0),
+            (vec![1.0, 2.0], 0.0, 100.0),
+            (vec![1.0, 2.0], 50.0, 1.0),
+        ] {
+            assert_eq!(
+                descending(&watts, base, cap, 0.05),
+                reference_descending_gate(&watts, base, cap, 0.05),
+                "{watts:?}"
+            );
+        }
+    }
+
+    /// The greedy lookahead's budget and upgrade checks on
+    /// [`ipc_partition`].
+    fn partition(apps: &[AppProfile], total_ways: f64) -> Vec<CacheAlloc> {
+        use simulator::SystemParams;
+        let perf = PerfModel::new(SystemParams::default());
+        let allocs = ipc_partition(&perf, apps, CoreConfig::widest(), total_ways);
+        let used: f64 = allocs.iter().map(|a| a.ways()).sum();
+        assert!(used <= total_ways, "{used} ways of {total_ways}");
+        allocs
+    }
+
+    #[test]
+    fn ipc_partition_gives_more_ways_to_cache_hungry_jobs() {
         let tiny = AppProfile::compute_bound();
-        let allocs = ucp_partition(&[hungry, tiny, tiny, tiny], 8.0);
+        let allocs = partition(&[AppProfile::memory_bound(), tiny, tiny, tiny], 8.0);
         assert!(
             allocs[0] >= allocs[1],
             "memory-bound job should win ways: {allocs:?}"
         );
-        let used: f64 = allocs.iter().map(|a| a.ways()).sum();
-        assert!(used <= 8.0);
     }
 
     #[test]
-    fn ucp_respects_total_ways() {
-        let apps = vec![AppProfile::memory_bound(); 16];
-        let allocs = ucp_partition(&apps, 32.0);
-        let used: f64 = allocs.iter().map(|a| a.ways()).sum();
-        assert!(used <= 32.0);
+    fn ipc_partition_respects_total_ways() {
+        let allocs = partition(&vec![AppProfile::memory_bound(); 16], 32.0);
         // With a generous budget everyone should get upgraded beyond Half.
-        assert!(allocs.iter().all(|&a| a > CacheAlloc::Half));
+        assert!(allocs.iter().all(|&a| a > CacheAlloc::Half), "{allocs:?}");
+    }
+
+    #[test]
+    fn ipc_partition_with_tight_budget_keeps_halves() {
+        // Sixteen half-way jobs already fill eight ways.
+        let allocs = partition(&vec![AppProfile::balanced(); 16], 8.0);
+        assert!(allocs.iter().all(|&a| a == CacheAlloc::Half), "{allocs:?}");
     }
 
     #[test]
@@ -293,13 +427,5 @@ mod tests {
             partitioned >= uniform,
             "greedy IPC partitioning must not lose to uniform: {partitioned} vs {uniform}"
         );
-    }
-
-    #[test]
-    fn ucp_with_tight_budget_keeps_halves() {
-        let apps = vec![AppProfile::balanced(); 16];
-        let allocs = ucp_partition(&apps, 8.0);
-        let used: f64 = allocs.iter().map(|a| a.ways()).sum();
-        assert!(used <= 8.0);
     }
 }

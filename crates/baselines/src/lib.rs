@@ -3,11 +3,13 @@
 //!
 //! * [`gating`] — core-level gating: the widely deployed C6-style baseline
 //!   that turns whole cores off to meet the power budget, with the four
-//!   core-selection orderings the paper evaluates and an optional UCP-style
-//!   LLC way-partitioning.
+//!   core-selection orderings the paper evaluates, the greedy victim loop
+//!   every gate on the chip shares (CuttleSys' repair and safe mode and
+//!   Flicker's last resort included), and UCP-style LLC way-partitioning.
 //! * [`asymmetric`] — the oracle-like asymmetric multicore: big ({6,6,6}) and
-//!   little ({2,2,2}) fixed cores with an oracle choosing the split and the
-//!   job placement each timeslice, plus the realistic fixed 50-50 variant.
+//!   little ({2,2,2}) fixed cores, every big-core count tried each timeslice
+//!   with a greedy job placement per count, plus the realistic fixed-split
+//!   variant.
 //! * [`ga`] — a generational genetic algorithm over the same configuration
 //!   space as DDS (the paper's Fig. 10 comparison and Flicker's optimizer).
 //! * [`feedback`] — a PID power controller over a global width level, the
@@ -28,11 +30,3 @@ pub mod ga;
 pub mod gating;
 pub mod maxbips;
 pub mod rbf;
-
-pub use asymmetric::{oracle_plan, plan_with_big_count, AsymmetricInput, AsymmetricPlan};
-pub use feedback::{PidController, WidthLevel};
-pub use flicker::{three_level_design, FlickerModel};
-pub use ga::{ga_search, GaParams};
-pub use gating::{select_gated, ucp_partition, GatingOrder};
-pub use maxbips::{max_bips, MaxBipsPlan};
-pub use rbf::RbfModel;

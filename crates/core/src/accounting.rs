@@ -1,48 +1,26 @@
 //! Plan-level power accounting shared by the CuttleSys pipeline stages and
 //! the baseline managers.
 //!
-//! Two pieces of arithmetic recur across the runtime and the gating/Flicker
-//! baselines: gating jobs in descending power until a budget is met (§VI-B's
-//! last resort, as a mask and as the batch actions of the all-narrowest
-//! plan), and netting a profiling frame's energy out of the slice budget so
-//! the steady state is planned against what is actually left. They live here
-//! so every manager agrees on the arithmetic. A plan's predicted chip power
-//! is not summed here: the quantum's `dds::PenaltyTable` answers that.
+//! Two pieces of arithmetic recur across the runtime and the baselines:
+//! §VI-B's last resort as the batch actions of the all-narrowest plan
+//! (gating through `baselines::gating`'s one greedy victim loop), and
+//! netting a profiling frame's energy out of the slice budget so the steady
+//! state is planned against what is actually left. They live here so every
+//! manager agrees on the arithmetic. A plan's predicted chip power is not
+//! summed here: the quantum's `dds::PenaltyTable` answers that.
 
+use baselines::gating::{gate_in_order, GatingOrder};
 use simulator::JobConfig;
 
 use crate::types::BatchAction;
 
-/// §VI-B's last resort, shared by CuttleSys and Flicker: starting from
-/// every batch job running (predicted per-core power `job_watts[j]`) on top
-/// of `base_watts`, gate jobs in descending power — replacing each gated
-/// job's Watts with `gated_watts` — until the predicted total fits
-/// `cap_watts`. Returns the gating mask (`true` = gated).
-pub fn gate_descending_power(
-    job_watts: &[f64],
-    base_watts: f64,
-    cap_watts: f64,
-    gated_watts: f64,
-) -> Vec<bool> {
-    let mut gated = vec![false; job_watts.len()];
-    let mut power = base_watts + job_watts.iter().sum::<f64>();
-    let mut order: Vec<usize> = (0..job_watts.len()).collect();
-    order.sort_by(|&a, &b| job_watts[b].total_cmp(&job_watts[a]));
-    for j in order {
-        if power <= cap_watts {
-            break;
-        }
-        power -= job_watts[j] - gated_watts;
-        gated[j] = true;
-    }
-    gated
-}
-
-/// The §VI-B plan as batch actions: every job of `active` (global batch
-/// indices; `narrowest_watts[slot]` is what job `active[slot]` is predicted
-/// to draw at the narrowest configuration) runs narrowest unless
-/// [`gate_descending_power`] gates it; every other of the `num_batch` jobs is
-/// gated. The repair stage and the safe-mode plan both end here.
+/// §VI-B's last resort, shared by the repair stage and the safe-mode plan:
+/// every job of `active` (global batch indices; `narrowest_watts[slot]` is
+/// what job `active[slot]` is predicted to draw at the narrowest
+/// configuration) runs narrowest on top of `base_watts`, and jobs are gated
+/// in descending power — each drawing `gated_watts` instead — until the
+/// predicted total fits `cap_watts`; every other of the `num_batch` jobs is
+/// gated.
 pub fn narrowest_then_gate(
     num_batch: usize,
     active: &[usize],
@@ -51,7 +29,15 @@ pub fn narrowest_then_gate(
     cap_watts: f64,
     gated_watts: f64,
 ) -> Vec<BatchAction> {
-    let gated = gate_descending_power(narrowest_watts, base_watts, cap_watts, gated_watts);
+    // Descending power orders on Watts alone; the BIPS slot goes unread.
+    let cores: Vec<(f64, f64)> = narrowest_watts.iter().map(|&w| (0.0, w)).collect();
+    let gated = gate_in_order(
+        &cores,
+        base_watts,
+        cap_watts,
+        gated_watts,
+        GatingOrder::DescendingPower,
+    );
     let mut actions = vec![BatchAction::Gated; num_batch];
     for (&j, &g) in active.iter().zip(&gated) {
         if !g {
@@ -88,27 +74,6 @@ pub fn steady_state_budget(cap_watts: f64, slice_ms: f64, spent_ms: f64, spent_w
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gating_stops_exactly_when_under_cap() {
-        // base 10 W + jobs 5+4+3+2 W = 24 W against a 17 W cap with 0.5 W
-        // gated cores: gating the 5 W job leaves 19.5, gating the 4 W job
-        // leaves 16 — under the cap, so exactly two jobs gate.
-        let gated = gate_descending_power(&[5.0, 4.0, 3.0, 2.0], 10.0, 17.0, 0.5);
-        assert_eq!(gated, vec![true, true, false, false]);
-    }
-
-    #[test]
-    fn gating_is_a_no_op_when_already_under() {
-        let gated = gate_descending_power(&[5.0, 4.0], 1.0, 20.0, 0.5);
-        assert_eq!(gated, vec![false, false]);
-    }
-
-    #[test]
-    fn gating_exhausts_all_jobs_at_impossible_caps() {
-        let gated = gate_descending_power(&[5.0, 4.0, 3.0], 100.0, 1.0, 0.5);
-        assert_eq!(gated, vec![true, true, true]);
-    }
 
     #[test]
     fn budget_nets_out_profiling_energy() {

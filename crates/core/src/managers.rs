@@ -1,37 +1,40 @@
-//! Baseline resource managers as [`ResourceManager`] implementations.
+//! Baseline resource managers as [`ResourceManager`] implementations,
+//! run through [`Scheme::run`] — the one entry point.
 //!
 //! These wrap the pure decision algorithms of the `baselines` crate in the
 //! testbed's timeslice protocol:
 //!
-//! * [`NoGatingManager`] — every core at the widest configuration,
-//!   ignoring the power cap: the normalization reference of Fig. 5(c).
-//! * [`CoreGatingManager`] — core-level gating with the four victim
-//!   orderings, with or without UCP way-partitioning (fixed cores).
-//! * [`AsymmetricManager`] — the oracle-like asymmetric multicore and the
-//!   realistic fixed 50-50 split (fixed cores).
-//! * [`FlickerManager`] — Flicker's 3MM3 + RBF + GA pipeline on
-//!   reconfigurable cores, in the paper's two evaluation variants
-//!   (§VIII-E).
-//! * [`FeedbackManager`] — the closed-loop PID comparison point of §IV.
+//! * no gating — every core at the widest configuration, ignoring the
+//!   power cap: the normalization reference of Fig. 5(c).
+//! * core gating — the four victim orderings of §VII-B, with or without
+//!   UCP way-partitioning.
+//! * asymmetric — the oracle-like asymmetric multicore and the realistic
+//!   fixed split of §VII-C.
+//! * PID feedback — the closed-loop comparison point of §IV.
+//! * Flicker — 3MM3 + RBF + GA on reconfigurable cores, in the paper's two
+//!   evaluation variants (§VIII-E).
 //!
-//! [`Scheme`] is the table over them (and CuttleSys itself): the one place
-//! that knows which scheme runs on fixed and which on reconfigurable cores.
+//! The first four run on fixed cores and each decides a core configuration
+//! per batch job, or gated; one emitter (`fixed_plan`) turns that decision
+//! and the LLC policy into a [`Plan`]. [`Scheme`] is the table over them
+//! (and CuttleSys itself): the one place that knows which scheme runs on
+//! fixed and which on reconfigurable cores.
 //!
 //! Every baseline handles an arbitrary number of LC tenants: each tenant
 //! keeps its reserved cores at the widest configuration (the baselines never
 //! relocate cores), and per-tenant power is measured or characterized
 //! per service.
 
-use baselines::asymmetric::{oracle_plan, plan_with_big_count, AsymmetricInput, CoreChoice};
+use baselines::asymmetric;
 use baselines::flicker::{three_level_design, FlickerModel};
 use baselines::ga::{ga_search, GaParams};
-use baselines::gating::{ipc_partition, select_gated, GatingOrder};
+use baselines::gating::{gate_in_order, ipc_partition, select_gated, GatingOrder};
 use dds::{PenaltyTable, SearchSpace};
 use simulator::power::CoreKind;
 use simulator::{CacheAlloc, Chip, CoreConfig, JobConfig, NUM_CORE_CONFIGS};
 use workloads::oracle::Oracle;
 
-use crate::accounting::{gate_descending_power, steady_state_budget};
+use crate::accounting::steady_state_budget;
 use crate::runtime::{CuttleSysManager, SearchAlgo};
 use crate::testbed::run_scenario;
 use crate::types::{
@@ -39,13 +42,7 @@ use crate::types::{
     Scenario, SliceInfo, TIMESLICE_MS,
 };
 
-/// The LC tenants' fixed configuration in every baseline: widest core,
-/// four LLC ways.
-fn lc_widest() -> JobConfig {
-    JobConfig::new(CoreConfig::widest(), CacheAlloc::Four)
-}
-
-/// Per-tenant widest assignments at the previous core split.
+/// Per-tenant assignments of `config` at the previous core split.
 fn lc_assignments(info: &SliceInfo, config: JobConfig) -> Vec<LcAssignment> {
     info.lc
         .iter()
@@ -91,11 +88,34 @@ fn unpartitioned_share(
     (nearest_alloc(2.0 * share), nearest_alloc(share))
 }
 
+/// The plan of every fixed-core scheme: batch job `j` runs `cores[j]`
+/// (`None` = gated) and every LC tenant keeps its cores at the widest
+/// configuration. The LLC is `ucp`'s partition — batch job `j` holds
+/// `ucp[j]`, each LC tenant four ways — or, without one, shared
+/// unpartitioned among the running jobs.
+fn fixed_plan(info: &SliceInfo, cores: &[Option<CoreConfig>], ucp: Option<&[CacheAlloc]>) -> Plan {
+    let running = cores.iter().flatten().count();
+    let (lc_share, batch_share) = unpartitioned_share(info.llc_ways, info.lc.len(), running);
+    let lc_cache = ucp.map_or(lc_share, |_| CacheAlloc::Four);
+    Plan {
+        lc: lc_assignments(info, JobConfig::new(CoreConfig::widest(), lc_cache)),
+        batch: cores
+            .iter()
+            .enumerate()
+            .map(|(j, core)| match core {
+                Some(core) => {
+                    BatchAction::Run(JobConfig::new(*core, ucp.map_or(batch_share, |p| p[j])))
+                }
+                None => BatchAction::Gated,
+            })
+            .collect(),
+    }
+}
+
 /// No gating: everything at the widest configuration regardless of the cap.
 ///
 /// The paper's Fig. 5(c) normalizes all schemes by this reference.
-#[derive(Debug, Default)]
-pub struct NoGatingManager;
+struct NoGatingManager;
 
 impl ResourceManager for NoGatingManager {
     fn name(&self) -> String {
@@ -107,15 +127,11 @@ impl ResourceManager for NoGatingManager {
         info: &SliceInfo,
         _probe: &mut dyn FnMut(&ProfilePlan, f64) -> ProfileSample,
     ) -> Plan {
-        let (lc_share, batch_share) =
-            unpartitioned_share(info.llc_ways, info.lc.len(), info.num_batch);
-        Plan {
-            lc: lc_assignments(info, JobConfig::new(CoreConfig::widest(), lc_share)),
-            batch: vec![
-                BatchAction::Run(JobConfig::new(CoreConfig::widest(), batch_share));
-                info.num_batch
-            ],
-        }
+        fixed_plan(
+            info,
+            &vec![Some(CoreConfig::widest()); info.num_batch],
+            None,
+        )
     }
 }
 
@@ -123,11 +139,11 @@ impl ResourceManager for NoGatingManager {
 /// cores gated to meet the cap. One 1 ms profiling sample per slice measures
 /// per-core power and throughput (the paper: "even core-level gating incurs
 /// an overhead of 1 ms for one profiling period").
-pub struct CoreGatingManager {
+struct CoreGatingManager {
     order: GatingOrder,
-    /// Way-partitioning of the LLC (UCP), or one way per job when absent.
+    /// Way-partitioning of the LLC (UCP), or the unpartitioned share when
+    /// absent.
     partition: Option<Vec<CacheAlloc>>,
-    num_lc: usize,
     gated_watts: f64,
 }
 
@@ -136,7 +152,7 @@ impl CoreGatingManager {
     ///
     /// UCP's hardware utility monitors are modelled by computing the
     /// partition from the mix's miss curves once, up front.
-    pub fn new(scenario: &Scenario, order: GatingOrder, way_partitioning: bool) -> Self {
+    fn new(scenario: &Scenario, order: GatingOrder, way_partitioning: bool) -> Self {
         let partition = way_partitioning.then(|| {
             let profiles = scenario.batch_profiles();
             let perf = simulator::PerfModel::new(scenario.params);
@@ -151,28 +167,7 @@ impl CoreGatingManager {
         CoreGatingManager {
             order,
             partition,
-            num_lc: scenario.num_lc(),
             gated_watts: scenario.params.gated_core_watts,
-        }
-    }
-
-    /// Configuration of batch job `j` given how many batch jobs are active
-    /// (the unpartitioned share grows as cores are gated).
-    fn batch_config(&self, info: &SliceInfo, j: usize, active: usize) -> JobConfig {
-        let cache = match &self.partition {
-            Some(p) => p[j],
-            None => unpartitioned_share(info.llc_ways, self.num_lc, active).1,
-        };
-        JobConfig::new(CoreConfig::widest(), cache)
-    }
-
-    fn lc_config(&self, info: &SliceInfo, active: usize) -> JobConfig {
-        match self.partition {
-            Some(_) => lc_widest(),
-            None => JobConfig::new(
-                CoreConfig::widest(),
-                unpartitioned_share(info.llc_ways, self.num_lc, active).0,
-            ),
         }
     }
 }
@@ -191,17 +186,12 @@ impl ResourceManager for CoreGatingManager {
         probe: &mut dyn FnMut(&ProfilePlan, f64) -> ProfileSample,
     ) -> Plan {
         let num_lc = info.lc.len();
-        let batch: Vec<BatchAction> = (0..info.num_batch)
-            .map(|j| BatchAction::Run(self.batch_config(info, j, info.num_batch)))
-            .collect();
+        let ucp = self.partition.as_deref();
+        let widest = fixed_plan(info, &vec![Some(CoreConfig::widest()); info.num_batch], ucp);
         let sample = probe(
             &ProfilePlan {
-                lc_configs: info
-                    .lc
-                    .iter()
-                    .map(|l| vec![self.lc_config(info, info.num_batch); l.last_cores])
-                    .collect(),
-                batch: batch.clone(),
+                lc_configs: widest.lc.iter().map(|a| vec![a.config; a.cores]).collect(),
+                batch: widest.batch,
             },
             1.0,
         );
@@ -237,22 +227,11 @@ impl ResourceManager for CoreGatingManager {
                 probe_watts,
             );
         let gated = select_gated(&per_job, lc_power, budget, self.gated_watts, self.order);
-        let active = gated.iter().filter(|&&g| !g).count();
-        let batch = gated
+        let cores: Vec<Option<CoreConfig>> = gated
             .iter()
-            .enumerate()
-            .map(|(j, &g)| {
-                if g {
-                    BatchAction::Gated
-                } else {
-                    BatchAction::Run(self.batch_config(info, j, active))
-                }
-            })
+            .map(|&g| (!g).then(CoreConfig::widest))
             .collect();
-        Plan {
-            lc: lc_assignments(info, self.lc_config(info, active)),
-            batch,
-        }
+        fixed_plan(info, &cores, ucp)
     }
 }
 
@@ -268,9 +247,10 @@ pub enum AsymmetricMode {
 /// Asymmetric multicore (§VII-C): big {6,6,6} and small {2,2,2} fixed
 /// cores. As the paper's oracle, it has perfect knowledge — supplied here by
 /// the ground-truth tables — and pays no migration cost.
-pub struct AsymmetricManager {
+struct AsymmetricManager {
     mode: AsymmetricMode,
-    choices: Vec<CoreChoice>,
+    /// Per batch job: `(bips, watts)` on a big core and on a small one.
+    rows: Vec<[(f64, f64); 2]>,
     /// Per-tenant characterized per-core power on a big core (W).
     lc_watts_per_core: Vec<f64>,
     gated_watts: f64,
@@ -279,30 +259,33 @@ pub struct AsymmetricManager {
 impl AsymmetricManager {
     /// Builds the planner, characterizing every job on both core types
     /// through the fixed-core oracle.
-    pub fn new(scenario: &Scenario, mode: AsymmetricMode) -> Self {
+    fn new(scenario: &Scenario, mode: AsymmetricMode) -> Self {
         let oracle = Oracle::new(Chip::new(scenario.params, CoreKind::Fixed));
         // Characterized at the typical unpartitioned share of a fully
         // loaded chip (two ways per job).
-        let big = JobConfig::new(CoreConfig::widest(), CacheAlloc::Two);
-        let small = JobConfig::new(CoreConfig::narrowest(), CacheAlloc::Two);
-        let choices = scenario
+        let row = |p: &simulator::AppProfile, core| {
+            let jc = JobConfig::new(core, CacheAlloc::Two);
+            (oracle.bips_at(p, jc), oracle.power_at(p, jc))
+        };
+        let rows = scenario
             .batch_profiles()
             .iter()
-            .map(|p| CoreChoice {
-                bips_big: oracle.bips_at(p, big),
-                watts_big: oracle.power_at(p, big),
-                bips_small: oracle.bips_at(p, small),
-                watts_small: oracle.power_at(p, small),
+            .map(|p| {
+                [
+                    row(p, CoreConfig::widest()),
+                    row(p, CoreConfig::narrowest()),
+                ]
             })
             .collect();
+        let lc_widest = JobConfig::new(CoreConfig::widest(), CacheAlloc::Four);
         let lc_watts_per_core = scenario
             .lc_jobs()
             .iter()
-            .map(|lc| oracle.power_at(&lc.service.profile, lc_widest()))
+            .map(|lc| oracle.power_at(&lc.service.profile, lc_widest))
             .collect();
         AsymmetricManager {
             mode,
-            choices,
+            rows,
             lc_watts_per_core,
             gated_watts: scenario.params.gated_core_watts,
         }
@@ -322,44 +305,20 @@ impl ResourceManager for AsymmetricManager {
         info: &SliceInfo,
         _probe: &mut dyn FnMut(&ProfilePlan, f64) -> ProfileSample,
     ) -> Plan {
-        let lc_cores: usize = info.lc.iter().map(|l| l.last_cores).sum();
-        let input = AsymmetricInput {
-            num_cores: info.num_cores,
-            lc_cores,
-            lc_watts: total_lc_watts(info, &self.lc_watts_per_core),
-            batch: self.choices.clone(),
-            budget: info.cap_watts,
-            gated_watts: self.gated_watts,
+        let big_cores = match self.mode {
+            AsymmetricMode::Oracle => None,
+            AsymmetricMode::FixedBig(n) => Some(n),
         };
-        let plan = match self.mode {
-            AsymmetricMode::Oracle => oracle_plan(&input),
-            AsymmetricMode::FixedBig(n) => {
-                plan_with_big_count(&input, n.max(lc_cores)).unwrap_or_else(|| oracle_plan(&input))
-            }
-        };
-        let active = plan.gated.iter().filter(|&&g| !g).count();
-        let (lc_share, batch_share) = unpartitioned_share(info.llc_ways, info.lc.len(), active);
-        let batch = plan
-            .on_big
-            .iter()
-            .zip(&plan.gated)
-            .map(|(&big, &gated)| {
-                if gated {
-                    BatchAction::Gated
-                } else {
-                    let core = if big {
-                        CoreConfig::widest()
-                    } else {
-                        CoreConfig::narrowest()
-                    };
-                    BatchAction::Run(JobConfig::new(core, batch_share))
-                }
-            })
-            .collect();
-        Plan {
-            lc: lc_assignments(info, JobConfig::new(CoreConfig::widest(), lc_share)),
-            batch,
-        }
+        let cores = asymmetric::place(
+            &self.rows,
+            info.num_cores,
+            info.lc.iter().map(|l| l.last_cores).sum(),
+            total_lc_watts(info, &self.lc_watts_per_core),
+            info.cap_watts,
+            self.gated_watts,
+            big_cores,
+        );
+        fixed_plan(info, &cores, None)
     }
 }
 
@@ -379,7 +338,7 @@ pub enum FlickerVariant {
 /// configurations. No cache partitioning — every job gets its unpartitioned
 /// fair share, which is precisely the memory-hierarchy interference the
 /// paper calls out.
-pub struct FlickerManager {
+struct FlickerManager {
     variant: FlickerVariant,
     /// Per-tenant QoS targets (ms), in priority order.
     qos_ms: Vec<f64>,
@@ -392,7 +351,7 @@ pub struct FlickerManager {
 
 impl FlickerManager {
     /// Builds the manager for a scenario.
-    pub fn new(scenario: &Scenario, variant: FlickerVariant) -> Self {
+    fn new(scenario: &Scenario, variant: FlickerVariant) -> Self {
         FlickerManager {
             variant,
             qos_ms: scenario.lc_jobs().iter().map(|lc| lc.qos_ms).collect(),
@@ -542,17 +501,27 @@ impl ResourceManager for FlickerManager {
         let all_narrowest = vec![lowest; info.num_batch];
         let batch: Vec<BatchAction> = if objective.power(&all_narrowest) > objective.max_power {
             let narrow = JobConfig::new(CoreConfig::narrowest(), self.cache());
-            let narrowest_watts: Vec<f64> = watts.iter().map(|row| row[lowest]).collect();
-            gate_descending_power(&narrowest_watts, lc_power, info.cap_watts, self.gated_watts)
-                .into_iter()
-                .map(|g| {
-                    if g {
-                        BatchAction::Gated
-                    } else {
-                        BatchAction::Run(narrow)
-                    }
-                })
-                .collect()
+            let narrowest: Vec<(f64, f64)> = bips
+                .iter()
+                .zip(&watts)
+                .map(|(b, w)| (b[lowest], w[lowest]))
+                .collect();
+            gate_in_order(
+                &narrowest,
+                lc_power,
+                info.cap_watts,
+                self.gated_watts,
+                GatingOrder::DescendingPower,
+            )
+            .into_iter()
+            .map(|g| {
+                if g {
+                    BatchAction::Gated
+                } else {
+                    BatchAction::Run(narrow)
+                }
+            })
+            .collect()
         } else {
             result
                 .best_point
@@ -569,7 +538,7 @@ impl ResourceManager for FlickerManager {
 /// measured chip power. No model, no search — and therefore several
 /// timeslices of budget violation or wasted headroom after every cap or
 /// load change, where CuttleSys re-solves within a single interval.
-pub struct FeedbackManager {
+struct FeedbackManager {
     pid: baselines::feedback::PidController,
     level: baselines::feedback::WidthLevel,
     last_power: Option<f64>,
@@ -581,7 +550,7 @@ impl FeedbackManager {
     /// scenario's nominal chip draw: an uncontrolled all-widest chip starts
     /// near the 100 % budget, so the controller actuates from the very
     /// first timeslice instead of idling until the first measurement.
-    pub fn new(scenario: &Scenario) -> FeedbackManager {
+    fn new(scenario: &Scenario) -> FeedbackManager {
         FeedbackManager {
             pid: baselines::feedback::PidController::new(0.12, 0.03, 0.05, 200.0),
             level: baselines::feedback::WidthLevel::new(),
@@ -605,15 +574,7 @@ impl ResourceManager for FeedbackManager {
             let actuation = self.pid.update(info.cap_watts * 0.97 - power);
             self.level.adjust(actuation);
         }
-        let (lc_share, batch_share) =
-            unpartitioned_share(info.llc_ways, info.lc.len(), info.num_batch);
-        Plan {
-            lc: lc_assignments(info, JobConfig::new(CoreConfig::widest(), lc_share)),
-            batch: vec![
-                BatchAction::Run(JobConfig::new(self.level.config(), batch_share));
-                info.num_batch
-            ],
-        }
+        fixed_plan(info, &vec![Some(self.level.config()); info.num_batch], None)
     }
 
     fn observe(&mut self, outcome: &crate::types::SliceOutcome) {
@@ -637,9 +598,9 @@ impl ResourceManager for FeedbackManager {
 }
 
 /// One evaluated scheme of §VII–§VIII: which manager plans a scenario and
-/// which kind of core it runs on. A closed table over the managers this
-/// crate exports — the experiment harness and the examples name a scheme
-/// and get its record, instead of each spelling the pairing out.
+/// which kind of core it runs on. A closed table over this module's
+/// managers and CuttleSys — the only way to run a baseline; the experiment
+/// harness, the examples and the tests name a scheme and get its record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scheme {
     /// Everything widest, cap ignored: Fig. 5(c)'s normalization reference.
@@ -717,10 +678,17 @@ mod tests {
         }
     }
 
+    fn gating(way_partitioning: bool) -> Scheme {
+        Scheme::CoreGating {
+            order: GatingOrder::DescendingPower,
+            way_partitioning,
+        }
+    }
+
     #[test]
     fn no_gating_ignores_the_cap() {
         let s = scenario(CoreKind::Fixed, 0.5);
-        let record = run_scenario(&s, &mut NoGatingManager);
+        let record = Scheme::NoGating.run(&s);
         assert!(
             record.power_violations() > 0,
             "no-gating must bust a 50% cap"
@@ -736,7 +704,7 @@ mod tests {
         for (llc_ways, batch_ways, lc_ways) in [(32, 2.0, 4.0), (16, 1.0, 2.0)] {
             let mut s = scenario(CoreKind::Fixed, 0.9);
             s.params.llc_ways = llc_ways;
-            let record = run_scenario(&s, &mut NoGatingManager);
+            let record = Scheme::NoGating.run(&s);
             let slice = &record.slices[0];
             assert_eq!(slice.batch_configs[0].unwrap().cache.ways(), batch_ways);
             assert_eq!(slice.lc[0].config.cache.ways(), lc_ways);
@@ -746,8 +714,7 @@ mod tests {
     #[test]
     fn core_gating_meets_the_cap() {
         let s = scenario(CoreKind::Fixed, 0.7);
-        let mut m = CoreGatingManager::new(&s, GatingOrder::DescendingPower, false);
-        let record = run_scenario(&s, &mut m);
+        let record = gating(false).run(&s);
         assert_eq!(record.power_violations(), 0, "{record:#?}");
         assert_eq!(record.qos_violations(), 0);
         // Some cores must actually be gated at 70%.
@@ -757,30 +724,33 @@ mod tests {
     #[test]
     fn way_partitioning_beats_single_way_gating() {
         let s = scenario(CoreKind::Fixed, 0.7);
-        let plain = run_scenario(
-            &s,
-            &mut CoreGatingManager::new(&s, GatingOrder::DescendingPower, false),
-        );
-        let wp = run_scenario(
-            &s,
-            &mut CoreGatingManager::new(&s, GatingOrder::DescendingPower, true),
-        );
+        let plain = gating(false).run(&s);
+        let wp = gating(true).run(&s);
         assert!(
             wp.batch_instructions() >= plain.batch_instructions() * 0.98,
             "UCP partitioning should not lose: {} vs {}",
             wp.batch_instructions(),
             plain.batch_instructions()
         );
+        // Under UCP the LC tenant holds four ways and the batch jobs divide
+        // the rest.
+        for slice in &wp.slices {
+            assert_eq!(slice.lc[0].config.cache, CacheAlloc::Four);
+            let batch_ways: f64 = slice
+                .batch_configs
+                .iter()
+                .flatten()
+                .map(|c| c.cache.ways())
+                .sum();
+            assert!(batch_ways <= f64::from(s.params.llc_ways) - 4.0);
+        }
     }
 
     #[test]
     fn asymmetric_oracle_beats_core_gating_at_tight_caps() {
         let s = scenario(CoreKind::Fixed, 0.6);
-        let gating = run_scenario(
-            &s,
-            &mut CoreGatingManager::new(&s, GatingOrder::DescendingPower, false),
-        );
-        let asym = run_scenario(&s, &mut AsymmetricManager::new(&s, AsymmetricMode::Oracle));
+        let gating = gating(false).run(&s);
+        let asym = Scheme::Asymmetric(AsymmetricMode::Oracle).run(&s);
         assert!(
             asym.batch_instructions() > gating.batch_instructions(),
             "asymmetric oracle must beat gating: {} vs {}",
@@ -793,11 +763,8 @@ mod tests {
     #[test]
     fn oracle_beats_fixed_5050_split() {
         let s = scenario(CoreKind::Fixed, 0.8);
-        let oracle = run_scenario(&s, &mut AsymmetricManager::new(&s, AsymmetricMode::Oracle));
-        let fixed = run_scenario(
-            &s,
-            &mut AsymmetricManager::new(&s, AsymmetricMode::FixedBig(16)),
-        );
+        let oracle = Scheme::Asymmetric(AsymmetricMode::Oracle).run(&s);
+        let fixed = Scheme::Asymmetric(AsymmetricMode::FixedBig(16)).run(&s);
         assert!(oracle.batch_instructions() >= fixed.batch_instructions() * 0.999);
     }
 
@@ -811,7 +778,7 @@ mod tests {
             phases: false,
             ..Scenario::paper_default()
         };
-        let record = run_scenario(&s, &mut FeedbackManager::new(&s));
+        let record = Scheme::Feedback.run(&s);
         // It must eventually settle under the cap...
         let last = record.slices.last().unwrap();
         assert!(
@@ -836,12 +803,12 @@ mod tests {
     #[test]
     fn flicker_a_violates_qos_flicker_b_runs() {
         let s = scenario(CoreKind::Reconfigurable, 0.7);
-        let a = run_scenario(&s, &mut FlickerManager::new(&s, FlickerVariant::LcProfiled));
+        let a = Scheme::Flicker(FlickerVariant::LcProfiled).run(&s);
         assert!(
             a.qos_violations() > 0,
             "90 ms of narrow-config profiling must blow the tail: {a:#?}"
         );
-        let b = run_scenario(&s, &mut FlickerManager::new(&s, FlickerVariant::LcPinned));
+        let b = Scheme::Flicker(FlickerVariant::LcPinned).run(&s);
         assert!(b.batch_instructions() > 0.0);
         assert!(
             a.worst_tail_ratio() > b.worst_tail_ratio(),
@@ -857,23 +824,14 @@ mod tests {
             phases: false,
             ..Scenario::two_service()
         };
-        let fixed = Scenario {
-            kind: CoreKind::Fixed,
-            ..s.clone()
-        };
-        for record in [
-            run_scenario(&fixed, &mut NoGatingManager),
-            run_scenario(
-                &fixed,
-                &mut CoreGatingManager::new(&fixed, GatingOrder::DescendingPower, false),
-            ),
-            run_scenario(
-                &fixed,
-                &mut AsymmetricManager::new(&fixed, AsymmetricMode::Oracle),
-            ),
-            run_scenario(&fixed, &mut FeedbackManager::new(&fixed)),
-            run_scenario(&s, &mut FlickerManager::new(&s, FlickerVariant::LcPinned)),
+        for scheme in [
+            Scheme::NoGating,
+            gating(false),
+            Scheme::Asymmetric(AsymmetricMode::Oracle),
+            Scheme::Feedback,
+            Scheme::Flicker(FlickerVariant::LcPinned),
         ] {
+            let record = scheme.run(&s);
             assert_eq!(record.slices[0].lc.len(), 2, "{}", record.scheme);
             assert!(record.batch_instructions() > 0.0, "{}", record.scheme);
         }

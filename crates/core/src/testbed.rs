@@ -706,12 +706,14 @@ impl ScenarioDriver {
         // One tail segment per tenant: heterogeneous cores within a tenant
         // are approximated by the mean per-core service rate.
         let lc_specs = self.scenario.lc_jobs();
+        let perf = self.chip.perf();
         for (i, configs) in lc_configs.iter().enumerate() {
             let svc = &lc_specs[i].service;
+            let reference = svc.reference_ipc(perf);
             let mean_rate = configs
                 .iter()
                 .map(|c| {
-                    svc.service_rate_per_core(self.chip.perf(), c.core, c.cache, result.contention)
+                    svc.service_rate_against(perf, c.core, c.cache, result.contention, reference)
                 })
                 .sum::<f64>()
                 / configs.len().max(1) as f64;

@@ -45,8 +45,10 @@ impl LcService {
         CALIBRATION_CORES as f64 * KNEE_UTILIZATION / max_per_ms
     }
 
-    /// Reference IPC anchoring the service-rate scaling.
-    fn reference_ipc(&self, perf: &PerfModel) -> f64 {
+    /// Reference IPC anchoring the service-rate scaling: a per-service
+    /// constant, so a caller rating many cores evaluates it once and passes
+    /// it to [`service_rate_against`](LcService::service_rate_against).
+    pub fn reference_ipc(&self, perf: &PerfModel) -> f64 {
         perf.ipc(
             &self.profile,
             CoreConfig::widest(),
@@ -65,9 +67,21 @@ impl LcService {
         cache: CacheAlloc,
         contention: f64,
     ) -> f64 {
+        self.service_rate_against(perf, config, cache, contention, self.reference_ipc(perf))
+    }
+
+    /// [`service_rate_per_core`](LcService::service_rate_per_core) against
+    /// a precomputed [`reference_ipc`](LcService::reference_ipc).
+    pub fn service_rate_against(
+        &self,
+        perf: &PerfModel,
+        config: CoreConfig,
+        cache: CacheAlloc,
+        contention: f64,
+        reference_ipc: f64,
+    ) -> f64 {
         let ipc = perf.ipc(&self.profile, config, cache.ways(), contention);
-        let scale = ipc / self.reference_ipc(perf);
-        scale / self.base_service_ms()
+        ipc / reference_ipc / self.base_service_ms()
     }
 
     /// Arrival rate (requests per millisecond) at a load fraction of the

@@ -78,8 +78,10 @@ impl Oracle {
     /// load, so a caller that queues one service at many loads computes it
     /// once.
     pub fn service_rates(&self, service: &LcService) -> Vec<f64> {
+        let perf = self.chip.perf();
+        let reference = service.reference_ipc(perf);
         JobConfig::all()
-            .map(|jc| service.service_rate_per_core(self.chip.perf(), jc.core, jc.cache, 0.0))
+            .map(|jc| service.service_rate_against(perf, jc.core, jc.cache, 0.0, reference))
             .collect()
     }
 

@@ -2,11 +2,10 @@
 //! additional baselines: load following, cap steps, trace-driven load, and
 //! the open-loop vs closed-loop comparison.
 
-use cuttlesys::managers::FeedbackManager;
+use cuttlesys::managers::Scheme;
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::Scenario;
 use cuttlesys::CuttleSysManager;
-use simulator::power::CoreKind;
 use workloads::loadgen::LoadPattern;
 
 fn base() -> Scenario {
@@ -79,16 +78,8 @@ fn trace_driven_load_is_followed() {
 #[test]
 fn feedback_controller_lags_cap_steps_where_cuttlesys_does_not() {
     let cap = LoadPattern::Steps(vec![(0.0, 0.9), (0.3, 0.6), (0.7, 0.9)]);
-    let s = Scenario {
-        cap: cap.clone(),
-        ..base()
-    };
-    let fixed = Scenario {
-        kind: CoreKind::Fixed,
-        cap,
-        ..base()
-    };
-    let pid = run_scenario(&fixed, &mut FeedbackManager::new(&fixed));
+    let s = Scenario { cap, ..base() };
+    let pid = Scheme::Feedback.run(&s);
     let cuttle = {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)

@@ -4,11 +4,7 @@
 
 use baselines::ga::GaParams;
 use baselines::gating::GatingOrder;
-use cuttlesys::managers::{
-    AsymmetricManager, AsymmetricMode, CoreGatingManager, FeedbackManager, FlickerManager,
-    FlickerVariant, NoGatingManager, Scheme,
-};
-use cuttlesys::runtime::SearchAlgo;
+use cuttlesys::managers::{AsymmetricMode, FlickerVariant, Scheme};
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::Scenario;
 use cuttlesys::CuttleSysManager;
@@ -37,11 +33,11 @@ fn fixed(s: &Scenario) -> Scenario {
 #[test]
 fn cuttlesys_beats_core_gating_at_tight_caps() {
     let s = scenario(0.6);
-    let f = fixed(&s);
-    let gating = run_scenario(
-        &f,
-        &mut CoreGatingManager::new(&f, GatingOrder::DescendingPower, true),
-    );
+    let gating = Scheme::CoreGating {
+        order: GatingOrder::DescendingPower,
+        way_partitioning: true,
+    }
+    .run(&s);
     let cuttle = {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)
@@ -60,8 +56,7 @@ fn cuttlesys_pays_the_reconfiguration_tax_at_relaxed_caps() {
     // §VIII-C: at a 90% cap the fixed-core designs can keep every core at
     // full width while reconfigurable cores must shed the 18% energy tax.
     let s = scenario(0.9);
-    let f = fixed(&s);
-    let nogating = run_scenario(&f, &mut NoGatingManager);
+    let nogating = Scheme::NoGating.run(&s);
     let cuttle = {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)
@@ -75,8 +70,7 @@ fn cuttlesys_pays_the_reconfiguration_tax_at_relaxed_caps() {
 #[test]
 fn cuttlesys_beats_the_asymmetric_oracle_at_the_tightest_cap() {
     let s = scenario(0.5);
-    let f = fixed(&s);
-    let asym = run_scenario(&f, &mut AsymmetricManager::new(&f, AsymmetricMode::Oracle));
+    let asym = Scheme::Asymmetric(AsymmetricMode::Oracle).run(&s);
     let cuttle = {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)
@@ -116,7 +110,7 @@ fn flicker_profiling_destroys_the_tail_cuttlesys_does_not() {
         phases: true,
         ..scenario(0.7)
     };
-    let flicker = run_scenario(&s, &mut FlickerManager::new(&s, FlickerVariant::LcProfiled));
+    let flicker = Scheme::Flicker(FlickerVariant::LcProfiled).run(&s);
     let cuttle = {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)
@@ -182,19 +176,16 @@ fn different_mixes_give_different_but_valid_runs() {
 #[test]
 fn every_manager_respects_the_slice_protocol() {
     let s = scenario(0.7);
-    let f = fixed(&s);
-    let records = vec![
-        run_scenario(&f, &mut NoGatingManager),
-        run_scenario(
-            &f,
-            &mut CoreGatingManager::new(&f, GatingOrder::DescendingPower, false),
-        ),
-        run_scenario(
-            &f,
-            &mut AsymmetricManager::new(&f, AsymmetricMode::FixedBig(16)),
-        ),
-        run_scenario(&s, &mut FlickerManager::new(&s, FlickerVariant::LcPinned)),
-    ];
+    let records = [
+        Scheme::NoGating,
+        Scheme::CoreGating {
+            order: GatingOrder::DescendingPower,
+            way_partitioning: false,
+        },
+        Scheme::Asymmetric(AsymmetricMode::FixedBig(16)),
+        Scheme::Flicker(FlickerVariant::LcPinned),
+    ]
+    .map(|scheme| scheme.run(&s));
     for r in records {
         assert_eq!(r.slices.len(), s.duration_slices, "{}", r.scheme);
         for sl in &r.slices {
@@ -210,30 +201,29 @@ fn every_manager_respects_the_slice_protocol() {
 }
 
 #[test]
-fn the_scheme_table_runs_exactly_the_hand_built_constructions() {
-    // `Scheme::run` is what the experiment harness and the examples call;
-    // the constructions below are the ones it replaced there, spelled out
-    // with this file's own `fixed` so the two stay independent.
-    let s = Scenario::paper_default();
+fn every_scheme_names_its_record_and_runs_on_its_core_kind() {
+    // Every baseline but Flicker runs on fixed cores whatever the scenario
+    // says (no reconfiguration hardware, so no power tax); Flicker and
+    // CuttleSys run on the scenario's own kind. A run of the scenario and
+    // of its fixed-core copy tell the two apart: on reconfigurable cores
+    // every configuration pays the tax, so the records differ.
+    let s = Scenario {
+        duration_slices: 4,
+        ..Scenario::paper_default()
+    };
+    assert_eq!(s.kind, CoreKind::Reconfigurable);
     let f = fixed(&s);
     let order = GatingOrder::AscendingBips;
     let ga = GaParams::default().with_evaluation_budget(400);
-    let gating = |wp| run_scenario(&f, &mut CoreGatingManager::new(&f, order, wp));
-    let asym = |mode| run_scenario(&f, &mut AsymmetricManager::new(&f, mode));
-    let flicker = |variant| run_scenario(&s, &mut FlickerManager::new(&s, variant));
-    let hand_built = [
-        (
-            Scheme::NoGating,
-            "no-gating",
-            run_scenario(&f, &mut NoGatingManager),
-        ),
+    let arms = [
+        (Scheme::NoGating, "no-gating", true),
         (
             Scheme::CoreGating {
                 order,
                 way_partitioning: false,
             },
             "core-gating",
-            gating(false),
+            true,
         ),
         (
             Scheme::CoreGating {
@@ -241,51 +231,40 @@ fn the_scheme_table_runs_exactly_the_hand_built_constructions() {
                 way_partitioning: true,
             },
             "core-gating+wp",
-            gating(true),
+            true,
         ),
         (
             Scheme::Asymmetric(AsymmetricMode::Oracle),
             "asymmetric-oracle",
-            asym(AsymmetricMode::Oracle),
+            true,
         ),
         (
             Scheme::Asymmetric(AsymmetricMode::FixedBig(16)),
             "asymmetric-16big",
-            asym(AsymmetricMode::FixedBig(16)),
+            true,
         ),
         (
             Scheme::Flicker(FlickerVariant::LcProfiled),
             "flicker-a",
-            flicker(FlickerVariant::LcProfiled),
+            false,
         ),
         (
             Scheme::Flicker(FlickerVariant::LcPinned),
             "flicker-b",
-            flicker(FlickerVariant::LcPinned),
+            false,
         ),
-        (
-            Scheme::Feedback,
-            "pid-feedback",
-            run_scenario(&f, &mut FeedbackManager::new(&f)),
-        ),
-        (
-            Scheme::CuttleSys,
-            "cuttlesys",
-            run_scenario(&s, &mut CuttleSysManager::for_scenario(&s)),
-        ),
-        (
-            Scheme::CuttleSysGa(ga),
-            "cuttlesys-sgd-ga",
-            run_scenario(
-                &s,
-                &mut CuttleSysManager::for_scenario(&s).with_search(SearchAlgo::Ga(ga)),
-            ),
-        ),
+        (Scheme::Feedback, "pid-feedback", true),
+        (Scheme::CuttleSys, "cuttlesys", false),
+        (Scheme::CuttleSysGa(ga), "cuttlesys-sgd-ga", false),
     ];
-    for (scheme, name, hand) in hand_built {
+    for (scheme, name, on_fixed_cores) in arms {
         let record = scheme.run(&s);
         assert_eq!(record.scheme, name, "{scheme:?}");
-        assert_eq!(hand.scheme, name, "the manager's own name()");
-        assert_eq!(record.comparable(), hand.comparable(), "{scheme:?}");
+        let on_fixed = scheme.run(&f);
+        assert_eq!(
+            record.comparable() == on_fixed.comparable(),
+            on_fixed_cores,
+            "{scheme:?} ran on the wrong core kind"
+        );
     }
 }

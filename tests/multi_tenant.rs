@@ -4,11 +4,10 @@
 //! *exactly* as the N=1 special case.
 
 use baselines::gating::GatingOrder;
-use cuttlesys::managers::CoreGatingManager;
+use cuttlesys::managers::Scheme;
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::{BatchJobSpec, JobSpec, Scenario};
 use cuttlesys::CuttleSysManager;
-use simulator::power::CoreKind;
 use workloads::batch;
 
 #[test]
@@ -36,14 +35,11 @@ fn cuttlesys_beats_core_gating_with_two_tenants() {
     // cap bind, so core gating has to switch whole jobs off while
     // CuttleSys shaves partial cores from both tenants instead.
     let s = Scenario::two_service().with_mix(batch::mix(16, 0xC0FFEE));
-    let f = Scenario {
-        kind: CoreKind::Fixed,
-        ..s.clone()
-    };
-    let gating = run_scenario(
-        &f,
-        &mut CoreGatingManager::new(&f, GatingOrder::DescendingPower, true),
-    );
+    let gating = Scheme::CoreGating {
+        order: GatingOrder::DescendingPower,
+        way_partitioning: true,
+    }
+    .run(&s);
     let cuttle = {
         let mut m = CuttleSysManager::for_scenario(&s);
         run_scenario(&s, &mut m)
