@@ -21,6 +21,11 @@ use crate::types::BatchAction;
 /// in descending power — each drawing `gated_watts` instead — until the
 /// predicted total fits `cap_watts`; every other of the `num_batch` jobs is
 /// gated.
+///
+/// A job whose prediction is not finite cannot be priced, so it is gated
+/// up front: left in the greedy, its draw would make the running total
+/// `inf − inf = NaN`, which fits no cap, and every other job would be gated
+/// with it.
 pub fn narrowest_then_gate(
     num_batch: usize,
     active: &[usize],
@@ -29,17 +34,27 @@ pub fn narrowest_then_gate(
     cap_watts: f64,
     gated_watts: f64,
 ) -> Vec<BatchAction> {
+    let mut base = base_watts;
+    let mut priced = Vec::with_capacity(active.len());
     // Descending power orders on Watts alone; the BIPS slot goes unread.
-    let cores: Vec<(f64, f64)> = narrowest_watts.iter().map(|&w| (0.0, w)).collect();
+    let mut cores = Vec::with_capacity(active.len());
+    for (&j, &w) in active.iter().zip(narrowest_watts) {
+        if w.is_finite() {
+            priced.push(j);
+            cores.push((0.0, w));
+        } else {
+            base += gated_watts;
+        }
+    }
     let gated = gate_in_order(
         &cores,
-        base_watts,
+        base,
         cap_watts,
         gated_watts,
         GatingOrder::DescendingPower,
     );
     let mut actions = vec![BatchAction::Gated; num_batch];
-    for (&j, &g) in active.iter().zip(&gated) {
+    for (&j, &g) in priced.iter().zip(&gated) {
         if !g {
             actions[j] = BatchAction::Run(JobConfig::profiling_low());
         }
@@ -85,6 +100,15 @@ mod tests {
         assert!(steady_state_budget(100.0, 100.0, 1.0, 50.0) > 100.0);
         // No profiling: the budget is the cap.
         assert!((steady_state_budget(100.0, 100.0, 0.0, 0.0) - 100.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_job_without_a_finite_prediction_is_gated_alone() {
+        // 50 W base + 0.5 W for the gated job + 10 W + 12 W fits 80 W.
+        let actions =
+            narrowest_then_gate(4, &[0, 1, 3], &[10.0, f64::INFINITY, 12.0], 50.0, 80.0, 0.5);
+        let run = BatchAction::Run(JobConfig::profiling_low());
+        assert_eq!(actions, [run, BatchAction::Gated, BatchAction::Gated, run]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A bounded broadcast bus: one publisher, many subscribers, drop-oldest.
 //!
 //! The control plane publishes lifecycle, breaker, and degradation events
-//! from the reactor thread — the thread that runs decision quanta. The one
-//! invariant that matters more than delivery is therefore: **publishing
-//! never blocks**. A slow or stalled subscriber must not be able to stretch
+//! from whichever thread holds its turn — a thread that runs decision
+//! quanta. The one invariant that matters more than delivery is therefore:
+//! **publishing never blocks**. A slow or stalled subscriber must not be able to stretch
 //! a 100 ms quantum.
 //!
 //! The design is a sequence-numbered ring: the bus keeps the last

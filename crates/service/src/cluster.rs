@@ -2,10 +2,10 @@
 //!
 //! [`ClusterService`] is to [`cluster::ClusterCoordinator`] what
 //! [`Service`](crate::Service) is to `ControlCore` — literally: the same
-//! reactor loop and the same handle, over a different plane. A dedicated
-//! thread owns the coordinator, callers send it closures over a bounded
-//! channel, cluster events
-//! broadcast on the bus, and the optional HTTP endpoint serves the fleet's
+//! turn and the same handle, over a different plane. Callers run closures
+//! over the coordinator on their own threads, one at a time in arrival
+//! order, cluster events broadcast on the bus, and the optional HTTP
+//! endpoint serves the fleet's
 //! `/metrics` (every node family under a `node=` label) and a cluster-wide
 //! `/state` rendered from [`ClusterSnapshot::to_json`].
 //!
@@ -38,7 +38,8 @@ use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
 /// Why a cluster service request failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterServiceError {
-    /// The cluster reactor has stopped; no further requests can be served.
+    /// The cluster control plane has stopped; no further requests can be
+    /// served.
     Stopped,
     /// The coordinator refused the request.
     Cluster(ClusterError),
@@ -116,8 +117,8 @@ impl ClusterServiceBuilder {
         self
     }
 
-    /// Builds the coordinator and starts the cluster reactor (and, if
-    /// configured, the HTTP endpoint).
+    /// Builds the coordinator and starts the cluster service: the HTTP
+    /// endpoint and the interval ticker, when configured.
     ///
     /// # Errors
     ///
@@ -158,8 +159,9 @@ impl Plane for ClusterCoordinator {
     }
 }
 
-/// A running cluster control plane: reactor thread, event bus, optional
-/// metrics endpoint. This is the service handle shared with
+/// A running cluster control plane: the shared coordinator, its event bus,
+/// an optional metrics endpoint and, under [`Pacing::Interval`], the ticker
+/// thread. This is the service handle shared with
 /// [`Service`](crate::Service), over a [`ClusterCoordinator`]: the typed requests
 /// are listed below, and the handle itself provides
 ///
@@ -186,8 +188,7 @@ impl ClusterService {
         name: &str,
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, ClusterServiceError> {
-        let name = name.to_string();
-        Ok(self.call(move |fleet| fleet.register_batch(&name, app))??)
+        Ok(self.call(|fleet| fleet.register_batch(name, app))??)
     }
 
     /// Registers a batch tenant on a specific node, bypassing placement.
@@ -203,8 +204,7 @@ impl ClusterService {
         name: &str,
         app: SpecBenchmark,
     ) -> Result<ClusterTenantId, ClusterServiceError> {
-        let name = name.to_string();
-        Ok(self.call(move |fleet| fleet.register_batch_on(node, &name, app))??)
+        Ok(self.call(|fleet| fleet.register_batch_on(node, name, app))??)
     }
 
     /// Drains a batch tenant on its node; it retires once its last slice
@@ -216,7 +216,7 @@ impl ClusterService {
     /// in-flight tenants; [`ClusterServiceError::Stopped`] after
     /// shutdown.
     pub fn deregister(&self, tenant: ClusterTenantId) -> Result<(), ClusterServiceError> {
-        Ok(self.call(move |fleet| fleet.deregister(tenant))??)
+        Ok(self.call(|fleet| fleet.deregister(tenant))??)
     }
 
     /// Starts migrating a batch tenant to `dest` (drain now, admit after
@@ -231,7 +231,7 @@ impl ClusterService {
         tenant: ClusterTenantId,
         dest: NodeId,
     ) -> Result<(), ClusterServiceError> {
-        Ok(self.call(move |fleet| fleet.migrate(tenant, dest))??)
+        Ok(self.call(|fleet| fleet.migrate(tenant, dest))??)
     }
 
     /// Deliberately drains a node for maintenance: its tenants evacuate
@@ -245,7 +245,7 @@ impl ClusterService {
     /// is already down, drained, or crashed;
     /// [`ClusterServiceError::Stopped`] after shutdown.
     pub fn drain_node(&self, node: NodeId) -> Result<(), ClusterServiceError> {
-        Ok(self.call(move |fleet| fleet.drain_node(node))??)
+        Ok(self.call(|fleet| fleet.drain_node(node))??)
     }
 
     /// Runs one lockstep quantum across the fleet now (any pacing mode).
@@ -282,7 +282,7 @@ impl ClusterService {
     ///
     /// # Errors
     ///
-    /// [`ClusterServiceError::Stopped`] if the reactor already stopped;
+    /// [`ClusterServiceError::Stopped`] if the control plane already stopped;
     /// [`ClusterServiceError::Cluster`] on a logic bug during the drain.
     pub fn shutdown(self) -> Result<ClusterRecord, ClusterServiceError> {
         Ok(self.finish(

@@ -2,17 +2,17 @@
 //! `std::net`.
 //!
 //! There is no async runtime in this workspace, and a metrics endpoint
-//! does not need one: scrapes are rare (seconds apart), tiny (one
-//! request line in, one document out), and tolerant of milliseconds of
-//! latency. The server is a single thread around a non-blocking
-//! [`TcpListener`]: it polls `accept` with a short sleep, serves one
-//! connection at a time, and round-trips each request to the owning
-//! reactor as a job over its [`Plane`] (single node or fleet — the route is
-//! the same), so a scrape costs the reactor one rendered string between
-//! quanta and can never race the control plane.
+//! does not need one: scrapes are rare (seconds apart) and tiny (one
+//! request line in, one document out). The server is a single thread
+//! blocked in [`TcpListener::accept`]: it serves one connection at a time,
+//! and renders each document in a turn on the shared [`Plane`] (single node
+//! or fleet — the route is the same), so a scrape costs the plane one
+//! rendered string between quanta and can never race the control plane.
+//! Shutting down sets a stop flag and wakes the blocked `accept` with one
+//! loopback connection, which the loop drops unserved.
 //!
 //! Unknown paths get 404, non-GET methods 405, and a request that
-//! arrives while the reactor is shutting down gets 503. One deadline
+//! arrives once the plane has stopped gets 503. One deadline
 //! ([`IO_TIMEOUT`]) bounds the whole request head, however slowly its
 //! bytes trickle in: the endpoint has one thread, and a peer must not be
 //! able to hold it against the scrapers queued behind.
@@ -23,23 +23,22 @@
 //! crate never spawns.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::bus::Bus;
 use crate::pacing::Ticker;
-use crate::reactor::{call, scrape, Job, Plane};
+use crate::reactor::{Plane, Shared};
 
-/// How long the accept loop sleeps when no connection is pending.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// How long the accept loop backs off after a failed `accept` (e.g. out of
+/// file descriptors), so a persistent error does not spin the thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Deadline for reading a request head, and again for writing the
-/// response: a stalled scraper cannot wedge the endpoint (the next poll
-/// iteration serves the next connection).
+/// response: a stalled scraper cannot wedge the endpoint (the next
+/// connection is served once it passes).
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// The metrics endpoint thread and its shutdown flag.
@@ -58,21 +57,16 @@ impl HttpServer {
     /// Returns the bind error verbatim.
     #[allow(
         clippy::disallowed_methods,
-        reason = "the scrape endpoint owns one of the service's two long-lived threads; it renders what the reactor decided and decides nothing"
+        reason = "the scrape endpoint owns one of the service's two long-lived threads; it renders what the plane decided and decides nothing"
     )]
-    pub(crate) fn spawn<P: Plane>(
-        addr: &str,
-        jobs: SyncSender<Job<P>>,
-        bus: Bus<P::Event>,
-    ) -> io::Result<HttpServer> {
+    pub(crate) fn spawn<P: Plane>(addr: &str, shared: Arc<Shared<P>>) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("cuttlesys-metrics-http".into())
-            .spawn(move || accept_loop(&listener, &jobs, &bus, &stop_flag))?;
+            .spawn(move || accept_loop(&listener, &shared, &stop_flag))?;
         Ok(HttpServer {
             addr,
             stop,
@@ -88,7 +82,20 @@ impl HttpServer {
     /// Stops the accept loop and joins the thread.
     pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        // A wildcard bind is reached through the loopback address.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Without the wake-up connection the thread stays blocked in
+        // `accept`: leave it detached rather than hang the drop.
+        if TcpStream::connect(wake).is_ok() {
             let _ = handle.join();
         }
     }
@@ -100,28 +107,25 @@ impl Drop for HttpServer {
     }
 }
 
-fn accept_loop<P: Plane>(
-    listener: &TcpListener,
-    jobs: &SyncSender<Job<P>>,
-    bus: &Bus<P::Event>,
-    stop: &AtomicBool,
-) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => serve(stream, jobs, bus),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+fn accept_loop<P: Plane>(listener: &TcpListener, shared: &Shared<P>, stop: &AtomicBool) {
+    for conn in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            // The shutdown's wake-up connection (or a scraper that raced
+            // it): not served.
+            return;
+        }
+        match conn {
+            Ok(stream) => serve(stream, shared),
             // Transient accept errors (e.g. ECONNABORTED) are not fatal to
             // the endpoint; back off and keep listening.
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
 /// Reads the request line, routes it, writes the response. Any I/O error
 /// just drops the connection — the scraper retries on its next interval.
-fn serve<P: Plane>(mut stream: TcpStream, jobs: &SyncSender<Job<P>>, bus: &Bus<P::Event>) {
+fn serve<P: Plane>(mut stream: TcpStream, shared: &Shared<P>) {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let deadline = Ticker::new(IO_TIMEOUT);
     let mut buf = [0u8; 1024];
@@ -159,11 +163,11 @@ fn serve<P: Plane>(mut stream: TcpStream, jobs: &SyncSender<Job<P>>, bus: &Bus<P
         return;
     }
     match path {
-        "/metrics" => match scrape(jobs, bus) {
+        "/metrics" => match shared.scrape() {
             Ok(body) => respond(&mut stream, "200 OK", "text/plain; version=0.0.4", &body),
             Err(_) => unavailable(&mut stream),
         },
-        "/state" => match call(jobs, |plane: &mut P| plane.state_json() + "\n") {
+        "/state" => match shared.call(|plane| plane.state_json() + "\n") {
             Ok(body) => respond(&mut stream, "200 OK", "application/json", &body),
             Err(_) => unavailable(&mut stream),
         },
@@ -257,6 +261,18 @@ mod tests {
             "the scrape behind a trickler took {answered:?} (quantum done at {stepped:?})"
         );
         assert!(trickler.join().unwrap() < 4 * IO_TIMEOUT, "never dropped");
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the drop is timed against the wall clock"
+    )]
+    fn dropping_a_service_wakes_its_blocked_acceptor() {
+        let (service, _addr) = endpoint();
+        let started = Instant::now();
+        drop(service);
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

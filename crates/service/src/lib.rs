@@ -6,11 +6,12 @@
 //! no clocks, no threads, no sockets (`crates/clippy.toml` enforces the
 //! first two). This crate is everything on the other side of it:
 //!
-//! * `reactor` — a dedicated thread owns the core; callers send it
-//!   closures over a bounded channel (backpressure, not queues). Pacing is
-//!   [`Pacing::Manual`] (deterministic; tests, replays, benchmarks) or
-//!   [`Pacing::Interval`] (wall-clock quanta, the paper's 100 ms cadence).
-//!   The same loop and the same handle run the fleet ([`cluster`]): a
+//! * `reactor` — the core behind a first-come, first-served turn: each
+//!   request runs as a closure over it on the caller's own thread, one at a
+//!   time, in arrival order. Pacing is [`Pacing::Manual`] (no thread;
+//!   deterministic; tests, replays, benchmarks) or [`Pacing::Interval`]
+//!   (one ticker thread, wall-clock quanta, the paper's 100 ms cadence).
+//!   The same turn and the same handle run the fleet ([`cluster`]): a
 //!   [`Service`] and a [`cluster::ClusterService`] differ only in the plane
 //!   they own and the typed requests they offer.
 //! * [`bus`] — a bounded broadcast bus for lifecycle, admission, and
@@ -60,8 +61,9 @@ pub use crate::pacing::Pacing;
 /// Why a service request failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
-    /// The reactor has stopped (the service was shut down or its thread
-    /// panicked); no further requests can be served.
+    /// The control plane has stopped (the service was shut down, or a
+    /// request panicked or a paced quantum failed); no further requests can
+    /// be served.
     Stopped,
     /// Admission control rejected the registration.
     Admission(AdmissionError),
@@ -129,8 +131,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Builds the control core and starts the reactor (and, if configured,
-    /// the HTTP endpoint).
+    /// Builds the control core and starts the service: the HTTP endpoint
+    /// and the interval ticker, when configured.
     ///
     /// # Errors
     ///
@@ -171,10 +173,11 @@ impl Plane for ControlCore {
     }
 }
 
-/// A running control plane: reactor thread, event bus, optional metrics
-/// endpoint. This is the service handle shared with
-/// [`cluster::ClusterService`], over a [`ControlCore`]: the typed requests
-/// are listed below, and the handle itself provides
+/// A running control plane: the shared core, its event bus, an optional
+/// metrics endpoint and, under [`Pacing::Interval`], the ticker thread.
+/// This is the service handle shared with [`cluster::ClusterService`], over
+/// a [`ControlCore`]: the typed requests are listed below, and the handle
+/// itself provides
 ///
 /// * `subscribe(&self) -> Subscriber<ControlEvent>` — events published
 ///   after the call;
@@ -196,8 +199,7 @@ impl Service {
     /// not fit the steady-state budget; [`ServiceError::Stopped`] after
     /// shutdown.
     pub fn register_batch(&self, name: &str, app: SpecBenchmark) -> Result<TenantId, ServiceError> {
-        let name = name.to_string();
-        Ok(self.call(move |core| core.register_batch(&name, app))??)
+        Ok(self.call(|core| core.register_batch(name, app))??)
     }
 
     /// Drains a batch tenant; it retires once its last slice has run.
@@ -207,7 +209,7 @@ impl Service {
     /// [`ServiceError::Control`] for LC tenants, unknown ids, or tenants
     /// not in a drainable state; [`ServiceError::Stopped`] after shutdown.
     pub fn deregister(&self, tenant: TenantId) -> Result<(), ServiceError> {
-        Ok(self.call(move |core| core.deregister(tenant))??)
+        Ok(self.call(|core| core.deregister(tenant))??)
     }
 
     /// Runs one decision quantum now (works in any pacing mode).
@@ -243,7 +245,7 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Stopped`] if the reactor already stopped;
+    /// [`ServiceError::Stopped`] if the control plane already stopped;
     /// [`ServiceError::Control`] on a lifecycle logic bug during the drain.
     pub fn shutdown(self) -> Result<RunRecord, ServiceError> {
         Ok(self.finish(ControlCore::shutdown, ControlCore::into_record)??)

@@ -3,7 +3,7 @@
 //! The facade computes nothing new: everything is re-expressed from the
 //! per-slice [`SliceRecord`]s (and their [`TelemetrySummary`] aggregate)
 //! that the decision loop already produces, plus the tenant table snapshot.
-//! Rendering happens on the reactor thread between quanta, on demand — a
+//! Rendering happens in a turn on the plane between quanta, on demand — a
 //! scrape costs one string build, never a measurement.
 //!
 //! The exposition format is the Prometheus text format, version 0.0.4:

@@ -1,34 +1,35 @@
-//! The reactor: one thread that owns a control plane and serializes every
-//! request through a bounded job channel — written once, for the single
+//! The service core: one control plane behind a first-come, first-served
+//! turn, served on each caller's own thread — written once, for the single
 //! node ([`ControlCore`](cuttlesys::control::ControlCore)) and for the fleet
 //! (`ClusterCoordinator` plus its optional worker pool) alike.
 //!
 //! A sans-io plane is single-threaded by design — admission, lifecycle
-//! settling, and the decision quantum all mutate one state machine. Rather
-//! than wrap it in a lock (and let a slow scrape stall a quantum waiting
-//! for the mutex), the service runs it on a dedicated reactor thread.
-//! Everything a caller asks for arrives as a boxed closure over the plane
-//! ([`Handle::call`]) carrying its own rendezvous reply; [`Plane`] names
-//! only what the reactor does *without* a caller: the paced tick, draining
-//! queued events onto the [`Bus`], and the two HTTP documents. The channel
-//! bound ([`COMMAND_QUEUE_DEPTH`]) is the service's backpressure: callers
-//! that outrun the reactor block in `send`, they do not grow an unbounded
-//! queue.
+//! settling, and the decision quantum all mutate one state machine. Every
+//! request is a closure over the plane ([`Handle::call`]): the caller takes
+//! a turn, runs the closure on its own thread, drains the events the plane
+//! queued onto the [`Bus`], and passes the turn on. Turns are handed out in
+//! arrival order (a ticket counter and a `Condvar`), not to whichever thread
+//! wins a lock: a caller stepping quanta back to back would otherwise
+//! re-take a plain mutex before a waiting scrape wakes, and starve it. So
+//! there is one mutator at a time, a total order on events, and a scrape
+//! that arrives during a quantum is served right after it. [`Plane`] names
+//! only what is done *without* a typed request: the paced tick, draining
+//! queued events onto the bus, and the two HTTP documents.
 //!
 //! Pacing:
 //!
-//! * [`Pacing::Manual`] — the reactor blocks on the channel and quanta run
-//!   only when a caller's job steps one. Fully deterministic; the mode
-//!   every test, replay, and benchmark uses.
-//! * [`Pacing::Interval`] — the reactor waits with
-//!   `recv_timeout(ticker.remaining())`, so jobs are served between quanta
-//!   and [`Plane::tick`] fires whenever the deadline arrives.
+//! * [`Pacing::Manual`] — no thread: quanta run only when a caller steps
+//!   one. Fully deterministic; the mode every test, replay, and benchmark
+//!   uses.
+//! * [`Pacing::Interval`] — one ticker thread parks until the next deadline
+//!   (`Ticker::remaining`), then takes a turn like any other caller and runs
+//!   [`Plane::tick`].
 //!
-//! After every job and every tick the reactor drains the plane's pending
-//! events onto the bus — which never blocks, so subscribers cannot stretch
-//! a quantum — and only then sends the job's reply. The bus is closed by a
-//! drop guard, so it closes on *every* exit: shutdown, the last handle
-//! dropping, or the reactor thread unwinding.
+//! Publishing to the bus never blocks, so subscribers cannot stretch a
+//! quantum. A request that panics, and a paced quantum that fails, stop the
+//! plane: it is dropped, the bus is closed (a subscriber parked in `recv`
+//! wakes), and that caller and every later one get [`Stopped`]. Finishing
+//! or dropping the handle stops it the same way.
 //!
 //! This file (with `http.rs`) is the service's thread boundary: each
 //! carries one `#[allow(clippy::disallowed_methods)]` over the thread ban
@@ -37,16 +38,19 @@
 use std::fmt::Display;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::bus::{Bus, Subscriber};
 use crate::http::HttpServer;
 use crate::pacing::{Pacing, Ticker};
 
-/// What the reactor needs from a control plane when no caller is involved.
-/// (Public only because [`Handle`] is generic over it; the module is
-/// private, so neither name is reachable from outside the crate.)
+/// What the service needs from a control plane when no typed request is
+/// involved. (Public only because [`Handle`] is generic over it; the module
+/// is private, so neither name is reachable from outside the crate.)
 pub trait Plane: Send + 'static {
     /// What the plane queues for the bus.
     type Event: Clone + Send + 'static;
@@ -62,17 +66,11 @@ pub trait Plane: Send + 'static {
     fn state_json(&self) -> String;
 }
 
-/// The reactor is gone (shut down, or its thread panicked): the request
-/// was not served. Each facade maps this to its own `Stopped` variant.
+/// The plane is gone (finished, dropped, or stopped by a panicking request
+/// or a failed paced quantum): the request was not served. Each facade maps
+/// this to its own `Stopped` variant.
+#[derive(Debug)]
 pub struct Stopped;
-
-/// What the channel carries: a closure that takes the plane, publishes the
-/// events it left pending, sends its own reply, and hands the plane back —
-/// except the one finishing job, which keeps it; the reactor then exits.
-pub(crate) type Job<P> = Box<dyn FnOnce(P, &Bus<<P as Plane>::Event>) -> Option<P> + Send>;
-
-/// Jobs the channel buffers before `send` blocks the caller.
-const COMMAND_QUEUE_DEPTH: usize = 64;
 
 /// Events the broadcast bus of a service retains for slow subscribers.
 pub(crate) const BUS_CAPACITY: usize = 256;
@@ -84,117 +82,189 @@ fn publish<P: Plane>(plane: &mut P, bus: &Bus<P::Event>) {
     }
 }
 
-/// Sends the job `make` builds around a reply channel and waits for the
-/// reply. A reactor that exits drops the queued job, and the reply sender
-/// with it, so a caller never waits on a dead reactor.
-fn rendezvous<P: Plane, T>(
-    jobs: &SyncSender<Job<P>>,
-    make: impl FnOnce(SyncSender<T>) -> Job<P>,
-) -> Result<T, Stopped> {
-    let (reply_tx, reply_rx) = sync_channel(1);
-    jobs.send(make(reply_tx)).map_err(|_| Stopped)?;
-    reply_rx.recv().map_err(|_| Stopped)
+/// The FIFO turn's ticket counters: a caller draws `issued` and waits until
+/// `serving` reaches it.
+#[derive(Default)]
+struct Tickets {
+    issued: u64,
+    serving: u64,
 }
 
-/// Runs `f` on the plane, on the reactor thread, and returns its result.
-pub(crate) fn call<P: Plane, T: Send + 'static>(
-    jobs: &SyncSender<Job<P>>,
-    f: impl FnOnce(&mut P) -> T + Send + 'static,
-) -> Result<T, Stopped> {
-    rendezvous(jobs, |reply| {
-        Box::new(move |mut plane, bus| {
-            let result = f(&mut plane);
-            publish(&mut plane, bus);
-            let _ = reply.send(result);
-            Some(plane)
-        })
-    })
+/// One caller's turn. Dropping it passes the turn to the next ticket.
+struct Turn<'a> {
+    tickets: &'a Mutex<Tickets>,
+    passed: &'a Condvar,
 }
 
-/// The `/metrics` document, rendered on the reactor thread.
-pub(crate) fn scrape<P: Plane>(
-    jobs: &SyncSender<Job<P>>,
-    bus: &Bus<P::Event>,
-) -> Result<String, Stopped> {
-    let overwrites = bus.overwrites();
-    call(jobs, move |plane| plane.metrics(overwrites))
-}
-
-/// Closes the bus when the reactor leaves [`run`], however it leaves: a
-/// subscriber parked in `recv` must wake even if the thread is unwinding.
-struct CloseOnExit<'a, T: Clone>(&'a Bus<T>);
-
-impl<T: Clone> Drop for CloseOnExit<'_, T> {
+impl Drop for Turn<'_> {
     fn drop(&mut self) {
-        self.0.close();
+        lock_tickets(self.tickets).serving += 1;
+        self.passed.notify_all();
     }
 }
 
-fn run<P: Plane>(mut plane: P, pacing: Pacing, bus: &Bus<P::Event>, rx: &Receiver<Job<P>>) {
-    let _close = CloseOnExit(bus);
-    let mut ticker = match pacing {
-        Pacing::Manual => None,
-        Pacing::Interval(period) => Some(Ticker::new(period)),
-    };
-    loop {
-        let job = match ticker.as_mut() {
-            // Every handle dropped without a shutdown: the run record is
-            // unreachable now, but subscribers still get a clean close.
-            None => match rx.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            },
-            Some(t) => {
-                if t.due() {
-                    let ticked = plane.tick();
-                    publish(&mut plane, bus);
-                    if let Err(e) = ticked {
-                        // A stepping error is a control-plane logic bug
-                        // (illegal lifecycle transitions are hard errors by
-                        // contract) and in interval mode there is no caller
-                        // to hand it to.
-                        panic!("paced quantum failed: {e}");
-                    }
-                    t.advance();
-                    continue;
-                }
-                match rx.recv_timeout(t.remaining()) {
-                    Ok(job) => job,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
+/// Every update of [`Tickets`] is one increment, so a poisoned lock still
+/// guards valid counters (and nothing panics while holding it anyway).
+fn lock_tickets(tickets: &Mutex<Tickets>) -> MutexGuard<'_, Tickets> {
+    tickets.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A control plane shared by its callers: the plane, the FIFO turn that
+/// serializes access to it, and the bus its events go to.
+pub(crate) struct Shared<P: Plane> {
+    tickets: Mutex<Tickets>,
+    passed: Condvar,
+    /// Locked only by the turn's holder; `None` once the plane stopped.
+    plane: Mutex<Option<P>>,
+    bus: Bus<P::Event>,
+}
+
+impl<P: Plane> Shared<P> {
+    fn new(plane: P, bus_capacity: usize) -> Shared<P> {
+        Shared {
+            tickets: Mutex::new(Tickets::default()),
+            passed: Condvar::new(),
+            plane: Mutex::new(Some(plane)),
+            bus: Bus::new(bus_capacity),
+        }
+    }
+
+    /// Waits for this caller's turn, in arrival order.
+    fn take_turn(&self) -> Turn<'_> {
+        let mut tickets = lock_tickets(&self.tickets);
+        let mine = tickets.issued;
+        tickets.issued += 1;
+        let _served = self
+            .passed
+            .wait_while(tickets, |t| t.serving != mine)
+            .unwrap_or_else(PoisonError::into_inner);
+        Turn {
+            tickets: &self.tickets,
+            passed: &self.passed,
+        }
+    }
+
+    /// Runs `f` on the plane's slot in this caller's turn; `f` returns
+    /// `None` when it finds the plane gone. A panic in `f` is caught and
+    /// stops the plane: it is dropped and the bus is closed.
+    fn turn<T>(
+        &self,
+        f: impl FnOnce(&mut Option<P>, &Bus<P::Event>) -> Option<T>,
+    ) -> Result<T, Stopped> {
+        let _turn = self.take_turn();
+        // `f` never unwinds through the guard, so the lock is poisoned only
+        // if dropping a stopped plane panicked: the plane is gone either way.
+        let Ok(mut slot) = self.plane.lock() else {
+            return Err(Stopped);
+        };
+        match catch_unwind(AssertUnwindSafe(|| f(&mut slot, &self.bus))) {
+            Ok(served) => served.ok_or(Stopped),
+            Err(_) => {
+                *slot = None;
+                self.bus.close();
+                Err(Stopped)
             }
-        };
-        plane = match job(plane, bus) {
-            Some(plane) => plane,
-            None => return,
-        };
+        }
+    }
+
+    /// Runs `f` on the plane in this caller's turn, publishes the events it
+    /// left pending, and returns its result.
+    pub(crate) fn call<T>(&self, f: impl FnOnce(&mut P) -> T) -> Result<T, Stopped> {
+        self.turn(|slot, bus| {
+            let plane = slot.as_mut()?;
+            let result = f(plane);
+            publish(plane, bus);
+            Some(result)
+        })
+    }
+
+    /// The `/metrics` document.
+    pub(crate) fn scrape(&self) -> Result<String, Stopped> {
+        self.call(|plane| plane.metrics(self.bus.overwrites()))
+    }
+
+    /// One paced quantum.
+    fn tick(&self) -> Result<(), Stopped> {
+        self.turn(|slot, bus| {
+            let plane = slot.as_mut()?;
+            let ticked = plane.tick();
+            publish(plane, bus);
+            if let Err(e) = ticked {
+                // A stepping error is a control-plane logic bug (illegal
+                // lifecycle transitions are hard errors by contract) and in
+                // interval mode there is no caller to hand it to; the turn
+                // catches the panic and stops the plane.
+                panic!("paced quantum failed: {e}");
+            }
+            Some(())
+        })
+    }
+
+    /// Drops the plane (if it is still there) and closes the bus.
+    fn stop(&self) {
+        let _ = self.turn(|slot, bus| {
+            *slot = None;
+            bus.close();
+            Some(())
+        });
     }
 }
 
-/// A running control plane: reactor thread, event bus, optional metrics
-/// endpoint. [`Service`](crate::Service) and
+/// The [`Pacing::Interval`] ticker thread and its stop flag.
+struct Pacer {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Drop for Pacer {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            thread.thread().unpark();
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The ticker thread's loop: park until the next quantum is due (or the
+/// pacer's drop unparks it), then run the quantum in a turn.
+fn pace<P: Plane>(shared: &Shared<P>, period: Duration, stop: &AtomicBool) {
+    let mut ticker = Ticker::new(period);
+    while !stop.load(Ordering::Acquire) {
+        if !ticker.due() {
+            std::thread::park_timeout(ticker.remaining());
+            continue;
+        }
+        if shared.tick().is_err() {
+            return;
+        }
+        ticker.advance();
+    }
+}
+
+/// A running control plane: the shared plane, its event bus, an optional
+/// metrics endpoint and, under [`Pacing::Interval`], the ticker thread.
+/// [`Service`](crate::Service) and
 /// [`ClusterService`](crate::cluster::ClusterService) are this type over
 /// their plane, each with its own typed request methods.
 ///
 /// Dropping the handle without a `shutdown` stops the threads but discards
 /// the run record and skips the tenant drain.
 pub struct Handle<P: Plane> {
-    jobs: SyncSender<Job<P>>,
-    bus: Bus<P::Event>,
+    shared: Arc<Shared<P>>,
     http: Option<HttpServer>,
-    reactor: Option<JoinHandle<()>>,
+    pacer: Option<Pacer>,
 }
 
 impl<P: Plane> Handle<P> {
-    /// Spawns the reactor over an already-built plane and, when an address
-    /// is given, the HTTP endpoint.
+    /// Shares an already-built plane and starts, when an address is given,
+    /// the HTTP endpoint and, under [`Pacing::Interval`], the ticker.
     // Thread spawning can only fail on OS resource exhaustion, at which point
     // the service cannot exist; surfacing the panic is correct.
     #[allow(clippy::expect_used)]
     #[allow(
         clippy::disallowed_methods,
-        reason = "the reactor owns one of the service's two long-lived threads; every decision it makes is a function of the command sequence, fan-out below it goes through `util::pool::WorkerPool`"
+        reason = "the interval ticker is one of the service's two long-lived threads; it only decides *when* a quantum runs, and fan-out below it goes through `util::pool::WorkerPool`"
     )]
     pub(crate) fn start(
         plane: P,
@@ -202,64 +272,69 @@ impl<P: Plane> Handle<P> {
         bus_capacity: usize,
         metrics_addr: Option<&str>,
     ) -> io::Result<Handle<P>> {
-        let bus = Bus::new(bus_capacity);
-        let (jobs, rx) = sync_channel(COMMAND_QUEUE_DEPTH);
-        let reactor_bus = bus.clone();
-        let reactor = std::thread::Builder::new()
-            .name("cuttlesys-reactor".into())
-            .spawn(move || run(plane, pacing, &reactor_bus, &rx))
-            .expect("spawn the reactor thread");
+        let shared = Arc::new(Shared::new(plane, bus_capacity));
         let http = metrics_addr
-            .map(|addr| HttpServer::spawn(addr, jobs.clone(), bus.clone()))
+            .map(|addr| HttpServer::spawn(addr, Arc::clone(&shared)))
             .transpose()?;
+        let pacer = match pacing {
+            Pacing::Manual => None,
+            Pacing::Interval(period) => {
+                let stop = Arc::new(AtomicBool::new(false));
+                let (plane, flag) = (Arc::clone(&shared), Arc::clone(&stop));
+                let thread = std::thread::Builder::new()
+                    .name("cuttlesys-ticker".into())
+                    .spawn(move || pace(&plane, period, &flag))
+                    .expect("spawn the ticker thread");
+                Some(Pacer {
+                    stop,
+                    thread: Some(thread),
+                })
+            }
+        };
         Ok(Handle {
-            jobs,
-            bus,
+            shared,
             http,
-            reactor: Some(reactor),
+            pacer,
         })
     }
 
     /// Runs `f` on the plane, between quanta, and returns its result.
-    pub(crate) fn call<T: Send + 'static>(
-        &self,
-        f: impl FnOnce(&mut P) -> T + Send + 'static,
-    ) -> Result<T, Stopped> {
-        call(&self.jobs, f)
+    pub(crate) fn call<T>(&self, f: impl FnOnce(&mut P) -> T) -> Result<T, Stopped> {
+        self.shared.call(f)
     }
 
     /// The `/metrics` document (what the endpoint serves).
     pub(crate) fn scrape(&self) -> Result<String, Stopped> {
-        scrape(&self.jobs, &self.bus)
+        self.shared.scrape()
     }
 
-    /// Runs `drain` on the plane, publishes what it queued, hands the plane
-    /// to `record`, and stops the threads — one job, so no paced quantum
-    /// can slip in between the drain and the record.
-    pub(crate) fn finish<T: Send + 'static, E: Send + 'static>(
+    /// In one turn — so no paced quantum can slip in between the drain and
+    /// the record — takes the plane, runs `drain` on it, publishes what it
+    /// queued, closes the bus, and hands the plane to `record`. Then stops
+    /// the threads.
+    pub(crate) fn finish<T, E>(
         self,
-        drain: impl FnOnce(&mut P) -> Result<(), E> + Send + 'static,
-        record: impl FnOnce(P) -> T + Send + 'static,
+        drain: impl FnOnce(&mut P) -> Result<(), E>,
+        record: impl FnOnce(P) -> T,
     ) -> Result<Result<T, E>, Stopped> {
-        rendezvous(&self.jobs, |reply| {
-            Box::new(move |mut plane, bus| {
-                let drained = drain(&mut plane);
-                publish(&mut plane, bus);
-                let _ = reply.send(drained.map(|()| record(plane)));
-                None
-            })
+        self.shared.turn(|slot, bus| {
+            let mut plane = slot.take()?;
+            let drained = drain(&mut plane);
+            publish(&mut plane, bus);
+            bus.close();
+            Some(drained.map(|()| record(plane)))
         })
-        // `self` drops here: endpoint stopped, reactor joined.
+        // `self` drops here: endpoint and ticker stopped.
     }
 
     /// Subscribes to the plane's events published after this call.
     pub fn subscribe(&self) -> Subscriber<P::Event> {
-        self.bus.subscribe()
+        self.shared.bus.subscribe()
     }
 
     /// Events overwritten in the bus ring before delivery.
     pub fn bus_overwrites(&self) -> u64 {
-        self.bus.overwrites()
+        self.shared.bus.overwrites()
     }
 
     /// The bound metrics endpoint address, when one was configured.
@@ -270,17 +345,11 @@ impl<P: Plane> Handle<P> {
 
 impl<P: Plane> Drop for Handle<P> {
     fn drop(&mut self) {
-        // Stop the endpoint first: it holds a clone of the job sender, and
-        // the reactor only exits once every sender is gone (or after a
-        // finishing job).
+        // The threads first, so a request they already took finishes, then
+        // the plane.
         self.http = None;
-        // Dropping our sender disconnects the reactor's receiver; the
-        // reactor closes the bus and exits.
-        let (dead_tx, _) = sync_channel(1);
-        self.jobs = dead_tx;
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
-        }
+        self.pacer = None;
+        self.shared.stop();
     }
 }
 
@@ -289,7 +358,11 @@ impl<P: Plane> Drop for Handle<P> {
 mod tests {
     use super::*;
     use crate::bus::Closed;
-    use std::time::Duration;
+    use crate::ServiceBuilder;
+    use cuttlesys::types::Scenario;
+    use std::sync::mpsc::channel;
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     /// A plane whose every paced quantum fails.
     struct Failing;
@@ -320,5 +393,156 @@ mod tests {
         assert_eq!(handle.subscribe().recv(), Err(Closed));
         assert!(handle.call(|_| ()).is_err(), "the reactor is gone");
         assert!(handle.scrape().is_err());
+    }
+
+    /// A plane that logs which request ran.
+    #[derive(Default)]
+    struct Log(Vec<&'static str>);
+
+    impl Plane for Log {
+        type Event = ();
+        type Error = &'static str;
+        fn tick(&mut self) -> Result<(), &'static str> {
+            Ok(())
+        }
+        fn drain_events(&mut self) -> Vec<()> {
+            Vec::new()
+        }
+        fn metrics(&self, _: u64) -> String {
+            String::new()
+        }
+        fn state_json(&self) -> String {
+            String::new()
+        }
+    }
+
+    /// Callers holding or waiting for the turn.
+    fn in_line<P: Plane>(handle: &Handle<P>) -> u64 {
+        let tickets = lock_tickets(&handle.shared.tickets);
+        tickets.issued - tickets.serving
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test races two callers for the turn on raw threads"
+    )]
+    fn a_caller_that_asks_again_waits_behind_one_already_queued() {
+        let handle = Handle::start(Log::default(), Pacing::Manual, 8, None).unwrap();
+        let (held_tx, held) = channel();
+        let (release, release_rx) = channel::<()>();
+        std::thread::scope(|s| {
+            let handle = &handle;
+            let stepper = s.spawn(move || {
+                handle
+                    .call(|log| {
+                        held_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        log.0.push("stepper");
+                    })
+                    .unwrap();
+                // Asks again at once, as a back-to-back stepping loop does.
+                handle.call(|log| log.0.push("stepper again")).unwrap();
+            });
+            held.recv().unwrap();
+            let scraper = s.spawn(|| handle.call(|log| log.0.push("scraper")).unwrap());
+            while in_line(handle) < 2 {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            stepper.join().unwrap();
+            scraper.join().unwrap();
+        });
+        let log = handle.call(|log| log.0.clone()).unwrap();
+        assert_eq!(log, ["stepper", "scraper", "stepper again"]);
+    }
+
+    fn quanta_total(metrics: &str) -> u64 {
+        let line = metrics
+            .lines()
+            .find(|l| l.starts_with("cuttlesys_quanta_total "))
+            .expect("the document counts quanta");
+        line["cuttlesys_quanta_total ".len()..].parse().unwrap()
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the test scrapes from a raw thread while the test thread steps"
+    )]
+    fn a_back_to_back_stepper_cannot_starve_a_scraper() {
+        const QUANTA: u64 = 300;
+        let service = ServiceBuilder::new(&Scenario::quick_demo())
+            .start()
+            .unwrap();
+        let stepped = AtomicBool::new(false);
+        let scraped = std::thread::scope(|s| {
+            let scraper = s.spawn(|| {
+                let mut scraped = Vec::new();
+                loop {
+                    // Asks only while the stepper holds or waits for the
+                    // turn: a stepper descheduled between two quanta holds
+                    // no ticket, and a scrape asking then is rightly served
+                    // twice in a row.
+                    while in_line(&service) == 0 && !stepped.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    let quanta = quanta_total(&service.metrics().unwrap());
+                    scraped.push(quanta);
+                    if quanta == QUANTA {
+                        return scraped;
+                    }
+                }
+            });
+            for _ in 0..QUANTA {
+                service.step_quantum().unwrap();
+            }
+            stepped.store(true, Ordering::Release);
+            scraper.join().unwrap()
+        });
+        assert!(
+            scraped[0] < QUANTA,
+            "the first scrape waited out every quantum"
+        );
+        assert!(
+            scraped.windows(2).all(|w| w[0] < w[1]),
+            "a caller took two turns in a row while another waited: {scraped:?}"
+        );
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a subscriber parks in `recv` on a raw thread"
+    )]
+    fn a_panicking_request_stops_the_plane_and_closes_the_bus() {
+        let handle = Handle::start(Log::default(), Pacing::Manual, 8, None).unwrap();
+        let mut events = handle.subscribe();
+        let subscribed = Barrier::new(2);
+        let woke = std::thread::scope(|s| {
+            let parked = s.spawn(|| {
+                subscribed.wait();
+                events.recv()
+            });
+            subscribed.wait();
+            assert!(handle.call::<()>(|_| panic!("a request bug")).is_err());
+            parked.join().unwrap()
+        });
+        assert_eq!(woke, Err(Closed));
+        assert!(handle.call(|_| ()).is_err(), "the plane is gone");
+        assert!(handle.scrape().is_err());
+    }
+
+    #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the drop is timed against the wall clock"
+    )]
+    fn an_interval_service_drops_without_waiting_out_its_period() {
+        let period = Duration::from_secs(5);
+        let handle = Handle::start(Log::default(), Pacing::Interval(period), 8, None).unwrap();
+        let started = Instant::now();
+        drop(handle);
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 }
