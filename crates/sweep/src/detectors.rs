@@ -115,9 +115,10 @@ impl Finding {
 pub struct RunSeries {
     /// Per-quantum "did any LC tenant violate QoS this quantum".
     pub qos_violated: Vec<bool>,
-    /// Quanta spent in safe mode.
+    /// Quanta spent in safe mode (summed across nodes for clusters).
     pub safe_mode_quanta: usize,
-    /// Quanta spent anywhere on the degradation ladder.
+    /// Quanta spent anywhere on the degradation ladder (summed across
+    /// nodes for clusters).
     pub degraded_quanta: usize,
     /// Per-quantum batch throughput (instructions; fleet-summed for
     /// cluster runs, with crashed nodes contributing zero).

@@ -86,8 +86,8 @@ fn metric_of(run: &RunOutcome, metric: &str) -> f64 {
         "qos_violations" => m.qos_violations as f64,
         "power_violations" => m.power_violations as f64,
         "worst_tail_ratio" => m.worst_tail_ratio,
-        "degraded_quanta" => m.degraded_quanta as f64,
-        "safe_mode_quanta" => m.safe_mode_quanta as f64,
+        "degraded_quanta" => m.series.degraded_quanta as f64,
+        "safe_mode_quanta" => m.series.safe_mode_quanta as f64,
         "injected_fault_slices" => m.injected_fault_slices as f64,
         _ => 0.0,
     }
@@ -124,7 +124,7 @@ fn run_to_json(run: &RunOutcome) -> JsonValue {
     let m = &run.metrics;
     let mut fields = vec![
         ("seed".to_string(), JsonValue::from(m.seed as usize)),
-        ("quanta".to_string(), JsonValue::from(m.quanta)),
+        ("quanta".to_string(), JsonValue::from(m.series.quanta)),
         (
             "qos_violations".to_string(),
             JsonValue::from(m.qos_violations),
@@ -143,11 +143,11 @@ fn run_to_json(run: &RunOutcome) -> JsonValue {
         ),
         (
             "degraded_quanta".to_string(),
-            JsonValue::from(m.degraded_quanta),
+            JsonValue::from(m.series.degraded_quanta),
         ),
         (
             "safe_mode_quanta".to_string(),
-            JsonValue::from(m.safe_mode_quanta),
+            JsonValue::from(m.series.safe_mode_quanta),
         ),
         (
             "injected_fault_slices".to_string(),

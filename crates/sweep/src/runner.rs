@@ -10,7 +10,10 @@
 //! themselves are bit-deterministic per the core/cluster contracts, so
 //! serial and parallel sweeps agree exactly.
 
-use cluster::{ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterScenario, FleetFaultPlan};
+use cluster::{
+    ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario, FleetFaultPlan,
+};
+use cuttlesys::types::RunRecord;
 use cuttlesys::{run_scenario, CuttleSysManager};
 use util::WorkerPool;
 
@@ -64,8 +67,6 @@ pub struct ClusterMetrics {
 pub struct RunMetrics {
     /// The run's seed.
     pub seed: u64,
-    /// Quanta executed.
-    pub quanta: usize,
     /// Quanta in which some LC tenant violated QoS.
     pub qos_violations: usize,
     /// Quanta in which the power cap was exceeded.
@@ -74,14 +75,10 @@ pub struct RunMetrics {
     pub worst_tail_ratio: f64,
     /// Total batch instructions retired (fleet-summed for clusters).
     pub batch_instructions: f64,
-    /// Quanta spent anywhere on the degradation ladder (node-level;
-    /// summed across nodes for clusters).
-    pub degraded_quanta: usize,
-    /// Quanta spent in safe mode (summed across nodes for clusters).
-    pub safe_mode_quanta: usize,
     /// Quanta that carried an injected single-node fault.
     pub injected_fault_slices: usize,
-    /// The per-quantum series the detectors consume.
+    /// The per-quantum series the detectors consume, with the run's
+    /// quanta and its safe-mode and degraded quanta.
     pub series: RunSeries,
     /// Fleet metrics (`None` for single-node runs).
     pub cluster: Option<ClusterMetrics>,
@@ -163,29 +160,11 @@ fn run_single(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunMetrics {
     let scenario = spec.scenario_for(&cell.shape, cell.cap, &cell.fault, seed);
     let mut manager = CuttleSysManager::for_scenario(&scenario);
     let record = run_scenario(&scenario, &mut manager);
-    let series = RunSeries {
-        qos_violated: record.slices.iter().map(|s| s.qos_violation()).collect(),
-        safe_mode_quanta: record.safe_mode_quanta(),
-        degraded_quanta: record.degraded_quanta(),
-        throughput: record.slices.iter().map(|s| s.batch_instructions).collect(),
-        displaced: Vec::new(),
-        tenants_lost: 0,
+    let fleet_of_one = ClusterRecord {
         quanta: record.slices.len(),
-        error: None,
+        nodes: vec![record],
     };
-    RunMetrics {
-        seed,
-        quanta: record.slices.len(),
-        qos_violations: record.qos_violations(),
-        power_violations: record.power_violations(),
-        worst_tail_ratio: record.worst_tail_ratio(),
-        batch_instructions: record.batch_instructions(),
-        degraded_quanta: record.degraded_quanta(),
-        safe_mode_quanta: record.safe_mode_quanta(),
-        injected_fault_slices: record.injected_fault_slices(),
-        series,
-        cluster: None,
-    }
+    reduce(seed, &fleet_of_one, Vec::new(), None, None)
 }
 
 fn run_cluster(spec: &SweepSpec, cell: &Cell, seed: u64, nodes: usize) -> RunMetrics {
@@ -232,9 +211,27 @@ fn run_cluster(spec: &SweepSpec, cell: &Cell, seed: u64, nodes: usize) -> RunMet
         })
         .count();
     let displaced_final = coord.displaced_tenants();
-    let evacuations = coord.evacuations_total();
+    let cluster = ClusterMetrics {
+        nodes,
+        evacuations: coord.evacuations_total(),
+        displaced_final,
+        tenants_lost: abandoned + displaced_final,
+        fleet_degraded_quanta,
+    };
     let record = coord.into_record();
+    reduce(seed, &record, displaced_series, error, Some(cluster))
+}
 
+/// Reduces a fleet record to one run's metrics; a single-node run is
+/// reduced as a fleet of one. `displaced` is the fleet's per-quantum
+/// displaced-tenant count (empty for a single node).
+fn reduce(
+    seed: u64,
+    record: &ClusterRecord,
+    displaced: Vec<usize>,
+    error: Option<String>,
+    cluster: Option<ClusterMetrics>,
+) -> RunMetrics {
     // Per-quantum fleet series. A crashed node's record simply stops,
     // so its missing quanta contribute zero throughput and no QoS
     // signal — exactly the collapse the cliff detector looks for.
@@ -243,47 +240,30 @@ fn run_cluster(spec: &SweepSpec, cell: &Cell, seed: u64, nodes: usize) -> RunMet
     let mut throughput = vec![0.0; quanta];
     for node in &record.nodes {
         for (q, slice) in node.slices.iter().enumerate().take(quanta) {
-            if slice.qos_violation() {
-                qos_violated[q] = true;
-            }
+            qos_violated[q] |= slice.qos_violation();
             throughput[q] += slice.batch_instructions;
         }
     }
-    let safe_mode_quanta = record.nodes.iter().map(|n| n.safe_mode_quanta()).sum();
-    let degraded_quanta = record.nodes.iter().map(|n| n.degraded_quanta()).sum();
-    let tenants_lost = abandoned + displaced_final;
+    let total = |count: fn(&RunRecord) -> usize| record.nodes.iter().map(count).sum();
     let series = RunSeries {
         qos_violated,
-        safe_mode_quanta,
-        degraded_quanta,
-        throughput: throughput.clone(),
-        displaced: displaced_series,
-        tenants_lost,
+        safe_mode_quanta: total(RunRecord::safe_mode_quanta),
+        degraded_quanta: total(RunRecord::degraded_quanta),
+        throughput,
+        displaced,
+        tenants_lost: cluster.as_ref().map_or(0, |c| c.tenants_lost),
         quanta,
-        error: error.clone(),
+        error,
     };
     RunMetrics {
         seed,
-        quanta,
         qos_violations: series.qos_violated.iter().filter(|&&v| v).count(),
-        power_violations: record.nodes.iter().map(|n| n.power_violations()).sum(),
-        worst_tail_ratio: record
-            .nodes
-            .iter()
-            .map(|n| n.worst_tail_ratio())
-            .fold(0.0, f64::max),
-        batch_instructions: record.nodes.iter().map(|n| n.batch_instructions()).sum(),
-        degraded_quanta,
-        safe_mode_quanta,
-        injected_fault_slices: record.nodes.iter().map(|n| n.injected_fault_slices()).sum(),
+        power_violations: total(RunRecord::power_violations),
+        worst_tail_ratio: record.worst_tail_ratio(),
+        batch_instructions: record.nodes.iter().map(RunRecord::batch_instructions).sum(),
+        injected_fault_slices: total(RunRecord::injected_fault_slices),
         series,
-        cluster: Some(ClusterMetrics {
-            nodes,
-            evacuations,
-            displaced_final,
-            tenants_lost,
-            fleet_degraded_quanta,
-        }),
+        cluster,
     }
 }
 

@@ -27,6 +27,7 @@
 //! [`RunRecord::comparable`] — the same convention as
 //! `tests/determinism.rs`.
 
+use cluster::{ClusterCoordinator, ClusterScenario};
 use cuttlesys::control::{ControlCore, TenantId, TenantKind};
 use cuttlesys::lifecycle::LifecycleState;
 use cuttlesys::runtime::CuttleSysManager;
@@ -207,4 +208,160 @@ fn single_node_metrics_document_matches_the_pinned_golden_bytes() {
         include_str!("golden/metrics_single_node.prom"),
         "single-node /metrics drifted from tests/golden/metrics_single_node.prom"
     );
+}
+
+/// The fleet `/metrics` document pinned byte for byte beside the
+/// single-node one: two `quick_demo` nodes after one lockstep quantum and
+/// three bus overwrites. Stage timings are wall-clock, so the values of
+/// `cuttlesys_stage_wall_ms` are masked to 0; their keys stay pinned.
+#[test]
+fn fleet_metrics_document_matches_the_pinned_golden_bytes() {
+    let scenario = ClusterScenario::uniform(&Scenario::quick_demo(), 2);
+    let mut coordinator = ClusterCoordinator::new(&scenario);
+    coordinator.step_quantum().expect("quantum");
+    let text: String = service::metrics::render_cluster(&coordinator, 3)
+        .lines()
+        .map(|line| match line.rsplit_once(' ') {
+            Some((key, _)) if line.starts_with("cuttlesys_stage_wall_ms") => format!("{key} 0\n"),
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    assert_eq!(
+        text,
+        include_str!("golden/metrics_cluster_2node.prom"),
+        "fleet /metrics drifted from tests/golden/metrics_cluster_2node.prom"
+    );
+}
+
+/// One parsed sample line: name, labels (values unescaped), value.
+type Sample<'a> = (&'a str, Vec<(&'a str, String)>, f64);
+
+/// Parses one text-format 0.0.4 sample line; `None` when it is malformed.
+fn parse_sample(line: &str) -> Option<Sample<'_>> {
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let (name, mut rest) = line.split_at(line.find(['{', ' '])?);
+    let mut labels = Vec::new();
+    if let Some(body) = rest.strip_prefix('{') {
+        rest = body;
+        loop {
+            let (key, quoted) = rest.split_once("=\"")?;
+            let mut value = String::new();
+            let mut chars = quoted.char_indices();
+            let end = loop {
+                match chars.next()? {
+                    (i, '"') => break i,
+                    (_, '\\') => value.push(match chars.next()?.1 {
+                        '\\' => '\\',
+                        '"' => '"',
+                        'n' => '\n',
+                        _ => return None,
+                    }),
+                    (_, c) => value.push(c),
+                }
+            };
+            labels.push((ident(key).then_some(key)?, value));
+            rest = &quoted[end + 1..];
+            match rest.strip_prefix(',') {
+                Some(more) => rest = more,
+                None => {
+                    rest = rest.strip_prefix('}')?;
+                    break;
+                }
+            }
+        }
+    }
+    let value = rest.strip_prefix(' ')?.parse().ok()?;
+    ident(name).then_some((name, labels, value))
+}
+
+/// Asserts that `text` is a sequence of family groups, each `# HELP name`,
+/// `# TYPE name`, then only samples of `name`, and no name in two groups.
+fn assert_one_group_per_family(text: &str) {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if let Some(help) = line.strip_prefix("# HELP ") {
+            let name = help.split(' ').next().unwrap_or_default();
+            assert!(!seen.contains(&name), "{name} has a second group");
+            seen.push(name);
+            let kind = lines.next().unwrap_or_default();
+            assert!(
+                kind.starts_with(&format!("# TYPE {name} ")),
+                "{name}'s HELP is not followed by its TYPE but by: {kind}"
+            );
+        } else {
+            let (name, _, _) = parse_sample(line).unwrap_or_else(|| panic!("malformed: {line}"));
+            assert_eq!(
+                seen.last(),
+                Some(&name),
+                "{line} is outside its family's group"
+            );
+        }
+    }
+}
+
+/// Text format 0.0.4 wants a family's lines as one group. Two LC tenants
+/// on a node, and two nodes in a fleet, are where per-tenant and per-node
+/// families of the same view would interleave.
+#[test]
+fn every_metrics_family_is_one_contiguous_group() {
+    let mut core = ControlCore::new(&Scenario::two_service());
+    for _ in 0..3 {
+        core.step_quantum().expect("quantum");
+    }
+    let node = service::metrics::render(&core.snapshot(), core.records(), 0);
+    assert_eq!(node.matches("\ncuttlesys_lc_tail_ms{").count(), 2);
+    assert_one_group_per_family(&node);
+
+    let scenario = ClusterScenario::uniform(&Scenario::quick_demo(), 2);
+    let mut coordinator = ClusterCoordinator::new(&scenario);
+    coordinator.step_quantum().expect("quantum");
+    let fleet = service::metrics::render_cluster(&coordinator, 0);
+    assert_eq!(fleet.matches("\ncuttlesys_chip_watts{").count(), 2);
+    assert_one_group_per_family(&fleet);
+}
+
+/// Tenant names are the callers': a quote, a backslash or a newline in one
+/// must not end its label early or start a sample line of its own.
+#[test]
+fn hostile_tenant_names_render_as_one_escaped_sample_line_each() {
+    let hostile = "evil\"} 1\ninjected_total 7\nback\\slash";
+    let roomy = Scenario {
+        cap: LoadPattern::Constant(2.0),
+        ..Scenario::quick_demo()
+    };
+    let app = workloads::batch::mix(1, 0xBEEF).apps[0];
+    let tenant_lines = |text: &str| -> Vec<String> {
+        let lines = text.lines().filter(|l| !l.starts_with('#'));
+        let samples: Vec<_> = lines
+            .map(|l| parse_sample(l).unwrap_or_else(|| panic!("malformed: {l}")))
+            .collect();
+        assert!(samples
+            .iter()
+            .all(|(name, _, _)| name.starts_with("cuttlesys_")));
+        (samples.into_iter())
+            .filter(|(name, _, _)| *name == "cuttlesys_tenant_state")
+            .map(|(_, labels, _)| labels[0].1.clone())
+            .collect()
+    };
+
+    let mut core = ControlCore::new(&roomy);
+    core.step_quantum().expect("quantum");
+    core.register_batch(hostile, app).expect("roomy cap admits");
+    let text = service::metrics::render(&core.snapshot(), core.records(), 0);
+    let names = tenant_lines(&text);
+    assert_eq!(names.len(), core.snapshot().tenants.len());
+    assert_eq!(names.last().map(String::as_str), Some(hostile));
+
+    let scenario = ClusterScenario::uniform(&roomy, 2);
+    let mut coordinator = ClusterCoordinator::new(&scenario);
+    coordinator.step_quantum().expect("quantum");
+    let n0 = cluster::NodeId::from_index(0);
+    coordinator
+        .register_batch_on(n0, hostile, app)
+        .expect("roomy cap admits");
+    let text = service::metrics::render_cluster(&coordinator, 0);
+    let names = tenant_lines(&text);
+    assert_eq!(names.len(), coordinator.snapshot().tenants.len());
+    assert_eq!(names.iter().filter(|n| *n == hostile).count(), 1);
 }

@@ -83,7 +83,10 @@ fn soak_fixture_executes_at_least_100_clean_runs() {
     for cell in &outcome.cells {
         assert_eq!(cell.runs.len(), spec.seeds.len());
         for run in &cell.runs {
-            assert_eq!(run.metrics.quanta, spec.quanta, "every run completed");
+            assert_eq!(
+                run.metrics.series.quanta, spec.quanta,
+                "every run completed"
+            );
             assert!(run.metrics.series.error.is_none());
         }
     }
@@ -111,8 +114,11 @@ fn residency_detector_agrees_with_the_run_record() {
     let outcome = run_sweep(&probe, &pool);
     let run = &outcome.cells[0].runs[0];
 
-    assert_eq!(run.metrics.safe_mode_quanta, record.safe_mode_quanta());
-    assert_eq!(run.metrics.degraded_quanta, record.degraded_quanta());
+    assert_eq!(
+        run.metrics.series.safe_mode_quanta,
+        record.safe_mode_quanta()
+    );
+    assert_eq!(run.metrics.series.degraded_quanta, record.degraded_quanta());
     let finding = run
         .findings
         .iter()
