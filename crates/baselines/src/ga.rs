@@ -148,6 +148,7 @@ pub fn ga_search(
         best_point,
         best_value,
         evaluations,
+        scored: evaluations,
         explored,
     }
 }

@@ -76,7 +76,10 @@ pub struct StageTelemetry {
     /// Always 0: warm starting is gone. Retained for the perf ledger only,
     /// like `cache_hits`.
     pub warm_solves: usize,
-    /// Objective evaluations performed by the search stage.
+    /// Candidates the search stage judged (`dds::SearchResult::evaluations`):
+    /// 3250 per DDS search at Fig. 6's parameters, whether the objective
+    /// scored a candidate or its certified bound rejected it unscored. The
+    /// exact-scored count (`dds::SearchResult::scored`) is not recorded here.
     pub search_evaluations: usize,
     /// Always 0: the evaluation cache is gone. Retained for the perf
     /// ledger only, which reads the field and hashes this struct's `Debug`

@@ -21,11 +21,13 @@
 //!   once as [`Draws`] and replayed: a caller searching the same space with
 //!   the same parameters every quantum keeps them and pays only for moves
 //!   and evaluations. A move is stored as an integer shift wherever that
-//!   provably reflects to the same choice as its `f64` delta, and each
-//!   worker applies a candidate to its local best in place and undoes it
-//!   when it loses;
-//! * [`objective`] — the objective abstraction and the tabulated soft-penalty
-//!   objective of §VI-A.
+//!   provably reflects to the same choice as its `f64` delta. Each worker
+//!   judges a candidate from the cells its moves land on: a candidate whose
+//!   certified [`Bound`] cannot beat the worker's local best is rejected
+//!   unscored, and any other is applied to the local best in place, scored,
+//!   and undone when it loses;
+//! * [`objective`] — the objective abstraction, the tabulated soft-penalty
+//!   objective of §VI-A, and the bound it certifies for the replay.
 //!
 //! # Quick example
 //!
@@ -48,7 +50,7 @@ pub mod parallel;
 pub mod rng;
 pub mod serial;
 
-pub use objective::{Objective, PenaltyTable};
+pub use objective::{Bound, Objective, PenaltyTable};
 pub use parallel::{parallel_search, parallel_search_in, Draws, ParallelDdsParams};
 pub use serial::{search, DdsParams};
 
@@ -125,8 +127,13 @@ pub struct SearchResult {
     pub best_point: Vec<usize>,
     /// Objective value at the best point.
     pub best_value: f64,
-    /// Number of objective evaluations spent.
+    /// Number of candidates judged: every initial point and every drawn
+    /// candidate, whether scored or rejected by a certified bound.
     pub evaluations: usize,
+    /// Number of those candidates the objective scored exactly; the rest
+    /// were rejected by a [`Bound`] as unable to win. Equals `evaluations`
+    /// for an objective that offers no bound.
+    pub scored: usize,
     /// Every point evaluated, with its objective value, when recording was
     /// requested (Fig. 10(a)); empty otherwise.
     pub explored: Vec<(Vec<usize>, f64)>,

@@ -12,6 +12,15 @@
 pub trait Objective: Sync {
     /// Returns the objective value at `point`; higher is better.
     fn evaluate(&self, point: &[usize]) -> f64;
+
+    /// The certified bound [`Draws::run_in`](crate::Draws::run_in) rejects
+    /// candidates with before scoring them, when this objective offers one.
+    /// The default offers none, and every candidate is evaluated. Only a
+    /// [`PenaltyTable`] makes a [`Bound`], and it bounds the table's own
+    /// `evaluate`.
+    fn bound(&self) -> Option<Bound<'_>> {
+        None
+    }
 }
 
 impl<F> Objective for F
@@ -145,6 +154,29 @@ impl PenaltyTable {
         (ln_bips, watts, ways)
     }
 
+    /// The objective from a benefit and the Watts and ways sums over the
+    /// slots: the one formula both [`Objective::evaluate`] and
+    /// [`Bound::upper`] compute.
+    #[inline]
+    fn penalized(&self, benefit: f64, watts: f64, ways: f64) -> f64 {
+        let power_excess = (self.base_watts + watts - self.max_power).max(0.0);
+        let cache_excess = (self.base_ways + ways - self.max_ways).max(0.0);
+        benefit - self.penalty_power * power_excess - self.penalty_cache * cache_excess
+    }
+
+    /// The point's score with the benefit and the sums it came from.
+    #[inline]
+    fn score(&self, point: &[usize]) -> Scored {
+        let (ln_bips, watts, ways) = self.sums(point);
+        let benefit = (ln_bips / self.slots as f64).exp();
+        Scored {
+            value: self.penalized(benefit, watts, ways),
+            benefit,
+            watts,
+            ways,
+        }
+    }
+
     /// The raw benefit: geo-mean BIPS of the point's jobs.
     #[inline]
     pub fn benefit(&self, point: &[usize]) -> f64 {
@@ -173,11 +205,182 @@ impl PenaltyTable {
 impl Objective for PenaltyTable {
     #[inline]
     fn evaluate(&self, point: &[usize]) -> f64 {
-        let (ln_bips, watts, ways) = self.sums(point);
-        let power_excess = (self.base_watts + watts - self.max_power).max(0.0);
-        let cache_excess = (self.base_ways + ways - self.max_ways).max(0.0);
-        let benefit = (ln_bips / self.slots as f64).exp();
-        benefit - self.penalty_power * power_excess - self.penalty_cache * cache_excess
+        self.score(point).value
+    }
+
+    fn bound(&self) -> Option<Bound<'_>> {
+        Bound::new(self)
+    }
+}
+
+/// A point's exact score and the sums it came from: what [`Bound::upper`]
+/// starts from when the point is a search worker's incumbent.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scored {
+    /// The objective value, bit-equal to [`Objective::evaluate`]'s.
+    pub(crate) value: f64,
+    /// `exp(Σ ln BIPS / slots)`, the benefit inside `value`.
+    benefit: f64,
+    /// `Σ Watts` over the slots, in slot order.
+    watts: f64,
+    /// `Σ ways` over the slots, in slot order.
+    ways: f64,
+}
+
+impl Scored {
+    /// A value from an objective that offers no bound, which is all the
+    /// search reads of it.
+    pub(crate) fn bare(value: f64) -> Scored {
+        Scored {
+            value,
+            benefit: 0.0,
+            watts: 0.0,
+            ways: 0.0,
+        }
+    }
+}
+
+/// The slack ε = 2⁻⁴⁸ = 32u on the bounded benefit (see [`Bound`]).
+const BENEFIT_SLACK: f64 = 1.0 / (1u64 << 48) as f64;
+
+/// A [`PenaltyTable`]'s certified upper bound on a candidate's score, made
+/// from an incumbent's exact sums and the `(ln BIPS, Watts, ways)`
+/// differences between the candidate's cells and the incumbent's, without
+/// touching either point. A search that rejects a candidate whose bound is
+/// no better than its incumbent rejects only candidates that
+/// [`Objective::evaluate`] would score no better, so it keeps every
+/// decision, bit for bit, while scoring only the candidates that might win.
+///
+/// # Why the bound holds
+///
+/// Write `u = 2⁻⁵³`, `n` for the slots, and, per column, `M` for the sum
+/// over slots of the column's largest magnitude: no point's cells sum to
+/// more than `M` in magnitude. For a candidate `x′` of incumbent `x`:
+///
+/// * The candidate's slot-order sum and the incumbent's cached one each lie
+///   within `(n − 1)·u·M` of their real sums (recursive summation).
+/// * The delta sum of `k ≤ n` differences lies within `(2k + 2)·u·M` of the
+///   real difference: each subtraction rounds once, the accumulation
+///   `k` times.
+/// * Forming `incumbent + delta ± margin` rounds twice more, by at most
+///   `6·u·M` together.
+///
+/// So the candidate's computed sum lies within `(4n + 6)·u·M` of
+/// `incumbent + delta`, and each column's margin is `(8n + 16)·u·M`, which
+/// leaves room for the roundings of `M` itself and, in the ln BIPS column,
+/// for the two divisions by `n` inside the benefits' exponents (`2·u·M`
+/// together). The Watts and ways sums then have lower bounds
+/// `incumbent + delta − margin`.
+///
+/// The benefit is `exp(Σ ln BIPS / n)`. With `d = (delta + margin) / n`, the
+/// candidate's exponent exceeds the incumbent's by at most `d`, so its
+/// computed benefit is at most `B₀·eᵈ·(1 + 16u)`, where `B₀` is the
+/// incumbent's computed benefit and `exp` errs by at most 4 ulps (8u) on
+/// each of the two. Since `eᵈ ≤ 1 / (1 − d)` for every `d < 1`, the bound is
+/// `B₀·(1 + ε) / (1 − d)` with ε = 2⁻⁴⁸ = 32u. It is used only for `d < ½`,
+/// where rounding `d` (twice: `1 / n` and the product) moves `1 / (1 − d)`
+/// by at most `2u`; with the bound's own three roundings (4u), that leaves
+/// 10u of ε to spare. From `d ≥ ½` on the benefit is unbounded and the
+/// candidate is scored.
+///
+/// The penalties: each operation of the objective's formula (`+`, `−`,
+/// `max` with 0, and `×` by a weight ≥ 0) is monotone under round-to-nearest,
+/// so the formula fed an upper bound of the benefit and lower bounds of the
+/// two sums, in the same order, bounds the computed score from above. A NaN
+/// bound compares false and has its candidate scored.
+///
+/// A table offers no bound when a cell, a way, or a base is not finite,
+/// when a limit is NaN, or when a penalty weight is negative or not finite.
+#[derive(Clone, Copy)]
+pub struct Bound<'a> {
+    table: &'a PenaltyTable,
+    /// `1 / slots`, a product being cheaper than a quotient per candidate.
+    inv_slots: f64,
+    /// The `(ln BIPS, Watts, ways)` margins of the delta sums.
+    margin: (f64, f64, f64),
+}
+
+impl<'a> Bound<'a> {
+    fn new(table: &'a PenaltyTable) -> Option<Bound<'a>> {
+        let finite_inputs = [table.base_watts, table.base_ways]
+            .iter()
+            .chain(&table.ways)
+            .all(|x| x.is_finite())
+            && !table.max_power.is_nan()
+            && !table.max_ways.is_nan()
+            && [table.penalty_power, table.penalty_cache]
+                .iter()
+                .all(|w| w.is_finite() && *w >= 0.0);
+        if !finite_inputs {
+            return None;
+        }
+        let mut largest = (0.0, 0.0);
+        for row in table.cells.chunks_exact(table.ways.len().max(1)) {
+            let mut row_largest = (0.0_f64, 0.0_f64);
+            for &(l, w) in row {
+                if !(l.is_finite() && w.is_finite()) {
+                    return None;
+                }
+                row_largest = (row_largest.0.max(l.abs()), row_largest.1.max(w.abs()));
+            }
+            largest = (largest.0 + row_largest.0, largest.1 + row_largest.1);
+        }
+        let n = table.slots as f64;
+        let ways = n * table.ways.iter().fold(0.0_f64, |m, w| m.max(w.abs()));
+        let per_unit = (4.0 * n + 8.0) * f64::EPSILON;
+        Some(Bound {
+            table,
+            inv_slots: 1.0 / n,
+            margin: (per_unit * largest.0, per_unit * largest.1, per_unit * ways),
+        })
+    }
+
+    /// Whether the table's points are those of a space of `dims` dimensions
+    /// with `choices` choices each.
+    pub(crate) fn fits(&self, dims: usize, choices: usize) -> bool {
+        self.table.slots == dims && self.table.ways.len() == choices
+    }
+
+    /// The point's exact score, its value bit-equal to the table's
+    /// [`Objective::evaluate`].
+    #[inline]
+    pub(crate) fn score(&self, point: &[usize]) -> Scored {
+        self.table.score(point)
+    }
+
+    /// Adds to `delta` the `(ln BIPS, Watts, ways)` differences of moving
+    /// slot `slot` from choice `from` to choice `to`.
+    #[inline]
+    pub(crate) fn add_move(
+        &self,
+        delta: &mut (f64, f64, f64),
+        slot: usize,
+        from: usize,
+        to: usize,
+    ) {
+        let t = self.table;
+        let row = slot * t.ways.len();
+        let ((l1, w1), (l0, w0)) = (t.cells[row + to], t.cells[row + from]);
+        delta.0 += l1 - l0;
+        delta.1 += w1 - w0;
+        delta.2 += t.ways[to] - t.ways[from];
+    }
+
+    /// An upper bound on the score of the candidate whose moves add up to
+    /// `delta` from `incumbent`.
+    #[inline]
+    pub(crate) fn upper(&self, incumbent: &Scored, delta: (f64, f64, f64)) -> f64 {
+        let d = (delta.0 + self.margin.0) * self.inv_slots;
+        let benefit = if d < 0.5 {
+            incumbent.benefit * (1.0 + BENEFIT_SLACK) / (1.0 - d)
+        } else {
+            f64::INFINITY
+        };
+        self.table.penalized(
+            benefit,
+            incumbent.watts + delta.1 - self.margin.1,
+            incumbent.ways + delta.2 - self.margin.2,
+        )
     }
 }
 
@@ -304,6 +507,140 @@ mod tests {
             (0.0, 0.0),
             (10.0, 6.0),
         );
+    }
+
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    /// Pairs of an incumbent and a candidate a few moves away, on tables
+    /// built to put the bound's slack to work: cells a few ulps apart around
+    /// ln BIPS 0 (exponents one rounding from a different benefit), around
+    /// ln BIPS levels from the floor up, and around ln BIPS ≈ 300 (summation
+    /// error far above the benefit's slack); flat BIPS under a cap every
+    /// point misses (the Watts sums decide); exact ties; and cells at the
+    /// 1e-9 floor. Penalty weights 0, 2 and 1e6. The bound is never below
+    /// the candidate's score.
+    #[test]
+    fn the_bound_never_undercuts_the_score() {
+        let mut rng = StdRng::seed_from_u64(0xB0_0E5);
+        let few = |rng: &mut StdRng| rng.random_range(0..7) as i64 - 3;
+        let ways: Vec<f64> = (0..108).map(|c| [0.5, 1.0, 2.0, 4.0][c % 4]).collect();
+        for table_seed in 0..36 {
+            let slots = [16, 13, 8, 3][table_seed % 4];
+            let (mut bips, mut watts) = (Vec::new(), Vec::new());
+            for _ in 0..slots {
+                let level = rng.random_range(-20.7..1.4);
+                let w0 = rng.random_range(1.0..4.0);
+                let row: Vec<(f64, f64)> = (0..108)
+                    .map(|_| {
+                        let b = match table_seed % 6 {
+                            0 => ulps(1.0, few(&mut rng)),
+                            1 => ulps(level, few(&mut rng)).exp(),
+                            2 => ulps(level + 300.0, few(&mut rng)).exp(),
+                            3 => 1.0,
+                            4 => [0.5, 1.0, 2.0][rng.random_range(0..3)],
+                            _ => [0.0, 1e-12, rng.random_range(0.05..4.0)][rng.random_range(0..3)],
+                        };
+                        (b, ulps(w0, few(&mut rng)))
+                    })
+                    .collect();
+                bips.push(row.iter().map(|c| c.0).collect::<Vec<f64>>());
+                watts.push(row.iter().map(|c| c.1).collect::<Vec<f64>>());
+            }
+            let typical: f64 = watts.iter().map(|r| r.iter().sum::<f64>() / 108.0).sum();
+            let cap = 49.3 + typical - if table_seed % 6 == 3 { 1.0 } else { 0.0 };
+            let mut table = PenaltyTable::new(
+                bips.iter().zip(&watts),
+                ways.clone(),
+                (49.3, 4.0),
+                (cap, 32.0),
+            );
+            let weight = [0.0, 2.0, 1e6][table_seed / 6 % 3];
+            (table.penalty_power, table.penalty_cache) = (weight, weight);
+            let bound = table.bound().expect("finite inputs offer a bound");
+            for _ in 0..4000 {
+                let x: Vec<usize> = (0..slots).map(|_| rng.random_range(0..108)).collect();
+                let mut candidate = x.clone();
+                let mut delta = (0.0, 0.0, 0.0);
+                for (d, to) in candidate.iter_mut().enumerate() {
+                    if rng.random_range(0..3) == 0 {
+                        let from = *to;
+                        *to = rng.random_range(0..108);
+                        bound.add_move(&mut delta, d, from, *to);
+                    }
+                }
+                let upper = bound.upper(&table.score(&x), delta);
+                let value = table.evaluate(&candidate);
+                assert!(
+                    value.partial_cmp(&upper) != Some(std::cmp::Ordering::Greater),
+                    "table {table_seed}: {candidate:?} scores {value:e} over its bound {upper:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tables_with_non_finite_inputs_or_unusable_weights_offer_no_bound() {
+        let table = |bips: f64, watts: f64, base: (f64, f64), max: (f64, f64), weight: f64| {
+            let mut t = PenaltyTable::new([([1.0, bips], [1.0, watts])], vec![1.0, 2.0], base, max);
+            t.penalty_power = weight;
+            t.penalty_cache = 2.0;
+            t
+        };
+        let usable = (1.0, 2.0, (1.0, 1.0), (10.0, 6.0), 2.0);
+        let offers = |(b, w, base, max, weight): (f64, f64, (f64, f64), (f64, f64), f64)| {
+            table(b, w, base, max, weight).bound().is_some()
+        };
+        assert!(offers(usable));
+        assert!(
+            offers((1.0, 2.0, (1.0, 1.0), (10.0, f64::INFINITY), 0.0)),
+            "∞ ways, weight 0"
+        );
+        assert!(
+            offers((f64::NAN, 2.0, (1.0, 1.0), (10.0, 6.0), 2.0)),
+            "NaN BIPS sit at the floor"
+        );
+        for (what, case) in [
+            ("∞ BIPS", (f64::INFINITY, 2.0, (1.0, 1.0), (10.0, 6.0), 2.0)),
+            ("NaN Watts", (1.0, f64::NAN, (1.0, 1.0), (10.0, 6.0), 2.0)),
+            (
+                "∞ Watts",
+                (1.0, f64::INFINITY, (1.0, 1.0), (10.0, 6.0), 2.0),
+            ),
+            (
+                "∞ base Watts",
+                (1.0, 2.0, (f64::INFINITY, 1.0), (10.0, 6.0), 2.0),
+            ),
+            (
+                "NaN base ways",
+                (1.0, 2.0, (1.0, f64::NAN), (10.0, 6.0), 2.0),
+            ),
+            ("NaN cap", (1.0, 2.0, (1.0, 1.0), (f64::NAN, 6.0), 2.0)),
+            ("negative weight", (1.0, 2.0, (1.0, 1.0), (10.0, 6.0), -2.0)),
+            (
+                "∞ weight",
+                (1.0, 2.0, (1.0, 1.0), (10.0, 6.0), f64::INFINITY),
+            ),
+            ("NaN weight", (1.0, 2.0, (1.0, 1.0), (10.0, 6.0), f64::NAN)),
+        ] {
+            assert!(!offers(case), "{what}");
+        }
+        let mut ways = table(1.0, 2.0, (1.0, 1.0), (10.0, 6.0), 2.0);
+        ways.ways[1] = f64::INFINITY;
+        assert!(ways.bound().is_none(), "∞ ways");
+        assert!((|_: &[usize]| 0.0).bound().is_none(), "closures offer none");
+    }
+
+    /// A replay over a space of another shape scores every candidate: the
+    /// bound would read cells of slots or choices the table does not have.
+    #[test]
+    fn a_bound_fits_only_its_tables_shape() {
+        let row = [1.0; 4];
+        let table = PenaltyTable::new([(&row, &row); 3], vec![1.0; 4], (0.0, 0.0), (9.0, 9.0));
+        let bound = table.bound().expect("finite inputs offer a bound");
+        assert!(bound.fits(3, 4));
+        assert!(!bound.fits(4, 4) && !bound.fits(2, 4) && !bound.fits(3, 5));
     }
 
     #[test]

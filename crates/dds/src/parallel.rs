@@ -16,12 +16,21 @@
 //! of the space, the parameters and the seed alone. A delta is stored as
 //! the integer shift that provably lands on the same choice from every
 //! current choice (see [`Draws`]); the rare one with no such shift keeps its
-//! `f64`. [`Draws::run_in`] then replays them: each worker applies a
-//! candidate's moves to its local best in place, evaluates, and undoes them
-//! when the candidate loses. A caller that searches the same space with the
-//! same parameters again (the runtime, once per quantum) keeps the draws and
-//! pays only for the replay; [`parallel_search_in`] is draw-then-replay in
-//! one call.
+//! `f64`. [`Draws::run_in`] then replays them. For each candidate a worker
+//! looks up where its moves land from its local best, without touching the
+//! point. When the objective offers a [`Bound`] (a [`PenaltyTable`] does),
+//! the worker adds up the moves' cell differences and rejects the candidate
+//! unscored if its certified bound is no better than the local best: on the
+//! runtime's tables about 98 % of candidates go that way. Every other
+//! candidate is applied to the local best in place, scored by the objective,
+//! and undone unless it wins. So every value the search accepts and every
+//! comparison it makes is the objective's own, and the result is bit for
+//! bit the one of scoring every candidate. A caller that searches the same
+//! space with the same parameters again (the runtime, once per quantum)
+//! keeps the draws and pays only for the replay; [`parallel_search_in`] is
+//! draw-then-replay in one call.
+//!
+//! [`PenaltyTable`]: crate::PenaltyTable
 //!
 //! The iteration loop stays on the calling thread and fans each iteration's
 //! per-worker candidate batches out through [`util::pool::for_each_slot`]:
@@ -39,7 +48,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use util::WorkerPool;
 
-use crate::objective::Objective;
+use crate::objective::{Bound, Objective, Scored};
 use crate::rng::standard_normal;
 use crate::{SearchResult, SearchSpace};
 
@@ -153,6 +162,14 @@ fn worker_radius(params: &ParallelDdsParams, t: usize) -> f64 {
 /// `f64` delta in `fallback` and replays through `reflect`: about one in
 /// 5 · 10⁵ at the paper's radii (the 2⁻²⁰ margin), every move of a space of
 /// 2¹¹ or more choices.
+///
+/// # Replay
+///
+/// A candidate's moves name distinct dimensions in ascending order, so each
+/// lands where it would from the unchanged local best, and the replay can
+/// judge a candidate from the cells it moves to and from before it writes a
+/// single choice. With recording on, or an objective that offers no
+/// [`Bound`], every candidate is scored.
 #[derive(Debug)]
 pub struct Draws {
     space: SearchSpace,
@@ -300,48 +317,63 @@ impl Draws {
     /// Bit-identical to drawing while searching, whatever the pool's width
     /// and with no pool at all: each worker applies its own candidates'
     /// moves in drawn order, and the reduction happens on the orchestrator
-    /// in worker-index order.
+    /// in worker-index order. When the objective offers a [`Bound`] (and
+    /// the run records nothing), a candidate whose bound is no better than
+    /// its worker's local best is rejected unscored; it could not have
+    /// replaced that best, so every accepted value and every comparison is
+    /// the same as scoring it. Debug builds score each rejected candidate
+    /// anyway and assert that it would have lost.
     pub fn run_in<O: Objective + ?Sized>(
         &self,
         pool: Option<&WorkerPool>,
         objective: &O,
     ) -> SearchResult {
         let params = &self.params;
+        let bound = objective.bound().filter(|b| {
+            !params.record_explored && b.fits(self.space.dims(), self.space.num_choices())
+        });
+        let score = |point: &[usize]| match &bound {
+            Some(b) => b.score(point),
+            None => Scored::bare(objective.evaluate(point)),
+        };
         let mut explored = Vec::new();
-        let (mut best_point, mut best_value) = self.initial_phase(objective, &mut explored);
+        let (mut best_point, mut best) = self.initial_phase(&score, &mut explored);
 
         let mut workers: Vec<Worker> = (0..params.threads)
             .map(|_| Worker {
                 point: best_point.clone(),
-                value: best_value,
+                best,
                 undo: Vec::new(),
+                scored: 0,
                 explored: Vec::new(),
             })
             .collect();
         for i in 0..params.max_iters {
             util::pool::for_each_slot(pool, &mut workers, |t, w| {
                 w.point.copy_from_slice(&best_point);
-                w.value = best_value;
+                w.best = best;
                 let first = (i * params.threads + t) * params.points_per_iteration;
-                self.worker_iteration(objective, first, w);
+                self.worker_iteration(bound.as_ref(), &score, first, w);
             });
             // Reduction in worker-index order (Alg. 2: install the best local
             // best as the next global best, ties to the lowest index).
-            let locals = workers.iter().map(|w| (Some(&w.point), w.value));
-            if let (Some(point), value) = util::reduce::ordered_best(locals, (None, best_value)) {
-                best_point.copy_from_slice(point);
-                best_value = value;
+            let locals = workers.iter().map(|w| (Some(w), w.best.value));
+            if let (Some(w), _) = util::reduce::ordered_best(locals, (None, best.value)) {
+                best_point.copy_from_slice(&w.point);
+                best = w.best;
             }
         }
 
+        let scored = params.initial_points + workers.iter().map(|w| w.scored).sum::<usize>();
         explored.extend(util::reduce::ordered_concat(
             workers.into_iter().map(|w| w.explored),
         ));
         SearchResult {
             best_point,
-            best_value,
+            best_value: best.value,
             evaluations: params.initial_points
                 + params.max_iters * params.points_per_iteration * params.threads,
+            scored,
             explored,
         }
     }
@@ -349,19 +381,19 @@ impl Draws {
     /// Phase 1 (Alg. 2 lines 5-6): the random initial points, the first
     /// strictly best becoming the incumbent. Done serially — it is a tiny
     /// fraction of the work.
-    fn initial_phase<O: Objective + ?Sized>(
+    fn initial_phase(
         &self,
-        objective: &O,
+        score: &impl Fn(&[usize]) -> Scored,
         explored: &mut ExploredLog,
-    ) -> (Vec<usize>, f64) {
-        let mut best: (&[usize], f64) = (&[], f64::NAN);
+    ) -> (Vec<usize>, Scored) {
+        let mut best: (&[usize], Scored) = (&[], Scored::bare(f64::NAN));
         for (k, p) in self.initial.chunks_exact(self.space.dims()).enumerate() {
-            let v = objective.evaluate(p);
+            let s = score(p);
             if self.params.record_explored {
-                explored.push((p.to_vec(), v));
+                explored.push((p.to_vec(), s.value));
             }
-            if k == 0 || v > best.1 {
-                best = (p, v);
+            if k == 0 || s.value > best.1.value {
+                best = (p, s);
             }
         }
         (best.0.to_vec(), best.1)
@@ -379,49 +411,88 @@ impl Draws {
         self.fallback[at].1
     }
 
+    /// Where move `m` of a candidate lands from choice `from`.
+    #[inline]
+    fn landing(&self, m: usize, shift: i16, from: usize) -> usize {
+        if shift == FALLBACK {
+            self.space.reflect(from as f64 + self.fallback_delta(m))
+        } else {
+            reflect_shifted(from, shift, self.space.num_choices())
+        }
+    }
+
     /// One logical worker's share of one iteration: the
-    /// `points_per_iteration` candidates from `first` on, each applied to
-    /// the worker's local best in place (it starts at the global best),
-    /// evaluated, and undone unless it is strictly better.
-    fn worker_iteration<O: Objective + ?Sized>(&self, objective: &O, first: usize, w: &mut Worker) {
-        let choices = self.space.num_choices();
+    /// `points_per_iteration` candidates from `first` on, each judged
+    /// against the worker's local best (it starts at the global best). With
+    /// a `bound`, a candidate's moves are looked up without touching the
+    /// point, and their cell differences reject it unless it might win. A
+    /// candidate not rejected is applied to the point in place, scored, and
+    /// undone unless it is strictly better.
+    fn worker_iteration(
+        &self,
+        bound: Option<&Bound>,
+        score: &impl Fn(&[usize]) -> Scored,
+        first: usize,
+        w: &mut Worker,
+    ) {
         for c in first..first + self.params.points_per_iteration {
-            let span = self.span(c);
-            for (m, &Move { dim, shift }) in span.clone().zip(&self.moves[span]) {
-                let d = usize::from(dim);
-                let choice = w.point[d];
-                w.undo.push((d, choice));
-                w.point[d] = if shift == FALLBACK {
-                    self.space.reflect(choice as f64 + self.fallback_delta(m))
-                } else {
-                    reflect_shifted(choice, shift, choices)
-                };
-            }
-            let v = objective.evaluate(&w.point);
-            if self.params.record_explored {
-                w.explored.push((w.point.clone(), v));
-            }
-            if v > w.value {
-                w.value = v;
-                w.undo.clear();
-            } else {
-                for (d, choice) in w.undo.drain(..).rev() {
-                    w.point[d] = choice;
+            let moves = || self.span(c).zip(&self.moves[self.span(c)]);
+            let rejected = bound.is_some_and(|b| {
+                let mut delta = (0.0, 0.0, 0.0);
+                for (m, &Move { dim, shift }) in moves() {
+                    let d = usize::from(dim);
+                    let from = w.point[d];
+                    b.add_move(&mut delta, d, from, self.landing(m, shift, from));
                 }
+                b.upper(&w.best, delta) <= w.best.value
+            });
+            if rejected && !cfg!(debug_assertions) {
+                continue;
+            }
+            w.undo.clear();
+            for (m, &Move { dim, shift }) in moves() {
+                let d = usize::from(dim);
+                let from = w.point[d];
+                w.undo.push((d, from));
+                w.point[d] = self.landing(m, shift, from);
+            }
+            let s = score(&w.point);
+            if rejected {
+                debug_assert!(
+                    s.value <= w.best.value || s.value.is_nan(),
+                    "rejected candidate {c} scores {} over its incumbent's {}",
+                    s.value,
+                    w.best.value
+                );
+            } else {
+                w.scored += 1;
+                if self.params.record_explored {
+                    w.explored.push((w.point.clone(), s.value));
+                }
+                if s.value > w.best.value {
+                    w.best = s;
+                    continue;
+                }
+            }
+            for &(d, from) in &w.undo {
+                w.point[d] = from;
             }
         }
     }
 }
 
 /// One logical worker's state for a whole run: its local best, which each
-/// candidate is applied to and undone from in place, and its evaluation log
-/// across iterations.
+/// candidate that might win is applied to and undone from in place, and its
+/// counts and evaluation log across iterations.
 struct Worker {
     point: Vec<usize>,
-    value: f64,
+    /// The local best's score, with the sums the bound starts from.
+    best: Scored,
     /// `(dimension, previous choice)` for each move of the candidate under
     /// evaluation.
     undo: Vec<(usize, usize)>,
+    /// Candidates scored exactly.
+    scored: usize,
     explored: ExploredLog,
 }
 
@@ -460,7 +531,6 @@ pub fn parallel_search_in<O: Objective + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::PenaltyTable;
     use crate::serial::{search, DdsParams};
 
     fn separable(target: usize) -> impl Fn(&[usize]) -> f64 + Sync {
@@ -494,193 +564,33 @@ mod tests {
         assert_eq!(a.best_point, b.best_point);
     }
 
-    /// Alg. 2 drawing while it searches, inline: the search before the
-    /// draws were split off, kept as the reference every replay must match.
-    fn drawing_search(
-        space: &SearchSpace,
-        objective: &dyn Objective,
-        params: &ParallelDdsParams,
-    ) -> SearchResult {
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut best_point = space.random_point(&mut rng);
-        let mut best_value = objective.evaluate(&best_point);
-        let mut explored = Vec::new();
-        if params.record_explored {
-            explored.push((best_point.clone(), best_value));
-        }
-        for _ in 1..params.initial_points {
-            let p = space.random_point(&mut rng);
-            let v = objective.evaluate(&p);
-            if params.record_explored {
-                explored.push((p.clone(), v));
-            }
-            if v > best_value {
-                best_value = v;
-                best_point = p;
-            }
-        }
-
-        let ln_max = (params.max_iters as f64).ln().max(f64::MIN_POSITIVE);
-        let mut workers: Vec<(StdRng, f64, ExploredLog)> = (0..params.threads)
-            .map(|t| {
-                let rng = StdRng::seed_from_u64(worker_seed(params.seed, t));
-                (rng, worker_radius(params, t), Vec::new())
-            })
-            .collect();
-        for i in 1..=params.max_iters {
-            let p_select = 1.0 - (i as f64).ln() / ln_max;
-            let locals: Vec<(Vec<usize>, f64)> = workers
-                .iter_mut()
-                .map(|(rng, r, log)| {
-                    worker_iteration(
-                        space,
-                        objective,
-                        params,
-                        *r,
-                        p_select,
-                        &best_point,
-                        best_value,
-                        rng,
-                        log,
-                    )
-                })
-                .collect();
-            (best_point, best_value) = util::reduce::ordered_best(locals, (best_point, best_value));
-        }
-        explored.extend(util::reduce::ordered_concat(
-            workers.into_iter().map(|(_, _, log)| log),
-        ));
-        SearchResult {
-            best_point,
-            best_value,
-            evaluations: params.initial_points
-                + params.max_iters * params.points_per_iteration * params.threads,
-            explored,
-        }
-    }
-
-    /// One logical worker's share of one iteration, drawing each move as it
-    /// applies it.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_iteration(
-        space: &SearchSpace,
-        objective: &dyn Objective,
-        params: &ParallelDdsParams,
-        r: f64,
-        p_select: f64,
-        global_point: &[usize],
-        global_value: f64,
-        rng: &mut StdRng,
-        explored: &mut ExploredLog,
-    ) -> (Vec<usize>, f64) {
-        let mut local_point = global_point.to_vec();
-        let mut local_value = global_value;
-        let mut candidate = local_point.clone();
-        for _ in 0..params.points_per_iteration {
-            candidate.copy_from_slice(&local_point);
-            let mut perturbed_any = false;
-            for choice in candidate.iter_mut() {
-                if rng.random_range(0.0..1.0) < p_select {
-                    let delta = r * space.num_choices() as f64 * standard_normal(rng);
-                    *choice = space.reflect(*choice as f64 + delta);
-                    perturbed_any = true;
-                }
-            }
-            if !perturbed_any {
-                let d = rng.random_range(0..space.dims());
-                let delta = r * space.num_choices() as f64 * standard_normal(rng);
-                candidate[d] = space.reflect(candidate[d] as f64 + delta);
-            }
-            let v = objective.evaluate(&candidate);
-            if params.record_explored {
-                explored.push((candidate.clone(), v));
-            }
-            if v > local_value {
-                local_value = v;
-                std::mem::swap(&mut local_point, &mut candidate);
-            }
-        }
-        (local_point, local_value)
-    }
-
-    /// The replay against the drawing search, over the three `PenaltyTable`
-    /// shapes in use (the runtime's 16 × 108 under a binding cap, `paper
-    /// fig10`'s 16 × 108 beside 32 W, Flicker's 5 × 27), a one-dimensional
-    /// space, and a 4 × 3 one at radius 8 whose
-    /// deltas often exceed `16 · #confs` and so replay from the fallback
-    /// list, at 50 seeds each, inline and on pools of width 1, 2 and 8.
+    /// The 4 × 3 space at radius 8 that the root suite's replay test uses
+    /// for the fallback list: its deltas often exceed `16 · #confs`.
     #[test]
-    fn replayed_draws_match_the_drawing_search_to_the_bit() {
-        let pools: Vec<WorkerPool> = [1, 2, 8].into_iter().map(WorkerPool::new).collect();
-        let check = |space: &SearchSpace,
-                     objective: &dyn Objective,
-                     base: &ParallelDdsParams,
-                     shape: &str| {
-            let mut fallbacks = 0;
-            for seed in 0..50 {
-                let params = ParallelDdsParams {
-                    seed,
-                    record_explored: true,
-                    ..base.clone()
-                };
-                let want = drawing_search(space, objective, &params);
-                let draws = Draws::new(space, &params);
-                fallbacks += draws.fallback.len();
-                for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
-                    let width = pool.map_or(0, WorkerPool::threads);
-                    let got = draws.run_in(pool, objective);
-                    let at = format!("{shape}, seed {seed}, pool width {width}");
-                    assert_eq!(got.best_point, want.best_point, "{at}");
-                    assert_eq!(got.best_value.to_bits(), want.best_value.to_bits(), "{at}");
-                    assert_eq!(got.evaluations, want.evaluations, "{at}");
-                    assert_eq!(got.explored, want.explored, "{at}");
-                }
-            }
-            fallbacks
-        };
-        let fig6 = ParallelDdsParams::default();
-
-        let mut rng = StdRng::seed_from_u64(0xD4A55);
-        for (slots, choices, partitioned, base, max) in [
-            (16, 108, true, (49.3, 4.0), (89.0, 32.0)),
-            (16, 108, true, (32.0, 2.0), (70.0, 32.0)),
-            (5, 27, false, (48.0, 0.0), (60.0, f64::INFINITY)),
-        ] {
-            let mut row = |range: Range<f64>| -> Vec<f64> {
-                (0..choices)
-                    .map(|_| rng.random_range(range.clone()))
-                    .collect()
-            };
-            let bips: Vec<Vec<f64>> = (0..slots).map(|_| row(0.05..4.0)).collect();
-            let watts: Vec<Vec<f64>> = (0..slots).map(|_| row(1.0..4.0)).collect();
-            let ways = (0..choices)
-                .map(|c| {
-                    if partitioned {
-                        [0.5, 1.0, 2.0, 4.0][c % 4]
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            let table = PenaltyTable::new(bips.iter().zip(&watts), ways, base, max);
-            let space = SearchSpace::new(slots, choices);
-            check(&space, &table, &fig6, &format!("{slots} × {choices} table"));
-        }
-        check(&SearchSpace::new(1, 108), &separable(50), &fig6, "1 dim");
-        let wide = ParallelDdsParams {
+    fn wide_radii_on_a_narrow_space_use_the_fallback_list() {
+        let params = ParallelDdsParams {
             r_values: vec![8.0],
-            ..fig6.clone()
+            ..ParallelDdsParams::default()
         };
-        let fallbacks = check(
-            &SearchSpace::new(4, 3),
-            &separable(1),
-            &wide,
-            "4 × 3, r = 8",
-        );
+        let draws = Draws::new(&SearchSpace::new(4, 3), &params);
         assert!(
-            fallbacks > 0,
+            !draws.fallback.is_empty(),
             "the 4 × 3 shape never used the fallback list"
         );
+    }
+
+    /// A candidate's moves name distinct dimensions, which is what lets the
+    /// replay look every move up from the unchanged local best.
+    #[test]
+    fn a_candidate_moves_each_dimension_at_most_once() {
+        let draws = Draws::new(&SearchSpace::new(16, 108), &ParallelDdsParams::default());
+        for c in 0..draws.ends.len() {
+            let dims: Vec<u16> = draws.moves[draws.span(c)].iter().map(|m| m.dim).collect();
+            assert!(
+                dims.windows(2).all(|w| w[0] < w[1]),
+                "candidate {c}: {dims:?}"
+            );
+        }
     }
 
     /// Every `c` in `0..n` for `n ∈ {1, 2, 3, 27, 108}`: a delta the rule

@@ -106,6 +106,7 @@ pub fn search(space: &SearchSpace, objective: &dyn Objective, params: &DdsParams
         best_point,
         best_value,
         evaluations,
+        scored: evaluations,
         explored,
     }
 }

@@ -11,7 +11,7 @@ use crate::cache::{BandwidthModel, LlcPartition};
 use crate::config::CoreConfig;
 use crate::metrics::{Bips, Watts};
 use crate::params::SystemParams;
-use crate::perf::PerfModel;
+use crate::perf::{CpiTerms, PerfModel};
 use crate::power::{CoreKind, PowerModel};
 use crate::profile::AppProfile;
 
@@ -161,11 +161,16 @@ impl Chip {
         contention: f64,
     ) -> Bips {
         let ipc = self.perf.ipc(app, config, ways, contention);
-        let freq = match self.kind {
+        Bips::new(ipc * self.frequency_ghz())
+    }
+
+    /// The clock of this chip's cores: reconfigurable cores pay the AnyCore
+    /// frequency penalty.
+    fn frequency_ghz(&self) -> f64 {
+        match self.kind {
             CoreKind::Reconfigurable => self.params.reconfig_frequency_ghz(),
             CoreKind::Fixed => self.params.frequency_ghz,
-        };
-        Bips::new(ipc * freq)
+        }
     }
 
     /// Simulates one frame.
@@ -202,18 +207,27 @@ impl Chip {
             }
         }
 
+        // Each active core's CPI stack up to contention, once per frame.
+        let terms: Vec<Option<CpiTerms>> = cores
+            .iter()
+            .map(|core| match core {
+                CoreState::Active { job, config } => Some(self.perf.cpi_terms(
+                    &profiles[job.0],
+                    *config,
+                    partition.get_or_default(*job).ways(),
+                )),
+                _ => None,
+            })
+            .collect();
+        let freq = self.frequency_ghz();
+
         // Fixed point between throughput and bandwidth contention: start
         // uncontended, recompute traffic, damp the update.
         let mut contention = 0.0;
         for _ in 0..6 {
             let mut traffic = 0.0;
-            for core in cores {
-                if let CoreState::Active { job, config } = core {
-                    let app = &profiles[job.0];
-                    let ways = partition.get_or_default(*job).ways();
-                    let bips = self.core_bips(app, *config, ways, contention);
-                    traffic += self.perf.dram_traffic_gaps(app, bips, ways);
-                }
+            for t in terms.iter().flatten() {
+                traffic += t.dram_traffic_gaps(Bips::new(t.ipc(contention) * freq));
             }
             let next = self.bandwidth.contention(traffic);
             contention = 0.5 * contention + 0.5 * next;
@@ -225,13 +239,13 @@ impl Chip {
         let mut per_job_watts = vec![Watts::ZERO; profiles.len()];
         let mut chip_watts = Watts::ZERO;
 
-        for core in cores {
-            match core {
-                CoreState::Active { job, config } => {
+        // An active core always has its terms.
+        for (core, terms) in cores.iter().zip(&terms) {
+            match (core, terms) {
+                (CoreState::Active { job, config }, Some(terms)) => {
                     let app = &profiles[job.0];
-                    let cache = partition.get_or_default(*job);
-                    let ipc = self.perf.ipc(app, *config, cache.ways(), contention);
-                    let bips = self.core_bips(app, *config, cache.ways(), contention);
+                    let ipc = terms.ipc(contention);
+                    let bips = Bips::new(ipc * freq);
                     let core_w = self.power.core_watts(app, *config, ipc);
                     per_core_bips.push(bips);
                     per_core_watts.push(core_w);
@@ -239,13 +253,13 @@ impl Chip {
                     per_job_watts[job.0] += core_w;
                     chip_watts += core_w;
                 }
-                CoreState::Gated => {
+                (CoreState::Gated, _) => {
                     let w = self.power.gated_core_watts();
                     per_core_bips.push(Bips::ZERO);
                     per_core_watts.push(w);
                     chip_watts += w;
                 }
-                CoreState::Idle => {
+                (CoreState::Idle, _) | (CoreState::Active { .. }, None) => {
                     // An idle core clocks at the narrowest configuration with
                     // no work: leakage plus idle dynamic power.
                     let app = AppProfile::balanced();
@@ -309,7 +323,7 @@ impl Chip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CacheAlloc;
+    use crate::config::{CacheAlloc, JobConfig};
 
     fn simple_setup() -> (Chip, Vec<AppProfile>, LlcPartition) {
         let chip = Chip::new(SystemParams::default(), CoreKind::Reconfigurable);
@@ -463,6 +477,179 @@ mod tests {
             Chip::new(params, CoreKind::Fixed).simulate_frame(&cores, &profiles, &partition, 1.0);
         assert!(fixed.per_job_bips[0].get() > reconf.per_job_bips[0].get());
         assert!(fixed.per_job_watts[0].get() < reconf.per_job_watts[0].get());
+    }
+
+    /// The frame as it was computed before the CPI terms were hoisted:
+    /// every pass and both final-pass quantities through the public
+    /// `PerfModel::ipc` and `Chip::core_bips`.
+    fn frame_through_the_public_model(
+        chip: &Chip,
+        cores: &[CoreState],
+        profiles: &[AppProfile],
+        partition: &LlcPartition,
+        duration_ms: f64,
+    ) -> FrameResult {
+        let mut contention = 0.0;
+        for _ in 0..6 {
+            let mut traffic = 0.0;
+            for core in cores {
+                if let CoreState::Active { job, config } = core {
+                    let app = &profiles[job.0];
+                    let ways = partition.get_or_default(*job).ways();
+                    let bips = chip.core_bips(app, *config, ways, contention);
+                    traffic += chip.perf.dram_traffic_gaps(app, bips, ways);
+                }
+            }
+            contention = 0.5 * contention + 0.5 * chip.bandwidth.contention(traffic);
+        }
+        let mut per_core_bips = Vec::new();
+        let mut per_core_watts = Vec::new();
+        let mut per_job_bips = vec![Bips::ZERO; profiles.len()];
+        let mut per_job_watts = vec![Watts::ZERO; profiles.len()];
+        let mut chip_watts = Watts::ZERO;
+        for core in cores {
+            let (bips, w) = match core {
+                CoreState::Active { job, config } => {
+                    let app = &profiles[job.0];
+                    let ways = partition.get_or_default(*job).ways();
+                    let ipc = chip.perf.ipc(app, *config, ways, contention);
+                    let bips = chip.core_bips(app, *config, ways, contention);
+                    let w = chip.power.core_watts(app, *config, ipc);
+                    per_job_bips[job.0] += bips;
+                    per_job_watts[job.0] += w;
+                    (bips, w)
+                }
+                CoreState::Gated => (Bips::ZERO, chip.power.gated_core_watts()),
+                CoreState::Idle => (
+                    Bips::ZERO,
+                    chip.power
+                        .core_watts(&AppProfile::balanced(), CoreConfig::narrowest(), 0.0),
+                ),
+            };
+            per_core_bips.push(bips);
+            per_core_watts.push(w);
+            chip_watts += w;
+        }
+        for (job, cache) in partition.iter() {
+            if job.0 < profiles.len() {
+                let traffic = chip.perf.dram_traffic_gaps(
+                    &profiles[job.0],
+                    per_job_bips[job.0],
+                    cache.ways(),
+                );
+                let w = chip.power.llc_watts(cache, traffic);
+                per_job_watts[job.0] += w;
+                chip_watts += w;
+            }
+        }
+        FrameResult {
+            duration_ms,
+            per_core_bips,
+            per_core_watts,
+            per_job_bips,
+            per_job_watts,
+            chip_watts,
+            contention,
+        }
+    }
+
+    /// Every field of every frame, bit for bit, against the frame through
+    /// the public model, over seeded layouts on both core kinds: a 4-core LC
+    /// tenant split between the profiling high and low configurations,
+    /// batch jobs at random configurations and ways, gated and idle cores,
+    /// and up to 32 active cores of memory-hungry profiles, which push the
+    /// contention above the bandwidth knee.
+    #[test]
+    fn hoisted_cpi_terms_leave_every_frame_bit_identical() {
+        let mut draw = {
+            let mut index = 0;
+            move || {
+                index += 1;
+                util::rng64::unit_from_bits(util::rng64::mix_stream(0xF4A3E, 0, index))
+            }
+        };
+        let bits = |r: &FrameResult| {
+            let each = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            (
+                r.duration_ms.to_bits(),
+                each(&r.per_core_bips.iter().map(|b| b.get()).collect::<Vec<_>>()),
+                each(&r.per_core_watts.iter().map(|w| w.get()).collect::<Vec<_>>()),
+                each(&r.per_job_bips.iter().map(|b| b.get()).collect::<Vec<_>>()),
+                each(&r.per_job_watts.iter().map(|w| w.get()).collect::<Vec<_>>()),
+                r.chip_watts.get().to_bits(),
+                r.contention.to_bits(),
+            )
+        };
+        let mut contended = 0;
+        for layout in 0..200 {
+            let kind = [CoreKind::Reconfigurable, CoreKind::Fixed][layout % 2];
+            let chip = Chip::new(SystemParams::default(), kind);
+            // Every third layout is memory-hungry: memory-bound jobs on half
+            // a way each, on cores that are almost all active.
+            let hungry = layout % 3 == 0;
+            let jobs = 2 + (draw() * 16.0) as usize;
+            let profiles: Vec<AppProfile> = (0..jobs)
+                .map(|j| {
+                    let mut app = [
+                        AppProfile::balanced(),
+                        AppProfile::compute_bound(),
+                        AppProfile::memory_bound(),
+                    ][if hungry { 2 } else { j % 3 }];
+                    app.ilp *= 0.5 + draw();
+                    app.fe_sensitivity = draw();
+                    app.be_sensitivity = draw();
+                    app.ls_sensitivity = draw();
+                    if !hungry {
+                        app.mem_fraction = 0.05 + 0.55 * draw();
+                        app.llc_working_set_ways = 0.2 + 12.0 * draw();
+                        app.mlp = 1.0 + 5.0 * draw();
+                    }
+                    app
+                })
+                .collect();
+            let mut partition = LlcPartition::new();
+            for j in 0..jobs {
+                if hungry {
+                    partition.set(JobId(j), CacheAlloc::Half);
+                } else if draw() < 0.9 {
+                    partition.set(JobId(j), CacheAlloc::from_index((draw() * 4.0) as usize));
+                }
+            }
+            let high = JobConfig::profiling_high().core;
+            let low = JobConfig::profiling_low().core;
+            let mut cores: Vec<CoreState> = [high, high, low, low]
+                .into_iter()
+                .map(|config| CoreState::Active {
+                    job: JobId(0),
+                    config,
+                })
+                .collect();
+            let size = if hungry {
+                32
+            } else {
+                4 + (draw() * 28.0) as usize
+            };
+            while cores.len() < size {
+                cores.push(match (draw() * if hungry { 40.0 } else { 10.0 }) as usize {
+                    0 => CoreState::Gated,
+                    1 => CoreState::Idle,
+                    _ => CoreState::Active {
+                        job: JobId(1 + (draw() * (jobs - 1) as f64) as usize),
+                        config: CoreConfig::from_index((draw() * 27.0) as usize),
+                    },
+                });
+            }
+            let duration = [1.0, 100.0][layout % 2];
+            let got = chip.simulate_frame(&cores, &profiles, &partition, duration);
+            let want =
+                frame_through_the_public_model(&chip, &cores, &profiles, &partition, duration);
+            assert_eq!(bits(&got), bits(&want), "layout {layout}");
+            contended += usize::from(got.contention > 0.0);
+        }
+        assert!(
+            (40..160).contains(&contended),
+            "{contended} of 200 layouts above the bandwidth knee"
+        );
     }
 
     #[test]

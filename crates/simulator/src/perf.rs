@@ -76,20 +76,34 @@ impl PerfModel {
         scale * sensitivity * narrowing
     }
 
-    /// Memory CPI: exposed LLC hit latency plus DRAM misses amortized over
-    /// the effective memory-level parallelism, inflated by bandwidth
-    /// contention.
-    fn memory_cpi(&self, app: &AppProfile, ls: SectionWidth, ways: f64, contention: f64) -> f64 {
-        let apki = app.llc_accesses_per_instr();
+    /// The contention-free terms of `app`'s CPI stack on `config` with
+    /// `ways` LLC ways: everything [`PerfModel::ipc`] computes before memory
+    /// contention enters, once per core of a frame however often the
+    /// frame's fixed point asks for its IPC.
+    pub(crate) fn cpi_terms(&self, app: &AppProfile, config: CoreConfig, ways: f64) -> CpiTerms {
         let miss = app.llc_miss_rate(ways);
         // A narrower load/store queue tracks fewer outstanding misses, so it
         // degrades the MLP the application can exploit — in proportion to how
         // much the application leans on the LS queue in the first place.
         let mlp_exponent = self.cal.ls_mlp_exponent * app.ls_sensitivity;
-        let mlp_eff = (app.mlp * ls.fraction().powf(mlp_exponent)).max(1.0);
         let hit_cycles = self.params.llc_latency_cycles * self.cal.llc_exposed_fraction;
-        let dram_cycles = self.params.dram_latency_cycles * (1.0 + contention.max(0.0));
-        apki * ((1.0 - miss) * hit_cycles + miss * dram_cycles / mlp_eff)
+        CpiTerms {
+            core_cpi: 1.0 / app.ilp
+                + Self::section_penalty(self.cal.k_fe, app.fe_sensitivity, config.fe)
+                + Self::section_penalty(self.cal.k_be, app.be_sensitivity, config.be)
+                + Self::section_penalty(
+                    self.cal.k_ls,
+                    app.ls_sensitivity * (app.mem_fraction / 0.3),
+                    config.ls,
+                ),
+            apki: app.llc_accesses_per_instr(),
+            miss,
+            hit_cycles: (1.0 - miss) * hit_cycles,
+            dram_latency_cycles: self.params.dram_latency_cycles,
+            mlp_eff: (app.mlp * config.ls.fraction().powf(mlp_exponent)).max(1.0),
+            fe_lanes: f64::from(config.fe.lanes()),
+            be_lanes: f64::from(config.be.lanes()),
+        }
     }
 
     /// Instructions per cycle for `app` on `config` with `ways` LLC ways and
@@ -98,20 +112,7 @@ impl PerfModel {
     /// The result is frequency-independent; combine with
     /// [`PerfModel::bips`] for throughput.
     pub fn ipc(&self, app: &AppProfile, config: CoreConfig, ways: f64, contention: f64) -> f64 {
-        let cpi = 1.0 / app.ilp
-            + Self::section_penalty(self.cal.k_fe, app.fe_sensitivity, config.fe)
-            + Self::section_penalty(self.cal.k_be, app.be_sensitivity, config.be)
-            + Self::section_penalty(
-                self.cal.k_ls,
-                app.ls_sensitivity * (app.mem_fraction / 0.3),
-                config.ls,
-            )
-            + self.memory_cpi(app, config.ls, ways, contention);
-        let ipc = 1.0 / cpi;
-        // Hard structural caps: the core cannot retire more micro-ops per
-        // cycle than the narrowest of its fetch and issue widths.
-        ipc.min(f64::from(config.fe.lanes()))
-            .min(f64::from(config.be.lanes()))
+        self.cpi_terms(app, config, ways).ipc(contention)
     }
 
     /// Throughput on a *reconfigurable* core (pays the AnyCore frequency
@@ -131,6 +132,47 @@ impl PerfModel {
     /// giga-accesses per second. Input to the bandwidth contention model.
     pub fn dram_traffic_gaps(&self, app: &AppProfile, bips: Bips, ways: f64) -> f64 {
         bips.get() * app.llc_accesses_per_instr() * app.llc_miss_rate(ways)
+    }
+}
+
+/// One core's CPI stack up to memory contention ([`PerfModel::cpi_terms`]):
+/// a base component set by the application's ILP plus the three section
+/// penalties, and a memory component of exposed LLC hit latency plus DRAM
+/// misses amortized over the effective memory-level parallelism, which
+/// bandwidth contention inflates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CpiTerms {
+    /// Base CPI plus the front-end, back-end and load/store penalties.
+    core_cpi: f64,
+    /// LLC accesses per instruction.
+    apki: f64,
+    /// LLC miss rate at the core's ways.
+    miss: f64,
+    /// Exposed LLC hit cycles per access, weighted by the hit rate.
+    hit_cycles: f64,
+    /// DRAM latency before contention, in cycles.
+    dram_latency_cycles: f64,
+    /// Effective memory-level parallelism.
+    mlp_eff: f64,
+    fe_lanes: f64,
+    be_lanes: f64,
+}
+
+impl CpiTerms {
+    /// Instructions per cycle under memory contention factor `contention`.
+    pub(crate) fn ipc(&self, contention: f64) -> f64 {
+        let dram_cycles = self.dram_latency_cycles * (1.0 + contention.max(0.0));
+        let memory_cpi = self.apki * (self.hit_cycles + self.miss * dram_cycles / self.mlp_eff);
+        let ipc = 1.0 / (self.core_cpi + memory_cpi);
+        // Hard structural caps: the core cannot retire more micro-ops per
+        // cycle than the narrowest of its fetch and issue widths.
+        ipc.min(self.fe_lanes).min(self.be_lanes)
+    }
+
+    /// Off-chip traffic at throughput `bips`, as
+    /// [`PerfModel::dram_traffic_gaps`] at the core's ways.
+    pub(crate) fn dram_traffic_gaps(&self, bips: Bips) -> f64 {
+        bips.get() * self.apki * self.miss
     }
 }
 
@@ -241,6 +283,65 @@ mod tests {
             0.0,
         );
         assert!(full - ls2 > full - fe2);
+    }
+
+    /// `ipc` through the hoisted terms, bit for bit against the CPI stack
+    /// written out in one expression, in the order the terms were always
+    /// added, over every configuration, four profiles, every allocation and
+    /// contention below and above 0.
+    #[test]
+    fn ipc_is_the_cpi_stack_written_out_to_the_bit() {
+        let m = model();
+        let (cal, params) = (PerfCalibration::default(), SystemParams::default());
+        let penalty = |scale: f64, sensitivity: f64, width: SectionWidth| {
+            scale * sensitivity * (6.0 / f64::from(width.lanes()) - 1.0)
+        };
+        let mut odd = AppProfile::memory_bound();
+        (odd.ilp, odd.mlp, odd.ls_sensitivity) = (1.7, 0.6, 0.9);
+        for app in [
+            AppProfile::balanced(),
+            AppProfile::compute_bound(),
+            AppProfile::memory_bound(),
+            odd,
+        ] {
+            for config in CoreConfig::all() {
+                for alloc in CacheAlloc::ALL {
+                    for contention in [-0.5_f64, 0.0, 0.37, 2.0] {
+                        let ways = alloc.ways();
+                        let miss = app.llc_miss_rate(ways);
+                        let mlp_eff = (app.mlp
+                            * config
+                                .ls
+                                .fraction()
+                                .powf(cal.ls_mlp_exponent * app.ls_sensitivity))
+                        .max(1.0);
+                        let dram_cycles = params.dram_latency_cycles * (1.0 + contention.max(0.0));
+                        let memory_cpi = app.llc_accesses_per_instr()
+                            * ((1.0 - miss)
+                                * (params.llc_latency_cycles * cal.llc_exposed_fraction)
+                                + miss * dram_cycles / mlp_eff);
+                        let cpi = 1.0 / app.ilp
+                            + penalty(cal.k_fe, app.fe_sensitivity, config.fe)
+                            + penalty(cal.k_be, app.be_sensitivity, config.be)
+                            + penalty(
+                                cal.k_ls,
+                                app.ls_sensitivity * (app.mem_fraction / 0.3),
+                                config.ls,
+                            )
+                            + memory_cpi;
+                        let want = (1.0 / cpi)
+                            .min(f64::from(config.fe.lanes()))
+                            .min(f64::from(config.be.lanes()));
+                        let got = m.ipc(&app, config, ways, contention);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{config:?} {alloc:?} {contention}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
