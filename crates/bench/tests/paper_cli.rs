@@ -99,10 +99,6 @@ fn mask_timings(text: &str) -> String {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "runs all 17 experiments at full size; minutes unoptimized — CI runs it under --release"
-)]
 fn the_committed_record_is_what_paper_record_prints() {
     let out = paper(&["record"]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));

@@ -480,12 +480,7 @@ mod tests {
         // Seeded random queues: 1–64 servers, μ log-uniform over six
         // decades, ρ uniform in [0, 1).
         let mut rng = StdRng::seed_from_u64(0x51);
-        let draws = if cfg!(debug_assertions) {
-            2_000
-        } else {
-            20_000
-        };
-        for _ in 0..draws {
+        for _ in 0..20_000 {
             let servers = rng.random_range(1..65);
             let mu = 10f64.powf(rng.random_range(-3.0..3.0));
             let rho = rng.random_range(0.0..1.0);
@@ -503,10 +498,9 @@ mod tests {
     /// Queues shaped like the tail library's: every TailBench service,
     /// unscaled and at the library's ILP / working-set / QPS scalings
     /// (0.72–1.30), on 16 cores, in each of the 108 configurations, at every
-    /// load bucket 0–200 % (every 10th in debug builds).
+    /// load bucket 0–200 %.
     fn library_grid() -> Vec<MmcQueue> {
         let chip = Chip::new(SystemParams::default(), CoreKind::Reconfigurable);
-        let bucket_step = if cfg!(debug_assertions) { 10 } else { 1 };
         let mut queues = Vec::new();
         for svc in latency::services() {
             for (ilp_scale, ws_scale, qps_scale) in [
@@ -522,7 +516,7 @@ mod tests {
                 variant.profile.fe_sensitivity = (svc.profile.fe_sensitivity * ws_scale).min(1.0);
                 variant.max_qps *= qps_scale;
                 for jc in JobConfig::all() {
-                    for bucket in (0..=200).step_by(bucket_step) {
+                    for bucket in 0..=200 {
                         let load = bucket as f64 / 100.0;
                         queues.push(variant.queue(chip.perf(), 16, jc.core, jc.cache, load, 0.0));
                     }
