@@ -10,12 +10,15 @@
 //!
 //! `paper record` runs, in registry order, every experiment that needs no
 //! argument, each at its defaults and under a `=== paper <id> ===` header:
-//! the paper record, kept as `results/full_run.txt`.
+//! the paper record, kept as `results/full_run.txt`. The experiments share
+//! one run [`Grid`], so a (scheme, co-location, cap) several of them read is
+//! run once; `paper <id>` runs on a grid of its own.
 //!
 //! Exit status: `0` ok, `1` usage (or an input the experiment refused), `2`
 //! an experiment's own acceptance failed.
 
 use crate::experiments::{Experiment, REGISTRY};
+use crate::grid::Grid;
 use crate::report::Report;
 
 /// Which values an argument accepts.
@@ -209,7 +212,7 @@ pub fn run(argv: &[String]) -> u8 {
         return 1;
     };
     match parse(experiment.args, rest) {
-        Ok(args) => finish(id, &(experiment.run)(&args)),
+        Ok(args) => finish(id, &(experiment.run)(&args, &Grid::default())),
         Err(msg) => {
             eprintln!("paper {id}: {msg}\n{}", usage(experiment));
             1
@@ -225,14 +228,16 @@ fn recorded() -> impl Iterator<Item = &'static Experiment> {
         .filter(|e| !e.args.iter().any(ArgSpec::is_required))
 }
 
-/// `paper record`: each [`recorded`] experiment at its defaults; the worst
-/// exit status wins.
+/// `paper record`: each [`recorded`] experiment at its defaults, all on one
+/// [`Grid`], so each cell and each chip's factors are computed once; the
+/// worst exit status wins.
 fn record() -> u8 {
+    let grid = Grid::default();
     let mut status = 0;
     for e in recorded() {
         println!("=== paper {} ===", e.id);
         let args = parse(e.args, &[]).expect("every default is valid");
-        status = status.max(finish(e.id, &(e.run)(&args)));
+        status = status.max(finish(e.id, &(e.run)(&args, &grid)));
         println!();
     }
     status

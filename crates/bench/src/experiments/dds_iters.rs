@@ -12,15 +12,16 @@ use simulator::NUM_JOB_CONFIGS;
 use workloads::batch;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{search_problem, two_sample_predictions, Report, Table};
 
 #[allow(
     clippy::disallowed_methods,
     reason = "this experiment reports its own wall time; nothing timed feeds a decision"
 )]
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, grid: &Grid) -> Report {
     // The runtime's actual search problem, built from SGD predictions.
-    let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles());
+    let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles(), grid.libraries());
     let objective = search_problem(&preds, 70.0);
     let space = SearchSpace::new(16, NUM_JOB_CONFIGS);
 

@@ -14,6 +14,7 @@ use cuttlesys::types::{RunRecord, Scenario};
 use cuttlesys::CuttleSysManager;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{Report, Table};
 
 const PROFILES: [&str; 3] = ["clean", "lossy-sensors", "flaky-reconfig"];
@@ -24,14 +25,15 @@ struct ProfileRun {
     breaker_closes: usize,
 }
 
-fn run_profile(profile: &str, seed: u64, slices: usize) -> ProfileRun {
+fn run_profile(profile: &str, seed: u64, slices: usize, grid: &Grid) -> ProfileRun {
     let plan = FaultPlan::named(profile, seed).expect("profile names come from PROFILES");
     let scenario = Scenario {
         duration_slices: slices,
         ..Scenario::paper_default()
     }
     .with_faults(plan);
-    let mut manager = CuttleSysManager::for_scenario(&scenario);
+    let library = grid.libraries().get(&scenario.params);
+    let mut manager = CuttleSysManager::sharing(&scenario, library);
     let record = run_scenario(&scenario, &mut manager);
     let (breaker_opens, breaker_closes) = manager.breaker_cycles();
     ProfileRun {
@@ -41,13 +43,13 @@ fn run_profile(profile: &str, seed: u64, slices: usize) -> ProfileRun {
     }
 }
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let seed = args.int("--seed");
     let slices = args.int("slices") as usize;
 
     let runs: Vec<(&str, ProfileRun)> = PROFILES
         .iter()
-        .map(|p| (*p, run_profile(p, seed, slices)))
+        .map(|p| (*p, run_profile(p, seed, slices, grid)))
         .collect();
     let clean_tail = runs[0].1.record.worst_tail_ratio();
     let clean_instr = runs[0].1.record.batch_instructions();

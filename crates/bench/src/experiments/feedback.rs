@@ -16,6 +16,7 @@ use workloads::latency;
 use workloads::loadgen::LoadPattern;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{standard_scenario, Report, Table};
 
 fn out_of_band(r: &RunRecord) -> (usize, usize) {
@@ -32,7 +33,7 @@ fn out_of_band(r: &RunRecord) -> (usize, usize) {
     (over, under)
 }
 
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, grid: &Grid) -> Report {
     let svc = latency::service_by_name("xapian").expect("xapian exists");
     let scenario = Scenario {
         cap: LoadPattern::Steps(vec![(0.0, 0.9), (0.3, 0.6), (0.7, 0.9)]),
@@ -40,8 +41,8 @@ pub(super) fn run(_: &Args) -> Report {
         ..standard_scenario(&svc, 0, 0.9)
     };
 
-    let feedback = Scheme::Feedback.run(&scenario);
-    let cuttle = Scheme::CuttleSys.run(&scenario);
+    let feedback = Scheme::Feedback.run_sharing(&scenario, grid.libraries());
+    let cuttle = Scheme::CuttleSys.run_sharing(&scenario, grid.libraries());
 
     let mut table = Table::new(
         "Open-loop vs closed-loop under cap steps 90% -> 60% -> 90%",

@@ -18,6 +18,7 @@ use simulator::{CacheAlloc, Chip, CoreConfig, Section, SystemParams};
 use workloads::latency::{self, LcService};
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{Report, Table};
 
 /// One characterized configuration.
@@ -77,7 +78,7 @@ fn critical_section(chip: &Chip, svc: &LcService) -> Section {
         .expect("three sections")
 }
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, _: &Grid) -> Report {
     let full = args.word("--full") == "--full";
     let mut report = Report::default();
     let chip = Chip::new(SystemParams::paper_16core(), CoreKind::Reconfigurable);

@@ -13,7 +13,7 @@
 //!   Paper: medians near zero, quartiles within ±10 %, wider 5th/95th for
 //!   tail latency and throughput outliers.
 
-use cuttlesys::matrices::JobMatrices;
+use cuttlesys::matrices::{JobMatrices, Libraries};
 use cuttlesys::testbed::run_scenario;
 use cuttlesys::types::Scenario;
 use cuttlesys::CuttleSysManager;
@@ -22,6 +22,7 @@ use workloads::batch;
 use workloads::latency;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{
     colocations, error_quantiles, pct_errors, reference_oracle, standard_scenario,
     two_sample_predictions, Report, Table,
@@ -57,9 +58,8 @@ fn error_table(title: &str, metrics: [(&str, &Vec<f64>); 3]) -> Table {
     table
 }
 
-fn isolation(report: &mut Report) {
+fn isolation(report: &mut Report, libraries: &Libraries) {
     let oracle = reference_oracle();
-    let training: Vec<_> = batch::training_set().iter().map(|b| b.profile).collect();
     let hi = JobConfig::profiling_high().index();
     let lo = JobConfig::profiling_low().index();
     let skip = [hi, lo];
@@ -72,7 +72,7 @@ fn isolation(report: &mut Report) {
     for app in batch::testing_set() {
         let b = oracle.bips_row(&app.profile);
         let w = oracle.power_row(&app.profile);
-        let preds = two_sample_predictions(&[app.profile]);
+        let preds = two_sample_predictions(&[app.profile], libraries);
         tput_errors.extend(pct_errors(&preds.batch_bips[0], &b, &skip, None));
         power_errors.extend(pct_errors(&preds.batch_watts[0], &w, &skip, None));
     }
@@ -82,7 +82,7 @@ fn isolation(report: &mut Report) {
     // runtime.
     let mut verdicts = Vec::new();
     for svc in latency::services() {
-        let mut m = JobMatrices::new(oracle, &training, 1, 1);
+        let mut m = JobMatrices::sharing(libraries.get(oracle.chip().params()), 1, 1);
         let truth: Vec<f64> = oracle
             .tail_row(&svc, 16, 0.8)
             .into_iter()
@@ -119,7 +119,7 @@ fn isolation(report: &mut Report) {
     report.line("Paper targets: quartiles within ±10%, 5th/95th within ±20%, tail widest.\n");
 }
 
-fn runtime(report: &mut Report, mixes: u64) {
+fn runtime(report: &mut Report, libraries: &Libraries, mixes: u64) {
     let oracle = reference_oracle();
     let mut tput_errors = Vec::new();
     let mut power_errors = Vec::new();
@@ -130,7 +130,8 @@ fn runtime(report: &mut Report, mixes: u64) {
             duration_slices: 5,
             ..standard_scenario(&svc, mix, 0.7)
         };
-        let mut manager = CuttleSysManager::for_scenario(&scenario);
+        let library = libraries.get(&scenario.params);
+        let mut manager = CuttleSysManager::sharing(&scenario, library);
         // Ground truth from the *base* profiles; runtime predictions chase
         // the drifting, contended, noisy reality.
         let truth_b: Vec<Vec<f64>> = scenario
@@ -176,14 +177,14 @@ fn runtime(report: &mut Report, mixes: u64) {
     report.line("Paper targets: medians ~0, quartiles within ±10%, wider 5th/95th than Fig. 5(a).");
 }
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let mode = args.word("mode");
     let mut report = Report::default();
     if mode != "--runtime" {
-        isolation(&mut report);
+        isolation(&mut report, grid.libraries());
     }
     if mode != "--isolation" {
-        runtime(&mut report, args.int("mixes_per_service"));
+        runtime(&mut report, grid.libraries(), args.int("mixes_per_service"));
     }
     report
 }

@@ -9,8 +9,9 @@ use baselines::gating::GatingOrder;
 use cuttlesys::managers::{AsymmetricMode, Scheme};
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::report::ratio;
-use crate::{colocations, standard_scenario, Report, Table, POWER_CAPS};
+use crate::{colocations, Report, Table, POWER_CAPS};
 
 /// The paper's specified gating baseline: descending power, the ordering
 /// their McPAT calibration found best. Under our analytic power model
@@ -37,7 +38,7 @@ const SCHEMES: [(&str, Scheme); 5] = [
     ("cuttlesys", Scheme::CuttleSys),
 ];
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let mixes = args.int("mixes_per_service");
     let mut headers = vec!["cap"];
     headers.extend(SCHEMES.iter().map(|(name, _)| *name));
@@ -57,10 +58,11 @@ pub(super) fn run(args: &Args) -> Report {
         let mut baseline_total = 0.0f64;
         let mut qos_violations = 0usize;
         for (svc, mix) in colocations(mixes) {
-            let scenario = standard_scenario(&svc, mix, cap);
-            baseline_total += Scheme::NoGating.run(&scenario).batch_instructions();
+            baseline_total += grid
+                .record(Scheme::NoGating, &svc, mix, cap)
+                .batch_instructions();
             for (total, (_, scheme)) in totals.iter_mut().zip(&SCHEMES) {
-                let record = scheme.run(&scenario);
+                let record = grid.record(*scheme, &svc, mix, cap);
                 *total += record.batch_instructions();
                 if *scheme == Scheme::CuttleSys {
                     // Skip the cold-start slice, as the paper's steady

@@ -12,20 +12,19 @@ use cuttlesys::types::RunRecord;
 use workloads::latency;
 
 use crate::cli::Args;
-use crate::{standard_scenario, Report, Table};
+use crate::grid::Grid;
+use crate::{Report, Table};
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let cap = args.fraction("cap_fraction");
     let svc = latency::service_by_name("xapian").expect("xapian exists");
-    let scenario = standard_scenario(&svc, 0, cap);
-
     let gating = Scheme::CoreGating {
         order: GatingOrder::DescendingPower,
         way_partitioning: false,
-    }
-    .run(&scenario);
-    let asym = Scheme::Asymmetric(AsymmetricMode::Oracle).run(&scenario);
-    let cuttle = Scheme::CuttleSys.run(&scenario);
+    };
+    let gating = grid.record(gating, &svc, 0, cap);
+    let asym = grid.record(Scheme::Asymmetric(AsymmetricMode::Oracle), &svc, 0, cap);
+    let cuttle = grid.record(Scheme::CuttleSys, &svc, 0, cap);
 
     let mut table = Table::new(
         &format!(
@@ -43,10 +42,7 @@ pub(super) fn run(args: &Args) -> Report {
         ],
     );
     let giga = |x: f64| format!("{:.2}", x / 1e9);
-    for i in 0..scenario.duration_slices {
-        let g = &gating.slices[i];
-        let a = &asym.slices[i];
-        let c = &cuttle.slices[i];
+    for ((g, a), c) in gating.slices.iter().zip(&asym.slices).zip(&cuttle.slices) {
         let gated = g.batch_configs.iter().filter(|c| c.is_none()).count();
         let small = a
             .batch_configs

@@ -13,6 +13,7 @@ use workloads::latency;
 use workloads::loadgen::LoadPattern;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{Report, Table};
 
 /// The three panels, in figure order.
@@ -48,9 +49,9 @@ fn scenario(kind: &str, slices: usize) -> Scenario {
     }
 }
 
-fn panel(report: &mut Report, kind: &str, slices: usize) {
+fn panel(report: &mut Report, grid: &Grid, kind: &str, slices: usize) {
     let s = scenario(kind, slices);
-    let record = Scheme::CuttleSys.run(&s);
+    let record = Scheme::CuttleSys.run_sharing(&s, grid.libraries());
 
     let mut table = Table::new(
         &format!(
@@ -91,11 +92,11 @@ fn panel(report: &mut Report, kind: &str, slices: usize) {
     ));
 }
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let chosen = args.word("--scenario");
     let mut report = Report::default();
     for kind in KINDS.iter().filter(|k| chosen == "all" || chosen == **k) {
-        panel(&mut report, kind, args.int("slices") as usize);
+        panel(&mut report, grid, kind, args.int("slices") as usize);
     }
     report
 }

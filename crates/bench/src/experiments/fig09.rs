@@ -14,6 +14,7 @@ use simulator::{CacheAlloc, CoreConfig, JobConfig, SectionWidth, NUM_JOB_CONFIGS
 use workloads::batch;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{error_quantiles, pct_errors, reference_oracle, two_sample_predictions, Report, Table};
 
 /// The three RBF samples: the two profiling extremes plus a mid
@@ -30,7 +31,7 @@ fn rbf_samples() -> [JobConfig; 3] {
     ]
 }
 
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, grid: &Grid) -> Report {
     let oracle = reference_oracle();
     let samples = rbf_samples();
     let sample_idx: Vec<usize> = samples.iter().map(|c| c.index()).collect();
@@ -62,7 +63,7 @@ pub(super) fn run(_: &Args) -> Report {
         rbf_power.extend(pct_errors(&pred_w, &truth_w, &sample_idx, None));
 
         // Fold-in on two samples, as at runtime.
-        let preds = two_sample_predictions(&[app.profile]);
+        let preds = two_sample_predictions(&[app.profile], grid.libraries());
         cf_tput.extend(pct_errors(&preds.batch_bips[0], &truth_b, &[hi, lo], None));
         cf_power.extend(pct_errors(&preds.batch_watts[0], &truth_w, &[hi, lo], None));
     }

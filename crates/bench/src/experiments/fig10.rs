@@ -7,6 +7,7 @@
 //! * `--sweep` (Fig. 10b): the full CuttleSys runtime with DDS vs with a
 //!   budget-matched GA, across power caps; the paper reports up to 19 %
 //!   higher throughput for DDS, with the gap shrinking at the 50 % cap.
+//!   Its DDS column reads the grid cells of Fig. 5(c)'s CuttleSys column.
 
 use baselines::ga::{ga_search, GaParams};
 use cuttlesys::managers::Scheme;
@@ -16,6 +17,7 @@ use workloads::batch;
 use workloads::latency;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::report::ratio;
 use crate::{
     colocations, geo_mean, search_problem, standard_scenario, two_sample_predictions, Report,
@@ -38,9 +40,9 @@ fn pareto(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
     front
 }
 
-fn scatter(report: &mut Report) {
+fn scatter(report: &mut Report, grid: &Grid) {
     // Build SGD predictions for one colocation, as the runtime would.
-    let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles());
+    let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles(), grid.libraries());
 
     let svc = latency::service_by_name("xapian").expect("xapian exists");
     let scenario = standard_scenario(&svc, 0, 0.7);
@@ -129,24 +131,22 @@ fn scatter(report: &mut Report) {
     report.line("");
 }
 
-fn sweep(report: &mut Report, mixes: u64) {
+fn sweep(report: &mut Report, grid: &Grid, mixes: u64) {
     let mut table = Table::new(
         "Fig. 10(b): relative batch throughput, SGD-DDS vs SGD-GA, across power caps",
         &["cap", "SGD-GA", "SGD-DDS", "DDS/GA"],
     );
+    // Match the GA's budget by wall-clock, as the paper does: the
+    // sequential GA completes ~1/threads of parallel DDS's
+    // (50 + 40 iters x 10 points x 8 threads) evaluations in the same time.
+    let ga =
+        Scheme::CuttleSysGa(GaParams::default().with_evaluation_budget((50 + 40 * 10 * 8) / 8));
     for cap in POWER_CAPS {
         let mut dds_g = Vec::new();
         let mut ga_g = Vec::new();
         for (svc, mix) in colocations(mixes) {
-            let scenario = standard_scenario(&svc, mix, cap);
-            let dds_run = Scheme::CuttleSys.run(&scenario);
-            // Match the GA's budget by wall-clock, as the paper does: the
-            // sequential GA completes ~1/threads of parallel DDS's
-            // (50 + 40 iters x 10 points x 8 threads) evaluations in the
-            // same time.
-            let ga_budget = (50 + 40 * 10 * 8) / 8;
-            let ga_run = Scheme::CuttleSysGa(GaParams::default().with_evaluation_budget(ga_budget))
-                .run(&scenario);
+            let dds_run = grid.record(Scheme::CuttleSys, &svc, mix, cap);
+            let ga_run = grid.record(ga, &svc, mix, cap);
             let steady_gmean = |r: &cuttlesys::types::RunRecord| {
                 let g: Vec<f64> = r
                     .slices
@@ -172,14 +172,14 @@ fn sweep(report: &mut Report, mixes: u64) {
     report.line("Paper shape: DDS up to ~1.19x, gap smallest at the 50% cap.");
 }
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let mode = args.word("mode");
     let mut report = Report::default();
     if mode != "--sweep" {
-        scatter(&mut report);
+        scatter(&mut report, grid);
     }
     if mode != "--scatter" {
-        sweep(&mut report, args.int("mixes_per_service"));
+        sweep(&mut report, grid, args.int("mixes_per_service"));
     }
     report
 }

@@ -14,9 +14,10 @@
 use cuttlesys::managers::{FlickerVariant, Scheme};
 
 use crate::cli::Args;
-use crate::{colocations, standard_scenario, Report, Table};
+use crate::grid::Grid;
+use crate::{colocations, Report, Table};
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let cap = args.fraction("cap_fraction");
     let mixes = args.int("mixes_per_service");
 
@@ -40,8 +41,7 @@ pub(super) fn run(args: &Args) -> Report {
         let mut instr = 0.0;
         let mut slices = 0;
         for (svc, mix) in colocations(mixes) {
-            let scenario = standard_scenario(&svc, mix, cap);
-            let record = scheme.run(&scenario);
+            let record = grid.record(scheme, &svc, mix, cap);
             violations += record
                 .slices
                 .iter()

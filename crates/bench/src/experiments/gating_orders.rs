@@ -10,9 +10,10 @@ use baselines::gating::GatingOrder;
 use cuttlesys::managers::Scheme;
 
 use crate::cli::Args;
-use crate::{colocations, standard_scenario, Report, Table};
+use crate::grid::Grid;
+use crate::{colocations, Report, Table};
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     let mixes = args.int("mixes_per_service");
     let mut table = Table::new(
         "Core-gating victim orderings: batch instructions (1e9) by power cap",
@@ -27,9 +28,7 @@ pub(super) fn run(args: &Args) -> Report {
                 way_partitioning: false,
             };
             for (svc, mix) in colocations(mixes) {
-                total += scheme
-                    .run(&standard_scenario(&svc, mix, cap))
-                    .batch_instructions();
+                total += grid.record(scheme, &svc, mix, cap).batch_instructions();
             }
             cells.push(format!("{:.1}", total / 1e9));
         }

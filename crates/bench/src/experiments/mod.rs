@@ -1,11 +1,13 @@
 //! The experiments, one module each, and the [`REGISTRY`] that names them.
 //!
 //! A module's doc comment says which table or figure it regenerates and
-//! what the paper reports there; its `run` builds the [`Report`]. Arguments
-//! are declared here as data — nothing below parses a command line.
+//! what the paper reports there; its `run` builds the [`Report`] from the
+//! run [`Grid`] it is handed. Arguments are declared here as data — nothing
+//! below parses a command line.
 
 use crate::cli::Kind::{Fraction, Int, OneOf, Text};
 use crate::cli::{ArgSpec, Args, Kind};
+use crate::grid::Grid;
 use crate::report::Report;
 
 mod dds_iters;
@@ -35,8 +37,8 @@ pub struct Experiment {
     pub paper_item: &'static str,
     /// Its declared arguments.
     pub args: &'static [ArgSpec],
-    /// Runs it.
-    pub run: fn(&Args) -> Report,
+    /// Runs it, reading its cells and factor libraries from the grid.
+    pub run: fn(&Args, &Grid) -> Report,
 }
 
 const fn arg(name: &'static str, kind: Kind, default: &'static str) -> ArgSpec {

@@ -21,6 +21,7 @@ use simulator::{AppProfile, CacheAlloc, Chip, CoreConfig, SystemParams};
 use workloads::batch;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{Report, Table};
 
 /// (bips, watts) of every core configuration at nominal frequency on a
@@ -46,7 +47,7 @@ fn min_power_at(frontier: &[(f64, f64)], target_bips: f64) -> Option<f64> {
         .min_by(f64::total_cmp)
 }
 
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, _: &Grid) -> Report {
     let mut report = Report::default();
     let params = SystemParams::default();
     let chip = Chip::new(params, CoreKind::Reconfigurable);

@@ -12,9 +12,10 @@ use cuttlesys::managers::Scheme;
 use workloads::latency;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{standard_scenario, Report, Table};
 
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, grid: &Grid) -> Report {
     let svc = latency::service_by_name("xapian").expect("xapian exists");
 
     let mut table = Table::new(
@@ -30,7 +31,8 @@ pub(super) fn run(_: &Args) -> Report {
     for us in [0.0, 10.0, 100.0, 1000.0] {
         let mut scenario = standard_scenario(&svc, 0, 0.7);
         scenario.params.reconfig_transition_us = us;
-        let record = Scheme::CuttleSys.run(&scenario);
+        // Each transition cost is another chip, so another library.
+        let record = Scheme::CuttleSys.run_sharing(&scenario, grid.libraries());
         let instr = record.batch_instructions();
         let base = *reference.get_or_insert(instr);
         table.row(vec![

@@ -9,6 +9,7 @@ use simulator::{JobConfig, NUM_JOB_CONFIGS};
 use workloads::batch;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{reference_oracle, Report, Table};
 
 /// The runtime's throughput matrix (log space), plus held-out truth.
@@ -49,7 +50,7 @@ fn held_out_err(model: &recsys::SgdModel, truth: &[Vec<f64>], first_row: usize) 
     clippy::disallowed_methods,
     reason = "this experiment reports its own wall time; nothing timed feeds a decision"
 )]
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, _: &Grid) -> Report {
     let mut report = Report::default();
     let (m, truth) = matrix_and_truth();
     let first_live = batch::training_set().len();

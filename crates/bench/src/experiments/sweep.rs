@@ -18,9 +18,10 @@ use util::json::emit_json;
 use util::WorkerPool;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{Report, Table};
 
-pub(super) fn run(args: &Args) -> Report {
+pub(super) fn run(args: &Args, _: &Grid) -> Report {
     sweep_report(args.word("scenario"), args.word("--out")).unwrap_or_else(|msg| {
         let mut report = Report::default();
         report.refused = Some(msg);

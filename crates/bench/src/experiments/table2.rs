@@ -21,15 +21,17 @@ use cuttlesys::types::Scenario;
 use workloads::loadgen::LoadPattern;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{Report, Table};
 
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, _: &Grid) -> Report {
     let scenario = Scenario {
         cap: LoadPattern::Constant(0.7),
         duration_slices: 30,
         ..Scenario::paper_default()
     }
     .with_load(LoadPattern::Constant(0.8));
+    // The table times learning, so this run learns a library of its own.
     let record = Scheme::CuttleSys.run(&scenario);
     let summary = record
         .stage_summary()

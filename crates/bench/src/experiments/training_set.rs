@@ -13,13 +13,15 @@ use simulator::{JobConfig, NUM_JOB_CONFIGS};
 use workloads::batch;
 
 use crate::cli::Args;
+use crate::grid::Grid;
 use crate::{pct_errors, reference_oracle, Report, Table};
 
 #[allow(
     clippy::disallowed_methods,
     reason = "this experiment reports its own wall time; nothing timed feeds a decision"
 )]
-pub(super) fn run(_: &Args) -> Report {
+pub(super) fn run(_: &Args, _: &Grid) -> Report {
+    // The table times learning, so it learns its own factors, not the grid's.
     let oracle = reference_oracle();
     // A fixed diverse ordering of the full catalog: interleave the paper's
     // training and testing sets so every prefix spans behaviours.

@@ -8,6 +8,8 @@
 //!   that names them (DESIGN.md §4 is the index, by id).
 //! * [`cli`] — the one strict argument parser (each experiment declares its
 //!   arguments as data), the one print / exit-status path, and the record.
+//! * [`grid`] — the run [`Grid`]: each (scheme, co-location, cap) the
+//!   experiments read, run once, and one factor library per chip.
 //! * [`report`] — fixed-width [`Table`]s and the [`Report`] an experiment
 //!   returns.
 //!
@@ -18,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-use cuttlesys::matrices::{JobMatrices, Predictions};
+use cuttlesys::matrices::{JobMatrices, Libraries, Predictions};
 use cuttlesys::types::{Scenario, BATCH_JOBS};
 use dds::PenaltyTable;
 use simulator::power::CoreKind;
@@ -30,9 +32,11 @@ use workloads::oracle::Oracle;
 
 pub mod cli;
 pub mod experiments;
+pub mod grid;
 pub mod report;
 
 pub use experiments::REGISTRY;
+pub use grid::Grid;
 pub use report::{Report, Table};
 
 /// The power caps evaluated in Fig. 5(c) and Fig. 10(b), as fractions of the
@@ -69,12 +73,13 @@ pub fn reference_oracle() -> Oracle {
 /// Predictions for `apps` as batch jobs the runtime has only just met: each
 /// live row holds the two profiling samples (exact oracle values) and is
 /// reconstructed against the paper's 16 training applications, beside one
-/// unobserved LC tenant at 80 % load. `batch_bips[j]` / `batch_watts[j]`
-/// are `apps[j]`'s 108 inferred entries.
-pub fn two_sample_predictions(apps: &[AppProfile]) -> Predictions {
+/// unobserved LC tenant at 80 % load, over the reference chip's library in
+/// `libraries`. `batch_bips[j]` / `batch_watts[j]` are `apps[j]`'s 108
+/// inferred entries.
+pub fn two_sample_predictions(apps: &[AppProfile], libraries: &Libraries) -> Predictions {
     let oracle = reference_oracle();
-    let training: Vec<_> = batch::training_set().iter().map(|b| b.profile).collect();
-    let mut matrices = JobMatrices::new(oracle, &training, 1, apps.len());
+    let library = libraries.get(oracle.chip().params());
+    let mut matrices = JobMatrices::sharing(library, 1, apps.len());
     for (j, app) in apps.iter().enumerate() {
         let (b, w) = (oracle.bips_row(app), oracle.power_row(app));
         for c in [JobConfig::profiling_high(), JobConfig::profiling_low()] {

@@ -34,12 +34,10 @@
 //! node and does nothing at all, so a fault-free coordinator is
 //! bit-identical to one built before faults existed.
 
-use std::sync::Arc;
-
 use cuttlesys::control::AdmissionError;
 use cuttlesys::control::{ControlError, ControlEvent, ControlSnapshot, TenantId, TenantKind};
 use cuttlesys::lifecycle::{LifecycleState, NodeId, RelocationTarget};
-use cuttlesys::matrices::FactorLibrary;
+use cuttlesys::matrices::Libraries;
 use cuttlesys::types::RunRecord;
 use util::json::JsonValue;
 use util::pool::{for_each_slot, WorkerPool};
@@ -515,21 +513,9 @@ impl ClusterCoordinator {
         let pool = WorkerPool::new(WorkerPool::default_threads());
         // One factor library per distinct chip: nodes on equal parameters
         // learn the same factors, so they share them.
-        let mut libraries: Vec<Arc<FactorLibrary>> = Vec::new();
-        let node_libraries: Vec<Arc<FactorLibrary>> = scenario
-            .nodes
-            .iter()
-            .map(|s| {
-                let known = libraries.iter().find(|l| *l.params() == s.params).cloned();
-                known.unwrap_or_else(|| {
-                    let library = Arc::new(FactorLibrary::for_chip(s.params));
-                    libraries.push(Arc::clone(&library));
-                    library
-                })
-            })
-            .collect();
+        let libraries = Libraries::default();
         let nodes = pool.map_indexed(&scenario.nodes, |i, s| {
-            NodeAgent::new(s, NodeId::from_index(i), Arc::clone(&node_libraries[i]))
+            NodeAgent::new(s, NodeId::from_index(i), libraries.get(&s.params))
         });
         let mut tenants = Vec::new();
         for agent in &nodes {

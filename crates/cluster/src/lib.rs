@@ -48,9 +48,10 @@
 //!    [`ClusterCoordinator::step_quantum`] steps them concurrently, one
 //!    job per node, and reduces their errors in ascending [`NodeId`] order
 //!    once every job has finished. What nodes do share is read-only in
-//!    effect: the coordinator builds one
+//!    effect: the coordinator takes one
 //!    [`cuttlesys::matrices::FactorLibrary`] per distinct chip
-//!    (`Scenario::params`) and hands it to every node on that chip. Its
+//!    (`Scenario::params`) from a [`cuttlesys::matrices::Libraries`] and
+//!    hands it to every node on that chip. Its
 //!    lazily learned tail buckets are pure functions of (chip, bucket),
 //!    filled once behind a `OnceLock`, and each node counts a bucket's
 //!    SGD epochs the first time *it* meets the bucket, so which node

@@ -368,8 +368,18 @@ impl ControlCore {
     /// the other nodes on chips with `scenario.params` (a fleet learns each
     /// chip's factors once). Records are bit-identical to
     /// [`on_node`](Self::on_node)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `library` characterizes a chip other than
+    /// `scenario.params`, and under the same conditions as
+    /// [`new`](Self::new).
     #[allow(clippy::expect_used)]
     pub fn sharing(scenario: &Scenario, node: NodeId, library: Arc<FactorLibrary>) -> ControlCore {
+        assert!(
+            library.params() == &scenario.params,
+            "the factor library characterizes another chip"
+        );
         let mut core = ControlCore {
             node,
             driver: ScenarioDriver::new(scenario),
@@ -778,6 +788,21 @@ mod tests {
             core.step_quantum().unwrap();
         }
         assert_eq!(core.into_record().comparable(), expected.comparable());
+    }
+
+    #[test]
+    #[should_panic(expected = "the factor library characterizes another chip")]
+    fn a_library_of_another_chip_is_refused() {
+        let s = quiet(1);
+        let other = simulator::SystemParams {
+            llc_ways: s.params.llc_ways / 2,
+            ..s.params
+        };
+        let _ = ControlCore::sharing(
+            &s,
+            NodeId::local(),
+            Arc::new(FactorLibrary::for_chip(other)),
+        );
     }
 
     #[test]

@@ -35,6 +35,7 @@ use simulator::{CacheAlloc, Chip, CoreConfig, JobConfig, NUM_CORE_CONFIGS};
 use workloads::oracle::Oracle;
 
 use crate::accounting::steady_state_budget;
+use crate::matrices::Libraries;
 use crate::runtime::{CuttleSysManager, SearchAlgo};
 use crate::testbed::run_scenario;
 use crate::types::{
@@ -630,6 +631,15 @@ impl Scheme {
     /// they do not pay its power tax); Flicker and CuttleSys run it as
     /// given. `record.scheme` is the manager's [`ResourceManager::name`].
     pub fn run(&self, scenario: &Scenario) -> RunRecord {
+        self.run_sharing(scenario, &Libraries::default())
+    }
+
+    /// Like [`run`](Self::run), but CuttleSys and its GA variant take their
+    /// factor library from `libraries`, learning it only if no earlier run
+    /// on the same chip did. The record is bit-identical to
+    /// [`run`](Self::run)'s; the baselines build no library either way.
+    pub fn run_sharing(&self, scenario: &Scenario, libraries: &Libraries) -> RunRecord {
+        let cuttlesys = || CuttleSysManager::sharing(scenario, libraries.get(&scenario.params));
         let fixed = Scenario {
             kind: CoreKind::Fixed,
             ..scenario.clone()
@@ -650,13 +660,10 @@ impl Scheme {
             Scheme::Flicker(variant) => {
                 run_scenario(scenario, &mut FlickerManager::new(scenario, variant))
             }
-            Scheme::CuttleSys => {
-                run_scenario(scenario, &mut CuttleSysManager::for_scenario(scenario))
+            Scheme::CuttleSys => run_scenario(scenario, &mut cuttlesys()),
+            Scheme::CuttleSysGa(ga) => {
+                run_scenario(scenario, &mut cuttlesys().with_search(SearchAlgo::Ga(ga)))
             }
-            Scheme::CuttleSysGa(ga) => run_scenario(
-                scenario,
-                &mut CuttleSysManager::for_scenario(scenario).with_search(SearchAlgo::Ga(ga)),
-            ),
         }
     }
 }
@@ -834,6 +841,32 @@ mod tests {
             let record = scheme.run(&s);
             assert_eq!(record.slices[0].lc.len(), 2, "{}", record.scheme);
             assert!(record.batch_instructions() > 0.0, "{}", record.scheme);
+        }
+    }
+
+    #[test]
+    fn a_shared_library_leaves_no_trace_in_the_record() {
+        let at = |cap: f64, load: f64| {
+            Scenario {
+                cap: LoadPattern::Constant(cap),
+                duration_slices: 3,
+                ..Scenario::paper_default()
+            }
+            .with_load(LoadPattern::Constant(load))
+        };
+        let ga = GaParams::default().with_evaluation_budget(406);
+        for scheme in [Scheme::CuttleSys, Scheme::CuttleSysGa(ga)] {
+            // Warm the chip's library: bucket 80 at another cap, then
+            // another load at another cap.
+            let libraries = Libraries::default();
+            let _ = scheme.run_sharing(&at(0.5, 0.8), &libraries);
+            let _ = scheme.run_sharing(&at(0.9, 0.6), &libraries);
+            let s = at(0.7, 0.8);
+            let shared = scheme.run_sharing(&s, &libraries);
+            assert_eq!(libraries.learned(), 1);
+            let first = shared.slices[0].telemetry.as_ref().unwrap();
+            assert!(first.sgd_epochs > 0, "a bucket learned elsewhere counts");
+            assert_eq!(shared.comparable(), scheme.run(&s).comparable());
         }
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! The factors describe the chip, not a node: they are a pure function of
 //! the chip's parameters, the training applications and the load bucket. So
-//! one [`FactorLibrary`] per chip is shared, behind an `Arc`, by every
-//! bookkeeping on that chip (a fleet's nodes), and whichever holder meets a
+//! one [`FactorLibrary`] per chip, handed out by [`Libraries`], is shared
+//! behind an `Arc` by every bookkeeping on that chip (a fleet's nodes, a
+//! sweep's runs, the paper record's runs), and whichever holder meets a
 //! bucket first learns it for all. Each bookkeeping still counts a bucket's
 //! SGD epochs the first time *it* meets the bucket, whoever learned it, so
 //! [`JobMatrices::learning_epochs`] does not depend on who else shares the
@@ -37,7 +38,7 @@
 //! live observations so a later arrival in the same slot starts cold.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use recsys::{ConfigFactors, SgdConfig, ValueTransform};
 use simulator::power::CoreKind;
@@ -237,6 +238,36 @@ impl FactorLibrary {
     }
 }
 
+/// One [`FactorLibrary`] per distinct [`SystemParams`], each learned the
+/// first time a holder asks for it. A run over a library taken from here
+/// is bit-identical to one over a fresh library (see the module doc), so a
+/// set of runs on few chips — the paper record, a sweep, a fleet — learns
+/// each chip's factors once. Lookups take `&self`, so a pool's workers can
+/// share one; a holder asking for a chip being learned waits for that learn
+/// rather than repeating it.
+#[derive(Default)]
+pub struct Libraries(Mutex<Vec<Arc<FactorLibrary>>>);
+
+impl Libraries {
+    /// The library of the chip with `params`, learned on first request.
+    pub fn get(&self, params: &SystemParams) -> Arc<FactorLibrary> {
+        // A panic while learning leaves no library behind, so a poisoned
+        // lock still guards a consistent list.
+        let mut known = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(library) = known.iter().find(|l| l.params() == params) {
+            return Arc::clone(library);
+        }
+        let library = Arc::new(FactorLibrary::for_chip(*params));
+        known.push(Arc::clone(&library));
+        library
+    }
+
+    /// How many libraries have been learned: one per distinct chip asked for.
+    pub fn learned(&self) -> usize {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
 /// The rating-matrix bookkeeping for `num_lc` LC tenants and `num_batch`
 /// batch jobs.
 pub struct JobMatrices {
@@ -324,12 +355,10 @@ impl JobMatrices {
         )
     }
 
-    /// Creates the bookkeeping over a shared `library`.
-    pub(crate) fn sharing(
-        library: Arc<FactorLibrary>,
-        num_lc: usize,
-        num_batch: usize,
-    ) -> JobMatrices {
+    /// Creates the bookkeeping over a shared `library` (e.g. one from
+    /// [`Libraries`]); its predictions are bit-identical to those over a
+    /// library of its own.
+    pub fn sharing(library: Arc<FactorLibrary>, num_lc: usize, num_batch: usize) -> JobMatrices {
         assert!(num_lc > 0, "at least one LC tenant");
         JobMatrices {
             num_lc,
@@ -985,5 +1014,21 @@ mod tests {
             bits(&rows)
         };
         assert_eq!(all(&shared), all(&own));
+    }
+
+    #[test]
+    fn libraries_learn_one_library_per_chip() {
+        let libraries = Libraries::default();
+        let params = SystemParams::default();
+        let first = libraries.get(&params);
+        assert!(Arc::ptr_eq(&first, &libraries.get(&params)));
+        let other = SystemParams {
+            reconfig_transition_us: params.reconfig_transition_us + 1.0,
+            ..params
+        };
+        let second = libraries.get(&other);
+        assert_eq!(second.params(), &other);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(libraries.learned(), 2);
     }
 }

@@ -116,8 +116,19 @@ impl CuttleSysManager {
     }
 
     /// Like [`for_scenario`](Self::for_scenario), over a factor library
-    /// shared with the other managers of chips with `scenario.params`.
-    pub(crate) fn sharing(scenario: &Scenario, library: Arc<FactorLibrary>) -> CuttleSysManager {
+    /// shared with the other managers of chips with `scenario.params`
+    /// (e.g. one from [`Libraries`](crate::matrices::Libraries)). Records
+    /// are bit-identical to [`for_scenario`](Self::for_scenario)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `library` characterizes a chip other than
+    /// `scenario.params`: its factors would plan for another chip.
+    pub fn sharing(scenario: &Scenario, library: Arc<FactorLibrary>) -> CuttleSysManager {
+        assert!(
+            library.params() == &scenario.params,
+            "the factor library characterizes another chip"
+        );
         let matrices = JobMatrices::sharing(library, scenario.num_lc(), scenario.num_batch());
         // The DDS seed is the scenario's, fixed across quanta: every quantum
         // searches with the same random numbers (common random numbers), so
@@ -539,5 +550,16 @@ mod tests {
             manager.matrices.batch_observations(1) > 0,
             "resident jobs keep their observations"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "the factor library characterizes another chip")]
+    fn a_library_of_another_chip_is_refused() {
+        let scenario = quick(0.7, 0.8);
+        let other = simulator::SystemParams {
+            llc_ways: scenario.params.llc_ways / 2,
+            ..scenario.params
+        };
+        let _ = CuttleSysManager::sharing(&scenario, Arc::new(FactorLibrary::for_chip(other)));
     }
 }

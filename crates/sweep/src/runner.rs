@@ -8,11 +8,13 @@
 //! input slot — so the output ordering (and therefore every byte of
 //! the summary) is independent of pool width and scheduling. Runs
 //! themselves are bit-deterministic per the core/cluster contracts, so
-//! serial and parallel sweeps agree exactly.
+//! serial and parallel sweeps agree exactly. Single-node runs on one chip
+//! share its factor library through one [`Libraries`], which moves no bit.
 
 use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario, FleetFaultPlan,
 };
+use cuttlesys::matrices::Libraries;
 use cuttlesys::types::RunRecord;
 use cuttlesys::{run_scenario, CuttleSysManager};
 use util::WorkerPool;
@@ -156,9 +158,9 @@ pub fn grid(spec: &SweepSpec) -> Vec<Cell> {
     cells
 }
 
-fn run_single(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunMetrics {
+fn run_single(spec: &SweepSpec, cell: &Cell, seed: u64, libraries: &Libraries) -> RunMetrics {
     let scenario = spec.scenario_for(&cell.shape, cell.cap, &cell.fault, seed);
-    let mut manager = CuttleSysManager::for_scenario(&scenario);
+    let mut manager = CuttleSysManager::sharing(&scenario, libraries.get(&scenario.params));
     let record = run_scenario(&scenario, &mut manager);
     let fleet_of_one = ClusterRecord {
         quanta: record.slices.len(),
@@ -267,9 +269,9 @@ fn reduce(
     }
 }
 
-fn run_point(spec: &SweepSpec, cell: &Cell, seed: u64) -> RunOutcome {
+fn run_point(spec: &SweepSpec, cell: &Cell, seed: u64, libraries: &Libraries) -> RunOutcome {
     let metrics = match spec.topology {
-        Topology::SingleNode => run_single(spec, cell, seed),
+        Topology::SingleNode => run_single(spec, cell, seed, libraries),
         Topology::Cluster { nodes } => run_cluster(spec, cell, seed, nodes),
     };
     let findings = evaluate(&metrics.series);
@@ -284,7 +286,12 @@ pub fn run_sweep(spec: &SweepSpec, pool: &WorkerPool) -> SweepOutcome {
     let points: Vec<(usize, u64)> = (0..cells.len())
         .flat_map(|c| spec.seeds.iter().map(move |&s| (c, s)))
         .collect();
-    let outcomes = pool.map_indexed(&points, |_, &(c, seed)| run_point(spec, &cells[c], seed));
+    // Single-node runs on one chip share its factors; a fleet run's
+    // coordinator takes its own.
+    let libraries = Libraries::default();
+    let outcomes = pool.map_indexed(&points, |_, &(c, seed)| {
+        run_point(spec, &cells[c], seed, &libraries)
+    });
     let per_cell = spec.seeds.len();
     let mut out = Vec::with_capacity(cells.len());
     let mut iter = outcomes.into_iter();
