@@ -74,8 +74,11 @@ impl FleetFaultPlan {
         }
     }
 
-    /// A named profile, mirroring `cuttlesys::faults` — `"clean"` or
-    /// `"node-crash"`. Returns `None` for an unknown name.
+    /// The names [`named`](Self::named) resolves, sorted.
+    pub const NAMES: &[&str] = &["clean", "node-crash"];
+
+    /// A named profile (one of [`NAMES`](Self::NAMES)), mirroring
+    /// `cuttlesys::faults`. Returns `None` for an unknown name.
     pub fn named(name: &str, seed: u64) -> Option<FleetFaultPlan> {
         let crash = match name {
             "clean" => 0.0,
@@ -247,9 +250,14 @@ mod tests {
 
     #[test]
     fn named_profiles_cover_the_catalog() {
-        for name in ["clean", "node-crash"] {
+        // The sweep lists them in its errors in this order.
+        assert!(
+            FleetFaultPlan::NAMES.windows(2).all(|w| w[0] < w[1]),
+            "sorted"
+        );
+        for name in FleetFaultPlan::NAMES {
             let plan = FleetFaultPlan::named(name, 1).expect(name);
-            assert_eq!(plan.is_clean(), name == "clean", "{name}");
+            assert_eq!(plan.is_clean(), *name == "clean", "{name}");
         }
         assert!(FleetFaultPlan::named("nope", 1).is_none());
     }

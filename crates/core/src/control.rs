@@ -29,7 +29,7 @@
 //! no threads, and opens no sockets — every step is a pure function of the
 //! scenario seed, the registration sequence, and the manager's decisions.
 //! The `service` crate owns the concurrency (the FIFO turn its callers
-//! share, the pacing ticker), the broadcast bus, and the metrics endpoint;
+//! share), the broadcast bus, and the metrics endpoint;
 //! this split is what makes a recorded registration trace replayable
 //! bit-for-bit (see `tests/control_plane.rs`).
 

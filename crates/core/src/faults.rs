@@ -114,9 +114,12 @@ impl FaultPlan {
         }
     }
 
-    /// Looks up a named profile (`clean`, `lossy-sensors`, `flaky-reconfig`)
-    /// — the vocabulary `cargo paper fault-matrix` (and the CI job that runs
-    /// it), the sweep specs and the `control_plane` example share.
+    /// The names [`named`](Self::named) resolves, sorted.
+    pub const NAMES: &[&str] = &["clean", "flaky-reconfig", "lossy-sensors"];
+
+    /// Looks up a named profile (one of [`NAMES`](Self::NAMES)) — the
+    /// vocabulary `cargo paper fault-matrix`, the sweep specs and the
+    /// `control_plane` example share. Returns `None` for any other name.
     pub fn named(name: &str, seed: u64) -> Option<FaultPlan> {
         match name {
             "clean" => Some(FaultPlan::none()),
@@ -615,6 +618,17 @@ mod tests {
 
     fn lossy() -> FaultPlan {
         FaultPlan::lossy_sensors(7)
+    }
+
+    #[test]
+    fn named_profiles_cover_the_catalog() {
+        // The sweep lists them in its errors in this order.
+        assert!(FaultPlan::NAMES.windows(2).all(|w| w[0] < w[1]), "sorted");
+        for name in FaultPlan::NAMES {
+            let plan = FaultPlan::named(name, 1).expect(name);
+            assert_eq!(plan.is_clean(), *name == "clean", "{name}");
+        }
+        assert!(FaultPlan::named("nope", 1).is_none());
     }
 
     #[test]

@@ -32,7 +32,6 @@ use cluster::{
 use workloads::batch::SpecBenchmark;
 
 use crate::metrics;
-use crate::pacing::Pacing;
 use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
 
 /// Why a cluster service request failed.
@@ -73,19 +72,16 @@ pub struct ClusterServiceBuilder {
     scenario: ClusterScenario,
     config: ClusterConfig,
     faults: FleetFaultPlan,
-    pacing: Pacing,
     metrics_addr: Option<String>,
 }
 
 impl ClusterServiceBuilder {
-    /// Defaults: default policies, no fleet faults, manual pacing, no HTTP
-    /// endpoint.
+    /// Defaults: default policies, no fleet faults, no HTTP endpoint.
     pub fn new(scenario: &ClusterScenario) -> ClusterServiceBuilder {
         ClusterServiceBuilder {
             scenario: scenario.clone(),
             config: ClusterConfig::default(),
             faults: FleetFaultPlan::none(),
-            pacing: Pacing::Manual,
             metrics_addr: None,
         }
     }
@@ -104,12 +100,6 @@ impl ClusterServiceBuilder {
         self
     }
 
-    /// How quanta are paced (manual requests vs. a wall-clock interval).
-    pub fn pacing(mut self, pacing: Pacing) -> ClusterServiceBuilder {
-        self.pacing = pacing;
-        self
-    }
-
     /// Serve `GET /metrics` and `GET /state` on this address (use
     /// `"127.0.0.1:0"` for an ephemeral port).
     pub fn metrics_addr(mut self, addr: &str) -> ClusterServiceBuilder {
@@ -117,8 +107,8 @@ impl ClusterServiceBuilder {
         self
     }
 
-    /// Builds the coordinator and starts the cluster service: the HTTP
-    /// endpoint and the interval ticker, when configured.
+    /// Builds the coordinator and starts the cluster service, with its HTTP
+    /// endpoint when one is configured.
     ///
     /// # Errors
     ///
@@ -129,22 +119,12 @@ impl ClusterServiceBuilder {
     /// Panics under the same conditions as [`ClusterCoordinator::new`].
     pub fn start(self) -> io::Result<ClusterService> {
         let coordinator = ClusterCoordinator::with_faults(&self.scenario, self.config, self.faults);
-        Handle::start(
-            coordinator,
-            self.pacing,
-            BUS_CAPACITY,
-            self.metrics_addr.as_deref(),
-        )
+        Handle::start(coordinator, BUS_CAPACITY, self.metrics_addr.as_deref())
     }
 }
 
 impl Plane for ClusterCoordinator {
     type Event = ClusterEvent;
-    type Error = ClusterError;
-
-    fn tick(&mut self) -> Result<(), ClusterError> {
-        self.step_quantum()
-    }
 
     fn drain_events(&mut self) -> Vec<ClusterEvent> {
         ClusterCoordinator::drain_events(self)
@@ -159,11 +139,10 @@ impl Plane for ClusterCoordinator {
     }
 }
 
-/// A running cluster control plane: the shared coordinator, its event bus,
-/// an optional metrics endpoint and, under [`Pacing::Interval`], the ticker
-/// thread. This is the service handle shared with
-/// [`Service`](crate::Service), over a [`ClusterCoordinator`]: the typed requests
-/// are listed below, and the handle itself provides
+/// A running cluster control plane: the shared coordinator, its event bus
+/// and an optional metrics endpoint. This is the service handle shared with
+/// [`Service`](crate::Service), over a [`ClusterCoordinator`]: the typed
+/// requests are listed below, and the handle itself provides
 ///
 /// * `subscribe(&self) -> Subscriber<ClusterEvent>` — events published
 ///   after the call;
@@ -172,7 +151,7 @@ impl Plane for ClusterCoordinator {
 /// * `metrics_addr(&self) -> Option<SocketAddr>` — the bound endpoint
 ///   address, when one was configured.
 ///
-/// Dropping the service without `shutdown` stops the threads but discards
+/// Dropping the service without `shutdown` stops the endpoint but discards
 /// the cluster record and skips the fleet drain.
 pub type ClusterService = Handle<ClusterCoordinator>;
 
@@ -182,7 +161,7 @@ impl ClusterService {
     /// # Errors
     ///
     /// [`ClusterServiceError::Cluster`] when no node has capacity;
-    /// [`ClusterServiceError::Stopped`] after shutdown.
+    /// [`ClusterServiceError::Stopped`] once the plane has stopped.
     pub fn register_batch(
         &self,
         name: &str,
@@ -196,8 +175,8 @@ impl ClusterService {
     /// # Errors
     ///
     /// [`ClusterServiceError::Cluster`] for an unknown or non-serving node
-    /// or an admission rejection; [`ClusterServiceError::Stopped`] after
-    /// shutdown.
+    /// or an admission rejection; [`ClusterServiceError::Stopped`] once
+    /// the plane has stopped.
     pub fn register_batch_on(
         &self,
         node: NodeId,
@@ -213,8 +192,8 @@ impl ClusterService {
     /// # Errors
     ///
     /// [`ClusterServiceError::Cluster`] for LC tenants, unknown ids, or
-    /// in-flight tenants; [`ClusterServiceError::Stopped`] after
-    /// shutdown.
+    /// in-flight tenants; [`ClusterServiceError::Stopped`] once
+    /// the plane has stopped.
     pub fn deregister(&self, tenant: ClusterTenantId) -> Result<(), ClusterServiceError> {
         Ok(self.call(|fleet| fleet.deregister(tenant))??)
     }
@@ -225,7 +204,7 @@ impl ClusterService {
     /// # Errors
     ///
     /// [`ClusterServiceError::Cluster`] when the tenant cannot move;
-    /// [`ClusterServiceError::Stopped`] after shutdown.
+    /// [`ClusterServiceError::Stopped`] once the plane has stopped.
     pub fn migrate(
         &self,
         tenant: ClusterTenantId,
@@ -243,17 +222,18 @@ impl ClusterService {
     ///
     /// [`ClusterServiceError::Cluster`] for an unknown node or one that
     /// is already down, drained, or crashed;
-    /// [`ClusterServiceError::Stopped`] after shutdown.
+    /// [`ClusterServiceError::Stopped`] once the plane has stopped.
     pub fn drain_node(&self, node: NodeId) -> Result<(), ClusterServiceError> {
         Ok(self.call(|fleet| fleet.drain_node(node))??)
     }
 
-    /// Runs one lockstep quantum across the fleet now (any pacing mode).
+    /// Runs one lockstep quantum across the fleet now, on the calling
+    /// thread. This is the only way a quantum runs.
     ///
     /// # Errors
     ///
     /// [`ClusterServiceError::Cluster`] on a control-plane logic bug;
-    /// [`ClusterServiceError::Stopped`] after shutdown.
+    /// [`ClusterServiceError::Stopped`] once the plane has stopped.
     pub fn step_quantum(&self) -> Result<(), ClusterServiceError> {
         Ok(self.call(ClusterCoordinator::step_quantum)??)
     }
@@ -262,7 +242,7 @@ impl ClusterService {
     ///
     /// # Errors
     ///
-    /// [`ClusterServiceError::Stopped`] after shutdown.
+    /// [`ClusterServiceError::Stopped`] once the plane has stopped.
     pub fn snapshot(&self) -> Result<ClusterSnapshot, ClusterServiceError> {
         Ok(self.call(|fleet| fleet.snapshot())?)
     }
@@ -272,13 +252,13 @@ impl ClusterService {
     ///
     /// # Errors
     ///
-    /// [`ClusterServiceError::Stopped`] after shutdown.
+    /// [`ClusterServiceError::Stopped`] once the plane has stopped.
     pub fn metrics(&self) -> Result<String, ClusterServiceError> {
         Ok(self.scrape()?)
     }
 
     /// Drains every node to retirement, closes the bus, stops the
-    /// threads, and returns the completed cluster record.
+    /// endpoint, and returns the completed cluster record.
     ///
     /// # Errors
     ///

@@ -17,19 +17,20 @@
 //! bytes trickle in: the endpoint has one thread, and a peer must not be
 //! able to hold it against the scrapers queued behind.
 //!
-//! This file (with `reactor.rs`) is the service's thread boundary: each
-//! carries one `#[allow(clippy::disallowed_methods)]` over the thread ban
-//! in `crates/clippy.toml`; the deterministic stack below the service
-//! crate never spawns.
+//! This file is the service's thread and clock boundary: `HttpServer::spawn`
+//! starts the service's one thread and `serve` reads the clock for the
+//! request-head deadline, each under an item-level
+//! `#[allow(clippy::disallowed_methods)]` over the bans in
+//! `crates/clippy.toml`; the deterministic stack below the service crate
+//! never spawns and never reads the clock.
 
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::pacing::Ticker;
 use crate::reactor::{Plane, Shared};
 
 /// How long the accept loop backs off after a failed `accept` (e.g. out of
@@ -57,7 +58,7 @@ impl HttpServer {
     /// Returns the bind error verbatim.
     #[allow(
         clippy::disallowed_methods,
-        reason = "the scrape endpoint owns one of the service's two long-lived threads; it renders what the plane decided and decides nothing"
+        reason = "the scrape endpoint owns the service's one long-lived thread; it renders what the plane decided and decides nothing"
     )]
     pub(crate) fn spawn<P: Plane>(addr: &str, shared: Arc<Shared<P>>) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
@@ -125,16 +126,20 @@ fn accept_loop<P: Plane>(listener: &TcpListener, shared: &Shared<P>, stop: &Atom
 
 /// Reads the request line, routes it, writes the response. Any I/O error
 /// just drops the connection — the scraper retries on its next interval.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the request-head deadline is the one place live time enters the service: it bounds how long a peer may hold the endpoint, never what the plane decides"
+)]
 fn serve<P: Plane>(mut stream: TcpStream, shared: &Shared<P>) {
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let deadline = Ticker::new(IO_TIMEOUT);
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut buf = [0u8; 1024];
     let mut n = 0;
     // Read until the request line is complete (or the buffer fills — a
     // longer request line than 1 KiB is not one we route anyway). Each read
     // waits only for what is left of the one deadline.
     while !buf[..n].contains(&b'\n') && n < buf.len() {
-        let left = deadline.remaining();
+        let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
             return;
         }
@@ -206,7 +211,6 @@ mod tests {
     use crate::{Service, ServiceBuilder};
     use cuttlesys::types::Scenario;
     use std::net::Shutdown;
-    use std::time::Instant;
     use util::rng64::mix_stream;
 
     fn endpoint() -> (Service, SocketAddr) {

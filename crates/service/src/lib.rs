@@ -8,9 +8,9 @@
 //!
 //! * `reactor` — the core behind a first-come, first-served turn: each
 //!   request runs as a closure over it on the caller's own thread, one at a
-//!   time, in arrival order. Pacing is [`Pacing::Manual`] (no thread;
-//!   deterministic; tests, replays, benchmarks) or [`Pacing::Interval`]
-//!   (one ticker thread, wall-clock quanta, the paper's 100 ms cadence).
+//!   time, in arrival order. A quantum runs only when a caller steps one
+//!   (the paper's 100 ms cadence is the caller's loop), so the service
+//!   starts no thread of its own for it and stays deterministic.
 //!   The same turn and the same handle run the fleet ([`cluster`]): a
 //!   [`Service`] and a [`cluster::ClusterService`] differ only in the plane
 //!   they own and the typed requests they offer.
@@ -19,7 +19,9 @@
 //!   subscribers observably drop ([`bus::Received::Lagged`]).
 //! * [`metrics`] + an HTTP endpoint — `GET /metrics` renders a
 //!   Prometheus-style document from the telemetry the pipeline already
-//!   collects; `GET /state` serves the tenant-table snapshot as JSON.
+//!   collects; `GET /state` serves the tenant-table snapshot as JSON. Its
+//!   acceptor is the one thread a service starts, and only when
+//!   [`ServiceBuilder::metrics_addr`] is set.
 //!
 //! ```
 //! use cuttlesys::types::Scenario;
@@ -43,7 +45,6 @@ pub mod bus;
 pub mod cluster;
 mod http;
 pub mod metrics;
-pub mod pacing;
 mod reactor;
 
 use std::io;
@@ -56,14 +57,20 @@ use workloads::batch::SpecBenchmark;
 
 use crate::reactor::{Handle, Plane, Stopped, BUS_CAPACITY};
 
-pub use crate::pacing::Pacing;
+/// When quanta run. `Manual` is the only mode: a quantum runs when a
+/// caller steps one. Kept so that [`ServiceBuilder::pacing`] callers still
+/// build; both go once no caller names them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pacing {
+    /// Quanta run only on explicit `step_quantum` requests.
+    Manual,
+}
 
 /// Why a service request failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
-    /// The control plane has stopped (the service was shut down, or a
-    /// request panicked or a paced quantum failed); no further requests can
-    /// be served.
+    /// The control plane has stopped (the service was shut down or dropped,
+    /// or a request panicked); no further requests can be served.
     Stopped,
     /// Admission control rejected the registration.
     Admission(AdmissionError),
@@ -104,23 +111,20 @@ impl From<ControlError> for ServiceError {
 /// Configures and starts a [`Service`].
 pub struct ServiceBuilder {
     scenario: Scenario,
-    pacing: Pacing,
     metrics_addr: Option<String>,
 }
 
 impl ServiceBuilder {
-    /// Defaults: manual pacing, no HTTP endpoint.
+    /// Defaults: no HTTP endpoint.
     pub fn new(scenario: &Scenario) -> ServiceBuilder {
         ServiceBuilder {
             scenario: scenario.clone(),
-            pacing: Pacing::Manual,
             metrics_addr: None,
         }
     }
 
-    /// How quanta are paced (manual requests vs. a wall-clock interval).
-    pub fn pacing(mut self, pacing: Pacing) -> ServiceBuilder {
-        self.pacing = pacing;
+    /// A no-op: [`Pacing::Manual`], the only mode, is always in force.
+    pub fn pacing(self, _pacing: Pacing) -> ServiceBuilder {
         self
     }
 
@@ -131,8 +135,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Builds the control core and starts the service: the HTTP endpoint
-    /// and the interval ticker, when configured.
+    /// Builds the control core and starts the service, with its HTTP
+    /// endpoint when one is configured.
     ///
     /// # Errors
     ///
@@ -143,22 +147,12 @@ impl ServiceBuilder {
     /// Panics under the same conditions as [`ControlCore::new`].
     pub fn start(self) -> io::Result<Service> {
         let core = ControlCore::new(&self.scenario);
-        Handle::start(
-            core,
-            self.pacing,
-            BUS_CAPACITY,
-            self.metrics_addr.as_deref(),
-        )
+        Handle::start(core, BUS_CAPACITY, self.metrics_addr.as_deref())
     }
 }
 
 impl Plane for ControlCore {
     type Event = ControlEvent;
-    type Error = ControlError;
-
-    fn tick(&mut self) -> Result<(), ControlError> {
-        self.step_quantum().map(|_| ())
-    }
 
     fn drain_events(&mut self) -> Vec<ControlEvent> {
         ControlCore::drain_events(self)
@@ -173,11 +167,10 @@ impl Plane for ControlCore {
     }
 }
 
-/// A running control plane: the shared core, its event bus, an optional
-/// metrics endpoint and, under [`Pacing::Interval`], the ticker thread.
-/// This is the service handle shared with [`cluster::ClusterService`], over
-/// a [`ControlCore`]: the typed requests are listed below, and the handle
-/// itself provides
+/// A running control plane: the shared core, its event bus and an optional
+/// metrics endpoint. This is the service handle shared with
+/// [`cluster::ClusterService`], over a [`ControlCore`]: the typed requests
+/// are listed below, and the handle itself provides
 ///
 /// * `subscribe(&self) -> Subscriber<ControlEvent>` — events published
 ///   after the call;
@@ -186,7 +179,7 @@ impl Plane for ControlCore {
 /// * `metrics_addr(&self) -> Option<SocketAddr>` — the bound endpoint
 ///   address, when one was configured.
 ///
-/// Dropping the service without `shutdown` stops the threads but discards
+/// Dropping the service without `shutdown` stops the endpoint but discards
 /// the run record and skips the tenant drain.
 pub type Service = Handle<ControlCore>;
 
@@ -196,8 +189,8 @@ impl Service {
     /// # Errors
     ///
     /// [`ServiceError::Admission`] when the tenant's worst-case power does
-    /// not fit the steady-state budget; [`ServiceError::Stopped`] after
-    /// shutdown.
+    /// not fit the steady-state budget; [`ServiceError::Stopped`] once
+    /// the plane has stopped.
     pub fn register_batch(&self, name: &str, app: SpecBenchmark) -> Result<TenantId, ServiceError> {
         Ok(self.call(|core| core.register_batch(name, app))??)
     }
@@ -207,17 +200,19 @@ impl Service {
     /// # Errors
     ///
     /// [`ServiceError::Control`] for LC tenants, unknown ids, or tenants
-    /// not in a drainable state; [`ServiceError::Stopped`] after shutdown.
+    /// not in a drainable state; [`ServiceError::Stopped`] once the plane
+    /// has stopped.
     pub fn deregister(&self, tenant: TenantId) -> Result<(), ServiceError> {
         Ok(self.call(|core| core.deregister(tenant))??)
     }
 
-    /// Runs one decision quantum now (works in any pacing mode).
+    /// Runs one decision quantum now, on the calling thread. This is the
+    /// only way a quantum runs.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Control`] on a lifecycle logic bug;
-    /// [`ServiceError::Stopped`] after shutdown.
+    /// [`ServiceError::Stopped`] once the plane has stopped.
     pub fn step_quantum(&self) -> Result<SliceRecord, ServiceError> {
         Ok(self.call(ControlCore::step_quantum)??)
     }
@@ -226,7 +221,7 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Stopped`] after shutdown.
+    /// [`ServiceError::Stopped`] once the plane has stopped.
     pub fn snapshot(&self) -> Result<ControlSnapshot, ServiceError> {
         Ok(self.call(|core| core.snapshot())?)
     }
@@ -235,12 +230,12 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Stopped`] after shutdown.
+    /// [`ServiceError::Stopped`] once the plane has stopped.
     pub fn metrics(&self) -> Result<String, ServiceError> {
         Ok(self.scrape()?)
     }
 
-    /// Drains every tenant to Retired, closes the bus, stops the threads,
+    /// Drains every tenant to Retired, closes the bus, stops the endpoint,
     /// and returns the completed run record.
     ///
     /// # Errors
@@ -304,14 +299,12 @@ mod tests {
     }
 
     #[test]
-    fn requests_after_shutdown_report_stopped() {
+    fn requests_after_a_panicking_call_report_stopped() {
         let service = ServiceBuilder::new(&quiet(2)).start().unwrap();
-        let extra_sender_probe = {
-            let service_ref = &service;
-            service_ref.metrics().unwrap()
-        };
-        assert!(extra_sender_probe.contains("cuttlesys_quanta_total 0"));
-        let _record = service.shutdown().unwrap();
+        assert!(service.call::<()>(|_| panic!("a request bug")).is_err());
+        assert_eq!(service.step_quantum(), Err(ServiceError::Stopped));
+        assert_eq!(service.metrics(), Err(ServiceError::Stopped));
+        assert_eq!(service.snapshot(), Err(ServiceError::Stopped));
     }
 
     #[test]

@@ -13,40 +13,26 @@
 //! re-take a plain mutex before a waiting scrape wakes, and starve it. So
 //! there is one mutator at a time, a total order on events, and a scrape
 //! that arrives during a quantum is served right after it. [`Plane`] names
-//! only what is done *without* a typed request: the paced tick, draining
-//! queued events onto the bus, and the two HTTP documents.
+//! only what is done *without* a typed request: draining queued events onto
+//! the bus, and the two HTTP documents.
 //!
-//! Pacing:
-//!
-//! * [`Pacing::Manual`] — no thread: quanta run only when a caller steps
-//!   one. Fully deterministic; the mode every test, replay, and benchmark
-//!   uses.
-//! * [`Pacing::Interval`] — one ticker thread parks until the next deadline
-//!   (`Ticker::remaining`), then takes a turn like any other caller and runs
-//!   [`Plane::tick`].
+//! The reactor starts no thread: a quantum runs only when a caller steps
+//! one, so the service is as deterministic as the plane it wraps. The one
+//! thread a service may own is the HTTP acceptor (`http.rs`).
 //!
 //! Publishing to the bus never blocks, so subscribers cannot stretch a
-//! quantum. A request that panics, and a paced quantum that fails, stop the
-//! plane: it is dropped, the bus is closed (a subscriber parked in `recv`
-//! wakes), and that caller and every later one get [`Stopped`]. Finishing
-//! or dropping the handle stops it the same way.
-//!
-//! This file (with `http.rs`) is the service's thread boundary: each
-//! carries one `#[allow(clippy::disallowed_methods)]` over the thread ban
-//! in `crates/clippy.toml`.
+//! quantum. A request that panics stops the plane: it is dropped, the bus
+//! is closed (a subscriber parked in `recv` wakes), and that caller and
+//! every later one get [`Stopped`]. Finishing or dropping the handle stops
+//! it the same way.
 
-use std::fmt::Display;
 use std::io;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::bus::{Bus, Subscriber};
 use crate::http::HttpServer;
-use crate::pacing::{Pacing, Ticker};
 
 /// What the service needs from a control plane when no typed request is
 /// involved. (Public only because [`Handle`] is generic over it; the module
@@ -54,10 +40,6 @@ use crate::pacing::{Pacing, Ticker};
 pub trait Plane: Send + 'static {
     /// What the plane queues for the bus.
     type Event: Clone + Send + 'static;
-    /// Why a paced quantum can fail.
-    type Error: Display;
-    /// Runs one paced decision quantum.
-    fn tick(&mut self) -> Result<(), Self::Error>;
     /// Takes every event queued since the previous drain.
     fn drain_events(&mut self) -> Vec<Self::Event>;
     /// The `GET /metrics` body (Prometheus text format).
@@ -66,9 +48,9 @@ pub trait Plane: Send + 'static {
     fn state_json(&self) -> String;
 }
 
-/// The plane is gone (finished, dropped, or stopped by a panicking request
-/// or a failed paced quantum): the request was not served. Each facade maps
-/// this to its own `Stopped` variant.
+/// The plane is gone (finished, dropped, or stopped by a panicking request):
+/// the request was not served. Each facade maps this to its own `Stopped`
+/// variant.
 #[derive(Debug)]
 pub struct Stopped;
 
@@ -183,23 +165,6 @@ impl<P: Plane> Shared<P> {
         self.call(|plane| plane.metrics(self.bus.overwrites()))
     }
 
-    /// One paced quantum.
-    fn tick(&self) -> Result<(), Stopped> {
-        self.turn(|slot, bus| {
-            let plane = slot.as_mut()?;
-            let ticked = plane.tick();
-            publish(plane, bus);
-            if let Err(e) = ticked {
-                // A stepping error is a control-plane logic bug (illegal
-                // lifecycle transitions are hard errors by contract) and in
-                // interval mode there is no caller to hand it to; the turn
-                // catches the panic and stops the plane.
-                panic!("paced quantum failed: {e}");
-            }
-            Some(())
-        })
-    }
-
     /// Drops the plane (if it is still there) and closes the bus.
     fn stop(&self) {
         let _ = self.turn(|slot, bus| {
@@ -210,65 +175,23 @@ impl<P: Plane> Shared<P> {
     }
 }
 
-/// The [`Pacing::Interval`] ticker thread and its stop flag.
-struct Pacer {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Drop for Pacer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            thread.thread().unpark();
-            let _ = thread.join();
-        }
-    }
-}
-
-/// The ticker thread's loop: park until the next quantum is due (or the
-/// pacer's drop unparks it), then run the quantum in a turn.
-fn pace<P: Plane>(shared: &Shared<P>, period: Duration, stop: &AtomicBool) {
-    let mut ticker = Ticker::new(period);
-    while !stop.load(Ordering::Acquire) {
-        if !ticker.due() {
-            std::thread::park_timeout(ticker.remaining());
-            continue;
-        }
-        if shared.tick().is_err() {
-            return;
-        }
-        ticker.advance();
-    }
-}
-
-/// A running control plane: the shared plane, its event bus, an optional
-/// metrics endpoint and, under [`Pacing::Interval`], the ticker thread.
-/// [`Service`](crate::Service) and
+/// A running control plane: the shared plane, its event bus and an optional
+/// metrics endpoint. [`Service`](crate::Service) and
 /// [`ClusterService`](crate::cluster::ClusterService) are this type over
 /// their plane, each with its own typed request methods.
 ///
-/// Dropping the handle without a `shutdown` stops the threads but discards
+/// Dropping the handle without a `shutdown` stops the endpoint but discards
 /// the run record and skips the tenant drain.
 pub struct Handle<P: Plane> {
     shared: Arc<Shared<P>>,
     http: Option<HttpServer>,
-    pacer: Option<Pacer>,
 }
 
 impl<P: Plane> Handle<P> {
     /// Shares an already-built plane and starts, when an address is given,
-    /// the HTTP endpoint and, under [`Pacing::Interval`], the ticker.
-    // Thread spawning can only fail on OS resource exhaustion, at which point
-    // the service cannot exist; surfacing the panic is correct.
-    #[allow(clippy::expect_used)]
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the interval ticker is one of the service's two long-lived threads; it only decides *when* a quantum runs, and fan-out below it goes through `util::pool::WorkerPool`"
-    )]
+    /// the HTTP endpoint.
     pub(crate) fn start(
         plane: P,
-        pacing: Pacing,
         bus_capacity: usize,
         metrics_addr: Option<&str>,
     ) -> io::Result<Handle<P>> {
@@ -276,26 +199,7 @@ impl<P: Plane> Handle<P> {
         let http = metrics_addr
             .map(|addr| HttpServer::spawn(addr, Arc::clone(&shared)))
             .transpose()?;
-        let pacer = match pacing {
-            Pacing::Manual => None,
-            Pacing::Interval(period) => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let (plane, flag) = (Arc::clone(&shared), Arc::clone(&stop));
-                let thread = std::thread::Builder::new()
-                    .name("cuttlesys-ticker".into())
-                    .spawn(move || pace(&plane, period, &flag))
-                    .expect("spawn the ticker thread");
-                Some(Pacer {
-                    stop,
-                    thread: Some(thread),
-                })
-            }
-        };
-        Ok(Handle {
-            shared,
-            http,
-            pacer,
-        })
+        Ok(Handle { shared, http })
     }
 
     /// Runs `f` on the plane, between quanta, and returns its result.
@@ -308,10 +212,10 @@ impl<P: Plane> Handle<P> {
         self.shared.scrape()
     }
 
-    /// In one turn — so no paced quantum can slip in between the drain and
+    /// In one turn — so no other request can slip in between the drain and
     /// the record — takes the plane, runs `drain` on it, publishes what it
     /// queued, closes the bus, and hands the plane to `record`. Then stops
-    /// the threads.
+    /// the endpoint.
     pub(crate) fn finish<T, E>(
         self,
         drain: impl FnOnce(&mut P) -> Result<(), E>,
@@ -324,7 +228,7 @@ impl<P: Plane> Handle<P> {
             bus.close();
             Some(drained.map(|()| record(plane)))
         })
-        // `self` drops here: endpoint and ticker stopped.
+        // `self` drops here: endpoint stopped.
     }
 
     /// Subscribes to the plane's events published after this call.
@@ -345,10 +249,9 @@ impl<P: Plane> Handle<P> {
 
 impl<P: Plane> Drop for Handle<P> {
     fn drop(&mut self) {
-        // The threads first, so a request they already took finishes, then
+        // The endpoint first, so a request it already took finishes, then
         // the plane.
         self.http = None;
-        self.pacer = None;
         self.shared.stop();
     }
 }
@@ -360,40 +263,9 @@ mod tests {
     use crate::bus::Closed;
     use crate::ServiceBuilder;
     use cuttlesys::types::Scenario;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::channel;
     use std::sync::Barrier;
-    use std::time::{Duration, Instant};
-
-    /// A plane whose every paced quantum fails.
-    struct Failing;
-
-    impl Plane for Failing {
-        type Event = ();
-        type Error = &'static str;
-        fn tick(&mut self) -> Result<(), &'static str> {
-            Err("settle failed")
-        }
-        fn drain_events(&mut self) -> Vec<()> {
-            Vec::new()
-        }
-        fn metrics(&self, _: u64) -> String {
-            String::new()
-        }
-        fn state_json(&self) -> String {
-            String::new()
-        }
-    }
-
-    #[test]
-    fn a_failed_paced_quantum_closes_the_bus_and_stops_the_handle() {
-        let pacing = Pacing::Interval(Duration::from_millis(1));
-        let handle = Handle::start(Failing, pacing, 8, None).unwrap();
-        // Parks until the reactor thread unwinds out of its first quantum;
-        // without the close-on-exit guard this never returns.
-        assert_eq!(handle.subscribe().recv(), Err(Closed));
-        assert!(handle.call(|_| ()).is_err(), "the reactor is gone");
-        assert!(handle.scrape().is_err());
-    }
 
     /// A plane that logs which request ran.
     #[derive(Default)]
@@ -401,10 +273,6 @@ mod tests {
 
     impl Plane for Log {
         type Event = ();
-        type Error = &'static str;
-        fn tick(&mut self) -> Result<(), &'static str> {
-            Ok(())
-        }
         fn drain_events(&mut self) -> Vec<()> {
             Vec::new()
         }
@@ -428,7 +296,7 @@ mod tests {
         reason = "the test races two callers for the turn on raw threads"
     )]
     fn a_caller_that_asks_again_waits_behind_one_already_queued() {
-        let handle = Handle::start(Log::default(), Pacing::Manual, 8, None).unwrap();
+        let handle = Handle::start(Log::default(), 8, None).unwrap();
         let (held_tx, held) = channel();
         let (release, release_rx) = channel::<()>();
         std::thread::scope(|s| {
@@ -516,7 +384,7 @@ mod tests {
         reason = "a subscriber parks in `recv` on a raw thread"
     )]
     fn a_panicking_request_stops_the_plane_and_closes_the_bus() {
-        let handle = Handle::start(Log::default(), Pacing::Manual, 8, None).unwrap();
+        let handle = Handle::start(Log::default(), 8, None).unwrap();
         let mut events = handle.subscribe();
         let subscribed = Barrier::new(2);
         let woke = std::thread::scope(|s| {
@@ -534,15 +402,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the drop is timed against the wall clock"
-    )]
-    fn an_interval_service_drops_without_waiting_out_its_period() {
-        let period = Duration::from_secs(5);
-        let handle = Handle::start(Log::default(), Pacing::Interval(period), 8, None).unwrap();
-        let started = Instant::now();
-        drop(handle);
-        assert!(started.elapsed() < Duration::from_secs(1));
+    fn a_request_runs_on_the_calling_thread() {
+        let handle = Handle::start(Log::default(), 8, None).unwrap();
+        let ran_on = handle.call(|_| std::thread::current().id()).unwrap();
+        assert_eq!(ran_on, std::thread::current().id());
     }
 }

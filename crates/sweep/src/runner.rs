@@ -14,9 +14,9 @@
 use cluster::{
     ClusterConfig, ClusterCoordinator, ClusterEvent, ClusterRecord, ClusterScenario, FleetFaultPlan,
 };
+use cuttlesys::managers::Scheme;
 use cuttlesys::matrices::Libraries;
 use cuttlesys::types::RunRecord;
-use cuttlesys::{run_scenario, CuttleSysManager};
 use util::WorkerPool;
 
 use crate::detectors::{evaluate, Finding, RunSeries};
@@ -160,8 +160,7 @@ pub fn grid(spec: &SweepSpec) -> Vec<Cell> {
 
 fn run_single(spec: &SweepSpec, cell: &Cell, seed: u64, libraries: &Libraries) -> RunMetrics {
     let scenario = spec.scenario_for(&cell.shape, cell.cap, &cell.fault, seed);
-    let mut manager = CuttleSysManager::sharing(&scenario, libraries.get(&scenario.params));
-    let record = run_scenario(&scenario, &mut manager);
+    let record = Scheme::CuttleSys.run_sharing(&scenario, libraries);
     let fleet_of_one = ClusterRecord {
         quanta: record.slices.len(),
         nodes: vec![record],

@@ -22,6 +22,7 @@
 //! [`LoadPattern`]s and tenant mixes become [`Scenario`] job lists, so the
 //! runner only ever sees fully-validated values.
 
+use cluster::FleetFaultPlan;
 use cuttlesys::faults::FaultPlan;
 use cuttlesys::types::{BatchJobSpec, JobSpec, LcJobSpec, Scenario};
 use util::json::{self, JsonValue};
@@ -43,12 +44,6 @@ const SPEC_FIELDS: &[&str] = &[
     "tenants",
     "topology",
 ];
-
-/// Valid single-node fault-profile names, sorted.
-pub const FAULT_PROFILES: &[&str] = &["clean", "flaky-reconfig", "lossy-sensors"];
-
-/// Valid fleet fault-profile names, sorted.
-pub const FLEET_FAULT_PROFILES: &[&str] = &["clean", "node-crash"];
 
 /// Valid load-shape kinds, sorted.
 pub const LOAD_SHAPES: &[&str] = &["diurnal", "flash-crowd", "ramp", "square-wave", "steady"];
@@ -713,13 +708,13 @@ pub fn load_spec(text: &str) -> Result<SweepSpec, SweepError> {
         doc.get("fault_profiles"),
         "fault_profiles",
         "fault profile",
-        FAULT_PROFILES,
+        FaultPlan::NAMES,
     )?;
     let fleet_fault_profiles = parse_profiles(
         doc.get("fleet_fault_profiles"),
         "fleet_fault_profiles",
         "fleet fault profile",
-        FLEET_FAULT_PROFILES,
+        FleetFaultPlan::NAMES,
     )?;
     if doc.get("fleet_fault_profiles").is_some() && topology == Topology::SingleNode {
         return Err(invalid(

@@ -55,7 +55,10 @@ fn sample_value(body: &str, name: &str) -> Option<f64> {
 fn main() -> ExitCode {
     let profile = std::env::args().nth(1).unwrap_or("clean".into());
     let Some(plan) = FaultPlan::named(&profile, 7) else {
-        eprintln!("unknown profile {profile} (use clean|lossy-sensors|flaky-reconfig)");
+        eprintln!(
+            "unknown profile {profile} (use {})",
+            FaultPlan::NAMES.join("|")
+        );
         return ExitCode::FAILURE;
     };
     let mut scenario = Scenario::paper_default().with_faults(plan);

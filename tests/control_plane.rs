@@ -6,8 +6,8 @@
 //!
 //! * a request sequence (register, deregister, step) applied to a fresh
 //!   [`ControlCore`] is bit-identical to the same sequence sent to a live
-//!   [`service::Service`] in manual pacing (same seed, same request
-//!   sequence, same [`RunRecord`]);
+//!   [`service::Service`] (same seed, same request sequence, same
+//!   [`RunRecord`]);
 //! * a sequence whose registrations all land before slice 0 is
 //!   bit-identical to the equivalent static [`Scenario`] run via
 //!   `run_scenario` — the paper-default golden record therefore also pins
