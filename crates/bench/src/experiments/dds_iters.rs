@@ -21,7 +21,10 @@ use crate::{search_problem, two_sample_predictions, Report, Table};
 )]
 pub(super) fn run(_: &Args, grid: &Grid) -> Report {
     // The runtime's actual search problem, built from SGD predictions.
-    let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles(), grid.libraries());
+    let preds = two_sample_predictions(
+        &batch::mix(16, batch::STANDARD_MIX_SEED).profiles(),
+        grid.libraries(),
+    );
     let objective = search_problem(&preds, 70.0);
     let space = SearchSpace::new(16, NUM_JOB_CONFIGS);
 

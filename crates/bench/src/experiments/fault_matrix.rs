@@ -17,6 +17,8 @@ use crate::cli::Args;
 use crate::grid::Grid;
 use crate::{Report, Table};
 
+/// Every [`FaultPlan::NAMES`] profile in display order: `clean` first, the
+/// baseline every other row is compared with.
 const PROFILES: [&str; 3] = ["clean", "lossy-sensors", "flaky-reconfig"];
 
 struct ProfileRun {
@@ -115,4 +117,16 @@ pub(super) fn run(args: &Args, grid: &Grid) -> Report {
     report.table(table);
     report.failed = failed;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_matrix_runs_every_named_fault_profile() {
+        let mut sorted = PROFILES;
+        sorted.sort_unstable();
+        assert_eq!(sorted.as_slice(), FaultPlan::NAMES);
+    }
 }

@@ -58,6 +58,10 @@ fn error_table(title: &str, metrics: [(&str, &Vec<f64>); 3]) -> Table {
     table
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "Fig. 5(a) scores the fold-in's predictions against ground truth"
+)]
 fn isolation(report: &mut Report, libraries: &Libraries) {
     let oracle = reference_oracle();
     let hi = JobConfig::profiling_high().index();
@@ -119,6 +123,10 @@ fn isolation(report: &mut Report, libraries: &Libraries) {
     report.line("Paper targets: quartiles within ±10%, 5th/95th within ±20%, tail widest.\n");
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "Fig. 5(b) scores the runtime's last predictions against ground truth"
+)]
 fn runtime(report: &mut Report, libraries: &Libraries, mixes: u64) {
     let oracle = reference_oracle();
     let mut tput_errors = Vec::new();

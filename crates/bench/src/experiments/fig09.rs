@@ -31,6 +31,10 @@ fn rbf_samples() -> [JobConfig; 3] {
     ]
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "Fig. 9 scores RBF and fold-in predictions against ground truth"
+)]
 pub(super) fn run(_: &Args, grid: &Grid) -> Report {
     let oracle = reference_oracle();
     let samples = rbf_samples();

@@ -42,7 +42,10 @@ fn pareto(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
 
 fn scatter(report: &mut Report, grid: &Grid) {
     // Build SGD predictions for one colocation, as the runtime would.
-    let preds = two_sample_predictions(&batch::mix(16, 0xC0FFEE).profiles(), grid.libraries());
+    let preds = two_sample_predictions(
+        &batch::mix(16, batch::STANDARD_MIX_SEED).profiles(),
+        grid.libraries(),
+    );
 
     let svc = latency::service_by_name("xapian").expect("xapian exists");
     let scenario = standard_scenario(&svc, 0, 0.7);

@@ -126,7 +126,7 @@ pub(super) fn run(_: &Args, _: &Grid) -> Report {
 
     // Chip-level: 16 batch cores under tightening budgets — maxBIPS over
     // the modern ladder vs an oracle sweep of core configurations.
-    let mix = batch::mix(16, 0xC0FFEE);
+    let mix = batch::mix(16, batch::STANDARD_MIX_SEED);
     let dvfs_options: Vec<CoreOptions> = mix
         .profiles()
         .iter()

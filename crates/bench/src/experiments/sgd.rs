@@ -13,6 +13,10 @@ use crate::grid::Grid;
 use crate::{reference_oracle, Report, Table};
 
 /// The runtime's throughput matrix (log space), plus held-out truth.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the ablation fills its matrix from, and scores it against, ground truth"
+)]
 fn matrix_and_truth() -> (RatingMatrix, Vec<Vec<f64>>) {
     let oracle = reference_oracle();
     let training = batch::training_set();

@@ -53,7 +53,7 @@ pub fn standard_scenario(service: &LcService, mix_index: u64, cap: f64) -> Scena
     }
     .with_service(*service)
     .with_load(LoadPattern::Constant(0.8))
-    .with_mix(batch::mix(BATCH_JOBS, 0xC0FFEE + mix_index))
+    .with_mix(batch::mix(BATCH_JOBS, batch::STANDARD_MIX_SEED + mix_index))
 }
 
 /// All (service, mix index) pairs of the 50-mix evaluation;
@@ -76,6 +76,10 @@ pub fn reference_oracle() -> Oracle {
 /// unobserved LC tenant at 80 % load, over the reference chip's library in
 /// `libraries`. `batch_bips[j]` / `batch_watts[j]` are `apps[j]`'s 108
 /// inferred entries.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the two profiling samples are read from the truth the predictions are then scored against"
+)]
 pub fn two_sample_predictions(apps: &[AppProfile], libraries: &Libraries) -> Predictions {
     let oracle = reference_oracle();
     let library = libraries.get(oracle.chip().params());

@@ -35,11 +35,8 @@
 
 use std::sync::Arc;
 
-use simulator::power::CoreKind;
-use simulator::{AppProfile, Chip};
 use util::json::JsonValue;
 use workloads::batch::SpecBenchmark;
-use workloads::oracle::Oracle;
 
 use crate::accounting::steady_state_budget;
 use crate::lifecycle::{LifecycleError, LifecycleState, NodeId, TenantLifecycle};
@@ -113,7 +110,9 @@ pub struct TenantEntry {
     kind: TenantKind,
     lifecycle: TenantLifecycle,
     /// The tenant's worst-case steady-state power, fixed at registration:
-    /// profiles and declared LC core counts never change at runtime.
+    /// its [`FactorLibrary::peak_watts`], times its core reservation for LC
+    /// tenants. Profiles and declared LC core counts never change at
+    /// runtime.
     worst_case_watts: f64,
 }
 
@@ -329,7 +328,7 @@ pub struct ControlCore {
     node: NodeId,
     driver: ScenarioDriver,
     manager: CuttleSysManager,
-    oracle: Oracle,
+    library: Arc<FactorLibrary>,
     tenants: Vec<TenantEntry>,
     pending: Vec<ControlEvent>,
 }
@@ -383,13 +382,13 @@ impl ControlCore {
         let mut core = ControlCore {
             node,
             driver: ScenarioDriver::new(scenario),
-            manager: CuttleSysManager::sharing(scenario, library),
-            oracle: Oracle::new(Chip::new(scenario.params, CoreKind::Reconfigurable)),
+            manager: CuttleSysManager::sharing(scenario, Arc::clone(&library)),
+            library,
             tenants: Vec::new(),
             pending: Vec::new(),
         };
         for (i, lc) in scenario.lc_jobs().iter().enumerate() {
-            let worst_case = lc.cores as f64 * core.peak_watts(&lc.service.profile);
+            let worst_case = lc.cores as f64 * core.library.peak_watts(&lc.service.profile);
             let id = core.push_tenant(
                 format!("{}#{i}", lc.service.name),
                 TenantKind::LatencyCritical { lc_index: i },
@@ -399,7 +398,7 @@ impl ControlCore {
                 .expect("declared tenant admission is legal");
         }
         for (j, b) in scenario.batch_jobs().iter().enumerate() {
-            let worst_case = core.peak_watts(&b.app.profile);
+            let worst_case = core.library.peak_watts(&b.app.profile);
             let id = core.push_tenant(
                 format!("{}#{j}", b.app.name),
                 TenantKind::Batch { batch_index: j },
@@ -440,16 +439,6 @@ impl ControlCore {
             slice,
         });
         Ok(())
-    }
-
-    /// An app's peak per-core draw across all configurations, from the
-    /// oracle characterization. A tenant's worst-case steady-state power is
-    /// this peak, times its core reservation for LC tenants.
-    fn peak_watts(&self, profile: &AppProfile) -> f64 {
-        self.oracle
-            .power_row(profile)
-            .into_iter()
-            .fold(0.0, f64::max)
     }
 
     /// Admission arithmetic for a candidate batch app whose peak draw is
@@ -501,7 +490,7 @@ impl ControlCore {
         app: SpecBenchmark,
     ) -> Result<TenantId, AdmissionError> {
         let slice = self.driver.next_slice();
-        let peak = self.peak_watts(&app.profile);
+        let peak = self.library.peak_watts(&app.profile);
         let (required_watts, budget_watts) = self.admission_check(app, peak);
         if required_watts > budget_watts {
             let id = self.push_tenant(
@@ -683,7 +672,7 @@ impl ControlCore {
     /// layer calls this on every node to bin-pack a tenant onto the node
     /// with the most worst-case headroom.
     pub fn admission_preview(&self, app: SpecBenchmark) -> (f64, f64) {
-        self.admission_check(app, self.peak_watts(&app.profile))
+        self.admission_check(app, self.library.peak_watts(&app.profile))
     }
 
     /// Scales the offered load of one LC service (cluster load balancing
@@ -749,7 +738,10 @@ impl ControlCore {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use simulator::power::CoreKind;
+    use simulator::Chip;
     use workloads::batch;
+    use workloads::oracle::Oracle;
 
     fn quiet(slices: usize) -> Scenario {
         Scenario {
@@ -935,9 +927,14 @@ mod tests {
     /// The admission arithmetic recomputed from scratch, as it was before
     /// worst cases were cached: every counted tenant's oracle power row is
     /// re-simulated and its peak folded in registration order.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the cached worst cases are checked against the truth they were characterized from"
+    )]
     fn fresh_preview(core: &ControlCore, app: SpecBenchmark) -> (f64, f64) {
         let peak = |row: Vec<f64>| row.into_iter().fold(0.0, f64::max);
         let scenario = core.driver.scenario();
+        let oracle = Oracle::new(Chip::new(scenario.params, CoreKind::Reconfigurable));
         let mut hypothetical = scenario.clone();
         hypothetical.jobs.push(JobSpec::Batch(BatchJobSpec {
             app,
@@ -957,15 +954,15 @@ mod tests {
             .map(|t| match t.kind {
                 TenantKind::LatencyCritical { lc_index } => {
                     let lc = scenario.lc_jobs()[lc_index];
-                    lc.cores as f64 * peak(core.oracle.power_row(&lc.service.profile))
+                    lc.cores as f64 * peak(oracle.power_row(&lc.service.profile))
                 }
                 TenantKind::Batch { batch_index } => {
                     let b = scenario.batch_jobs()[batch_index];
-                    peak(core.oracle.power_row(&b.app.profile))
+                    peak(oracle.power_row(&b.app.profile))
                 }
             })
             .sum();
-        let candidate = peak(core.oracle.power_row(&app.profile));
+        let candidate = peak(oracle.power_row(&app.profile));
         let budget = steady_state_budget(cap_watts, TIMESLICE_MS, PROFILING_MS, nominal);
         (committed + candidate, budget)
     }

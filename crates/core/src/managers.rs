@@ -260,6 +260,10 @@ struct AsymmetricManager {
 impl AsymmetricManager {
     /// Builds the planner, characterizing every job on both core types
     /// through the fixed-core oracle.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the oracle baseline is defined by perfect knowledge of the ground-truth tables (§VII-C)"
+    )]
     fn new(scenario: &Scenario, mode: AsymmetricMode) -> Self {
         let oracle = Oracle::new(Chip::new(scenario.params, CoreKind::Fixed));
         // Characterized at the typical unpartitioned share of a fully

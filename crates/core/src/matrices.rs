@@ -181,6 +181,10 @@ impl FactorLibrary {
     /// Characterizes `training_apps` through `oracle` (the paper's one-time
     /// offline profiling of 16 known applications) and learns their
     /// throughput and power factors.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one-time offline characterization of the training applications (§V)"
+    )]
     pub(crate) fn new(oracle: Oracle, training_apps: &[AppProfile]) -> FactorLibrary {
         let training_bips: Vec<_> = training_apps.iter().map(|a| oracle.bips_row(a)).collect();
         let training_watts: Vec<_> = training_apps.iter().map(|a| oracle.power_row(a)).collect();
@@ -209,6 +213,20 @@ impl FactorLibrary {
         )
     }
 
+    /// `profile`'s peak per-core draw across all configurations, from the
+    /// same offline characterization the power factors train on. Admission
+    /// charges it as a tenant's worst case.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "admission's worst case reads the characterized power row for a candidate the runtime has never profiled, until a truth-free charge replaces it (ROADMAP, What the manager may know, step 2)"
+    )]
+    pub(crate) fn peak_watts(&self, profile: &AppProfile) -> f64 {
+        self.oracle
+            .power_row(profile)
+            .into_iter()
+            .fold(0.0, f64::max)
+    }
+
     /// The parameters of the chip the library characterizes.
     pub fn params(&self) -> &SystemParams {
         self.oracle.chip().params()
@@ -223,6 +241,10 @@ impl FactorLibrary {
     /// The tail library characterized at `bucket`'s load: each variant's
     /// stored service rates queued on [`TAIL_REFERENCE_CORES`] cores, capped
     /// at [`TAIL_CAP_MS`].
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the offline characterization of the tail library at one load bucket (§V)"
+    )]
     fn tail_rows(&self, bucket: usize) -> Vec<Vec<f64>> {
         let load = bucket_load(bucket);
         self.tail_library
@@ -579,6 +601,10 @@ impl JobMatrices {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the tests score the factors and reconstructions against the truth they learn from"
+)]
 mod tests {
     use super::*;
     use simulator::power::CoreKind;

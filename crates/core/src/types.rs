@@ -137,7 +137,7 @@ impl Scenario {
             LoadPattern::Constant(0.8),
             16,
         ))];
-        for app in batch::mix(BATCH_JOBS, 0xC0FFEE).apps {
+        for app in batch::mix(BATCH_JOBS, batch::STANDARD_MIX_SEED).apps {
             jobs.push(JobSpec::Batch(BatchJobSpec::resident(app)));
         }
         Scenario {
@@ -176,7 +176,7 @@ impl Scenario {
             JobSpec::LatencyCritical(LcJobSpec::new(xapian, LoadPattern::Constant(0.4), 8)),
             JobSpec::LatencyCritical(LcJobSpec::new(masstree, LoadPattern::Constant(0.4), 8)),
         ];
-        for app in batch::mix(12, 0xC0FFEE).apps {
+        for app in batch::mix(12, batch::STANDARD_MIX_SEED).apps {
             jobs.push(JobSpec::Batch(BatchJobSpec::resident(app)));
         }
         Scenario {

@@ -334,13 +334,17 @@ mod tests {
     }
 
     #[test]
-    fn requests_after_shutdown_report_stopped() {
+    fn requests_after_a_panicking_call_report_stopped() {
+        use ClusterServiceError::Stopped;
         let service = ClusterServiceBuilder::new(&quiet(2)).start().unwrap();
-        let probe = service.metrics().unwrap();
-        assert!(
-            probe.contains("cuttlesys_cluster_quanta_total 0"),
-            "{probe}"
-        );
-        let _record = service.shutdown().unwrap();
+        assert!(service.call::<()>(|_| panic!("a request bug")).is_err());
+        assert!(matches!(service.step_quantum(), Err(Stopped)));
+        assert!(matches!(service.metrics(), Err(Stopped)));
+        assert!(matches!(service.snapshot(), Err(Stopped)));
+        assert!(matches!(
+            service.register_batch("late", workloads::batch::mix(1, 1).apps[0]),
+            Err(Stopped)
+        ));
+        assert!(matches!(service.shutdown(), Err(Stopped)));
     }
 }

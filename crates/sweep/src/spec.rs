@@ -572,7 +572,7 @@ fn parse_tenants(value: &JsonValue) -> Result<TenantMix, SweepError> {
         })?,
     };
     let mix_seed = match value.get("mix_seed") {
-        None => 0xC0FFEE,
+        None => batch::STANDARD_MIX_SEED,
         Some(v) => v.as_usize().ok_or_else(|| {
             invalid("scenario field \"tenants\" field \"mix_seed\" must be a non-negative integer")
         })? as u64,

@@ -266,6 +266,11 @@ pub fn testing_set() -> Vec<SpecBenchmark> {
     by_names(&TESTING_NAMES)
 }
 
+/// Seed of the standard mix: `mix(size, STANDARD_MIX_SEED + i)` is the
+/// `i`-th mix of the paper's co-locations, and mix 0 is the one
+/// `Scenario::paper_default` runs.
+pub const STANDARD_MIX_SEED: u64 = 0xC0FFEE;
+
 /// Draws a multiprogrammed mix of `size` benchmarks by sampling the testing
 /// set with replacement, as in §VII-A ("randomly selecting one of the
 /// remaining SPEC CPU2006 benchmarks to run on each core").

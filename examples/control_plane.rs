@@ -78,7 +78,7 @@ fn main() -> ExitCode {
     );
 
     // Two live registrations, straight through admission control.
-    let newcomers = batch::mix(2, 0xC0FFEE).apps;
+    let newcomers = batch::mix(2, batch::STANDARD_MIX_SEED).apps;
     let first = match service.register_batch("newcomer-a", newcomers[0]) {
         Ok(id) => id,
         Err(e) => {

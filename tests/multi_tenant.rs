@@ -34,7 +34,7 @@ fn cuttlesys_beats_core_gating_with_two_tenants() {
     // A full chip — two 8-core tenants plus 16 batch jobs — makes the 70%
     // cap bind, so core gating has to switch whole jobs off while
     // CuttleSys shaves partial cores from both tenants instead.
-    let s = Scenario::two_service().with_mix(batch::mix(16, 0xC0FFEE));
+    let s = Scenario::two_service().with_mix(batch::mix(16, batch::STANDARD_MIX_SEED));
     let gating = Scheme::CoreGating {
         order: GatingOrder::DescendingPower,
         way_partitioning: true,
