@@ -65,7 +65,7 @@
 //! a no-op, node 0 keeps the base scenario's seed
 //! ([`topology::node_seed_salt`] of 0 is 0), and the traffic share
 //! multiplier stays exactly 1.0 — so the cluster replays the single-node
-//! golden record bit-for-bit (`tests/cluster.rs` pins this).
+//! run bit-for-bit (`tests/cluster.rs` pins this).
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -12,7 +12,7 @@ use workloads::loadgen::LoadPattern;
 /// Per-node seed salt: a golden-ratio multiplicative mix of the node
 /// index. Node 0's salt is 0, so the first node replays the base
 /// scenario's seed exactly — that is what lets a one-node cluster
-/// reproduce the single-node golden record bit-for-bit.
+/// reproduce the single-node run bit-for-bit.
 pub fn node_seed_salt(index: usize) -> u64 {
     (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

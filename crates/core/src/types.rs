@@ -731,6 +731,22 @@ impl RunRecord {
         self
     }
 
+    /// FNV-1a over the `Debug` rendering of [`RunRecord::comparable`]: the
+    /// record digest `tests/golden/ledger_digests.txt` pins. `Debug` prints
+    /// every field and round-trips every float, so two records digest equal
+    /// exactly when their comparable forms are equal.
+    ///
+    /// The simulation is causal: a run's first `n` slices depend on nothing
+    /// after slice `n`, so a shorter run of the same seed and inputs is the
+    /// prefix of a longer one and digests like that prefix.
+    pub fn digest(&self) -> u64 {
+        format!("{:?}", self.clone().comparable())
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
     /// Per-stage telemetry aggregated over the slices that carry it
     /// (`None` when no slice does — e.g. baseline managers).
     pub fn stage_summary(&self) -> Option<crate::telemetry::TelemetrySummary> {

@@ -276,6 +276,9 @@ impl ClusterService {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::bus::Received;
+    use cuttlesys::control::ControlEvent;
+    use cuttlesys::lifecycle::LifecycleState;
     use cuttlesys::types::Scenario;
 
     fn quiet(slices: usize) -> ClusterScenario {
@@ -292,6 +295,7 @@ mod tests {
     fn manual_cluster_service_runs_a_scenario() {
         let scenario = quiet(3);
         let service = ClusterServiceBuilder::new(&scenario).start().unwrap();
+        let mut events = service.subscribe();
         for _ in 0..3 {
             service.step_quantum().unwrap();
         }
@@ -301,6 +305,19 @@ mod tests {
         for node in &record.nodes {
             assert_eq!(node.slices.len(), 3);
         }
+        // Shutdown retires every tenant on every node, and says so.
+        let mut retired = 0;
+        while let Ok(got) = events.recv() {
+            if let Received::Event(ClusterEvent::Node(ControlEvent::Lifecycle {
+                to: LifecycleState::Retired,
+                ..
+            })) = got
+            {
+                retired += 1;
+            }
+        }
+        let base = &scenario.nodes[0];
+        assert_eq!(retired, 2 * (base.num_lc() + base.num_batch()));
     }
 
     #[test]
@@ -328,7 +345,11 @@ mod tests {
         );
         let state = scrape("/state");
         assert!(state.contains("\"quantum\":1"), "{state}");
-        assert!(state.contains("\"nodes\":["), "{state}");
+        for key in ["nodes", "lc_shares", "node_health"] {
+            assert!(state.contains(&format!("\"{key}\":[")), "{state}");
+        }
+        assert!(state.contains("\"evacuations\":0"), "{state}");
+        assert!(state.contains("\"displaced\":0"), "{state}");
         let record = service.shutdown().unwrap();
         assert_eq!(record.quanta, 1);
     }

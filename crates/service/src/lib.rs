@@ -267,11 +267,24 @@ mod tests {
     fn manual_service_runs_a_scenario_and_returns_the_record() {
         let scenario = quiet(3);
         let service = ServiceBuilder::new(&scenario).start().unwrap();
+        let mut events = service.subscribe();
         for _ in 0..scenario.duration_slices {
             service.step_quantum().unwrap();
         }
         let record = service.shutdown().unwrap();
         assert_eq!(record.slices.len(), scenario.duration_slices);
+        // Shutdown retires every tenant, and says so on the bus.
+        let mut retired = 0;
+        while let Ok(got) = events.recv() {
+            if let Received::Event(ControlEvent::Lifecycle {
+                to: LifecycleState::Retired,
+                ..
+            }) = got
+            {
+                retired += 1;
+            }
+        }
+        assert_eq!(retired, scenario.num_lc() + scenario.num_batch());
     }
 
     #[test]
@@ -310,10 +323,16 @@ mod tests {
     #[test]
     fn http_endpoint_serves_metrics_and_state() {
         use std::io::{Read, Write};
-        let service = ServiceBuilder::new(&quiet(2))
+        let roomy = Scenario {
+            cap: workloads::loadgen::LoadPattern::Constant(2.0),
+            ..quiet(2)
+        };
+        let service = ServiceBuilder::new(&roomy)
             .metrics_addr("127.0.0.1:0")
             .start()
             .unwrap();
+        let app = workloads::batch::mix(1, 1).apps[0];
+        service.register_batch("newcomer", app).unwrap();
         service.step_quantum().unwrap();
         let addr = service.metrics_addr().unwrap();
         let scrape = |path: &str| {
@@ -328,6 +347,7 @@ mod tests {
         assert!(metrics.contains("cuttlesys_quanta_total 1"), "{metrics}");
         let state = scrape("/state");
         assert!(state.contains("\"tenants\":["), "{state}");
+        assert!(state.contains("\"name\":\"newcomer\""), "{state}");
         let missing = scrape("/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
         let record = service.shutdown().unwrap();

@@ -426,9 +426,19 @@ mod tests {
 
     #[test]
     fn renders_the_exposition_format() {
-        let mut core = ControlCore::new(&Scenario::quick_demo());
+        // Lossy sensors, so the rejection counter has samples to count.
+        let plan = cuttlesys::faults::FaultPlan::lossy_sensors(7);
+        let mut core = ControlCore::new(&Scenario::quick_demo().with_faults(plan));
         core.step_quantum().unwrap();
         let text = render(&core.snapshot(), core.records(), 2);
+        let rejected: Option<f64> = text
+            .lines()
+            .find_map(|l| l.strip_prefix("cuttlesys_samples_rejected_total "))
+            .and_then(|v| v.parse().ok());
+        assert!(
+            rejected.is_some_and(|r| r > 0.0),
+            "lossy sensors left no rejected sample: {rejected:?}"
+        );
         assert!(text.contains("# TYPE cuttlesys_quanta_total counter"));
         assert!(text.contains("cuttlesys_quanta_total 1"));
         assert!(text.contains("cuttlesys_stage_wall_ms{stage=\"search\",stat=\"mean\"}"));

@@ -21,8 +21,8 @@ const COMPARATOR_FNS: &[&str] = &[
     "select_nth_unstable_by",
 ];
 
-/// Crates in scope: the decision path, whose choices the golden record
-/// pins (`cluster` included: cross-node placement, migration and balancing
+/// Crates in scope: the decision path, whose choices the record digests
+/// pin (`cluster` included: cross-node placement, migration and balancing
 /// decide what every node runs), and the bench/sweep reporting layers,
 /// whose float comparisons still shape published artifacts.
 const SCOPE_CRATES: &[&str] = &[

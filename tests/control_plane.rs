@@ -2,7 +2,8 @@
 //!
 //! The refactor contract for the service layer: running the manager as a
 //! long-lived service must be *observation-equivalent* to the static
-//! batch runs the golden record pins. Concretely:
+//! batch runs the record digests of `tests/golden/ledger_digests.txt`
+//! pin. Concretely:
 //!
 //! * a request sequence (register, deregister, step) applied to a fresh
 //!   [`ControlCore`] is bit-identical to the same sequence sent to a live
@@ -10,8 +11,9 @@
 //!   [`RunRecord`]);
 //! * a sequence whose registrations all land before slice 0 is
 //!   bit-identical to the equivalent static [`Scenario`] run via
-//!   `run_scenario` — the paper-default golden record therefore also pins
-//!   the service path;
+//!   `run_scenario`, and 220 quanta of `paper_default` through the
+//!   service facade, with registrations admission refuses, digest to the
+//!   pinned `service_scrape` line;
 //! * a mid-run deregistration is bit-identical to declaring the same
 //!   departure slice statically (drain removes a row, and row removal
 //!   commutes with when it was requested).
@@ -102,7 +104,44 @@ fn a_step_only_trace_matches_the_static_scenario_bit_for_bit() {
     assert_eq!(
         replay(&scenario, &steps(scenario.duration_slices)),
         static_record.comparable(),
-        "the service path must not perturb the golden-record run"
+        "the service path must not perturb the static run"
+    );
+}
+
+/// The decision pin through the facade: the benchmark's `service_scrape`
+/// workload at seed 7 and `--seconds 2` without its HTTP scraper. That is
+/// 220 quanta of `paper_default` with one registration every 50; the node
+/// is full, so admission refuses each one and the records stay those of
+/// the static run. The pinned digest is in `tests/golden/ledger_digests.txt`.
+#[test]
+fn the_service_facade_pins_the_service_scrape_digest() {
+    let scenario = Scenario::paper_default()
+        .with_seed(7)
+        .with_duration_slices(220);
+    let service = ServiceBuilder::new(&scenario).start().expect("service");
+    let app = workloads::batch::mix(1, 0xBEEF).apps[0];
+    for q in 0..scenario.duration_slices {
+        if q % 50 == 25 {
+            let reply = service.register_batch(&format!("late-{q}"), app);
+            assert!(
+                matches!(reply, Err(ServiceError::Admission(_))),
+                "quantum {q}: a full node answered {reply:?}"
+            );
+        }
+        service.step_quantum().expect("quantum");
+    }
+    let record = service.shutdown().expect("clean shutdown");
+    assert_eq!(record.slices.len(), scenario.duration_slices);
+    let pinned = include_str!("golden/ledger_digests.txt")
+        .lines()
+        .find_map(|line| line.strip_prefix("service_scrape "))
+        .expect("tests/golden/ledger_digests.txt pins service_scrape");
+    let got = format!("{:016x}", record.digest());
+    assert_eq!(
+        got, pinned,
+        "service_scrape digest {got}, pinned {pinned} in tests/golden/ledger_digests.txt: \
+         a change meant to leave decisions alone must keep it; one that moves them \
+         regenerates that file"
     );
 }
 

@@ -6,7 +6,7 @@ use baselines::ga::GaParams;
 use baselines::gating::GatingOrder;
 use cuttlesys::managers::{AsymmetricMode, FlickerVariant, Scheme};
 use cuttlesys::testbed::run_scenario;
-use cuttlesys::types::Scenario;
+use cuttlesys::types::{RunRecord, Scenario};
 use cuttlesys::CuttleSysManager;
 use simulator::power::CoreKind;
 use workloads::batch;
@@ -155,6 +155,44 @@ fn runs_are_deterministic_for_a_fixed_seed() {
         run_scenario(&s, &mut m)
     };
     assert_eq!(a.comparable(), b.comparable());
+}
+
+/// The decision pin. The benchmark's `node_steady` workload at seed 7 and
+/// `--seconds 2` is 20 warm-up and 200 timed quanta of `paper_default`;
+/// its record digest is pinned in `tests/golden/ledger_digests.txt`, so any
+/// moved decision, measurement or work counter of the paper's setup trips
+/// this. The 10-slice `paper_default()` run is the same run cut short, so
+/// by causality it equals the first 10 slices.
+#[test]
+fn paper_default_pins_the_node_steady_digest_and_is_its_prefix() {
+    let long = Scenario::paper_default()
+        .with_seed(7)
+        .with_duration_slices(220);
+    let record = run_scenario(&long, &mut CuttleSysManager::for_scenario(&long));
+    assert_eq!(record.slices.len(), 220);
+    let pinned = include_str!("golden/ledger_digests.txt")
+        .lines()
+        .find_map(|line| line.strip_prefix("node_steady "))
+        .expect("tests/golden/ledger_digests.txt pins node_steady");
+    let got = format!("{:016x}", record.digest());
+    assert_eq!(
+        got, pinned,
+        "node_steady digest {got}, pinned {pinned} in tests/golden/ledger_digests.txt: \
+         a change meant to leave decisions alone must keep it; one that moves them \
+         regenerates that file"
+    );
+
+    let short = Scenario::paper_default();
+    let prefix = RunRecord {
+        slices: record.slices[..short.duration_slices].to_vec(),
+        ..record
+    };
+    assert_eq!(
+        run_scenario(&short, &mut CuttleSysManager::for_scenario(&short)).comparable(),
+        prefix.comparable(),
+        "paper_default() is not the first {} slices of the pinned run",
+        short.duration_slices
+    );
 }
 
 #[test]

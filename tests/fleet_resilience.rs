@@ -36,7 +36,7 @@
 //!   node not yet declared Down is accepted and recovered by the
 //!   evacuation its detection triggers;
 //! * [`FleetFaultPlan::none`] is a bit-for-bit no-op against the
-//!   single-node golden run.
+//!   single-node run.
 //!
 //! Wall-clock stage timings are zeroed before comparison via
 //! [`ClusterRecord::comparable`], as in `tests/cluster.rs`.
@@ -122,14 +122,27 @@ fn step_checked(coordinator: &mut ClusterCoordinator) {
     }
 }
 
-/// Run a whole scenario under a fault plan and return the comparable
-/// record plus the full cluster event log.
+/// What a whole scenario run under a fault plan leaves behind.
+#[derive(Debug, PartialEq)]
+struct FaultedRun {
+    /// The comparable record.
+    record: ClusterRecord,
+    /// The full cluster event log, shutdown included.
+    events: Vec<ClusterEvent>,
+    /// The `cuttlesys_node_up` samples of the fleet `/metrics` document at
+    /// the end of the horizon.
+    node_up: Vec<String>,
+    /// Live tenant rows per node after shutdown.
+    live_after_shutdown: Vec<usize>,
+}
+
+/// Runs a whole scenario under a fault plan.
 fn run_with_plan(
     base: &Scenario,
     nodes: usize,
     config: ClusterConfig,
     plan: FleetFaultPlan,
-) -> (ClusterRecord, Vec<ClusterEvent>) {
+) -> FaultedRun {
     let scenario = ClusterScenario::uniform(base, nodes);
     let mut coordinator = ClusterCoordinator::with_faults(&scenario, config, plan);
     let mut events = Vec::new();
@@ -137,9 +150,34 @@ fn run_with_plan(
         step_checked(&mut coordinator);
         events.extend(coordinator.drain_events());
     }
+    let node_up = node_up_samples(&coordinator);
     coordinator.shutdown().expect("fleet drain");
     events.extend(coordinator.drain_events());
-    (coordinator.into_record().comparable(), events)
+    FaultedRun {
+        live_after_shutdown: live_rows(&coordinator),
+        record: coordinator.into_record().comparable(),
+        events,
+        node_up,
+    }
+}
+
+/// The `cuttlesys_node_up` sample lines of the fleet `/metrics` document.
+fn node_up_samples(coordinator: &ClusterCoordinator) -> Vec<String> {
+    service::metrics::render_cluster(coordinator, 0)
+        .lines()
+        .filter(|line| line.starts_with("cuttlesys_node_up{"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Live tenant rows per node.
+fn live_rows(coordinator: &ClusterCoordinator) -> Vec<usize> {
+    coordinator
+        .snapshot()
+        .nodes
+        .iter()
+        .map(|node| node.tenants.iter().filter(|t| t.state.is_live()).count())
+        .collect()
 }
 
 /// The tenant ids seeded on `node` at construction time, before any
@@ -165,8 +203,8 @@ fn a_node_crash_replays_bit_for_bit() {
     assert_eq!(first, again, "the same crash replayed differently");
 
     // The crashed node froze at the crash quantum and never stepped again.
-    assert_eq!(first.0.nodes[1].slices.len(), 2);
-    assert!(first.0.nodes[0].slices.len() > 2);
+    assert_eq!(first.record.nodes[1].slices.len(), 2);
+    assert!(first.record.nodes[0].slices.len() > 2);
 }
 
 #[test]
@@ -176,7 +214,7 @@ fn a_killed_node_loses_no_tenants_the_event_log_cannot_account_for() {
     assert!(!doomed.is_empty(), "node 1 seeds no tenants");
 
     let plan = FleetFaultPlan::none().with_crash(n(1), 2);
-    let (_, events) = run_with_plan(&base, 4, ClusterConfig::default(), plan);
+    let events = run_with_plan(&base, 4, ClusterConfig::default(), plan).events;
 
     for id in &doomed {
         let accounted = events.iter().any(|e| match e {
@@ -238,9 +276,9 @@ fn a_drain_equals_a_crash_declared_down_in_the_same_quantum() {
             })
             .collect()
     };
-    let drain_dests = destinations(&drained.1);
+    let drain_dests = destinations(&drained.events);
     assert!(!drain_dests.is_empty(), "the drain evacuated nothing");
-    assert_eq!(drain_dests, destinations(&crashed.1));
+    assert_eq!(drain_dests, destinations(&crashed.events));
 
     assert!(drain_dests
         .iter()
@@ -251,17 +289,32 @@ fn a_drain_equals_a_crash_declared_down_in_the_same_quantum() {
     // crash freezes it mid-scenario.
     for i in [0, 2, 3] {
         assert_eq!(
-            drained.0.nodes[i], crashed.0.nodes[i],
+            drained.record.nodes[i], crashed.record.nodes[i],
             "survivor node {i} diverged between drain and crash"
         );
     }
+    // The drained node stopped at the drain; both report n1 down and n0
+    // up. Shutdown retires every row (evacuees included) of every node
+    // that still steps; the crashed node keeps its frozen rows.
+    assert_eq!(drained.record.nodes[1].slices.len(), drain_at);
+    let n0_up = r#"cuttlesys_node_up{node="n0",health="up"} 1"#.to_string();
+    let n1_down = r#"cuttlesys_node_up{node="n1",health="down"} 0"#.to_string();
+    for node_up in [&drained.node_up, &crashed.node_up] {
+        assert!(
+            node_up.contains(&n0_up) && node_up.contains(&n1_down),
+            "{node_up:?}"
+        );
+    }
+    assert_eq!(drained.live_after_shutdown, [0; 4]);
+    let frozen = base.num_lc() + base.num_batch();
+    assert_eq!(crashed.live_after_shutdown, [0, frozen, 0, 0]);
     // A deliberate drain is announced and displaces nothing.
     assert!(drained
-        .1
+        .events
         .iter()
         .any(|e| matches!(e, ClusterEvent::NodeDrained { node, quantum } if *node == n(1) && *quantum == drain_at)));
     assert!(!drained
-        .1
+        .events
         .iter()
         .any(|e| matches!(e, ClusterEvent::Displaced { .. })));
 }
@@ -330,8 +383,16 @@ fn a_blacked_out_node_rejoins_without_duplicate_tenants() {
         local_live_batch, cluster_live_batch,
         "a rejoined node duplicated (or dropped) batch rows"
     );
+    let n1_up = r#"cuttlesys_node_up{node="n1",health="up"} 1"#.to_string();
+    let node_up = node_up_samples(&coordinator);
+    assert!(node_up.contains(&n1_up), "{node_up:?}");
 
+    // An unobservable node kept stepping, and shutdown retires every row
+    // of all three nodes.
     coordinator.shutdown().expect("fleet drain");
+    assert_eq!(live_rows(&coordinator), [0; 3]);
+    let record = coordinator.into_record();
+    assert_eq!(record.nodes[1].slices.len(), base.duration_slices);
 }
 
 /// A quiet base cut to four batch jobs: on two nodes, the survivor of a
@@ -477,7 +538,7 @@ fn a_clean_fault_plan_is_a_bit_for_bit_no_op() {
         "a clean plan emitted fleet events"
     );
 
-    // And node 0 replays the bare single-node golden run bit-for-bit.
+    // And node 0 replays the bare single-node run bit-for-bit.
     let node = coordinator
         .into_record()
         .nodes

@@ -1,7 +1,7 @@
 //! Integration tests for the multi-tenant job model: several
-//! latency-critical services with independent QoS targets, batch-job churn,
-//! and the guarantee that the paper's single-service setup is reproduced
-//! *exactly* as the N=1 special case.
+//! latency-critical services with independent QoS targets and batch-job
+//! churn. That the paper's single-service setup is the exact N=1 special
+//! case is pinned by the `node_steady` digest in `tests/end_to_end.rs`.
 
 use baselines::gating::GatingOrder;
 use cuttlesys::managers::Scheme;
@@ -97,73 +97,4 @@ fn batch_churn_frees_and_reuses_resources() {
         }
     }
     assert_eq!(record.qos_violations(), 0);
-}
-
-/// The paper's setup as the exact N=1 special case: the decisions, the
-/// measured tail, the chip power, and the executed instructions of
-/// `Scenario::paper_default()` are pinned bit-for-bit. Any change to the
-/// multi-tenant generalization that perturbs the single-service path —
-/// an RNG draw reordered, a seed derived differently, a loop refactored —
-/// trips this immediately.
-#[test]
-fn paper_default_run_is_bit_identical_to_the_pinned_golden_record() {
-    // (lc_cores, lc_config, batch configs (-1 = gated), tail bits,
-    //  chip-watts bits, total-instruction bits) per slice.
-    #[rustfmt::skip]
-    let golden: [(usize, usize, [i64; 16], u64, u64, u64); 10] = [
-        (16, 107, [5, 55, 59, 8, 8, 44, 58, 5, 54, 54, 43, 54, 17, 4, 6, 4],
-         0x400e5a12c118ceb2, 0x40552fb7863508b1, 0x41f9a7db7f1de9c8),
-        (16, 55, [54, 106, 68, 106, 46, 106, 106, 106, 105, 56, 54, 106, 58, 58, 34, 94],
-         0x401316614f1a461b, 0x4055a34a095b81cf, 0x41ff7c1f55ebd3ec),
-        (16, 55, [62, 57, 71, 102, 106, 106, 105, 44, 101, 104, 66, 106, 106, 94, 70, 66],
-         0x401316614f1a461b, 0x40566d02540e6a04, 0x4200eaf3cf19eae2),
-        (16, 55, [54, 104, 107, 106, 94, 107, 104, 94, 101, 68, 107, 105, 66, 21, 56, 105],
-         0x401316614f1a461b, 0x4056a42318aa26f4, 0x42004009d6d8abb2),
-        (16, 55, [105, 92, 34, 102, 8, 71, 105, 70, 102, 107, 104, 90, 101, 105, 8, 107],
-         0x401316614f1a461b, 0x40569f64e3ab5138, 0x42000aa003a418e7),
-        (16, 55, [101, 92, 35, 102, 57, 107, 58, 70, 102, 56, 70, 106, 69, 45, 93, 70],
-         0x401316614f1a461b, 0x40564ac758a973a6, 0x420065878f7eec05),
-        (16, 55, [101, 34, 58, 106, 57, 55, 105, 71, 102, 92, 70, 101, 106, 93, 56, 70],
-         0x401316614f1a461b, 0x4056571f8bd11a36, 0x42008bd618e76063),
-        (16, 55, [104, 56, 34, 70, 94, 107, 58, 107, 70, 92, 70, 101, 70, 105, 56, 106],
-         0x401316614f1a461b, 0x405678ac07405f00, 0x420091293823ced3),
-        (16, 55, [104, 56, 22, 106, 81, 59, 106, 95, 102, 20, 102, 101, 70, 92, 58, 70],
-         0x401316614f1a461b, 0x4056165116ea4aa8, 0x420018523d05f499),
-        (16, 55, [102, 45, 93, 105, 45, 58, 69, 95, 104, 20, 102, 106, 107, 71, 45, 101],
-         0x401316614f1a461b, 0x40568c3effcf1061, 0x4200e10ab0cc5188),
-    ];
-
-    let s = Scenario::paper_default();
-    let mut m = CuttleSysManager::for_scenario(&s);
-    let record = run_scenario(&s, &mut m);
-    assert_eq!(record.slices.len(), golden.len());
-    for (i, (sl, g)) in record.slices.iter().zip(&golden).enumerate() {
-        assert_eq!(sl.lc_cores(), g.0, "slice {i}: LC core count drifted");
-        assert_eq!(
-            sl.lc_config().index(),
-            g.1,
-            "slice {i}: LC configuration drifted"
-        );
-        let batch: Vec<i64> = sl
-            .batch_configs
-            .iter()
-            .map(|c| c.map_or(-1, |c| c.index() as i64))
-            .collect();
-        assert_eq!(batch, g.2.to_vec(), "slice {i}: batch decisions drifted");
-        assert_eq!(
-            sl.tail_ms().to_bits(),
-            g.3,
-            "slice {i}: measured tail drifted"
-        );
-        assert_eq!(
-            sl.chip_watts.to_bits(),
-            g.4,
-            "slice {i}: chip power drifted"
-        );
-        assert_eq!(
-            sl.total_instructions.to_bits(),
-            g.5,
-            "slice {i}: executed instructions drifted"
-        );
-    }
 }
